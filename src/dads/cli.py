@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .controllers import (
     SynthesizedDadsController,
     WingRockDadsController,
     wingrock_control,
+    wingrock_damping,
     wingrock_intermediates,
 )
 from .simulate import DivergenceError, SimConfig, TrajectoryLog, simulate, trajectory_stats
@@ -61,6 +61,13 @@ class ScenarioError(Exception):
     pass
 
 
+ERROR_EXITS = {
+    ScenarioError: EXIT_PARSE,
+    DivergenceError: EXIT_DIVERGENCE,
+    MajorantViolationError: EXIT_MAJORANT,
+}
+
+
 @dataclass
 class Scenario:
     """Parsed scenario file: plain nested dictionaries plus typed accessors."""
@@ -72,19 +79,26 @@ class Scenario:
     def get(self, section: str, key: str, default=None):
         return self.sections.get(section, {}).get(key, default)
 
-    def getfloat(self, section, key, default=None):
-        v = self.get(section, key)
-        return default if v is None else float(v)
-
-    def getint(self, section, key, default=None):
-        v = self.get(section, key)
-        return default if v is None else int(v)
-
-    def getvector(self, section, key, default=None):
+    def _convert(self, section, key, default, convert):
         v = self.get(section, key)
         if v is None:
             return default
-        return [float(s) for s in v.replace(",", " ").split()]
+        try:
+            return convert(v)
+        except ValueError:
+            raise ScenarioError(f"[{section}] {key}: not a number: {v!r}") from None
+
+    def getfloat(self, section, key, default=None):
+        return self._convert(section, key, default, float)
+
+    def getint(self, section, key, default=None):
+        return self._convert(section, key, default, int)
+
+    def getvector(self, section, key, default=None):
+        return self._convert(
+            section, key, default,
+            lambda v: [float(s) for s in v.replace(",", " ").split()],
+        )
 
     def serialize(self) -> str:
         cp = configparser.ConfigParser()
@@ -98,25 +112,23 @@ class Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    if not os.path.exists(path):
-        raise ScenarioError(f"scenario file not found: {path}")
-    cp = configparser.ConfigParser()
     try:
-        read = cp.read(path)
-    except configparser.Error as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
-    if not read:
-        raise ScenarioError(f"could not read scenario file: {path}")
-    sections = {sec: dict(cp[sec]) for sec in cp.sections()}
-    if "system" not in sections:
+        with open(path) as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise ScenarioError(f"scenario file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"could not read scenario file {path}: {exc}") from None
+    scn = parse_scenario_text(text, path)
+    if "system" not in scn.sections:
         raise ScenarioError(f"{path}: missing [system] section")
-    return Scenario(sections, path)
+    return scn
 
 
 def parse_scenario_text(text: str, path: str = "<string>") -> Scenario:
     cp = configparser.ConfigParser()
     try:
-        cp.read_string(text)
+        cp.read_string(text, source=path)
     except configparser.Error as exc:
         raise ScenarioError(f"{path}: {exc}") from None
     return Scenario({sec: dict(cp[sec]) for sec in cp.sections()}, path)
@@ -204,13 +216,21 @@ def build_sim_config(scn: Scenario, args) -> SimConfig:
         raise ScenarioError(str(exc)) from None
 
 
+def _sized_vector(scn: Scenario, section: str, key: str, size: int) -> list[float]:
+    """A vector entry of the given length; all zeros when absent."""
+    v = scn.getvector(section, key, [0.0] * size)
+    if len(v) != size:
+        raise ScenarioError(f"[{section}] {key} has {len(v)} entries, expected {size}")
+    return v
+
+
 def run_scenario(scn: Scenario, args) -> tuple[TrajectoryLog, object, object]:
     sysm = build_system(scn)
     controller = build_controller(scn, sysm)
     config = build_sim_config(scn, args)
-    x0 = scn.getvector("sim", "x0", [0.0] * sysm.state_dim)
-    ctrl0 = scn.getvector("sim", "ctrl0", [0.0] * controller.ctrl_dim)
-    theta = constant_parameter(scn.getvector("parameter", "value", [0.0] * sysm.p))
+    x0 = _sized_vector(scn, "sim", "x0", sysm.state_dim)
+    ctrl0 = _sized_vector(scn, "sim", "ctrl0", controller.ctrl_dim)
+    theta = constant_parameter(_sized_vector(scn, "parameter", "value", sysm.p))
     dist = build_disturbance(scn, sysm.l)
     sel = scn.getvector("sim", "output_indices", None)
     sel = None if sel is None else [int(v) for v in sel]
@@ -226,15 +246,8 @@ def _out_path(args, scn: Scenario, suffix: str) -> str:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        scn = load_scenario(args.scenario)
-        log, controller, _ = run_scenario(scn, args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+    scn = load_scenario(args.scenario)
+    log, controller, _ = run_scenario(scn, args)
     path = _out_path(args, scn, "csv")
     log.to_csv(path)
     stats = trajectory_stats(log, controller)
@@ -246,41 +259,37 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_synthesize(args) -> int:
-    try:
-        scn = load_scenario(args.scenario)
-        sysm = build_system(scn)
-        gains = build_gains(scn)
-        pack = wingrock_majorants(gains)
-        bad_r = scn.getfloat("synthesis", "override_base_r", None)
-        if bad_r is not None:
-            pack = type(pack)(
-                base_r=SmoothMap(1, lambda x1: bad_r, name="override_r"),
-                levels=tuple(
-                    StageMajorants(
-                        R=lv.R,
-                        r=SmoothMap(lv.r.arity, lambda *a: bad_r, name="override_r"),
-                        rho=lv.rho,
-                    )
-                    for lv in pack.levels
-                ),
-            )
-        result = synthesize(sysm, gains, pack, seed=args.seed)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except MajorantViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MAJORANT
-
-    reports = ver.stage_certificate_checks(sysm, result, gains, n=200, seed=args.seed)
-    reports.append(
+def _synthesis_reports(sysm, result, gains, seed: int) -> list[ver.CheckReport]:
+    """Stage certificates at 200 samples each, then the final one at 500."""
+    last = result.stage_trace[-1]
+    return ver.stage_certificate_checks(sysm, result, gains, n=200, seed=seed) + [
         ver.synthesized_dissipation_check(
             sysm, result.V_final, result.k_final, gains,
-            result.stage_trace[-1].rate_c, result.stage_trace[-1].effective_gain,
-            n=500, seed=args.seed,
+            last.rate_c, last.effective_gain, n=500, seed=seed,
         )
-    )
+    ]
+
+
+def cmd_synthesize(args) -> int:
+    scn = load_scenario(args.scenario)
+    sysm = build_system(scn)
+    gains = build_gains(scn)
+    pack = wingrock_majorants(gains)
+    bad_r = scn.getfloat("synthesis", "override_base_r", None)
+    if bad_r is not None:
+        pack = type(pack)(
+            base_r=SmoothMap(1, lambda x1: bad_r, name="override_r"),
+            levels=tuple(
+                StageMajorants(
+                    R=lv.R,
+                    r=SmoothMap(lv.r.arity, lambda *a: bad_r, name="override_r"),
+                    rho=lv.rho,
+                )
+                for lv in pack.levels
+            ),
+        )
+    result = synthesize(sysm, gains, pack, seed=args.seed)
+    reports = _synthesis_reports(sysm, result, gains, args.seed)
     path = _out_path(args, scn, "report.txt")
     with open(path, "w") as fh:
         fh.write(result.report() + "\n\n" + ver.summarize(reports) + "\n")
@@ -288,6 +297,15 @@ def cmd_synthesize(args) -> int:
     print(ver.summarize(reports))
     print(f"wrote {path}")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
+
+
+# checks that evaluate one particular controller law: (type, what it checks)
+_CHECK_CONTROLLERS = {
+    "dissipation-dads": ("dads-wingrock", "the closed-form deadzone-adapted law"),
+    "trajectory": ("dads-wingrock", "the trajectory estimates of a deadzone-adapted controller"),
+    "dissipation-sigma": ("sigma-mod", "the sigma-modification law"),
+    "sigma-tradeoff": ("sigma-mod", "the sigma-modification residual bound"),
+}
 
 
 def _run_checks(scn: Scenario, args) -> list[ver.CheckReport]:
@@ -302,21 +320,24 @@ def _run_checks(scn: Scenario, args) -> list[ver.CheckReport]:
     n = scn.getint("checks", "n_samples", 1000)
     tol = scn.getfloat("checks", "tol", 1e-6)
     seed = args.seed
+    ctype = scn.get("controller", "type", "dads-wingrock")
     reports: list[ver.CheckReport] = []
     for name in names:
+        need, what = _CHECK_CONTROLLERS.get(name, (None, ""))
+        if need is not None and ctype != need:
+            raise ScenarioError(
+                f"check {name!r} evaluates {what}; it needs controller type "
+                f"{need!r}, got {ctype!r}"
+            )
         if name == "dissipation-dads":
             ctrl = build_controller(scn, sysm)
             control_fn = None
             if scn.get("checks", "corrupt_controller", "false").lower() == "true":
                 # mutation probe: sign-flip the stabilizing damping term
                 def control_fn(x, z, _c=ctrl):
-                    u = wingrock_control(x, z, _c)
-                    t = wingrock_intermediates(x[0], x[1], x[2], z, _c.c, _c.K)
-                    damp = (
-                        42.0 * _c.c * (2.0 * _c.c + 1.0) * t.rho ** 2 * t.L
-                        * (1.0 + 18.0 * _c.c * _c.K * t.rho ** 2 * t.L) ** 2 * t.xi
-                    )
-                    return u + 2.0 * damp
+                    u, _ = wingrock_control(x, z, _c)
+                    terms = wingrock_intermediates(x[0], x[1], x[2], z, _c.c, _c.K)
+                    return u + 2.0 * wingrock_damping(terms, _c.c, _c.K)
             reports.append(
                 ver.wingrock_dissipation_check(
                     sysm, ctrl, n=n, tol=tol, seed=seed, control_fn=control_fn
@@ -324,24 +345,17 @@ def _run_checks(scn: Scenario, args) -> list[ver.CheckReport]:
             )
         elif name == "dissipation-sigma":
             ctrl = build_controller(scn, sysm)
-            theta = scn.getvector("parameter", "value", [0.0] * sysm.p)
+            theta = _sized_vector(scn, "parameter", "value", sysm.p)
             reports.append(
                 ver.sigma_mod_dissipation_check(sysm, ctrl, theta, n=n, tol=tol, seed=seed)
             )
         elif name == "synthesis-certificates":
             gains = build_gains(scn)
             result = synthesize(sysm, gains, wingrock_majorants(gains), seed=seed)
-            reports.extend(ver.stage_certificate_checks(sysm, result, gains, seed=seed))
-            last = result.stage_trace[-1]
-            reports.append(
-                ver.synthesized_dissipation_check(
-                    sysm, result.V_final, result.k_final, gains,
-                    last.rate_c, last.effective_gain, n=500, seed=seed,
-                )
-            )
+            reports.extend(_synthesis_reports(sysm, result, gains, seed))
         elif name == "trajectory":
             log, controller, dist = run_scenario(scn, args)
-            theta = scn.getvector("parameter", "value", [0.0] * sysm.p)
+            theta = _sized_vector(scn, "parameter", "value", sysm.p)
             radius = ver.wingrock_attractivity_radius(controller.c, controller.eps_dz)
             reports.extend(
                 ver.check_trajectory_estimates(
@@ -354,7 +368,7 @@ def _run_checks(scn: Scenario, args) -> list[ver.CheckReport]:
             )
         elif name == "sigma-tradeoff":
             log, controller, dist = run_scenario(scn, args)
-            theta = scn.getvector("parameter", "value", [0.0] * sysm.p)
+            theta = _sized_vector(scn, "parameter", "value", sysm.p)
             reports.append(
                 ver.check_sigma_tradeoff(
                     log, theta, controller, d_sup=ver.signal_sup(dist, log.t)
@@ -366,18 +380,8 @@ def _run_checks(scn: Scenario, args) -> list[ver.CheckReport]:
 
 
 def cmd_verify(args) -> int:
-    try:
-        scn = load_scenario(args.scenario)
-        reports = _run_checks(scn, args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    except MajorantViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MAJORANT
+    scn = load_scenario(args.scenario)
+    reports = _run_checks(scn, args)
     path = _out_path(args, scn, "checks.csv")
     ver.reports_to_csv(reports, path)
     print(ver.summarize(reports))
@@ -387,31 +391,22 @@ def cmd_verify(args) -> int:
 
 def cmd_compare(args) -> int:
     if len(args.scenarios) < 2:
-        print("error: compare needs at least two scenarios", file=sys.stderr)
-        return EXIT_PARSE
+        raise ScenarioError("compare needs at least two scenarios")
     rows = []
     logs = {}
-    try:
-        for path in args.scenarios:
-            scn = load_scenario(path)
-            log, controller, _ = run_scenario(scn, args)
-            stats = trajectory_stats(log, controller)
-            ctype = scn.get("controller", "type", "dads-wingrock")
-            leak = scn.getfloat("controller", "sigma", 0.4) if ctype == "sigma-mod" else None
-            label = ctype if leak is None else f"{ctype}({leak:g})"
-            rows.append((os.path.basename(path), label, stats, log))
-            logs[(ctype, leak)] = log
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+    for path in args.scenarios:
+        scn = load_scenario(path)
+        log, controller, _ = run_scenario(scn, args)
+        stats = trajectory_stats(log, controller)
+        ctype = scn.get("controller", "type", "dads-wingrock")
+        leak = scn.getfloat("controller", "sigma", 0.4) if ctype == "sigma-mod" else None
+        label = ctype if leak is None else f"{ctype}({leak:g})"
+        rows.append((os.path.basename(path), label, stats, log))
+        logs[(ctype, leak)] = log
 
     horizons = {round(float(r[3].t[-1]), 9) for r in rows}
     if len(horizons) != 1:
-        print("error: scenarios have different horizons", file=sys.stderr)
-        return EXIT_PARSE
+        raise ScenarioError("scenarios have different horizons")
 
     header = f"{'scenario':30s} {'controller':22s} {'sup|Y|tail':>12s} {'sup gain':>12s} {'energy':>14s}"
     lines = [header, "-" * len(header)]
@@ -484,7 +479,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except tuple(ERROR_EXITS) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for cls, code in ERROR_EXITS.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -10,13 +10,15 @@ Three controllers are provided:
 * a generic wrapper around a synthesized (V, k) pair from the backstepping
   engine.
 
-All formula evaluation is written with generic arithmetic so the same code
-paths can be fed jets for derivative-based certificate checking.
+Each controller exposes step(x, cs, t) -> (u, rate): the input and the rate
+of the controller state, from one evaluation of the law.  All formula
+evaluation is written with generic arithmetic so the same code paths can be
+fed jets for derivative-based certificate checking.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +42,12 @@ def wingrock_intermediates(x1, x2, x3, z, c: float, K: float) -> WingRockTerms:
     xi = x3 + x1 + 2.0 * c * x2 + K * rho * rho * L * zeta
     V = 0.5 * x1 * x1 + 0.5 * zeta * zeta + 0.5 * xi * xi
     return WingRockTerms(zeta, rho, L, xi, V)
+
+
+def deadzone_rate(V, z, Gamma: float, eps_dz: float):
+    """Deadzone gain adaptation Gamma e^{-z} (V - eps_dz)^+: zero whenever
+    V <= eps_dz, nonnegative always (generic arithmetic)."""
+    return Gamma * jet_exp(-z) * jet_relu_plus(V - eps_dz)
 
 
 @dataclass(frozen=True)
@@ -68,11 +76,10 @@ class WingRockDadsController:
     # --- simulator interface -------------------------------------------------
     ctrl_dim = 1
 
-    def u(self, x, cs, t=0.0) -> float:
-        return wingrock_control(x, float(cs[0]), self)
-
-    def ctrl_rate(self, x, cs, t=0.0) -> np.ndarray:
-        return np.array([wingrock_z_rate(x, float(cs[0]), self)])
+    def step(self, x, cs, t=0.0):
+        """Input and controller-state rate at (x, cs, t)."""
+        u, zdot = wingrock_control(x, float(cs[0]), self)
+        return u, (zdot,)
 
     def gain_magnitude(self, cs) -> float:
         return 1.0 + np.exp(float(cs[0]))
@@ -90,27 +97,31 @@ class WingRockDadsController:
         return SmoothMap(4, V, name="wingrock_V")
 
 
+def wingrock_damping(terms: WingRockTerms, c: float, K: float):
+    """The stabilizing damping term of the wing-rock DADS input (which subtracts it)."""
+    rho, L = terms.rho, terms.L
+    return (
+        42.0 * c * (2.0 * c + 1.0) * rho * rho * L
+        * (1.0 + 18.0 * c * K * rho * rho * L) ** 2 * terms.xi
+    )
+
+
 def wingrock_control(x, z, ctrl: WingRockDadsController):
-    """The wing-rock DADS input, term by term (generic arithmetic)."""
+    """The wing-rock DADS input, term by term, and the rate of z (generic arithmetic)."""
     c, K, Gamma, eps = ctrl.c, ctrl.K, ctrl.Gamma, ctrl.eps_dz
     x1, x2, x3 = x[0], x[1], x[2]
-    zeta, rho, L, xi, V = wingrock_intermediates(x1, x2, x3, z, c, K)
+    terms = wingrock_intermediates(x1, x2, x3, z, c, K)
+    zeta, rho, L, xi, V = terms
     deadzone = jet_relu_plus(V - eps)
-    return (
+    u = (
         -(2.0 * c + K * rho * rho * (L + 4.0 * zeta * x2 ** 3)) * x3
         - zeta
         - x2
         - 2.0 * Gamma * K * rho * L * deadzone * zeta
         - K * rho * rho * x2 * (4.0 * x1 ** 3 * zeta + 2.0 * c * L)
-        - 42.0 * c * (2.0 * c + 1.0) * rho * rho * L
-        * (1.0 + 18.0 * c * K * rho * rho * L) ** 2 * xi
+        - wingrock_damping(terms, c, K)
     )
-
-
-def wingrock_z_rate(x, z, ctrl: WingRockDadsController):
-    """Deadzone gain adaptation: zero whenever V <= eps_dz, nonnegative always."""
-    V = wingrock_intermediates(x[0], x[1], x[2], z, ctrl.c, ctrl.K).V
-    return ctrl.Gamma * jet_exp(-z) * jet_relu_plus(V - ctrl.eps_dz)
+    return u, deadzone_rate(V, z, Gamma, eps)
 
 
 @dataclass(frozen=True)
@@ -132,11 +143,9 @@ class SigmaModController:
 
     ctrl_dim = 4
 
-    def u(self, x, cs, t=0.0) -> float:
-        return sigma_mod_control(x, cs, self)[0]
-
-    def ctrl_rate(self, x, cs, t=0.0) -> np.ndarray:
-        return np.asarray(sigma_mod_control(x, cs, self)[1], float)
+    def step(self, x, cs, t=0.0):
+        """Input and estimate rates at (x, cs, t)."""
+        return sigma_mod_control(x, cs, self)
 
     def gain_magnitude(self, cs) -> float:
         return float(np.linalg.norm(cs))
@@ -214,11 +223,10 @@ class SynthesizedDadsController:
 
     ctrl_dim = 1
 
-    def u(self, x, cs, t=0.0) -> float:
-        return synthesized_control(x, float(cs[0]), self)[0]
-
-    def ctrl_rate(self, x, cs, t=0.0) -> np.ndarray:
-        return np.array([synthesized_control(x, float(cs[0]), self)[1]])
+    def step(self, x, cs, t=0.0):
+        """Input and controller-state rate at (x, cs, t)."""
+        u, zdot = synthesized_control(x, float(cs[0]), self)
+        return u, (zdot,)
 
     def gain_magnitude(self, cs) -> float:
         return 1.0 + np.exp(float(cs[0]))
@@ -235,5 +243,4 @@ def synthesized_control(state, z: float, ctrl: SynthesizedDadsController):
         )
     u = ctrl.k_final(*state, z)
     V = ctrl.V_final(*state, z)
-    zdot = ctrl.Gamma * jet_exp(-z) * jet_relu_plus(V - ctrl.eps_dz)
-    return u, zdot
+    return u, deadzone_rate(V, z, ctrl.Gamma, ctrl.eps_dz)

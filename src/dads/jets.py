@@ -12,7 +12,6 @@ maps is performed: see `partial_map`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -186,19 +185,6 @@ class Jet:
         return f"Jet({{{parts}}})"
 
 
-def lift(value: float, var_index: int, n_vars: int, order: int) -> Jet:
-    """Jet of the coordinate function x_{var_index} evaluated at `value`."""
-    return jet_space(n_vars, order).variable(value, var_index)
-
-
-def constant(value: float, n_vars: int, order: int) -> Jet:
-    return jet_space(n_vars, order).constant(value)
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    return a * b
-
-
 def scalar_value(x) -> float:
     """Innermost numeric value of a possibly nested jet."""
     while isinstance(x, Jet):
@@ -298,10 +284,6 @@ class SmoothMap:
                 f"got {len(args)}"
             )
         return self.fn(*args)
-
-    def eval(self, point: Sequence[float]):
-        """Plain numeric evaluation."""
-        return self(*[float(v) for v in point])
 
     def eval_jets(self, jets: Sequence[Jet]):
         """Evaluate on jets from a single space, enforcing the order budget."""

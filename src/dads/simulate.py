@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -155,10 +155,8 @@ def simulate(
     sel = np.arange(n) if output_indices is None else np.asarray(output_indices, int)
 
     def rhs(t, s):
-        x, cs = s[:n], s[n:]
-        u = controller.u(x, cs, t)
-        xdot = eval_dynamics(sys, x, u, theta(t), disturbance(t))
-        return np.concatenate([xdot, controller.ctrl_rate(x, cs, t)])
+        u, rate = controller.step(s[:n], s[n:], t)
+        return np.concatenate([eval_dynamics(sys, s[:n], u, theta(t), disturbance(t)), rate])
 
     n_steps = int(round(config.t_end / config.dt))
     t_log = config.dt * np.arange(0, n_steps + 1, config.log_stride)
@@ -183,7 +181,7 @@ def simulate(
         traj = sol.y.T
         t_log = sol.t
 
-    u_log = np.array([controller.u(s[:n], s[n:], t) for t, s in zip(t_log, traj)])
+    u_log = np.array([controller.step(s[:n], s[n:], t)[0] for t, s in zip(t_log, traj)])
     V_log = np.array([controller.lyapunov(s[:n], s[n:]) for s in traj])
     Y_log = np.linalg.norm(traj[:, sel], axis=1)
     return TrajectoryLog(
@@ -215,11 +213,6 @@ def _integrate_rk4(rhs, s0: np.ndarray, config: SimConfig, n_steps: int) -> np.n
                 raise DivergenceError(t)
             out[i + 1] = s
     return out
-
-
-def batch_simulate(jobs: Sequence[dict]) -> list[TrajectoryLog]:
-    """Run several simulate() calls described by keyword dictionaries."""
-    return [simulate(**job) for job in jobs]
 
 
 @dataclass(frozen=True)

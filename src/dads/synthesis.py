@@ -80,20 +80,6 @@ class DadsGains:
                 raise ValueError(f"{fname} must be strictly increasing")
 
 
-def deadzone_from_eps_quadratic(eps: float, M: float = 1.0) -> float:
-    """Deadzone level eps^2 / (2 M) used by the quadratic-form base step."""
-    if eps <= 0 or M <= 0:
-        raise ValueError("eps and M must be positive")
-    return eps * eps / (2.0 * M)
-
-
-def deadzone_from_eps_direct(eps: float) -> float:
-    """Deadzone level used directly (the wing-rock closed form's convention)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return eps
-
-
 @dataclass(frozen=True)
 class StageMajorants:
     """Per-level growth majorants.
@@ -429,7 +415,6 @@ def _validate_backstep_majorants(
     )
 
     def rho_lhs(pt):
-        mag = float(np.sum(np.abs(pt)))
         # scale by |x| + |y| with x the block and y the new level
         xs, y = pt[:d], pt[d]
         mag = float(np.linalg.norm(xs)) + abs(float(y))

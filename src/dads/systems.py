@@ -11,7 +11,7 @@ plus samplers for the admissible parameter set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -99,6 +99,23 @@ class PureStrictFeedbackSystem:
     @property
     def state_dim(self) -> int:
         return self.n
+
+
+def truncate(sys, dim: int):
+    """The plant cut after its first `dim` states; state dim + 1 becomes the input.
+
+    A backstepping stage of dimension `dim` closes the loop through this
+    truncation, with its feedback in place of the next state.
+    """
+    pure = isinstance(sys, PureStrictFeedbackSystem)
+    levels = dim if pure else dim - sys.n
+    if not 1 <= levels <= (sys.n if pure else sys.m):
+        raise ValueError(f"cannot truncate a {sys.state_dim}-state plant to {dim} states")
+    per_level = {
+        name: getattr(sys, name)[:levels]
+        for name in ("h", "phi", "alpha", "g", "eta", "mu")
+    }
+    return replace(sys, **per_level, **{"n" if pure else "m": levels})
 
 
 def eval_dynamics(sys, state, u: float, theta, d) -> np.ndarray:
@@ -190,13 +207,11 @@ def validate_majorants(
 class DisturbanceProfile:
     """Deterministic disturbance signal d(t), defined for all t >= 0."""
 
-    kind: str  # zero | sinusoid-bank | vanishing | custom-table
+    kind: str  # zero | sinusoid-bank | vanishing
     dim: int
     amplitudes: tuple[float, ...] = ()
     frequencies: tuple[float, ...] = ()
     decay: float = 0.0
-    table_t: tuple[float, ...] = ()
-    table_v: tuple[tuple[float, ...], ...] = ()
 
     def __call__(self, t: float) -> np.ndarray:
         return sample_disturbance(self, t)
@@ -222,16 +237,6 @@ def vanishing_disturbance(
     )
 
 
-def custom_table(times: Sequence[float], values: Sequence[Sequence[float]]) -> DisturbanceProfile:
-    values = [tuple(v) for v in values]
-    return DisturbanceProfile(
-        "custom-table",
-        len(values[0]),
-        table_t=tuple(times),
-        table_v=tuple(values),
-    )
-
-
 def sample_disturbance(profile: DisturbanceProfile, t: float) -> np.ndarray:
     if t < 0:
         raise ValueError("disturbance signals are defined for t >= 0")
@@ -246,34 +251,22 @@ def sample_disturbance(profile: DisturbanceProfile, t: float) -> np.ndarray:
         return np.array(
             [a * math.cos(w * t) * e for a, w in zip(profile.amplitudes, profile.frequencies)]
         )
-    if profile.kind == "custom-table":
-        # out-of-range times hold the nearest tabulated value
-        ts = np.asarray(profile.table_t)
-        vs = np.asarray(profile.table_v)
-        return np.array([np.interp(t, ts, vs[:, k]) for k in range(profile.dim)])
     raise ValueError(f"unknown disturbance kind {profile.kind!r}")
 
 
 @dataclass(frozen=True)
 class ParameterSignal:
-    """theta(t): constant, or piecewise-linear from a table."""
+    """theta(t), held constant."""
 
-    kind: str  # constant | time-varying-table
     dim: int
     value: tuple[float, ...] = ()
-    table_t: tuple[float, ...] = ()
-    table_v: tuple[tuple[float, ...], ...] = ()
 
     def __call__(self, t: float) -> np.ndarray:
-        if self.kind == "constant":
-            return np.asarray(self.value, float)
-        ts = np.asarray(self.table_t)
-        vs = np.asarray(self.table_v)
-        return np.array([np.interp(t, ts, vs[:, k]) for k in range(self.dim)])
+        return np.asarray(self.value, float)
 
 
 def constant_parameter(value: Sequence[float]) -> ParameterSignal:
-    return ParameterSignal("constant", len(value), tuple(value))
+    return ParameterSignal(len(value), tuple(value))
 
 
 # ---------------------------------------------------------------------------

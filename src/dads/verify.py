@@ -18,13 +18,15 @@ from .controllers import (
     SigmaModController,
     WingRockDadsController,
     _sigma_mod_terms,
+    deadzone_rate,
     sigma_mod_control,
     sigma_mod_W_map,
     wingrock_control,
 )
-from .jets import SmoothMap, gradient, partial_map
+from .jets import SmoothMap, gradient
 from .simulate import TrajectoryLog
-from .systems import eval_dynamics
+from .synthesis import DadsGains
+from .systems import eval_dynamics, truncate
 
 # sampling box covering the benchmark experiment magnitudes
 DEFAULT_BOX = {"x": 3.0, "z": 3.0, "theta": 40.0, "d": 30.0}
@@ -140,35 +142,16 @@ def wingrock_dissipation_check(
 ) -> CheckReport:
     """Sampled decay inequality for the closed-form wing-rock law.
 
-    The bound is -cV + 2(|d|^2 + ((|theta|-1-e^z)^+)^2)/(1+e^z).  control_fn
+    The bound is -cV + 2(|d|^2 + ((|theta|-1-e^z)^+)^2)/(1+e^z): the general
+    DADS inequality with b = 1, kappa = lambda = id and a = 2.  control_fn
     overrides the input computation (used by mutation tests).
     """
-    V = ctrl.lyapunov_map()
-    u_of = control_fn or (lambda x, z: wingrock_control(x, z, ctrl))
-
-    def rhs(sample):
-        x, z = np.asarray(sample[:3]), sample[3]
-        th, d = np.asarray(sample[4:8]), np.asarray(sample[8:10])
-        u = u_of(x, z)
-        xdot = eval_dynamics(sys, x, u, th, d)
-        Vv = float(V(*x, z))
-        zdot = ctrl.Gamma * math.exp(-z) * max(Vv - ctrl.eps_dz, 0.0)
-        return np.append(xdot, zdot)
-
-    def bound(sample):
-        x, z = np.asarray(sample[:3]), sample[3]
-        th, d = np.asarray(sample[4:8]), np.asarray(sample[8:10])
-        Vv = float(V(*x, z))
-        ez = math.exp(z)
-        excess = max(np.linalg.norm(th) - 1.0 - ez, 0.0)
-        return -ctrl.c * Vv + 2.0 * (d @ d + excess * excess) / (1.0 + ez)
-
-    def exclude(sample):
-        return abs(float(V(*sample[:4])) - ctrl.eps_dz) < KINK_BAND
-
-    return check_dissipation(
-        V, rhs, bound, _box_sampler(3, 4, 2, box), n=n, tol=tol, seed=seed,
-        exclude=exclude, name="wingrock dissipation",
+    u_of = control_fn or (lambda x, z: wingrock_control(x, z, ctrl)[0])
+    k = SmoothMap(4, lambda x1, x2, x3, z: u_of((x1, x2, x3), z), name="wingrock_u")
+    gains = DadsGains(b=1.0, Gamma=ctrl.Gamma, eps_dz=ctrl.eps_dz, c=ctrl.c, a=2.0)
+    return synthesized_dissipation_check(
+        sys, ctrl.lyapunov_map(), k, gains, rate_c=ctrl.c, gain_a=2.0,
+        n=n, tol=tol, seed=seed, box=box, name="wingrock dissipation",
     )
 
 
@@ -235,33 +218,21 @@ def synthesized_dissipation_check(
     box=DEFAULT_BOX,
     name: str = "synthesized dissipation",
 ) -> CheckReport:
-    """Decay inequality of a synthesized (V, k) pair on the full plant.
+    """Decay inequality of a synthesized (V, k) pair on either plant family.
 
     Works for any stage: the plant is truncated to the stage's state dimension
     with the next state replaced by the stage feedback.
     """
     dim = V.arity - 1
+    plant = truncate(sys, dim)
 
     def rhs(sample):
         x, z = np.asarray(sample[:dim]), sample[dim]
         th = np.asarray(sample[dim + 1 : dim + 1 + sys.p])
         d = np.asarray(sample[dim + 1 + sys.p :])
         u = float(k(*x, z))
-        f = np.empty(dim)
-        for i in range(dim):
-            head = tuple(x[: i + 1])
-            nxt = x[i + 1] if i + 1 < dim else u
-            phi = np.asarray(sys.phi[i](*head), float)
-            al = np.asarray(sys.alpha[i](*head), float)
-            f[i] = (
-                float(sys.h[i](*head))
-                + float(sys.g[i](*head, *th)) * nxt
-                + phi @ th
-                + al @ d
-            )
-        Vv = float(V(*x, z))
-        zdot = gains.Gamma * math.exp(-z) * max(Vv - gains.eps_dz, 0.0)
-        return np.append(f, zdot)
+        zdot = deadzone_rate(float(V(*x, z)), z, gains.Gamma, gains.eps_dz)
+        return np.append(eval_dynamics(plant, x, u, th, d), zdot)
 
     def bound(sample):
         x, z = np.asarray(sample[:dim]), sample[dim]

@@ -2,7 +2,8 @@
 
 Each test prints a single pass/fail line with the measured quantity so the
 suite output doubles as a results summary.  Simulation fixtures are module
-scoped; every closed-loop run happens once.
+scoped (the two sigma-mod runs are session fixtures in conftest.py); every
+closed-loop run happens once.
 """
 
 import math
@@ -68,23 +69,6 @@ def dads_persistent():
     return simulate(wingrock(), WingRockDadsController(), X0, Z0,
                     PERSISTENT, constant_parameter(THETA), dads_cfg(),
                     output_indices=[0, 1])
-
-
-def sigma_run(leak):
-    cfg = SimConfig(dt=1e-4, t_end=10.0, method="rk4", log_stride=100)
-    return simulate(wingrock(), SigmaModController(sigma_leak=leak), X0, [0.0] * 4,
-                    PERSISTENT, constant_parameter(THETA), cfg,
-                    output_indices=[0, 1])
-
-
-@pytest.fixture(scope="module")
-def sigma0_persistent():
-    return sigma_run(0.0)
-
-
-@pytest.fixture(scope="module")
-def sigma04_persistent():
-    return sigma_run(0.4)
 
 
 @pytest.fixture(scope="module")

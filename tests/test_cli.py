@@ -82,6 +82,26 @@ class TestSimulateCommand:
         )
         assert main(["simulate", str(bad), "--out", str(tmp_path)]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("key, value", [
+        ("x0", "1.0, -0.5"),
+        ("x0", "1.0, a, -18.0"),
+        ("ctrl0", "-2.3, 0.0"),
+        ("value", "20, 20, 2"),
+    ])
+    def test_wrong_vector_length_is_parse_error(self, tmp_path, capsys, key, value):
+        entries = {"x0": "1.0, -0.5, -18.0", "ctrl0": "-2.3", "value": "20, 20, 2, 1",
+                   key: value}
+        bad = tmp_path / "shape.scenario"
+        bad.write_text(
+            "[system]\nname = wingrock\n"
+            "[controller]\ntype = dads-wingrock\n"
+            f"[sim]\nmethod = radau\nx0 = {entries['x0']}\nctrl0 = {entries['ctrl0']}\n"
+            f"[parameter]\nvalue = {entries['value']}\n"
+        )
+        assert main(["simulate", str(bad), "--out", str(tmp_path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
     def test_stiff_explicit_integration_diverges(self, tmp_path):
         stiff = tmp_path / "stiff.scenario"
         stiff.write_text(
@@ -111,6 +131,27 @@ class TestVerifyCommand:
             "corrupt_controller = true\n"
         )
         assert main(["verify", str(bad), "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
+
+    @pytest.mark.parametrize("check, ctype", [
+        ("dissipation-dads", "sigma-mod"),
+        ("sigma-tradeoff", "dads-wingrock"),
+        ("dissipation-sigma", "dads-wingrock"),
+    ])
+    def test_check_on_other_controller_is_parse_error(self, tmp_path, capsys, check, ctype):
+        bad = tmp_path / "mismatch.scenario"
+        bad.write_text(
+            f"[system]\nname = wingrock\n[controller]\ntype = {ctype}\n"
+            f"[checks]\nnames = {check}\n"
+        )
+        assert main(["verify", str(bad), "--out", str(tmp_path)]) == EXIT_PARSE
+        assert "needs controller type" in capsys.readouterr().err
+
+    def test_trajectory_check_on_sigma_mod_scenario(self, tmp_path, capsys):
+        text = open(scen("fig4_sigma0.scenario")).read()
+        bad = tmp_path / "traj_sigma.scenario"
+        bad.write_text(text.replace("names = sigma-tradeoff", "names = trajectory"))
+        assert main(["verify", str(bad), "--out", str(tmp_path)]) == EXIT_PARSE
+        assert "deadzone-adapted" in capsys.readouterr().err
 
     def test_unknown_check_is_parse_error(self, tmp_path):
         bad = tmp_path / "unknown.scenario"

@@ -11,9 +11,10 @@ from dads.controllers import (
     WingRockDadsController,
     sigma_mod_W_map,
     sigma_mod_control,
+    deadzone_rate,
     wingrock_control,
+    wingrock_damping,
     wingrock_intermediates,
-    wingrock_z_rate,
 )
 from dads.jets import SmoothMap, gradient
 
@@ -69,8 +70,10 @@ class TestWingRockDads:
 
     def test_initial_input_oracle(self):
         ctrl = WingRockDadsController()
-        assert wingrock_control(X0, Z0, ctrl) == pytest.approx(U0, rel=1e-12)
-        assert ctrl.u(np.array(X0), np.array([Z0])) == pytest.approx(U0, rel=1e-12)
+        assert wingrock_control(X0, Z0, ctrl)[0] == pytest.approx(U0, rel=1e-12)
+        u, rate = ctrl.step(np.array(X0), np.array([Z0]))
+        assert u == pytest.approx(U0, rel=1e-12)
+        assert rate == pytest.approx([ZDOT0], rel=1e-12)
 
     def test_input_termwise_oracle(self):
         ctrl = WingRockDadsController()
@@ -84,13 +87,18 @@ class TestWingRockDads:
             - K * rho**2 * x2 * (4 * x1**3 * zeta + 2 * c * L)
             - 42 * c * (2 * c + 1) * rho**2 * L * (1 + 18 * c * K * rho**2 * L) ** 2 * xi
         )
-        assert wingrock_control(X0, Z0, ctrl) == pytest.approx(expected, rel=1e-14)
+        assert wingrock_control(X0, Z0, ctrl)[0] == pytest.approx(expected, rel=1e-14)
+        terms = wingrock_intermediates(x1, x2, x3, Z0, c, K)
+        assert wingrock_damping(terms, c, K) == pytest.approx(
+            42 * c * (2 * c + 1) * rho**2 * L * (1 + 18 * c * K * rho**2 * L) ** 2 * xi,
+            rel=1e-14,
+        )
 
     def test_initial_z_rate_oracle(self):
         ctrl = WingRockDadsController()
-        assert wingrock_z_rate(X0, Z0, ctrl) == pytest.approx(ZDOT0, rel=1e-12)
+        assert wingrock_control(X0, Z0, ctrl)[1] == pytest.approx(ZDOT0, rel=1e-12)
         # Gamma e^{-z} (V - eps)^+ with z = -ln 10
-        assert wingrock_z_rate(X0, Z0, ctrl) == pytest.approx(
+        assert deadzone_rate(V0, Z0, 20.0, 0.01) == pytest.approx(
             20.0 * 10.0 * (V0 - 0.01), rel=1e-14
         )
 
@@ -104,7 +112,7 @@ class TestWingRockDads:
         x_small = (x1, x2, x3)
         V = wingrock_intermediates(*x_small, 0.0, ctrl.c, ctrl.K).V
         assert V < ctrl.eps_dz
-        assert wingrock_z_rate(x_small, 0.0, ctrl) == 0.0
+        assert wingrock_control(x_small, 0.0, ctrl)[1] == 0.0
 
     def test_z_rate_nonnegative(self):
         ctrl = WingRockDadsController()
@@ -112,7 +120,7 @@ class TestWingRockDads:
         for _ in range(50):
             x = rng.uniform(-2, 2, 3)
             z = rng.uniform(-3, 3)
-            assert wingrock_z_rate(x, z, ctrl) >= 0.0
+            assert wingrock_control(x, z, ctrl)[1] >= 0.0
 
     def test_gain_magnitude(self):
         ctrl = WingRockDadsController()
@@ -195,14 +203,13 @@ class TestSynthesizedWrapper:
 
     def test_control_and_rate(self):
         ctrl = self._make()
-        u = ctrl.u(np.array([3.0]), np.array([0.0]))
+        u, (zdot,) = ctrl.step(np.array([3.0]), np.array([0.0]))
         assert u == pytest.approx(-6.0)
-        zdot = ctrl.ctrl_rate(np.array([3.0]), np.array([0.0]))[0]
         assert zdot == pytest.approx(2.0 * (4.5 - 0.01))
 
     def test_deadzone(self):
         ctrl = self._make()
-        assert ctrl.ctrl_rate(np.array([0.1]), np.array([1.0]))[0] == 0.0
+        assert ctrl.step(np.array([0.1]), np.array([1.0]))[1] == (0.0,)
 
     def test_constructor_rejects(self):
         k = SmoothMap(2, lambda x1, z: -x1)
@@ -216,4 +223,4 @@ class TestSynthesizedWrapper:
     def test_state_length_check(self):
         ctrl = self._make()
         with pytest.raises(ValueError):
-            ctrl.u(np.array([1.0, 2.0]), np.array([0.0]))
+            ctrl.step(np.array([1.0, 2.0]), np.array([0.0]))

@@ -12,15 +12,12 @@ from dads.jets import (
     JetShapeError,
     MaxOrderExceededError,
     SmoothMap,
-    constant,
     gradient,
     jet_exp,
-    jet_mul,
     jet_pow_int,
     jet_recip,
     jet_relu_plus,
     jet_space,
-    lift,
     partial_map,
     smooth_map,
     value_and_gradient,
@@ -37,63 +34,63 @@ def central_diff(f, point, i, h=1e-6):
 
 class TestLift:
     def test_coordinate_jet(self):
-        j = lift(3.0, 0, 2, 1)
+        j = jet_space(2, 1).variable(3.0, 0)
         assert j.coeffs == (3.0, 1.0, 0.0)
         assert j.coeff((0, 0)) == 3.0
         assert j.coeff((1, 0)) == 1.0
         assert j.coeff((0, 1)) == 0.0
 
     def test_order_zero_carries_only_value(self):
-        j = lift(0.0, 1, 2, 0)
+        j = jet_space(2, 0).variable(0.0, 1)
         assert j.coeffs == (0.0,)
 
     def test_no_curvature(self):
-        j = lift(-0.5, 1, 3, 2)
+        j = jet_space(3, 2).variable(-0.5, 1)
         for m, c in zip(j.space.monomials, j.coeffs):
             if sum(m) == 2:
                 assert c == 0.0
 
     def test_var_index_out_of_range(self):
         with pytest.raises(ValueError):
-            lift(1.0, 2, 2, 1)
+            jet_space(2, 1).variable(1.0, 2)
 
     def test_coeff_count(self):
         for n_vars, order in [(1, 3), (2, 2), (4, 1), (3, 0)]:
-            j = lift(0.0, 0, n_vars, order)
+            j = jet_space(n_vars, order).variable(0.0, 0)
             assert len(j.coeffs) == math.comb(n_vars + order, order)
 
 
 class TestArithmetic:
     def test_square_of_coordinate(self):
-        x = lift(2.0, 0, 1, 2)
-        sq = jet_mul(x, x)
+        x = jet_space(1, 2).variable(2.0, 0)
+        sq = x * x
         assert sq.coeffs == (4.0, 4.0, 1.0)
 
     def test_multiplicative_identity(self):
-        a = lift(1.3, 0, 2, 2) * lift(-0.7, 1, 2, 2) + 2.0
-        one = constant(1.0, 2, 2)
+        a = jet_space(2, 2).variable(1.3, 0) * jet_space(2, 2).variable(-0.7, 1) + 2.0
+        one = jet_space(2, 2).constant(1.0)
         assert (a * one).coeffs == a.coeffs
 
     def test_product_rule(self):
-        x = lift(1.0, 0, 2, 1)
-        y = lift(-0.5, 1, 2, 1)
+        x = jet_space(2, 1).variable(1.0, 0)
+        y = jet_space(2, 1).variable(-0.5, 1)
         xy = x * y
         assert xy.coeffs == (-0.5, -0.5, 1.0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(JetShapeError):
-            lift(1.0, 0, 2, 1) * lift(1.0, 0, 3, 1)
+            jet_space(2, 1).variable(1.0, 0) * jet_space(3, 1).variable(1.0, 0)
 
     def test_division(self):
-        x = lift(2.0, 0, 1, 2)
+        x = jet_space(1, 2).variable(2.0, 0)
         r = 1.0 / x
         assert r.coeffs[0] == pytest.approx(0.5)
         assert r.coeffs[1] == pytest.approx(-0.25)
         assert r.coeffs[2] == pytest.approx(0.125)  # (1/x)''/2 = 1/x^3
 
     def test_degree_zero_matches_scalar_ops(self):
-        a = lift(1.7, 0, 2, 1)
-        b = lift(-2.2, 1, 2, 1)
+        a = jet_space(2, 1).variable(1.7, 0)
+        b = jet_space(2, 1).variable(-2.2, 1)
         assert (a + b).value == 1.7 + -2.2
         assert (a - b).value == 1.7 - -2.2
         assert (a * b).value == 1.7 * -2.2
@@ -102,22 +99,22 @@ class TestArithmetic:
 
 class TestElementaries:
     def test_relu_inactive(self):
-        j = lift(-1.0, 0, 1, 1)
+        j = jet_space(1, 1).variable(-1.0, 0)
         assert jet_relu_plus(j).coeffs == (0.0, 0.0)
 
     def test_relu_active_passthrough(self):
-        j = lift(0.3, 0, 1, 1)
+        j = jet_space(1, 1).variable(0.3, 0)
         assert jet_relu_plus(j).coeffs == j.coeffs
 
     def test_relu_kink_derivative_zero(self):
-        j = lift(0.0, 0, 1, 1)
+        j = jet_space(1, 1).variable(0.0, 0)
         assert jet_relu_plus(j).coeffs == (0.0, 0.0)
 
     def test_exp_of_zero(self):
-        assert jet_exp(constant(0.0, 1, 2)).coeffs == (1.0, 0.0, 0.0)
+        assert jet_exp(jet_space(1, 2).constant(0.0)).coeffs == (1.0, 0.0, 0.0)
 
     def test_exp_derivatives(self):
-        x = lift(0.7, 0, 1, 3)
+        x = jet_space(1, 3).variable(0.7, 0)
         e = jet_exp(x)
         v = math.exp(0.7)
         assert e.coeffs[0] == pytest.approx(v)
@@ -126,12 +123,12 @@ class TestElementaries:
         assert e.coeffs[3] == pytest.approx(v / 6.0)
 
     def test_pow_int(self):
-        x = lift(1.0, 0, 1, 1)
+        x = jet_space(1, 1).variable(1.0, 0)
         p = jet_pow_int(x, 4)
         assert p.coeffs == (1.0, 4.0)
 
     def test_negative_power(self):
-        x = lift(2.0, 0, 1, 1)
+        x = jet_space(1, 1).variable(2.0, 0)
         p = x ** -2
         assert p.coeffs[0] == pytest.approx(0.25)
         assert p.coeffs[1] == pytest.approx(-0.25)
@@ -239,8 +236,8 @@ class TestConsistency:
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
     def test_ring_axioms_order2(self, a, b):
-        x = lift(a, 0, 2, 2)
-        y = lift(b, 1, 2, 2)
+        x = jet_space(2, 2).variable(a, 0)
+        y = jet_space(2, 2).variable(b, 1)
         lhs = (x + y) * (x - y)
         rhs = x * x - y * y
         assert lhs.coeffs == pytest.approx(rhs.coeffs, abs=1e-12)

@@ -11,7 +11,6 @@ from dads.simulate import (
     DivergenceError,
     SimConfig,
     TrajectoryLog,
-    batch_simulate,
     simulate,
     trajectory_stats,
 )
@@ -155,17 +154,25 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.ctrl, log.ctrl)
 
 
-class TestBatch:
-    def test_batch_matches_sequential(self):
-        sys = wingrock()
-        ctrl = SigmaModController()
-        cfg = SimConfig(dt=1e-3, t_end=0.2, method="rk4", log_stride=10)
-        job = dict(sys=sys, controller=ctrl, x0=X0, ctrl0=[0.0] * 4,
-                   disturbance=zero_disturbance(2), theta=THETA, config=cfg)
-        logs = batch_simulate([job, job])
-        single = simulate(**job)
-        assert np.array_equal(logs[0].x, single.x)
-        assert np.array_equal(logs[1].x, single.x)
+class CountingController(SigmaModController):
+    """The leakage baseline, counting its evaluations."""
+
+    calls = 0
+
+    def step(self, x, cs, t=0.0):
+        CountingController.calls += 1
+        return super().step(x, cs, t)
+
+
+class TestControllerCalls:
+    def test_one_step_per_rhs_plus_one_per_row(self):
+        CountingController.calls = 0
+        cfg = SimConfig(dt=1e-3, t_end=0.05, method="rk4", log_stride=10)
+        log = simulate(wingrock(), CountingController(), X0, [0.0] * 4,
+                       zero_disturbance(2), THETA, cfg)
+        n_steps = 50
+        assert len(log) == 6
+        assert CountingController.calls == 4 * n_steps + len(log)
 
 
 class TestStats:

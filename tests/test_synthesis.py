@@ -14,8 +14,6 @@ from dads.synthesis import (
     MajorantViolationError,
     StageMajorants,
     backstep,
-    deadzone_from_eps_direct,
-    deadzone_from_eps_quadratic,
     solve_base_theorem1,
     solve_base_theorem3,
     synthesize,
@@ -54,14 +52,6 @@ class TestDadsGains:
         bad = SmoothMap(1, lambda s: 0.0 * s)
         with pytest.raises(ValueError):
             default_gains(lam=bad)
-
-    def test_deadzone_parameterizations(self):
-        assert deadzone_from_eps_quadratic(0.2, 4.0) == pytest.approx(0.005)
-        assert deadzone_from_eps_direct(0.01) == 0.01
-        with pytest.raises(ValueError):
-            deadzone_from_eps_quadratic(-1.0)
-        with pytest.raises(ValueError):
-            deadzone_from_eps_direct(0.0)
 
 
 class TestBaseQuadraticForm:

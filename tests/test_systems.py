@@ -6,22 +6,24 @@ import numpy as np
 import pytest
 
 from dads.jets import SmoothMap
+from dads.synthesis import DadsGains, solve_base_theorem1
 from dads.systems import (
     DisturbanceProfile,
     PureStrictFeedbackSystem,
     StrictFeedbackSystem,
     constant_parameter,
-    custom_table,
     eval_dynamics,
     free_theta,
     get_system,
     sample_disturbance,
     sinusoid_bank,
+    truncate,
     validate_majorants,
     vanishing_disturbance,
     wingrock,
     zero_disturbance,
 )
+from dads.verify import synthesized_dissipation_check
 
 THETA_WR = np.array([20.0, 20.0, 2.0, 1.0])
 X0_WR = np.array([1.0, -0.5, -18.0])
@@ -101,6 +103,56 @@ class TestCascadeDynamics:
     def test_state_dim(self):
         assert _cascade_toy().state_dim == 3
 
+    def test_theorem1_base_certificate(self):
+        sys = _cascade_toy()
+        gains = DadsGains(b=1.0, Gamma=20.0, eps_dz=0.01, c=0.5, a=2.0)
+        base = solve_base_theorem1(
+            n=2, m=1, c=0.5, gains=gains, eta1=sys.eta[0],
+            r=SmoothMap(3, lambda *a: 1.0, name="r"), alpha1=sys.alpha[0],
+        ).stage
+        rep = synthesized_dissipation_check(
+            sys, base.V, base.k, gains, base.rate_c, base.effective_gain, n=200, seed=0,
+        )
+        assert rep.n_samples == 200
+        assert rep.passed, rep.summary()
+
+
+def _per_level(sys, x, u, theta, d):
+    """The pure-chain rhs written level by level: x_{n+1} = u."""
+    out = []
+    for i in range(len(x)):
+        head = tuple(x[: i + 1])
+        nxt = x[i + 1] if i + 1 < len(x) else u
+        out.append(
+            float(sys.h[i](*head))
+            + float(sys.g[i](*head, *theta)) * nxt
+            + np.asarray(sys.phi[i](*head), float) @ theta
+            + np.asarray(sys.alpha[i](*head), float) @ d
+        )
+    return out
+
+
+class TestTruncation:
+    def test_wingrock_levels_match_per_level_formula(self):
+        sys = wingrock()
+        rng = np.random.default_rng(4)
+        for dim in (1, 2, 3):
+            plant = truncate(sys, dim)
+            assert plant.state_dim == dim
+            for _ in range(5):
+                x = rng.uniform(-3, 3, dim)
+                theta = rng.uniform(-20, 20, 4)
+                d = rng.uniform(-5, 5, 2)
+                u = rng.uniform(-10, 10)
+                assert eval_dynamics(plant, x, u, theta, d) == pytest.approx(
+                    _per_level(sys, x, u, theta, d), rel=1e-14, abs=1e-12)
+
+    def test_cascade_keeps_the_integrator_chain(self):
+        sys = _cascade_toy()
+        assert truncate(sys, 3) == sys
+        with pytest.raises(ValueError):
+            truncate(sys, 2)
+
 
 class TestMajorantValidation:
     def test_wingrock_majorants_hold(self):
@@ -156,15 +208,6 @@ class TestDisturbanceProfiles:
         d = zero_disturbance(1)
         with pytest.raises(ValueError):
             sample_disturbance(d, -0.1)
-
-    def test_custom_table_interpolates_and_clamps(self):
-        d = custom_table([0.0, 1.0, 2.0], [[0.0, 5.0], [2.0, 5.0], [4.0, 7.0]])
-        assert d.dim == 2
-        assert d(0.5) == pytest.approx([1.0, 5.0])
-        assert d(1.5) == pytest.approx([3.0, 6.0])
-        # beyond the table the nearest value holds
-        assert d(10.0) == pytest.approx([4.0, 7.0])
-        assert d(0.0) == pytest.approx([0.0, 5.0])
 
     def test_unknown_kind(self):
         d = DisturbanceProfile("mystery", 1)

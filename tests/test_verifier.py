@@ -77,7 +77,7 @@ class TestDissipationChecks:
 
         def broken(x, z):
             # sign-flip the stabilizing damping of the true law
-            u = wingrock_control(x, z, ctrl)
+            u, _ = wingrock_control(x, z, ctrl)
             return -u
 
         rep = wingrock_dissipation_check(wingrock(), ctrl, n=300, seed=0,
@@ -227,13 +227,9 @@ def sigma_run(leak, dist, t_end=10.0):
 
 
 @pytest.fixture(scope="module")
-def persistent_triple(dads_persistent_log):
-    dist = sinusoid_bank([20.0, 10.0], [10.0, 20.0])
-    return (
-        dads_persistent_log,
-        sigma_run(0.0, dist),
-        sigma_run(0.4, dist),
-    )
+def persistent_triple(dads_persistent_log, sigma0_persistent, sigma04_persistent):
+    # the two sigma-mod runs are the session fixtures of conftest.py
+    return dads_persistent_log, sigma0_persistent, sigma04_persistent
 
 
 class TestContrastChecks:
