@@ -233,7 +233,13 @@ def run_scenario(scn: Scenario, args) -> tuple[TrajectoryLog, object, object]:
     theta = constant_parameter(_sized_vector(scn, "parameter", "value", sysm.p))
     dist = build_disturbance(scn, sysm.l)
     sel = scn.getvector("sim", "output_indices", None)
-    sel = None if sel is None else [int(v) for v in sel]
+    if sel is not None:
+        # `in range` is false for a fraction, a negative, nan and inf alike
+        if not all(v in range(sysm.state_dim) for v in sel):
+            raise ScenarioError(
+                f"[sim] output_indices must be integers in [0, {sysm.state_dim}), got {sel}"
+            )
+        sel = [int(v) for v in sel]
     log = simulate(sysm, controller, x0, ctrl0, dist, theta, config, output_indices=sel)
     return log, controller, dist
 
@@ -318,6 +324,8 @@ def _run_checks(scn: Scenario, args) -> list[ver.CheckReport]:
     if not names:
         raise ScenarioError("verify: scenario has no [checks] names")
     n = scn.getint("checks", "n_samples", 1000)
+    if n < 1:
+        raise ScenarioError(f"[checks] n_samples must be positive, got {n}")
     tol = scn.getfloat("checks", "tol", 1e-6)
     seed = args.seed
     ctype = scn.get("controller", "type", "dads-wingrock")

@@ -27,13 +27,23 @@ from scipy.integrate import solve_ivp
 from .systems import DisturbanceProfile, ParameterSignal, eval_dynamics
 
 
-class DivergenceError(Exception):
-    """The integration left the finite range; carries the last finite time."""
+# Radau tolerances, and the state magnitude at which RK4 declares divergence
+RTOL = 1e-10
+ATOL = 1e-13
+DIVERGENCE_THRESHOLD = 1e8
 
-    def __init__(self, t_last: float, message: str = ""):
+
+class DivergenceError(Exception):
+    """The integration left the finite range; carries the last finite time.
+
+    reason, when given, is the solver's own account of the failure.
+    """
+
+    def __init__(self, t_last: float, reason: str = ""):
         self.t_last = float(t_last)
         super().__init__(
-            message or f"trajectory diverged; last finite time t = {t_last:.6g}"
+            f"trajectory diverged; last finite time t = {t_last:.6g}"
+            + (f" ({reason})" if reason else "")
         )
 
 
@@ -50,13 +60,13 @@ class SimConfig:
     t_end: float = 10.0
     method: str = "rk4"  # rk4 | radau
     log_stride: int = 100
-    divergence_threshold: float = 1e8
-    rtol: float = 1e-10
-    atol: float = 1e-13
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        # the chained comparisons also reject nan
+        if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
+            raise ValueError(
+                f"dt and t_end must be finite and positive, got {self.dt}, {self.t_end}"
+            )
         if self.log_stride < 1:
             raise ValueError("log_stride must be >= 1")
         if self.method not in ("rk4", "radau"):
@@ -174,10 +184,10 @@ def simulate(
         with np.errstate(over="ignore", invalid="ignore"):
             sol = solve_ivp(
                 rhs, (0.0, config.t_end), np.concatenate([x0, ctrl0]),
-                method="Radau", t_eval=t_log, rtol=config.rtol, atol=config.atol,
+                method="Radau", t_eval=t_log, rtol=RTOL, atol=ATOL,
             )
         if not sol.success or sol.t[-1] < config.t_end - 1e-9:
-            raise DivergenceError(sol.t[-1] if len(sol.t) else 0.0)
+            raise DivergenceError(sol.t[-1] if len(sol.t) else 0.0, sol.message)
         traj = sol.y.T
         t_log = sol.t
 
@@ -209,7 +219,7 @@ def _integrate_rk4(rhs, s0: np.ndarray, config: SimConfig, n_steps: int) -> np.n
             k3 = rhs(t + dt / 2.0, s + dt / 2.0 * k2)
             k4 = rhs(t + dt, s + dt * k3)
             s = s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(s)) or np.max(np.abs(s)) > config.divergence_threshold:
+            if not np.all(np.isfinite(s)) or np.max(np.abs(s)) > DIVERGENCE_THRESHOLD:
                 raise DivergenceError(t)
             out[i + 1] = s
     return out

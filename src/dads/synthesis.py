@@ -1,12 +1,12 @@
 """Stage-by-stage construction of deadzone-adapted backstepping controllers.
 
 The engine builds a Lyapunov function V and feedback k for a strict-feedback
-plant in two phases:
+plant (n >= 0 leading integrators, m levels) in two phases:
 
-* a base step handling the first controlled level (either the integrator-chain
-  variant, which pole-places the chain and solves a shifted Lyapunov equation,
-  or the pure-chain variant with V1 = x1^2 / 2);
-* repeated backstepping: each application absorbs one more level, replacing
+* a base step handling the first controlled level, chosen by n: with n >= 1
+  it pole-places the integrator chain and solves a shifted Lyapunov equation,
+  with n = 0 (the pure chain) it takes V1 = x1^2 / 2;
+* one backstep per further level: each absorbs one more level, replacing
   (V, k) by (V + (y - k)^2 / 2, -(M / eta) (y - k)) where the stacked gain M
   dominates every cross term produced by the previous stage.
 
@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .jets import SmoothMap, jet_exp, partial_map
-from .systems import PureStrictFeedbackSystem, StrictFeedbackSystem
+from .systems import StrictFeedbackSystem
 
 
 class MajorantViolationError(Exception):
@@ -550,87 +550,42 @@ def _check_theta_independent(g_map: SmoothMap, head, p: int, label: str):
             )
 
 
-def _pure_level(sys: PureStrictFeedbackSystem, i: int) -> BackstepLevel:
-    """BackstepLevel absorbing x_{i+1} of a pure chain (x-block = x_1..x_i)."""
-    d = i
-    p, l = sys.p, sys.l
-    zeros_theta = np.zeros(p)
-
-    def f_fn(*xs):
-        out = []
-        for j in range(d):
-            drift = sys.h[j](*xs[: j + 1])
-            if j < d - 1:
-                drift = drift + sys.g[j](*xs[: j + 1], *zeros_theta) * xs[j + 1]
-            out.append(drift)
-        return tuple(out)
-
-    def Phi_fn(*xs):
-        out = []
-        for j in range(d):
-            out.extend(_as_tuple(sys.phi[j](*xs[: j + 1])))
-        return tuple(out)
-
-    def G_fn(*xs):
-        out = []
-        for j in range(d):
-            out.extend(_as_tuple(sys.alpha[j](*xs[: j + 1])))
-        return tuple(out)
-
-    return BackstepLevel(
-        x_dim=d, p=p, l=l,
-        f=SmoothMap(d, f_fn, codim=d, name=f"f<{i}>"),
-        Phi=SmoothMap(d, Phi_fn, codim=d * p, name=f"Phi<{i}>"),
-        G=SmoothMap(d, G_fn, codim=d * l, name=f"G<{i}>"),
-        h=sys.h[i], phi=sys.phi[i], alpha=sys.alpha[i], eta=sys.eta[i],
-        mu=sys.mu[i - 1],
-    )
-
-
-def _cascade_level(sys: StrictFeedbackSystem, j: int) -> BackstepLevel:
-    """BackstepLevel absorbing y_{j+1} (x-block = (x, y_1..y_j))."""
+def _level(sys: StrictFeedbackSystem, j: int) -> BackstepLevel:
+    """BackstepLevel absorbing y_{j+1}, j >= 1 (x-block = (x, y_1..y_j))."""
     n, d = sys.n, sys.n + j
     p, l = sys.p, sys.l
     zeros_theta = np.zeros(p)
 
     def f_fn(*block):
-        xs, ys = block[:n], block[n:]
-        # integrator chain; the last integrator feeds from y1, which lives in
-        # the block for j >= 1 (for j = 0 backstepping is never invoked)
-        out = list(xs[1:]) + [ys[0] if j > 0 else 0.0]
+        # integrator chain x_i' = x_{i+1}, the last integrator fed by y1
+        out = list(block[1 : n + 1])
         for q in range(j):
-            head = xs + ys[: q + 1]
+            head = block[: n + q + 1]
             drift = sys.h[q](*head)
             if q < j - 1:
-                drift = drift + sys.g[q](*head, *zeros_theta) * ys[q + 1]
+                drift = drift + sys.g[q](*head, *zeros_theta) * block[n + q + 1]
             out.append(drift)
         return tuple(out)
 
     def Phi_fn(*block):
-        xs, ys = block[:n], block[n:]
         out = [0.0] * (n * p)
         for q in range(j):
-            out.extend(_as_tuple(sys.phi[q](*xs, *ys[: q + 1])))
+            out.extend(_as_tuple(sys.phi[q](*block[: n + q + 1])))
         return tuple(out)
 
     def G_fn(*block):
-        xs, ys = block[:n], block[n:]
         out = [0.0] * (n * l)
         for q in range(j):
-            out.extend(_as_tuple(sys.alpha[q](*xs, *ys[: q + 1])))
+            out.extend(_as_tuple(sys.alpha[q](*block[: n + q + 1])))
         return tuple(out)
 
-    if j == 0:
-        mu = SmoothMap(n, lambda *a_: 1.0, name="mu_chain")
-    else:
-        mu = sys.mu[j - 1]
     return BackstepLevel(
         x_dim=d, p=p, l=l,
         f=SmoothMap(d, f_fn, codim=d, name=f"f<y{j + 1}>"),
         Phi=SmoothMap(d, Phi_fn, codim=d * p, name=f"Phi<y{j + 1}>"),
         G=SmoothMap(d, G_fn, codim=d * l, name=f"G<y{j + 1}>"),
         h=sys.h[j], phi=sys.phi[j], alpha=sys.alpha[j], eta=sys.eta[j],
-        mu=mu,
+        mu=sys.mu[j - 1],
     )
 
 
@@ -666,74 +621,54 @@ class SynthesisResult:
 
 
 def synthesize(
-    sys,
+    sys: StrictFeedbackSystem,
     gains: DadsGains,
     majorant_pack: MajorantPack,
     n_samples: int = 200,
     box_radius: float = 3.0,
     seed: int = 0,
-    validate: bool = True,
 ) -> SynthesisResult:
     """Run the full construction: base step, then one backstep per level.
 
-    The final stage has rate_c = gains.c and gain_a = gains.a exactly; the
-    comparison constant is the base step's M on the cascade path and 2 on the
-    pure-chain path.
+    The base step is chosen by the number of leading integrators: V1 = x1^2/2
+    (comparison constant 2) when n = 0, the pole-placed quadratic form of the
+    chain (comparison constant from the base step) when n >= 1.  The final
+    stage has rate_c = gains.c and gain_a = gains.a exactly.
     """
-    if isinstance(sys, PureStrictFeedbackSystem):
-        steps = sys.n - 1
-        if len(majorant_pack.levels) != steps:
-            raise ValueError(f"majorant pack must supply {steps} backstep levels")
-        for i in range(sys.n - 1):
-            head = np.full(i + 1, 0.7)
-            _check_theta_independent(sys.g[i], head, sys.p, f"gain of level {i + 1}")
+    if len(majorant_pack.levels) != sys.m - 1:
+        raise ValueError(f"majorant pack must supply {sys.m - 1} backstep levels")
+    for j in range(sys.m - 1):
+        head = np.full(sys.n + j + 1, 0.7)
+        _check_theta_independent(sys.g[j], head, sys.p, f"gain of level {j + 1}")
+    sampling = dict(n_samples=n_samples, box_radius=box_radius, seed=seed)
+    if sys.n == 0:
+        base = None
         stage = solve_base_theorem3(
-            sys.n, gains.c, gains, sys.eta[0], majorant_pack.base_r, sys.alpha[0],
-            n_samples=n_samples, box_radius=box_radius, seed=seed,
-            h1=sys.h[0], phi1=sys.phi[0],
+            sys.m, gains.c, gains, sys.eta[0], majorant_pack.base_r, sys.alpha[0],
+            h1=sys.h[0], phi1=sys.phi[0], **sampling,
         )
-        trace = [stage]
-        for i in range(1, sys.n):
-            stage = backstep(
-                stage, _pure_level(sys, i), gains, majorant_pack.levels[i - 1],
-                n_samples=n_samples, box_radius=box_radius, seed=seed + i,
-                validate=validate,
-            )
-            trace.append(stage)
-        result_base = None
         M_const = 2.0
-    elif isinstance(sys, StrictFeedbackSystem):
-        steps = sys.m - 1
-        if len(majorant_pack.levels) != steps:
-            raise ValueError(f"majorant pack must supply {steps} backstep levels")
-        for j in range(sys.m - 1):
-            head = np.full(sys.n + j + 1, 0.7)
-            _check_theta_independent(sys.g[j], head, sys.p, f"gain of level {j + 1}")
+    else:
         base = solve_base_theorem1(
             sys.n, sys.m, gains.c, gains, sys.eta[0], majorant_pack.base_r,
-            sys.alpha[0], n_samples=n_samples, box_radius=box_radius, seed=seed,
+            sys.alpha[0], **sampling,
         )
         stage = base.stage
-        trace = [stage]
-        for j in range(1, sys.m):
-            stage = backstep(
-                stage, _cascade_level(sys, j), gains, majorant_pack.levels[j - 1],
-                n_samples=n_samples, box_radius=box_radius, seed=seed + j,
-                validate=validate,
-            )
-            trace.append(stage)
-        result_base = base
         M_const = base.M_const
-    else:
-        raise TypeError(f"unsupported system type {type(sys).__name__}")
+    trace = [stage]
+    for j in range(1, sys.m):
+        stage = backstep(
+            stage, _level(sys, j), gains, majorant_pack.levels[j - 1],
+            n_samples=n_samples, box_radius=box_radius, seed=seed + j,
+        )
+        trace.append(stage)
 
-    final = trace[-1]
     return SynthesisResult(
-        k_final=final.k,
-        V_final=final.V,
+        k_final=stage.k,
+        V_final=stage.V,
         M_const=M_const,
         stage_trace=tuple(trace),
-        base=result_base,
+        base=base,
     )
 
 

@@ -1,11 +1,11 @@
-"""Plant classes for strict-feedback control design.
+"""The strict-feedback plant type for control design.
 
-Two plant families are supported: an integrator chain cascaded with a
-strict-feedback block (state (x, y), input entering the last y-equation), and
-the pure strict-feedback chain with no leading integrators. Both carry the
-positive majorants eta (lower bound on the controlled gain) and mu (upper
-bound proportional to 1 + |theta|) that the backstepping synthesis relies on,
-plus samplers for the admissible parameter set.
+One plant type covers the family: a chain of n >= 0 leading integrators
+cascaded with a strict-feedback block of m >= 1 levels, the input entering the
+last level.  n = 0 is the pure strict-feedback chain (the wing-rock plant).
+The plant carries the positive majorants eta (lower bound on the controlled
+gain) and mu (upper bound proportional to 1 + |theta|) that the backstepping
+synthesis relies on, plus a sampler for the admissible parameter set.
 """
 
 from __future__ import annotations
@@ -38,26 +38,26 @@ class ThetaDomain:
     contains: Callable[[np.ndarray], bool] = field(repr=False)
 
 
+def sample_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
+    """A random direction scaled by a radius drawn uniformly from [0, radius]."""
+    v = rng.standard_normal(dim)
+    return v / max(np.linalg.norm(v), 1e-12) * rng.uniform(0.0, radius)
+
+
 def free_theta(dim: int, sample_radius: float = 40.0) -> ThetaDomain:
-    """All of R^dim, sampled uniformly in a ball of the given radius."""
-
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        v = rng.standard_normal(dim)
-        n = np.linalg.norm(v)
-        if n == 0.0:
-            return np.zeros(dim)
-        return v / n * rng.uniform(0.0, sample_radius)
-
-    return ThetaDomain(dim, sample, lambda _v: True)
+    """All of R^dim, sampled by `sample_ball` with the given radius."""
+    return ThetaDomain(dim, lambda rng: sample_ball(rng, dim, sample_radius), lambda _v: True)
 
 
 @dataclass(frozen=True)
 class StrictFeedbackSystem:
-    """Integrator chain x (length n) cascaded with a y-block (length m).
+    """Integrator chain x (length n >= 0) cascaded with a y-block (length m >= 1).
 
     x_i' = x_{i+1} (with x_{n+1} = y_1) and
     y_j' = h_j + g_j * y_{j+1} + phi_j . theta + alpha_j . d (with y_{m+1} = u).
-    h_j, phi_j, alpha_j take (x, y_1..y_j); g_j additionally takes theta.
+    h_j, phi_j, alpha_j, eta_j take (x, y_1..y_j); g_j additionally takes
+    theta; mu has the m - 1 entries for the levels below the input.  n = 0 is
+    the pure strict-feedback chain.
     """
 
     n: int
@@ -77,83 +77,42 @@ class StrictFeedbackSystem:
         return self.n + self.m
 
 
-@dataclass(frozen=True)
-class PureStrictFeedbackSystem:
-    """Strict-feedback chain x_i' = h_i + g_i x_{i+1} + phi_i . theta + alpha_i . d.
-
-    Maps at level i take (x_1, ..., x_i); g_i additionally takes theta;
-    x_{n+1} = u.
-    """
-
-    n: int
-    h: tuple[SmoothMap, ...]
-    phi: tuple[SmoothMap, ...]
-    alpha: tuple[SmoothMap, ...]
-    g: tuple[SmoothMap, ...]
-    eta: tuple[SmoothMap, ...]
-    mu: tuple[SmoothMap, ...]
-    p: int
-    l: int
-    theta_domain: ThetaDomain
-
-    @property
-    def state_dim(self) -> int:
-        return self.n
-
-
-def truncate(sys, dim: int):
+def truncate(sys: StrictFeedbackSystem, dim: int) -> StrictFeedbackSystem:
     """The plant cut after its first `dim` states; state dim + 1 becomes the input.
 
     A backstepping stage of dimension `dim` closes the loop through this
     truncation, with its feedback in place of the next state.
     """
-    pure = isinstance(sys, PureStrictFeedbackSystem)
-    levels = dim if pure else dim - sys.n
-    if not 1 <= levels <= (sys.n if pure else sys.m):
+    levels = dim - sys.n
+    if not 1 <= levels <= sys.m:
         raise ValueError(f"cannot truncate a {sys.state_dim}-state plant to {dim} states")
     per_level = {
         name: getattr(sys, name)[:levels]
         for name in ("h", "phi", "alpha", "g", "eta", "mu")
     }
-    return replace(sys, **per_level, **{"n" if pure else "m": levels})
+    return replace(sys, m=levels, **per_level)
 
 
-def eval_dynamics(sys, state, u: float, theta, d) -> np.ndarray:
-    """Full state derivative of either plant family."""
+def eval_dynamics(sys: StrictFeedbackSystem, state, u: float, theta, d) -> np.ndarray:
+    """Full state derivative: the integrator shift, then one row per level."""
     theta = np.asarray(theta, float)
     d = np.asarray(d, float)
+    s = np.asarray(state, float)
     if theta.shape != (sys.p,):
         raise ValueError(f"theta has shape {theta.shape}, expected ({sys.p},)")
     if d.shape != (sys.l,):
         raise ValueError(f"d has shape {d.shape}, expected ({sys.l},)")
+    if s.shape != (sys.state_dim,):
+        raise ValueError(f"state has shape {s.shape}, expected ({sys.state_dim},)")
 
-    if isinstance(sys, PureStrictFeedbackSystem):
-        x = np.asarray(state, float)
-        if x.shape != (sys.n,):
-            raise ValueError(f"state has shape {x.shape}, expected ({sys.n},)")
-        out = np.empty(sys.n)
-        for i in range(sys.n):
-            head = tuple(x[: i + 1])
-            nxt = x[i + 1] if i + 1 < sys.n else u
-            out[i] = (
-                sys.h[i](*head)
-                + sys.g[i](*head, *theta) * nxt
-                + _dot(sys.phi[i](*head), theta)
-                + _dot(sys.alpha[i](*head), d)
-            )
-        return out
-
-    x = np.asarray(state[: sys.n], float)
-    y = np.asarray(state[sys.n :], float)
-    if len(state) != sys.n + sys.m:
-        raise ValueError(f"state has length {len(state)}, expected {sys.n + sys.m}")
-    out = np.empty(sys.n + sys.m)
-    out[: sys.n - 1] = x[1:]
-    out[sys.n - 1] = y[0]
+    n = sys.n
+    out = np.empty(sys.state_dim)
+    if n:
+        out[:n] = s[1 : n + 1]
     for j in range(sys.m):
-        head = tuple(x) + tuple(y[: j + 1])
-        nxt = y[j + 1] if j + 1 < sys.m else u
-        out[sys.n + j] = (
+        head = tuple(s[: n + j + 1])
+        nxt = s[n + j + 1] if j + 1 < sys.m else u
+        out[n + j] = (
             sys.h[j](*head)
             + sys.g[j](*head, *theta) * nxt
             + _dot(sys.phi[j](*head), theta)
@@ -174,28 +133,26 @@ class MajorantReport:
 
 
 def validate_majorants(
-    sys, n_samples: int = 500, box_radius: float = 5.0, seed: int = 0
+    sys: StrictFeedbackSystem, n_samples: int = 500, box_radius: float = 5.0, seed: int = 0
 ) -> MajorantReport:
     """Sampled check of eta_j <= g_j and g_j <= mu_j (1 + |theta|)."""
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(seed)
-    pure = isinstance(sys, PureStrictFeedbackSystem)
-    levels = sys.n if pure else sys.m
     worst_low = math.inf
     worst_high = math.inf
     violations = []
     for _ in range(n_samples):
         state = rng.uniform(-box_radius, box_radius, sys.state_dim)
         theta = sys.theta_domain.sample(rng)
-        for j in range(levels):
-            head = tuple(state[: j + 1]) if pure else tuple(state[: sys.n + j + 1])
+        for j in range(sys.m):
+            head = tuple(state[: sys.n + j + 1])
             gval = sys.g[j](*head, *theta)
             low = gval - sys.eta[j](*head)
             worst_low = min(worst_low, low)
             if low < 0:
                 violations.append(("eta", j + 1, tuple(state), tuple(theta), low))
-            if j < levels - 1:
+            if j < sys.m - 1:
                 high = sys.mu[j](*head) * (1.0 + np.linalg.norm(theta)) - gval
                 worst_high = min(worst_high, high)
                 if high < 0:
@@ -273,8 +230,8 @@ def constant_parameter(value: Sequence[float]) -> ParameterSignal:
 # Built-in plants
 # ---------------------------------------------------------------------------
 
-def wingrock() -> PureStrictFeedbackSystem:
-    """Aircraft wing-rock plant: a 3-state pure strict-feedback chain.
+def wingrock() -> StrictFeedbackSystem:
+    """Aircraft wing-rock plant: a 3-level pure strict-feedback chain (n = 0).
 
     x1' = x2
     x2' = th1 x1 + th2 x2 + th3 x1 x2 + th4 x2^2 + x3 + d1
@@ -305,8 +262,8 @@ def wingrock() -> PureStrictFeedbackSystem:
     )
     eta = tuple(SmoothMap(i + 1, lambda *a: 1.0, name=f"eta{i + 1}") for i in range(3))
     mu = tuple(SmoothMap(i + 1, lambda *a: 1.0, name=f"mu{i + 1}") for i in range(2))
-    return PureStrictFeedbackSystem(
-        n=3, h=h, phi=phi, alpha=alpha, g=g, eta=eta, mu=mu,
+    return StrictFeedbackSystem(
+        n=0, m=3, h=h, phi=phi, alpha=alpha, g=g, eta=eta, mu=mu,
         p=4, l=2, theta_domain=free_theta(4),
     )
 

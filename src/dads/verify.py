@@ -26,7 +26,7 @@ from .controllers import (
 from .jets import SmoothMap, gradient
 from .simulate import TrajectoryLog
 from .synthesis import DadsGains
-from .systems import eval_dynamics, truncate
+from .systems import eval_dynamics, sample_ball, truncate
 
 # sampling box covering the benchmark experiment magnitudes
 DEFAULT_BOX = {"x": 3.0, "z": 3.0, "theta": 40.0, "d": 30.0}
@@ -92,6 +92,8 @@ def check_dissipation(
     coordinates of V.  Samples matching `exclude` (e.g. inside the deadzone
     kink band) are redrawn.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)
     worst = math.inf
     witness: tuple = ()
@@ -122,10 +124,8 @@ def _box_sampler(x_dim, theta_dim, d_dim, box=DEFAULT_BOX):
     def sample(rng):
         x = rng.uniform(-box["x"], box["x"], x_dim)
         z = rng.uniform(-box["z"], box["z"])
-        th = rng.standard_normal(theta_dim)
-        th = th / max(np.linalg.norm(th), 1e-12) * rng.uniform(0.0, box["theta"])
-        d = rng.standard_normal(d_dim)
-        d = d / max(np.linalg.norm(d), 1e-12) * rng.uniform(0.0, box["d"])
+        th = sample_ball(rng, theta_dim, box["theta"])
+        d = sample_ball(rng, d_dim, box["d"])
         return (*x, z, *th, *d)
 
     return sample
@@ -175,10 +175,8 @@ def sigma_mod_dissipation_check(
 
     def sample7(rng):
         x = rng.uniform(-box["x"], box["x"], 3)
-        th_hat = rng.standard_normal(4)
-        th_hat = th_hat / max(np.linalg.norm(th_hat), 1e-12) * rng.uniform(0.0, box["theta"])
-        d = rng.standard_normal(2)
-        d = d / max(np.linalg.norm(d), 1e-12) * rng.uniform(0.0, box["d"])
+        th_hat = sample_ball(rng, 4, box["theta"])
+        d = sample_ball(rng, 2, box["d"])
         return (*x, *th_hat, *d)
 
     def rhs(sample):
@@ -218,10 +216,11 @@ def synthesized_dissipation_check(
     box=DEFAULT_BOX,
     name: str = "synthesized dissipation",
 ) -> CheckReport:
-    """Decay inequality of a synthesized (V, k) pair on either plant family.
+    """Decay inequality of a synthesized (V, k) pair on a strict-feedback plant.
 
-    Works for any stage: the plant is truncated to the stage's state dimension
-    with the next state replaced by the stage feedback.
+    Works for any number of leading integrators and any stage: the plant is
+    truncated to the stage's state dimension with the next state replaced by
+    the stage feedback.
     """
     dim = V.arity - 1
     plant = truncate(sys, dim)

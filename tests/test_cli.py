@@ -102,6 +102,25 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
 
+    @pytest.mark.parametrize("indices", ["0, 7", "-1", "0.5"])
+    def test_bad_output_indices_is_parse_error(self, tmp_path, capsys, indices):
+        text = open(scen("fig1_sigma0.scenario")).read()
+        bad = tmp_path / "indices.scenario"
+        bad.write_text(text.replace("output_indices = 0, 1", f"output_indices = {indices}"))
+        assert main(["simulate", str(bad), "--t-end", "0.01", "--out", str(tmp_path)]) == EXIT_PARSE
+        assert "output_indices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-end", "nan"),
+        ("--t-end", "inf"),
+        ("--dt", "nan"),
+    ])
+    def test_non_finite_time_is_parse_error(self, tmp_path, capsys, flag, value):
+        code = main(["simulate", scen("fig4_sigma0.scenario"), flag, value,
+                     "--out", str(tmp_path)])
+        assert code == EXIT_PARSE
+        assert "finite" in capsys.readouterr().err
+
     def test_stiff_explicit_integration_diverges(self, tmp_path):
         stiff = tmp_path / "stiff.scenario"
         stiff.write_text(
@@ -152,6 +171,14 @@ class TestVerifyCommand:
         bad.write_text(text.replace("names = sigma-tradeoff", "names = trajectory"))
         assert main(["verify", str(bad), "--out", str(tmp_path)]) == EXIT_PARSE
         assert "deadzone-adapted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_samples", ["0", "-3"])
+    def test_no_samples_is_parse_error(self, tmp_path, capsys, n_samples):
+        text = open(scen("ineq34.scenario")).read()
+        bad = tmp_path / "nosamples.scenario"
+        bad.write_text(text.replace("n_samples = 1000", f"n_samples = {n_samples}"))
+        assert main(["verify", str(bad), "--out", str(tmp_path)]) == EXIT_PARSE
+        assert "n_samples" in capsys.readouterr().err
 
     def test_unknown_check_is_parse_error(self, tmp_path):
         bad = tmp_path / "unknown.scenario"

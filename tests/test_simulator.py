@@ -117,6 +117,18 @@ class TestAccuracyAndStiffness:
             simulate(sys, ctrl, X0, Z0, zero_disturbance(2), THETA, cfg)
         assert ei.value.t_last == pytest.approx(0.0, abs=1e-2)
 
+    def test_radau_failure_keeps_the_solver_reason(self):
+        # y' = y^3 from y = -18 blows up at t = 1/648; Radau gives up before
+        class BlowUp(WingRockDadsController):
+            def step(self, x, cs, t=0.0):
+                return x[2] ** 3, np.zeros(1)
+
+        cfg = SimConfig(dt=1e-3, t_end=0.1, method="radau", log_stride=10)
+        with pytest.raises(DivergenceError) as ei:
+            simulate(wingrock(), BlowUp(), X0, Z0, zero_disturbance(2), THETA, cfg)
+        assert "Required step size is less than spacing between numbers" in str(ei.value)
+        assert ei.value.t_last == 0.0
+
     def test_dads_radau_integrates_and_z_monotone(self):
         log, _ = run_dads(t_end=2.0)
         dz = np.diff(log.ctrl[:, 0])

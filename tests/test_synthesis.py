@@ -20,10 +20,11 @@ from dads.synthesis import (
     wingrock_majorants,
 )
 from dads.systems import (
-    PureStrictFeedbackSystem,
+    StrictFeedbackSystem,
     free_theta,
     wingrock,
 )
+from dads.verify import stage_certificate_checks, synthesized_dissipation_check
 
 GAINS = dict(b=1.0, Gamma=20.0, eps_dz=0.01, c=0.5, a=2.0)
 
@@ -321,8 +322,8 @@ class TestFullSynthesis:
             SmoothMap(5, lambda x1, t1, t2, t3, t4: 1.0 + 0.1 * t1),
             base.g[1], base.g[2],
         )
-        sys_bad = PureStrictFeedbackSystem(
-            n=3, h=base.h, phi=base.phi, alpha=base.alpha, g=g_bad,
+        sys_bad = StrictFeedbackSystem(
+            n=0, m=3, h=base.h, phi=base.phi, alpha=base.alpha, g=g_bad,
             eta=base.eta, mu=base.mu, p=4, l=2, theta_domain=free_theta(4),
         )
         with pytest.raises(ValueError):
@@ -334,3 +335,48 @@ class TestFullSynthesis:
         short = MajorantPack(base_r=pack.base_r, levels=pack.levels[:1])
         with pytest.raises(ValueError):
             synthesize(wingrock(), gains, short)
+
+
+def _cascade_plant():
+    """n=1, m=2: x' = y1, y1' = y2 + theta x, y2' = u + d; all gains 1."""
+    one = lambda *a: 1.0
+    return StrictFeedbackSystem(
+        n=1, m=2,
+        h=(SmoothMap(2, lambda *a: 0.0, name="h1"), SmoothMap(3, lambda *a: 0.0, name="h2")),
+        phi=(SmoothMap(2, lambda x, y1: (x,), codim=1, name="phi1"),
+             SmoothMap(3, lambda *a: (0.0,), codim=1, name="phi2")),
+        alpha=(SmoothMap(2, lambda *a: (0.0,), codim=1, name="alpha1"),
+               SmoothMap(3, lambda *a: (1.0,), codim=1, name="alpha2")),
+        g=(SmoothMap(3, one, name="g1"), SmoothMap(4, one, name="g2")),
+        eta=(SmoothMap(2, one, name="eta1"), SmoothMap(3, one, name="eta2")),
+        mu=(SmoothMap(2, one, name="mu1"),),
+        p=1, l=1, theta_domain=free_theta(1, sample_radius=5.0),
+    )
+
+
+class TestCascadeSynthesis:
+    """End to end on a plant with a leading integrator (the Theorem-1 base)."""
+
+    def test_synthesize_and_certify(self):
+        sys = _cascade_plant()
+        gains = default_gains()
+        pack = MajorantPack(
+            base_r=SmoothMap(2, lambda *a: 1.0, name="r1"),
+            levels=(StageMajorants(
+                R=SmoothMap(3, lambda x, y1, z: 1e3 * (1.0 + jet_exp(z)) ** 2, name="R"),
+                r=SmoothMap(2, lambda *a: 1.0, name="r"),
+                rho=SmoothMap(3, lambda *a: 1.0, name="rho"),
+            ),),
+        )
+        result = synthesize(sys, gains, pack)
+        assert [st.rate_c for st in result.stage_trace] == [1.0, 0.5]
+        assert result.base is not None and result.M_const == result.base.M_const
+        last = result.stage_trace[-1]
+        reports = stage_certificate_checks(sys, result, gains, n=200) + [
+            synthesized_dissipation_check(
+                sys, result.V_final, result.k_final, gains,
+                last.rate_c, last.effective_gain, n=500,
+            )
+        ]
+        for rep in reports:
+            assert rep.passed, rep.summary()

@@ -9,7 +9,6 @@ from dads.jets import SmoothMap
 from dads.synthesis import DadsGains, solve_base_theorem1
 from dads.systems import (
     DisturbanceProfile,
-    PureStrictFeedbackSystem,
     StrictFeedbackSystem,
     constant_parameter,
     eval_dynamics,
@@ -70,8 +69,7 @@ class TestWingRockDynamics:
 
     def test_get_system(self):
         sys = get_system("wingrock")
-        assert isinstance(sys, PureStrictFeedbackSystem)
-        assert (sys.n, sys.p, sys.l) == (3, 4, 2)
+        assert (sys.n, sys.m, sys.p, sys.l) == (0, 3, 4, 2)
         with pytest.raises(KeyError):
             get_system("nope")
 
@@ -118,7 +116,7 @@ class TestCascadeDynamics:
 
 
 def _per_level(sys, x, u, theta, d):
-    """The pure-chain rhs written level by level: x_{n+1} = u."""
+    """The pure-chain (n = 0) rhs written level by level; u follows the last state."""
     out = []
     for i in range(len(x)):
         head = tuple(x[: i + 1])

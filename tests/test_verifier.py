@@ -119,6 +119,13 @@ class TestDissipationChecks:
         )
         assert rep.n_samples == 0
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_no_samples_rejected(self, n):
+        V = SmoothMap(1, lambda v: v)
+        with pytest.raises(ValueError):
+            check_dissipation(V, lambda s: np.array([0.0]), lambda s: 1.0,
+                              lambda rng: (0.5,), n=n)
+
     def test_seed_reproducibility(self):
         a = wingrock_dissipation_check(wingrock(), WingRockDadsController(), n=100, seed=7)
         b = wingrock_dissipation_check(wingrock(), WingRockDadsController(), n=100, seed=7)
