@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -144,23 +145,28 @@ def build_system(scn: Scenario):
         raise ScenarioError(str(exc)) from None
 
 
+# [controller] keys of each closed-form controller type, mapped to the
+# dataclass fields they set; a key the scenario omits keeps the field default
+_CONTROLLER_FIELDS = {
+    "dads-wingrock": (
+        WingRockDadsController, {"c": "c", "k": "K", "gamma": "Gamma", "eps": "eps_dz"},
+    ),
+    "sigma-mod": (
+        SigmaModController, {"c": "c", "k": "K", "gamma": "Gamma", "sigma": "sigma_leak"},
+    ),
+}
+
+
 def build_controller(scn: Scenario, sys_model=None):
     ctype = scn.get("controller", "type", "dads-wingrock")
     try:
-        if ctype == "dads-wingrock":
-            return WingRockDadsController(
-                c=scn.getfloat("controller", "c", 0.5),
-                K=scn.getfloat("controller", "k", 14.0),
-                Gamma=scn.getfloat("controller", "gamma", 20.0),
-                eps_dz=scn.getfloat("controller", "eps", 0.01),
-            )
-        if ctype == "sigma-mod":
-            return SigmaModController(
-                c=scn.getfloat("controller", "c", 0.5),
-                Gamma=scn.getfloat("controller", "gamma", 20.0),
-                K=scn.getfloat("controller", "k", 14.0),
-                sigma_leak=scn.getfloat("controller", "sigma", 0.4),
-            )
+        if ctype in _CONTROLLER_FIELDS:
+            cls, fields = _CONTROLLER_FIELDS[ctype]
+            return cls(**{
+                name: scn.getfloat("controller", key)
+                for key, name in fields.items()
+                if scn.get("controller", key) is not None
+            })
         if ctype == "dads-synthesized":
             gains = build_gains(scn)
             result = synthesize(sys_model, gains, wingrock_majorants(gains))
@@ -176,13 +182,18 @@ def build_controller(scn: Scenario, sys_model=None):
 def build_gains(scn: Scenario) -> DadsGains:
     eps = scn.getfloat("synthesis", "eps", 0.01)
     eps_dz = scn.getfloat("synthesis", "eps_dz", eps * eps / 2.0)
-    return DadsGains(
-        b=scn.getfloat("synthesis", "b", 1.0),
-        Gamma=scn.getfloat("synthesis", "gamma", scn.getfloat("controller", "gamma", 20.0)),
-        eps_dz=eps_dz,
-        c=scn.getfloat("synthesis", "c", scn.getfloat("controller", "c", 0.5)),
-        a=scn.getfloat("synthesis", "a", 2.0),
-    )
+    try:
+        return DadsGains(
+            b=scn.getfloat("synthesis", "b", 1.0),
+            Gamma=scn.getfloat(
+                "synthesis", "gamma", scn.getfloat("controller", "gamma", 20.0)
+            ),
+            eps_dz=eps_dz,
+            c=scn.getfloat("synthesis", "c", scn.getfloat("controller", "c", 0.5)),
+            a=scn.getfloat("synthesis", "a", 2.0),
+        )
+    except ValueError as exc:
+        raise ScenarioError(f"invalid synthesis gains: {exc}") from None
 
 
 def build_disturbance(scn: Scenario, dim: int) -> DisturbanceProfile:
@@ -327,6 +338,8 @@ def _run_checks(scn: Scenario, args) -> list[ver.CheckReport]:
     if n < 1:
         raise ScenarioError(f"[checks] n_samples must be positive, got {n}")
     tol = scn.getfloat("checks", "tol", 1e-6)
+    if not 0 <= tol < math.inf:  # an infinite tolerance would pass any margin
+        raise ScenarioError(f"[checks] tol must be finite and >= 0, got {tol}")
     seed = args.seed
     ctype = scn.get("controller", "type", "dads-wingrock")
     reports: list[ver.CheckReport] = []
@@ -407,7 +420,7 @@ def cmd_compare(args) -> int:
         log, controller, _ = run_scenario(scn, args)
         stats = trajectory_stats(log, controller)
         ctype = scn.get("controller", "type", "dads-wingrock")
-        leak = scn.getfloat("controller", "sigma", 0.4) if ctype == "sigma-mod" else None
+        leak = controller.sigma_leak if ctype == "sigma-mod" else None
         label = ctype if leak is None else f"{ctype}({leak:g})"
         rows.append((os.path.basename(path), label, stats, log))
         logs[(ctype, leak)] = log

@@ -18,6 +18,7 @@ fed jets for derivative-based certificate checking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -64,14 +65,15 @@ class WingRockDadsController:
     eps_dz: float = 0.01
 
     def __post_init__(self):
-        if self.c < 0.5:
-            raise ValueError(f"c must be >= 1/2, got {self.c}")
-        if self.K < 28.0 * self.c:
-            raise ValueError(f"K must be >= 28 c = {28 * self.c}, got {self.K}")
-        if self.Gamma <= 0:
-            raise ValueError("Gamma must be positive")
-        if self.eps_dz <= 0:
-            raise ValueError("eps_dz must be positive")
+        # each bound is written so that nan and inf fail it
+        if not 0.5 <= self.c < math.inf:
+            raise ValueError(f"c must be finite and >= 1/2, got {self.c}")
+        if not 28.0 * self.c <= self.K < math.inf:
+            raise ValueError(f"K must be finite and >= 28 c = {28 * self.c}, got {self.K}")
+        if not 0 < self.Gamma < math.inf:
+            raise ValueError(f"Gamma must be positive and finite, got {self.Gamma}")
+        if not 0 < self.eps_dz < math.inf:
+            raise ValueError(f"eps_dz must be positive and finite, got {self.eps_dz}")
 
     # --- simulator interface -------------------------------------------------
     ctrl_dim = 1
@@ -134,12 +136,15 @@ class SigmaModController:
     sigma_leak: float = 0.4
 
     def __post_init__(self):
-        if self.c <= 0 or self.Gamma <= 0:
-            raise ValueError("c and Gamma must be positive")
-        if self.K < 1.0 + 2.0 * self.c:
-            raise ValueError(f"K must be >= 1 + 2c = {1 + 2 * self.c}, got {self.K}")
-        if self.sigma_leak < 0:
-            raise ValueError("sigma_leak must be nonnegative")
+        # each bound is written so that nan and inf fail it
+        if not (0 < self.c < math.inf and 0 < self.Gamma < math.inf):
+            raise ValueError(
+                f"c and Gamma must be positive and finite, got {self.c}, {self.Gamma}"
+            )
+        if not 1.0 + 2.0 * self.c <= self.K < math.inf:
+            raise ValueError(f"K must be finite and >= 1 + 2c = {1 + 2 * self.c}, got {self.K}")
+        if not 0 <= self.sigma_leak < math.inf:
+            raise ValueError(f"sigma_leak must be nonnegative and finite, got {self.sigma_leak}")
 
     ctrl_dim = 4
 

@@ -11,10 +11,11 @@ plant (n >= 0 leading integrators, m levels) in two phases:
   dominates every cross term produced by the previous stage.
 
 Derivatives of the previous stage's maps (dk/dx, dk/dz, dV/dz) are obtained by
-jet evaluation, so each backstep consumes one order of the differentiation
-budget.  The growth majorants R, r, rho that the construction needs cannot be
-derived automatically from closures; they are supplied per level by the caller
-and validated by sampling (rejection carries a witness point).
+evaluating them on first-order jets; since those maps already contain the
+derivatives taken one stage earlier, each backstep nests one more jet level.
+The growth majorants R, r, rho that the construction needs cannot be derived
+automatically from closures; they are supplied per level by the caller and
+validated by sampling (rejection carries a witness point).
 
 Rates halve and disturbance gains double per backstep, so a base started at
 (2^{m-1} c, 2^{1-m} a) ends exactly at (c, a).
@@ -69,8 +70,9 @@ class DadsGains:
 
     def __post_init__(self):
         for name in ("b", "Gamma", "eps_dz", "c", "a"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # false for nan as well
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         for fname in ("kappa", "lam"):
             fn = getattr(self, fname)
             if abs(float(fn(0.0))) > 1e-12:
@@ -169,7 +171,8 @@ def _validate_scaled_bound(name, lhs_fn, bound_fn, dim, rng, n_samples, box):
         pt = rng.uniform(-box, box, dim)
         lhs = lhs_fn(pt)
         bound = bound_fn(pt)
-        if lhs > bound * (1.0 + 1e-12) + 1e-12:
+        # `not <=` so that a nan on either side is a violation too
+        if not lhs <= bound * (1.0 + 1e-12) + 1e-12:
             raise MajorantViolationError(name, pt, lhs, bound)
 
 
@@ -212,7 +215,7 @@ def solve_base_theorem3(
             lambda pt: float(r(*pt)), 1, rng, n_samples, box_radius,
         )
     for s in np.linspace(-box_radius, box_radius, 9):
-        if float(r(s)) <= 0:
+        if not float(r(s)) > 0:
             raise MajorantViolationError("r (first-level drift)", (s,), 0.0, float(r(s)))
 
     b, a, kappa, lam = gains.b, gains.a, gains.kappa, gains.lam
@@ -524,13 +527,12 @@ def backstep(
         Rv = majorants.R(*xs, z)
         return (1.0 + 2.0 * Rv * Rv) * prev.sigma(*xs, z) + 4.0
 
-    budget = min(prev.V.max_order, prev.k.max_order, prev.sigma.max_order) - 1
     lvl = prev.level + 1
     return DadsStage(
         level=lvl,
-        V=SmoothMap(d + 2, V_bar, max_order=budget, name=f"V{lvl}"),
-        k=SmoothMap(d + 2, k_bar, max_order=budget, name=f"k{lvl}"),
-        sigma=SmoothMap(d + 2, sigma_bar, max_order=budget, name=f"sigma{lvl}"),
+        V=SmoothMap(d + 2, V_bar, name=f"V{lvl}"),
+        k=SmoothMap(d + 2, k_bar, name=f"k{lvl}"),
+        sigma=SmoothMap(d + 2, sigma_bar, name=f"sigma{lvl}"),
         rate_c=prev.rate_c / 2.0,
         gain_a=2.0 * prev.gain_a,
         gain_div=prev.gain_div,

@@ -36,21 +36,35 @@ KINK_BAND = 1e-9
 
 @dataclass(frozen=True)
 class CheckReport:
+    """Worst margin of a check and the sample achieving it.
+
+    A check that asked for `requested` samples passes only if it used that
+    many; a non-finite worst margin never passes.
+    """
+
     name: str
     n_samples: int
     worst_margin: float
     witness: tuple
     tolerance: float
+    requested: int = 0
 
     @property
     def passed(self) -> bool:
-        return self.worst_margin >= -self.tolerance
+        return (
+            math.isfinite(self.worst_margin)
+            and self.worst_margin >= -self.tolerance
+            and self.n_samples >= self.requested
+        )
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
+        used = f"{self.n_samples}"
+        if self.n_samples < self.requested:
+            used += f" of {self.requested} requested"
         return (
             f"[{status}] {self.name}: worst margin {self.worst_margin:.6g} "
-            f"over {self.n_samples} samples (tol {self.tolerance:g})"
+            f"over {used} samples (tol {self.tolerance:g})"
         )
 
 
@@ -90,12 +104,14 @@ def check_dissipation(
     The sampler draws one sample per call; closed_loop_rhs and rhs_bound both
     receive the full sample.  The first V.arity entries of a sample are the
     coordinates of V.  Samples matching `exclude` (e.g. inside the deadzone
-    kink band) are redrawn.
+    kink band) are redrawn, up to 10 n draws; a report that used fewer than
+    n samples fails.  A non-finite margin ranks below every finite one, so
+    the first such sample is the witness and the report fails.
     """
     if n < 1:
         raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)
-    worst = math.inf
+    worst = worst_rank = math.inf
     witness: tuple = ()
     used = 0
     attempts = 0
@@ -110,10 +126,11 @@ def check_dissipation(
         lhs = float(np.dot(g, f))
         margin = float(rhs_bound(sample)) - lhs
         used += 1
-        if margin < worst:
-            worst = margin
+        rank = margin if math.isfinite(margin) else -math.inf
+        if rank < worst_rank:
+            worst, worst_rank = margin, rank
             witness = tuple(float(v) for v in sample)
-    return CheckReport(name, used, worst, witness, tol)
+    return CheckReport(name, used, worst, witness, tol, requested=n)
 
 
 # ---------------------------------------------------------------------------

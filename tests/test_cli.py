@@ -1,9 +1,12 @@
 """End-to-end tests for the command-line interface and scenario files."""
 
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from dads.cli import (
     EXIT_CHECK_FAILED,
@@ -191,6 +194,73 @@ class TestVerifyCommand:
         bad = tmp_path / "empty.scenario"
         bad.write_text("[system]\nname = wingrock\n")
         assert main(["verify", str(bad), "--out", str(tmp_path)]) == EXIT_PARSE
+
+
+def edited(name, tmp_path, entries):
+    """A shipped scenario with {(section, key): value} entries set."""
+    scn = load_scenario(scen(f"{name}.scenario"))
+    for (section, key), value in entries.items():
+        scn.sections.setdefault(section, {})[key] = value
+    path = tmp_path / f"{name}.scenario"
+    path.write_text(scn.serialize())
+    return str(path)
+
+
+class TestNonFiniteParameters:
+    """A nan or inf design parameter or check tolerance is rejected before
+    any check runs."""
+
+    @pytest.mark.parametrize("command, name, section, key, value", [
+        ("verify", "ineq34", "controller", "c", "nan"),
+        ("verify", "ineq34", "controller", "gamma", "nan"),
+        ("verify", "ineq34", "controller", "eps", "nan"),
+        ("verify", "ineq34", "controller", "k", "nan"),
+        ("verify", "ineq34", "controller", "k", "inf"),
+        ("verify", "ineq38", "controller", "sigma", "nan"),
+        ("verify", "ineq34", "checks", "tol", "inf"),
+        ("verify", "ineq34", "checks", "tol", "nan"),
+        ("synthesize", "synth_wingrock", "synthesis", "c", "nan"),
+        ("synthesize", "synth_wingrock", "synthesis", "gamma", "nan"),
+        ("synthesize", "synth_wingrock", "synthesis", "b", "inf"),
+    ])
+    def test_exits_2(self, tmp_path, capsys, command, name, section, key, value):
+        path = edited(name, tmp_path, {(section, key): value})
+        assert main([command, path, "--out", str(tmp_path)]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_nan_majorant_exits_4(self, tmp_path):
+        path = edited("synth_wingrock", tmp_path, {("synthesis", "override_base_r"): "nan"})
+        assert main(["synthesize", path, "--out", str(tmp_path)]) == EXIT_MAJORANT
+
+
+class TestVerifyFuzz:
+    """Bounded fuzz of [controller] numbers through `dads verify`."""
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        sigma_mod=st.booleans(),
+        # keys left out keep the scenario's value or the controller default;
+        # st.floats() draws nan, +-inf, 0 and negatives among its values
+        overrides=st.dictionaries(
+            st.sampled_from(["c", "k", "gamma", "eps", "sigma"]),
+            st.floats(allow_nan=True, allow_infinity=True),
+            max_size=5,
+        ),
+        n_samples=st.integers(1, 20),
+    )
+    def test_exit_codes(self, tmp_path, sigma_mod, overrides, n_samples):
+        # only the keys the controller reads: the leak or the deadzone level
+        unread = "eps" if sigma_mod else "sigma"
+        values = {k: v for k, v in overrides.items() if k != unread}
+        entries = {("controller", k): repr(v) for k, v in values.items()}
+        entries[("checks", "n_samples")] = str(n_samples)
+        path = edited("ineq38" if sigma_mod else "ineq34", tmp_path, entries)
+        code = main(["verify", path, "--out", str(tmp_path)])
+        event(f"exit {code}")
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_CHECK_FAILED)
+        if not all(math.isfinite(v) for v in values.values()):
+            assert code == EXIT_PARSE
 
 
 class TestSynthesizeCommand:

@@ -13,6 +13,7 @@ from dads.synthesis import (
     MajorantPack,
     MajorantViolationError,
     StageMajorants,
+    _validate_scaled_bound,
     backstep,
     solve_base_theorem1,
     solve_base_theorem3,
@@ -44,6 +45,12 @@ class TestDadsGains:
         with pytest.raises(ValueError):
             default_gains(**{field: 0.0})
 
+    @pytest.mark.parametrize("field", ["b", "Gamma", "eps_dz", "c", "a"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_finiteness(self, field, value):
+        with pytest.raises(ValueError):
+            default_gains(**{field: value})
+
     def test_kappa_must_vanish_at_zero(self):
         bad = SmoothMap(1, lambda s: s + 1.0)
         with pytest.raises(ValueError):
@@ -53,6 +60,14 @@ class TestDadsGains:
         bad = SmoothMap(1, lambda s: 0.0 * s)
         with pytest.raises(ValueError):
             default_gains(lam=bad)
+
+
+class TestScaledBound:
+    @pytest.mark.parametrize("lhs, bound", [(math.nan, 1.0), (0.5, math.nan)])
+    def test_nan_is_a_violation(self, lhs, bound):
+        rng = np.random.default_rng(0)
+        with pytest.raises(MajorantViolationError):
+            _validate_scaled_bound("toy", lambda pt: lhs, lambda pt: bound, 2, rng, 5, 1.0)
 
 
 class TestBaseQuadraticForm:

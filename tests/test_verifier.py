@@ -46,6 +46,16 @@ class TestCheckReport:
         assert "PASS" in good.summary()
         assert "FAIL" in bad.summary()
 
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf])
+    def test_non_finite_margin_fails(self, margin):
+        assert not CheckReport("a", 10, margin, (), 1e-6).passed
+
+    def test_shortfall_fails(self):
+        short = CheckReport("a", 9, 1.0, (), 1e-6, requested=10)
+        assert not short.passed
+        assert "over 9 of 10 requested samples" in short.summary()
+        assert CheckReport("a", 10, 1.0, (), 1e-6, requested=10).passed
+
     def test_csv_serialization(self):
         reps = [
             CheckReport("alpha", 5, 0.25, (1.0, -2.0), 1e-6),
@@ -118,6 +128,23 @@ class TestDissipationChecks:
             name="excluded",
         )
         assert rep.n_samples == 0
+        assert not rep.passed
+        assert "0 of 10 requested samples" in rep.summary()
+
+    def test_nan_margin_fails_with_its_sample(self):
+        # the third draw gives a nan rate; it is the witness even though
+        # later samples have finite, smaller margins
+        V = SmoothMap(1, lambda v: v)
+        draws = iter([1.0, 2.0, 3.0, 4.0, 5.0])
+
+        def rhs(s):
+            return np.array([math.nan if s[0] == 3.0 else s[0]])
+
+        rep = check_dissipation(V, rhs, lambda s: 10.0, lambda rng: (next(draws),), n=5)
+        assert rep.n_samples == 5
+        assert math.isnan(rep.worst_margin)
+        assert rep.witness == (3.0,)
+        assert not rep.passed
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_no_samples_rejected(self, n):
