@@ -186,10 +186,13 @@ def build_gains(scn: Scenario) -> DadsGains:
         return DadsGains(
             b=scn.getfloat("synthesis", "b", 1.0),
             Gamma=scn.getfloat(
-                "synthesis", "gamma", scn.getfloat("controller", "gamma", 20.0)
+                "synthesis", "gamma",
+                scn.getfloat("controller", "gamma", WingRockDadsController.Gamma),
             ),
             eps_dz=eps_dz,
-            c=scn.getfloat("synthesis", "c", scn.getfloat("controller", "c", 0.5)),
+            c=scn.getfloat(
+                "synthesis", "c", scn.getfloat("controller", "c", WingRockDadsController.c)
+            ),
             a=scn.getfloat("synthesis", "a", 2.0),
         )
     except ValueError as exc:
@@ -200,8 +203,8 @@ def build_disturbance(scn: Scenario, dim: int) -> DisturbanceProfile:
     kind = scn.get("disturbance", "kind", "zero")
     if kind == "zero":
         return zero_disturbance(dim)
-    amps = scn.getvector("disturbance", "amplitudes", [])
-    freqs = scn.getvector("disturbance", "frequencies", [])
+    amps = _finite_vector(scn, "disturbance", "amplitudes", [])
+    freqs = _finite_vector(scn, "disturbance", "frequencies", [])
     if len(amps) != dim or len(freqs) != dim:
         raise ScenarioError(
             f"disturbance needs {dim} amplitudes/frequencies, got {len(amps)}/{len(freqs)}"
@@ -209,7 +212,10 @@ def build_disturbance(scn: Scenario, dim: int) -> DisturbanceProfile:
     if kind == "sinusoid-bank":
         return sinusoid_bank(amps, freqs)
     if kind == "vanishing":
-        return vanishing_disturbance(amps, freqs, scn.getfloat("disturbance", "decay", 1.0))
+        decay = scn.getfloat("disturbance", "decay", 1.0)
+        if not math.isfinite(decay):
+            raise ScenarioError(f"[disturbance] decay must be finite, got {decay}")
+        return vanishing_disturbance(amps, freqs, decay)
     raise ScenarioError(f"unknown disturbance kind {kind!r}")
 
 
@@ -227,9 +233,17 @@ def build_sim_config(scn: Scenario, args) -> SimConfig:
         raise ScenarioError(str(exc)) from None
 
 
+def _finite_vector(scn: Scenario, section: str, key: str, default: list[float]) -> list[float]:
+    """A vector entry whose entries are all finite."""
+    v = scn.getvector(section, key, default)
+    if not all(math.isfinite(x) for x in v):
+        raise ScenarioError(f"[{section}] {key} must be finite, got {v}")
+    return v
+
+
 def _sized_vector(scn: Scenario, section: str, key: str, size: int) -> list[float]:
-    """A vector entry of the given length; all zeros when absent."""
-    v = scn.getvector(section, key, [0.0] * size)
+    """A finite vector entry of the given length; all zeros when absent."""
+    v = _finite_vector(scn, section, key, [0.0] * size)
     if len(v) != size:
         raise ScenarioError(f"[{section}] {key} has {len(v)} entries, expected {size}")
     return v

@@ -11,6 +11,10 @@ are already jets gives jets of derivatives, which is how `partial_map` builds
 partial derivatives that stay differentiable, and how each backstep of the
 synthesis takes one more derivative of the previous stage: derivatives of
 order k come from k nested first-order jets.
+
+Coefficients may also be numpy arrays.  A jet whose innermost values are
+arrays of N points carries N gradients at once (vector forward mode), so one
+evaluation of a map on array coordinates differentiates it at every sample.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
+
+import numpy as np
 
 
 class JetShapeError(ValueError):
@@ -28,6 +34,9 @@ class Jet:
     """Value and first partials (value, d_1, ..., d_n) of a smooth quantity."""
 
     __slots__ = ("coeffs",)
+    # an array on the left of an operator defers to the Jet's reflected
+    # method instead of building an object array of jets
+    __array_ufunc__ = None
 
     def __init__(self, coeffs: tuple):
         self.coeffs = coeffs
@@ -98,15 +107,18 @@ def _constant(value, like: Jet) -> Jet:
     return Jet((value,) + (0.0,) * (len(like.coeffs) - 1))
 
 
-def scalar_value(x) -> float:
-    """Innermost numeric value of a possibly nested jet."""
+def scalar_value(x):
+    """Innermost value of a possibly nested jet (a number or an array)."""
     while isinstance(x, Jet):
         x = x.coeffs[0]
-    return float(x)
+    return x
 
 
 def jet_exp(a):
-    """exp; overflow of a plain number gives inf."""
+    """exp; overflow of a plain number or an array entry gives inf."""
+    if isinstance(a, np.ndarray):
+        with np.errstate(over="ignore"):
+            return np.exp(a)
     if not isinstance(a, Jet):
         try:
             return math.exp(a)
@@ -142,12 +154,29 @@ def jet_pow_int(a, p: int):
 
 
 def jet_relu_plus(a):
-    """Positive part max(a, 0). Derivative at exactly 0 is taken as 0."""
+    """Positive part max(a, 0). Derivative at exactly 0 is taken as 0.
+
+    On arrays, and on jets whose innermost value is an array, the choice is
+    made per entry; a nan value gives nan for a plain number or array and
+    the zero jet for a jet, as it does per point.
+    """
+    if isinstance(a, np.ndarray):
+        return np.where(a < 0.0, 0.0, a)
     if not isinstance(a, Jet):
         return max(a, 0.0)
-    if scalar_value(a) > 0.0:
+    positive = scalar_value(a) > 0.0
+    if isinstance(positive, np.ndarray):
+        return _where(positive, a)
+    if positive:
         return a
     return _constant(0.0, a)
+
+
+def _where(mask: np.ndarray, a):
+    """a where mask holds and 0 elsewhere, through every nested coefficient."""
+    if isinstance(a, Jet):
+        return Jet(tuple(_where(mask, c) for c in a.coeffs))
+    return np.where(mask, a, 0.0)
 
 
 @dataclass(frozen=True)
@@ -172,16 +201,22 @@ class SmoothMap:
         return self.fn(*args)
 
 
-def gradient(f: SmoothMap, point: Sequence[float]) -> tuple[float, ...]:
-    """Exact first-order partials of a scalar-valued map at a point."""
+def gradient(f: SmoothMap, point: Sequence) -> tuple:
+    """Exact first-order partials of a scalar-valued map at a point.
+
+    Coordinates may be arrays of sample values (one column per coordinate);
+    each partial is then an array of the broadcast batch shape, and a float
+    (numpy scalar) when every coordinate is a number.
+    """
     if f.codim != 1:
         raise ValueError("gradient requires a scalar-valued map")
     if len(point) != f.arity:
         raise ValueError(f"expected {f.arity} coordinates, got {len(point)}")
     out = f(*variables(point))
-    if isinstance(out, Jet):
-        return tuple(float(c) for c in out.coeffs[1:])
-    return tuple(0.0 for _ in point)  # constant maps may return a bare number
+    # constant maps may return a bare number
+    partials = out.coeffs[1:] if isinstance(out, Jet) else (0.0,) * len(point)
+    shape = np.broadcast_shapes(*(np.shape(v) for v in point))
+    return tuple(np.broadcast_to(np.asarray(c, float), shape)[()] for c in partials)
 
 
 def partial_map(f: SmoothMap, var_index: int) -> SmoothMap:

@@ -12,6 +12,10 @@ state (adaptation gain z or parameter estimates).  Two methods are available:
 
 Logs are dense (every log_stride-th grid point) and serialize to CSV with full
 floating-point precision for reproducible downstream checks.
+
+scipy is imported by the first Radau solve, not with this module, so the
+commands that never integrate (synthesize, and verify without trajectory
+checks) do not load it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .systems import DisturbanceProfile, ParameterSignal, eval_dynamics
 
@@ -31,6 +34,13 @@ from .systems import DisturbanceProfile, ParameterSignal, eval_dynamics
 RTOL = 1e-10
 ATOL = 1e-13
 DIVERGENCE_THRESHOLD = 1e8
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 class DivergenceError(Exception):

@@ -154,7 +154,8 @@ class BackstepLevel:
     mu: SmoothMap
 
 
-def _norm_sq(values) -> float:
+def _norm_sq(values):
+    """Sum of squares, in generic arithmetic (numbers, jets or sample columns)."""
     acc = 0.0
     for v in values:
         acc = acc + v * v
@@ -166,14 +167,21 @@ def _as_tuple(out):
 
 
 def _validate_scaled_bound(name, lhs_fn, bound_fn, dim, rng, n_samples, box):
-    """Check lhs(point) <= bound(point) at uniform samples; raise with witness."""
-    for _ in range(n_samples):
-        pt = rng.uniform(-box, box, dim)
-        lhs = lhs_fn(pt)
-        bound = bound_fn(pt)
+    """Check lhs <= bound at uniform samples; raise with the first violation.
+
+    The n_samples points are drawn at once and both functions receive all of
+    them as a tuple of dim coordinate columns.
+    """
+    pts = rng.uniform(-box, box, (n_samples, dim))
+    cols = tuple(np.ascontiguousarray(pts.T))
+    with np.errstate(all="ignore"):
+        lhs = np.broadcast_to(lhs_fn(cols), n_samples)
+        bound = np.broadcast_to(bound_fn(cols), n_samples)
         # `not <=` so that a nan on either side is a violation too
-        if not lhs <= bound * (1.0 + 1e-12) + 1e-12:
-            raise MajorantViolationError(name, pt, lhs, bound)
+        bad = ~(lhs <= bound * (1.0 + 1e-12) + 1e-12)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise MajorantViolationError(name, pts[i], lhs[i], bound[i])
 
 
 def solve_base_theorem3(
@@ -201,18 +209,14 @@ def solve_base_theorem3(
     if h1 is not None or phi1 is not None:
         # r must dominate (|h1| + |phi1|) / |x1| at sampled points
         def lhs_fn(pt):
-            x1 = float(pt[0])
-            if x1 == 0.0:
-                return 0.0
-            hv = abs(float(h1(x1))) if h1 is not None else 0.0
-            pv = 0.0
-            if phi1 is not None:
-                pv = math.sqrt(_norm_sq([float(v) for v in _as_tuple(phi1(x1))]))
-            return (hv + pv) / abs(x1)
+            x1 = pt[0]
+            hv = abs(h1(x1)) if h1 is not None else 0.0
+            pv = np.sqrt(_norm_sq(_as_tuple(phi1(x1)))) if phi1 is not None else 0.0
+            return np.where(x1 == 0.0, 0.0, (hv + pv) / abs(x1))
 
         _validate_scaled_bound(
             "r (first-level drift)", lhs_fn,
-            lambda pt: float(r(*pt)), 1, rng, n_samples, box_radius,
+            lambda pt: r(*pt), 1, rng, n_samples, box_radius,
         )
     for s in np.linspace(-box_radius, box_radius, 9):
         if not float(r(s)) > 0:
@@ -313,14 +317,12 @@ def solve_base_theorem1(
         rng = np.random.default_rng(seed)
 
         def lhs_fn(pt):
-            mag = float(np.linalg.norm(pt))
-            if mag == 0.0:
-                return 0.0
-            return abs(float(r_content(*pt))) / mag
+            mag = np.sqrt(_norm_sq(pt))
+            return np.where(mag == 0.0, 0.0, abs(r_content(*pt)) / mag)
 
         _validate_scaled_bound(
             "r (first-level drift)", lhs_fn,
-            lambda pt: float(r(*pt)), n + 1, rng, n_samples, box_radius,
+            lambda pt: r(*pt), n + 1, rng, n_samples, box_radius,
         )
 
     b_gain, a, Gamma = gains.b, gains.a, gains.Gamma
@@ -386,50 +388,43 @@ def _validate_backstep_majorants(
 
     def R_lhs(pt):
         xs, z = pt[:d], pt[d]
-        mag = float(np.linalg.norm(xs))
-        if mag == 0.0:
-            return 0.0
-        grad_V = math.sqrt(sum(float(g(*xs, z)) ** 2 for g in dV_dx))
-        kv = abs(float(prev.k(*xs, z)))
+        mag = np.sqrt(_norm_sq(xs))
+        grad_V = np.sqrt(_norm_sq([g(*xs, z) for g in dV_dx]))
+        kv = abs(prev.k(*xs, z))
         phi_rows = _as_tuple(level.Phi(*xs))
-        dk = [float(g(*xs, z)) for g in dk_dx]
+        dk = [g(*xs, z) for g in dk_dx]
         # |dk/dx . Phi| with Phi flattened row-major (d rows, p columns)
-        acc = 0.0
-        for q in range(level.p):
-            comp = sum(dk[i] * float(phi_rows[i * level.p + q]) for i in range(d))
-            acc += comp * comp
-        return (grad_V + kv + math.sqrt(acc)) / mag
+        dk_phi = _norm_sq(
+            sum(dk[i] * phi_rows[i * level.p + q] for i in range(d))
+            for q in range(level.p)
+        )
+        return np.where(mag == 0.0, 0.0, (grad_V + kv + np.sqrt(dk_phi)) / mag)
 
     _validate_scaled_bound(
         "R (stage growth)", R_lhs,
-        lambda pt: float(majorants.R(*pt)), d + 1, rng, n_samples, box_radius,
+        lambda pt: majorants.R(*pt), d + 1, rng, n_samples, box_radius,
     )
 
     def r_lhs(pt):
-        mag = float(np.linalg.norm(pt))
-        if mag == 0.0:
-            return 0.0
-        fv = _as_tuple(level.f(*pt))
-        return math.sqrt(_norm_sq([float(v) for v in fv])) / mag
+        mag = np.sqrt(_norm_sq(pt))
+        return np.where(mag == 0.0, 0.0, np.sqrt(_norm_sq(_as_tuple(level.f(*pt)))) / mag)
 
     _validate_scaled_bound(
         "r (x-block drift)", r_lhs,
-        lambda pt: float(majorants.r(*pt)), d, rng, n_samples, box_radius,
+        lambda pt: majorants.r(*pt), d, rng, n_samples, box_radius,
     )
 
     def rho_lhs(pt):
         # scale by |x| + |y| with x the block and y the new level
         xs, y = pt[:d], pt[d]
-        mag = float(np.linalg.norm(xs)) + abs(float(y))
-        if mag == 0.0:
-            return 0.0
-        hv = abs(float(level.h(*pt)))
-        pv = math.sqrt(_norm_sq([float(v) for v in _as_tuple(level.phi(*pt))]))
-        return (hv + pv) / mag
+        mag = np.sqrt(_norm_sq(xs)) + abs(y)
+        hv = abs(level.h(*pt))
+        pv = np.sqrt(_norm_sq(_as_tuple(level.phi(*pt))))
+        return np.where(mag == 0.0, 0.0, (hv + pv) / mag)
 
     _validate_scaled_bound(
         "rho (new-level growth)", rho_lhs,
-        lambda pt: float(majorants.rho(*pt)), d + 1, rng, n_samples, box_radius,
+        lambda pt: majorants.rho(*pt), d + 1, rng, n_samples, box_radius,
     )
 
 

@@ -93,20 +93,30 @@ def truncate(sys: StrictFeedbackSystem, dim: int) -> StrictFeedbackSystem:
     return replace(sys, m=levels, **per_level)
 
 
-def eval_dynamics(sys: StrictFeedbackSystem, state, u: float, theta, d) -> np.ndarray:
-    """Full state derivative: the integrator shift, then one row per level."""
+def _check_columns(sys: StrictFeedbackSystem, s, theta, d) -> None:
+    """Each of state, theta and d is a vector or a (dim, N) array of columns."""
+    for what, arr, dim in (("theta", theta, sys.p), ("d", d, sys.l),
+                           ("state", s, sys.state_dim)):
+        if arr.shape[:1] != (dim,) or arr.ndim > 2:
+            raise ValueError(
+                f"{what} has shape {arr.shape}, expected ({dim},) or ({dim}, N)"
+            )
+
+
+def eval_dynamics(sys: StrictFeedbackSystem, state, u, theta, d) -> np.ndarray:
+    """Full state derivative: the integrator shift, then one row per level.
+
+    state, theta and d are vectors, or (dim, N) arrays holding N points as
+    columns (u is then a number or N values); the result has state's shape.
+    """
     theta = np.asarray(theta, float)
     d = np.asarray(d, float)
     s = np.asarray(state, float)
-    if theta.shape != (sys.p,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({sys.p},)")
-    if d.shape != (sys.l,):
-        raise ValueError(f"d has shape {d.shape}, expected ({sys.l},)")
-    if s.shape != (sys.state_dim,):
-        raise ValueError(f"state has shape {s.shape}, expected ({sys.state_dim},)")
+    if s.shape != (sys.state_dim,) or theta.shape != (sys.p,) or d.shape != (sys.l,):
+        _check_columns(sys, s, theta, d)
 
     n = sys.n
-    out = np.empty(sys.state_dim)
+    out = np.empty(s.shape)
     if n:
         out[:n] = s[1 : n + 1]
     for j in range(sys.m):
@@ -135,29 +145,46 @@ class MajorantReport:
 def validate_majorants(
     sys: StrictFeedbackSystem, n_samples: int = 500, box_radius: float = 5.0, seed: int = 0
 ) -> MajorantReport:
-    """Sampled check of eta_j <= g_j and g_j <= mu_j (1 + |theta|)."""
+    """Sampled check of eta_j <= g_j and g_j <= mu_j (1 + |theta|).
+
+    The (state, theta) pairs are drawn one after the other, then each level
+    is evaluated once on all of them.  A nan margin is a violation.
+    Violations are listed by draw, then by level, eta before mu.
+    """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(seed)
-    worst_low = math.inf
-    worst_high = math.inf
-    violations = []
-    for _ in range(n_samples):
-        state = rng.uniform(-box_radius, box_radius, sys.state_dim)
-        theta = sys.theta_domain.sample(rng)
+    dim = sys.state_dim
+    pts = np.array([
+        (*rng.uniform(-box_radius, box_radius, dim), *sys.theta_domain.sample(rng))
+        for _ in range(n_samples)
+    ])
+    cols = tuple(np.ascontiguousarray(pts.T))
+    states, thetas = cols[:dim], cols[dim:]
+    theta_scale = 1.0 + np.sqrt(sum(t * t for t in thetas))
+    margins = {}  # (kind, level) -> margin at every draw
+    with np.errstate(all="ignore"):
         for j in range(sys.m):
-            head = tuple(state[: sys.n + j + 1])
-            gval = sys.g[j](*head, *theta)
-            low = gval - sys.eta[j](*head)
-            worst_low = min(worst_low, low)
-            if low < 0:
-                violations.append(("eta", j + 1, tuple(state), tuple(theta), low))
+            head = states[: sys.n + j + 1]
+            gval = sys.g[j](*head, *thetas)
+            margins["eta", j + 1] = np.broadcast_to(gval - sys.eta[j](*head), n_samples)
             if j < sys.m - 1:
-                high = sys.mu[j](*head) * (1.0 + np.linalg.norm(theta)) - gval
-                worst_high = min(worst_high, high)
-                if high < 0:
-                    violations.append(("mu", j + 1, tuple(state), tuple(theta), high))
-    return MajorantReport(worst_low, worst_high, violations)
+                margins["mu", j + 1] = np.broadcast_to(
+                    sys.mu[j](*head) * theta_scale - gval, n_samples
+                )
+    bad = {key: ~(m >= 0.0) for key, m in margins.items()}
+    violations = [
+        (kind, level, tuple(pts[i, :dim]), tuple(pts[i, dim:]), float(margins[kind, level][i]))
+        for i in np.flatnonzero(np.any(list(bad.values()), axis=0))
+        for (kind, level), b in bad.items()
+        if b[i]
+    ]
+
+    def worst(kind):
+        rows = [m for (k, _), m in margins.items() if k == kind]
+        return float(np.min(rows)) if rows else math.inf
+
+    return MajorantReport(worst("eta"), worst("mu"), violations)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """Executable checks: sampled dissipation inequalities and trajectory estimates.
 
 Every check produces a CheckReport with the worst margin observed and the
-sample achieving it (margin >= -tolerance means pass).  Asymptotic claims are
-checked as finite-horizon surrogates: suprema over the final portion of the
-horizon with recorded slack, since a simulation cannot observe true limits.
+sample achieving it (margin >= -tolerance means pass).  A sampled check draws
+its samples one per sampler call and then evaluates every one of them in a
+single array pass: V's gradient comes from jets with array coefficients, and
+the rhs, bound and exclusion callables take a tuple of sample columns.
+Asymptotic claims are checked as finite-horizon surrogates: suprema over the
+final portion of the horizon with recorded slack, since a simulation cannot
+observe true limits.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from .controllers import (
     sigma_mod_W_map,
     wingrock_control,
 )
-from .jets import SmoothMap, gradient
+from .jets import SmoothMap, gradient, jet_exp, jet_relu_plus
 from .simulate import TrajectoryLog
-from .synthesis import DadsGains
+from .synthesis import DadsGains, _norm_sq
 from .systems import eval_dynamics, sample_ball, truncate
 
 # sampling box covering the benchmark experiment magnitudes
@@ -101,36 +105,45 @@ def check_dissipation(
 ) -> CheckReport:
     """Worst margin of (bound - dV/dt) over n sampled points.
 
-    The sampler draws one sample per call; closed_loop_rhs and rhs_bound both
-    receive the full sample.  The first V.arity entries of a sample are the
-    coordinates of V.  Samples matching `exclude` (e.g. inside the deadzone
-    kink band) are redrawn, up to 10 n draws; a report that used fewer than
-    n samples fails.  A non-finite margin ranks below every finite one, so
-    the first such sample is the witness and the report fails.
+    The sampler draws one sample per call.  The draws are stacked, and
+    exclude, closed_loop_rhs and rhs_bound each receive all of them at once
+    as a tuple of columns (one array per sample entry); the first V.arity
+    columns are the coordinates of V.  closed_loop_rhs returns one component
+    per coordinate of V.  Excluded samples (e.g. inside the deadzone kink
+    band) are made up by further draws, up to 10 n draws in all, so the
+    samples used are the first n non-excluded draws; a report that used
+    fewer than n samples fails.  A non-finite margin ranks below every
+    finite one, so the first such sample is the witness and the report fails.
     """
     if n < 1:
         raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)
-    worst = worst_rank = math.inf
-    witness: tuple = ()
-    used = 0
-    attempts = 0
-    while used < n and attempts < 10 * n:
-        attempts += 1
-        sample = sampler(rng)
-        if exclude is not None and exclude(sample):
-            continue
-        coords = sample[: V.arity]
-        g = gradient(V, coords)
-        f = closed_loop_rhs(sample)
-        lhs = float(np.dot(g, f))
-        margin = float(rhs_bound(sample)) - lhs
-        used += 1
-        rank = margin if math.isfinite(margin) else -math.inf
-        if rank < worst_rank:
-            worst, worst_rank = margin, rank
-            witness = tuple(float(v) for v in sample)
-    return CheckReport(name, used, worst, witness, tol, requested=n)
+    kept = []
+    used = drawn = 0
+    with np.errstate(all="ignore"):
+        while used < n and drawn < 10 * n:
+            size = min(n - used, 10 * n - drawn)
+            batch = np.array([sampler(rng) for _ in range(size)], float)
+            drawn += len(batch)
+            if exclude is not None:
+                batch = batch[~np.broadcast_to(exclude(tuple(batch.T)), len(batch))]
+            kept.append(batch)
+            used += len(batch)
+        samples = np.concatenate(kept)
+        if not used:
+            return CheckReport(name, 0, math.inf, (), tol, requested=n)
+        cols = tuple(np.ascontiguousarray(samples.T))
+        g = gradient(V, cols[: V.arity])
+        f = closed_loop_rhs(cols)
+        if len(f) != len(g):
+            raise ValueError(f"rhs has {len(f)} components, V has {len(g)} coordinates")
+        lhs = sum(gi * fi for gi, fi in zip(g, f))
+        margins = np.broadcast_to(rhs_bound(cols) - lhs, used)
+        i = int(np.argmin(np.where(np.isfinite(margins), margins, -np.inf)))
+    return CheckReport(
+        name, used, float(margins[i]), tuple(float(v) for v in samples[i]), tol,
+        requested=n,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +209,19 @@ def sigma_mod_dissipation_check(
         d = sample_ball(rng, 2, box["d"])
         return (*x, *th_hat, *d)
 
-    def rhs(sample):
-        x, th_hat = np.asarray(sample[:3]), np.asarray(sample[3:7])
-        d = np.asarray(sample[7:9])
+    def rhs(cols):
+        x, th_hat, d = cols[:3], cols[3:7], cols[7:9]
         u, w = sigma_mod_control(x, th_hat, ctrl)
-        xdot = eval_dynamics(sys, x, u, theta, d)
-        return np.concatenate([xdot, np.asarray(w, float)])
+        return (*eval_dynamics(sys, x, u, theta, d), *w)
 
-    def bound(sample):
-        x, th_hat = np.asarray(sample[:3]), np.asarray(sample[3:7])
-        d = np.asarray(sample[7:9])
-        zeta, chi, _ = _sigma_mod_terms(x[0], x[1], x[2], *th_hat, c=c, K=ctrl.K)
+    def bound(cols):
+        x, th_hat, d = cols[:3], cols[3:7], cols[7:9]
+        zeta, chi, _ = _sigma_mod_terms(*x, *th_hat, c=c, K=ctrl.K)
+        err = _norm_sq(e - t for e, t in zip(th_hat, theta))
         return (
             -c * (x[0] ** 2 + zeta ** 2 + chi ** 2)
-            - leak / (2.0 * Gamma) * float((th_hat - theta) @ (th_hat - theta))
-            + 0.5 * float(d @ d)
+            - leak / (2.0 * Gamma) * err
+            + 0.5 * _norm_sq(d)
             + leak / (2.0 * Gamma) * float(theta @ theta)
         )
 
@@ -242,29 +253,25 @@ def synthesized_dissipation_check(
     dim = V.arity - 1
     plant = truncate(sys, dim)
 
-    def rhs(sample):
-        x, z = np.asarray(sample[:dim]), sample[dim]
-        th = np.asarray(sample[dim + 1 : dim + 1 + sys.p])
-        d = np.asarray(sample[dim + 1 + sys.p :])
-        u = float(k(*x, z))
-        zdot = deadzone_rate(float(V(*x, z)), z, gains.Gamma, gains.eps_dz)
-        return np.append(eval_dynamics(plant, x, u, th, d), zdot)
+    def split(cols):
+        """(x, z, theta, d) of the sample columns."""
+        return cols[:dim], cols[dim], cols[dim + 1 : dim + 1 + sys.p], cols[dim + 1 + sys.p :]
 
-    def bound(sample):
-        x, z = np.asarray(sample[:dim]), sample[dim]
-        th = np.asarray(sample[dim + 1 : dim + 1 + sys.p])
-        d = np.asarray(sample[dim + 1 + sys.p :])
-        ez = math.exp(z)
-        Vv = float(V(*x, z))
-        excess = max(
-            np.linalg.norm(th) - gains.b - float(gains.lam(ez)), 0.0
-        )
-        return -rate_c * Vv + gain_a * (
-            float(d @ d) + excess * excess
-        ) / (1.0 + float(gains.kappa(ez)))
+    def rhs(cols):
+        x, z, th, d = split(cols)
+        zdot = deadzone_rate(V(*x, z), z, gains.Gamma, gains.eps_dz)
+        return (*eval_dynamics(plant, x, k(*x, z), th, d), zdot)
 
-    def exclude(sample):
-        return abs(float(V(*sample[: dim + 1])) - gains.eps_dz) < KINK_BAND
+    def bound(cols):
+        x, z, th, d = split(cols)
+        ez = jet_exp(z)
+        excess = jet_relu_plus(np.sqrt(_norm_sq(th)) - gains.b - gains.lam(ez))
+        return -rate_c * V(*x, z) + gain_a * (
+            _norm_sq(d) + excess * excess
+        ) / (1.0 + gains.kappa(ez))
+
+    def exclude(cols):
+        return np.abs(V(*cols[: dim + 1]) - gains.eps_dz) < KINK_BAND
 
     return check_dissipation(
         V, rhs, bound, _box_sampler(dim, sys.p, sys.l, box), n=n, tol=tol,

@@ -15,10 +15,12 @@ from dads.cli import (
     EXIT_OK,
     EXIT_PARSE,
     ScenarioError,
+    build_gains,
     load_scenario,
     main,
     parse_scenario_text,
 )
+from dads.controllers import WingRockDadsController
 from dads.simulate import TrajectoryLog
 
 SCEN = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -53,6 +55,13 @@ class TestScenarioParsing:
         s = parse_scenario_text("[system]\nname = wingrock\n")
         assert s.getfloat("controller", "c", 0.5) == 0.5
         assert s.getvector("sim", "x0", [0.0]) == [0.0]
+
+    def test_synthesis_gains_default_to_the_controller(self):
+        # gamma and c set in neither [synthesis] nor [controller] take the
+        # closed-form controller's defaults
+        gains = build_gains(parse_scenario_text("[system]\nname = wingrock\n[synthesis]\nb = 1.0\n"))
+        assert gains.Gamma == WingRockDadsController.Gamma
+        assert gains.c == WingRockDadsController.c
 
 
 class TestSimulateCommand:
@@ -227,6 +236,23 @@ class TestNonFiniteParameters:
         path = edited(name, tmp_path, {(section, key): value})
         assert main([command, path, "--out", str(tmp_path)]) == EXIT_PARSE
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command, name, section, key, value", [
+        ("simulate", "fig4_sigma0", "parameter", "value", "nan, 20, 2, 1"),
+        ("simulate", "fig4_sigma0", "sim", "x0", "nan, -0.5, -18.0"),
+        ("simulate", "fig4_sigma0", "sim", "ctrl0", "0, inf, 0, 0"),
+        ("simulate", "fig4_sigma0", "disturbance", "amplitudes", "nan, 10"),
+        ("simulate", "fig4_sigma0", "disturbance", "frequencies", "10, -inf"),
+        ("simulate", "vanishing", "disturbance", "decay", "nan"),
+        ("verify", "ineq38", "parameter", "value", "nan, 20, 2, 1"),
+    ])
+    def test_plant_input_exits_2(self, tmp_path, capsys, command, name, section, key, value):
+        # a non-finite plant input is an input error, not a divergence (3) or
+        # a nan margin (5)
+        path = edited(name, tmp_path, {(section, key): value})
+        assert main([command, path, "--t-end", "0.01", "--out", str(tmp_path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"[{section}] {key}" in err
 
     def test_nan_majorant_exits_4(self, tmp_path):
         path = edited("synth_wingrock", tmp_path, {("synthesis", "override_base_r"): "nan"})

@@ -1,7 +1,9 @@
 """Tests for the first-order (dual-number) jet arithmetic and its nesting."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,6 +162,56 @@ class TestGradient:
         f = SmoothMap(2, lambda x, y: x + y)
         with pytest.raises(ValueError):
             gradient(f, (1.0,))
+
+
+class TestArrayCoefficients:
+    """Array coordinates give the gradient at every sample at once."""
+
+    @staticmethod
+    def f(x, y):
+        return jet_exp(x * y) + jet_relu_plus(x - 1.0) * y * y + 1.0 / (2.0 + y * y)
+
+    def test_gradient_matches_per_point(self):
+        xs = np.array([-1.5, 0.0, 0.5, 1.0, 2.0])
+        ys = np.array([0.3, -2.0, 1.0, 4.0, -0.5])
+        fmap = SmoothMap(2, self.f)
+        batched = gradient(fmap, (xs, ys))
+        assert all(g.shape == xs.shape for g in batched)
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            per_point = gradient(fmap, (float(x), float(y)))
+            assert (batched[0][i], batched[1][i]) == pytest.approx(per_point, rel=1e-15)
+
+    def test_second_partial_matches_per_point(self):
+        d2 = partial_map(partial_map(SmoothMap(2, self.f), 0), 1)
+        xs, ys = np.array([-1.0, 0.5, 3.0]), np.array([2.0, -1.0, 0.25])
+        batched = d2(xs, ys)
+        for i in range(3):
+            assert batched[i] == pytest.approx(d2(float(xs[i]), float(ys[i])), rel=1e-14)
+
+    def test_relu_selects_per_entry(self):
+        x = np.array([-1.0, 2.0, 0.0])
+        (out,) = [jet_relu_plus(v) for v in variables((x,))]
+        assert list(out.coeffs[0]) == [0.0, 2.0, 0.0]
+        assert list(out.coeffs[1]) == [0.0, 1.0, 0.0]
+        plain = jet_relu_plus(np.array([-1.0, math.nan, 3.0]))
+        assert plain[0] == 0.0 and math.isnan(plain[1]) and plain[2] == 3.0
+
+    def test_array_times_jet_is_a_jet(self):
+        (x,) = variables((np.array([1.0, 2.0]),))
+        out = np.array([3.0, 4.0]) * x
+        assert isinstance(out, Jet)
+        assert [list(c) for c in out.coeffs] == [[3.0, 8.0], [3.0, 4.0]]
+
+    def test_constant_map_broadcasts_without_arithmetic(self):
+        # the zero partials take the batch shape; a nan coordinate does not
+        # turn them into nan
+        g = gradient(SmoothMap(2, lambda x, y: 7.0), (np.array([1.0, math.nan]), 0.5))
+        assert [list(v) for v in g] == [[0.0, 0.0], [0.0, 0.0]]
+
+    def test_exp_overflow_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(jet_exp(np.array([0.0, 1e4]))) == [1.0, math.inf]
 
 
 class TestPartialMap:

@@ -2,6 +2,10 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,3 +219,19 @@ class TestStats:
         log, ctrl = run_sigma(t_end=0.1)
         with pytest.raises(ValueError):
             trajectory_stats(log, ctrl, tail_fraction=0.0)
+
+
+class TestDeferredScipy:
+    def test_cli_import_does_not_load_scipy(self):
+        # scipy is loaded by the first Radau solve, not by importing the CLI
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, dads.cli; assert dads.cli.__file__.startswith(sys.argv[1]); "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))", src],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -69,6 +69,28 @@ class TestScaledBound:
         with pytest.raises(MajorantViolationError):
             _validate_scaled_bound("toy", lambda pt: lhs, lambda pt: bound, 2, rng, 5, 1.0)
 
+    def test_first_violating_draw_is_the_witness(self):
+        # |x| <= 0.5 fails at several of the draws; the first one is raised
+        pts = np.random.default_rng(4).uniform(-1.0, 1.0, (50, 1))
+        first = next(p for p in pts if abs(p[0]) > 0.5)
+        with pytest.raises(MajorantViolationError) as info:
+            _validate_scaled_bound(
+                "toy", lambda pt: abs(pt[0]), lambda pt: 0.5, 1,
+                np.random.default_rng(4), 50, 1.0,
+            )
+        assert info.value.point == (float(first[0]),)
+        assert info.value.lhs == abs(float(first[0]))
+        assert info.value.bound == 0.5
+
+    def test_batch_draw_matches_per_point_draws(self):
+        # one (n, dim) draw gives the points, and leaves the generator in the
+        # state, of n draws of size dim
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        batch = a.uniform(-3.0, 3.0, (20, 4))
+        single = np.array([b.uniform(-3.0, 3.0, 4) for _ in range(20)])
+        assert np.array_equal(batch, single)
+        assert a.standard_normal() == b.standard_normal()
+
 
 class TestBaseQuadraticForm:
     """The integrator-cascade base step for the scalar case is fully explicit."""

@@ -171,6 +171,12 @@ class TestMajorantValidation:
         # the witness really violates the bound
         assert 2.0 + np.sin(state[0]) - 3.0 == pytest.approx(margin)
 
+    def test_nan_margin_is_a_violation(self):
+        report = validate_majorants(_cascade_toy(eta1_value=math.nan), n_samples=20, seed=0)
+        assert not report.passed
+        assert len(report.violations) == 20
+        assert math.isnan(report.worst_margin_low)
+
     def test_valid_eta_passes(self):
         report = validate_majorants(_cascade_toy(eta1_value=1.0), n_samples=300, seed=0)
         assert report.passed

@@ -2,16 +2,26 @@
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from dads.controllers import SigmaModController, WingRockDadsController, wingrock_control
-from dads.jets import SmoothMap
+from dads.controllers import (
+    SigmaModController,
+    WingRockDadsController,
+    _sigma_mod_terms,
+    sigma_mod_control,
+    sigma_mod_W_map,
+    wingrock_control,
+)
+from dads.jets import SmoothMap, gradient, jet_exp
 from dads.simulate import SimConfig, simulate
 from dads.synthesis import DadsGains, synthesize, wingrock_majorants
 from dads.systems import (
     constant_parameter,
+    eval_dynamics,
+    sample_ball,
     sinusoid_bank,
     wingrock,
     zero_disturbance,
@@ -138,12 +148,79 @@ class TestDissipationChecks:
         draws = iter([1.0, 2.0, 3.0, 4.0, 5.0])
 
         def rhs(s):
-            return np.array([math.nan if s[0] == 3.0 else s[0]])
+            return (np.where(s[0] == 3.0, math.nan, s[0]),)
 
         rep = check_dissipation(V, rhs, lambda s: 10.0, lambda rng: (next(draws),), n=5)
         assert rep.n_samples == 5
         assert math.isnan(rep.worst_margin)
         assert rep.witness == (3.0,)
+        assert not rep.passed
+
+    def test_first_n_kept_draws_in_stream_order(self):
+        # draws 0, 1, 2, ...; every multiple of 3 falls in the excluded band
+        V = SmoothMap(1, lambda v: v)
+        calls = []
+
+        def sampler(rng):
+            calls.append(len(calls))
+            return (float(calls[-1]),)
+
+        def bound(s):
+            assert isinstance(s[0], np.ndarray)
+            return 100.0 - s[0]
+
+        rep = check_dissipation(
+            V, lambda s: (s[0],), bound, sampler, n=8,
+            exclude=lambda s: s[0] % 3 == 0, name="toy",
+        )
+        kept = [1, 2, 4, 5, 7, 8, 10, 11]
+        # 8 used + 4 rejected (0, 3, 6, 9) draws, nothing more
+        assert len(calls) == 12
+        assert rep.n_samples == 8 and rep.passed
+        # margin 100 - 2v is smallest at the last kept draw
+        assert rep.witness == (11.0,)
+        assert rep.worst_margin == 100.0 - 2 * kept[-1]
+
+    def test_matches_a_per_sample_loop(self):
+        # the batched margins and witness against one evaluation per draw
+        sys, ctrl = wingrock(), SigmaModController(sigma_leak=0.4)
+        rep = sigma_mod_dissipation_check(sys, ctrl, THETA, n=300, seed=3)
+        W = sigma_mod_W_map(ctrl, THETA)
+        rng = np.random.default_rng(3)
+        theta = np.asarray(THETA)
+        worst, witness = math.inf, None
+        for _ in range(300):
+            x = rng.uniform(-3.0, 3.0, 3)
+            th_hat = sample_ball(rng, 4, 40.0)
+            d = sample_ball(rng, 2, 30.0)
+            g = gradient(W, (*x, *th_hat))
+            u, w = sigma_mod_control(x, th_hat, ctrl)
+            f = np.concatenate([eval_dynamics(sys, x, u, THETA, d), w])
+            zeta, chi, _ = _sigma_mod_terms(*x, *th_hat, c=ctrl.c, K=ctrl.K)
+            bound = (
+                -ctrl.c * (x[0] ** 2 + zeta ** 2 + chi ** 2)
+                - 0.4 / 40.0 * float((th_hat - theta) @ (th_hat - theta))
+                + 0.5 * float(d @ d) + 0.4 / 40.0 * float(theta @ theta)
+            )
+            margin = bound - float(np.dot(g, f))
+            if margin < worst:
+                worst, witness = margin, (*x, *th_hat, *d)
+        assert rep.n_samples == 300
+        assert rep.witness == tuple(float(v) for v in witness)
+        assert rep.worst_margin == pytest.approx(worst, rel=1e-12)
+
+    def test_overflow_raises_no_warning(self):
+        # exp overflows at the second draw and 0 * inf is nan; neither warns,
+        # and the nan margin is the witness
+        V = SmoothMap(1, lambda v: v)
+        draws = iter([1.0, 1000.0, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_dissipation(
+                V, lambda s: (0.0 * jet_exp(s[0]),), lambda s: 1.0,
+                lambda rng: (next(draws),), n=3,
+            )
+        assert rep.witness == (1000.0,)
         assert not rep.passed
 
     @pytest.mark.parametrize("n", [0, -3])
