@@ -34,6 +34,9 @@ from .systems import DisturbanceProfile, ParameterSignal, eval_dynamics
 RTOL = 1e-10
 ATOL = 1e-13
 DIVERGENCE_THRESHOLD = 1e8
+# Largest accepted t_end / dt.  RK4 stores every step, 7 floats of 8 B on the
+# sigma-mod wing-rock loop, so the cap keeps a run under about 560 MB.
+MAX_STEPS = 10**7
 
 
 def solve_ivp(*args, **kwargs):
@@ -76,6 +79,10 @@ class SimConfig:
         if not (0 < self.dt < math.inf and 0 < self.t_end < math.inf):
             raise ValueError(
                 f"dt and t_end must be finite and positive, got {self.dt}, {self.t_end}"
+            )
+        if self.t_end / self.dt > MAX_STEPS:  # also true when the ratio overflows
+            raise ValueError(
+                f"t_end / dt = {self.t_end / self.dt:.6g} steps exceeds MAX_STEPS = {MAX_STEPS}"
             )
         if self.log_stride < 1:
             raise ValueError("log_stride must be >= 1")
@@ -245,15 +252,10 @@ class TrajectoryStats:
     control_energy: float
 
 
-def trajectory_stats(
-    log: TrajectoryLog,
-    controller,
-    tail_fraction: float = 0.2,
-) -> TrajectoryStats:
-    """Summary statistics: tail suprema, gain magnitudes, input energy."""
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must lie in (0, 1]")
-    n_tail = max(1, int(math.ceil(tail_fraction * len(log))))
+def trajectory_stats(log: TrajectoryLog, controller) -> TrajectoryStats:
+    """Summary statistics: suprema over the final 20 % of the log, gain
+    magnitudes, input energy."""
+    n_tail = max(1, int(math.ceil(0.2 * len(log))))
     gains = np.array([controller.gain_magnitude(cs) for cs in log.ctrl])
     return TrajectoryStats(
         sup_output_tail=float(np.max(log.Ynorm[-n_tail:])),

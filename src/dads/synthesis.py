@@ -14,8 +14,10 @@ Derivatives of the previous stage's maps (dk/dx, dk/dz, dV/dz) are obtained by
 evaluating them on first-order jets; since those maps already contain the
 derivatives taken one stage earlier, each backstep nests one more jet level.
 The growth majorants R, r, rho that the construction needs cannot be derived
-automatically from closures; they are supplied per level by the caller and
-validated by sampling (rejection carries a witness point).
+automatically from closures; they are supplied per level by the caller.
+`synthesize` samples each bound the construction assumes once: the plant's
+gain bounds eta <= g <= mu (1 + |theta|), the first-level drift bound r and
+each backstep's (R, r, rho).  A violation raises with its witness point.
 
 Rates halve and disturbance gains double per backstep, so a base started at
 (2^{m-1} c, 2^{1-m} a) ends exactly at (c, a).
@@ -30,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .jets import SmoothMap, jet_exp, partial_map
-from .systems import StrictFeedbackSystem
+from .systems import StrictFeedbackSystem, sample_ball
 
 
 class MajorantViolationError(Exception):
@@ -43,7 +45,7 @@ class MajorantViolationError(Exception):
         self.bound = float(bound)
         super().__init__(
             f"majorant {name!r} violated at {self.point}: "
-            f"required {lhs:.6g} <= {bound:.6g}"
+            f"required {lhs:.6g} <= {bound:.6g}, bound > 0"
         )
 
 
@@ -166,19 +168,19 @@ def _as_tuple(out):
     return out if isinstance(out, (tuple, list)) else (out,)
 
 
-def _validate_scaled_bound(name, lhs_fn, bound_fn, dim, rng, n_samples, box):
-    """Check lhs <= bound at uniform samples; raise with the first violation.
+def _validate_scaled_bound(name, lhs_fn, bound_fn, pts):
+    """Check 0 < bound and lhs <= bound at drawn points; raise at the first violation.
 
-    The n_samples points are drawn at once and both functions receive all of
-    them as a tuple of dim coordinate columns.
+    pts holds one drawn point per row; both functions receive all of them at
+    once as a tuple of coordinate columns.  Every bound the construction
+    assumes (a majorant, a gain, a gain growth) is a positive function.
     """
-    pts = rng.uniform(-box, box, (n_samples, dim))
     cols = tuple(np.ascontiguousarray(pts.T))
     with np.errstate(all="ignore"):
-        lhs = np.broadcast_to(lhs_fn(cols), n_samples)
-        bound = np.broadcast_to(bound_fn(cols), n_samples)
-        # `not <=` so that a nan on either side is a violation too
-        bad = ~(lhs <= bound * (1.0 + 1e-12) + 1e-12)
+        lhs = np.broadcast_to(lhs_fn(cols), len(pts))
+        bound = np.broadcast_to(bound_fn(cols), len(pts))
+        # negated so that a nan on either side is a violation too
+        bad = ~((lhs <= bound * (1.0 + 1e-12) + 1e-12) & (bound > 0.0))
     if bad.any():
         i = int(np.argmax(bad))
         raise MajorantViolationError(name, pts[i], lhs[i], bound[i])
@@ -186,16 +188,10 @@ def _validate_scaled_bound(name, lhs_fn, bound_fn, dim, rng, n_samples, box):
 
 def solve_base_theorem3(
     n: int,
-    c: float,
     gains: DadsGains,
     eta1: SmoothMap,
     r: SmoothMap,
     alpha1: SmoothMap,
-    n_samples: int = 200,
-    box_radius: float = 3.0,
-    seed: int = 0,
-    h1: SmoothMap | None = None,
-    phi1: SmoothMap | None = None,
 ) -> DadsStage:
     """Base step for the pure strict-feedback chain: V1 = x1^2 / 2.
 
@@ -205,24 +201,7 @@ def solve_base_theorem3(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    if h1 is not None or phi1 is not None:
-        # r must dominate (|h1| + |phi1|) / |x1| at sampled points
-        def lhs_fn(pt):
-            x1 = pt[0]
-            hv = abs(h1(x1)) if h1 is not None else 0.0
-            pv = np.sqrt(_norm_sq(_as_tuple(phi1(x1)))) if phi1 is not None else 0.0
-            return np.where(x1 == 0.0, 0.0, (hv + pv) / abs(x1))
-
-        _validate_scaled_bound(
-            "r (first-level drift)", lhs_fn,
-            lambda pt: r(*pt), 1, rng, n_samples, box_radius,
-        )
-    for s in np.linspace(-box_radius, box_radius, 9):
-        if not float(r(s)) > 0:
-            raise MajorantViolationError("r (first-level drift)", (s,), 0.0, float(r(s)))
-
-    b, a, kappa, lam = gains.b, gains.a, gains.kappa, gains.lam
+    b, a, c, kappa, lam = gains.b, gains.a, gains.c, gains.kappa, gains.lam
     denom = 2.0 ** (3 - n) * a
     tail = 2.0 ** (n - 2) * c
 
@@ -270,25 +249,20 @@ def _solve_lyapunov_kron(A_shift: np.ndarray) -> np.ndarray:
 def solve_base_theorem1(
     n: int,
     m: int,
-    c: float,
     gains: DadsGains,
     eta1: SmoothMap,
     r: SmoothMap,
     alpha1: SmoothMap,
-    n_samples: int = 200,
-    box_radius: float = 3.0,
-    seed: int = 0,
-    r_content: SmoothMap | None = None,
 ) -> BaseStepResult:
     """Base step for the integrator chain cascaded with a y-block.
 
     Pole-places the chain at -(2^{m-1} c + k/2), k = 1..n, solves the shifted
     Lyapunov equation for P, and assembles V1 = x'Px + (y1 - omega'x)^2 / 2
-    with k1 = -(G / eta1)(y1 - omega'x).  When r_content is given it is the
-    map whose scaled bound r must dominate, checked by sampling.
+    with k1 = -(G / eta1)(y1 - omega'x).
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
+    c = gains.c
     shift = 2.0 ** (m - 1) * c
     poles = [-(shift + 0.5 * (k + 1)) for k in range(n)]
     omega = _companion_gain(n, poles)
@@ -313,19 +287,7 @@ def solve_base_theorem1(
         raise RuntimeError("comparison quadratic form is not positive definite")
     M_const = 1.01 / lam_min
 
-    if r_content is not None:
-        rng = np.random.default_rng(seed)
-
-        def lhs_fn(pt):
-            mag = np.sqrt(_norm_sq(pt))
-            return np.where(mag == 0.0, 0.0, abs(r_content(*pt)) / mag)
-
-        _validate_scaled_bound(
-            "r (first-level drift)", lhs_fn,
-            lambda pt: r(*pt), n + 1, rng, n_samples, box_radius,
-        )
-
-    b_gain, a, Gamma = gains.b, gains.a, gains.Gamma
+    b_gain, a = gains.b, gains.a
     kappa, lam = gains.kappa, gains.lam
     omega_norm = float(np.linalg.norm(omega))
     omega_b = abs(float(omega @ bvec))
@@ -401,8 +363,8 @@ def _validate_backstep_majorants(
         return np.where(mag == 0.0, 0.0, (grad_V + kv + np.sqrt(dk_phi)) / mag)
 
     _validate_scaled_bound(
-        "R (stage growth)", R_lhs,
-        lambda pt: majorants.R(*pt), d + 1, rng, n_samples, box_radius,
+        "R (stage growth)", R_lhs, lambda pt: majorants.R(*pt),
+        rng.uniform(-box_radius, box_radius, (n_samples, d + 1)),
     )
 
     def r_lhs(pt):
@@ -410,8 +372,8 @@ def _validate_backstep_majorants(
         return np.where(mag == 0.0, 0.0, np.sqrt(_norm_sq(_as_tuple(level.f(*pt)))) / mag)
 
     _validate_scaled_bound(
-        "r (x-block drift)", r_lhs,
-        lambda pt: majorants.r(*pt), d, rng, n_samples, box_radius,
+        "r (x-block drift)", r_lhs, lambda pt: majorants.r(*pt),
+        rng.uniform(-box_radius, box_radius, (n_samples, d)),
     )
 
     def rho_lhs(pt):
@@ -423,8 +385,8 @@ def _validate_backstep_majorants(
         return np.where(mag == 0.0, 0.0, (hv + pv) / mag)
 
     _validate_scaled_bound(
-        "rho (new-level growth)", rho_lhs,
-        lambda pt: majorants.rho(*pt), d + 1, rng, n_samples, box_radius,
+        "rho (new-level growth)", rho_lhs, lambda pt: majorants.rho(*pt),
+        rng.uniform(-box_radius, box_radius, (n_samples, d + 1)),
     )
 
 
@@ -436,7 +398,6 @@ def backstep(
     n_samples: int = 200,
     box_radius: float = 3.0,
     seed: int = 0,
-    validate: bool = True,
 ) -> DadsStage:
     """Absorb one more level: V -> V + s^2/2 and k -> -(M/eta) s with s = y - k.
 
@@ -449,8 +410,7 @@ def backstep(
         raise ValueError(
             f"previous stage maps have arity {prev.V.arity}, expected {d + 1}"
         )
-    if validate:
-        _validate_backstep_majorants(prev, level, majorants, n_samples, box_radius, seed)
+    _validate_backstep_majorants(prev, level, majorants, n_samples, box_radius, seed)
 
     dk_dx = [partial_map(prev.k, i) for i in range(d)]
     dk_dz = partial_map(prev.k, d)
@@ -617,6 +577,50 @@ class SynthesisResult:
         return "\n".join(lines)
 
 
+def _validate_plant_bounds(sys: StrictFeedbackSystem, n_samples, box_radius, seed):
+    """eta_j <= g_j on every level, g_j <= mu_j (1 + |theta|) below the input.
+
+    Each draw is a state in the synthesis box followed by a theta from the
+    plant's ball, drawn one after the other.
+    """
+    rng = np.random.default_rng(seed)
+    dim = sys.state_dim
+    pts = np.array([
+        (*rng.uniform(-box_radius, box_radius, dim),
+         *sample_ball(rng, sys.p, sys.theta_radius))
+        for _ in range(n_samples)
+    ])
+    for j in range(sys.m):
+        width = sys.n + j + 1
+
+        def gain(cols):
+            return sys.g[j](*cols[:width], *cols[dim:])
+
+        _validate_scaled_bound(
+            f"eta{j + 1} (gain lower bound)",
+            lambda cols: sys.eta[j](*cols[:width]), gain, pts,
+        )
+        if j < sys.m - 1:
+            _validate_scaled_bound(
+                f"mu{j + 1} (gain growth)", gain,
+                lambda cols: sys.mu[j](*cols[:width]) * (1.0 + np.sqrt(_norm_sq(cols[dim:]))),
+                pts,
+            )
+
+
+def _validate_base_drift(sys: StrictFeedbackSystem, r: SmoothMap, n_samples, box_radius, seed):
+    """0 < r and (|h_1| + |phi_1|) / |head| <= r on the first-level head (x, y_1)."""
+    def drift(head):
+        mag = np.sqrt(_norm_sq(head))
+        content = abs(sys.h[0](*head)) + np.sqrt(_norm_sq(_as_tuple(sys.phi[0](*head))))
+        return np.where(mag == 0.0, 0.0, content / mag)
+
+    _validate_scaled_bound(
+        "r (first-level drift)", drift, lambda head: r(*head),
+        np.random.default_rng(seed).uniform(-box_radius, box_radius, (n_samples, sys.n + 1)),
+    )
+
+
 def synthesize(
     sys: StrictFeedbackSystem,
     gains: DadsGains,
@@ -631,24 +635,30 @@ def synthesize(
     (comparison constant 2) when n = 0, the pole-placed quadratic form of the
     chain (comparison constant from the base step) when n >= 1.  The final
     stage has rate_c = gains.c and gain_a = gains.a exactly.
+
+    Before building, each bound the construction assumes is sampled once at
+    n_samples points, states in [-box_radius, box_radius]: the plant's gain
+    bounds, the first-level drift bound and, in each backstep, its
+    majorants.  The first violation raises MajorantViolationError.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
     if len(majorant_pack.levels) != sys.m - 1:
         raise ValueError(f"majorant pack must supply {sys.m - 1} backstep levels")
     for j in range(sys.m - 1):
         head = np.full(sys.n + j + 1, 0.7)
         _check_theta_independent(sys.g[j], head, sys.p, f"gain of level {j + 1}")
-    sampling = dict(n_samples=n_samples, box_radius=box_radius, seed=seed)
+    _validate_plant_bounds(sys, n_samples, box_radius, seed)
+    _validate_base_drift(sys, majorant_pack.base_r, n_samples, box_radius, seed)
     if sys.n == 0:
         base = None
         stage = solve_base_theorem3(
-            sys.m, gains.c, gains, sys.eta[0], majorant_pack.base_r, sys.alpha[0],
-            h1=sys.h[0], phi1=sys.phi[0], **sampling,
+            sys.m, gains, sys.eta[0], majorant_pack.base_r, sys.alpha[0],
         )
         M_const = 2.0
     else:
         base = solve_base_theorem1(
-            sys.n, sys.m, gains.c, gains, sys.eta[0], majorant_pack.base_r,
-            sys.alpha[0], **sampling,
+            sys.n, sys.m, gains, sys.eta[0], majorant_pack.base_r, sys.alpha[0],
         )
         stage = base.stage
         M_const = base.M_const

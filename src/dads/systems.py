@@ -5,14 +5,16 @@ cascaded with a strict-feedback block of m >= 1 levels, the input entering the
 last level.  n = 0 is the pure strict-feedback chain (the wing-rock plant).
 The plant carries the positive majorants eta (lower bound on the controlled
 gain) and mu (upper bound proportional to 1 + |theta|) that the backstepping
-synthesis relies on, plus a sampler for the admissible parameter set.
+synthesis relies on.  theta is unknown and its bound arbitrary; the plant
+only names the radius of the ball from which the synthesis draws theta when
+it samples these gain bounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -29,24 +31,10 @@ def _dot(vec_map_out, v) -> float:
     return acc
 
 
-@dataclass(frozen=True)
-class ThetaDomain:
-    """Admissible parameter set, represented by a sampler and a membership test."""
-
-    dim: int
-    sample: Callable[[np.random.Generator], np.ndarray] = field(repr=False)
-    contains: Callable[[np.ndarray], bool] = field(repr=False)
-
-
 def sample_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
     """A random direction scaled by a radius drawn uniformly from [0, radius]."""
     v = rng.standard_normal(dim)
     return v / max(np.linalg.norm(v), 1e-12) * rng.uniform(0.0, radius)
-
-
-def free_theta(dim: int, sample_radius: float = 40.0) -> ThetaDomain:
-    """All of R^dim, sampled by `sample_ball` with the given radius."""
-    return ThetaDomain(dim, lambda rng: sample_ball(rng, dim, sample_radius), lambda _v: True)
 
 
 @dataclass(frozen=True)
@@ -57,7 +45,8 @@ class StrictFeedbackSystem:
     y_j' = h_j + g_j * y_{j+1} + phi_j . theta + alpha_j . d (with y_{m+1} = u).
     h_j, phi_j, alpha_j, eta_j take (x, y_1..y_j); g_j additionally takes
     theta; mu has the m - 1 entries for the levels below the input.  n = 0 is
-    the pure strict-feedback chain.
+    the pure strict-feedback chain.  theta_radius is the radius of the ball
+    the synthesis samples theta from; it bounds nothing about theta itself.
     """
 
     n: int
@@ -70,7 +59,7 @@ class StrictFeedbackSystem:
     mu: tuple[SmoothMap, ...]
     p: int
     l: int
-    theta_domain: ThetaDomain
+    theta_radius: float
 
     @property
     def state_dim(self) -> int:
@@ -129,62 +118,6 @@ def eval_dynamics(sys: StrictFeedbackSystem, state, u, theta, d) -> np.ndarray:
             + _dot(sys.alpha[j](*head), d)
         )
     return out
-
-
-@dataclass
-class MajorantReport:
-    worst_margin_low: float
-    worst_margin_high: float
-    violations: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def validate_majorants(
-    sys: StrictFeedbackSystem, n_samples: int = 500, box_radius: float = 5.0, seed: int = 0
-) -> MajorantReport:
-    """Sampled check of eta_j <= g_j and g_j <= mu_j (1 + |theta|).
-
-    The (state, theta) pairs are drawn one after the other, then each level
-    is evaluated once on all of them.  A nan margin is a violation.
-    Violations are listed by draw, then by level, eta before mu.
-    """
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
-    rng = np.random.default_rng(seed)
-    dim = sys.state_dim
-    pts = np.array([
-        (*rng.uniform(-box_radius, box_radius, dim), *sys.theta_domain.sample(rng))
-        for _ in range(n_samples)
-    ])
-    cols = tuple(np.ascontiguousarray(pts.T))
-    states, thetas = cols[:dim], cols[dim:]
-    theta_scale = 1.0 + np.sqrt(sum(t * t for t in thetas))
-    margins = {}  # (kind, level) -> margin at every draw
-    with np.errstate(all="ignore"):
-        for j in range(sys.m):
-            head = states[: sys.n + j + 1]
-            gval = sys.g[j](*head, *thetas)
-            margins["eta", j + 1] = np.broadcast_to(gval - sys.eta[j](*head), n_samples)
-            if j < sys.m - 1:
-                margins["mu", j + 1] = np.broadcast_to(
-                    sys.mu[j](*head) * theta_scale - gval, n_samples
-                )
-    bad = {key: ~(m >= 0.0) for key, m in margins.items()}
-    violations = [
-        (kind, level, tuple(pts[i, :dim]), tuple(pts[i, dim:]), float(margins[kind, level][i]))
-        for i in np.flatnonzero(np.any(list(bad.values()), axis=0))
-        for (kind, level), b in bad.items()
-        if b[i]
-    ]
-
-    def worst(kind):
-        rows = [m for (k, _), m in margins.items() if k == kind]
-        return float(np.min(rows)) if rows else math.inf
-
-    return MajorantReport(worst("eta"), worst("mu"), violations)
 
 
 @dataclass(frozen=True)
@@ -291,7 +224,7 @@ def wingrock() -> StrictFeedbackSystem:
     mu = tuple(SmoothMap(i + 1, lambda *a: 1.0, name=f"mu{i + 1}") for i in range(2))
     return StrictFeedbackSystem(
         n=0, m=3, h=h, phi=phi, alpha=alpha, g=g, eta=eta, mu=mu,
-        p=4, l=2, theta_domain=free_theta(4),
+        p=4, l=2, theta_radius=40.0,
     )
 
 

@@ -150,12 +150,12 @@ def check_dissipation(
 # Prebuilt dissipation checks for the wing-rock benchmark
 # ---------------------------------------------------------------------------
 
-def _box_sampler(x_dim, theta_dim, d_dim, box=DEFAULT_BOX):
+def _box_sampler(x_dim, theta_dim, d_dim):
     def sample(rng):
-        x = rng.uniform(-box["x"], box["x"], x_dim)
-        z = rng.uniform(-box["z"], box["z"])
-        th = sample_ball(rng, theta_dim, box["theta"])
-        d = sample_ball(rng, d_dim, box["d"])
+        x = rng.uniform(-DEFAULT_BOX["x"], DEFAULT_BOX["x"], x_dim)
+        z = rng.uniform(-DEFAULT_BOX["z"], DEFAULT_BOX["z"])
+        th = sample_ball(rng, theta_dim, DEFAULT_BOX["theta"])
+        d = sample_ball(rng, d_dim, DEFAULT_BOX["d"])
         return (*x, z, *th, *d)
 
     return sample
@@ -167,7 +167,6 @@ def wingrock_dissipation_check(
     n: int = 1000,
     tol: float = 1e-6,
     seed: int = 0,
-    box=DEFAULT_BOX,
     control_fn: Callable | None = None,
 ) -> CheckReport:
     """Sampled decay inequality for the closed-form wing-rock law.
@@ -181,7 +180,7 @@ def wingrock_dissipation_check(
     gains = DadsGains(b=1.0, Gamma=ctrl.Gamma, eps_dz=ctrl.eps_dz, c=ctrl.c, a=2.0)
     return synthesized_dissipation_check(
         sys, ctrl.lyapunov_map(), k, gains, rate_c=ctrl.c, gain_a=2.0,
-        n=n, tol=tol, seed=seed, box=box, name="wingrock dissipation",
+        n=n, tol=tol, seed=seed, name="wingrock dissipation",
     )
 
 
@@ -192,7 +191,6 @@ def sigma_mod_dissipation_check(
     n: int = 1000,
     tol: float = 1e-6,
     seed: int = 0,
-    box=DEFAULT_BOX,
 ) -> CheckReport:
     """Sampled decay inequality of the leakage baseline for a fixed theta.
 
@@ -204,9 +202,9 @@ def sigma_mod_dissipation_check(
     leak, Gamma, c = ctrl.sigma_leak, ctrl.Gamma, ctrl.c
 
     def sample7(rng):
-        x = rng.uniform(-box["x"], box["x"], 3)
-        th_hat = sample_ball(rng, 4, box["theta"])
-        d = sample_ball(rng, 2, box["d"])
+        x = rng.uniform(-DEFAULT_BOX["x"], DEFAULT_BOX["x"], 3)
+        th_hat = sample_ball(rng, 4, DEFAULT_BOX["theta"])
+        d = sample_ball(rng, 2, DEFAULT_BOX["d"])
         return (*x, *th_hat, *d)
 
     def rhs(cols):
@@ -241,7 +239,6 @@ def synthesized_dissipation_check(
     n: int = 500,
     tol: float = 1e-7,
     seed: int = 0,
-    box=DEFAULT_BOX,
     name: str = "synthesized dissipation",
 ) -> CheckReport:
     """Decay inequality of a synthesized (V, k) pair on a strict-feedback plant.
@@ -274,13 +271,13 @@ def synthesized_dissipation_check(
         return np.abs(V(*cols[: dim + 1]) - gains.eps_dz) < KINK_BAND
 
     return check_dissipation(
-        V, rhs, bound, _box_sampler(dim, sys.p, sys.l, box), n=n, tol=tol,
+        V, rhs, bound, _box_sampler(dim, sys.p, sys.l), n=n, tol=tol,
         seed=seed, exclude=exclude, name=name,
     )
 
 
 def stage_certificate_checks(
-    sys, result, gains, n: int = 200, tol: float = 1e-7, seed: int = 0, box=DEFAULT_BOX
+    sys, result, gains, n: int = 200, tol: float = 1e-7, seed: int = 0
 ) -> list[CheckReport]:
     """One decay-inequality report per synthesis stage."""
     reports = []
@@ -288,7 +285,7 @@ def stage_certificate_checks(
         reports.append(
             synthesized_dissipation_check(
                 sys, stage.V, stage.k, gains, stage.rate_c, stage.effective_gain,
-                n=n, tol=tol, seed=seed + stage.level, box=box,
+                n=n, tol=tol, seed=seed + stage.level,
                 name=f"stage {stage.level} certificate",
             )
         )

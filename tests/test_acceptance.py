@@ -261,7 +261,7 @@ def test_criterion_09_ad_and_integrator_order():
 def test_criterion_10_base_step_algebra():
     one2 = SmoothMap(2, lambda *a: 1.0)
     base = solve_base_theorem1(
-        n=1, m=1, c=0.5, gains=GAINS,
+        n=1, m=1, gains=GAINS,
         eta1=one2, r=one2, alpha1=SmoothMap(2, lambda *a: (0.0,), codim=1),
     )
     P = float(base.P[0, 0])

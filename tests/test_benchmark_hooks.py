@@ -13,6 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("args", [
     ["verify", "scenarios/ineq34.scenario"],
     ["simulate", "scenarios/fig4_sigma0.scenario", "--t-end", "0.01"],
+    ["synthesize", "scenarios/synth_wingrock.scenario"],
 ])
 def test_traced_invocation_exits_zero(tmp_path, args):
     proc = subprocess.run(

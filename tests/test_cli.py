@@ -133,6 +133,18 @@ class TestSimulateCommand:
         assert code == EXIT_PARSE
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--t-end", "1e300"),
+        ("--dt", "1e-12"),
+        ("--dt", "1e-310"),  # t_end / dt overflows to inf
+    ])
+    def test_step_count_cap_is_parse_error(self, tmp_path, capsys, flag, value):
+        # rejected before the step arrays are allocated
+        code = main(["simulate", scen("fig1_sigma0.scenario"), flag, value,
+                     "--out", str(tmp_path)])
+        assert code == EXIT_PARSE
+        assert "MAX_STEPS" in capsys.readouterr().err
+
     def test_stiff_explicit_integration_diverges(self, tmp_path):
         stiff = tmp_path / "stiff.scenario"
         stiff.write_text(

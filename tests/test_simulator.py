@@ -202,7 +202,7 @@ class TestStats:
 
     def test_tail_suprema(self):
         log, ctrl = run_sigma(t_end=1.0)
-        stats = trajectory_stats(log, ctrl, tail_fraction=0.2)
+        stats = trajectory_stats(log, ctrl)
         n_tail = max(1, int(math.ceil(0.2 * len(log))))
         assert stats.sup_output_tail == pytest.approx(np.max(log.Ynorm[-n_tail:]))
         assert stats.sup_V_tail == pytest.approx(np.max(log.V[-n_tail:]))
@@ -214,11 +214,6 @@ class TestStats:
         gains = 1.0 + np.exp(log.ctrl[:, 0])
         assert stats.sup_gain == pytest.approx(np.max(gains))
         assert stats.final_gain == pytest.approx(gains[-1])
-
-    def test_tail_fraction_validated(self):
-        log, ctrl = run_sigma(t_end=0.1)
-        with pytest.raises(ValueError):
-            trajectory_stats(log, ctrl, tail_fraction=0.0)
 
 
 class TestDeferredScipy:

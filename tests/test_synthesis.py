@@ -1,6 +1,7 @@
 """Tests for the backstepping synthesis engine."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,11 +21,7 @@ from dads.synthesis import (
     synthesize,
     wingrock_majorants,
 )
-from dads.systems import (
-    StrictFeedbackSystem,
-    free_theta,
-    wingrock,
-)
+from dads.systems import StrictFeedbackSystem, wingrock
 from dads.verify import stage_certificate_checks, synthesized_dissipation_check
 
 GAINS = dict(b=1.0, Gamma=20.0, eps_dz=0.01, c=0.5, a=2.0)
@@ -65,19 +62,15 @@ class TestDadsGains:
 class TestScaledBound:
     @pytest.mark.parametrize("lhs, bound", [(math.nan, 1.0), (0.5, math.nan)])
     def test_nan_is_a_violation(self, lhs, bound):
-        rng = np.random.default_rng(0)
         with pytest.raises(MajorantViolationError):
-            _validate_scaled_bound("toy", lambda pt: lhs, lambda pt: bound, 2, rng, 5, 1.0)
+            _validate_scaled_bound("toy", lambda pt: lhs, lambda pt: bound, np.zeros((5, 2)))
 
     def test_first_violating_draw_is_the_witness(self):
         # |x| <= 0.5 fails at several of the draws; the first one is raised
         pts = np.random.default_rng(4).uniform(-1.0, 1.0, (50, 1))
         first = next(p for p in pts if abs(p[0]) > 0.5)
         with pytest.raises(MajorantViolationError) as info:
-            _validate_scaled_bound(
-                "toy", lambda pt: abs(pt[0]), lambda pt: 0.5, 1,
-                np.random.default_rng(4), 50, 1.0,
-            )
+            _validate_scaled_bound("toy", lambda pt: abs(pt[0]), lambda pt: 0.5, pts)
         assert info.value.point == (float(first[0]),)
         assert info.value.lhs == abs(float(first[0]))
         assert info.value.bound == 0.5
@@ -99,7 +92,7 @@ class TestBaseQuadraticForm:
         g = default_gains()
         one2 = SmoothMap(2, lambda *a: 1.0)
         base = solve_base_theorem1(
-            n=1, m=1, c=0.5, gains=g,
+            n=1, m=1, gains=g,
             eta1=one2, r=one2, alpha1=SmoothMap(2, lambda *a: (0.0,), codim=1),
         )
         assert base.P == pytest.approx(np.array([[1.0]]), abs=1e-15)
@@ -111,7 +104,7 @@ class TestBaseQuadraticForm:
         g = default_gains()
         one5 = SmoothMap(5, lambda *a: 1.0)
         base = solve_base_theorem1(
-            n=4, m=2, c=0.5, gains=g,
+            n=4, m=2, gains=g,
             eta1=one5, r=one5, alpha1=SmoothMap(5, lambda *a: (0.0,), codim=1),
         )
         n = 4
@@ -130,7 +123,7 @@ class TestBaseQuadraticForm:
         g = default_gains()
         one4 = SmoothMap(4, lambda *a: 1.0)
         base = solve_base_theorem1(
-            n=3, m=1, c=0.5, gains=g,
+            n=3, m=1, gains=g,
             eta1=one4, r=one4, alpha1=SmoothMap(4, lambda *a: (0.0,), codim=1),
         )
         rng = np.random.default_rng(0)
@@ -143,7 +136,7 @@ class TestBaseQuadraticForm:
         g = default_gains()
         one3 = SmoothMap(3, lambda *a: 1.0)
         base = solve_base_theorem1(
-            n=2, m=3, c=0.5, gains=g,
+            n=2, m=3, gains=g,
             eta1=one3, r=one3, alpha1=SmoothMap(3, lambda *a: (0.0,), codim=1),
         )
         assert base.stage.rate_c == pytest.approx(2.0 ** 2 * 0.5)
@@ -157,7 +150,7 @@ class TestBasePureChain:
         g = default_gains()
         one1 = SmoothMap(1, lambda x1: 1.0)
         stage = solve_base_theorem3(
-            n=3, c=0.5, gains=g,
+            n=3, gains=g,
             eta1=one1, r=one1, alpha1=SmoothMap(1, lambda x1: (0.0, 0.0), codim=2),
         )
         assert stage.rate_c == pytest.approx(2.0)  # 2^{n-1} c
@@ -170,7 +163,7 @@ class TestBasePureChain:
         g = default_gains()
         one1 = SmoothMap(1, lambda x1: 1.0)
         stage = solve_base_theorem3(
-            n=3, c=0.5, gains=g,
+            n=3, gains=g,
             eta1=one1, r=one1, alpha1=SmoothMap(1, lambda x1: (0.0, 0.0), codim=2),
         )
         x1, z = 1.3, -0.4
@@ -181,26 +174,22 @@ class TestBasePureChain:
         assert float(stage.k(x1, z)) == pytest.approx(-M1 * x1, rel=1e-13)
 
     def test_nonpositive_r_rejected(self):
+        # the drift of wing-rock's first level vanishes, so only 0 < r fails
         g = default_gains()
-        with pytest.raises(MajorantViolationError):
-            solve_base_theorem3(
-                n=2, c=0.5, gains=g,
-                eta1=SmoothMap(1, lambda x1: 1.0),
-                r=SmoothMap(1, lambda x1: -1.0),
-                alpha1=SmoothMap(1, lambda x1: (0.0,), codim=1),
-            )
+        pack = replace(wingrock_majorants(g), base_r=SmoothMap(1, lambda x1: 0.0))
+        with pytest.raises(MajorantViolationError) as ei:
+            synthesize(wingrock(), g, pack)
+        assert ei.value.name == "r (first-level drift)"
+        assert ei.value.bound == 0.0
 
     def test_drift_content_validated(self):
         g = default_gains()
-        one1 = SmoothMap(1, lambda x1: 1.0)
+        wr = wingrock()
+        plant = replace(wr, h=(SmoothMap(1, lambda x1: 5.0 * x1), *wr.h[1:]))
         with pytest.raises(MajorantViolationError) as ei:
-            solve_base_theorem3(
-                n=2, c=0.5, gains=g,
-                eta1=one1, r=one1,
-                alpha1=SmoothMap(1, lambda x1: (0.0,), codim=1),
-                h1=SmoothMap(1, lambda x1: 5.0 * x1),
-            )
+            synthesize(plant, g, wingrock_majorants(g))
         err = ei.value
+        assert err.name == "r (first-level drift)"
         assert err.lhs > err.bound
         assert len(err.point) == 1
 
@@ -263,7 +252,7 @@ class TestBackstep:
             assert float(stage.V(x, y, z)) == pytest.approx(0.5 * x * x + 0.5 * s * s)
 
     def test_sigma_update_arithmetic(self):
-        # with R = 1 and sigma = 2 the new comparison factor is (1+2)2 + 4 = 10
+        # with R = 3 and sigma = 2 the new comparison factor is (1+2*9)2 + 4 = 42
         gains = default_gains()
         prev = DadsStage(
             level=1,
@@ -272,9 +261,8 @@ class TestBackstep:
             sigma=SmoothMap(2, lambda x, z: 2.0),
             rate_c=1.0, gain_a=1.0,
         )
-        stage = backstep(prev, _toy_level(), gains, _toy_majorants(R=1.0),
-                         validate=False)
-        assert float(stage.sigma(0.2, -0.1, 0.3)) == pytest.approx(10.0)
+        stage = backstep(prev, _toy_level(), gains, _toy_majorants(R=3.0))
+        assert float(stage.sigma(0.2, -0.1, 0.3)) == pytest.approx(42.0)
 
     def test_rate_halves_gain_doubles(self):
         gains = default_gains()
@@ -359,10 +347,7 @@ class TestFullSynthesis:
             SmoothMap(5, lambda x1, t1, t2, t3, t4: 1.0 + 0.1 * t1),
             base.g[1], base.g[2],
         )
-        sys_bad = StrictFeedbackSystem(
-            n=0, m=3, h=base.h, phi=base.phi, alpha=base.alpha, g=g_bad,
-            eta=base.eta, mu=base.mu, p=4, l=2, theta_domain=free_theta(4),
-        )
+        sys_bad = replace(base, g=g_bad)
         with pytest.raises(ValueError):
             synthesize(sys_bad, gains, wingrock_majorants(gains), n_samples=10)
 
@@ -387,25 +372,51 @@ def _cascade_plant():
         g=(SmoothMap(3, one, name="g1"), SmoothMap(4, one, name="g2")),
         eta=(SmoothMap(2, one, name="eta1"), SmoothMap(3, one, name="eta2")),
         mu=(SmoothMap(2, one, name="mu1"),),
-        p=1, l=1, theta_domain=free_theta(1, sample_radius=5.0),
+        p=1, l=1, theta_radius=5.0,
+    )
+
+
+def _cascade_pack(base_r=1.0):
+    return MajorantPack(
+        base_r=SmoothMap(2, lambda *a: base_r, name="r1"),
+        levels=(StageMajorants(
+            R=SmoothMap(3, lambda x, y1, z: 1e3 * (1.0 + jet_exp(z)) ** 2, name="R"),
+            r=SmoothMap(2, lambda *a: 1.0, name="r"),
+            rho=SmoothMap(3, lambda *a: 1.0, name="rho"),
+        ),),
     )
 
 
 class TestCascadeSynthesis:
     """End to end on a plant with a leading integrator (the Theorem-1 base)."""
 
+    def test_undersized_base_r_rejected(self):
+        # phi1 = x makes (|h1| + |phi1|) / |(x, y1)| reach 1 > 0.1
+        with pytest.raises(MajorantViolationError) as ei:
+            synthesize(_cascade_plant(), default_gains(), _cascade_pack(base_r=0.1))
+        err = ei.value
+        assert err.name == "r (first-level drift)"
+        assert err.bound == 0.1
+        x, y1 = err.point
+        assert err.lhs == pytest.approx(abs(x) / math.hypot(x, y1))
+        assert err.lhs > err.bound
+
+    def test_gain_growth_rejected(self):
+        # g1 = 3 exceeds mu1 (1 + |theta|) = 1 + |theta| wherever |theta| < 2
+        plant = _cascade_plant()
+        plant = replace(plant, g=(SmoothMap(3, lambda *a: 3.0, name="g1"), plant.g[1]))
+        with pytest.raises(MajorantViolationError) as ei:
+            synthesize(plant, default_gains(), _cascade_pack())
+        err = ei.value
+        assert err.name.startswith("mu1")
+        assert err.lhs == 3.0
+        assert err.bound == pytest.approx(1.0 + abs(err.point[-1]))
+        assert err.lhs > err.bound
+
     def test_synthesize_and_certify(self):
         sys = _cascade_plant()
         gains = default_gains()
-        pack = MajorantPack(
-            base_r=SmoothMap(2, lambda *a: 1.0, name="r1"),
-            levels=(StageMajorants(
-                R=SmoothMap(3, lambda x, y1, z: 1e3 * (1.0 + jet_exp(z)) ** 2, name="R"),
-                r=SmoothMap(2, lambda *a: 1.0, name="r"),
-                rho=SmoothMap(3, lambda *a: 1.0, name="rho"),
-            ),),
-        )
-        result = synthesize(sys, gains, pack)
+        result = synthesize(sys, gains, _cascade_pack())
         assert [st.rate_c for st in result.stage_trace] == [1.0, 0.5]
         assert result.base is not None and result.M_const == result.base.M_const
         last = result.stage_trace[-1]

@@ -1,4 +1,4 @@
-"""Tests for plant models, majorant validation, and exogenous signals."""
+"""Tests for plant models, the plant bounds synthesis samples, and exogenous signals."""
 
 import math
 
@@ -6,18 +6,24 @@ import numpy as np
 import pytest
 
 from dads.jets import SmoothMap
-from dads.synthesis import DadsGains, solve_base_theorem1
+from dads.synthesis import (
+    DadsGains,
+    MajorantPack,
+    MajorantViolationError,
+    solve_base_theorem1,
+    synthesize,
+    wingrock_majorants,
+)
 from dads.systems import (
     DisturbanceProfile,
     StrictFeedbackSystem,
     constant_parameter,
     eval_dynamics,
-    free_theta,
     get_system,
+    sample_ball,
     sample_disturbance,
     sinusoid_bank,
     truncate,
-    validate_majorants,
     vanishing_disturbance,
     wingrock,
     zero_disturbance,
@@ -86,7 +92,7 @@ def _cascade_toy(eta1_value=1.0):
         phi=(SmoothMap(3, lambda x1, x2, y1: (x1,), codim=1, name="phi1"),),
         alpha=(SmoothMap(3, lambda *a: (1.0,), codim=1, name="alpha1"),),
         g=(g1,), eta=(eta1,), mu=(mu1,),
-        p=1, l=1, theta_domain=free_theta(1, sample_radius=5.0),
+        p=1, l=1, theta_radius=5.0,
     )
 
 
@@ -105,7 +111,7 @@ class TestCascadeDynamics:
         sys = _cascade_toy()
         gains = DadsGains(b=1.0, Gamma=20.0, eps_dz=0.01, c=0.5, a=2.0)
         base = solve_base_theorem1(
-            n=2, m=1, c=0.5, gains=gains, eta1=sys.eta[0],
+            n=2, m=1, gains=gains, eta1=sys.eta[0],
             r=SmoothMap(3, lambda *a: 1.0, name="r"), alpha1=sys.alpha[0],
         ).stage
         rep = synthesized_dissipation_check(
@@ -152,38 +158,47 @@ class TestTruncation:
             truncate(sys, 2)
 
 
+GAINS = DadsGains(b=1.0, Gamma=20.0, eps_dz=0.01, c=0.5, a=2.0)
+
+
+def _synthesize_toy(sys, n_samples):
+    """synthesize on the one-level cascade toy, whose drift bound r = 1 holds."""
+    pack = MajorantPack(base_r=SmoothMap(3, lambda *a: 1.0, name="r1"), levels=())
+    return synthesize(sys, GAINS, pack, n_samples=n_samples, seed=0)
+
+
 class TestMajorantValidation:
+    """synthesize samples eta_j <= g_j <= mu_j (1 + |theta|) before it builds."""
+
     def test_wingrock_majorants_hold(self):
-        report = validate_majorants(wingrock(), n_samples=200, seed=3)
-        assert report.passed
-        assert report.worst_margin_low >= 0.0
-        assert report.worst_margin_high >= 0.0
+        synthesize(wingrock(), GAINS, wingrock_majorants(GAINS), n_samples=200, seed=3)
 
     def test_broken_eta_detected(self):
         # eta1 = 3 exceeds inf g1 = 1 for g1 = 2 + sin(x1)
-        report = validate_majorants(_cascade_toy(eta1_value=3.0), n_samples=300, seed=0)
-        assert not report.passed
-        assert report.worst_margin_low < 0.0
-        kind, level, state, theta, margin = report.violations[0]
-        assert kind == "eta"
-        assert level == 1
+        with pytest.raises(MajorantViolationError) as info:
+            _synthesize_toy(_cascade_toy(eta1_value=3.0), n_samples=300)
+        err = info.value
+        assert err.name.startswith("eta1")
+        assert len(err.point) == 4  # (x1, x2, y1, theta1)
+        assert err.lhs == 3.0
+        margin = err.bound - err.lhs
         assert margin < 0.0
         # the witness really violates the bound
-        assert 2.0 + np.sin(state[0]) - 3.0 == pytest.approx(margin)
+        assert 2.0 + np.sin(err.point[0]) - 3.0 == pytest.approx(margin)
 
     def test_nan_margin_is_a_violation(self):
-        report = validate_majorants(_cascade_toy(eta1_value=math.nan), n_samples=20, seed=0)
-        assert not report.passed
-        assert len(report.violations) == 20
-        assert math.isnan(report.worst_margin_low)
+        with pytest.raises(MajorantViolationError) as info:
+            _synthesize_toy(_cascade_toy(eta1_value=math.nan), n_samples=20)
+        assert info.value.name.startswith("eta1")
+        assert math.isnan(info.value.lhs)
 
     def test_valid_eta_passes(self):
-        report = validate_majorants(_cascade_toy(eta1_value=1.0), n_samples=300, seed=0)
-        assert report.passed
+        result = _synthesize_toy(_cascade_toy(eta1_value=1.0), n_samples=300)
+        assert len(result.stage_trace) == 1
 
     def test_bad_sample_count(self):
         with pytest.raises(ValueError):
-            validate_majorants(wingrock(), n_samples=0)
+            synthesize(wingrock(), GAINS, wingrock_majorants(GAINS), n_samples=0)
 
 
 class TestDisturbanceProfiles:
@@ -225,10 +240,9 @@ class TestParameterSignal:
         assert th(0.0) == pytest.approx(THETA_WR)
         assert th(123.0) == pytest.approx(THETA_WR)
 
-    def test_free_theta_sampler(self):
-        dom = free_theta(4, sample_radius=40.0)
+    def test_theta_ball_sampler(self):
+        radius = wingrock().theta_radius
         rng = np.random.default_rng(0)
-        samples = np.array([dom.sample(rng) for _ in range(200)])
+        samples = np.array([sample_ball(rng, 4, radius) for _ in range(200)])
         assert samples.shape == (200, 4)
-        assert np.all(np.linalg.norm(samples, axis=1) <= 40.0 + 1e-12)
-        assert dom.contains(np.array([1e6, 0, 0, 0]))
+        assert np.all(np.linalg.norm(samples, axis=1) <= radius + 1e-12)
