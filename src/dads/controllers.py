@@ -80,7 +80,7 @@ class WingRockDadsController:
 
     def step(self, x, cs, t=0.0):
         """Input and controller-state rate at (x, cs, t)."""
-        u, zdot = wingrock_control(x, float(cs[0]), self)
+        u, zdot = wingrock_control(x, cs[0], self)
         return u, (zdot,)
 
     def gain_magnitude(self, cs) -> float:
@@ -230,7 +230,7 @@ class SynthesizedDadsController:
 
     def step(self, x, cs, t=0.0):
         """Input and controller-state rate at (x, cs, t)."""
-        u, zdot = synthesized_control(x, float(cs[0]), self)
+        u, zdot = synthesized_control(x, cs[0], self)
         return u, (zdot,)
 
     def gain_magnitude(self, cs) -> float:
@@ -240,7 +240,7 @@ class SynthesizedDadsController:
         return float(self.V_final(*x, float(cs[0])))
 
 
-def synthesized_control(state, z: float, ctrl: SynthesizedDadsController):
+def synthesized_control(state, z, ctrl: SynthesizedDadsController):
     """u = k(state, z) and the deadzone update rate for z."""
     if len(state) != ctrl.state_dim:
         raise ValueError(

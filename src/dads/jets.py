@@ -15,6 +15,11 @@ order k come from k nested first-order jets.
 Coefficients may also be numpy arrays.  A jet whose innermost values are
 arrays of N points carries N gradients at once (vector forward mode), so one
 evaluation of a map on array coordinates differentiates it at every sample.
+
+The same operator-overloading idiom records instead of computing: arithmetic
+on `Traced` values appends one assignment per operation to a `Tape` (the
+"tape" of Griewank & Walther, Evaluating Derivatives, ch. 3), and the tape
+compiles to straight-line Python code on floats.
 """
 
 from __future__ import annotations
@@ -116,6 +121,8 @@ def scalar_value(x):
 
 def jet_exp(a):
     """exp; overflow of a plain number or an array entry gives inf."""
+    if isinstance(a, Traced):
+        return a.tape.record("jet_exp({})", a)
     if isinstance(a, np.ndarray):
         with np.errstate(over="ignore"):
             return np.exp(a)
@@ -160,6 +167,8 @@ def jet_relu_plus(a):
     made per entry; a nan value gives nan for a plain number or array and
     the zero jet for a jet, as it does per point.
     """
+    if isinstance(a, Traced):
+        return a.tape.record("jet_relu_plus({})", a)
     if isinstance(a, np.ndarray):
         return np.where(a < 0.0, 0.0, a)
     if not isinstance(a, Jet):
@@ -241,3 +250,165 @@ def partial_map(f: SmoothMap, var_index: int) -> SmoothMap:
     return SmoothMap(
         f.arity, deriv, codim=1, name=f"d{var_index}({f.name})" if f.name else ""
     )
+
+
+class Tape:
+    """A straight-line program recorded by arithmetic on `Traced` values.
+
+    Each operation appends one line `vK = a op b` in the order the traced code
+    performs it.  A caller makes the inputs as `Traced(tape, name)`, writes a
+    function around `lines` that binds those names and returns its results
+    written with `operand`, and turns it into code with `compile`.  The
+    source holds generated names and float literals only: constants are
+    written with `repr`, which round-trips, and the non-finite ones, which
+    have no literal, are bound by name.
+    """
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.constants: dict[str, float] = {}
+
+    def operand(self, x) -> str:
+        """Source text of a traced value or a number."""
+        if isinstance(x, Traced):
+            return x.name
+        if isinstance(x, (int, np.integer)):
+            text = repr(int(x))
+        elif isinstance(x, (float, np.floating)):
+            x = float(x)
+            if not math.isfinite(x):
+                name = f"c{len(self.constants)}"
+                self.constants[name] = x
+                return name
+            text = repr(x)
+        else:
+            raise TypeError(f"cannot trace a value of type {type(x).__name__}")
+        return f"({text})" if text.startswith("-") else text
+
+    def record(self, template: str, *operands) -> "Traced":
+        """Append `vK = template(operands)` and return vK."""
+        out = Traced(self, f"v{len(self.lines)}")
+        self.lines.append(f"{out.name} = " + template.format(*map(self.operand, operands)))
+        return out
+
+    def compile(self, source: str, name: str, namespace: dict) -> Callable:
+        """Execute `source` and return the function it defines as `name`.
+
+        The recorded lines call jet_exp and jet_relu_plus on floats, so the
+        overflow and kink semantics stay theirs.
+        """
+        scope = {**namespace, **self.constants, "jet_exp": jet_exp,
+                 "jet_relu_plus": jet_relu_plus, "_pow": _float_pow, "_div": _float_div}
+        exec(compile(source, f"<traced {name}>", "exec"), scope)
+        return scope[name]
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating))
+
+
+def _float_pow(a, b):
+    """a ** b with numpy's float64 result where Python's float power raises
+    (overflow, zero to a negative power) or turns complex."""
+    try:
+        r = a ** b
+    except (OverflowError, ZeroDivisionError):
+        return np.float64(a) ** b
+    return np.float64(a) ** b if isinstance(r, complex) else r
+
+
+def _float_div(a, b):
+    """a / b with numpy's float64 result (inf or nan) where Python's raises."""
+    try:
+        return a / b
+    except ZeroDivisionError:
+        return np.float64(a) / b
+
+
+def _refusing(operation: str):
+    """A Traced method that raises: `operation` would read the traced value."""
+
+    def refuse(self, *args):
+        raise TypeError(
+            f"cannot trace {operation} of a traced value ({self.name}): the law "
+            "must be generic arithmetic, without branches on the data"
+        )
+
+    return refuse
+
+
+class Traced:
+    """A value on a Tape: arithmetic on it records code instead of computing.
+
+    It supports the generic arithmetic SmoothMap laws are written in: + - * /
+    **, negation, jet_exp and jet_relu_plus.  Exactly four identities are
+    folded, x + 0.0, 0.0 + x, 1.0 * x and x * 1.0 (which at most change the
+    sign of a zero); 0.0 * x is kept so that nan and inf propagate.  Anything
+    that reads the value raises TypeError: a truth test, a comparison,
+    float(), int(), use as an index, a numpy ufunc.  A branch on the data can
+    therefore not be frozen into the trace.
+    """
+
+    __slots__ = ("tape", "name")
+    # numpy defers to the reflected operator, and ufuncs refuse the operand
+    __array_ufunc__ = None
+
+    def __init__(self, tape: Tape, name: str):
+        self.tape = tape
+        self.name = name
+
+    def _binary(self, other, op: str, identity=None, reflected=False):
+        if not isinstance(other, Traced):
+            if not _is_number(other):
+                return NotImplemented
+            if identity is not None and other == identity:
+                return self
+        a, b = (other, self) if reflected else (self, other)
+        return self.tape.record(op, a, b)
+
+    def __add__(self, other):
+        return self._binary(other, "{} + {}", identity=0.0)
+
+    def __radd__(self, other):
+        return self._binary(other, "{} + {}", identity=0.0, reflected=True)
+
+    def __sub__(self, other):
+        return self._binary(other, "{} - {}")
+
+    def __rsub__(self, other):
+        return self._binary(other, "{} - {}", reflected=True)
+
+    def __mul__(self, other):
+        return self._binary(other, "{} * {}", identity=1.0)
+
+    def __rmul__(self, other):
+        return self._binary(other, "{} * {}", identity=1.0, reflected=True)
+
+    def __truediv__(self, other):
+        # Python's float division raises on a zero divisor, numpy's does not
+        if _is_number(other) and other != 0:
+            return self._binary(other, "{} / {}")
+        return self._binary(other, "_div({}, {})")
+
+    def __rtruediv__(self, other):
+        return self._binary(other, "_div({}, {})", reflected=True)
+
+    def __pow__(self, other):
+        return self._binary(other, "_pow({}, {})")
+
+    def __rpow__(self, other):
+        return self._binary(other, "_pow({}, {})", reflected=True)
+
+    def __neg__(self):
+        return self.tape.record("-{}", self)
+
+    __bool__ = _refusing("a truth test")
+    __lt__ = _refusing("the comparison <")
+    __le__ = _refusing("the comparison <=")
+    __gt__ = _refusing("the comparison >")
+    __ge__ = _refusing("the comparison >=")
+    __eq__ = _refusing("the comparison ==")
+    __ne__ = _refusing("the comparison !=")
+    __float__ = _refusing("float()")
+    __int__ = _refusing("int()")
+    __index__ = _refusing("use as an index")

@@ -10,8 +10,21 @@ state (adaptation gain z or parameter estimates).  Two methods are available:
   fastest closed-loop eigenvalue sits many decades above the slow ones, and
   explicit fixed-step schemes diverge immediately at practical step sizes).
 
+Before integrating, `simulate` traces the closed loop once: one evaluation of
+the controller's `step` and of the plant formula (`systems.state_rates`) on
+`jets.Traced` inputs records every operation in the law's own order, and
+`compile_rhs` turns the record into one straight-line function rhs(t, s) on
+floats.  The integrators call only that function.  Laws must therefore be
+written in generic arithmetic: a branch on the data, a comparison, float() or
+a numpy ufunc on a traced value raises TypeError before the first step.  The
+trace folds exactly four identities (x + 0.0, 0.0 + x, 1.0 * x, x * 1.0),
+which can change at most the sign of a zero.  The interpreted evaluation
+stays the reference: the compiled rhs at (0, s0) must equal eval_dynamics
+plus controller.step there, or the run raises.
+
 Logs are dense (every log_stride-th grid point) and serialize to CSV with full
-floating-point precision for reproducible downstream checks.
+floating-point precision for reproducible downstream checks.  The logged
+input u comes from the interpreted `step`, once per row.
 
 scipy is imported by the first Radau solve, not with this module, so the
 commands that never integrate (synthesize, and verify without trajectory
@@ -23,11 +36,12 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .systems import DisturbanceProfile, ParameterSignal, eval_dynamics
+from .jets import Tape, Traced
+from .systems import DisturbanceProfile, ParameterSignal, eval_dynamics, state_rates
 
 
 # Radau tolerances, and the state magnitude at which RK4 declares divergence
@@ -180,10 +194,10 @@ def simulate(
     if ctrl0.shape != (q,):
         raise ValueError(f"ctrl0 has shape {ctrl0.shape}, expected ({q},)")
     sel = np.arange(n) if output_indices is None else np.asarray(output_indices, int)
-
-    def rhs(t, s):
-        u, rate = controller.step(s[:n], s[n:], t)
-        return np.concatenate([eval_dynamics(sys, s[:n], u, theta(t), disturbance(t)), rate])
+    theta_value = theta(0.0)  # held constant
+    s0 = np.concatenate([x0, ctrl0])
+    rhs = compile_rhs(sys, controller, theta_value.tolist(), disturbance)
+    _check_compiled(rhs, sys, controller, s0, theta_value, disturbance)
 
     n_steps = int(round(config.t_end / config.dt))
     t_log = config.dt * np.arange(0, n_steps + 1, config.log_stride)
@@ -191,7 +205,7 @@ def simulate(
         t_log = np.append(t_log, config.t_end)
 
     if config.method == "rk4":
-        states = _integrate_rk4(rhs, np.concatenate([x0, ctrl0]), config, n_steps)
+        states = _integrate_rk4(rhs, s0, config, n_steps)
         log_idx = list(range(0, n_steps + 1, config.log_stride))
         if log_idx[-1] != n_steps:
             log_idx.append(n_steps)
@@ -200,7 +214,7 @@ def simulate(
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             sol = solve_ivp(
-                rhs, (0.0, config.t_end), np.concatenate([x0, ctrl0]),
+                rhs, (0.0, config.t_end), s0,
                 method="Radau", t_eval=t_log, rtol=RTOL, atol=ATOL,
             )
         if not sol.success or sol.t[-1] < config.t_end - 1e-9:
@@ -221,6 +235,49 @@ def simulate(
         state_names=tuple(f"x{i + 1}" for i in range(n)),
         ctrl_names=_default_ctrl_names(controller),
     )
+
+
+def compile_rhs(sys, controller, theta: Sequence[float], disturbance) -> Callable:
+    """The closed-loop rhs(t, s) as straight-line float code, traced once.
+
+    The state s is the plant state followed by the controller state; theta
+    holds the parameter values.  controller.step runs once on traced state,
+    controller state and t, and the plant formula once on its result and on
+    a traced disturbance vector; the compiled function reads the disturbance
+    at each call.  A law that is not generic arithmetic raises TypeError here.
+    """
+    n, q = sys.state_dim, controller.ctrl_dim
+    tape = Tape()
+    s = tuple(Traced(tape, f"s{i}") for i in range(n + q))
+    d = tuple(Traced(tape, f"d{i}") for i in range(sys.l))
+    u, rate = controller.step(s[:n], s[n:], Traced(tape, "t"))
+    outputs = [*state_rates(sys, s[:n], u, theta, d), *rate]
+    source = "\n    ".join([
+        "def rhs(t, s):",
+        f"[{', '.join(v.name for v in s)}] = s.tolist()",
+        f"[{', '.join(v.name for v in d)}] = disturbance(t).tolist()",
+        *tape.lines,
+        f"return np.array([{', '.join(map(tape.operand, outputs))}])",
+    ])
+    return tape.compile(source, "rhs", {"np": np, "disturbance": disturbance})
+
+
+def _check_compiled(rhs, sys, controller, s0, theta, disturbance) -> None:
+    """Raise unless the compiled rhs equals the interpreted one at (0, s0).
+
+    nan equals nan; the sign of a zero may differ (see the module docstring).
+    """
+    n = sys.state_dim
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, rate = controller.step(s0[:n], s0[n:], 0.0)
+        expected = np.concatenate(
+            [eval_dynamics(sys, s0[:n], u, theta, disturbance(0.0)), rate])
+        got = rhs(0.0, s0)
+    if not np.array_equal(got, expected, equal_nan=True):
+        raise RuntimeError(
+            f"the traced rhs at t = 0 gives {got.tolist()}, the interpreted one "
+            f"{expected.tolist()}"
+        )
 
 
 def _integrate_rk4(rhs, s0: np.ndarray, config: SimConfig, n_steps: int) -> np.ndarray:

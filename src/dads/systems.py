@@ -47,6 +47,8 @@ class StrictFeedbackSystem:
     theta; mu has the m - 1 entries for the levels below the input.  n = 0 is
     the pure strict-feedback chain.  theta_radius is the radius of the ball
     the synthesis samples theta from; it bounds nothing about theta itself.
+    The constructor rejects per-level tuples of the wrong length, maps of the
+    wrong arity, and phi/alpha of a codimension other than p/l.
     """
 
     n: int
@@ -60,6 +62,26 @@ class StrictFeedbackSystem:
     p: int
     l: int
     theta_radius: float
+
+    def __post_init__(self):
+        if not (self.n >= 0 and self.m >= 1):
+            raise ValueError(f"n must be >= 0 and m >= 1, got n = {self.n}, m = {self.m}")
+        for name in ("h", "phi", "alpha", "g", "eta", "mu"):
+            maps = getattr(self, name)
+            levels = self.m - 1 if name == "mu" else self.m
+            if len(maps) != levels:
+                raise ValueError(f"{name} has {len(maps)} entries, expected {levels}")
+            for j, f in enumerate(maps):
+                # level j + 1 reads (x, y_1..y_{j+1}); g_j also reads theta
+                arity = self.n + j + 1 + (self.p if name == "g" else 0)
+                if f.arity != arity:
+                    raise ValueError(
+                        f"{name}[{j}] takes {f.arity} arguments, expected {arity}"
+                    )
+        for name, codim in (("phi", self.p), ("alpha", self.l)):
+            for j, f in enumerate(getattr(self, name)):
+                if f.codim != codim:
+                    raise ValueError(f"{name}[{j}] has codim {f.codim}, expected {codim}")
 
     @property
     def state_dim(self) -> int:
@@ -76,10 +98,9 @@ def truncate(sys: StrictFeedbackSystem, dim: int) -> StrictFeedbackSystem:
     if not 1 <= levels <= sys.m:
         raise ValueError(f"cannot truncate a {sys.state_dim}-state plant to {dim} states")
     per_level = {
-        name: getattr(sys, name)[:levels]
-        for name in ("h", "phi", "alpha", "g", "eta", "mu")
+        name: getattr(sys, name)[:levels] for name in ("h", "phi", "alpha", "g", "eta")
     }
-    return replace(sys, m=levels, **per_level)
+    return replace(sys, m=levels, mu=sys.mu[: levels - 1], **per_level)
 
 
 def _check_columns(sys: StrictFeedbackSystem, s, theta, d) -> None:
@@ -104,20 +125,31 @@ def eval_dynamics(sys: StrictFeedbackSystem, state, u, theta, d) -> np.ndarray:
     if s.shape != (sys.state_dim,) or theta.shape != (sys.p,) or d.shape != (sys.l,):
         _check_columns(sys, s, theta, d)
 
-    n = sys.n
     out = np.empty(s.shape)
-    if n:
-        out[:n] = s[1 : n + 1]
+    for i, rate in enumerate(state_rates(sys, s, u, theta, d)):
+        out[i] = rate
+    return out
+
+
+def state_rates(sys: StrictFeedbackSystem, s, u, theta, d) -> list:
+    """The n + m entries of the state derivative, in generic arithmetic.
+
+    s, theta and d are sequences of numbers, of arrays of columns, or of
+    traced values.  This is the one home of the plant formula:
+    eval_dynamics evaluates it on arrays and the simulator traces it.
+    """
+    n = sys.n
+    rates = list(s[1 : n + 1])
     for j in range(sys.m):
         head = tuple(s[: n + j + 1])
         nxt = s[n + j + 1] if j + 1 < sys.m else u
-        out[n + j] = (
+        rates.append(
             sys.h[j](*head)
             + sys.g[j](*head, *theta) * nxt
             + _dot(sys.phi[j](*head), theta)
             + _dot(sys.alpha[j](*head), d)
         )
-    return out
+    return rates
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,9 @@ ROOT = Path(__file__).resolve().parents[1]
     ["verify", "scenarios/ineq34.scenario"],
     ["simulate", "scenarios/fig4_sigma0.scenario", "--t-end", "0.01"],
     ["synthesize", "scenarios/synth_wingrock.scenario"],
+    ["simulate", "scenarios/fig1_dads.scenario", "--t-end", "0.01"],
+    ["compare", "scenarios/fig4_dads.scenario", "scenarios/fig4_sigma0.scenario",
+     "scenarios/fig4_sigma04.scenario", "--t-end", "0.01"],
 ])
 def test_traced_invocation_exits_zero(tmp_path, args):
     proc = subprocess.run(

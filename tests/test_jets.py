@@ -12,6 +12,8 @@ from dads.jets import (
     Jet,
     JetShapeError,
     SmoothMap,
+    Tape,
+    Traced,
     gradient,
     jet_exp,
     jet_pow_int,
@@ -293,3 +295,78 @@ class TestSmoothMapDecorator:
         f = SmoothMap(2, lambda x, y: x + y)
         with pytest.raises(ValueError):
             f(1.0)
+
+
+def _compiled(build, arity=1):
+    """Trace build(*inputs) and compile it to f(x0, ..) -> result."""
+    tape = Tape()
+    xs = [Traced(tape, f"x{i}") for i in range(arity)]
+    out = build(*xs)
+    source = "\n    ".join([
+        f"def f({', '.join(x.name for x in xs)}):",
+        *tape.lines,
+        f"return {tape.operand(out)}",
+    ])
+    return tape, tape.compile(source, "f", {})
+
+
+class TestTrace:
+    def test_records_one_line_per_operation_in_order(self):
+        tape, f = _compiled(lambda x, y: (x - 2.0) * y / 4.0 + 3.0 ** y, arity=2)
+        assert tape.lines == [
+            "v0 = x0 - 2.0", "v1 = v0 * x1", "v2 = v1 / 4.0",
+            "v3 = _pow(3.0, x1)", "v4 = v2 + v3",
+        ]
+        assert f(1.5, -2.0) == (1.5 - 2.0) * -2.0 / 4.0 + 3.0 ** -2.0
+
+    def test_folds_exactly_four_identities(self):
+        tape, _ = _compiled(lambda x: 1.0 * (0.0 + x * 1.0 + 0.0) + 0.0 * x - 0.0)
+        assert tape.lines == ["v0 = 0.0 * x0", "v1 = x0 + v0", "v2 = v1 - 0.0"]
+        # 0.0 * x is kept, so nan and inf still reach the result
+        f = _compiled(lambda x: 1.0 + 0.0 * x)[1]
+        assert math.isnan(f(math.inf))
+
+    def test_constants_round_trip(self):
+        third = 1.0 / 3.0
+        tape, f = _compiled(lambda x: -2.0 ** x + x * third + x * math.inf)
+        assert "inf" not in "".join(tape.lines)  # bound by name, not a literal
+        assert "(-2.0)" not in "".join(tape.lines)  # -2.0 ** x is -(2.0 ** x)
+        assert f(0.5) == -2.0 ** 0.5 + 0.5 * third + 0.5 * math.inf
+        tape, f = _compiled(lambda x: (-2.0) ** x * np.float64(third))
+        assert f(2.0) == 4.0 * third
+
+    def test_float_power_and_division_as_numpy(self):
+        # Python's float ** and / raise where numpy's float64 gives inf
+        f = _compiled(lambda x, y: x ** 3 + 1.0 / y + x / y, arity=2)[1]
+        with np.errstate(all="ignore"):
+            assert f(1e200, 1.0) == math.inf
+            assert f(1.0, 0.0) == math.inf
+            assert math.isnan(_compiled(lambda x: x ** 0.5)[1](-4.0))
+
+    def test_elementary_calls_keep_their_semantics(self):
+        tape, f = _compiled(lambda x: jet_relu_plus(x) * jet_exp(x))
+        assert tape.lines[:2] == ["v0 = jet_relu_plus(x0)", "v1 = jet_exp(x0)"]
+        assert f(-1.0) == 0.0
+        assert f(1000.0) == math.inf
+
+    def test_traces_through_nested_jets(self):
+        f = SmoothMap(2, lambda x, y: x * x * y + jet_exp(0.3 * y) / x)
+        d1 = partial_map(f, 0)
+        compiled = _compiled(d1, arity=2)[1]
+        assert compiled(1.5, -0.5) == d1(1.5, -0.5)
+
+    @pytest.mark.parametrize("read", [
+        bool, float, int, lambda x: x < 0.0, lambda x: x == 1.0,
+        lambda x: [1.0, 2.0][x], np.sin, lambda x: math.exp(x),
+    ])
+    def test_reading_the_value_raises(self, read):
+        x = Traced(Tape(), "x")
+        with pytest.raises(TypeError):
+            read(x)
+
+    def test_unsupported_operand_raises(self):
+        x = Traced(Tape(), "x")
+        with pytest.raises(TypeError):
+            x + "a"
+        with pytest.raises(TypeError):
+            x * np.ones(2)

@@ -10,20 +10,30 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dads.controllers import SigmaModController, WingRockDadsController
+import dads.simulate as simulate_module
+from dads.cli import build_gains, load_scenario
+from dads.controllers import (
+    SigmaModController,
+    SynthesizedDadsController,
+    WingRockDadsController,
+)
 from dads.simulate import (
     DivergenceError,
     SimConfig,
     TrajectoryLog,
+    compile_rhs,
     simulate,
     trajectory_stats,
 )
+from dads.synthesis import synthesize, wingrock_majorants
 from dads.systems import (
     constant_parameter,
+    eval_dynamics,
     sinusoid_bank,
     wingrock,
     zero_disturbance,
 )
+from test_synthesis import _cascade_plant
 
 THETA = constant_parameter([20.0, 20.0, 2.0, 1.0])
 X0 = [1.0, -0.5, -18.0]
@@ -181,14 +191,130 @@ class CountingController(SigmaModController):
 
 
 class TestControllerCalls:
-    def test_one_step_per_rhs_plus_one_per_row(self):
+    def test_traced_once_checked_once_plus_one_per_row(self):
+        # the integrator runs the compiled trace, never the law itself
         CountingController.calls = 0
         cfg = SimConfig(dt=1e-3, t_end=0.05, method="rk4", log_stride=10)
         log = simulate(wingrock(), CountingController(), X0, [0.0] * 4,
                        zero_disturbance(2), THETA, cfg)
-        n_steps = 50
         assert len(log) == 6
-        assert CountingController.calls == 4 * n_steps + len(log)
+        assert CountingController.calls == 1 + 1 + len(log)
+
+
+def _interpreted_rhs(sys, ctrl, theta, dist, t, s):
+    n = sys.state_dim
+    u, rate = ctrl.step(s[:n], s[n:], t)
+    return np.concatenate([eval_dynamics(sys, s[:n], u, theta, dist(t)), rate])
+
+
+class LinearCascadeLaw:
+    """u = -(x + 3 y1 + 3 y2) on the n = 1, m = 2 cascade; c' = -c."""
+
+    ctrl_dim = 1
+
+    def step(self, x, cs, t=0.0):
+        return -(x[0] + 3.0 * x[1] + 3.0 * x[2]), (-1.0 * cs[0],)
+
+
+class TimedSigmaMod(SigmaModController):
+    """The leakage law with a time-dependent term added to u."""
+
+    def step(self, x, cs, t=0.0):
+        u, w = super().step(x, cs, t)
+        return u + 0.5 * t * x[0] - t * t, w
+
+
+def _synthesized_controller():
+    gains = build_gains(load_scenario(
+        str(Path(__file__).resolve().parents[1] / "scenarios" / "synth_wingrock.scenario")))
+    result = synthesize(wingrock(), gains, wingrock_majorants(gains))
+    return SynthesizedDadsController(
+        k_final=result.k_final, V_final=result.V_final,
+        Gamma=gains.Gamma, eps_dz=gains.eps_dz,
+    )
+
+
+class TestTrace:
+    """The compiled rhs equals the interpreted plant plus law, state by state."""
+
+    @pytest.mark.parametrize("case", ["sigma-mod", "dads", "cascade-linear",
+                                      "reads-t", "synthesized"])
+    def test_compiled_equals_interpreted_at_sampled_states(self, case):
+        sys, theta = wingrock(), np.array([20.0, 20.0, 2.0, 1.0])
+        dist = sinusoid_bank([20.0, 10.0], [10.0, 20.0])
+        ctrl = {
+            "sigma-mod": SigmaModController,
+            "dads": WingRockDadsController,
+            "reads-t": TimedSigmaMod,
+            "synthesized": _synthesized_controller,
+            "cascade-linear": LinearCascadeLaw,
+        }[case]()
+        if case == "cascade-linear":
+            sys, theta, dist = _cascade_plant(), np.array([1.5]), sinusoid_bank([2.0], [3.0])
+        rhs = compile_rhs(sys, ctrl, theta.tolist(), dist)
+        rng = np.random.default_rng(11)
+        n, q = sys.state_dim, ctrl.ctrl_dim
+        finite = 0
+        with np.errstate(all="ignore"):
+            for _ in range(1000):
+                s = np.concatenate([rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, q)])
+                t = rng.uniform(0.0, 10.0)
+                got = rhs(t, s)
+                want = _interpreted_rhs(sys, ctrl, theta, dist, t, s)
+                assert np.array_equal(got, want, equal_nan=True), (s, t, got, want)
+                finite += bool(np.all(np.isfinite(want)))
+        assert finite >= 500
+
+    def test_overflow_and_zero_division_follow_numpy(self):
+        # Python's float ** and / raise where the interpreted float64 path
+        # gives inf; the compiled rhs must give inf too
+        class Steep(SigmaModController):
+            def step(self, x, cs, t=0.0):
+                u, w = super().step(x, cs, t)
+                return u + x[0] ** 3 + 1.0 / (x[1] * 0.0), w
+
+        ctrl, dist = Steep(), zero_disturbance(2)
+        rhs = compile_rhs(wingrock(), ctrl, THETA(0.0).tolist(), dist)
+        s = np.array([1e200, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        with np.errstate(all="ignore"):
+            got = rhs(0.0, s)
+            want = _interpreted_rhs(wingrock(), ctrl, THETA(0.0), dist, 0.0, s)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert not np.all(np.isfinite(got))
+
+    @pytest.mark.parametrize("law", [
+        lambda x, cs, t: (-x[2] if x[0] else x[2], (0.0,)),
+        lambda x, cs, t: (max(x[0], 0.0), (0.0,)),
+        lambda x, cs, t: (float(x[0]), (0.0,)),
+        lambda x, cs, t: (np.sin(x[0]), (0.0,)),
+    ], ids=["if", "max", "float", "np.sin"])
+    def test_untraceable_law_raises_before_the_first_step(self, law, monkeypatch):
+        class Law(WingRockDadsController):
+            def step(self, x, cs, t=0.0):
+                return law(x, cs, t)
+
+        def never(*args):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr(simulate_module, "_integrate_rk4", never)
+        cfg = SimConfig(dt=1e-3, t_end=0.01, method="rk4", log_stride=1)
+        with pytest.raises(TypeError, match="cannot trace|does not support ufuncs"):
+            simulate(wingrock(), Law(), X0, Z0, zero_disturbance(2), THETA, cfg)
+
+    def test_mismatch_with_the_interpreted_rhs_raises(self):
+        class Drifting(SigmaModController):
+            """Not a function of its arguments: each call adds more."""
+
+            calls = 0
+
+            def step(self, x, cs, t=0.0):
+                Drifting.calls += 1
+                u, w = super().step(x, cs, t)
+                return u + float(Drifting.calls), w
+
+        cfg = SimConfig(dt=1e-3, t_end=0.01, method="rk4", log_stride=1)
+        with pytest.raises(RuntimeError, match="traced rhs"):
+            simulate(wingrock(), Drifting(), X0, [0.0] * 4, zero_disturbance(2), THETA, cfg)
 
 
 class TestStats:

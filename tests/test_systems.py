@@ -1,6 +1,7 @@
 """Tests for plant models, the plant bounds synthesis samples, and exogenous signals."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,14 +85,13 @@ def _cascade_toy(eta1_value=1.0):
     """n=2 integrators + m=1 block: y' = u + g(theta) with g = 2 + sin(x1)."""
     g1 = SmoothMap(3 + 1, lambda x1, x2, y1, th1: 2.0 + np.sin(x1), name="g1")
     eta1 = SmoothMap(3, lambda x1, x2, y1: eta1_value, name="eta1")
-    mu1 = SmoothMap(3, lambda *a: 3.0, name="mu1")
     zero3 = SmoothMap(3, lambda *a: 0.0, name="zero")
     return StrictFeedbackSystem(
         n=2, m=1,
         h=(zero3,),
         phi=(SmoothMap(3, lambda x1, x2, y1: (x1,), codim=1, name="phi1"),),
         alpha=(SmoothMap(3, lambda *a: (1.0,), codim=1, name="alpha1"),),
-        g=(g1,), eta=(eta1,), mu=(mu1,),
+        g=(g1,), eta=(eta1,), mu=(),
         p=1, l=1, theta_radius=5.0,
     )
 
@@ -119,6 +119,34 @@ class TestCascadeDynamics:
         )
         assert rep.n_samples == 200
         assert rep.passed, rep.summary()
+
+
+class TestConstructionChecks:
+    """StrictFeedbackSystem rejects per-level maps that do not fit n, m, p, l."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("h", lambda w: w.h[:2], "h has 2 entries, expected 3"),
+        ("eta", lambda w: w.eta + w.eta[:1], "eta has 4 entries, expected 3"),
+        ("mu", lambda w: w.mu + w.mu[:1], "mu has 3 entries, expected 2"),
+        ("g", lambda w: (SmoothMap(1, lambda x1: 1.0), *w.g[1:]),
+         r"g\[0\] takes 1 arguments, expected 5"),
+        ("phi", lambda w: (w.phi[0], SmoothMap(3, lambda *a: (0.0,) * 4, codim=4), w.phi[2]),
+         r"phi\[1\] takes 3 arguments, expected 2"),
+        ("mu", lambda w: (w.mu[0], SmoothMap(3, lambda *a: 1.0)),
+         r"mu\[1\] takes 3 arguments, expected 2"),
+        ("phi", lambda w: (SmoothMap(1, lambda x1: (0.0,) * 3, codim=3), *w.phi[1:]),
+         r"phi\[0\] has codim 3, expected 4"),
+        ("alpha", lambda w: (SmoothMap(1, lambda x1: 0.0), *w.alpha[1:]),
+         r"alpha\[0\] has codim 1, expected 2"),
+    ])
+    def test_rejects_with_the_field_named(self, field, value, message):
+        wr = wingrock()
+        with pytest.raises(ValueError, match=message):
+            replace(wr, **{field: value(wr)})
+
+    def test_rejects_empty_block(self):
+        with pytest.raises(ValueError, match="m >= 1"):
+            replace(wingrock(), m=0, h=(), phi=(), alpha=(), g=(), eta=(), mu=())
 
 
 def _per_level(sys, x, u, theta, d):
