@@ -5,10 +5,21 @@ state (adaptation gain z or parameter estimates).  Two methods are available:
 
 * "rk4": the classical fixed-step fourth-order Runge-Kutta scheme, suitable
   for the baseline adaptive loops;
-* "radau": scipy's implicit Radau IIA scheme, needed for the deadzone-adapted
-  loops whose stacked damping gains make the dynamics extremely stiff (the
-  fastest closed-loop eigenvalue sits many decades above the slow ones, and
-  explicit fixed-step schemes diverge immediately at practical step sizes).
+* "radau": the stiff integrator, needed for the deadzone-adapted loops whose
+  stacked damping gains make the dynamics extremely stiff (the fastest
+  closed-loop eigenvalue sits many decades above the slow ones, and explicit
+  fixed-step schemes diverge immediately at practical step sizes).  It runs
+  scipy's LSODA (Petzold 1983, from Hindmarsh's ODEPACK), whose Newton
+  iteration, LU and error control are compiled code; scipy's Radau IIA, which
+  this method first ran, steps in Python.  The method keeps the name "radau"
+  because scenario files and the benchmark harness (perfbench) name it.  The
+  last plant state has an absolute tolerance of its own (ATOL_INPUT_STATE).
+
+The stiff solve has a budget of NFEV_PER_SECOND right-hand-side evaluations
+per unit of simulated time (at least one unit).  LSODA never gives up on a
+finite-time blow-up by itself, so a run past the budget raises
+DivergenceError with the time reached; a failure LSODA reports itself raises
+DivergenceError with LSODA's own message.
 
 Before integrating, `simulate` traces the closed loop once: one evaluation of
 the controller's `step` and of the plant formula (`systems.state_rates`) on
@@ -26,7 +37,7 @@ Logs are dense (every log_stride-th grid point) and serialize to CSV with full
 floating-point precision for reproducible downstream checks.  The logged
 input u comes from the interpreted `step`, once per row.
 
-scipy is imported by the first Radau solve, not with this module, so the
+scipy is imported by the first stiff solve, not with this module, so the
 commands that never integrate (synthesize, and verify without trajectory
 checks) do not load it.
 """
@@ -35,6 +46,7 @@ from __future__ import annotations
 
 import io
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -44,12 +56,24 @@ from .jets import Tape, Traced
 from .systems import DisturbanceProfile, ParameterSignal, eval_dynamics, state_rates
 
 
-# Radau tolerances, and the state magnitude at which RK4 declares divergence
-RTOL = 1e-10
-ATOL = 1e-13
+# Stiff-solver tolerances.  The last plant state, where the input enters, has
+# an absolute tolerance of its own: a high-gain law slaves it to the other
+# states through the gradient of its stabilizing function (about 400 on the
+# wing-rock DADS loop), so it is only ever as accurate as they are times that
+# gain.  Held to RTOL/ATOL like the others, it made LSODA fail its error test
+# or crawl at tiny steps on about one horizon in eight of the shipped DADS
+# scenarios; with ATOL_INPUT_STATE it failed on none of 615.
+RTOL = 1e-12
+ATOL = 1e-14
+ATOL_INPUT_STATE = 1e-10
+# rhs evaluations the stiff solver may spend per unit of simulated time (the
+# shipped 10 s DADS runs use at most about 2,200)
+NFEV_PER_SECOND = 10**5
+# The state magnitude at which RK4 declares divergence
 DIVERGENCE_THRESHOLD = 1e8
-# Largest accepted t_end / dt.  RK4 stores every step, 7 floats of 8 B on the
-# sigma-mod wing-rock loop, so the cap keeps a run under about 560 MB.
+# Largest accepted t_end / dt.  It bounds the length of the RK4 loop and the
+# logged rows: at log_stride = 1 every step is logged, 7 floats of 8 B on the
+# sigma-mod wing-rock loop, so the cap keeps such a log under about 560 MB.
 MAX_STEPS = 10**7
 
 
@@ -85,7 +109,7 @@ class SimConfig:
 
     dt: float = 1e-4
     t_end: float = 10.0
-    method: str = "rk4"  # rk4 | radau
+    method: str = "rk4"  # rk4 | radau (runs LSODA; see the module docstring)
     log_stride: int = 100
 
     def __post_init__(self):
@@ -200,25 +224,31 @@ def simulate(
     _check_compiled(rhs, sys, controller, s0, theta_value, disturbance)
 
     n_steps = int(round(config.t_end / config.dt))
-    t_log = config.dt * np.arange(0, n_steps + 1, config.log_stride)
-    if t_log[-1] < config.t_end - 1e-12:
-        t_log = np.append(t_log, config.t_end)
-
     if config.method == "rk4":
-        states = _integrate_rk4(rhs, s0, config, n_steps)
+        traj = _integrate_rk4(rhs, s0, config, n_steps)
         log_idx = list(range(0, n_steps + 1, config.log_stride))
         if log_idx[-1] != n_steps:
             log_idx.append(n_steps)
         t_log = config.dt * np.array(log_idx, float)
-        traj = states[log_idx]
     else:
-        with np.errstate(over="ignore", invalid="ignore"):
+        # the last grid point can round past t_end, where solve_ivp refuses it
+        t_log = np.minimum(
+            config.dt * np.arange(0, n_steps + 1, config.log_stride), config.t_end)
+        if t_log[-1] < config.t_end - 1e-12:
+            t_log = np.append(t_log, config.t_end)
+        atol = np.full(len(s0), ATOL)
+        atol[n - 1] = ATOL_INPUT_STATE
+        budget = int(NFEV_PER_SECOND * max(config.t_end, 1.0))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             sol = solve_ivp(
-                rhs, (0.0, config.t_end), s0,
-                method="Radau", t_eval=t_log, rtol=RTOL, atol=ATOL,
+                _budgeted(rhs, budget), (0.0, config.t_end), s0,
+                method="LSODA", t_eval=t_log, rtol=RTOL, atol=atol,
             )
         if not sol.success or sol.t[-1] < config.t_end - 1e-9:
-            raise DivergenceError(sol.t[-1] if len(sol.t) else 0.0, sol.message)
+            reason = "; ".join(str(w.message) for w in caught) or sol.message
+            raise DivergenceError(sol.t[-1] if len(sol.t) else 0.0, reason)
         traj = sol.y.T
         t_log = sol.t
 
@@ -280,9 +310,26 @@ def _check_compiled(rhs, sys, controller, s0, theta, disturbance) -> None:
         )
 
 
+def _budgeted(rhs, budget: int) -> Callable:
+    """rhs, raising DivergenceError at the call after the budget-th one."""
+    calls = 0
+
+    def counted(t, s):
+        nonlocal calls
+        calls += 1
+        if calls > budget:
+            raise DivergenceError(
+                t, f"the stiff solver used its budget of {budget} rhs evaluations "
+                f"(NFEV_PER_SECOND = {NFEV_PER_SECOND} per unit of simulated time)")
+        return rhs(t, s)
+
+    return counted
+
+
 def _integrate_rk4(rhs, s0: np.ndarray, config: SimConfig, n_steps: int) -> np.ndarray:
-    dt = config.dt
-    out = np.empty((n_steps + 1, len(s0)))
+    """The states at steps 0, log_stride, 2 log_stride, ... and at n_steps."""
+    dt, stride = config.dt, config.log_stride
+    out = np.empty((math.ceil(n_steps / stride) + 1, len(s0)))
     out[0] = s0
     s = s0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -295,7 +342,9 @@ def _integrate_rk4(rhs, s0: np.ndarray, config: SimConfig, n_steps: int) -> np.n
             s = s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(s)) or np.max(np.abs(s)) > DIVERGENCE_THRESHOLD:
                 raise DivergenceError(t)
-            out[i + 1] = s
+            if (i + 1) % stride == 0:
+                out[(i + 1) // stride] = s
+    out[-1] = s
     return out
 
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -144,6 +145,44 @@ class TestSimulateCommand:
                      "--out", str(tmp_path)])
         assert code == EXIT_PARSE
         assert "MAX_STEPS" in capsys.readouterr().err
+
+    def test_stiff_log_grid_ends_at_t_end(self, tmp_path):
+        # 300 * 1e-4 rounds to 0.030000000000000002 > t_end
+        code = main(["simulate", scen("fig1_dads.scenario"), "--t-end", "0.03",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        log = TrajectoryLog.from_csv(str(tmp_path / "fig1_dads.csv"))
+        assert log.t[-1] == 0.03 and len(log) == 4
+
+    @staticmethod
+    def _high_gain(tmp_path, k):
+        # a valid gain (K >= 28 c) far above the shipped k = 14
+        text = open(scen("fig1_dads.scenario")).read()
+        assert "\nk = 14\n" in text
+        path = tmp_path / f"gain_{k}.scenario"
+        path.write_text(text.replace("\nk = 14\n", f"\nk = {k}\n"))
+        return str(path)
+
+    def test_high_gain_stiff_run_completes(self, tmp_path):
+        # the implicit solver this method ran before did not finish in 40 s
+        start = time.perf_counter()
+        code = main(["simulate", self._high_gain(tmp_path, "1e5"), "--t-end", "0.05",
+                     "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 10.0
+        assert code == EXIT_OK
+
+    def test_stiff_solver_failure_is_bounded(self, tmp_path, capsys):
+        # at k = 1e7 LSODA fails its error test at once; the run ends quickly
+        # with LSODA's own reason
+        start = time.perf_counter()
+        code = main(["simulate", self._high_gain(tmp_path, "1e7"), "--t-end", "0.05",
+                     "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 10.0
+        assert code == EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("error: trajectory diverged")
+        assert "lsoda: Repeated error test failures" in err
+        assert len(err.splitlines()) == 1  # no traceback, no printed warning
 
     def test_stiff_explicit_integration_diverges(self, tmp_path):
         stiff = tmp_path / "stiff.scenario"
