@@ -213,8 +213,10 @@ def build_disturbance(scn: Scenario, dim: int) -> DisturbanceProfile:
         return sinusoid_bank(amps, freqs)
     if kind == "vanishing":
         decay = scn.getfloat("disturbance", "decay", 1.0)
-        if not math.isfinite(decay):
-            raise ScenarioError(f"[disturbance] decay must be finite, got {decay}")
+        # a "vanishing" disturbance that grows is an input error; the chained
+        # comparison also rejects nan
+        if not 0.0 <= decay < math.inf:
+            raise ScenarioError(f"[disturbance] decay must be finite and >= 0, got {decay}")
         return vanishing_disturbance(amps, freqs, decay)
     raise ScenarioError(f"unknown disturbance kind {kind!r}")
 

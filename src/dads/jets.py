@@ -135,6 +135,14 @@ def jet_exp(a):
     return Jet((e,) + tuple(e * ai for ai in a.coeffs[1:]))
 
 
+def jet_cos(a):
+    """cos of a number, nan at +-inf as numpy gives; on a Traced value it
+    records the call.  The disturbance signals are its only callers."""
+    if isinstance(a, Traced):
+        return a.tape.record("_cos({})", a)
+    return _float_cos(a)
+
+
 def jet_recip(a):
     """Multiplicative inverse 1/a; requires a nonzero value coefficient."""
     if not isinstance(a, Jet):
@@ -298,7 +306,8 @@ class Tape:
         overflow and kink semantics stay theirs.
         """
         scope = {**namespace, **self.constants, "jet_exp": jet_exp,
-                 "jet_relu_plus": jet_relu_plus, "_pow": _float_pow, "_div": _float_div}
+                 "jet_relu_plus": jet_relu_plus, "_pow": _float_pow, "_div": _float_div,
+                 "_cos": _float_cos}
         exec(compile(source, f"<traced {name}>", "exec"), scope)
         return scope[name]
 
@@ -315,6 +324,14 @@ def _float_pow(a, b):
     except (OverflowError, ZeroDivisionError):
         return np.float64(a) ** b
     return np.float64(a) ** b if isinstance(r, complex) else r
+
+
+def _float_cos(a):
+    """math.cos, with numpy's nan at +-inf, where math.cos raises."""
+    try:
+        return math.cos(a)
+    except ValueError:
+        return math.nan
 
 
 def _float_div(a, b):
@@ -341,12 +358,12 @@ class Traced:
     """A value on a Tape: arithmetic on it records code instead of computing.
 
     It supports the generic arithmetic SmoothMap laws are written in: + - * /
-    **, negation, jet_exp and jet_relu_plus.  Exactly four identities are
-    folded, x + 0.0, 0.0 + x, 1.0 * x and x * 1.0 (which at most change the
-    sign of a zero); 0.0 * x is kept so that nan and inf propagate.  Anything
-    that reads the value raises TypeError: a truth test, a comparison,
-    float(), int(), use as an index, a numpy ufunc.  A branch on the data can
-    therefore not be frozen into the trace.
+    **, negation, jet_exp, jet_cos and jet_relu_plus.  Exactly four
+    identities are folded, x + 0.0, 0.0 + x, 1.0 * x and x * 1.0 (which at
+    most change the sign of a zero); 0.0 * x is kept so that nan and inf
+    propagate.  Anything that reads the value raises TypeError: a truth
+    test, a comparison, float(), int(), use as an index, a numpy ufunc.  A
+    branch on the data can therefore not be frozen into the trace.
     """
 
     __slots__ = ("tape", "name")

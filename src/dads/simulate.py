@@ -22,16 +22,26 @@ DivergenceError with the time reached; a failure LSODA reports itself raises
 DivergenceError with LSODA's own message.
 
 Before integrating, `simulate` traces the closed loop once: one evaluation of
-the controller's `step` and of the plant formula (`systems.state_rates`) on
-`jets.Traced` inputs records every operation in the law's own order, and
-`compile_rhs` turns the record into one straight-line function rhs(t, s) on
-floats.  The integrators call only that function.  Laws must therefore be
+the controller's `step`, of the disturbance formula
+(`systems.sample_disturbance`) and of the plant formula
+(`systems.state_rates`) on `jets.Traced` inputs records every operation in
+the law's own order, and `compile_rhs` turns the record into one
+straight-line function f(t, s0, ..., sN) -> tuple on floats, which evaluates
+d(t) inline.  A zero disturbance is float constants, which the trace folds
+away.  The integrators call only that function.  Laws must therefore be
 written in generic arithmetic: a branch on the data, a comparison, float() or
 a numpy ufunc on a traced value raises TypeError before the first step.  The
 trace folds exactly four identities (x + 0.0, 0.0 + x, 1.0 * x, x * 1.0),
 which can change at most the sign of a zero.  The interpreted evaluation
 stays the reference: the compiled rhs at (0, s0) must equal eval_dynamics
 plus controller.step there, or the run raises.
+
+The RK4 loop is generated float code too (`_rk4_loop`): one variable per
+state component, the four stage calls of f, the update in the operation
+order of s + dt/6 (k1 + 2 k2 + 2 k3 + k4), and a divergence test on each
+component, so its states are bit-identical to the same scheme on numpy
+arrays.  A stiff solve whose state turns non-finite raises DivergenceError
+as well: LSODA can report success on a nan right-hand side.
 
 Logs are dense (every log_stride-th grid point) and serialize to CSV with full
 floating-point precision for reproducible downstream checks.  The logged
@@ -53,7 +63,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .jets import Tape, Traced
-from .systems import DisturbanceProfile, ParameterSignal, eval_dynamics, state_rates
+from .systems import (
+    DisturbanceProfile,
+    ParameterSignal,
+    eval_dynamics,
+    sample_disturbance,
+    state_rates,
+)
 
 
 # Stiff-solver tolerances.  The last plant state, where the input enters, has
@@ -251,6 +267,12 @@ def simulate(
             raise DivergenceError(sol.t[-1] if len(sol.t) else 0.0, reason)
         traj = sol.y.T
         t_log = sol.t
+        # LSODA can report success on a nan rhs; the log ends at the last
+        # finite row as RK4's does
+        finite = np.isfinite(traj).all(axis=1)
+        if not finite.all():
+            first_bad = int(np.argmin(finite))
+            raise DivergenceError(t_log[max(first_bad - 1, 0)], "the state is not finite")
 
     u_log = np.array([controller.step(s[:n], s[n:], t)[0] for t, s in zip(t_log, traj)])
     V_log = np.array([controller.lyapunov(s[:n], s[n:]) for s in traj])
@@ -268,28 +290,29 @@ def simulate(
 
 
 def compile_rhs(sys, controller, theta: Sequence[float], disturbance) -> Callable:
-    """The closed-loop rhs(t, s) as straight-line float code, traced once.
+    """The closed-loop rhs as one straight-line float function, traced once.
 
-    The state s is the plant state followed by the controller state; theta
-    holds the parameter values.  controller.step runs once on traced state,
-    controller state and t, and the plant formula once on its result and on
-    a traced disturbance vector; the compiled function reads the disturbance
-    at each call.  A law that is not generic arithmetic raises TypeError here.
+    The result is f(t, s0, ..., sN) -> tuple of the N + 1 rates, where s is
+    the plant state followed by the controller state; theta holds the
+    parameter values.  controller.step runs once on traced state, controller
+    state and t, the disturbance formula (`systems.sample_disturbance`) once
+    on the traced t, and the plant formula once on their results, so f
+    evaluates d(t) inline.  A law that is not generic arithmetic raises
+    TypeError here.
     """
     n, q = sys.state_dim, controller.ctrl_dim
     tape = Tape()
+    t = Traced(tape, "t")
     s = tuple(Traced(tape, f"s{i}") for i in range(n + q))
-    d = tuple(Traced(tape, f"d{i}") for i in range(sys.l))
-    u, rate = controller.step(s[:n], s[n:], Traced(tape, "t"))
+    u, rate = controller.step(s[:n], s[n:], t)
+    d = sample_disturbance(disturbance, t)
     outputs = [*state_rates(sys, s[:n], u, theta, d), *rate]
     source = "\n    ".join([
-        "def rhs(t, s):",
-        f"[{', '.join(v.name for v in s)}] = s.tolist()",
-        f"[{', '.join(v.name for v in d)}] = disturbance(t).tolist()",
+        f"def rhs(t, {', '.join(v.name for v in s)}):",
         *tape.lines,
-        f"return np.array([{', '.join(map(tape.operand, outputs))}])",
+        f"return ({', '.join(map(tape.operand, outputs))},)",
     ])
-    return tape.compile(source, "rhs", {"np": np, "disturbance": disturbance})
+    return tape.compile(source, "rhs", {})
 
 
 def _check_compiled(rhs, sys, controller, s0, theta, disturbance) -> None:
@@ -302,7 +325,7 @@ def _check_compiled(rhs, sys, controller, s0, theta, disturbance) -> None:
         u, rate = controller.step(s0[:n], s0[n:], 0.0)
         expected = np.concatenate(
             [eval_dynamics(sys, s0[:n], u, theta, disturbance(0.0)), rate])
-        got = rhs(0.0, s0)
+        got = np.array(rhs(0.0, *s0.tolist()), float)
     if not np.array_equal(got, expected, equal_nan=True):
         raise RuntimeError(
             f"the traced rhs at t = 0 gives {got.tolist()}, the interpreted one "
@@ -311,7 +334,8 @@ def _check_compiled(rhs, sys, controller, s0, theta, disturbance) -> None:
 
 
 def _budgeted(rhs, budget: int) -> Callable:
-    """rhs, raising DivergenceError at the call after the budget-th one."""
+    """The compiled rhs as the stiff solver calls it, fun(t, s) with s an
+    array, raising DivergenceError at the call after the budget-th one."""
     calls = 0
 
     def counted(t, s):
@@ -321,31 +345,60 @@ def _budgeted(rhs, budget: int) -> Callable:
             raise DivergenceError(
                 t, f"the stiff solver used its budget of {budget} rhs evaluations "
                 f"(NFEV_PER_SECOND = {NFEV_PER_SECOND} per unit of simulated time)")
-        return rhs(t, s)
+        return rhs(t, *s.tolist())
 
     return counted
 
 
 def _integrate_rk4(rhs, s0: np.ndarray, config: SimConfig, n_steps: int) -> np.ndarray:
-    """The states at steps 0, log_stride, 2 log_stride, ... and at n_steps."""
-    dt, stride = config.dt, config.log_stride
+    """The states at steps 0, log_stride, 2 log_stride, ... and at n_steps.
+
+    rhs is the compiled f(t, s0, ..., sN); the loop around it is generated
+    straight-line float code as well (see `_rk4_loop`).
+    """
+    stride = config.log_stride
     out = np.empty((math.ceil(n_steps / stride) + 1, len(s0)))
     out[0] = s0
-    s = s0
+    loop = _rk4_loop(len(s0))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            t = i * dt
-            k1 = rhs(t, s)
-            k2 = rhs(t + dt / 2.0, s + dt / 2.0 * k1)
-            k3 = rhs(t + dt / 2.0, s + dt / 2.0 * k2)
-            k4 = rhs(t + dt, s + dt * k3)
-            s = s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(s)) or np.max(np.abs(s)) > DIVERGENCE_THRESHOLD:
-                raise DivergenceError(t)
-            if (i + 1) % stride == 0:
-                out[(i + 1) // stride] = s
-    out[-1] = s
+        out[-1] = loop(rhs, config.dt, n_steps, stride, out, *s0.tolist())
     return out
+
+
+def _rk4_loop(dim: int) -> Callable:
+    """rk4(f, dt, n_steps, stride, out, y0, ..., y{dim-1}) -> final state.
+
+    Classical RK4 with one float variable per state component, in the
+    operation order of the array form s + dt/6 (k1 + 2 k2 + 2 k3 + k4).  It
+    writes every stride-th state into row (i + 1) // stride of out, and
+    raises DivergenceError(t) at the first step that leaves
+    [-DIVERGENCE_THRESHOLD, DIVERGENCE_THRESHOLD] in some component; the
+    chained comparison is false for nan and +-inf as well.
+    """
+    def each(template: str, sep: str = ", ") -> str:
+        return sep.join(template.format(i=i) for i in range(dim))
+
+    y, limit = each("y{i}"), repr(DIVERGENCE_THRESHOLD)
+    source = "\n".join([
+        f"def rk4(f, dt, n_steps, stride, out, {y}):",
+        "    h2 = dt / 2.0",
+        "    h6 = dt / 6.0",
+        "    for i in range(n_steps):",
+        "        t = i * dt",
+        f"        {each('a{i}')}, = f(t, {y})",
+        f"        {each('b{i}')}, = f(t + h2, {each('y{i} + h2 * a{i}')})",
+        f"        {each('c{i}')}, = f(t + h2, {each('y{i} + h2 * b{i}')})",
+        f"        {each('d{i}')}, = f(t + dt, {each('y{i} + dt * c{i}')})",
+        each("        y{i} = y{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})", "\n"),
+        f"        if not ({each(f'-{limit} <= y{{i}} <= {limit}', ' and ')}):",
+        "            raise DivergenceError(t)",
+        "        if (i + 1) % stride == 0:",
+        f"            out[(i + 1) // stride] = {y}",
+        f"    return {y},",
+    ])
+    scope = {"DivergenceError": DivergenceError}
+    exec(compile(source, "<rk4 loop>", "exec"), scope)
+    return scope["rk4"]
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,12 @@ it samples these gain bounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .jets import SmoothMap
+from .jets import SmoothMap, jet_cos, jet_exp
 
 
 def _dot(vec_map_out, v) -> float:
@@ -163,7 +162,9 @@ class DisturbanceProfile:
     decay: float = 0.0
 
     def __call__(self, t: float) -> np.ndarray:
-        return sample_disturbance(self, t)
+        if t < 0:
+            raise ValueError("disturbance signals are defined for t >= 0")
+        return np.array(sample_disturbance(self, t), float)
 
 
 def zero_disturbance(dim: int) -> DisturbanceProfile:
@@ -186,20 +187,22 @@ def vanishing_disturbance(
     )
 
 
-def sample_disturbance(profile: DisturbanceProfile, t: float) -> np.ndarray:
-    if t < 0:
-        raise ValueError("disturbance signals are defined for t >= 0")
+def sample_disturbance(profile: DisturbanceProfile, t) -> tuple:
+    """The entries of d(t), in generic arithmetic.
+
+    t is a number or a traced value: this is the one home of the disturbance
+    formula, which DisturbanceProfile evaluates and the simulator traces.  A
+    zero profile gives float zeros, which the trace folds away.
+    """
     if profile.kind == "zero":
-        return np.zeros(profile.dim)
+        return (0.0,) * profile.dim
     if profile.kind == "sinusoid-bank":
-        return np.array(
-            [a * math.cos(w * t) for a, w in zip(profile.amplitudes, profile.frequencies)]
-        )
+        return tuple(
+            a * jet_cos(w * t) for a, w in zip(profile.amplitudes, profile.frequencies))
     if profile.kind == "vanishing":
-        e = math.exp(-profile.decay * t)
-        return np.array(
-            [a * math.cos(w * t) * e for a, w in zip(profile.amplitudes, profile.frequencies)]
-        )
+        e = jet_exp(-profile.decay * t)
+        return tuple(
+            a * jet_cos(w * t) * e for a, w in zip(profile.amplitudes, profile.frequencies))
     raise ValueError(f"unknown disturbance kind {profile.kind!r}")
 
 

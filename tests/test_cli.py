@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import time
 
 import numpy as np
@@ -305,6 +306,27 @@ class TestNonFiniteParameters:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"[{section}] {key}" in err
 
+    def test_negative_decay_exits_2(self, tmp_path, capsys):
+        # a "vanishing" disturbance that grows overflowed exp at the first step
+        path = edited("fig4_sigma0", tmp_path, {
+            ("disturbance", "kind"): "vanishing", ("disturbance", "decay"): "-1e6",
+            ("disturbance", "amplitudes"): "0, 0"})
+        assert main(["simulate", path, "--t-end", "0.01", "--out", str(tmp_path)]) == EXIT_PARSE
+        assert "[disturbance] decay must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, t_last", [("fig4_sigma0", "1.797"), ("vanishing", "1.7")])
+    def test_overflowing_frequency_diverges(self, tmp_path, capsys, name, t_last):
+        # w t overflows to inf past t = 1.797, where cos gives nan, not a
+        # math domain error; RK4 stops at that step, the stiff solve at the
+        # last finite logged row (LSODA itself reports success)
+        path = edited(name, tmp_path, {
+            ("disturbance", "kind"): "vanishing", ("disturbance", "decay"): "0",
+            ("disturbance", "amplitudes"): "1e-300, 0",
+            ("disturbance", "frequencies"): "1e308, 1"})
+        code = main(["simulate", path, "--t-end", "2.5", "--dt", "1e-3", "--out", str(tmp_path)])
+        assert code == EXIT_DIVERGENCE
+        assert re.search(rf"last finite time t = {re.escape(t_last)}\b", capsys.readouterr().err)
+
     def test_nan_majorant_exits_4(self, tmp_path):
         path = edited("synth_wingrock", tmp_path, {("synthesis", "override_base_r"): "nan"})
         assert main(["synthesize", path, "--out", str(tmp_path)]) == EXIT_MAJORANT
@@ -338,6 +360,60 @@ class TestVerifyFuzz:
         assert code in (EXIT_OK, EXIT_PARSE, EXIT_CHECK_FAILED)
         if not all(math.isfinite(v) for v in values.values()):
             assert code == EXIT_PARSE
+
+
+def _numbers():
+    """Finite numbers: plain ones, and zero, negatives and 1e308 as often."""
+    return st.one_of(st.sampled_from([0.0, -1.0, 1e308, -1e308]), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _horizons(draw):
+    """--t-end in [0.01, 3] and a --dt that makes at most 300 steps of it."""
+    t_end = draw(st.floats(0.01, 3.0))
+    return t_end, draw(st.floats(t_end / 300.0, t_end))
+
+
+class TestDisturbanceFuzz:
+    """Bounded fuzz of the [disturbance] section through `dads simulate`.
+
+    A section of finite numbers, with at most one entry replaced by a
+    malformed text: nan, inf, a wrong length (the wing-rock plant takes two
+    entries) or not a number.
+    """
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        name=st.sampled_from(["fig4_sigma0", "vanishing"]),
+        kind=st.sampled_from(["zero", "sinusoid-bank", "vanishing"]),
+        amplitudes=st.lists(_numbers(), min_size=2, max_size=2),
+        frequencies=st.lists(_numbers(), min_size=2, max_size=2),
+        decay=_numbers(),
+        malformed=st.one_of(st.none(), st.tuples(
+            st.sampled_from(["kind", "amplitudes", "frequencies", "decay"]),
+            st.sampled_from(["nan", "-inf", "inf, 1", "1, 2, 3", "", "x"]))),
+        horizon=_horizons(),
+    )
+    def test_exit_codes(self, tmp_path, name, kind, amplitudes, frequencies, decay,
+                        malformed, horizon):
+        section = {"kind": kind, "amplitudes": ", ".join(map(repr, amplitudes)),
+                   "frequencies": ", ".join(map(repr, frequencies)), "decay": repr(decay)}
+        read = {"kind"} | ({"amplitudes", "frequencies"} if kind != "zero" else set()) \
+            | ({"decay"} if kind == "vanishing" else set())
+        if malformed:
+            section[malformed[0]] = malformed[1]
+        path = edited(name, tmp_path, {("disturbance", k): v for k, v in section.items()})
+        t_end, dt = horizon
+        code = main(["simulate", path, "--t-end", repr(t_end), "--dt", repr(dt),
+                     "--out", str(tmp_path)])
+        event(f"exit {code}")
+        # a growing "vanishing" disturbance is an input error too
+        rejected = (malformed and malformed[0] in read) or (kind == "vanishing" and decay < 0)
+        assert code in ((EXIT_PARSE,) if rejected else (EXIT_OK, EXIT_DIVERGENCE))
+        if code == EXIT_OK:  # a run that ends normally logs finite states
+            log = TrajectoryLog.from_csv(str(tmp_path / f"{name}.csv"))
+            assert np.all(np.isfinite(log.x)) and np.all(np.isfinite(log.ctrl))
 
 
 class TestSynthesizeCommand:

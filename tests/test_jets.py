@@ -15,6 +15,7 @@ from dads.jets import (
     Tape,
     Traced,
     gradient,
+    jet_cos,
     jet_exp,
     jet_pow_int,
     jet_recip,
@@ -141,6 +142,13 @@ class TestElementaries:
 
     def test_recip_scalar(self):
         assert jet_recip(4.0) == 0.25
+
+    def test_cos_is_nan_at_infinity_as_in_numpy(self):
+        # math.cos raises at +-inf
+        assert jet_cos(0.5) == math.cos(0.5)
+        with np.errstate(invalid="ignore"):
+            for x in (math.inf, -math.inf, math.nan):
+                assert math.isnan(jet_cos(x)) and np.isnan(np.cos(x))
 
 
 class TestGradient:
@@ -348,6 +356,10 @@ class TestTrace:
         assert tape.lines[:2] == ["v0 = jet_relu_plus(x0)", "v1 = jet_exp(x0)"]
         assert f(-1.0) == 0.0
         assert f(1000.0) == math.inf
+        tape, f = _compiled(lambda x: jet_cos(2.0 * x))
+        assert tape.lines == ["v0 = 2.0 * x0", "v1 = _cos(v0)"]
+        assert f(0.25) == math.cos(0.5)
+        assert math.isnan(f(1e308))
 
     def test_traces_through_nested_jets(self):
         f = SmoothMap(2, lambda x, y: x * x * y + jet_exp(0.3 * y) / x)

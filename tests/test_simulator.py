@@ -32,6 +32,7 @@ from dads.systems import (
     constant_parameter,
     eval_dynamics,
     sinusoid_bank,
+    vanishing_disturbance,
     wingrock,
     zero_disturbance,
 )
@@ -259,6 +260,9 @@ class LinearCascadeLaw:
     def step(self, x, cs, t=0.0):
         return -(x[0] + 3.0 * x[1] + 3.0 * x[2]), (-1.0 * cs[0],)
 
+    def lyapunov(self, x, cs):
+        return float(np.dot(x, x))
+
 
 class TimedSigmaMod(SigmaModController):
     """The leakage law with a time-dependent term added to u."""
@@ -266,6 +270,13 @@ class TimedSigmaMod(SigmaModController):
     def step(self, x, cs, t=0.0):
         u, w = super().step(x, cs, t)
         return u + 0.5 * t * x[0] - t * t, w
+
+
+class PushesDown(WingRockDadsController):
+    """u = -1e9, z held: x3 falls linearly, and x1, x2 stay finite."""
+
+    def step(self, x, cs, t=0.0):
+        return -1e9, (0.0,)
 
 
 def _synthesized_controller():
@@ -303,7 +314,7 @@ class TestTrace:
             for _ in range(1000):
                 s = np.concatenate([rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, q)])
                 t = rng.uniform(0.0, 10.0)
-                got = rhs(t, s)
+                got = np.array(rhs(t, *s.tolist()))
                 want = _interpreted_rhs(sys, ctrl, theta, dist, t, s)
                 assert np.array_equal(got, want, equal_nan=True), (s, t, got, want)
                 finite += bool(np.all(np.isfinite(want)))
@@ -321,7 +332,7 @@ class TestTrace:
         rhs = compile_rhs(wingrock(), ctrl, THETA(0.0).tolist(), dist)
         s = np.array([1e200, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         with np.errstate(all="ignore"):
-            got = rhs(0.0, s)
+            got = np.array(rhs(0.0, *s.tolist()))
             want = _interpreted_rhs(wingrock(), ctrl, THETA(0.0), dist, 0.0, s)
         assert np.array_equal(got, want, equal_nan=True)
         assert not np.all(np.isfinite(got))
@@ -359,6 +370,63 @@ class TestTrace:
         cfg = SimConfig(dt=1e-3, t_end=0.01, method="rk4", log_stride=1)
         with pytest.raises(RuntimeError, match="traced rhs"):
             simulate(wingrock(), Drifting(), X0, [0.0] * 4, zero_disturbance(2), THETA, cfg)
+
+
+def _reference_rk4(sys, ctrl, theta, dist, s0, cfg):
+    """The logged rows of RK4 on the interpreted rhs, with numpy arrays."""
+    f, dt = (lambda t, s: _interpreted_rhs(sys, ctrl, theta, dist, t, s)), cfg.dt
+    n_steps, s, rows = int(round(cfg.t_end / dt)), np.asarray(s0, float), [s0]
+    for i in range(n_steps):
+        t = i * dt
+        k1 = f(t, s)
+        k2 = f(t + dt / 2.0, s + dt / 2.0 * k1)
+        k3 = f(t + dt / 2.0, s + dt / 2.0 * k2)
+        k4 = f(t + dt, s + dt * k3)
+        s = s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(s)) or np.max(np.abs(s)) > simulate_module.DIVERGENCE_THRESHOLD:
+            raise DivergenceError(t)
+        if (i + 1) % cfg.log_stride == 0 or i + 1 == n_steps:
+            rows.append(s)
+    return np.array(rows)
+
+
+class TestCompiledLoop:
+    """The generated RK4 loop logs the same rows as RK4 on arrays."""
+
+    @pytest.mark.parametrize("case", ["zero", "sinusoid-bank", "vanishing",
+                                      "cascade", "reads-t", "stride-divides"])
+    def test_rows_equal_the_reference(self, case):
+        sys, theta, ctrl = wingrock(), THETA(0.0), SigmaModController(sigma_leak=0.4)
+        x0, c0 = X0, [0.0] * 4
+        dist = {
+            "zero": zero_disturbance(2),
+            "vanishing": vanishing_disturbance([20.0, 10.0], [10.0, 20.0], decay=0.7),
+        }.get(case, sinusoid_bank([20.0, 10.0], [10.0, 20.0]))
+        if case == "cascade":
+            sys, theta, dist = _cascade_plant(), np.array([1.5]), sinusoid_bank([2.0], [3.0])
+            ctrl, x0, c0 = LinearCascadeLaw(), [1.0, -0.5, 0.3], [2.0]
+        if case == "reads-t":
+            ctrl = TimedSigmaMod()
+        # 300 steps: 7 does not divide them, 10 does
+        stride = 10 if case == "stride-divides" else 7
+        cfg = SimConfig(dt=1e-4, t_end=0.03, method="rk4", log_stride=stride)
+        log = simulate(sys, ctrl, x0, c0, dist, constant_parameter(theta), cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _reference_rk4(sys, ctrl, theta, dist, [*x0, *c0], cfg)
+        assert np.array_equal(np.column_stack([log.x, log.ctrl]), want)
+        assert np.array_equal(log.t, 1e-4 * np.array(sorted({*range(0, 301, stride), 300})))
+
+    @pytest.mark.parametrize("law", ["dads", "pushes-down"])
+    def test_divergence_time_equals_the_reference(self, law):
+        # the stiff DADS law blows up at once; the other drives x3 below
+        # -DIVERGENCE_THRESHOLD at t = 0.1 with every state finite
+        ctrl = {"dads": WingRockDadsController, "pushes-down": PushesDown}[law]()
+        cfg = SimConfig(dt=1e-4, t_end=1.0, method="rk4")
+        with pytest.raises(DivergenceError) as got:
+            simulate(wingrock(), ctrl, X0, Z0, zero_disturbance(2), THETA, cfg)
+        with pytest.raises(DivergenceError) as want, np.errstate(over="ignore", invalid="ignore"):
+            _reference_rk4(wingrock(), ctrl, THETA(0.0), zero_disturbance(2), [*X0, *Z0], cfg)
+        assert got.value.t_last == want.value.t_last
 
 
 class TestStats:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dads.jets import SmoothMap
+from dads.jets import SmoothMap, Tape, Traced
 from dads.synthesis import (
     DadsGains,
     MajorantPack,
@@ -254,7 +254,25 @@ class TestDisturbanceProfiles:
     def test_negative_time_rejected(self):
         d = zero_disturbance(1)
         with pytest.raises(ValueError):
-            sample_disturbance(d, -0.1)
+            d(-0.1)
+
+    @pytest.mark.parametrize("profile", [
+        zero_disturbance(2),
+        sinusoid_bank([20.0, 10.0], [10.0, 20.0]),
+        vanishing_disturbance([20.0, -3.0], [10.0, 0.5], decay=0.7),
+    ], ids=lambda p: p.kind)
+    def test_traced_formula_equals_the_profile(self, profile):
+        # the simulator compiles sample_disturbance on a traced t; the
+        # compiled d(t) must give the profile's values bit for bit
+        tape = Tape()
+        d = sample_disturbance(profile, Traced(tape, "t"))
+        source = "\n    ".join(
+            ["def d(t):", *tape.lines, f"return ({', '.join(map(tape.operand, d))},)"])
+        traced = tape.compile(source, "d", {})
+        if profile.kind == "zero":
+            assert tape.lines == []  # float zeros, nothing to record
+        for t in [0.0, *np.random.default_rng(3).uniform(0.0, 50.0, 200).tolist()]:
+            assert np.array(traced(t), float).tobytes() == profile(t).tobytes()
 
     def test_unknown_kind(self):
         d = DisturbanceProfile("mystery", 1)
