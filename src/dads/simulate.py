@@ -411,10 +411,18 @@ class TrajectoryStats:
     control_energy: float
 
 
+def tail_length(n_rows: int) -> int:
+    """Rows in the tail of an n_rows log: the final 20 %, at least one row.
+
+    Every asymptotic statistic and check is taken over this tail.
+    """
+    return max(1, int(math.ceil(0.2 * n_rows)))
+
+
 def trajectory_stats(log: TrajectoryLog, controller) -> TrajectoryStats:
-    """Summary statistics: suprema over the final 20 % of the log, gain
+    """Summary statistics: suprema over the tail of the log, gain
     magnitudes, input energy."""
-    n_tail = max(1, int(math.ceil(0.2 * len(log))))
+    n_tail = tail_length(len(log))
     gains = np.array([controller.gain_magnitude(cs) for cs in log.ctrl])
     return TrajectoryStats(
         sup_output_tail=float(np.max(log.Ynorm[-n_tail:])),

@@ -6,18 +6,22 @@ plant (n >= 0 leading integrators, m levels) in two phases:
 * a base step handling the first controlled level, chosen by n: with n >= 1
   it pole-places the integrator chain and solves a shifted Lyapunov equation,
   with n = 0 (the pure chain) it takes V1 = x1^2 / 2;
-* one backstep per further level: each absorbs one more level, replacing
-  (V, k) by (V + (y - k)^2 / 2, -(M / eta) (y - k)) where the stacked gain M
-  dominates every cross term produced by the previous stage.
+* one backstep per further level: each absorbs one more level of the
+  plant, replacing (V, k) by (V + (y - k)^2 / 2, -(M / eta) (y - k)) where
+  the stacked gain M dominates every cross term produced by the previous
+  stage.  The backstep reads that level's maps from the plant itself, and
+  the drift of the block it extends from `systems.state_rates`.
 
 Derivatives of the previous stage's maps (dk/dx, dk/dz, dV/dz) are obtained by
 evaluating them on first-order jets; since those maps already contain the
 derivatives taken one stage earlier, each backstep nests one more jet level.
 The growth majorants R, r, rho that the construction needs cannot be derived
 automatically from closures; they are supplied per level by the caller.
-`synthesize` samples each bound the construction assumes once: the plant's
-gain bounds eta <= g <= mu (1 + |theta|), the first-level drift bound r and
-each backstep's (R, r, rho).  A violation raises with its witness point.
+`synthesize` samples each assumption of the construction once, with every
+state in one box [-BOX_RADIUS, BOX_RADIUS]: on the same (state, theta) draws,
+the gains below the input are free of theta (a ValueError otherwise) and
+obey eta <= g <= mu (1 + |theta|); then the first-level drift bound r and
+each backstep's (R, r, rho).  A bound violation raises with its witness point.
 
 Rates halve and disturbance gains double per backstep, so a base started at
 (2^{m-1} c, 2^{1-m} a) ends exactly at (c, a).
@@ -32,7 +36,10 @@ from typing import Sequence
 import numpy as np
 
 from .jets import SmoothMap, jet_exp, partial_map
-from .systems import StrictFeedbackSystem, sample_ball
+from .systems import StrictFeedbackSystem, sample_ball, state_rates, truncate
+
+# every state the synthesis samples lies in [-BOX_RADIUS, BOX_RADIUS]^dim
+BOX_RADIUS = 3.0
 
 
 class MajorantViolationError(Exception):
@@ -115,7 +122,6 @@ class DadsStage:
     rate_c: float
     gain_a: float
     gain_div: float = 1.0
-    majorants: StageMajorants | None = None
 
     @property
     def effective_gain(self) -> float:
@@ -131,29 +137,6 @@ class BaseStepResult:
     K_const: float
     M_const: float
     stage: DadsStage
-
-
-@dataclass(frozen=True)
-class BackstepLevel:
-    """The maps Lemma-style backstepping needs at one level.
-
-    The x-block has dimension x_dim; y is the level being absorbed.  f, Phi
-    and G describe the x-block dynamics (drift, parameter matrix, disturbance
-    matrix, flattened row-major for the matrices); h, phi, alpha, eta describe
-    the y-equation; mu bounds the gain with which y enters the x-block.
-    """
-
-    x_dim: int
-    p: int
-    l: int
-    f: SmoothMap
-    Phi: SmoothMap
-    G: SmoothMap
-    h: SmoothMap
-    phi: SmoothMap
-    alpha: SmoothMap
-    eta: SmoothMap
-    mu: SmoothMap
 
 
 def _norm_sq(values):
@@ -187,7 +170,7 @@ def _validate_scaled_bound(name, lhs_fn, bound_fn, pts):
 
 
 def solve_base_theorem3(
-    n: int,
+    m: int,
     gains: DadsGains,
     eta1: SmoothMap,
     r: SmoothMap,
@@ -196,14 +179,14 @@ def solve_base_theorem3(
     """Base step for the pure strict-feedback chain: V1 = x1^2 / 2.
 
     k1 = -(M(x1, z) / eta1(x1)) x1 where M collects the parameter-bound,
-    disturbance and decay contributions of the first level.  The stage starts
-    at rate 2^{n-1} c and gain 2^{1-n} a.
+    disturbance and decay contributions of the first level.  For a chain of m
+    levels the stage starts at rate 2^{m-1} c and gain 2^{1-m} a.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if m < 1:
+        raise ValueError("m must be >= 1")
     b, a, c, kappa, lam = gains.b, gains.a, gains.c, gains.kappa, gains.lam
-    denom = 2.0 ** (3 - n) * a
-    tail = 2.0 ** (n - 2) * c
+    denom = 2.0 ** (3 - m) * a
+    tail = 2.0 ** (m - 2) * c
 
     def M1(x1, z):
         ez = jet_exp(z)
@@ -226,8 +209,8 @@ def solve_base_theorem3(
         V=SmoothMap(2, V1, name="V1"),
         k=SmoothMap(2, k1, name="k1"),
         sigma=SmoothMap(2, lambda x1, z: 2.0, name="sigma1"),
-        rate_c=2.0 ** (n - 1) * c,
-        gain_a=2.0 ** (1 - n) * a,
+        rate_c=2.0 ** (m - 1) * c,
+        gain_a=2.0 ** (1 - m) * a,
     )
 
 
@@ -335,15 +318,30 @@ def solve_base_theorem1(
     return BaseStepResult(P=P, omega=omega, K_const=K_const, M_const=M_const, stage=stage)
 
 
+def _dk_times_rows(dk, sys: StrictFeedbackSystem, rows, xs) -> list:
+    """dk/dx . A for the x-block xs = (x, y_1..y_j), A's level rows being rows[q].
+
+    Row n + q of A is rows[q] (sys.phi or sys.alpha) at the head of level
+    q + 1; the integrator rows of A are zero and are left out.
+    """
+    n = sys.n
+    vals = [_as_tuple(rows[q](*xs[: n + q + 1])) for q in range(len(xs) - n)]
+    return [
+        sum(dk[n + q] * v[col] for q, v in enumerate(vals))
+        for col in range(rows[0].codim)
+    ]
+
+
 def _validate_backstep_majorants(
     prev: DadsStage,
-    level: BackstepLevel,
+    sys: StrictFeedbackSystem,
+    j: int,
     majorants: StageMajorants,
     n_samples: int,
-    box_radius: float,
     seed: int,
 ):
-    d = level.x_dim
+    d = sys.n + j
+    block_plant = truncate(sys, d)
     rng = np.random.default_rng(seed)
     dk_dx = [partial_map(prev.k, i) for i in range(d)]
     dV_dx = [partial_map(prev.V, i) for i in range(d)]
@@ -353,64 +351,63 @@ def _validate_backstep_majorants(
         mag = np.sqrt(_norm_sq(xs))
         grad_V = np.sqrt(_norm_sq([g(*xs, z) for g in dV_dx]))
         kv = abs(prev.k(*xs, z))
-        phi_rows = _as_tuple(level.Phi(*xs))
-        dk = [g(*xs, z) for g in dk_dx]
-        # |dk/dx . Phi| with Phi flattened row-major (d rows, p columns)
-        dk_phi = _norm_sq(
-            sum(dk[i] * phi_rows[i * level.p + q] for i in range(d))
-            for q in range(level.p)
-        )
+        dk_phi = _norm_sq(_dk_times_rows([g(*xs, z) for g in dk_dx], sys, sys.phi, xs))
         return np.where(mag == 0.0, 0.0, (grad_V + kv + np.sqrt(dk_phi)) / mag)
 
     _validate_scaled_bound(
         "R (stage growth)", R_lhs, lambda pt: majorants.R(*pt),
-        rng.uniform(-box_radius, box_radius, (n_samples, d + 1)),
+        rng.uniform(-BOX_RADIUS, BOX_RADIUS, (n_samples, d + 1)),
     )
 
     def r_lhs(pt):
+        # the x-block with the new level, theta and d set to zero
+        drift = state_rates(block_plant, pt, 0.0, np.zeros(sys.p), np.zeros(sys.l))
         mag = np.sqrt(_norm_sq(pt))
-        return np.where(mag == 0.0, 0.0, np.sqrt(_norm_sq(_as_tuple(level.f(*pt)))) / mag)
+        return np.where(mag == 0.0, 0.0, np.sqrt(_norm_sq(drift)) / mag)
 
     _validate_scaled_bound(
         "r (x-block drift)", r_lhs, lambda pt: majorants.r(*pt),
-        rng.uniform(-box_radius, box_radius, (n_samples, d)),
+        rng.uniform(-BOX_RADIUS, BOX_RADIUS, (n_samples, d)),
     )
 
     def rho_lhs(pt):
         # scale by |x| + |y| with x the block and y the new level
         xs, y = pt[:d], pt[d]
         mag = np.sqrt(_norm_sq(xs)) + abs(y)
-        hv = abs(level.h(*pt))
-        pv = np.sqrt(_norm_sq(_as_tuple(level.phi(*pt))))
+        hv = abs(sys.h[j](*pt))
+        pv = np.sqrt(_norm_sq(_as_tuple(sys.phi[j](*pt))))
         return np.where(mag == 0.0, 0.0, (hv + pv) / mag)
 
     _validate_scaled_bound(
         "rho (new-level growth)", rho_lhs, lambda pt: majorants.rho(*pt),
-        rng.uniform(-box_radius, box_radius, (n_samples, d + 1)),
+        rng.uniform(-BOX_RADIUS, BOX_RADIUS, (n_samples, d + 1)),
     )
 
 
 def backstep(
     prev: DadsStage,
-    level: BackstepLevel,
+    sys: StrictFeedbackSystem,
+    j: int,
     gains: DadsGains,
     majorants: StageMajorants,
     n_samples: int = 200,
-    box_radius: float = 3.0,
     seed: int = 0,
 ) -> DadsStage:
-    """Absorb one more level: V -> V + s^2/2 and k -> -(M/eta) s with s = y - k.
+    """Absorb plant level j + 1 (1 <= j < m) into the stage on (x, y_1..y_j).
 
-    The stacked gain M dominates every cross term the previous stage's
-    certificate leaves over; all derivatives of the previous maps are taken by
-    jet evaluation.  The new stage runs at half the rate and twice the gain.
+    V -> V + s^2/2 and k -> -(M/eta) s with s = y - k.  The stacked gain M
+    dominates every cross term the previous stage's certificate leaves over;
+    all derivatives of the previous maps are taken by jet evaluation.  The
+    new stage runs at half the rate and twice the gain.
     """
-    d = level.x_dim
+    if not 1 <= j < sys.m:
+        raise ValueError(f"level index j must be in [1, {sys.m - 1}], got {j}")
+    d = sys.n + j
     if prev.V.arity != d + 1 or prev.k.arity != d + 1:
         raise ValueError(
             f"previous stage maps have arity {prev.V.arity}, expected {d + 1}"
         )
-    _validate_backstep_majorants(prev, level, majorants, n_samples, box_radius, seed)
+    _validate_backstep_majorants(prev, sys, j, majorants, n_samples, seed)
 
     dk_dx = [partial_map(prev.k, i) for i in range(d)]
     dk_dz = partial_map(prev.k, d)
@@ -420,7 +417,7 @@ def backstep(
     kappa, lam = gains.kappa, gains.lam
     cc = prev.rate_c
     aa = prev.effective_gain
-    l, p = level.l, level.p
+    alpha, eta, mu = sys.alpha[j], sys.eta[j], sys.mu[j - 1]
 
     def stacked_gain(*args):
         xs, y, z = args[:d], args[d], args[d + 1]
@@ -438,15 +435,11 @@ def backstep(
         Rv = majorants.R(*xs, z)
         rv = majorants.r(*xs)
         rhov = majorants.rho(*xs, y)
-        muv = level.mu(*xs)
+        muv = mu(*xs)
         sigv = prev.sigma(*xs, z)
-        alpha_v = _as_tuple(level.alpha(*xs, y))
-        G_flat = _as_tuple(level.G(*xs))
-        # |alpha' - dk/dx . G|^2 with G flattened row-major (d rows, l columns)
-        mismatch = 0.0
-        for q in range(l):
-            comp = alpha_v[q] - sum(dkx[i] * G_flat[i * l + q] for i in range(d))
-            mismatch = mismatch + comp * comp
+        # |alpha' - dk/dx . G|^2, G the disturbance matrix of the x-block
+        dk_G = _dk_times_rows(dkx, sys, sys.alpha, xs)
+        mismatch = _norm_sq(a - g for a, g in zip(_as_tuple(alpha(*xs, y)), dk_G))
 
         P_val = (
             (rv + muv) / 2.0 * (1.0 + dkx_sq)
@@ -470,7 +463,7 @@ def backstep(
     def k_bar(*args):
         xs, y, z = args[:d], args[d], args[d + 1]
         s = y - prev.k(*xs, z)
-        return -(stacked_gain(*args) / level.eta(*xs, y)) * s
+        return -(stacked_gain(*args) / eta(*xs, y)) * s
 
     def V_bar(*args):
         xs, y, z = args[:d], args[d], args[d + 1]
@@ -491,58 +484,6 @@ def backstep(
         rate_c=prev.rate_c / 2.0,
         gain_a=2.0 * prev.gain_a,
         gain_div=prev.gain_div,
-        majorants=majorants,
-    )
-
-
-def _check_theta_independent(g_map: SmoothMap, head, p: int, label: str):
-    rng = np.random.default_rng(12345)
-    base = float(g_map(*head, *np.zeros(p)))
-    for _ in range(8):
-        theta = rng.uniform(-10.0, 10.0, p)
-        if abs(float(g_map(*head, *theta)) - base) > 1e-9 * (1.0 + abs(base)):
-            raise ValueError(
-                f"{label} must not depend on the unknown parameters for the "
-                "inductive construction to apply"
-            )
-
-
-def _level(sys: StrictFeedbackSystem, j: int) -> BackstepLevel:
-    """BackstepLevel absorbing y_{j+1}, j >= 1 (x-block = (x, y_1..y_j))."""
-    n, d = sys.n, sys.n + j
-    p, l = sys.p, sys.l
-    zeros_theta = np.zeros(p)
-
-    def f_fn(*block):
-        # integrator chain x_i' = x_{i+1}, the last integrator fed by y1
-        out = list(block[1 : n + 1])
-        for q in range(j):
-            head = block[: n + q + 1]
-            drift = sys.h[q](*head)
-            if q < j - 1:
-                drift = drift + sys.g[q](*head, *zeros_theta) * block[n + q + 1]
-            out.append(drift)
-        return tuple(out)
-
-    def Phi_fn(*block):
-        out = [0.0] * (n * p)
-        for q in range(j):
-            out.extend(_as_tuple(sys.phi[q](*block[: n + q + 1])))
-        return tuple(out)
-
-    def G_fn(*block):
-        out = [0.0] * (n * l)
-        for q in range(j):
-            out.extend(_as_tuple(sys.alpha[q](*block[: n + q + 1])))
-        return tuple(out)
-
-    return BackstepLevel(
-        x_dim=d, p=p, l=l,
-        f=SmoothMap(d, f_fn, codim=d, name=f"f<y{j + 1}>"),
-        Phi=SmoothMap(d, Phi_fn, codim=d * p, name=f"Phi<y{j + 1}>"),
-        G=SmoothMap(d, G_fn, codim=d * l, name=f"G<y{j + 1}>"),
-        h=sys.h[j], phi=sys.phi[j], alpha=sys.alpha[j], eta=sys.eta[j],
-        mu=sys.mu[j - 1],
     )
 
 
@@ -564,7 +505,6 @@ class SynthesisResult:
     V_final: SmoothMap
     M_const: float
     stage_trace: tuple[DadsStage, ...]
-    base: BaseStepResult | None = None
 
     def report(self) -> str:
         lines = ["synthesis stage trace", "====================="]
@@ -577,19 +517,31 @@ class SynthesisResult:
         return "\n".join(lines)
 
 
-def _validate_plant_bounds(sys: StrictFeedbackSystem, n_samples, box_radius, seed):
-    """eta_j <= g_j on every level, g_j <= mu_j (1 + |theta|) below the input.
+def _validate_plant_bounds(sys: StrictFeedbackSystem, n_samples, seed):
+    """g_j free of theta below the input, then eta_j <= g_j on every level and
+    g_j <= mu_j (1 + |theta|) below the input.
 
     Each draw is a state in the synthesis box followed by a theta from the
-    plant's ball, drawn one after the other.
+    plant's ball, drawn one after the other; every check reads the same draws.
     """
     rng = np.random.default_rng(seed)
     dim = sys.state_dim
     pts = np.array([
-        (*rng.uniform(-box_radius, box_radius, dim),
+        (*rng.uniform(-BOX_RADIUS, BOX_RADIUS, dim),
          *sample_ball(rng, sys.p, sys.theta_radius))
         for _ in range(n_samples)
     ])
+    cols = tuple(np.ascontiguousarray(pts.T))
+    for j in range(sys.m - 1):
+        head = cols[: sys.n + j + 1]
+        with np.errstate(all="ignore"):
+            still = sys.g[j](*head, *np.zeros(sys.p))
+            moved = np.abs(sys.g[j](*head, *cols[dim:]) - still) > 1e-9 * (1.0 + np.abs(still))
+        if np.any(moved):
+            raise ValueError(
+                f"gain of level {j + 1} must not depend on the unknown parameters "
+                "for the inductive construction to apply"
+            )
     for j in range(sys.m):
         width = sys.n + j + 1
 
@@ -608,7 +560,7 @@ def _validate_plant_bounds(sys: StrictFeedbackSystem, n_samples, box_radius, see
             )
 
 
-def _validate_base_drift(sys: StrictFeedbackSystem, r: SmoothMap, n_samples, box_radius, seed):
+def _validate_base_drift(sys: StrictFeedbackSystem, r: SmoothMap, n_samples, seed):
     """0 < r and (|h_1| + |phi_1|) / |head| <= r on the first-level head (x, y_1)."""
     def drift(head):
         mag = np.sqrt(_norm_sq(head))
@@ -617,7 +569,7 @@ def _validate_base_drift(sys: StrictFeedbackSystem, r: SmoothMap, n_samples, box
 
     _validate_scaled_bound(
         "r (first-level drift)", drift, lambda head: r(*head),
-        np.random.default_rng(seed).uniform(-box_radius, box_radius, (n_samples, sys.n + 1)),
+        np.random.default_rng(seed).uniform(-BOX_RADIUS, BOX_RADIUS, (n_samples, sys.n + 1)),
     )
 
 
@@ -626,7 +578,6 @@ def synthesize(
     gains: DadsGains,
     majorant_pack: MajorantPack,
     n_samples: int = 200,
-    box_radius: float = 3.0,
     seed: int = 0,
 ) -> SynthesisResult:
     """Run the full construction: base step, then one backstep per level.
@@ -636,22 +587,19 @@ def synthesize(
     chain (comparison constant from the base step) when n >= 1.  The final
     stage has rate_c = gains.c and gain_a = gains.a exactly.
 
-    Before building, each bound the construction assumes is sampled once at
-    n_samples points, states in [-box_radius, box_radius]: the plant's gain
-    bounds, the first-level drift bound and, in each backstep, its
-    majorants.  The first violation raises MajorantViolationError.
+    Before building, each assumption the construction makes is sampled once
+    at n_samples points, states in [-BOX_RADIUS, BOX_RADIUS]: the plant's
+    gains free of theta below the input (a ValueError otherwise), the
+    plant's gain bounds, the first-level drift bound and, in each backstep,
+    its majorants.  The first bound violation raises MajorantViolationError.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     if len(majorant_pack.levels) != sys.m - 1:
         raise ValueError(f"majorant pack must supply {sys.m - 1} backstep levels")
-    for j in range(sys.m - 1):
-        head = np.full(sys.n + j + 1, 0.7)
-        _check_theta_independent(sys.g[j], head, sys.p, f"gain of level {j + 1}")
-    _validate_plant_bounds(sys, n_samples, box_radius, seed)
-    _validate_base_drift(sys, majorant_pack.base_r, n_samples, box_radius, seed)
+    _validate_plant_bounds(sys, n_samples, seed)
+    _validate_base_drift(sys, majorant_pack.base_r, n_samples, seed)
     if sys.n == 0:
-        base = None
         stage = solve_base_theorem3(
             sys.m, gains, sys.eta[0], majorant_pack.base_r, sys.alpha[0],
         )
@@ -660,13 +608,12 @@ def synthesize(
         base = solve_base_theorem1(
             sys.n, sys.m, gains, sys.eta[0], majorant_pack.base_r, sys.alpha[0],
         )
-        stage = base.stage
-        M_const = base.M_const
+        stage, M_const = base.stage, base.M_const
     trace = [stage]
     for j in range(1, sys.m):
         stage = backstep(
-            stage, _level(sys, j), gains, majorant_pack.levels[j - 1],
-            n_samples=n_samples, box_radius=box_radius, seed=seed + j,
+            stage, sys, j, gains, majorant_pack.levels[j - 1],
+            n_samples=n_samples, seed=seed + j,
         )
         trace.append(stage)
 
@@ -675,7 +622,6 @@ def synthesize(
         V_final=stage.V,
         M_const=M_const,
         stage_trace=tuple(trace),
-        base=base,
     )
 
 

@@ -28,7 +28,7 @@ from .controllers import (
     wingrock_control,
 )
 from .jets import SmoothMap, gradient, jet_exp, jet_relu_plus
-from .simulate import TrajectoryLog
+from .simulate import TrajectoryLog, tail_length
 from .synthesis import DadsGains, _norm_sq
 from .systems import eval_dynamics, sample_ball, truncate
 
@@ -36,6 +36,13 @@ from .systems import eval_dynamics, sample_ball, truncate
 DEFAULT_BOX = {"x": 3.0, "z": 3.0, "theta": 40.0, "d": 30.0}
 # samples this close to the deadzone boundary are excluded (derivative kink)
 KINK_BAND = 1e-9
+# a tail bound passes within this relative slack of the limit it stands for
+SLACK = 0.1
+# drift contrast: most relative growth of the deadzone gain over the tail that
+# counts as a plateau, and least growth of the leak-free estimate norm from
+# mid-horizon to the end that counts as drift
+PLATEAU_REL = 0.01
+DRIFT_FACTOR = 1.1
 
 
 @dataclass(frozen=True)
@@ -310,16 +317,14 @@ def check_trajectory_estimates(
     d_sup: float,
     theta_sup: float,
     attractivity_radius: float | None = None,
-    tail_fraction: float = 0.2,
-    slack: float = 0.1,
     tol: float = 1e-6,
 ) -> list[CheckReport]:
     """Estimate checks along a deadzone-adapted run.
 
     Produces reports for (i) the exponential-plus-offset envelope on V,
     (ii) monotonicity of the adaptation state z, (iii) the tail bound
-    V <= eps_dz (1 + slack), and (iv) when a radius is given, the tail output
-    bound |Y| <= radius (1 + slack).  The envelope uses the supplied signal
+    V <= eps_dz (1 + SLACK), and (iv) when a radius is given, the tail output
+    bound |Y| <= radius (1 + SLACK).  The envelope uses the supplied signal
     suprema, which should come from the actually sampled signals.
     """
     z = log.ctrl[:, 0]
@@ -349,11 +354,11 @@ def check_trajectory_estimates(
         )
     )
 
-    n_tail = max(1, int(math.ceil(tail_fraction * len(log))))
+    n_tail = tail_length(len(log))
     v_tail = float(np.max(log.V[-n_tail:]))
     reports.append(
         CheckReport(
-            "tail V bound", n_tail, eps_dz * (1.0 + slack) - v_tail,
+            "tail V bound", n_tail, eps_dz * (1.0 + SLACK) - v_tail,
             (v_tail,), tol,
         )
     )
@@ -363,7 +368,7 @@ def check_trajectory_estimates(
         reports.append(
             CheckReport(
                 "tail output bound", n_tail,
-                attractivity_radius * (1.0 + slack) - y_tail, (y_tail,), tol,
+                attractivity_radius * (1.0 + SLACK) - y_tail, (y_tail,), tol,
             )
         )
     return reports
@@ -379,15 +384,12 @@ def check_drift_contrast(
     sigma0_log: TrajectoryLog,
     sigma_log: TrajectoryLog,
     expect_drift: bool = True,
-    tail_fraction: float = 0.2,
-    plateau_rel: float = 0.01,
-    drift_factor: float = 1.1,
 ) -> CheckReport:
     """Deadzone-vs-leakage contrast on a shared scenario.
 
     Passes when the deadzone gain rho = 1 + e^z plateaus (relative growth
-    below plateau_rel over the tail), the leak-free estimate norm drifts by
-    more than drift_factor between mid-horizon and the end (when a persistent
+    below PLATEAU_REL over the tail), the leak-free estimate norm drifts by
+    more than DRIFT_FACTOR between mid-horizon and the end (when a persistent
     disturbance makes drift expected), and the leaky estimates stay finite.
     """
     for other in (sigma0_log, sigma_log):
@@ -395,16 +397,17 @@ def check_drift_contrast(
             raise ValueError("logs must share the time grid")
 
     rho = 1.0 + np.exp(dads_log.ctrl[:, 0])
-    n_tail = max(2, int(math.ceil(tail_fraction * len(dads_log))))
+    # growth needs two rows even in a short log
+    n_tail = max(2, tail_length(len(dads_log)))
     growth = (rho[-1] - rho[-n_tail]) / rho[-1]
-    margins = [plateau_rel - float(growth)]
+    margins = [PLATEAU_REL - float(growth)]
 
     norms0 = np.linalg.norm(sigma0_log.ctrl, axis=1)
     if expect_drift:
         mid = np.searchsorted(sigma0_log.t, 0.5 * sigma0_log.t[-1])
         ref = float(norms0[min(mid, len(norms0) - 1)])
         ratio = float(norms0[-1]) / max(ref, 1e-12)
-        margins.append(ratio - drift_factor)
+        margins.append(ratio - DRIFT_FACTOR)
     else:
         margins.append(1.0 if np.all(np.isfinite(norms0)) else -math.inf)
 
@@ -423,8 +426,6 @@ def check_sigma_tradeoff(
     theta: Sequence[float],
     ctrl: SigmaModController,
     d_sup: float,
-    tail_fraction: float = 0.2,
-    slack: float = 0.1,
 ) -> CheckReport:
     """Residual-set bound of the leakage baseline grows with |theta|.
 
@@ -436,12 +437,12 @@ def check_sigma_tradeoff(
         0.5 * d_sup ** 2
         + ctrl.sigma_leak / (2.0 * ctrl.Gamma) * float(theta @ theta)
     ) / ctrl.c
-    n_tail = max(1, int(math.ceil(tail_fraction * len(sigma_log))))
+    n_tail = tail_length(len(sigma_log))
     worst_val = 0.0
     for x, th_hat in zip(sigma_log.x[-n_tail:], sigma_log.ctrl[-n_tail:]):
         zeta, chi, _ = _sigma_mod_terms(x[0], x[1], x[2], *th_hat, c=ctrl.c, K=ctrl.K)
         worst_val = max(worst_val, x[0] ** 2 + zeta ** 2 + chi ** 2)
     return CheckReport(
         "sigma-mod residual bound", n_tail,
-        bound * (1.0 + slack) - worst_val, (worst_val, bound), 0.0,
+        bound * (1.0 + SLACK) - worst_val, (worst_val, bound), 0.0,
     )

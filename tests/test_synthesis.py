@@ -8,7 +8,6 @@ import pytest
 
 from dads.jets import SmoothMap, jet_exp
 from dads.synthesis import (
-    BackstepLevel,
     DadsGains,
     DadsStage,
     MajorantPack,
@@ -150,11 +149,11 @@ class TestBasePureChain:
         g = default_gains()
         one1 = SmoothMap(1, lambda x1: 1.0)
         stage = solve_base_theorem3(
-            n=3, gains=g,
+            m=3, gains=g,
             eta1=one1, r=one1, alpha1=SmoothMap(1, lambda x1: (0.0, 0.0), codim=2),
         )
-        assert stage.rate_c == pytest.approx(2.0)  # 2^{n-1} c
-        assert stage.gain_a == pytest.approx(0.5)  # 2^{1-n} a
+        assert stage.rate_c == pytest.approx(2.0)  # 2^{m-1} c
+        assert stage.gain_a == pytest.approx(0.5)  # 2^{1-m} a
         assert float(stage.sigma(1.0, 0.0)) == 2.0
         assert float(stage.V(3.0, 0.0)) == pytest.approx(4.5)
         assert float(stage.V(0.0, 1.7)) == 0.0
@@ -163,13 +162,13 @@ class TestBasePureChain:
         g = default_gains()
         one1 = SmoothMap(1, lambda x1: 1.0)
         stage = solve_base_theorem3(
-            n=3, gains=g,
+            m=3, gains=g,
             eta1=one1, r=one1, alpha1=SmoothMap(1, lambda x1: (0.0, 0.0), codim=2),
         )
         x1, z = 1.3, -0.4
         ez = math.exp(z)
-        # M1 = (b + 1 + lam) r + (1 + kappa) / (2^{3-n} a) (|alpha|^2 + r^2 x1^2)
-        #      + 2^{n-2} c  with r = 1, alpha = 0, n = 3
+        # M1 = (b + 1 + lam) r + (1 + kappa) / (2^{3-m} a) (|alpha|^2 + r^2 x1^2)
+        #      + 2^{m-2} c  with r = 1, alpha = 0, m = 3
         M1 = (1.0 + 1.0 + ez) + (1.0 + ez) / 2.0 * x1 * x1 + 1.0
         assert float(stage.k(x1, z)) == pytest.approx(-M1 * x1, rel=1e-13)
 
@@ -205,17 +204,23 @@ def _toy_prev_stage(cc=1.0, aa=1.0):
     )
 
 
-def _toy_level():
-    return BackstepLevel(
-        x_dim=1, p=1, l=1,
-        f=SmoothMap(1, lambda x: (0.0,), codim=1),
-        Phi=SmoothMap(1, lambda x: (x,), codim=1),
-        G=SmoothMap(1, lambda x: (0.0,), codim=1),
-        h=SmoothMap(2, lambda x, y: 0.0),
-        phi=SmoothMap(2, lambda x, y: (0.0,), codim=1),
-        alpha=SmoothMap(2, lambda x, y: (1.0,), codim=1),
-        eta=SmoothMap(2, lambda x, y: 1.0),
-        mu=SmoothMap(1, lambda x: 1.0),
+def _toy_plant():
+    """n=0, m=2, p=l=1: y1' = y2 + y1 theta, y2' = u + d; all gains 1.
+
+    Backstepping level 2 sees the block drift 0, Phi = (y1,), G = (0,) and
+    the new level's h = 0, phi = (0,), alpha = (1,).
+    """
+    zero, one = (lambda *a: 0.0), (lambda *a: 1.0)
+    return StrictFeedbackSystem(
+        n=0, m=2,
+        h=(SmoothMap(1, zero), SmoothMap(2, zero)),
+        phi=(SmoothMap(1, lambda y1: (y1,), codim=1), SmoothMap(2, lambda *a: (0.0,), codim=1)),
+        alpha=(SmoothMap(1, lambda *a: (0.0,), codim=1),
+               SmoothMap(2, lambda *a: (1.0,), codim=1)),
+        g=(SmoothMap(2, one), SmoothMap(3, one)),
+        eta=(SmoothMap(1, one), SmoothMap(2, one)),
+        mu=(SmoothMap(1, one),),
+        p=1, l=1, theta_radius=1.0,
     )
 
 
@@ -230,7 +235,7 @@ def _toy_majorants(R=3.0):
 class TestBackstep:
     def test_stacked_gain_termwise_oracle(self):
         gains = default_gains(Gamma=2.0)
-        stage = backstep(_toy_prev_stage(), _toy_level(), gains, _toy_majorants())
+        stage = backstep(_toy_prev_stage(), _toy_plant(), 1, gains, _toy_majorants())
         for (x, y, z) in [(0.7, -0.4, 0.2), (1.5, 1.5, -1.0), (-2.0, 0.3, 0.8)]:
             s = y - (-x)
             ez, emz = math.exp(z), math.exp(-z)
@@ -261,20 +266,20 @@ class TestBackstep:
             sigma=SmoothMap(2, lambda x, z: 2.0),
             rate_c=1.0, gain_a=1.0,
         )
-        stage = backstep(prev, _toy_level(), gains, _toy_majorants(R=3.0))
+        stage = backstep(prev, _toy_plant(), 1, gains, _toy_majorants(R=3.0))
         assert float(stage.sigma(0.2, -0.1, 0.3)) == pytest.approx(42.0)
 
     def test_rate_halves_gain_doubles(self):
         gains = default_gains()
         prev = _toy_prev_stage(cc=2.0, aa=0.5)
-        stage = backstep(prev, _toy_level(), gains, _toy_majorants())
+        stage = backstep(prev, _toy_plant(), 1, gains, _toy_majorants())
         assert stage.rate_c == 1.0
         assert stage.gain_a == 1.0
         assert stage.level == 2
 
     def test_vbar_vanishes_on_manifold(self):
         gains = default_gains()
-        stage = backstep(_toy_prev_stage(), _toy_level(), gains, _toy_majorants())
+        stage = backstep(_toy_prev_stage(), _toy_plant(), 1, gains, _toy_majorants())
         # V_bar(0, k(0,z), z) = 0 for all z
         for z in (-1.0, 0.0, 2.0):
             assert float(stage.V(0.0, 0.0, z)) == 0.0
@@ -282,7 +287,7 @@ class TestBackstep:
     def test_undersized_R_rejected_with_witness(self):
         gains = default_gains()
         with pytest.raises(MajorantViolationError) as ei:
-            backstep(_toy_prev_stage(), _toy_level(), gains, _toy_majorants(R=0.1))
+            backstep(_toy_prev_stage(), _toy_plant(), 1, gains, _toy_majorants(R=0.1))
         err = ei.value
         assert err.name.startswith("R")
         assert err.lhs > err.bound
@@ -290,7 +295,6 @@ class TestBackstep:
 
     def test_arity_mismatch_rejected(self):
         gains = default_gains()
-        level = _toy_level()
         bad_prev = DadsStage(
             level=1,
             V=SmoothMap(3, lambda x, y, z: 0.5 * x * x),
@@ -299,7 +303,13 @@ class TestBackstep:
             rate_c=1.0, gain_a=1.0,
         )
         with pytest.raises(ValueError):
-            backstep(bad_prev, level, gains, _toy_majorants())
+            backstep(bad_prev, _toy_plant(), 1, gains, _toy_majorants())
+
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_level_index_checked(self, j):
+        # the toy plant has m = 2 levels, so level 2 (j = 1) is the only backstep
+        with pytest.raises(ValueError, match="level index"):
+            backstep(_toy_prev_stage(), _toy_plant(), j, default_gains(), _toy_majorants())
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +360,16 @@ class TestFullSynthesis:
         sys_bad = replace(base, g=g_bad)
         with pytest.raises(ValueError):
             synthesize(sys_bad, gains, wingrock_majorants(gains), n_samples=10)
+
+    def test_gain_moving_with_theta_on_part_of_the_box_rejected(self):
+        # g1 is free of theta only at x1 = 0.7, and it obeys
+        # eta1 <= g1 <= mu1 (1 + |theta|) on the whole synthesis box
+        gains = default_gains()
+        base = wingrock()
+        g1 = SmoothMap(
+            5, lambda x1, t1, t2, t3, t4: 1.0 + 0.001 * t1 * t1 * (x1 - 0.7) ** 2, name="g1")
+        with pytest.raises(ValueError, match="gain of level 1"):
+            synthesize(replace(base, g=(g1, *base.g[1:])), gains, wingrock_majorants(gains))
 
     def test_majorant_pack_size_checked(self):
         gains = default_gains()
@@ -413,12 +433,23 @@ class TestCascadeSynthesis:
         assert err.bound == pytest.approx(1.0 + abs(err.point[-1]))
         assert err.lhs > err.bound
 
+    def test_final_feedback_unchanged(self):
+        # pinned values: any change to the construction's arithmetic shows here
+        result = synthesize(_cascade_plant(), default_gains(), _cascade_pack())
+        for pt, k in [
+            ((0.1, -0.2, 0.3, 0.0), 6.301369221884183e+17),
+            ((1.0, 0.5, -0.7, 0.4), -1.0854893294381663e+24),
+            ((-0.3, 0.2, 0.9, -1.0), 3.752574948383192e+17),
+        ]:
+            assert float(result.k_final(*pt)) == k
+
     def test_synthesize_and_certify(self):
         sys = _cascade_plant()
         gains = default_gains()
         result = synthesize(sys, gains, _cascade_pack())
         assert [st.rate_c for st in result.stage_trace] == [1.0, 0.5]
-        assert result.base is not None and result.M_const == result.base.M_const
+        # n = 1: the comparison constant is the Theorem-1 base step's
+        assert result.M_const == result.stage_trace[0].gain_div
         last = result.stage_trace[-1]
         reports = stage_certificate_checks(sys, result, gains, n=200) + [
             synthesized_dissipation_check(
