@@ -9,17 +9,30 @@ state (adaptation gain z or parameter estimates).  Two methods are available:
   stacked damping gains make the dynamics extremely stiff (the fastest
   closed-loop eigenvalue sits many decades above the slow ones, and explicit
   fixed-step schemes diverge immediately at practical step sizes).  It runs
-  scipy's LSODA (Petzold 1983, from Hindmarsh's ODEPACK), whose Newton
-  iteration, LU and error control are compiled code; scipy's Radau IIA, which
-  this method first ran, steps in Python.  The method keeps the name "radau"
-  because scenario files and the benchmark harness (perfbench) name it.  The
-  last plant state has an absolute tolerance of its own (ATOL_INPUT_STATE).
+  LSODA (Petzold 1983, from Hindmarsh's ODEPACK) through the `odeint` entry
+  of scipy's compiled `scipy.integrate._odepack` extension, which makes the
+  whole solve over the log grid one compiled call.  The method keeps the name
+  "radau", after scipy's Radau IIA that it first ran, because scenario files
+  and the benchmark harness (perfbench) name it.  The last plant state has an
+  absolute tolerance of its own (ATOL_INPUT_STATE).
+
+The extension is loaded once, by the first stiff solve, from its file
+(`odepack`), so scipy's package `__init__` never runs: importing
+`scipy.integrate` costs about 0.3 s per process, most of it `scipy.special`,
+against a few ms for the extension.  The commands that never integrate
+(synthesize, and verify without trajectory checks) load neither.  The
+module is private to scipy; it was verified on scipy 1.17 only, and there is
+no fallback to scipy's public solvers.  `solve_ivp` is the one stiff-solve
+function and keeps that name because perfbench spans it and reads the
+counts `nfev`, `njev` and `nlu` from its result; `nlu` is LSODA's `nje`, as
+scipy's own LSODA wrapper reports it.
 
 The stiff solve has a budget of NFEV_PER_SECOND right-hand-side evaluations
 per unit of simulated time (at least one unit).  LSODA never gives up on a
 finite-time blow-up by itself, so a run past the budget raises
-DivergenceError with the time reached; a failure LSODA reports itself raises
-DivergenceError with LSODA's own message.
+DivergenceError with the time reached; a failure LSODA reports itself
+(istate < 0) raises DivergenceError at the last output time it completed,
+with LSODA's own message.
 
 Before integrating, `simulate` traces the closed loop once: one evaluation of
 the controller's `step`, of the disturbance formula
@@ -41,22 +54,21 @@ state component, the four stage calls of f, the update in the operation
 order of s + dt/6 (k1 + 2 k2 + 2 k3 + k4), and a divergence test on each
 component, so its states are bit-identical to the same scheme on numpy
 arrays.  A stiff solve whose state turns non-finite raises DivergenceError
-as well: LSODA can report success on a nan right-hand side.
+as well: LSODA reports success (istate 2) on a nan right-hand side.
 
 Logs are dense (every log_stride-th grid point) and serialize to CSV with full
 floating-point precision for reproducible downstream checks.  The logged
 input u comes from the interpreted `step`, once per row.
-
-scipy is imported by the first stiff solve, not with this module, so the
-commands that never integrate (synthesize, and verify without trajectory
-checks) do not load it.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import io
 import math
-import warnings
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -83,7 +95,8 @@ RTOL = 1e-12
 ATOL = 1e-14
 ATOL_INPUT_STATE = 1e-10
 # rhs evaluations the stiff solver may spend per unit of simulated time (the
-# shipped 10 s DADS runs use at most about 2,200)
+# shipped 10 s DADS runs use at most about 2,200: nfe 5,992 on fig1_dads,
+# 22,247 on fig4_dads, 13,438 on vanishing)
 NFEV_PER_SECOND = 10**5
 # The state magnitude at which RK4 declares divergence
 DIVERGENCE_THRESHOLD = 1e8
@@ -93,11 +106,86 @@ DIVERGENCE_THRESHOLD = 1e8
 MAX_STEPS = 10**7
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on the first call."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
+# LSODA's account of a failed solve, by istate; copied from the `_msgs` table
+# of scipy/integrate/_odepack_py.py (scipy 1.17)
+LSODA_MESSAGES = {
+    -1: "Excess work done on this call (perhaps wrong Dfun type).",
+    -2: "Excess accuracy requested (tolerances too small).",
+    -3: "Illegal input detected (internal error).",
+    -4: "Repeated error test failures (internal error).",
+    -5: "Repeated convergence failures (perhaps bad Jacobian or tolerances).",
+    -6: "Error weight became zero during problem.",
+    -7: "Internal workspace insufficient to finish (internal error).",
+    -8: "Run terminated (internal error).",
+}
+# odeint takes mxstep as a C int
+_INT_MAX = 2**31 - 1
 
-    return scipy_solve_ivp(*args, **kwargs)
+
+@functools.cache
+def odepack():
+    """scipy's compiled ODEPACK extension, `scipy.integrate._odepack`.
+
+    It is loaded from its file next to scipy's `__init__.py`, so neither
+    `scipy` nor `scipy.integrate` is imported.  Verified on scipy 1.17;
+    older releases were not tried.  Raises ImportError naming the path
+    looked for when the file is not there.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("the stiff method needs scipy, which is not installed")
+    stem = os.path.join(os.path.dirname(spec.origin), "integrate", "_odepack")
+    paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"scipy's LSODA extension {paths[0]} is missing")
+    spec = importlib.util.spec_from_file_location("scipy.integrate._odepack", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@dataclass(frozen=True)
+class StiffSolution:
+    """One LSODA solve over an output grid.
+
+    y holds the states at the output times LSODA completed.  failed is the
+    index of the first output time it did not reach, or None when it reached
+    them all; istate is LSODA's return code (2 on success, < 0 on failure).
+    nfev, njev and nlu count the rhs evaluations, the Jacobians and the LU
+    factorizations of the whole solve, a failed last call included.
+    """
+
+    y: np.ndarray
+    failed: int | None
+    istate: int
+    nfev: int
+    njev: int
+    nlu: int
+
+
+def solve_ivp(fun, s0: np.ndarray, t_log: np.ndarray, atol: np.ndarray,
+              budget: int) -> StiffSolution:
+    """LSODA from s0 at t_log[0] through the output times t_log.
+
+    fun(t, s) is the rhs.  The step limit per output interval is the rhs
+    budget (capped at a C int), so the budget inside fun is the only bound
+    on the work; an exception fun raises propagates.
+    """
+    y, info, istate = odepack().odeint(
+        fun, s0.copy(), t_log.copy(), (), None, 0, -1, -1, 1, RTOL, atol, None,
+        0.0, 0.0, 0.0, 0, min(budget, _INT_MAX), 0, 12, 5, 1)
+    # info[key][i] describes the solve to t_log[i + 1].  After a failure the
+    # rows of y and the info entries past the failed call are uninitialized
+    # memory, so the scan stops at the first output time not reached.
+    last, failed = len(t_log) - 2, None
+    if istate < 0:
+        last = next(i for i, (reached, t) in enumerate(zip(info["tcur"], t_log[1:]))
+                    if reached < t)
+        failed = last + 1
+        y = y[:failed]
+    nje = int(info["nje"][last])
+    return StiffSolution(y, failed, int(istate), int(info["nfe"][last]), nje, nje)
 
 
 class DivergenceError(Exception):
@@ -247,7 +335,7 @@ def simulate(
             log_idx.append(n_steps)
         t_log = config.dt * np.array(log_idx, float)
     else:
-        # the last grid point can round past t_end, where solve_ivp refuses it
+        # the last grid point can round past t_end; the log ends at t_end
         t_log = np.minimum(
             config.dt * np.arange(0, n_steps + 1, config.log_stride), config.t_end)
         if t_log[-1] < config.t_end - 1e-12:
@@ -255,18 +343,12 @@ def simulate(
         atol = np.full(len(s0), ATOL)
         atol[n - 1] = ATOL_INPUT_STATE
         budget = int(NFEV_PER_SECOND * max(config.t_end, 1.0))
-        with np.errstate(over="ignore", invalid="ignore"), \
-                warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sol = solve_ivp(
-                _budgeted(rhs, budget), (0.0, config.t_end), s0,
-                method="LSODA", t_eval=t_log, rtol=RTOL, atol=atol,
-            )
-        if not sol.success or sol.t[-1] < config.t_end - 1e-9:
-            reason = "; ".join(str(w.message) for w in caught) or sol.message
-            raise DivergenceError(sol.t[-1] if len(sol.t) else 0.0, reason)
-        traj = sol.y.T
-        t_log = sol.t
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve_ivp(_budgeted(rhs, budget), s0, t_log, atol, budget)
+        if sol.istate < 0:
+            raise DivergenceError(
+                t_log[sol.failed - 1], "lsoda: " + LSODA_MESSAGES[sol.istate])
+        traj = sol.y
         # LSODA can report success on a nan rhs; the log ends at the last
         # finite row as RK4's does
         finite = np.isfinite(traj).all(axis=1)

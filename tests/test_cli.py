@@ -183,7 +183,19 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: trajectory diverged")
         assert "lsoda: Repeated error test failures" in err
+        assert "last finite time t = 0 " in err
         assert len(err.splitlines()) == 1  # no traceback, no printed warning
+
+    def test_stiff_solver_failure_reports_the_last_completed_row(self, tmp_path, capsys):
+        # at k = 2e5 on a 1e-6 log grid LSODA completes the rows up to
+        # t = 5e-6, then fails its error test before the next one
+        path = edited("fig1_dads", tmp_path, {
+            ("controller", "k"): "2e5", ("sim", "log_stride"): "1"})
+        code = main(["simulate", path, "--t-end", "1e-4", "--dt", "1e-6",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert "last finite time t = 5e-06 (lsoda: Repeated error test failures" in err
 
     def test_stiff_explicit_integration_diverges(self, tmp_path):
         stiff = tmp_path / "stiff.scenario"
@@ -326,6 +338,20 @@ class TestNonFiniteParameters:
         code = main(["simulate", path, "--t-end", "2.5", "--dt", "1e-3", "--out", str(tmp_path)])
         assert code == EXIT_DIVERGENCE
         assert re.search(rf"last finite time t = {re.escape(t_last)}\b", capsys.readouterr().err)
+
+    def test_huge_amplitude_fails_fast(self, tmp_path, capsys):
+        # LSODA rejects the first step; the stiff solve spent its whole rhs
+        # budget here (2.5 s) while it ran through scipy's solve_ivp
+        path = edited("vanishing", tmp_path, {
+            ("disturbance", "amplitudes"): "1e308, 5",
+            ("disturbance", "frequencies"): "3, 0", ("disturbance", "decay"): "0"})
+        start = time.perf_counter()
+        code = main(["simulate", path, "--t-end", "3", "--dt", "0.01", "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("error: trajectory diverged; last finite time t = 0 (lsoda: ")
+        assert len(err.splitlines()) == 1
 
     def test_nan_majorant_exits_4(self, tmp_path):
         path = edited("synth_wingrock", tmp_path, {("synthesis", "override_base_r"): "nan"})

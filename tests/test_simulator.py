@@ -455,16 +455,63 @@ class TestStats:
 
 
 class TestDeferredScipy:
-    def test_cli_import_does_not_load_scipy(self):
-        # scipy is loaded by the first stiff solve, not by importing the CLI
+    @staticmethod
+    def _run(code, *args):
+        """Run code in a fresh interpreter that imports dads from src/."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, dads.cli; assert dads.cli.__file__.startswith(sys.argv[1]); "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))", src],
+             + code, src, *args],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout
+
+    def test_cli_import_does_not_load_scipy(self):
+        # the LSODA extension is loaded by the first stiff solve, not by
+        # importing the CLI
+        out = self._run("print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert out.strip() == "[]"
+
+    def test_stiff_run_does_not_import_scipy_integrate(self, tmp_path):
+        # the stiff solve loads only the compiled extension, so neither the
+        # scipy.integrate package nor scipy.special (its largest import) runs
+        out = self._run(
+            "import dads.simulate as s; "
+            "code = dads.cli.main(['simulate', sys.argv[2], '--t-end', '0.01', "
+            "'--out', sys.argv[3]]); "
+            "print(code, s.odepack.cache_info().currsize, "
+            "'scipy.integrate' in sys.modules, 'scipy.special' in sys.modules)",
+            str(SCENARIOS / "fig1_dads.scenario"), str(tmp_path))
+        assert out.splitlines()[-1].split() == ["0", "1", "False", "False"]
+
+
+class TestOdepackExtension:
+    """The stiff method calls scipy's private `_odepack` extension."""
+
+    def test_loads_from_the_scipy_install(self):
+        # fails with the path looked for if scipy moves or renames the file
+        assert callable(simulate_module.odepack().odeint)
+
+    def test_a_missing_file_is_named(self, monkeypatch):
+        monkeypatch.setattr(simulate_module.os.path, "isfile", lambda path: False)
+        with pytest.raises(ImportError, match=r"integrate[/\\]_odepack\."):
+            simulate_module.odepack.__wrapped__()
+
+    def test_messages_match_scipy(self):
+        from scipy.integrate._odepack_py import _msgs
+
+        assert simulate_module.LSODA_MESSAGES == {k: v for k, v in _msgs.items() if k < 0}
+
+    def test_solve_ivp_counts(self):
+        # y' = -y; nlu is LSODA's nje, as scipy's LSODA wrapper reports it.
+        # A budget past a C int (t_end above 21,475 s) caps LSODA's step limit.
+        t = np.linspace(0.0, 1.0, 11)
+        sol = simulate_module.solve_ivp(
+            lambda t, s: (-s[0],), np.array([1.0]), t, np.array([1e-14]), 10**12)
+        assert sol.istate == 2 and sol.failed is None
+        assert np.allclose(sol.y[:, 0], np.exp(-t), rtol=1e-10)
+        assert sol.nfev > 0 and sol.njev == sol.nlu
