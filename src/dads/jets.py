@@ -17,9 +17,9 @@ arrays of N points carries N gradients at once (vector forward mode), so one
 evaluation of a map on array coordinates differentiates it at every sample.
 
 The same operator-overloading idiom records instead of computing: arithmetic
-on `Traced` values appends one assignment per operation to a `Tape` (the
-"tape" of Griewank & Walther, Evaluating Derivatives, ch. 3), and the tape
-compiles to straight-line Python code on floats.
+on `Traced` values appends one assignment per distinct operation to a `Tape`
+(the "tape" of Griewank & Walther, Evaluating Derivatives, ch. 3), and the
+tape compiles to straight-line Python code on floats.
 """
 
 from __future__ import annotations
@@ -122,7 +122,8 @@ def scalar_value(x):
 def jet_exp(a):
     """exp; overflow of a plain number or an array entry gives inf."""
     if isinstance(a, Traced):
-        return a.tape.record("jet_exp({})", a)
+        # math.exp overflows only above 709.78
+        return a.tape.record("(exp({0}) if {0} < 709.0 else jet_exp({0}))", a)
     if isinstance(a, np.ndarray):
         with np.errstate(over="ignore"):
             return np.exp(a)
@@ -137,9 +138,10 @@ def jet_exp(a):
 
 def jet_cos(a):
     """cos of a number, nan at +-inf as numpy gives; on a Traced value it
-    records the call.  The disturbance signals are its only callers."""
+    records that as one inline expression.  The disturbance signals are its
+    only callers."""
     if isinstance(a, Traced):
-        return a.tape.record("_cos({})", a)
+        return a.tape.record("(cos({0}) if -inf < {0} < inf else nan)", a)
     return _float_cos(a)
 
 
@@ -176,7 +178,8 @@ def jet_relu_plus(a):
     the zero jet for a jet, as it does per point.
     """
     if isinstance(a, Traced):
-        return a.tape.record("jet_relu_plus({})", a)
+        # max(a, 0.0) keeps a unless 0.0 > a, so -0.0 and nan stay a
+        return a.tape.record("(0.0 if 0.0 > {0} else {0})", a)
     if isinstance(a, np.ndarray):
         return np.where(a < 0.0, 0.0, a)
     if not isinstance(a, Jet):
@@ -263,18 +266,22 @@ def partial_map(f: SmoothMap, var_index: int) -> SmoothMap:
 class Tape:
     """A straight-line program recorded by arithmetic on `Traced` values.
 
-    Each operation appends one line `vK = a op b` in the order the traced code
-    performs it.  A caller makes the inputs as `Traced(tape, name)`, writes a
-    function around `lines` that binds those names and returns its results
-    written with `operand`, and turns it into code with `compile`.  The
-    source holds generated names and float literals only: constants are
-    written with `repr`, which round-trips, and the non-finite ones, which
-    have no literal, are bound by name.
+    Each distinct operation appends one line `vK = a op b` in the order the
+    traced code first performs it; an operation whose right-hand side was
+    recorded already returns the earlier value, which is the same float
+    because every recorded operation is a pure function of its operands.  A
+    caller makes the inputs as `Traced(tape, name)`, writes a function around
+    `lines` that binds those names and returns its results written with
+    `operand`, and turns it into code with `compile`.  The source holds
+    generated names and float literals only: constants are written with
+    `repr`, which round-trips, and the non-finite ones, which have no
+    literal, are bound by name as cK.
     """
 
     def __init__(self):
         self.lines: list[str] = []
         self.constants: dict[str, float] = {}
+        self._recorded: dict[str, Traced] = {}
 
     def operand(self, x) -> str:
         """Source text of a traced value or a number."""
@@ -294,20 +301,25 @@ class Tape:
         return f"({text})" if text.startswith("-") else text
 
     def record(self, template: str, *operands) -> "Traced":
-        """Append `vK = template(operands)` and return vK."""
-        out = Traced(self, f"v{len(self.lines)}")
-        self.lines.append(f"{out.name} = " + template.format(*map(self.operand, operands)))
+        """The value of template(operands): vK, from a line `vK = ...` appended
+        unless the same right-hand side was recorded before."""
+        rhs = template.format(*map(self.operand, operands))
+        out = self._recorded.get(rhs)
+        if out is None:
+            out = self._recorded[rhs] = Traced(self, f"v{len(self.lines)}")
+            self.lines.append(f"{out.name} = {rhs}")
         return out
 
     def compile(self, source: str, name: str, namespace: dict) -> Callable:
         """Execute `source` and return the function it defines as `name`.
 
-        The recorded lines call jet_exp and jet_relu_plus on floats, so the
-        overflow and kink semantics stay theirs.
+        The recorded lines compute exp, cos, the positive part and integer
+        powers inline on floats, and call jet_exp and _pow only where those
+        would overflow, so the overflow and kink semantics stay theirs.
         """
-        scope = {**namespace, **self.constants, "jet_exp": jet_exp,
-                 "jet_relu_plus": jet_relu_plus, "_pow": _float_pow, "_div": _float_div,
-                 "_cos": _float_cos}
+        scope = {**namespace, **self.constants, "exp": math.exp, "cos": math.cos,
+                 "inf": math.inf, "nan": math.nan, "jet_exp": jet_exp,
+                 "_pow": _float_pow, "_div": _float_div}
         exec(compile(source, f"<traced {name}>", "exec"), scope)
         return scope[name]
 
@@ -411,6 +423,11 @@ class Traced:
         return self._binary(other, "_div({}, {})", reflected=True)
 
     def __pow__(self, other):
+        if isinstance(other, (int, np.integer)) and other > 0:
+            # below 2 ** (1023 // p) in magnitude, x ** p cannot overflow
+            bound = repr(2.0 ** (1023 // int(other)))
+            return self._binary(
+                other, f"({{0}} ** {{1}} if -{bound} < {{0}} < {bound} else _pow({{0}}, {{1}}))")
         return self._binary(other, "_pow({}, {})")
 
     def __rpow__(self, other):

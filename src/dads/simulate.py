@@ -38,10 +38,11 @@ Before integrating, `simulate` traces the closed loop once: one evaluation of
 the controller's `step`, of the disturbance formula
 (`systems.sample_disturbance`) and of the plant formula
 (`systems.state_rates`) on `jets.Traced` inputs records every operation in
-the law's own order, and `compile_rhs` turns the record into one
-straight-line function f(t, s0, ..., sN) -> tuple on floats, which evaluates
-d(t) inline.  A zero disturbance is float constants, which the trace folds
-away.  The integrators call only that function.  Laws must therefore be
+the law's own order, each distinct operation once, and `compile_rhs` turns
+the record into one straight-line function f(t, s0, ..., sN) -> tuple on
+floats, which evaluates d(t) inline.  A zero disturbance is float constants,
+which the trace folds away.  The stiff solver calls f; the RK4 loop is built
+from the same recorded lines (below).  Laws must therefore be
 written in generic arithmetic: a branch on the data, a comparison, float() or
 a numpy ufunc on a traced value raises TypeError before the first step.  The
 trace folds exactly four identities (x + 0.0, 0.0 + x, 1.0 * x, x * 1.0),
@@ -49,12 +50,13 @@ which can change at most the sign of a zero.  The interpreted evaluation
 stays the reference: the compiled rhs at (0, s0) must equal eval_dynamics
 plus controller.step there, or the run raises.
 
-The RK4 loop is generated float code too (`_rk4_loop`): one variable per
-state component, the four stage calls of f, the update in the operation
-order of s + dt/6 (k1 + 2 k2 + 2 k3 + k4), and a divergence test on each
-component, so its states are bit-identical to the same scheme on numpy
-arrays.  A stiff solve whose state turns non-finite raises DivergenceError
-as well: LSODA reports success (istate 2) on a nan right-hand side.
+The RK4 loop is one generated float kernel per run (`_rk4_source`): one
+variable per state component, the traced lines written out once per stage
+instead of four calls of f, the update in the operation order of
+s + dt/6 (k1 + 2 k2 + 2 k3 + k4), and a divergence test on each component,
+so its states are bit-identical to the same scheme on numpy arrays.  A
+stiff solve whose state turns non-finite raises DivergenceError as well:
+LSODA reports success (istate 2) on a nan right-hand side.
 
 Logs are dense (every log_stride-th grid point) and serialize to CSV with full
 floating-point precision for reproducible downstream checks.  The logged
@@ -324,12 +326,13 @@ def simulate(
     sel = np.arange(n) if output_indices is None else np.asarray(output_indices, int)
     theta_value = theta(0.0)  # held constant
     s0 = np.concatenate([x0, ctrl0])
-    rhs = compile_rhs(sys, controller, theta_value.tolist(), disturbance)
+    traced = _trace_rhs(sys, controller, theta_value.tolist(), disturbance)
+    rhs = _rhs_function(*traced)
     _check_compiled(rhs, sys, controller, s0, theta_value, disturbance)
 
     n_steps = int(round(config.t_end / config.dt))
     if config.method == "rk4":
-        traj = _integrate_rk4(rhs, s0, config, n_steps)
+        traj = _integrate_rk4(traced, s0, config, n_steps)
         log_idx = list(range(0, n_steps + 1, config.log_stride))
         if log_idx[-1] != n_steps:
             log_idx.append(n_steps)
@@ -382,6 +385,12 @@ def compile_rhs(sys, controller, theta: Sequence[float], disturbance) -> Callabl
     evaluates d(t) inline.  A law that is not generic arithmetic raises
     TypeError here.
     """
+    return _rhs_function(*_trace_rhs(sys, controller, theta, disturbance))
+
+
+def _trace_rhs(sys, controller, theta: Sequence[float], disturbance) -> tuple[Tape, list[str]]:
+    """The tape of one traced rhs evaluation on inputs t, s0, ..., sN, and
+    the source text of the N + 1 rates (see `compile_rhs`)."""
     n, q = sys.state_dim, controller.ctrl_dim
     tape = Tape()
     t = Traced(tape, "t")
@@ -389,10 +398,15 @@ def compile_rhs(sys, controller, theta: Sequence[float], disturbance) -> Callabl
     u, rate = controller.step(s[:n], s[n:], t)
     d = sample_disturbance(disturbance, t)
     outputs = [*state_rates(sys, s[:n], u, theta, d), *rate]
+    return tape, [tape.operand(x) for x in outputs]
+
+
+def _rhs_function(tape: Tape, rates: Sequence[str]) -> Callable:
+    """f(t, s0, ..., sN) -> rates, the traced lines as one function."""
     source = "\n    ".join([
-        f"def rhs(t, {', '.join(v.name for v in s)}):",
+        f"def rhs(t, {', '.join(f's{i}' for i in range(len(rates)))}):",
         *tape.lines,
-        f"return ({', '.join(map(tape.operand, outputs))},)",
+        f"return ({', '.join(rates)},)",
     ])
     return tape.compile(source, "rhs", {})
 
@@ -432,55 +446,72 @@ def _budgeted(rhs, budget: int) -> Callable:
     return counted
 
 
-def _integrate_rk4(rhs, s0: np.ndarray, config: SimConfig, n_steps: int) -> np.ndarray:
+def _integrate_rk4(traced: tuple[Tape, list[str]], s0: np.ndarray, config: SimConfig,
+                   n_steps: int) -> np.ndarray:
     """The states at steps 0, log_stride, 2 log_stride, ... and at n_steps.
 
-    rhs is the compiled f(t, s0, ..., sN); the loop around it is generated
-    straight-line float code as well (see `_rk4_loop`).
+    traced is the (tape, rates) pair of `_trace_rhs`; the loop is its
+    generated RK4 kernel (see `_rk4_source`).
     """
     stride = config.log_stride
     out = np.empty((math.ceil(n_steps / stride) + 1, len(s0)))
     out[0] = s0
-    loop = _rk4_loop(len(s0))
+    tape, rates = traced
+    loop = tape.compile(_rk4_source(tape, rates), "rk4", {"DivergenceError": DivergenceError})
     with np.errstate(over="ignore", invalid="ignore"):
-        out[-1] = loop(rhs, config.dt, n_steps, stride, out, *s0.tolist())
+        out[-1] = loop(config.dt, n_steps, stride, out, *s0.tolist())
     return out
 
 
-def _rk4_loop(dim: int) -> Callable:
-    """rk4(f, dt, n_steps, stride, out, y0, ..., y{dim-1}) -> final state.
+def _rk4_source(tape: Tape, rates: Sequence[str]) -> str:
+    """Source of rk4(dt, n_steps, stride, out, y0, ..., yN) -> final state.
 
     Classical RK4 with one float variable per state component, in the
-    operation order of the array form s + dt/6 (k1 + 2 k2 + 2 k3 + k4).  It
-    writes every stride-th state into row (i + 1) // stride of out, and
-    raises DivergenceError(t) at the first step that leaves
-    [-DIVERGENCE_THRESHOLD, DIVERGENCE_THRESHOLD] in some component; the
-    chained comparison is false for nan and +-inf as well.
+    operation order of the array form s + dt/6 (k1 + 2 k2 + 2 k3 + k4).  The
+    traced lines are written out once per stage: each stage binds the
+    stage time t and the stage state s0, ..., sN, the names the lines read,
+    and copies the rates into kJ_0, ..., kJ_N before the next stage
+    overwrites the lines' vK.  No local is named cK, the tape's name for a
+    non-finite constant.  The kernel writes every stride-th state into row
+    (i + 1) // stride of out, and raises DivergenceError(i dt) at the first
+    step that leaves [-DIVERGENCE_THRESHOLD, DIVERGENCE_THRESHOLD] in some
+    component; the chained comparison is false for nan and +-inf as well.
     """
+    dim = len(rates)
+
     def each(template: str, sep: str = ", ") -> str:
         return sep.join(template.format(i=i) for i in range(dim))
 
+    def stage(j: int, t: str, s: str) -> list[str]:
+        return [
+            f"t = {t}",
+            *(f"s{i} = {s.format(i=i)}" for i in range(dim)),
+            *tape.lines,
+            *(f"k{j}_{i} = {rate}" for i, rate in enumerate(rates)),
+        ]
+
     y, limit = each("y{i}"), repr(DIVERGENCE_THRESHOLD)
-    source = "\n".join([
-        f"def rk4(f, dt, n_steps, stride, out, {y}):",
+    body = [
+        "t_i = i * dt",
+        *stage(1, "t_i", "y{i}"),
+        *stage(2, "t_i + h2", "y{i} + h2 * k1_{i}"),
+        *stage(3, "t_i + h2", "y{i} + h2 * k2_{i}"),
+        *stage(4, "t_i + dt", "y{i} + dt * k3_{i}"),
+        *(f"y{i} = y{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+          for i in range(dim)),
+        f"if not ({each(f'-{limit} <= y{{i}} <= {limit}', ' and ')}):",
+        "    raise DivergenceError(t_i)",
+        "if (i + 1) % stride == 0:",
+        f"    out[(i + 1) // stride] = {y}",
+    ]
+    return "\n".join([
+        f"def rk4(dt, n_steps, stride, out, {y}):",
         "    h2 = dt / 2.0",
         "    h6 = dt / 6.0",
         "    for i in range(n_steps):",
-        "        t = i * dt",
-        f"        {each('a{i}')}, = f(t, {y})",
-        f"        {each('b{i}')}, = f(t + h2, {each('y{i} + h2 * a{i}')})",
-        f"        {each('c{i}')}, = f(t + h2, {each('y{i} + h2 * b{i}')})",
-        f"        {each('d{i}')}, = f(t + dt, {each('y{i} + dt * c{i}')})",
-        each("        y{i} = y{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})", "\n"),
-        f"        if not ({each(f'-{limit} <= y{{i}} <= {limit}', ' and ')}):",
-        "            raise DivergenceError(t)",
-        "        if (i + 1) % stride == 0:",
-        f"            out[(i + 1) // stride] = {y}",
+        *("        " + line for line in body),
         f"    return {y},",
     ])
-    scope = {"DivergenceError": DivergenceError}
-    exec(compile(source, "<rk4 loop>", "exec"), scope)
-    return scope["rk4"]
 
 
 @dataclass(frozen=True)

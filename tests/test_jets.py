@@ -14,6 +14,7 @@ from dads.jets import (
     SmoothMap,
     Tape,
     Traced,
+    _float_pow,
     gradient,
     jet_cos,
     jet_exp,
@@ -351,15 +352,47 @@ class TestTrace:
             assert f(1.0, 0.0) == math.inf
             assert math.isnan(_compiled(lambda x: x ** 0.5)[1](-4.0))
 
+    def test_records_each_right_hand_side_once(self):
+        # the second x * y is the first one's value, and so is what is built
+        # on it the same way; every recorded operation is pure
+        tape, f = _compiled(lambda x, y: (x * y + 1.0) * (x * y + 1.0) - x * y, arity=2)
+        assert tape.lines == ["v0 = x0 * x1", "v1 = v0 + 1.0", "v2 = v1 * v1", "v3 = v2 - v0"]
+        assert f(1.5, -2.0) == (1.5 * -2.0 + 1.0) * (1.5 * -2.0 + 1.0) - 1.5 * -2.0
+
     def test_elementary_calls_keep_their_semantics(self):
         tape, f = _compiled(lambda x: jet_relu_plus(x) * jet_exp(x))
-        assert tape.lines[:2] == ["v0 = jet_relu_plus(x0)", "v1 = jet_exp(x0)"]
+        assert tape.lines[:2] == ["v0 = (0.0 if 0.0 > x0 else x0)",
+                                  "v1 = (exp(x0) if x0 < 709.0 else jet_exp(x0))"]
         assert f(-1.0) == 0.0
         assert f(1000.0) == math.inf
         tape, f = _compiled(lambda x: jet_cos(2.0 * x))
-        assert tape.lines == ["v0 = 2.0 * x0", "v1 = _cos(v0)"]
+        assert tape.lines == ["v0 = 2.0 * x0", "v1 = (cos(v0) if -inf < v0 < inf else nan)"]
         assert f(0.25) == math.cos(0.5)
         assert math.isnan(f(1e308))
+        tape, f = _compiled(lambda x: x ** 4)
+        assert tape.lines == [
+            "v0 = (x0 ** 4 if -5.78960446186581e+76 < x0 < 5.78960446186581e+76 "
+            "else _pow(x0, 4))"]
+
+    @pytest.mark.parametrize("elementary, helper, points", [
+        (jet_exp, jet_exp, [709.0, 709.78, 709.79, 710.0, math.inf, -math.inf,
+                            math.nan, -745.2, -0.0]),
+        (jet_cos, jet_cos, [math.inf, -math.inf, math.nan, 1e308, -0.0]),
+        (jet_relu_plus, jet_relu_plus, [-0.0, 0.0, math.nan, -1.0, 2.0]),
+        *((lambda x, p=p: x ** p, lambda x, p=p: _float_pow(x, p),
+           [1e200, -1e200, 2.0 ** (1023 // p), -(2.0 ** (1023 // p)),
+            np.nextafter(2.0 ** (1023 // p), 0.0), np.nextafter(2.0 * 2.0 ** (1023 // p), 0.0),
+            1.7e308, math.inf, -math.inf, math.nan, -0.0, 1e-200, -3.0])
+          for p in (1, 2, 3, 4, 7, 1024)),
+    ], ids=["exp", "cos", "relu", "pow1", "pow2", "pow3", "pow4", "pow7", "pow1024"])
+    def test_inline_elementary_functions_equal_the_float_helpers(self, elementary, helper,
+                                                                   points):
+        f = _compiled(elementary)[1]
+        with np.errstate(all="ignore"):
+            for x in map(float, points):
+                got, want = f(x), helper(x)
+                assert np.array_equal(got, want, equal_nan=True), (x, got, want)
+                assert math.copysign(1.0, got) == math.copysign(1.0, want), (x, got, want)
 
     def test_traces_through_nested_jets(self):
         f = SmoothMap(2, lambda x, y: x * x * y + jet_exp(0.3 * y) / x)

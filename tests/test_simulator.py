@@ -1,5 +1,6 @@
 """Tests for the closed-loop simulator and trajectory statistics."""
 
+import ast
 import io
 import math
 import os
@@ -42,6 +43,7 @@ THETA = constant_parameter([20.0, 20.0, 2.0, 1.0])
 X0 = [1.0, -0.5, -18.0]
 Z0 = [-math.log(10.0)]
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+SIMULATING = sorted(p.stem for p in SCENARIOS.glob("*.scenario") if "[sim]" in p.read_text())
 
 
 def run_sigma(t_end=1.0, dt=1e-4, sigma=0.4, dist=None, stride=100):
@@ -272,6 +274,15 @@ class TimedSigmaMod(SigmaModController):
         return u + 0.5 * t * x[0] - t * t, w
 
 
+class HoldsInfinity(SigmaModController):
+    """The leakage law plus x1 / (0 x1 + inf), a signed zero: the trace binds
+    the non-finite constant by name, as c0."""
+
+    def step(self, x, cs, t=0.0):
+        u, w = super().step(x, cs, t)
+        return u + x[0] / (0.0 * x[0] + math.inf), w
+
+
 class PushesDown(WingRockDadsController):
     """u = -1e9, z held: x3 falls linearly, and x1, x2 stay finite."""
 
@@ -394,7 +405,8 @@ class TestCompiledLoop:
     """The generated RK4 loop logs the same rows as RK4 on arrays."""
 
     @pytest.mark.parametrize("case", ["zero", "sinusoid-bank", "vanishing",
-                                      "cascade", "reads-t", "stride-divides"])
+                                      "cascade", "reads-t", "stride-divides",
+                                      "non-finite-constant"])
     def test_rows_equal_the_reference(self, case):
         sys, theta, ctrl = wingrock(), THETA(0.0), SigmaModController(sigma_leak=0.4)
         x0, c0 = X0, [0.0] * 4
@@ -407,6 +419,8 @@ class TestCompiledLoop:
             ctrl, x0, c0 = LinearCascadeLaw(), [1.0, -0.5, 0.3], [2.0]
         if case == "reads-t":
             ctrl = TimedSigmaMod()
+        if case == "non-finite-constant":
+            ctrl = HoldsInfinity(sigma_leak=0.4)
         # 300 steps: 7 does not divide them, 10 does
         stride = 10 if case == "stride-divides" else 7
         cfg = SimConfig(dt=1e-4, t_end=0.03, method="rk4", log_stride=stride)
@@ -427,6 +441,24 @@ class TestCompiledLoop:
         with pytest.raises(DivergenceError) as want, np.errstate(over="ignore", invalid="ignore"):
             _reference_rk4(wingrock(), ctrl, THETA(0.0), zero_disturbance(2), [*X0, *Z0], cfg)
         assert got.value.t_last == want.value.t_last
+
+    @pytest.mark.parametrize("name", SIMULATING)
+    def test_shipped_kernels_record_each_operation_once_and_call_no_rhs(
+            self, name, monkeypatch):
+        trace, traced = simulate_module._trace_rhs, []
+        monkeypatch.setattr(simulate_module, "_trace_rhs",
+                            lambda *args: traced.append(trace(*args)) or traced[-1])
+        run_scenario(load_scenario(str(SCENARIOS / f"{name}.scenario")),
+                     Namespace(dt=None, t_end=1e-3))
+        ((tape, rates),) = traced
+        right_sides = [line.split(" = ", 1)[1] for line in tape.lines]
+        assert len(set(right_sides)) == len(right_sides)
+        # the only calls left in the kernel are the loop's own and the slow
+        # paths of the inline elementary functions
+        source = simulate_module._rk4_source(tape, rates)
+        called = {node.func.id for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)}
+        assert called <= {"range", "DivergenceError", "exp", "jet_exp", "cos", "_pow", "_div"}
 
 
 class TestStats:
