@@ -20,7 +20,7 @@ import configparser
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .simulate import DivergenceError, SimConfig, TrajectoryLog, simulate, traje
 from .synthesis import (
     DadsGains,
     MajorantViolationError,
-    StageMajorants,
     synthesize,
     wingrock_majorants,
 )
@@ -56,6 +55,8 @@ EXIT_PARSE = 2
 EXIT_DIVERGENCE = 3
 EXIT_MAJORANT = 4
 EXIT_CHECK_FAILED = 5
+
+MAX_SAMPLES = 10**5  # [checks] n_samples bound; 10**5 takes seconds and ~100 MB
 
 
 class ScenarioError(Exception):
@@ -182,18 +183,17 @@ def build_controller(scn: Scenario, sys_model=None):
 def build_gains(scn: Scenario) -> DadsGains:
     eps = scn.getfloat("synthesis", "eps", 0.01)
     eps_dz = scn.getfloat("synthesis", "eps_dz", eps * eps / 2.0)
+    # a key the scenario omits takes the wing-rock law's design constant
+    base = WingRockDadsController().gains
     try:
         return DadsGains(
-            b=scn.getfloat("synthesis", "b", 1.0),
+            b=scn.getfloat("synthesis", "b", base.b),
             Gamma=scn.getfloat(
-                "synthesis", "gamma",
-                scn.getfloat("controller", "gamma", WingRockDadsController.Gamma),
+                "synthesis", "gamma", scn.getfloat("controller", "gamma", base.Gamma)
             ),
             eps_dz=eps_dz,
-            c=scn.getfloat(
-                "synthesis", "c", scn.getfloat("controller", "c", WingRockDadsController.c)
-            ),
-            a=scn.getfloat("synthesis", "a", 2.0),
+            c=scn.getfloat("synthesis", "c", scn.getfloat("controller", "c", base.c)),
+            a=scn.getfloat("synthesis", "a", base.a),
         )
     except ValueError as exc:
         raise ScenarioError(f"invalid synthesis gains: {exc}") from None
@@ -222,15 +222,15 @@ def build_disturbance(scn: Scenario, dim: int) -> DisturbanceProfile:
 
 
 def build_sim_config(scn: Scenario, args) -> SimConfig:
-    dt = args.dt if args.dt is not None else scn.getfloat("sim", "dt", 1e-4)
-    t_end = args.t_end if args.t_end is not None else scn.getfloat("sim", "t_end", 10.0)
+    """The [sim] settings, --dt and --t-end overriding; unset ones keep SimConfig's."""
+    fields = {
+        "dt": args.dt if args.dt is not None else scn.getfloat("sim", "dt"),
+        "t_end": args.t_end if args.t_end is not None else scn.getfloat("sim", "t_end"),
+        "method": scn.get("sim", "method"),
+        "log_stride": scn.getint("sim", "log_stride"),
+    }
     try:
-        return SimConfig(
-            dt=dt,
-            t_end=t_end,
-            method=scn.get("sim", "method", "rk4"),
-            log_stride=scn.getint("sim", "log_stride", 100),
-        )
+        return SimConfig(**{k: v for k, v in fields.items() if v is not None})
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
 
@@ -310,17 +310,11 @@ def cmd_synthesize(args) -> int:
     pack = wingrock_majorants(gains)
     bad_r = scn.getfloat("synthesis", "override_base_r", None)
     if bad_r is not None:
-        pack = type(pack)(
-            base_r=SmoothMap(1, lambda x1: bad_r, name="override_r"),
-            levels=tuple(
-                StageMajorants(
-                    R=lv.R,
-                    r=SmoothMap(lv.r.arity, lambda *a: bad_r, name="override_r"),
-                    rho=lv.rho,
-                )
-                for lv in pack.levels
-            ),
-        )
+        def override(arity):
+            return SmoothMap(arity, lambda *a: bad_r, name="override_r")
+
+        pack = replace(pack, base_r=override(1), levels=tuple(
+            replace(lv, r=override(lv.r.arity)) for lv in pack.levels))
     result = synthesize(sysm, gains, pack, seed=args.seed)
     reports = _synthesis_reports(sysm, result, gains, args.seed)
     path = _out_path(args, scn, "report.txt")
@@ -351,8 +345,10 @@ def _run_checks(scn: Scenario, args) -> list[ver.CheckReport]:
     if not names:
         raise ScenarioError("verify: scenario has no [checks] names")
     n = scn.getint("checks", "n_samples", 1000)
-    if n < 1:
-        raise ScenarioError(f"[checks] n_samples must be positive, got {n}")
+    if not 1 <= n <= MAX_SAMPLES:
+        raise ScenarioError(
+            f"[checks] n_samples must be in [1, MAX_SAMPLES = {MAX_SAMPLES}], got {n}"
+        )
     tol = scn.getfloat("checks", "tol", 1e-6)
     if not 0 <= tol < math.inf:  # an infinite tolerance would pass any margin
         raise ScenarioError(f"[checks] tol must be finite and >= 0, got {tol}")
@@ -393,14 +389,13 @@ def _run_checks(scn: Scenario, args) -> list[ver.CheckReport]:
         elif name == "trajectory":
             log, controller, dist = run_scenario(scn, args)
             theta = _sized_vector(scn, "parameter", "value", sysm.p)
-            radius = ver.wingrock_attractivity_radius(controller.c, controller.eps_dz)
+            gains = controller.gains
             reports.extend(
                 ver.check_trajectory_estimates(
-                    log,
-                    c=controller.c, a=2.0, b=1.0, eps_dz=controller.eps_dz,
+                    log, c=gains.c, a=gains.a, b=gains.b, eps_dz=gains.eps_dz,
                     d_sup=ver.signal_sup(dist, log.t),
                     theta_sup=float(np.linalg.norm(theta)),
-                    attractivity_radius=radius,
+                    attractivity_radius=ver.wingrock_attractivity_radius(gains.c, gains.eps_dz),
                 )
             )
         elif name == "sigma-tradeoff":
@@ -431,8 +426,10 @@ def cmd_compare(args) -> int:
         raise ScenarioError("compare needs at least two scenarios")
     rows = []
     logs = {}
+    expect_drift = False  # a persistent disturbance in any scenario
     for path in args.scenarios:
         scn = load_scenario(path)
+        expect_drift |= scn.get("disturbance", "kind", "zero") != "zero"
         log, controller, _ = run_scenario(scn, args)
         stats = trajectory_stats(log, controller)
         ctype = scn.get("controller", "type", "dads-wingrock")
@@ -462,10 +459,6 @@ def cmd_compare(args) -> int:
         None,
     )
     if dads is not None and s0 is not None and s_leak is not None:
-        expect_drift = any(
-            load_scenario(p).get("disturbance", "kind", "zero") != "zero"
-            for p in args.scenarios
-        )
         rep = ver.check_drift_contrast(dads, s0, s_leak, expect_drift=expect_drift)
         print(rep.summary())
         if expect_drift and rep.passed:

@@ -25,6 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .jets import SmoothMap, jet_exp, jet_relu_plus
+from .synthesis import DadsGains
 
 
 class WingRockTerms(NamedTuple):
@@ -74,6 +75,11 @@ class WingRockDadsController:
             raise ValueError(f"Gamma must be positive and finite, got {self.Gamma}")
         if not 0 < self.eps_dz < math.inf:
             raise ValueError(f"eps_dz must be positive and finite, got {self.eps_dz}")
+
+    @property
+    def gains(self) -> DadsGains:
+        """The DADS design constants of this law: b = 1, a = 2, kappa = lambda = id."""
+        return DadsGains(b=1.0, Gamma=self.Gamma, eps_dz=self.eps_dz, c=self.c, a=2.0)
 
     # --- simulator interface -------------------------------------------------
     ctrl_dim = 1

@@ -6,8 +6,8 @@ last level.  n = 0 is the pure strict-feedback chain (the wing-rock plant).
 The plant carries the positive majorants eta (lower bound on the controlled
 gain) and mu (upper bound proportional to 1 + |theta|) that the backstepping
 synthesis relies on.  theta is unknown and its bound arbitrary; the plant
-only names the radius of the ball from which the synthesis draws theta when
-it samples these gain bounds.
+only names the radius of the ball from which the synthesis (sampling these
+gain bounds) and the sampled certificate checks draw theta.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class StrictFeedbackSystem:
     h_j, phi_j, alpha_j, eta_j take (x, y_1..y_j); g_j additionally takes
     theta; mu has the m - 1 entries for the levels below the input.  n = 0 is
     the pure strict-feedback chain.  theta_radius is the radius of the ball
-    the synthesis samples theta from; it bounds nothing about theta itself.
+    synthesis and the sampled checks draw theta from; it bounds no true theta.
     The constructor rejects per-level tuples of the wrong length, maps of the
     wrong arity, and phi/alpha of a codimension other than p/l.
     """

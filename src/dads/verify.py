@@ -29,12 +29,13 @@ from .controllers import (
 )
 from .jets import SmoothMap, gradient, jet_exp, jet_relu_plus
 from .simulate import TrajectoryLog, tail_length
-from .synthesis import BOX_RADIUS, DadsGains, _norm_sq
+from .synthesis import BOX_RADIUS, _norm_sq
 from .systems import eval_dynamics, sample_ball, truncate
 
-# sampling box covering the benchmark experiment magnitudes; the states are
-# drawn from the box on which synthesis validated the plant bounds
-DEFAULT_BOX = {"x": BOX_RADIUS, "z": 3.0, "theta": 40.0, "d": 30.0}
+# a sampled check draws states and z from the box [-BOX_RADIUS, BOX_RADIUS]
+# on which synthesis validated the plant bounds, theta (and its estimate) from
+# the plant's ball of radius theta_radius, and d from this ball
+D_RADIUS = 30.0
 # samples this close to the deadzone boundary are excluded (derivative kink)
 KINK_BAND = 1e-9
 # a tail bound passes within this relative slack of the limit it stands for
@@ -158,15 +159,14 @@ def check_dissipation(
 # Prebuilt dissipation checks for the wing-rock benchmark
 # ---------------------------------------------------------------------------
 
-def _box_sampler(x_dim, theta_dim, d_dim):
-    def sample(rng):
-        x = rng.uniform(-DEFAULT_BOX["x"], DEFAULT_BOX["x"], x_dim)
-        z = rng.uniform(-DEFAULT_BOX["z"], DEFAULT_BOX["z"])
-        th = sample_ball(rng, theta_dim, DEFAULT_BOX["theta"])
-        d = sample_ball(rng, d_dim, DEFAULT_BOX["d"])
-        return (*x, z, *th, *d)
-
-    return sample
+def _box_sampler(sys, box_dim, theta_dim):
+    """One draw: box_dim entries from the state box, then theta_dim from the
+    plant's theta ball and sys.l from the disturbance ball."""
+    return lambda rng: (
+        *rng.uniform(-BOX_RADIUS, BOX_RADIUS, box_dim),
+        *sample_ball(rng, theta_dim, sys.theta_radius),
+        *sample_ball(rng, sys.l, D_RADIUS),
+    )
 
 
 def wingrock_dissipation_check(
@@ -179,15 +179,15 @@ def wingrock_dissipation_check(
 ) -> CheckReport:
     """Sampled decay inequality for the closed-form wing-rock law.
 
-    The bound is -cV + 2(|d|^2 + ((|theta|-1-e^z)^+)^2)/(1+e^z): the general
-    DADS inequality with b = 1, kappa = lambda = id and a = 2.  control_fn
-    overrides the input computation (used by mutation tests).
+    The bound is -cV + a(|d|^2 + ((|theta|-b-e^z)^+)^2)/(1+e^z): the general
+    DADS inequality with the controller's gains.  control_fn overrides the
+    input computation (used by mutation tests).
     """
     u_of = control_fn or (lambda x, z: wingrock_control(x, z, ctrl)[0])
     k = SmoothMap(4, lambda x1, x2, x3, z: u_of((x1, x2, x3), z), name="wingrock_u")
-    gains = DadsGains(b=1.0, Gamma=ctrl.Gamma, eps_dz=ctrl.eps_dz, c=ctrl.c, a=2.0)
+    gains = ctrl.gains
     return synthesized_dissipation_check(
-        sys, ctrl.lyapunov_map(), k, gains, rate_c=ctrl.c, gain_a=2.0,
+        sys, ctrl.lyapunov_map(), k, gains, rate_c=gains.c, gain_a=gains.a,
         n=n, tol=tol, seed=seed, name="wingrock dissipation",
     )
 
@@ -209,19 +209,19 @@ def sigma_mod_dissipation_check(
     W = sigma_mod_W_map(ctrl, theta)
     leak, Gamma, c = ctrl.sigma_leak, ctrl.Gamma, ctrl.c
 
-    def sample7(rng):
-        x = rng.uniform(-DEFAULT_BOX["x"], DEFAULT_BOX["x"], 3)
-        th_hat = sample_ball(rng, 4, DEFAULT_BOX["theta"])
-        d = sample_ball(rng, 2, DEFAULT_BOX["d"])
-        return (*x, *th_hat, *d)
+    nx, nt = sys.state_dim, ctrl.ctrl_dim
+
+    def split(cols):
+        """(x, theta_hat, d) of the sample columns."""
+        return cols[:nx], cols[nx : nx + nt], cols[nx + nt :]
 
     def rhs(cols):
-        x, th_hat, d = cols[:3], cols[3:7], cols[7:9]
+        x, th_hat, d = split(cols)
         u, w = sigma_mod_control(x, th_hat, ctrl)
         return (*eval_dynamics(sys, x, u, theta, d), *w)
 
     def bound(cols):
-        x, th_hat, d = cols[:3], cols[3:7], cols[7:9]
+        x, th_hat, d = split(cols)
         zeta, chi, _ = _sigma_mod_terms(*x, *th_hat, c=c, K=ctrl.K)
         err = _norm_sq(e - t for e, t in zip(th_hat, theta))
         return (
@@ -232,7 +232,7 @@ def sigma_mod_dissipation_check(
         )
 
     return check_dissipation(
-        W, rhs, bound, sample7, n=n, tol=tol, seed=seed,
+        W, rhs, bound, _box_sampler(sys, nx, nt), n=n, tol=tol, seed=seed,
         name=f"sigma-mod dissipation (leak={leak:g})",
     )
 
@@ -279,7 +279,7 @@ def synthesized_dissipation_check(
         return np.abs(V(*cols[: dim + 1]) - gains.eps_dz) < KINK_BAND
 
     return check_dissipation(
-        V, rhs, bound, _box_sampler(dim, sys.p, sys.l), n=n, tol=tol,
+        V, rhs, bound, _box_sampler(sys, dim + 1, sys.p), n=n, tol=tol,
         seed=seed, exclude=exclude, name=name,
     )
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface and scenario files."""
 
+import argparse
 import math
 import os
 import re
@@ -16,14 +17,18 @@ from dads.cli import (
     EXIT_MAJORANT,
     EXIT_OK,
     EXIT_PARSE,
+    MAX_SAMPLES,
     ScenarioError,
     build_gains,
+    build_sim_config,
     load_scenario,
     main,
     parse_scenario_text,
 )
+import dads.cli as cli
+import dads.verify as ver
 from dads.controllers import WingRockDadsController
-from dads.simulate import TrajectoryLog
+from dads.simulate import SimConfig, TrajectoryLog
 
 SCEN = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -59,11 +64,25 @@ class TestScenarioParsing:
         assert s.getvector("sim", "x0", [0.0]) == [0.0]
 
     def test_synthesis_gains_default_to_the_controller(self):
-        # gamma and c set in neither [synthesis] nor [controller] take the
-        # closed-form controller's defaults
-        gains = build_gains(parse_scenario_text("[system]\nname = wingrock\n[synthesis]\nb = 1.0\n"))
+        # gamma and c set in neither [synthesis] nor [controller], and b and
+        # a left out of [synthesis], take the closed-form controller's values
+        gains = build_gains(parse_scenario_text("[system]\nname = wingrock\n[synthesis]\n"))
         assert gains.Gamma == WingRockDadsController.Gamma
         assert gains.c == WingRockDadsController.c
+        law = WingRockDadsController().gains
+        assert (gains.b, gains.a) == (law.b, law.a) == (1.0, 2.0)
+
+    @pytest.mark.parametrize("text, flags, expected", [
+        ("", (None, None), SimConfig()),
+        ("[sim]\nlog_stride = 7\n", (None, None), SimConfig(log_stride=7)),
+        ("[sim]\ndt = 0.01\nmethod = radau\n", (None, 2.0),
+         SimConfig(dt=0.01, t_end=2.0, method="radau")),
+        ("[sim]\ndt = 0.01\nt_end = 3\n", (0.001, None), SimConfig(dt=0.001, t_end=3.0)),
+    ])
+    def test_sim_config_keeps_the_defaults_it_is_not_given(self, text, flags, expected):
+        scn = parse_scenario_text("[system]\nname = wingrock\n" + text)
+        args = argparse.Namespace(dt=flags[0], t_end=flags[1])
+        assert build_sim_config(scn, args) == expected
 
 
 class TestSimulateCommand:
@@ -248,13 +267,16 @@ class TestVerifyCommand:
         assert main(["verify", str(bad), "--out", str(tmp_path)]) == EXIT_PARSE
         assert "deadzone-adapted" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n_samples", ["0", "-3"])
-    def test_no_samples_is_parse_error(self, tmp_path, capsys, n_samples):
+    @pytest.mark.parametrize("n_samples", ["0", "-3", str(MAX_SAMPLES + 1)])
+    def test_no_samples_is_parse_error(self, tmp_path, capsys, monkeypatch, n_samples):
+        # rejected before any sample is drawn
+        monkeypatch.setattr(ver, "check_dissipation", None)
         text = open(scen("ineq34.scenario")).read()
         bad = tmp_path / "nosamples.scenario"
         bad.write_text(text.replace("n_samples = 1000", f"n_samples = {n_samples}"))
         assert main(["verify", str(bad), "--out", str(tmp_path)]) == EXIT_PARSE
-        assert "n_samples" in capsys.readouterr().err
+        assert f"n_samples must be in [1, MAX_SAMPLES = {MAX_SAMPLES}], got {n_samples}" in (
+            capsys.readouterr().err)
 
     def test_unknown_check_is_parse_error(self, tmp_path):
         bad = tmp_path / "unknown.scenario"
@@ -359,7 +381,11 @@ class TestNonFiniteParameters:
 
 
 class TestVerifyFuzz:
-    """Bounded fuzz of [controller] numbers through `dads verify`."""
+    """Bounded fuzz of [controller] numbers and [checks] n_samples through
+    `dads verify`.  Accepted sample counts stay at most 20."""
+
+    # rejected n_samples texts: nonpositive, one past the bound, not an integer
+    BAD_SAMPLES = ("-1", "-1000", "0", str(MAX_SAMPLES + 1), "1e3", "x")
 
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -372,19 +398,19 @@ class TestVerifyFuzz:
             st.floats(allow_nan=True, allow_infinity=True),
             max_size=5,
         ),
-        n_samples=st.integers(1, 20),
+        n_samples=st.one_of(st.integers(1, 20).map(str), st.sampled_from(BAD_SAMPLES)),
     )
     def test_exit_codes(self, tmp_path, sigma_mod, overrides, n_samples):
         # only the keys the controller reads: the leak or the deadzone level
         unread = "eps" if sigma_mod else "sigma"
         values = {k: v for k, v in overrides.items() if k != unread}
         entries = {("controller", k): repr(v) for k, v in values.items()}
-        entries[("checks", "n_samples")] = str(n_samples)
+        entries[("checks", "n_samples")] = n_samples
         path = edited("ineq38" if sigma_mod else "ineq34", tmp_path, entries)
         code = main(["verify", path, "--out", str(tmp_path)])
         event(f"exit {code}")
         assert code in (EXIT_OK, EXIT_PARSE, EXIT_CHECK_FAILED)
-        if not all(math.isfinite(v) for v in values.values()):
+        if n_samples in self.BAD_SAMPLES or not all(math.isfinite(v) for v in values.values()):
             assert code == EXIT_PARSE
 
 
@@ -475,6 +501,26 @@ class TestCompareCommand:
         assert "sigma-mod(0)" in out
         assert "sigma-mod(0.4)" in out
         assert (tmp_path / "compare.txt").exists()
+
+    def test_reads_each_scenario_once(self, monkeypatch):
+        loaded, drift = [], []
+
+        def counting_load(path):
+            loaded.append(path)
+            return load_scenario(path)
+
+        def contrast(*logs, expect_drift):
+            drift.append(expect_drift)
+            return check_drift_contrast(*logs, expect_drift=expect_drift)
+
+        check_drift_contrast = ver.check_drift_contrast
+        monkeypatch.setattr(cli, "load_scenario", counting_load)
+        monkeypatch.setattr(ver, "check_drift_contrast", contrast)
+        paths = [scen(f"fig4_{s}.scenario") for s in ("dads", "sigma0", "sigma04")]
+        assert main(["compare", *paths, "--t-end", "0.1"]) == EXIT_OK
+        assert loaded == paths
+        # the persistent disturbance is read from those parses
+        assert drift == [True]
 
     def test_horizon_mismatch_is_parse_error(self, tmp_path):
         a = tmp_path / "a.scenario"

@@ -54,6 +54,10 @@ class TestWingRockDads:
         ctrl = WingRockDadsController()
         assert (ctrl.c, ctrl.K, ctrl.Gamma, ctrl.eps_dz) == (0.5, 14.0, 20.0, 0.01)
 
+    def test_gains_are_the_design_constants(self):
+        g = WingRockDadsController(c=0.75, K=30.0, Gamma=3.0, eps_dz=0.2).gains
+        assert (g.b, g.a, g.c, g.Gamma, g.eps_dz) == (1.0, 2.0, 0.75, 3.0, 0.2)
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dads.verify as ver
+from dads.controllers import SigmaModController, WingRockDadsController
 from dads.jets import SmoothMap, Tape, Traced
 from dads.synthesis import (
     DadsGains,
@@ -29,7 +31,11 @@ from dads.systems import (
     wingrock,
     zero_disturbance,
 )
-from dads.verify import synthesized_dissipation_check
+from dads.verify import (
+    sigma_mod_dissipation_check,
+    synthesized_dissipation_check,
+    wingrock_dissipation_check,
+)
 
 THETA_WR = np.array([20.0, 20.0, 2.0, 1.0])
 X0_WR = np.array([1.0, -0.5, -18.0])
@@ -119,6 +125,43 @@ class TestCascadeDynamics:
         )
         assert rep.n_samples == 200
         assert rep.passed, rep.summary()
+
+
+def _cascade_base_check(n):
+    sys = _cascade_toy()
+    gains = DadsGains(b=1.0, Gamma=20.0, eps_dz=0.01, c=0.5, a=2.0)
+    base = solve_base_theorem1(
+        n=2, m=1, gains=gains, eta1=sys.eta[0],
+        r=SmoothMap(3, lambda *a: 1.0, name="r"), alpha1=sys.alpha[0],
+    ).stage
+    return synthesized_dissipation_check(
+        sys, base.V, base.k, gains, base.rate_c, base.effective_gain, n=n,
+    )
+
+
+class TestSamplingDomain:
+    """Each sampled check draws theta (or its estimate) from the plant's ball."""
+
+    @pytest.mark.parametrize("check, theta_radius", [
+        (_cascade_base_check, 5.0),
+        (lambda n: wingrock_dissipation_check(wingrock(), WingRockDadsController(), n=n),
+         40.0),
+        (lambda n: sigma_mod_dissipation_check(
+            wingrock(), SigmaModController(), THETA_WR, n=n), 40.0),
+    ], ids=["cascade-certificate", "ineq34", "ineq38"])
+    def test_theta_ball_is_the_plants(self, monkeypatch, check, theta_radius):
+        radii = []
+
+        def recording(rng, dim, radius):
+            radii.append(radius)
+            return sample_ball(rng, dim, radius)
+
+        monkeypatch.setattr(ver, "sample_ball", recording)
+        rep = check(20)
+        assert rep.n_samples == 20
+        # each draw takes theta, then d
+        assert set(radii[0::2]) == {theta_radius}
+        assert set(radii[1::2]) == {ver.D_RADIUS}
 
 
 class TestConstructionChecks:
