@@ -88,7 +88,8 @@ class Scenario:
         try:
             return convert(v)
         except ValueError:
-            raise ScenarioError(f"[{section}] {key}: not a number: {v!r}") from None
+            what = "an integer" if convert is int else "a number"
+            raise ScenarioError(f"[{section}] {key}: not {what}: {v!r}") from None
 
     def getfloat(self, section, key, default=None):
         return self._convert(section, key, default, float)
@@ -158,8 +159,13 @@ _CONTROLLER_FIELDS = {
 }
 
 
+def controller_type(scn: Scenario) -> str:
+    """The [controller] type; the closed-form wing-rock law when omitted."""
+    return scn.get("controller", "type", "dads-wingrock")
+
+
 def build_controller(scn: Scenario, sys_model=None):
-    ctype = scn.get("controller", "type", "dads-wingrock")
+    ctype = controller_type(scn)
     try:
         if ctype in _CONTROLLER_FIELDS:
             cls, fields = _CONTROLLER_FIELDS[ctype]
@@ -180,21 +186,19 @@ def build_controller(scn: Scenario, sys_model=None):
     raise ScenarioError(f"unknown controller type {ctype!r}")
 
 
+# [synthesis] keys, mapped to the DadsGains fields they set; eps is the
+# deadzone level, as in [controller]
+_SYNTHESIS_FIELDS = {"b": "b", "gamma": "Gamma", "eps": "eps_dz", "c": "c", "a": "a"}
+
+
 def build_gains(scn: Scenario) -> DadsGains:
-    eps = scn.getfloat("synthesis", "eps", 0.01)
-    eps_dz = scn.getfloat("synthesis", "eps_dz", eps * eps / 2.0)
-    # a key the scenario omits takes the wing-rock law's design constant
+    """The [synthesis] constants; an omitted key takes the wing-rock law's."""
     base = WingRockDadsController().gains
     try:
-        return DadsGains(
-            b=scn.getfloat("synthesis", "b", base.b),
-            Gamma=scn.getfloat(
-                "synthesis", "gamma", scn.getfloat("controller", "gamma", base.Gamma)
-            ),
-            eps_dz=eps_dz,
-            c=scn.getfloat("synthesis", "c", scn.getfloat("controller", "c", base.c)),
-            a=scn.getfloat("synthesis", "a", base.a),
-        )
+        return DadsGains(**{
+            name: scn.getfloat("synthesis", key, getattr(base, name))
+            for key, name in _SYNTHESIS_FIELDS.items()
+        })
     except ValueError as exc:
         raise ScenarioError(f"invalid synthesis gains: {exc}") from None
 
@@ -353,7 +357,7 @@ def _run_checks(scn: Scenario, args) -> list[ver.CheckReport]:
     if not 0 <= tol < math.inf:  # an infinite tolerance would pass any margin
         raise ScenarioError(f"[checks] tol must be finite and >= 0, got {tol}")
     seed = args.seed
-    ctype = scn.get("controller", "type", "dads-wingrock")
+    ctype = controller_type(scn)
     reports: list[ver.CheckReport] = []
     for name in names:
         need, what = _CHECK_CONTROLLERS.get(name, (None, ""))
@@ -392,7 +396,7 @@ def _run_checks(scn: Scenario, args) -> list[ver.CheckReport]:
             gains = controller.gains
             reports.extend(
                 ver.check_trajectory_estimates(
-                    log, c=gains.c, a=gains.a, b=gains.b, eps_dz=gains.eps_dz,
+                    log, gains,
                     d_sup=ver.signal_sup(dist, log.t),
                     theta_sup=float(np.linalg.norm(theta)),
                     attractivity_radius=ver.wingrock_attractivity_radius(gains.c, gains.eps_dz),
@@ -432,7 +436,7 @@ def cmd_compare(args) -> int:
         expect_drift |= scn.get("disturbance", "kind", "zero") != "zero"
         log, controller, _ = run_scenario(scn, args)
         stats = trajectory_stats(log, controller)
-        ctype = scn.get("controller", "type", "dads-wingrock")
+        ctype = controller_type(scn)
         leak = controller.sigma_leak if ctype == "sigma-mod" else None
         label = ctype if leak is None else f"{ctype}({leak:g})"
         rows.append((os.path.basename(path), label, stats, log))

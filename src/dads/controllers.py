@@ -78,7 +78,7 @@ class WingRockDadsController:
 
     @property
     def gains(self) -> DadsGains:
-        """The DADS design constants of this law: b = 1, a = 2, kappa = lambda = id."""
+        """The DADS design constants of this law: b = 1, a = 2."""
         return DadsGains(b=1.0, Gamma=self.Gamma, eps_dz=self.eps_dz, c=self.c, a=2.0)
 
     # --- simulator interface -------------------------------------------------

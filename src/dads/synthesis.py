@@ -30,7 +30,7 @@ Rates halve and disturbance gains double per backstep, so a base started at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -56,17 +56,14 @@ class MajorantViolationError(Exception):
         )
 
 
-def identity_map() -> SmoothMap:
-    return SmoothMap(1, lambda s: s, name="identity")
-
-
 @dataclass(frozen=True)
 class DadsGains:
     """Design constants of the deadzone-adapted scheme.
 
-    kappa and lam are class-Kinfty gain-attenuation functions (kappa(0) = 0,
-    strictly increasing); eps_dz is the level inside the positive part of the
-    adaptation law, in whichever parameterization the caller chose.
+    b offsets the parameter norm in (|theta| - b - e^z)^+, Gamma is the
+    adaptation rate, eps_dz the deadzone level (z freezes while V <= eps_dz),
+    c the decay rate and a the disturbance gain.  The gain-attenuation
+    functions of the general law are the identity.
     """
 
     b: float
@@ -74,21 +71,12 @@ class DadsGains:
     eps_dz: float
     c: float
     a: float
-    kappa: SmoothMap = field(default_factory=identity_map)
-    lam: SmoothMap = field(default_factory=identity_map)
 
     def __post_init__(self):
         for name in ("b", "Gamma", "eps_dz", "c", "a"):
             value = getattr(self, name)
             if not 0 < value < math.inf:  # false for nan as well
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        for fname in ("kappa", "lam"):
-            fn = getattr(self, fname)
-            if abs(float(fn(0.0))) > 1e-12:
-                raise ValueError(f"{fname}(0) must be 0")
-            grid = [float(fn(s)) for s in np.linspace(0.0, 10.0, 41)]
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ValueError(f"{fname} must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -184,7 +172,7 @@ def solve_base_theorem3(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    b, a, c, kappa, lam = gains.b, gains.a, gains.c, gains.kappa, gains.lam
+    b, a, c = gains.b, gains.a, gains.c
     denom = 2.0 ** (3 - m) * a
     tail = 2.0 ** (m - 2) * c
 
@@ -193,8 +181,8 @@ def solve_base_theorem3(
         rv = r(x1)
         asq = _norm_sq(_as_tuple(alpha1(x1)))
         return (
-            (b + 1.0 + lam(ez)) * rv
-            + (1.0 + kappa(ez)) / denom * (asq + rv * rv * x1 * x1)
+            (b + 1.0 + ez) * rv
+            + (1.0 + ez) / denom * (asq + rv * rv * x1 * x1)
             + tail
         )
 
@@ -271,7 +259,6 @@ def solve_base_theorem1(
     M_const = 1.01 / lam_min
 
     b_gain, a = gains.b, gains.a
-    kappa, lam = gains.kappa, gains.lam
     omega_norm = float(np.linalg.norm(omega))
     omega_b = abs(float(omega @ bvec))
     denom = 2.0 ** (3 - m) * a
@@ -280,16 +267,15 @@ def solve_base_theorem1(
         xs, y1, z = args[:n], args[n], args[n + 1]
         ez = jet_exp(z)
         rv = r(*xs, y1)
-        lam_ez = lam(ez)
-        head = K_const + rv * (1.0 + omega_norm) * (1.0 + b_gain + lam_ez)
+        head = K_const + rv * (1.0 + omega_norm) * (1.0 + b_gain + ez)
         asq = _norm_sq(_as_tuple(alpha1(*xs, y1)))
         return (
             M_const / (2.0 ** (m + 1) * c) * head * head
             + omega_b
             + 2.0 ** (m - 2) * c
-            + M_const * (1.0 + kappa(ez)) / denom
+            + M_const * (1.0 + ez) / denom
             * (asq + rv * rv * (_norm_sq(xs) + y1 * y1))
-            + rv * (1.0 + b_gain + lam_ez)
+            + rv * (1.0 + b_gain + ez)
         )
 
     def V1(*args):
@@ -414,7 +400,6 @@ def backstep(
     dV_dz = partial_map(prev.V, d)
 
     b_gain, Gamma = gains.b, gains.Gamma
-    kappa, lam = gains.kappa, gains.lam
     cc = prev.rate_c
     aa = prev.effective_gain
     alpha, eta, mu = sys.alpha[j], sys.eta[j], sys.mu[j - 1]
@@ -423,8 +408,6 @@ def backstep(
         xs, y, z = args[:d], args[d], args[d + 1]
         ez = jet_exp(z)
         emz = jet_exp(-z)
-        lam_ez = lam(ez)
-        kap_ez = kappa(ez)
         kv = prev.k(*xs, z)
         Vv = prev.V(*xs, z)
         s = y - kv
@@ -450,13 +433,13 @@ def backstep(
         return (
             cc / 4.0
             + Gamma * Gamma * emz * emz / (4.0 * cc) * one_dkz * one_dkz * Vv
-            + P_val * (b_gain + lam_ez)
+            + P_val * (b_gain + ez)
             + 0.5 * (Gamma * emz / 4.0 * (1.0 + s * s) + muv) * one_dkz
             + 0.5 * muv * dkx_sq
             + rhov
-            + sigv / cc * P_val * P_val * (b_gain + 1.0 + lam_ez) ** 2
-            + (1.0 + kap_ez) / (4.0 * aa) * mismatch
-            + (1.0 + kap_ez) / (2.0 * aa) * P_val * P_val * (s * s + _norm_sq(xs))
+            + sigv / cc * P_val * P_val * (b_gain + 1.0 + ez) ** 2
+            + (1.0 + ez) / (4.0 * aa) * mismatch
+            + (1.0 + ez) / (2.0 * aa) * P_val * P_val * (s * s + _norm_sq(xs))
             + Gamma * emz / 4.0 * (1.0 + dVz * dVz)
         )
 
@@ -644,7 +627,6 @@ def wingrock_majorants(gains: DadsGains) -> MajorantPack:
     stage-2 bound uses a smooth template with frozen calibration constants.
     """
     b, a, c = gains.b, gains.a, gains.c
-    kappa, lam = gains.kappa, gains.lam
 
     base_r = SmoothMap(1, lambda x1: 1.0, name="wr_r1")
 
@@ -652,7 +634,7 @@ def wingrock_majorants(gains: DadsGains) -> MajorantPack:
     # disturbance-gain denominator is 2^{3-n} a = a
     def M1(x1, z):
         ez = jet_exp(z)
-        return (b + 1.0 + lam(ez)) + (1.0 + kappa(ez)) / a * x1 * x1 + 2.0 * c
+        return (b + 1.0 + ez) + (1.0 + ez) / a * x1 * x1 + 2.0 * c
 
     level2 = StageMajorants(
         R=SmoothMap(2, lambda x1, z: 1.0 + M1(x1, z), name="wr_R1"),

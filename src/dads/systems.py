@@ -234,8 +234,6 @@ def wingrock() -> StrictFeedbackSystem:
 
     All controlled gains are 1, so eta = mu = 1 hold with equality.
     """
-    one = SmoothMap(1, lambda *a: 1.0, name="one")
-
     def const(arity, value, codim=1, name=""):
         if codim == 1:
             return SmoothMap(arity, lambda *a: value, name=name)
@@ -252,11 +250,9 @@ def wingrock() -> StrictFeedbackSystem:
         SmoothMap(2, lambda x1, x2: (1.0, 0.0), codim=2, name="alpha2"),
         SmoothMap(3, lambda x1, x2, x3: (0.0, 1.0), codim=2, name="alpha3"),
     )
-    g = tuple(
-        SmoothMap(i + 1 + 4, lambda *a: 1.0, name=f"g{i + 1}") for i in range(3)
-    )
-    eta = tuple(SmoothMap(i + 1, lambda *a: 1.0, name=f"eta{i + 1}") for i in range(3))
-    mu = tuple(SmoothMap(i + 1, lambda *a: 1.0, name=f"mu{i + 1}") for i in range(2))
+    g = tuple(const(i + 1 + 4, 1.0, name=f"g{i + 1}") for i in range(3))
+    eta = tuple(const(i + 1, 1.0, name=f"eta{i + 1}") for i in range(3))
+    mu = tuple(const(i + 1, 1.0, name=f"mu{i + 1}") for i in range(2))
     return StrictFeedbackSystem(
         n=0, m=3, h=h, phi=phi, alpha=alpha, g=g, eta=eta, mu=mu,
         p=4, l=2, theta_radius=40.0,

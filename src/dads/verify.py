@@ -29,7 +29,7 @@ from .controllers import (
 )
 from .jets import SmoothMap, gradient, jet_exp, jet_relu_plus
 from .simulate import TrajectoryLog, tail_length
-from .synthesis import BOX_RADIUS, _norm_sq
+from .synthesis import BOX_RADIUS, DadsGains, _norm_sq
 from .systems import eval_dynamics, sample_ball, truncate
 
 # a sampled check draws states and z from the box [-BOX_RADIUS, BOX_RADIUS]
@@ -270,10 +270,10 @@ def synthesized_dissipation_check(
     def bound(cols):
         x, z, th, d = split(cols)
         ez = jet_exp(z)
-        excess = jet_relu_plus(np.sqrt(_norm_sq(th)) - gains.b - gains.lam(ez))
+        excess = jet_relu_plus(np.sqrt(_norm_sq(th)) - gains.b - ez)
         return -rate_c * V(*x, z) + gain_a * (
             _norm_sq(d) + excess * excess
-        ) / (1.0 + gains.kappa(ez))
+        ) / (1.0 + ez)
 
     def exclude(cols):
         return np.abs(V(*cols[: dim + 1]) - gains.eps_dz) < KINK_BAND
@@ -311,10 +311,7 @@ def signal_sup(profile, times) -> float:
 
 def check_trajectory_estimates(
     log: TrajectoryLog,
-    c: float,
-    a: float,
-    b: float,
-    eps_dz: float,
+    gains: DadsGains,
     d_sup: float,
     theta_sup: float,
     attractivity_radius: float | None = None,
@@ -328,6 +325,7 @@ def check_trajectory_estimates(
     bound |Y| <= radius (1 + SLACK).  The envelope uses the supplied signal
     suprema, which should come from the actually sampled signals.
     """
+    c, a, b = gains.c, gains.a, gains.b
     z = log.ctrl[:, 0]
     z0 = float(z[0])
     V0 = float(log.V[0])
@@ -359,7 +357,7 @@ def check_trajectory_estimates(
     v_tail = float(np.max(log.V[-n_tail:]))
     reports.append(
         CheckReport(
-            "tail V bound", n_tail, eps_dz * (1.0 + SLACK) - v_tail,
+            "tail V bound", n_tail, gains.eps_dz * (1.0 + SLACK) - v_tail,
             (v_tail,), tol,
         )
     )
@@ -430,8 +428,9 @@ def check_sigma_tradeoff(
 ) -> CheckReport:
     """Residual-set bound of the leakage baseline grows with |theta|.
 
-    Checks that the tail sup of x1^2 + zeta^2 + chi^2 stays below the
-    Lyapunov-implied residual level (|d|^2/2 + (sigma/2Gamma)|theta|^2)/c.
+    Checks that the tail sup of x1^2 + zeta^2 + chi^2, twice the logged
+    state part of the comparison function, stays below the Lyapunov-implied
+    residual level (|d|^2/2 + (sigma/2Gamma)|theta|^2)/c.
     """
     theta = np.asarray(theta, float)
     bound = (
@@ -439,10 +438,7 @@ def check_sigma_tradeoff(
         + ctrl.sigma_leak / (2.0 * ctrl.Gamma) * float(theta @ theta)
     ) / ctrl.c
     n_tail = tail_length(len(sigma_log))
-    worst_val = 0.0
-    for x, th_hat in zip(sigma_log.x[-n_tail:], sigma_log.ctrl[-n_tail:]):
-        zeta, chi, _ = _sigma_mod_terms(x[0], x[1], x[2], *th_hat, c=ctrl.c, K=ctrl.K)
-        worst_val = max(worst_val, x[0] ** 2 + zeta ** 2 + chi ** 2)
+    worst_val = 2.0 * float(np.max(sigma_log.V[-n_tail:]))
     return CheckReport(
         "sigma-mod residual bound", n_tail,
         bound * (1.0 + SLACK) - worst_val, (worst_val, bound), 0.0,

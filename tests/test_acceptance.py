@@ -174,7 +174,7 @@ def test_criterion_07_envelope_both_runs(dads_quiet, dads_persistent):
     for log, dist in ((dads_quiet, zero_disturbance(2)),
                       (dads_persistent, PERSISTENT)):
         reports = check_trajectory_estimates(
-            log, c=0.5, a=2.0, b=1.0, eps_dz=0.01,
+            log, GAINS,
             d_sup=signal_sup(dist, log.t), theta_sup=theta_sup, tol=1e-6,
         )
         env = next(r for r in reports if r.name == "V envelope")

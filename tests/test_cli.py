@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface and scenario files."""
 
 import argparse
+import csv
 import math
 import os
 import re
@@ -64,13 +65,20 @@ class TestScenarioParsing:
         assert s.getvector("sim", "x0", [0.0]) == [0.0]
 
     def test_synthesis_gains_default_to_the_controller(self):
-        # gamma and c set in neither [synthesis] nor [controller], and b and
-        # a left out of [synthesis], take the closed-form controller's values
-        gains = build_gains(parse_scenario_text("[system]\nname = wingrock\n[synthesis]\n"))
-        assert gains.Gamma == WingRockDadsController.Gamma
-        assert gains.c == WingRockDadsController.c
+        # every key left out of [synthesis] takes the closed-form law's
+        # constant, the deadzone level included; no [controller] key leaks in
         law = WingRockDadsController().gains
-        assert (gains.b, gains.a) == (law.b, law.a) == (1.0, 2.0)
+        for controller in ("", "[controller]\ngamma = 3\nc = 0.75\neps = 0.2\n"):
+            gains = build_gains(parse_scenario_text(
+                "[system]\nname = wingrock\n" + controller + "[synthesis]\n"))
+            assert gains == law
+        assert (gains.Gamma, gains.c) == (WingRockDadsController.Gamma, WingRockDadsController.c)
+        assert gains.eps_dz == WingRockDadsController.eps_dz
+        assert (gains.b, gains.a) == (1.0, 2.0)
+        # [synthesis] eps is the deadzone level itself, as in [controller]
+        gains = build_gains(parse_scenario_text(
+            "[system]\nname = wingrock\n[synthesis]\neps = 5e-05\n"))
+        assert gains.eps_dz == 5e-05
 
     @pytest.mark.parametrize("text, flags, expected", [
         ("", (None, None), SimConfig()),
@@ -277,6 +285,14 @@ class TestVerifyCommand:
         assert main(["verify", str(bad), "--out", str(tmp_path)]) == EXIT_PARSE
         assert f"n_samples must be in [1, MAX_SAMPLES = {MAX_SAMPLES}], got {n_samples}" in (
             capsys.readouterr().err)
+
+    def test_fractional_sample_count_is_not_an_integer(self, tmp_path, capsys):
+        text = open(scen("ineq34.scenario")).read()
+        bad = tmp_path / "fraction.scenario"
+        bad.write_text(text.replace("n_samples = 1000", "n_samples = 1e3"))
+        assert main(["verify", str(bad), "--out", str(tmp_path)]) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "error: [checks] n_samples: not an integer: '1e3'\n")
 
     def test_unknown_check_is_parse_error(self, tmp_path):
         bad = tmp_path / "unknown.scenario"
@@ -485,6 +501,34 @@ class TestSynthesizeCommand:
             "override_base_r = 0.001\n"
         )
         assert main(["synthesize", str(bad), "--out", str(tmp_path)]) == EXIT_MAJORANT
+
+
+class TestPinnedMargins:
+    """Seed-0 worst margins of the certificate checks, to the last bit.
+
+    A refactor of the synthesis or the sampled checks that keeps these floats
+    keeps the certificates byte-identical.  `verify synth_wingrock` runs the
+    same synthesis and reports as `synthesize synth_wingrock`.
+    """
+
+    @pytest.mark.parametrize("name, expected", [
+        ("ineq34", {"wingrock dissipation": 309556.3525262382}),
+        ("ineq38", {"sigma-mod dissipation (leak=0.4)": 27.768993637238523}),
+        ("synth_wingrock", {
+            "stage 1 certificate": 1.716688547575939,
+            "stage 2 certificate": 1209.2922235876483,
+            "stage 3 certificate": 3.186570947238913e+45,
+            "synthesized dissipation": 2.789723145695987e+43,
+        }),
+    ])
+    def test_worst_margins(self, tmp_path, name, expected):
+        code = main(["verify", scen(f"{name}.scenario"), "--seed", "0",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        with open(tmp_path / f"{name}.checks.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        # the CSV writes each margin with 17 significant digits, which round-trip
+        assert {r["name"]: float(r["worst_margin"]) for r in rows} == expected
 
 
 class TestCompareCommand:

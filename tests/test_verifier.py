@@ -16,7 +16,7 @@ from dads.controllers import (
     wingrock_control,
 )
 from dads.jets import SmoothMap, gradient, jet_exp
-from dads.simulate import SimConfig, simulate
+from dads.simulate import SimConfig, simulate, tail_length
 from dads.synthesis import DadsGains, synthesize, wingrock_majorants
 from dads.systems import (
     constant_parameter,
@@ -289,7 +289,7 @@ class TestTrajectoryEstimates:
 
     def test_quiet_run_estimates(self, dads_quiet_log):
         reports = check_trajectory_estimates(
-            dads_quiet_log, c=0.5, a=2.0, b=1.0, eps_dz=0.01,
+            dads_quiet_log, WingRockDadsController().gains,
             d_sup=0.0, theta_sup=float(np.linalg.norm(THETA)),
             attractivity_radius=wingrock_attractivity_radius(0.5, 0.01),
         )
@@ -303,7 +303,7 @@ class TestTrajectoryEstimates:
         d = sinusoid_bank([20.0, 10.0], [10.0, 20.0])
         d_sup = signal_sup(d, dads_persistent_log.t)
         reports = check_trajectory_estimates(
-            dads_persistent_log, c=0.5, a=2.0, b=1.0, eps_dz=0.01,
+            dads_persistent_log, WingRockDadsController().gains,
             d_sup=d_sup, theta_sup=float(np.linalg.norm(THETA)),
             attractivity_radius=wingrock_attractivity_radius(0.5, 0.01),
         )
@@ -319,7 +319,7 @@ class TestTrajectoryEstimates:
     def test_violated_envelope_fails(self, dads_quiet_log):
         # shrinking the claimed offset and rate far enough must break the bound
         reports = check_trajectory_estimates(
-            dads_quiet_log, c=50.0, a=1e-6, b=1.0, eps_dz=1e-9,
+            dads_quiet_log, DadsGains(b=1.0, Gamma=20.0, eps_dz=1e-9, c=50.0, a=1e-6),
             d_sup=0.0, theta_sup=float(np.linalg.norm(THETA)), tol=0.0,
         )
         by_name = {r.name: r for r in reports}
@@ -368,6 +368,14 @@ class TestContrastChecks:
         # bound arithmetic: (d_sup^2 / 2 + (sigma / 2 Gamma) |theta|^2) / c
         expected = (0.5 * d_sup ** 2 + 0.4 / 40.0 * float(np.dot(THETA, THETA))) / 0.5
         assert rep.witness[1] == pytest.approx(expected, rel=1e-12)
+        # the tail sup of x1^2 + zeta^2 + chi^2, recomputed row by row
+        n_tail = tail_length(len(s4_log))
+        worst = max(
+            x[0] ** 2 + zeta ** 2 + chi ** 2
+            for x, th_hat in zip(s4_log.x[-n_tail:], s4_log.ctrl[-n_tail:])
+            for zeta, chi, _ in [_sigma_mod_terms(*x, *th_hat, c=ctrl.c, K=ctrl.K)]
+        )
+        assert rep.witness[0] == worst
 
     def test_sigma_tradeoff_bound_linear_in_sigma(self, persistent_triple):
         _, _, s4_log = persistent_triple
