@@ -182,12 +182,9 @@ def sigma_mod_control(x, theta_hat, ctrl: SigmaModController):
     t1, t2, t3, t4 = theta_hat[0], theta_hat[1], theta_hat[2], theta_hat[3]
     zeta, chi, phi = _sigma_mod_terms(x1, x2, x3, t1, t2, t3, t4, c, K)
     drive = Gamma * (zeta + phi * chi)
-    w = (
-        drive * x1 - leak * t1,
-        drive * x2 - leak * t2,
-        drive * x1 * x2 - leak * t3,
-        drive * x2 * x2 - leak * t4,
-    )
+    w = (drive * x1, drive * x2, drive * x1 * x2, drive * x2 * x2)
+    if leak != 0.0:  # sigma = 0 is the leak-free law, without a 0 * theta_i term
+        w = (w[0] - leak * t1, w[1] - leak * t2, w[2] - leak * t3, w[3] - leak * t4)
     u = (
         -(w[0] + 2.0 * c + w[2] * x2) * x1
         - (t1 + w[1] + 2.0 + 2.0 * K * c) * x2

@@ -46,13 +46,24 @@ from the same recorded lines (below).  Laws must therefore be
 written in generic arithmetic: a branch on the data, a comparison, float() or
 a numpy ufunc on a traced value raises TypeError before the first step.  The
 trace folds exactly four identities (x + 0.0, 0.0 + x, 1.0 * x, x * 1.0),
-which can change at most the sign of a zero.  The interpreted evaluation
-stays the reference: the compiled rhs at (0, s0) must equal eval_dynamics
-plus controller.step there, or the run raises.
+which can change at most the sign of a zero.  Zero-weighted terms are left
+out where the formulas live, not by the trace: the plant's dot products skip
+a weight that is the float 0.0 (a disturbance channel a level does not
+receive) and the sigma-modification law forms its leak only for a nonzero
+sigma, so the interpreted and the traced evaluation skip the same terms.
+The interpreted evaluation stays the reference: the compiled rhs at
+(0, s0) must equal eval_dynamics plus controller.step there, or the run
+raises.
 
-The RK4 loop is one generated float kernel per run (`_rk4_source`): one
-variable per state component, the traced lines written out once per stage
-instead of four calls of f, the update in the operation order of
+Both generated functions come from one emitter, `Tape.emit`: f and each
+stage of the RK4 loop write every recorded line once, except that a
+temporary read exactly once is substituted, parenthesised, into its
+reader, which performs the same operations in the same order.  The RK4
+loop is one generated float kernel per run (`_rk4_source`): one variable
+per state component, the traced lines written out once per stage instead of
+four calls of f, stage 3 taking the lines that depend on t alone from stage
+2 (both run at t + dt/2), the later stages and the update reading each
+stage's rates by name, the update in the operation order of
 s + dt/6 (k1 + 2 k2 + 2 k3 + k4), and a divergence test on each component,
 so its states are bit-identical to the same scheme on numpy arrays.  A
 stiff solve whose state turns non-finite raises DivergenceError as well:
@@ -210,7 +221,10 @@ class SimConfig:
 
     dt is the logging grid spacing (and the RK4 step); log_stride thins the
     stored samples.  The implicit method integrates adaptively and evaluates
-    the solution on the same logging grid.
+    the solution on the same logging grid, and its last row is at t_end.
+    RK4 takes round(t_end / dt) whole steps, so its last row is at
+    round(t_end / dt) dt: 0.0004 for t_end = 0.00035 and dt = 1e-4.  A t_end
+    below dt, which RK4 would round to no step at all, is rejected.
     """
 
     dt: float = 1e-4
@@ -224,6 +238,8 @@ class SimConfig:
             raise ValueError(
                 f"dt and t_end must be finite and positive, got {self.dt}, {self.t_end}"
             )
+        if self.t_end < self.dt:
+            raise ValueError(f"t_end = {self.t_end} is shorter than one step dt = {self.dt}")
         if self.t_end / self.dt > MAX_STEPS:  # also true when the ratio overflows
             raise ValueError(
                 f"t_end / dt = {self.t_end / self.dt:.6g} steps exceeds MAX_STEPS = {MAX_STEPS}"
@@ -388,9 +404,9 @@ def compile_rhs(sys, controller, theta: Sequence[float], disturbance) -> Callabl
     return _rhs_function(*_trace_rhs(sys, controller, theta, disturbance))
 
 
-def _trace_rhs(sys, controller, theta: Sequence[float], disturbance) -> tuple[Tape, list[str]]:
+def _trace_rhs(sys, controller, theta: Sequence[float], disturbance) -> tuple[Tape, list]:
     """The tape of one traced rhs evaluation on inputs t, s0, ..., sN, and
-    the source text of the N + 1 rates (see `compile_rhs`)."""
+    the N + 1 rates as tape operands (see `compile_rhs`)."""
     n, q = sys.state_dim, controller.ctrl_dim
     tape = Tape()
     t = Traced(tape, "t")
@@ -401,12 +417,13 @@ def _trace_rhs(sys, controller, theta: Sequence[float], disturbance) -> tuple[Ta
     return tape, [tape.operand(x) for x in outputs]
 
 
-def _rhs_function(tape: Tape, rates: Sequence[str]) -> Callable:
+def _rhs_function(tape: Tape, rates: Sequence) -> Callable:
     """f(t, s0, ..., sN) -> rates, the traced lines as one function."""
+    statements, texts, _ = tape.emit(rates)
     source = "\n    ".join([
         f"def rhs(t, {', '.join(f's{i}' for i in range(len(rates)))}):",
-        *tape.lines,
-        f"return ({', '.join(rates)},)",
+        *statements,
+        f"return ({', '.join(texts)},)",
     ])
     return tape.compile(source, "rhs", {})
 
@@ -446,7 +463,7 @@ def _budgeted(rhs, budget: int) -> Callable:
     return counted
 
 
-def _integrate_rk4(traced: tuple[Tape, list[str]], s0: np.ndarray, config: SimConfig,
+def _integrate_rk4(traced: tuple[Tape, list], s0: np.ndarray, config: SimConfig,
                    n_steps: int) -> np.ndarray:
     """The states at steps 0, log_stride, 2 log_stride, ... and at n_steps.
 
@@ -463,54 +480,66 @@ def _integrate_rk4(traced: tuple[Tape, list[str]], s0: np.ndarray, config: SimCo
     return out
 
 
-def _rk4_source(tape: Tape, rates: Sequence[str]) -> str:
+def _rk4_source(tape: Tape, rates: Sequence) -> str:
     """Source of rk4(dt, n_steps, stride, out, y0, ..., yN) -> final state.
 
     Classical RK4 with one float variable per state component, in the
     operation order of the array form s + dt/6 (k1 + 2 k2 + 2 k3 + k4).  The
-    traced lines are written out once per stage: each stage binds the
-    stage time t and the stage state s0, ..., sN, the names the lines read,
-    and copies the rates into kJ_0, ..., kJ_N before the next stage
-    overwrites the lines' vK.  No local is named cK, the tape's name for a
-    non-finite constant.  The kernel writes every stride-th state into row
-    (i + 1) // stride of out, and raises DivergenceError(i dt) at the first
-    step that leaves [-DIVERGENCE_THRESHOLD, DIVERGENCE_THRESHOLD] in some
-    component; the chained comparison is false for nan and +-inf as well.
+    traced lines are written out once per stage by `Tape.emit`, their names
+    suffixed with the stage number j: stage j reads its time and its state
+    sI_j (stage 1 reads t_i and yI themselves), and the later stages and
+    the update read its rates by their names, without copies.  Stages 2 and
+    3 both run at t_2 = t_i + dt/2, so stage 3 takes the lines that depend on
+    t alone from stage 2.  The update assigns every yI at once, because a
+    stage-1 rate may be some yI itself.  No local is named cK, the tape's
+    name for a non-finite constant.  The kernel writes every stride-th
+    state into row (i + 1) // stride of out, and raises DivergenceError(i dt)
+    at the first step that leaves [-DIVERGENCE_THRESHOLD, DIVERGENCE_THRESHOLD]
+    in some component; the chained comparison is false for nan and +-inf as
+    well.
     """
     dim = len(rates)
+    timed = tape.independent_of(f"s{i}" for i in range(dim))
+    y = [f"y{i}" for i in range(dim)]
 
-    def each(template: str, sep: str = ", ") -> str:
-        return sep.join(template.format(i=i) for i in range(dim))
+    def stage(j: int, t: str, h: str = "", k: Sequence[str] = (), env: dict | None = None):
+        """Stage j at time t and state y + h k (y itself without h): its
+        statements, rate texts and names, from tape.emit."""
+        state = [f"s{i}_{j}" for i in range(dim)] if h else y
+        inputs = {"t": t, **{f"s{i}": s for i, s in enumerate(state)}}
+        statements, texts, names = tape.emit(
+            rates, {**(env or {}), **inputs}, f"_{j}", shared=timed)
+        bound = [f"s{i}_{j} = y{i} + {h} * {k[i]}" for i in range(dim)] if h else []
+        return bound + statements, texts, names
 
-    def stage(j: int, t: str, s: str) -> list[str]:
-        return [
-            f"t = {t}",
-            *(f"s{i} = {s.format(i=i)}" for i in range(dim)),
-            *tape.lines,
-            *(f"k{j}_{i} = {rate}" for i, rate in enumerate(rates)),
-        ]
-
-    y, limit = each("y{i}"), repr(DIVERGENCE_THRESHOLD)
+    lines1, k1, _ = stage(1, "t_i")
+    lines2, k2, names2 = stage(2, "t_2", "h2", k1)
+    lines3, k3, _ = stage(3, "t_2", "h2", k2, {v: names2[v] for v in timed})
+    lines4, k4, _ = stage(4, "t_4", "dt", k3)
+    limit = repr(DIVERGENCE_THRESHOLD)
     body = [
         "t_i = i * dt",
-        *stage(1, "t_i", "y{i}"),
-        *stage(2, "t_i + h2", "y{i} + h2 * k1_{i}"),
-        *stage(3, "t_i + h2", "y{i} + h2 * k2_{i}"),
-        *stage(4, "t_i + dt", "y{i} + dt * k3_{i}"),
-        *(f"y{i} = y{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
-          for i in range(dim)),
-        f"if not ({each(f'-{limit} <= y{{i}} <= {limit}', ' and ')}):",
+        *lines1,
+        "t_2 = t_i + h2",
+        *lines2,
+        *lines3,
+        "t_4 = t_i + dt",
+        *lines4,
+        f"{', '.join(y)} = " + ", ".join(
+            f"y{i} + h6 * ({k1[i]} + 2.0 * {k2[i]} + 2.0 * {k3[i]} + {k4[i]})"
+            for i in range(dim)),
+        "if not (" + " and ".join(f"-{limit} <= {v} <= {limit}" for v in y) + "):",
         "    raise DivergenceError(t_i)",
         "if (i + 1) % stride == 0:",
-        f"    out[(i + 1) // stride] = {y}",
+        f"    out[(i + 1) // stride] = {', '.join(y)}",
     ]
     return "\n".join([
-        f"def rk4(dt, n_steps, stride, out, {y}):",
+        f"def rk4(dt, n_steps, stride, out, {', '.join(y)}):",
         "    h2 = dt / 2.0",
         "    h6 = dt / 6.0",
         "    for i in range(n_steps):",
         *("        " + line for line in body),
-        f"    return {y},",
+        f"    return {', '.join(y)},",
     ])
 
 

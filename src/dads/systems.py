@@ -21,12 +21,19 @@ from .jets import SmoothMap, jet_cos, jet_exp
 
 
 def _dot(vec_map_out, v) -> float:
-    """Dot product of a SmoothMap's tuple output with a plain vector."""
+    """Dot product of a SmoothMap's tuple output with a plain vector.
+
+    A weight that is the float 0.0 is skipped, term and sum: a channel a
+    level does not receive costs nothing, in the interpreted plant and in
+    the trace alike.  The skipped term could only have carried a nan or inf
+    of v, or the sign of a zero, into the sum.
+    """
     if not isinstance(vec_map_out, (tuple, list)):
         vec_map_out = (vec_map_out,)
     acc = 0.0
     for a, b in zip(vec_map_out, v):
-        acc = acc + a * b
+        if not (isinstance(a, float) and a == 0.0):
+            acc = acc + a * b
     return acc
 
 

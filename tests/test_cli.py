@@ -162,6 +162,14 @@ class TestSimulateCommand:
         assert code == EXIT_PARSE
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["fig4_sigma0", "fig4_dads"])
+    def test_horizon_below_one_step_is_parse_error(self, tmp_path, capsys, name):
+        # RK4 would round 0.4 steps to none and log the row at t = 0 alone
+        code = main(["simulate", scen(f"{name}.scenario"), "--t-end", "0.00004",
+                     "--dt", "1e-4", "--out", str(tmp_path)])
+        assert code == EXIT_PARSE
+        assert "shorter than one step" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag, value", [
         ("--t-end", "1e300"),
         ("--dt", "1e-12"),

@@ -310,11 +310,11 @@ def _compiled(build, arity=1):
     """Trace build(*inputs) and compile it to f(x0, ..) -> result."""
     tape = Tape()
     xs = [Traced(tape, f"x{i}") for i in range(arity)]
-    out = build(*xs)
+    statements, (out,), _ = tape.emit([tape.operand(build(*xs))])
     source = "\n    ".join([
         f"def f({', '.join(x.name for x in xs)}):",
-        *tape.lines,
-        f"return {tape.operand(out)}",
+        *statements,
+        f"return {out}",
     ])
     return tape, tape.compile(source, "f", {})
 
@@ -322,7 +322,7 @@ def _compiled(build, arity=1):
 class TestTrace:
     def test_records_one_line_per_operation_in_order(self):
         tape, f = _compiled(lambda x, y: (x - 2.0) * y / 4.0 + 3.0 ** y, arity=2)
-        assert tape.lines == [
+        assert list(map(str, tape.lines)) == [
             "v0 = x0 - 2.0", "v1 = v0 * x1", "v2 = v1 / 4.0",
             "v3 = _pow(3.0, x1)", "v4 = v2 + v3",
         ]
@@ -330,7 +330,7 @@ class TestTrace:
 
     def test_folds_exactly_four_identities(self):
         tape, _ = _compiled(lambda x: 1.0 * (0.0 + x * 1.0 + 0.0) + 0.0 * x - 0.0)
-        assert tape.lines == ["v0 = 0.0 * x0", "v1 = x0 + v0", "v2 = v1 - 0.0"]
+        assert list(map(str, tape.lines)) == ["v0 = 0.0 * x0", "v1 = x0 + v0", "v2 = v1 - 0.0"]
         # 0.0 * x is kept, so nan and inf still reach the result
         f = _compiled(lambda x: 1.0 + 0.0 * x)[1]
         assert math.isnan(f(math.inf))
@@ -338,8 +338,8 @@ class TestTrace:
     def test_constants_round_trip(self):
         third = 1.0 / 3.0
         tape, f = _compiled(lambda x: -2.0 ** x + x * third + x * math.inf)
-        assert "inf" not in "".join(tape.lines)  # bound by name, not a literal
-        assert "(-2.0)" not in "".join(tape.lines)  # -2.0 ** x is -(2.0 ** x)
+        assert "inf" not in "".join(map(str, tape.lines))  # bound by name, not a literal
+        assert "(-2.0)" not in "".join(map(str, tape.lines))  # -2.0 ** x is -(2.0 ** x)
         assert f(0.5) == -2.0 ** 0.5 + 0.5 * third + 0.5 * math.inf
         tape, f = _compiled(lambda x: (-2.0) ** x * np.float64(third))
         assert f(2.0) == 4.0 * third
@@ -356,23 +356,48 @@ class TestTrace:
         # the second x * y is the first one's value, and so is what is built
         # on it the same way; every recorded operation is pure
         tape, f = _compiled(lambda x, y: (x * y + 1.0) * (x * y + 1.0) - x * y, arity=2)
-        assert tape.lines == ["v0 = x0 * x1", "v1 = v0 + 1.0", "v2 = v1 * v1", "v3 = v2 - v0"]
+        assert list(map(str, tape.lines)) == [
+            "v0 = x0 * x1", "v1 = v0 + 1.0", "v2 = v1 * v1", "v3 = v2 - v0"]
         assert f(1.5, -2.0) == (1.5 * -2.0 + 1.0) * (1.5 * -2.0 + 1.0) - 1.5 * -2.0
 
     def test_elementary_calls_keep_their_semantics(self):
         tape, f = _compiled(lambda x: jet_relu_plus(x) * jet_exp(x))
-        assert tape.lines[:2] == ["v0 = (0.0 if 0.0 > x0 else x0)",
+        assert list(map(str, tape.lines[:2])) == ["v0 = (0.0 if 0.0 > x0 else x0)",
                                   "v1 = (exp(x0) if x0 < 709.0 else jet_exp(x0))"]
         assert f(-1.0) == 0.0
         assert f(1000.0) == math.inf
         tape, f = _compiled(lambda x: jet_cos(2.0 * x))
-        assert tape.lines == ["v0 = 2.0 * x0", "v1 = (cos(v0) if -inf < v0 < inf else nan)"]
+        assert list(map(str, tape.lines)) == [
+            "v0 = 2.0 * x0", "v1 = (cos(v0) if -inf < v0 < inf else nan)"]
         assert f(0.25) == math.cos(0.5)
         assert math.isnan(f(1e308))
         tape, f = _compiled(lambda x: x ** 4)
-        assert tape.lines == [
+        assert list(map(str, tape.lines)) == [
             "v0 = (x0 ** 4 if -5.78960446186581e+76 < x0 < 5.78960446186581e+76 "
             "else _pow(x0, 4))"]
+
+    def test_emit_substitutes_single_use_temporaries(self):
+        # v0, v1 and v3 are read once each; v2 is read twice and v4 is the
+        # output, so those two keep their names
+        def build(x, y):
+            return (x * y + 1.0) * 2.0 + (x * y + 1.0) * 2.0 * y
+
+        tape = Tape()
+        out = build(Traced(tape, "x0"), Traced(tape, "x1"))
+        statements, texts, _ = tape.emit([out])
+        assert statements == ["v2 = ((x0 * x1) + 1.0) * 2.0", "v4 = v2 + (v2 * x1)"]
+        assert texts == ["v4"]
+        assert _compiled(build, arity=2)[1](1.5, -2.0) == build(1.5, -2.0)
+
+    def test_a_long_chain_of_temporaries_compiles(self):
+        # every partial result is read once; substituted without a bound,
+        # the chain would nest past the 200 parentheses Python's parser takes
+        def chain(x):
+            for k in range(1, 400):
+                x = x * 0.5 + k
+            return x
+
+        assert _compiled(chain)[1](0.3) == chain(0.3)
 
     @pytest.mark.parametrize("elementary, helper, points", [
         (jet_exp, jet_exp, [709.0, 709.78, 709.79, 710.0, math.inf, -math.inf,

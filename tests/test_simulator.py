@@ -1,6 +1,7 @@
 """Tests for the closed-loop simulator and trajectory statistics."""
 
 import ast
+import hashlib
 import io
 import math
 import os
@@ -14,7 +15,14 @@ import numpy as np
 import pytest
 
 import dads.simulate as simulate_module
-from dads.cli import build_gains, build_system, load_scenario, run_scenario
+from dads.cli import (
+    build_controller,
+    build_disturbance,
+    build_gains,
+    build_system,
+    load_scenario,
+    run_scenario,
+)
 from dads.controllers import (
     SigmaModController,
     SynthesizedDadsController,
@@ -72,6 +80,9 @@ class TestSimConfig:
             SimConfig(log_stride=0)
         with pytest.raises(ValueError):
             SimConfig(method="euler")
+        with pytest.raises(ValueError, match="shorter than one step"):
+            SimConfig(dt=1e-4, t_end=4e-5, method="rk4")
+        assert SimConfig(dt=1e-4, t_end=1e-4).t_end == 1e-4
 
 
 class TestBasicSimulation:
@@ -290,6 +301,19 @@ class PushesDown(WingRockDadsController):
         return -1e9, (0.0,)
 
 
+class RampsAnEstimate(SigmaModController):
+    """The leak-free law (sigma = 0) with 1e9 added to the first estimate's
+    rate.  From the origin the law holds the plant at rest, so the first
+    estimate alone ramps, past DIVERGENCE_THRESHOLD at t = 0.1."""
+
+    def __init__(self):
+        super().__init__(sigma_leak=0.0)
+
+    def step(self, x, cs, t=0.0):
+        u, w = super().step(x, cs, t)
+        return u, (w[0] + 1e9, *w[1:])
+
+
 def _synthesized_controller():
     gains = build_gains(load_scenario(
         str(SCENARIOS / "synth_wingrock.scenario")))
@@ -303,13 +327,14 @@ def _synthesized_controller():
 class TestTrace:
     """The compiled rhs equals the interpreted plant plus law, state by state."""
 
-    @pytest.mark.parametrize("case", ["sigma-mod", "dads", "cascade-linear",
+    @pytest.mark.parametrize("case", ["sigma-mod", "sigma-zero", "dads", "cascade-linear",
                                       "reads-t", "synthesized"])
     def test_compiled_equals_interpreted_at_sampled_states(self, case):
         sys, theta = wingrock(), np.array([20.0, 20.0, 2.0, 1.0])
         dist = sinusoid_bank([20.0, 10.0], [10.0, 20.0])
         ctrl = {
             "sigma-mod": SigmaModController,
+            "sigma-zero": lambda: SigmaModController(sigma_leak=0.0),
             "dads": WingRockDadsController,
             "reads-t": TimedSigmaMod,
             "synthesized": _synthesized_controller,
@@ -406,7 +431,7 @@ class TestCompiledLoop:
 
     @pytest.mark.parametrize("case", ["zero", "sinusoid-bank", "vanishing",
                                       "cascade", "reads-t", "stride-divides",
-                                      "non-finite-constant"])
+                                      "non-finite-constant", "sigma-zero"])
     def test_rows_equal_the_reference(self, case):
         sys, theta, ctrl = wingrock(), THETA(0.0), SigmaModController(sigma_leak=0.4)
         x0, c0 = X0, [0.0] * 4
@@ -421,6 +446,8 @@ class TestCompiledLoop:
             ctrl = TimedSigmaMod()
         if case == "non-finite-constant":
             ctrl = HoldsInfinity(sigma_leak=0.4)
+        if case == "sigma-zero":
+            ctrl = SigmaModController(sigma_leak=0.0)
         # 300 steps: 7 does not divide them, 10 does
         stride = 10 if case == "stride-divides" else 7
         cfg = SimConfig(dt=1e-4, t_end=0.03, method="rk4", log_stride=stride)
@@ -430,17 +457,22 @@ class TestCompiledLoop:
         assert np.array_equal(np.column_stack([log.x, log.ctrl]), want)
         assert np.array_equal(log.t, 1e-4 * np.array(sorted({*range(0, 301, stride), 300})))
 
-    @pytest.mark.parametrize("law", ["dads", "pushes-down"])
+    @pytest.mark.parametrize("law", ["dads", "pushes-down", "ramps-an-estimate"])
     def test_divergence_time_equals_the_reference(self, law):
-        # the stiff DADS law blows up at once; the other drives x3 below
-        # -DIVERGENCE_THRESHOLD at t = 0.1 with every state finite
-        ctrl = {"dads": WingRockDadsController, "pushes-down": PushesDown}[law]()
+        # the stiff DADS law blows up at once; the second drives x3 below
+        # -DIVERGENCE_THRESHOLD at t = 0.1 with every state finite, and the
+        # leak-free third one does so with its first estimate
+        ctrl = {"dads": WingRockDadsController, "pushes-down": PushesDown,
+                "ramps-an-estimate": RampsAnEstimate}[law]()
+        x0, c0 = ([0.0] * 3, [0.0] * 4) if law == "ramps-an-estimate" else (X0, Z0)
         cfg = SimConfig(dt=1e-4, t_end=1.0, method="rk4")
         with pytest.raises(DivergenceError) as got:
-            simulate(wingrock(), ctrl, X0, Z0, zero_disturbance(2), THETA, cfg)
+            simulate(wingrock(), ctrl, x0, c0, zero_disturbance(2), THETA, cfg)
         with pytest.raises(DivergenceError) as want, np.errstate(over="ignore", invalid="ignore"):
-            _reference_rk4(wingrock(), ctrl, THETA(0.0), zero_disturbance(2), [*X0, *Z0], cfg)
+            _reference_rk4(wingrock(), ctrl, THETA(0.0), zero_disturbance(2), [*x0, *c0], cfg)
         assert got.value.t_last == want.value.t_last
+        if law != "dads":
+            assert got.value.t_last == pytest.approx(0.1, abs=2e-4)
 
     @pytest.mark.parametrize("name", SIMULATING)
     def test_shipped_kernels_record_each_operation_once_and_call_no_rhs(
@@ -451,7 +483,7 @@ class TestCompiledLoop:
         run_scenario(load_scenario(str(SCENARIOS / f"{name}.scenario")),
                      Namespace(dt=None, t_end=1e-3))
         ((tape, rates),) = traced
-        right_sides = [line.split(" = ", 1)[1] for line in tape.lines]
+        right_sides = [line.rhs({}) for line in tape.lines]
         assert len(set(right_sides)) == len(right_sides)
         # the only calls left in the kernel are the loop's own and the slow
         # paths of the inline elementary functions
@@ -459,6 +491,55 @@ class TestCompiledLoop:
         called = {node.func.id for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Call)}
         assert called <= {"range", "DivergenceError", "exp", "jet_exp", "cos", "_pow", "_div"}
+
+    def test_sigma0_kernel_skips_zero_weights_and_shares_stage_times(self):
+        scn = load_scenario(str(SCENARIOS / "fig4_sigma0.scenario"))
+        sys = build_system(scn)
+        tape, rates = simulate_module._trace_rhs(
+            sys, build_controller(scn, sys), scn.getvector("parameter", "value"),
+            build_disturbance(scn, sys.l))
+        # neither the sigma = 0 leak nor the disturbance channels a level
+        # does not receive leave a product with 0.0 on the tape
+        assert len(tape.lines) <= 65
+        assert not any(line.template == "{} * {}" and "0.0" in
+                       [x for x in line.operands if isinstance(x, str)]
+                       for line in tape.lines)
+        # two frequencies at three distinct stage times: stage 3 runs at
+        # stage 2's time and takes the lines that read t alone from it
+        source = simulate_module._rk4_source(tape, rates)
+        called = [node.func.id for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)]
+        assert called.count("cos") == 6
+        stage3 = [line for line in source.splitlines() if "_3 = " in line]
+        assert stage3 and not any("t_2" in line for line in stage3)
+
+
+def _log_digest(log) -> str:
+    """sha256 of the float64 bytes of t, x, ctrl, u, V and Ynorm, in that order."""
+    digest = hashlib.sha256()
+    for column in (log.t, log.x, log.ctrl, log.u, log.V, log.Ynorm):
+        digest.update(np.ascontiguousarray(column, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+class TestPinnedTrajectories:
+    """Every logged bit of four runs, pinned before the RK4 kernel and the
+    stiff rhs were rewritten; a change to their arithmetic shows here."""
+
+    def test_sigma_mod_persistent_runs(self, sigma0_persistent, sigma04_persistent):
+        assert _log_digest(sigma0_persistent) == (
+            "db199784f9eac1828c107f819a32b0c62daa563fe9f5c0e97320c126571b92e1")
+        assert _log_digest(sigma04_persistent) == (
+            "b8d6a739b4fc6fea69fb5848c1b73abb58e0b98dd6077986fb2274d7a97b7289")
+
+    @pytest.mark.parametrize("name, digest", [
+        ("fig1_dads", "210db60e4d9448bdd5872808bfe645f9e74084a8089071faa77d7808d0391c8e"),
+        ("fig4_dads", "9cf84db3d672f001b7aa1f80a5d5d6d4260c9dea82ed5ff9670566ce4d6960bd"),
+    ])
+    def test_stiff_dads_runs(self, name, digest):
+        log, _, _ = run_scenario(load_scenario(str(SCENARIOS / f"{name}.scenario")),
+                                 Namespace(dt=None, t_end=0.5))
+        assert _log_digest(log) == digest
 
 
 class TestStats:

@@ -309,8 +309,8 @@ class TestDisturbanceProfiles:
         # compiled d(t) must give the profile's values bit for bit
         tape = Tape()
         d = sample_disturbance(profile, Traced(tape, "t"))
-        source = "\n    ".join(
-            ["def d(t):", *tape.lines, f"return ({', '.join(map(tape.operand, d))},)"])
+        statements, texts, _ = tape.emit([tape.operand(x) for x in d])
+        source = "\n    ".join(["def d(t):", *statements, f"return ({', '.join(texts)},)"])
         traced = tape.compile(source, "d", {})
         if profile.kind == "zero":
             assert tape.lines == []  # float zeros, nothing to record
