@@ -26,7 +26,6 @@ import numpy as np
 
 from .controllers import (
     SigmaModController,
-    SynthesizedDadsController,
     WingRockDadsController,
     wingrock_control,
     wingrock_damping,
@@ -81,21 +80,28 @@ class Scenario:
     def get(self, section: str, key: str, default=None):
         return self.sections.get(section, {}).get(key, default)
 
-    def _convert(self, section, key, default, convert):
+    def _convert(self, section, key, default, convert, what="a number"):
         v = self.get(section, key)
         if v is None:
             return default
         try:
             return convert(v)
-        except ValueError:
-            what = "an integer" if convert is int else "a number"
+        except (KeyError, ValueError):
             raise ScenarioError(f"[{section}] {key}: not {what}: {v!r}") from None
 
     def getfloat(self, section, key, default=None):
         return self._convert(section, key, default, float)
 
     def getint(self, section, key, default=None):
-        return self._convert(section, key, default, int)
+        return self._convert(section, key, default, int, "an integer")
+
+    def getboolean(self, section, key, default=None):
+        """configparser's boolean words: 1/yes/true/on or 0/no/false/off."""
+        return self._convert(
+            section, key, default,
+            lambda v: configparser.ConfigParser.BOOLEAN_STATES[v.lower()],
+            "a boolean (1/yes/true/on or 0/no/false/off)",
+        )
 
     def getvector(self, section, key, default=None):
         return self._convert(
@@ -147,8 +153,8 @@ def build_system(scn: Scenario):
         raise ScenarioError(str(exc)) from None
 
 
-# [controller] keys of each closed-form controller type, mapped to the
-# dataclass fields they set; a key the scenario omits keeps the field default
+# [controller] keys of each controller type, mapped to the dataclass fields they
+# set; an omitted key keeps the field default, and any other key but `type` is rejected
 _CONTROLLER_FIELDS = {
     "dads-wingrock": (
         WingRockDadsController, {"c": "c", "k": "K", "gamma": "Gamma", "eps": "eps_dz"},
@@ -165,25 +171,25 @@ def controller_type(scn: Scenario) -> str:
 
 
 def build_controller(scn: Scenario, sys_model=None):
+    """The [controller] law; sys_model is unused (perfbench's probe passes it)."""
     ctype = controller_type(scn)
+    if ctype not in _CONTROLLER_FIELDS:
+        raise ScenarioError(f"unknown controller type {ctype!r}")
+    cls, fields = _CONTROLLER_FIELDS[ctype]
+    unread = sorted(set(scn.sections.get("controller", {})) - {"type", *fields})
+    if unread:
+        raise ScenarioError(
+            f"[controller] type {ctype!r} does not read {', '.join(unread)}; "
+            f"it reads {', '.join(fields)}"
+        )
     try:
-        if ctype in _CONTROLLER_FIELDS:
-            cls, fields = _CONTROLLER_FIELDS[ctype]
-            return cls(**{
-                name: scn.getfloat("controller", key)
-                for key, name in fields.items()
-                if scn.get("controller", key) is not None
-            })
-        if ctype == "dads-synthesized":
-            gains = build_gains(scn)
-            result = synthesize(sys_model, gains, wingrock_majorants(gains))
-            return SynthesizedDadsController(
-                k_final=result.k_final, V_final=result.V_final,
-                Gamma=gains.Gamma, eps_dz=gains.eps_dz,
-            )
+        return cls(**{
+            name: scn.getfloat("controller", key)
+            for key, name in fields.items()
+            if scn.get("controller", key) is not None
+        })
     except ValueError as exc:
         raise ScenarioError(f"invalid controller parameters: {exc}") from None
-    raise ScenarioError(f"unknown controller type {ctype!r}")
 
 
 # [synthesis] keys, mapped to the DadsGains fields they set; eps is the
@@ -276,7 +282,7 @@ def run_scenario(scn: Scenario, args) -> tuple[TrajectoryLog, object, object]:
 
 
 def _out_path(args, scn: Scenario, suffix: str) -> str:
-    out_dir = args.out or scn.get("output", "dir", ".")
+    out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(scn.path))[0] or "scenario"
     return os.path.join(out_dir, f"{stem}.{suffix}")
@@ -301,7 +307,7 @@ def _synthesis_reports(sysm, result, gains, seed: int) -> list[ver.CheckReport]:
     last = result.stage_trace[-1]
     return ver.stage_certificate_checks(sysm, result, gains, n=200, seed=seed) + [
         ver.synthesized_dissipation_check(
-            sysm, result.V_final, result.k_final, gains,
+            sysm, last.V, last.k, gains,
             last.rate_c, last.effective_gain, n=500, seed=seed,
         )
     ]
@@ -356,6 +362,7 @@ def _run_checks(scn: Scenario, args) -> list[ver.CheckReport]:
     tol = scn.getfloat("checks", "tol", 1e-6)
     if not 0 <= tol < math.inf:  # an infinite tolerance would pass any margin
         raise ScenarioError(f"[checks] tol must be finite and >= 0, got {tol}")
+    corrupt = scn.getboolean("checks", "corrupt_controller", False)
     seed = args.seed
     ctype = controller_type(scn)
     reports: list[ver.CheckReport] = []
@@ -369,7 +376,7 @@ def _run_checks(scn: Scenario, args) -> list[ver.CheckReport]:
         if name == "dissipation-dads":
             ctrl = build_controller(scn, sysm)
             control_fn = None
-            if scn.get("checks", "corrupt_controller", "false").lower() == "true":
+            if corrupt:
                 # mutation probe: sign-flip the stabilizing damping term
                 def control_fn(x, z, _c=ctrl):
                     u, _ = wingrock_control(x, z, _c)
@@ -477,9 +484,17 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def nonnegative_int(text: str) -> int:
+    """A --seed value; numpy's generators take integers >= 0 only."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=nonnegative_int, default=0)
     common.add_argument("--dt", type=float, default=None)
     common.add_argument("--t-end", dest="t_end", type=float, default=None)
     common.add_argument("--out", default=None)

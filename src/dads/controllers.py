@@ -8,7 +8,7 @@ Three controllers are provided:
 * the classical adaptive baseline with sigma-modification leakage, whose
   controller state is the four-dimensional parameter estimate;
 * a generic wrapper around a synthesized (V, k) pair from the backstepping
-  engine.
+  engine, for library use: the CLI builds no controller from it.
 
 Each controller exposes step(x, cs, t) -> (u, rate): the input and the rate
 of the controller state, from one evaluation of the law.  All formula

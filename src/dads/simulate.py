@@ -79,7 +79,6 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
-import io
 import math
 import os
 from dataclasses import dataclass
@@ -260,59 +259,23 @@ class TrajectoryLog:
     u: np.ndarray
     V: np.ndarray
     Ynorm: np.ndarray
-    state_names: tuple[str, ...]
-    ctrl_names: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.t)
 
     def header(self) -> list[str]:
-        return ["t", *self.state_names, *self.ctrl_names, "u", "V", "Ynorm"]
+        """Column names: x1..xn, then z for one controller state or
+        th1..thq for parameter estimates."""
+        q = self.ctrl.shape[1]
+        ctrl = ["z"] if q == 1 else [f"th{i + 1}" for i in range(q)]
+        return ["t", *(f"x{i + 1}" for i in range(self.x.shape[1])), *ctrl, "u", "V", "Ynorm"]
 
-    def to_csv(self, path_or_buf) -> None:
+    def to_csv(self, path: str) -> None:
         data = np.column_stack(
             [self.t, self.x, self.ctrl, self.u, self.V, self.Ynorm]
         )
-        header = ",".join(self.header())
-        if hasattr(path_or_buf, "write"):
-            np.savetxt(path_or_buf, data, delimiter=",", header=header,
-                       comments="", fmt="%.17g")
-        else:
-            with open(path_or_buf, "w") as fh:
-                np.savetxt(fh, data, delimiter=",", header=header,
-                           comments="", fmt="%.17g")
-
-    @classmethod
-    def from_csv(cls, path_or_buf) -> "TrajectoryLog":
-        if hasattr(path_or_buf, "read"):
-            text = path_or_buf.read()
-        else:
-            with open(path_or_buf) as fh:
-                text = fh.read()
-        lines = text.strip().splitlines()
-        names = lines[0].split(",")
-        data = np.loadtxt(io.StringIO("\n".join(lines[1:])), delimiter=",", ndmin=2)
-        state_names = tuple(n for n in names if n.startswith("x"))
-        ctrl_names = tuple(
-            n for n in names[1:] if n not in ("u", "V", "Ynorm") and not n.startswith("x")
-        )
-        ns, nc = len(state_names), len(ctrl_names)
-        return cls(
-            t=data[:, 0],
-            x=data[:, 1 : 1 + ns],
-            ctrl=data[:, 1 + ns : 1 + ns + nc],
-            u=data[:, 1 + ns + nc],
-            V=data[:, 2 + ns + nc],
-            Ynorm=data[:, 3 + ns + nc],
-            state_names=state_names,
-            ctrl_names=ctrl_names,
-        )
-
-
-def _default_ctrl_names(controller) -> tuple[str, ...]:
-    if controller.ctrl_dim == 1:
-        return ("z",)
-    return tuple(f"th{i + 1}" for i in range(controller.ctrl_dim))
+        np.savetxt(path, data, delimiter=",", header=",".join(self.header()),
+                   comments="", fmt="%.17g")
 
 
 def simulate(
@@ -385,8 +348,6 @@ def simulate(
         u=u_log,
         V=V_log,
         Ynorm=Y_log,
-        state_names=tuple(f"x{i + 1}" for i in range(n)),
-        ctrl_names=_default_ctrl_names(controller),
     )
 
 

@@ -484,8 +484,8 @@ class MajorantPack:
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    k_final: SmoothMap
-    V_final: SmoothMap
+    """A synthesis run; its last stage holds the final feedback k and V."""
+
     M_const: float
     stage_trace: tuple[DadsStage, ...]
 
@@ -600,12 +600,7 @@ def synthesize(
         )
         trace.append(stage)
 
-    return SynthesisResult(
-        k_final=stage.k,
-        V_final=stage.V,
-        M_const=M_const,
-        stage_trace=tuple(trace),
-    )
+    return SynthesisResult(M_const=M_const, stage_trace=tuple(trace))
 
 
 # ---------------------------------------------------------------------------

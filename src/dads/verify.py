@@ -81,7 +81,7 @@ class CheckReport:
         )
 
 
-def reports_to_csv(reports: Sequence[CheckReport], path_or_buf) -> None:
+def reports_to_csv(reports: Sequence[CheckReport], path: str) -> None:
     lines = ["name,passed,n_samples,worst_margin,tolerance,witness"]
     for rep in reports:
         wit = ";".join(f"{v:.9g}" for v in rep.witness)
@@ -89,12 +89,8 @@ def reports_to_csv(reports: Sequence[CheckReport], path_or_buf) -> None:
             f"{rep.name},{rep.passed},{rep.n_samples},"
             f"{rep.worst_margin:.17g},{rep.tolerance:.9g},{wit}"
         )
-    text = "\n".join(lines) + "\n"
-    if hasattr(path_or_buf, "write"):
-        path_or_buf.write(text)
-    else:
-        with open(path_or_buf, "w") as fh:
-            fh.write(text)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def summarize(reports: Sequence[CheckReport]) -> str:

@@ -29,13 +29,20 @@ from dads.cli import (
 import dads.cli as cli
 import dads.verify as ver
 from dads.controllers import WingRockDadsController
-from dads.simulate import SimConfig, TrajectoryLog
+from dads.simulate import SimConfig
 
 SCEN = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def scen(name):
     return os.path.join(SCEN, name)
+
+
+def read_csv(path):
+    """A trajectory CSV's header names and its rows as floats."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+    return header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
 class TestScenarioParsing:
@@ -107,11 +114,11 @@ class TestSimulateCommand:
         code = main(["simulate", scen("fig1_dads.scenario"),
                      "--t-end", "0.2", "--out", str(tmp_path)])
         assert code == EXIT_OK
-        log = TrajectoryLog.from_csv(str(tmp_path / "fig1_dads.csv"))
+        header, data = read_csv(tmp_path / "fig1_dads.csv")
+        assert header == ["t", "x1", "x2", "x3", "z", "u", "V", "Ynorm"]
         # output norm restricted to (x1, x2): |(1, -0.5)|
-        assert log.Ynorm[0] == pytest.approx(1.1180339887498949, rel=1e-12)
-        assert log.ctrl_names == ("z",)
-        assert log.ctrl[0, 0] == pytest.approx(-2.302585092994046, rel=1e-12)
+        assert data[0, 7] == pytest.approx(1.1180339887498949, rel=1e-12)
+        assert data[0, 4] == -2.302585092994046
 
     def test_missing_scenario_is_parse_error(self, tmp_path):
         assert main(["simulate", "/no/such/file", "--out", str(tmp_path)]) == EXIT_PARSE
@@ -187,8 +194,8 @@ class TestSimulateCommand:
         code = main(["simulate", scen("fig1_dads.scenario"), "--t-end", "0.03",
                      "--out", str(tmp_path)])
         assert code == EXIT_OK
-        log = TrajectoryLog.from_csv(str(tmp_path / "fig1_dads.csv"))
-        assert log.t[-1] == 0.03 and len(log) == 4
+        _, data = read_csv(tmp_path / "fig1_dads.csv")
+        assert data[-1, 0] == 0.03 and len(data) == 4
 
     @staticmethod
     def _high_gain(tmp_path, k):
@@ -261,6 +268,21 @@ class TestVerifyCommand:
             "corrupt_controller = true\n"
         )
         assert main(["verify", str(bad), "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
+
+    @pytest.mark.parametrize("value, expected", [
+        ("yes", EXIT_CHECK_FAILED), ("1", EXIT_CHECK_FAILED), ("On", EXIT_CHECK_FAILED),
+        ("no", EXIT_OK), ("0", EXIT_OK), ("off", EXIT_OK),
+        ("maybe", EXIT_PARSE), ("", EXIT_PARSE),
+    ])
+    def test_corrupt_controller_reads_boolean_words(self, tmp_path, capsys, value, expected):
+        # any other word ran the unmutated law, and the mutation probe passed
+        path = edited("ineq34", tmp_path, {
+            ("checks", "n_samples"): "200", ("checks", "corrupt_controller"): value})
+        assert main(["verify", path, "--out", str(tmp_path)]) == expected
+        if expected == EXIT_PARSE:
+            assert capsys.readouterr().err == (
+                f"error: [checks] corrupt_controller: not a boolean "
+                f"(1/yes/true/on or 0/no/false/off): {value!r}\n")
 
     @pytest.mark.parametrize("check, ctype", [
         ("dissipation-dads", "sigma-mod"),
@@ -404,6 +426,55 @@ class TestNonFiniteParameters:
         assert main(["synthesize", path, "--out", str(tmp_path)]) == EXIT_MAJORANT
 
 
+class TestRejectedInputs:
+    """Inputs that no command can use exit 2 with one error line."""
+
+    @pytest.mark.parametrize("command, names", [
+        ("simulate", ["fig4_sigma0"]),
+        ("synthesize", ["synth_wingrock"]),
+        ("verify", ["ineq34"]),
+        ("compare", ["fig4_sigma0", "fig4_sigma04"]),
+    ])
+    def test_negative_seed(self, tmp_path, capsys, command, names):
+        # numpy's generators reject a negative seed with a ValueError
+        paths = [scen(f"{name}.scenario") for name in names]
+        code = main([command, *paths, "--seed", "-1", "--out", str(tmp_path)])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --seed: must be >= 0, got -1\n")
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    def test_synthesized_controller_type_is_unknown(self, tmp_path, capsys):
+        # its feedback is about -3.66e44 near the origin; no run got past t = 0
+        bad = tmp_path / "synthesized.scenario"
+        bad.write_text(
+            "[system]\nname = wingrock\n[controller]\ntype = dads-synthesized\n"
+            "[sim]\nmethod = radau\nx0 = 0.01, 0.01, 0.01\n"
+        )
+        code = main(["simulate", str(bad), "--t-end", "0.01", "--out", str(tmp_path)])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == "error: unknown controller type 'dads-synthesized'\n"
+
+    @pytest.mark.parametrize("command, name, key, value", [
+        ("simulate", "fig4_sigma0", "eps", "nan"),
+        ("simulate", "fig4_sigma0", "gama", "5"),
+        ("verify", "ineq34", "sigma", "0.4"),
+        ("verify", "ineq38", "eps", "0.01"),
+        ("compare", "fig4_dads", "sigma", "0"),
+    ])
+    def test_unread_controller_key(self, tmp_path, capsys, command, name, key, value):
+        # such a key ran silently with the default it meant to replace
+        paths = [edited(name, tmp_path, {("controller", key): value})]
+        if command == "compare":
+            paths.append(scen("fig4_sigma0.scenario"))
+        assert main([command, *paths, "--t-end", "0.01", "--out", str(tmp_path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        ctype = load_scenario(scen(f"{name}.scenario")).get("controller", "type")
+        assert err.startswith(f"error: [controller] type {ctype!r} does not read {key}; ")
+        assert len(err.splitlines()) == 1
+
+
 class TestVerifyFuzz:
     """Bounded fuzz of [controller] numbers and [checks] n_samples through
     `dads verify`.  Accepted sample counts stay at most 20."""
@@ -425,16 +496,16 @@ class TestVerifyFuzz:
         n_samples=st.one_of(st.integers(1, 20).map(str), st.sampled_from(BAD_SAMPLES)),
     )
     def test_exit_codes(self, tmp_path, sigma_mod, overrides, n_samples):
-        # only the keys the controller reads: the leak or the deadzone level
+        # each law reads the leak or the deadzone level, not both
         unread = "eps" if sigma_mod else "sigma"
-        values = {k: v for k, v in overrides.items() if k != unread}
-        entries = {("controller", k): repr(v) for k, v in values.items()}
+        entries = {("controller", k): repr(v) for k, v in overrides.items()}
         entries[("checks", "n_samples")] = n_samples
         path = edited("ineq38" if sigma_mod else "ineq34", tmp_path, entries)
         code = main(["verify", path, "--out", str(tmp_path)])
         event(f"exit {code}")
         assert code in (EXIT_OK, EXIT_PARSE, EXIT_CHECK_FAILED)
-        if n_samples in self.BAD_SAMPLES or not all(math.isfinite(v) for v in values.values()):
+        if (n_samples in self.BAD_SAMPLES or unread in overrides
+                or not all(math.isfinite(v) for v in overrides.values())):
             assert code == EXIT_PARSE
 
 
@@ -488,8 +559,8 @@ class TestDisturbanceFuzz:
         rejected = (malformed and malformed[0] in read) or (kind == "vanishing" and decay < 0)
         assert code in ((EXIT_PARSE,) if rejected else (EXIT_OK, EXIT_DIVERGENCE))
         if code == EXIT_OK:  # a run that ends normally logs finite states
-            log = TrajectoryLog.from_csv(str(tmp_path / f"{name}.csv"))
-            assert np.all(np.isfinite(log.x)) and np.all(np.isfinite(log.ctrl))
+            _, data = read_csv(tmp_path / f"{name}.csv")
+            assert np.all(np.isfinite(data[:, 1:-3]))  # the states x and ctrl
 
 
 class TestSynthesizeCommand:

@@ -2,7 +2,6 @@
 
 import ast
 import hashlib
-import io
 import math
 import os
 import subprocess
@@ -31,7 +30,6 @@ from dads.controllers import (
 from dads.simulate import (
     DivergenceError,
     SimConfig,
-    TrajectoryLog,
     compile_rhs,
     simulate,
     trajectory_stats,
@@ -92,8 +90,8 @@ class TestBasicSimulation:
         assert log.t[-1] == pytest.approx(0.5)
         assert log.x.shape == (len(log), 3)
         assert log.ctrl.shape == (len(log), 4)
-        assert log.state_names == ("x1", "x2", "x3")
-        assert log.ctrl_names == ("th1", "th2", "th3", "th4")
+        assert log.header() == ["t", "x1", "x2", "x3", "th1", "th2", "th3", "th4",
+                                "u", "V", "Ynorm"]
 
     def test_initial_row_matches_ic(self):
         log, _ = run_sigma(t_end=0.1)
@@ -213,29 +211,29 @@ class TestAccuracyAndStiffness:
 
 
 class TestCsvRoundTrip:
-    def test_round_trip_exact(self):
-        log, _ = run_sigma(t_end=0.2)
-        buf = io.StringIO()
-        log.to_csv(buf)
-        buf.seek(0)
-        back = TrajectoryLog.from_csv(buf)
-        assert back.state_names == log.state_names
-        assert back.ctrl_names == log.ctrl_names
-        assert np.array_equal(back.t, log.t)
-        assert np.array_equal(back.x, log.x)
-        assert np.array_equal(back.ctrl, log.ctrl)
-        assert np.array_equal(back.u, log.u)
-        assert np.array_equal(back.V, log.V)
-        assert np.array_equal(back.Ynorm, log.Ynorm)
+    """The CSV holds every logged float exactly (17 significant digits)."""
 
-    def test_round_trip_dads_names(self):
+    @staticmethod
+    def _written(log, tmp_path):
+        path = tmp_path / "log.csv"
+        log.to_csv(str(path))
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n")
+        return header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+    def test_round_trip_exact(self, tmp_path):
+        log, _ = run_sigma(t_end=0.2)
+        header, data = self._written(log, tmp_path)
+        assert header == "t,x1,x2,x3,th1,th2,th3,th4,u,V,Ynorm"
+        expected = np.column_stack([log.t, log.x, log.ctrl, log.u, log.V, log.Ynorm])
+        assert np.array_equal(data, expected)
+
+    def test_round_trip_dads_names(self, tmp_path):
         log, _ = run_dads(t_end=0.05)
-        buf = io.StringIO()
-        log.to_csv(buf)
-        buf.seek(0)
-        back = TrajectoryLog.from_csv(buf)
-        assert back.ctrl_names == ("z",)
-        assert np.array_equal(back.ctrl, log.ctrl)
+        header, data = self._written(log, tmp_path)
+        assert header == "t,x1,x2,x3,z,u,V,Ynorm"
+        assert np.array_equal(data[:, 4], log.ctrl[:, 0])
+        assert np.array_equal(data[:, 5:], np.column_stack([log.u, log.V, log.Ynorm]))
 
 
 class CountingController(SigmaModController):
@@ -318,8 +316,9 @@ def _synthesized_controller():
     gains = build_gains(load_scenario(
         str(SCENARIOS / "synth_wingrock.scenario")))
     result = synthesize(wingrock(), gains, wingrock_majorants(gains))
+    final = result.stage_trace[-1]
     return SynthesizedDadsController(
-        k_final=result.k_final, V_final=result.V_final,
+        k_final=final.k, V_final=final.V,
         Gamma=gains.Gamma, eps_dz=gains.eps_dz,
     )
 

@@ -320,9 +320,10 @@ class TestFullSynthesis:
         assert result.M_const == 2.0
 
     def test_final_maps_vanish_at_origin(self, result):
+        final = result.stage_trace[-1]
         for z in (-2.0, 0.0, 1.0):
-            assert float(result.V_final(0.0, 0.0, 0.0, z)) == 0.0
-            assert float(result.k_final(0.0, 0.0, 0.0, z)) == 0.0
+            assert float(final.V(0.0, 0.0, 0.0, z)) == 0.0
+            assert float(final.k(0.0, 0.0, 0.0, z)) == 0.0
 
     def test_comparison_bound_on_samples(self, result):
         final = result.stage_trace[-1]
@@ -425,12 +426,13 @@ class TestCascadeSynthesis:
     def test_final_feedback_unchanged(self):
         # pinned values: any change to the construction's arithmetic shows here
         result = synthesize(_cascade_plant(), default_gains(), _cascade_pack())
+        final = result.stage_trace[-1]
         for pt, k in [
             ((0.1, -0.2, 0.3, 0.0), 6.301369221884183e+17),
             ((1.0, 0.5, -0.7, 0.4), -1.0854893294381663e+24),
             ((-0.3, 0.2, 0.9, -1.0), 3.752574948383192e+17),
         ]:
-            assert float(result.k_final(*pt)) == k
+            assert float(final.k(*pt)) == k
 
     def test_synthesize_and_certify(self):
         sys = _cascade_plant()
@@ -442,7 +444,7 @@ class TestCascadeSynthesis:
         last = result.stage_trace[-1]
         reports = stage_certificate_checks(sys, result, gains, n=200) + [
             synthesized_dissipation_check(
-                sys, result.V_final, result.k_final, gains,
+                sys, last.V, last.k, gains,
                 last.rate_c, last.effective_gain, n=500,
             )
         ]

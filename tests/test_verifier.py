@@ -1,6 +1,5 @@
 """Tests for the sampled certificate checks and trajectory-estimate checks."""
 
-import io
 import math
 import warnings
 
@@ -66,14 +65,14 @@ class TestCheckReport:
         assert "over 9 of 10 requested samples" in short.summary()
         assert CheckReport("a", 10, 1.0, (), 1e-6, requested=10).passed
 
-    def test_csv_serialization(self):
+    def test_csv_serialization(self, tmp_path):
         reps = [
             CheckReport("alpha", 5, 0.25, (1.0, -2.0), 1e-6),
             CheckReport("beta", 7, -0.5, (0.0,), 0.0),
         ]
-        buf = io.StringIO()
-        reports_to_csv(reps, buf)
-        lines = buf.getvalue().strip().splitlines()
+        path = tmp_path / "checks.csv"
+        reports_to_csv(reps, str(path))
+        lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("name,passed")
         assert lines[1].startswith("alpha,True,5,")
         assert lines[2].startswith("beta,False,7,")
