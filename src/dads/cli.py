@@ -1,8 +1,8 @@
 """Command-line front end: scenario files and the four subcommands.
 
-Scenarios are INI-style files with sections [system], [controller], [sim],
-[disturbance], [parameter], and optionally [checks] and [synthesis].  The
-subcommands are:
+Scenarios are INI-style files whose sections and keys `SCENARIO_KEYS` lists:
+[system], [controller], [sim], [disturbance], [parameter], and optionally
+[checks] and [synthesis].  The subcommands are:
 
 * simulate  — run one closed loop, write the trajectory CSV, print stats;
 * synthesize — run the backstepping construction, write the stage report;
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import io
 import math
 import os
 import sys
@@ -69,52 +70,70 @@ ERROR_EXITS = {
 }
 
 
+def _finite_numbers(text: str) -> list[float]:
+    v = [float(s) for s in text.replace(",", " ").split()]
+    if not all(map(math.isfinite, v)):
+        raise ValueError(text)
+    return v
+
+
+# conversions of a value's text: (function, what the text must be); the
+# function raises KeyError or ValueError on text it does not accept
+_TEXT = (str, "text")
+_NUMBER = (float, "a number")
+_INTEGER = (int, "an integer")
+_BOOLEAN = (lambda v: configparser.ConfigParser.BOOLEAN_STATES[v.lower()],
+            "a boolean (1/yes/true/on or 0/no/false/off)")
+_VECTOR = (_finite_numbers, "a list of finite numbers")
+_NAMES = (lambda v: v.replace(",", " ").split(), "a list of names")
+
+# [controller] keys of each controller type, mapped to the dataclass fields they
+# set; an omitted key keeps the field default, and any other key but `type` is rejected
+_CONTROLLER_FIELDS = {
+    "dads-wingrock": (
+        WingRockDadsController, {"c": "c", "k": "K", "gamma": "Gamma", "eps": "eps_dz"},
+    ),
+    "sigma-mod": (
+        SigmaModController, {"c": "c", "k": "K", "gamma": "Gamma", "sigma": "sigma_leak"},
+    ),
+}
+
+# [synthesis] keys, mapped to the DadsGains fields they set; eps is the
+# deadzone level, as in [controller]
+_SYNTHESIS_FIELDS = {"b": "b", "gamma": "Gamma", "eps": "eps_dz", "c": "c", "a": "a"}
+
+# every section and key a scenario may have, with the conversion of its text
+SCENARIO_KEYS = {
+    "system": {"name": _TEXT},
+    "controller": {"type": _TEXT, **{
+        key: _NUMBER for _, fields in _CONTROLLER_FIELDS.values() for key in fields}},
+    "sim": {"dt": _NUMBER, "t_end": _NUMBER, "method": _TEXT, "log_stride": _INTEGER,
+            "x0": _VECTOR, "ctrl0": _VECTOR, "output_indices": _VECTOR},
+    "disturbance": {"kind": _TEXT, "amplitudes": _VECTOR,
+                    "frequencies": _VECTOR, "decay": _NUMBER},
+    "parameter": {"value": _VECTOR},
+    "checks": {"names": _NAMES, "n_samples": _INTEGER, "tol": _NUMBER,
+               "corrupt_controller": _BOOLEAN},
+    "synthesis": {**dict.fromkeys(_SYNTHESIS_FIELDS, _NUMBER), "override_base_r": _NUMBER},
+}
+
+
 @dataclass
 class Scenario:
-    """Parsed scenario file: plain nested dictionaries plus typed accessors."""
+    """Parsed scenario file: each section's values, converted by SCENARIO_KEYS."""
 
     sections: dict
     path: str = ""
 
-    # --- helpers -----------------------------------------------------------
     def get(self, section: str, key: str, default=None):
         return self.sections.get(section, {}).get(key, default)
 
-    def _convert(self, section, key, default, convert, what="a number"):
-        v = self.get(section, key)
-        if v is None:
-            return default
-        try:
-            return convert(v)
-        except (KeyError, ValueError):
-            raise ScenarioError(f"[{section}] {key}: not {what}: {v!r}") from None
-
-    def getfloat(self, section, key, default=None):
-        return self._convert(section, key, default, float)
-
-    def getint(self, section, key, default=None):
-        return self._convert(section, key, default, int, "an integer")
-
-    def getboolean(self, section, key, default=None):
-        """configparser's boolean words: 1/yes/true/on or 0/no/false/off."""
-        return self._convert(
-            section, key, default,
-            lambda v: configparser.ConfigParser.BOOLEAN_STATES[v.lower()],
-            "a boolean (1/yes/true/on or 0/no/false/off)",
-        )
-
-    def getvector(self, section, key, default=None):
-        return self._convert(
-            section, key, default,
-            lambda v: [float(s) for s in v.replace(",", " ").split()],
-        )
-
     def serialize(self) -> str:
-        cp = configparser.ConfigParser()
+        """Text that parses back to these sections."""
+        cp = configparser.ConfigParser(interpolation=None)
         for sec, kv in self.sections.items():
-            cp[sec] = {k: str(v) for k, v in kv.items()}
-        import io
-
+            cp[sec] = {k: ", ".join(map(str, v)) if isinstance(v, list) else str(v)
+                       for k, v in kv.items()}
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
@@ -135,12 +154,33 @@ def load_scenario(path: str) -> Scenario:
 
 
 def parse_scenario_text(text: str, path: str = "<string>") -> Scenario:
-    cp = configparser.ConfigParser()
+    # without interpolation a `%` is plain text, which then fails its
+    # conversion; no header names the empty section, so [DEFAULT] is an
+    # ordinary section, and unknown
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         cp.read_string(text, source=path)
     except configparser.Error as exc:
         raise ScenarioError(f"{path}: {exc}") from None
-    return Scenario({sec: dict(cp[sec]) for sec in cp.sections()}, path)
+    return Scenario({sec: _convert_section(sec, cp[sec]) for sec in cp.sections()}, path)
+
+
+def _convert_section(section: str, entries) -> dict:
+    keys = SCENARIO_KEYS.get(section)
+    if keys is None:
+        raise ScenarioError(
+            f"unknown section [{section}]; a scenario has [{'], ['.join(SCENARIO_KEYS)}]")
+    values = {}
+    for key, text in entries.items():
+        if key not in keys:
+            raise ScenarioError(
+                f"[{section}] does not read {key}; it reads {', '.join(keys)}")
+        convert, what = keys[key]
+        try:
+            values[key] = convert(text)
+        except (KeyError, ValueError):
+            raise ScenarioError(f"[{section}] {key}: not {what}: {text!r}") from None
+    return values
 
 
 def build_system(scn: Scenario):
@@ -151,18 +191,6 @@ def build_system(scn: Scenario):
         return get_system(name)
     except KeyError as exc:
         raise ScenarioError(str(exc)) from None
-
-
-# [controller] keys of each controller type, mapped to the dataclass fields they
-# set; an omitted key keeps the field default, and any other key but `type` is rejected
-_CONTROLLER_FIELDS = {
-    "dads-wingrock": (
-        WingRockDadsController, {"c": "c", "k": "K", "gamma": "Gamma", "eps": "eps_dz"},
-    ),
-    "sigma-mod": (
-        SigmaModController, {"c": "c", "k": "K", "gamma": "Gamma", "sigma": "sigma_leak"},
-    ),
-}
 
 
 def controller_type(scn: Scenario) -> str:
@@ -176,25 +204,17 @@ def build_controller(scn: Scenario, sys_model=None):
     if ctype not in _CONTROLLER_FIELDS:
         raise ScenarioError(f"unknown controller type {ctype!r}")
     cls, fields = _CONTROLLER_FIELDS[ctype]
-    unread = sorted(set(scn.sections.get("controller", {})) - {"type", *fields})
+    given = scn.sections.get("controller", {})
+    unread = sorted(set(given) - {"type", *fields})
     if unread:
         raise ScenarioError(
             f"[controller] type {ctype!r} does not read {', '.join(unread)}; "
             f"it reads {', '.join(fields)}"
         )
     try:
-        return cls(**{
-            name: scn.getfloat("controller", key)
-            for key, name in fields.items()
-            if scn.get("controller", key) is not None
-        })
+        return cls(**{name: given[key] for key, name in fields.items() if key in given})
     except ValueError as exc:
         raise ScenarioError(f"invalid controller parameters: {exc}") from None
-
-
-# [synthesis] keys, mapped to the DadsGains fields they set; eps is the
-# deadzone level, as in [controller]
-_SYNTHESIS_FIELDS = {"b": "b", "gamma": "Gamma", "eps": "eps_dz", "c": "c", "a": "a"}
 
 
 def build_gains(scn: Scenario) -> DadsGains:
@@ -202,7 +222,7 @@ def build_gains(scn: Scenario) -> DadsGains:
     base = WingRockDadsController().gains
     try:
         return DadsGains(**{
-            name: scn.getfloat("synthesis", key, getattr(base, name))
+            name: scn.get("synthesis", key, getattr(base, name))
             for key, name in _SYNTHESIS_FIELDS.items()
         })
     except ValueError as exc:
@@ -213,8 +233,8 @@ def build_disturbance(scn: Scenario, dim: int) -> DisturbanceProfile:
     kind = scn.get("disturbance", "kind", "zero")
     if kind == "zero":
         return zero_disturbance(dim)
-    amps = _finite_vector(scn, "disturbance", "amplitudes", [])
-    freqs = _finite_vector(scn, "disturbance", "frequencies", [])
+    amps = scn.get("disturbance", "amplitudes", [])
+    freqs = scn.get("disturbance", "frequencies", [])
     if len(amps) != dim or len(freqs) != dim:
         raise ScenarioError(
             f"disturbance needs {dim} amplitudes/frequencies, got {len(amps)}/{len(freqs)}"
@@ -222,7 +242,7 @@ def build_disturbance(scn: Scenario, dim: int) -> DisturbanceProfile:
     if kind == "sinusoid-bank":
         return sinusoid_bank(amps, freqs)
     if kind == "vanishing":
-        decay = scn.getfloat("disturbance", "decay", 1.0)
+        decay = scn.get("disturbance", "decay", 1.0)
         # a "vanishing" disturbance that grows is an input error; the chained
         # comparison also rejects nan
         if not 0.0 <= decay < math.inf:
@@ -234,10 +254,10 @@ def build_disturbance(scn: Scenario, dim: int) -> DisturbanceProfile:
 def build_sim_config(scn: Scenario, args) -> SimConfig:
     """The [sim] settings, --dt and --t-end overriding; unset ones keep SimConfig's."""
     fields = {
-        "dt": args.dt if args.dt is not None else scn.getfloat("sim", "dt"),
-        "t_end": args.t_end if args.t_end is not None else scn.getfloat("sim", "t_end"),
+        "dt": args.dt if args.dt is not None else scn.get("sim", "dt"),
+        "t_end": args.t_end if args.t_end is not None else scn.get("sim", "t_end"),
         "method": scn.get("sim", "method"),
-        "log_stride": scn.getint("sim", "log_stride"),
+        "log_stride": scn.get("sim", "log_stride"),
     }
     try:
         return SimConfig(**{k: v for k, v in fields.items() if v is not None})
@@ -245,17 +265,9 @@ def build_sim_config(scn: Scenario, args) -> SimConfig:
         raise ScenarioError(str(exc)) from None
 
 
-def _finite_vector(scn: Scenario, section: str, key: str, default: list[float]) -> list[float]:
-    """A vector entry whose entries are all finite."""
-    v = scn.getvector(section, key, default)
-    if not all(math.isfinite(x) for x in v):
-        raise ScenarioError(f"[{section}] {key} must be finite, got {v}")
-    return v
-
-
 def _sized_vector(scn: Scenario, section: str, key: str, size: int) -> list[float]:
-    """A finite vector entry of the given length; all zeros when absent."""
-    v = _finite_vector(scn, section, key, [0.0] * size)
+    """A vector entry of the given length; all zeros when absent."""
+    v = scn.get(section, key, [0.0] * size)
     if len(v) != size:
         raise ScenarioError(f"[{section}] {key} has {len(v)} entries, expected {size}")
     return v
@@ -269,9 +281,9 @@ def run_scenario(scn: Scenario, args) -> tuple[TrajectoryLog, object, object]:
     ctrl0 = _sized_vector(scn, "sim", "ctrl0", controller.ctrl_dim)
     theta = constant_parameter(_sized_vector(scn, "parameter", "value", sysm.p))
     dist = build_disturbance(scn, sysm.l)
-    sel = scn.getvector("sim", "output_indices", None)
+    sel = scn.get("sim", "output_indices")
     if sel is not None:
-        # `in range` is false for a fraction, a negative, nan and inf alike
+        # `in range` is false for a fraction and a negative alike
         if not all(v in range(sysm.state_dim) for v in sel):
             raise ScenarioError(
                 f"[sim] output_indices must be integers in [0, {sysm.state_dim}), got {sel}"
@@ -282,10 +294,8 @@ def run_scenario(scn: Scenario, args) -> tuple[TrajectoryLog, object, object]:
 
 
 def _out_path(args, scn: Scenario, suffix: str) -> str:
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(scn.path))[0] or "scenario"
-    return os.path.join(out_dir, f"{stem}.{suffix}")
+    return os.path.join(args.out or ".", f"{stem}.{suffix}")
 
 
 def cmd_simulate(args) -> int:
@@ -318,7 +328,7 @@ def cmd_synthesize(args) -> int:
     sysm = build_system(scn)
     gains = build_gains(scn)
     pack = wingrock_majorants(gains)
-    bad_r = scn.getfloat("synthesis", "override_base_r", None)
+    bad_r = scn.get("synthesis", "override_base_r")
     if bad_r is not None:
         def override(arity):
             return SmoothMap(arity, lambda *a: bad_r, name="override_r")
@@ -336,43 +346,46 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
-# checks that evaluate one particular controller law: (type, what it checks)
+# every check, with the controller law it evaluates: (type, what it checks),
+# or None for one that builds no controller
 _CHECK_CONTROLLERS = {
     "dissipation-dads": ("dads-wingrock", "the closed-form deadzone-adapted law"),
     "trajectory": ("dads-wingrock", "the trajectory estimates of a deadzone-adapted controller"),
     "dissipation-sigma": ("sigma-mod", "the sigma-modification law"),
     "sigma-tradeoff": ("sigma-mod", "the sigma-modification residual bound"),
+    "synthesis-certificates": None,
 }
 
 
 def _run_checks(scn: Scenario, args) -> list[ver.CheckReport]:
     sysm = build_system(scn)
-    names = [
-        s.strip()
-        for s in scn.get("checks", "names", "").replace(",", " ").split()
-        if s.strip()
-    ]
+    names = scn.get("checks", "names", [])
     if not names:
         raise ScenarioError("verify: scenario has no [checks] names")
-    n = scn.getint("checks", "n_samples", 1000)
+    n = scn.get("checks", "n_samples", 1000)
     if not 1 <= n <= MAX_SAMPLES:
         raise ScenarioError(
             f"[checks] n_samples must be in [1, MAX_SAMPLES = {MAX_SAMPLES}], got {n}"
         )
-    tol = scn.getfloat("checks", "tol", 1e-6)
+    tol = scn.get("checks", "tol", 1e-6)
     if not 0 <= tol < math.inf:  # an infinite tolerance would pass any margin
         raise ScenarioError(f"[checks] tol must be finite and >= 0, got {tol}")
-    corrupt = scn.getboolean("checks", "corrupt_controller", False)
+    corrupt = scn.get("checks", "corrupt_controller", False)
     seed = args.seed
     ctype = controller_type(scn)
+    theta = _sized_vector(scn, "parameter", "value", sysm.p)
+    for name in names:  # the whole list, before the first check runs
+        if name not in _CHECK_CONTROLLERS:
+            raise ScenarioError(
+                f"unknown check {name!r}; checks are {', '.join(_CHECK_CONTROLLERS)}")
+        need = _CHECK_CONTROLLERS[name]
+        if need is not None and ctype != need[0]:
+            raise ScenarioError(
+                f"check {name!r} evaluates {need[1]}; it needs controller type "
+                f"{need[0]!r}, got {ctype!r}"
+            )
     reports: list[ver.CheckReport] = []
     for name in names:
-        need, what = _CHECK_CONTROLLERS.get(name, (None, ""))
-        if need is not None and ctype != need:
-            raise ScenarioError(
-                f"check {name!r} evaluates {what}; it needs controller type "
-                f"{need!r}, got {ctype!r}"
-            )
         if name == "dissipation-dads":
             ctrl = build_controller(scn, sysm)
             control_fn = None
@@ -389,7 +402,6 @@ def _run_checks(scn: Scenario, args) -> list[ver.CheckReport]:
             )
         elif name == "dissipation-sigma":
             ctrl = build_controller(scn, sysm)
-            theta = _sized_vector(scn, "parameter", "value", sysm.p)
             reports.append(
                 ver.sigma_mod_dissipation_check(sysm, ctrl, theta, n=n, tol=tol, seed=seed)
             )
@@ -399,7 +411,6 @@ def _run_checks(scn: Scenario, args) -> list[ver.CheckReport]:
             reports.extend(_synthesis_reports(sysm, result, gains, seed))
         elif name == "trajectory":
             log, controller, dist = run_scenario(scn, args)
-            theta = _sized_vector(scn, "parameter", "value", sysm.p)
             gains = controller.gains
             reports.extend(
                 ver.check_trajectory_estimates(
@@ -411,14 +422,11 @@ def _run_checks(scn: Scenario, args) -> list[ver.CheckReport]:
             )
         elif name == "sigma-tradeoff":
             log, controller, dist = run_scenario(scn, args)
-            theta = _sized_vector(scn, "parameter", "value", sysm.p)
             reports.append(
                 ver.check_sigma_tradeoff(
                     log, theta, controller, d_sup=ver.signal_sup(dist, log.t)
                 )
             )
-        else:
-            raise ScenarioError(f"unknown check {name!r}")
     return reports
 
 
@@ -476,7 +484,6 @@ def cmd_compare(args) -> int:
             print("sigma=0 baseline flagged: drift")
         table += "\n" + rep.summary()
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "compare.txt")
         with open(path, "w") as fh:
             fh.write(table + "\n")
@@ -490,6 +497,14 @@ def nonnegative_int(text: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
     return seed
+
+
+def _make_out_dir(path: str) -> None:
+    """The --out directory, made before any work so that a bad one costs none."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"--out {path}: {exc.strerror}") from None
 
 
 def main(argv=None) -> int:
@@ -529,6 +544,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
+        if args.out:
+            _make_out_dir(args.out)
         return args.fn(args)
     except tuple(ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,11 +5,12 @@ import csv
 import math
 import os
 import re
+import tempfile
 import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from dads.cli import (
@@ -49,9 +50,11 @@ class TestScenarioParsing:
     def test_load_benchmark_scenario(self):
         s = load_scenario(scen("fig1_dads.scenario"))
         assert s.get("system", "name") == "wingrock"
-        assert s.getfloat("controller", "gamma") == 20.0
-        assert s.getvector("sim", "x0") == [1.0, -0.5, -18.0]
-        assert s.getint("sim", "log_stride") == 100
+        # each value is converted once, at load
+        assert s.get("controller", "gamma") == 20.0
+        assert s.get("sim", "x0") == [1.0, -0.5, -18.0]
+        assert s.get("sim", "log_stride") == 100
+        assert s.get("checks", "names") == ["trajectory"]
 
     def test_missing_file(self):
         with pytest.raises(ScenarioError):
@@ -68,8 +71,8 @@ class TestScenarioParsing:
 
     def test_defaults(self):
         s = parse_scenario_text("[system]\nname = wingrock\n")
-        assert s.getfloat("controller", "c", 0.5) == 0.5
-        assert s.getvector("sim", "x0", [0.0]) == [0.0]
+        assert s.get("controller", "c", 0.5) == 0.5
+        assert s.get("sim", "x0", [0.0]) == [0.0]
 
     def test_synthesis_gains_default_to_the_controller(self):
         # every key left out of [synthesis] takes the closed-form law's
@@ -471,8 +474,117 @@ class TestRejectedInputs:
         assert main([command, *paths, "--t-end", "0.01", "--out", str(tmp_path)]) == EXIT_PARSE
         err = capsys.readouterr().err
         ctype = load_scenario(scen(f"{name}.scenario")).get("controller", "type")
-        assert err.startswith(f"error: [controller] type {ctype!r} does not read {key}; ")
+        if key in cli.SCENARIO_KEYS["controller"]:  # a key of the other type
+            assert err.startswith(f"error: [controller] type {ctype!r} does not read {key}; ")
+        else:  # a key of no type, which the scenario table rejects at load
+            assert err == (f"error: [controller] does not read {key}; "
+                           "it reads type, c, k, gamma, eps, sigma\n")
         assert len(err.splitlines()) == 1
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make every solve, synthesis and sampled check fail the test if it runs."""
+    def work(*args, **kwargs):
+        raise AssertionError("the command ran before it rejected its input")
+
+    monkeypatch.setattr(cli, "simulate", work)
+    monkeypatch.setattr(cli, "synthesize", work)
+    monkeypatch.setattr(ver, "check_dissipation", work)
+
+
+def _one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    return err
+
+
+class TestScenarioKeys:
+    """Every section and key is in `cli.SCENARIO_KEYS`; any other one, and
+    text that fails its key's conversion, exits 2 before any work."""
+
+    @pytest.mark.parametrize("command, name, section, key, typo", [
+        ("simulate", "fig4_sigma0", "system", "name", "nmae"),
+        ("simulate", "fig4_sigma0", "controller", "sigma", "sigam"),
+        ("simulate", "fig1_dads", "sim", "t_end", "t_ned"),
+        ("simulate", "fig4_sigma0", "disturbance", "kind", "knd"),
+        ("verify", "ineq38", "parameter", "value", "valeu"),
+        ("verify", "ineq34", "checks", "n_samples", "n_sampels"),
+        ("synthesize", "synth_wingrock", "synthesis", "gamma", "gamm"),
+    ])
+    def test_misspelt_key(self, tmp_path, capsys, no_work, command, name, section, key, typo):
+        # each ran with the key's default: `knd` simulated fig4_sigma0 with d = 0
+        text = open(scen(f"{name}.scenario")).read()
+        assert f"\n{key} = " in text
+        path = tmp_path / f"{name}.scenario"
+        path.write_text(text.replace(f"\n{key} = ", f"\n{typo} = "))
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out", str(out)]) == EXIT_PARSE
+        assert _one_error_line(capsys) == (
+            f"error: [{section}] does not read {typo}; "
+            f"it reads {', '.join(cli.SCENARIO_KEYS[section])}\n")
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nk = 1e9\n",  # configparser copied it into every section
+        "[output]\ndir = somewhere\n",
+        "[Checks]\nn_samples = 5\n",
+    ])
+    def test_unknown_section(self, tmp_path, capsys, no_work, text):
+        path = tmp_path / "ineq34.scenario"
+        path.write_text(text + open(scen("ineq34.scenario")).read())
+        out = tmp_path / "out"
+        assert main(["verify", str(path), "--out", str(out)]) == EXIT_PARSE
+        section = text[1:text.index("]")]
+        assert _one_error_line(capsys).startswith(
+            f"error: unknown section [{section}]; a scenario has [system], [controller], ")
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("value", ["1%, 0, 0", "%(foo)s"])
+    def test_percent_is_text(self, tmp_path, capsys, value):
+        # configparser's interpolation raised a traceback, exit 1
+        path = edited("fig4_sigma0", tmp_path, {("sim", "x0"): value})
+        assert main(["simulate", path, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+        assert _one_error_line(capsys) == (
+            f"error: [sim] x0: not a list of finite numbers: {value!r}\n")
+
+    @pytest.mark.parametrize("command, names", [
+        ("simulate", ["fig4_sigma0"]),
+        ("synthesize", ["synth_wingrock"]),
+        ("verify", ["ineq34"]),
+        ("compare", ["fig4_sigma0", "fig4_sigma04"]),
+    ])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_that_is_a_file(self, tmp_path, capsys, no_work, command, names, under):
+        # os.makedirs raised FileExistsError (NotADirectoryError under the
+        # file) after all the work was done
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        out = taken / "sub" if under else taken
+        paths = [scen(f"{name}.scenario") for name in names]
+        assert main([command, *paths, "--out", str(out)]) == EXIT_PARSE
+        assert _one_error_line(capsys).startswith(f"error: --out {out}: ")
+        assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("name, names, message", [
+        ("ineq34", "dissipation-dads, bogus", "unknown check 'bogus'"),
+        ("fig1_dads", "trajectory, dissipation-sigma", "check 'dissipation-sigma' evaluates"),
+    ])
+    def test_check_names_are_read_before_any_check(self, tmp_path, capsys, no_work,
+                                                    name, names, message):
+        # each ran the checks before the bad name first: 1,000 samples, or
+        # the 10 s stiff solve
+        path = edited(name, tmp_path, {("checks", "names"): names})
+        assert main(["verify", path, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+        assert _one_error_line(capsys).startswith(f"error: {message}")
+
+    def test_readme_table_names_every_key(self):
+        readme = open(os.path.join(SCEN, "..", "README.md")).read()
+        section = readme[readme.index("### Scenario files"):]
+        section = section[:section.index("\n## ")]
+        rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", section, re.MULTILINE)
+        assert sorted(rows) == sorted(
+            (sec, key) for sec, keys in cli.SCENARIO_KEYS.items() for key in keys)
 
 
 class TestVerifyFuzz:
@@ -548,6 +660,10 @@ class TestDisturbanceFuzz:
                    "frequencies": ", ".join(map(repr, frequencies)), "decay": repr(decay)}
         read = {"kind"} | ({"amplitudes", "frequencies"} if kind != "zero" else set()) \
             | ({"decay"} if kind == "vanishing" else set())
+        # texts that fail their key's conversion, whether the kind reads the key or not
+        not_numbers = {"nan", "-inf", "inf, 1", "x"}
+        unconvertible = {"amplitudes": not_numbers, "frequencies": not_numbers,
+                         "decay": {"inf, 1", "1, 2, 3", "", "x"}}
         if malformed:
             section[malformed[0]] = malformed[1]
         path = edited(name, tmp_path, {("disturbance", k): v for k, v in section.items()})
@@ -556,11 +672,63 @@ class TestDisturbanceFuzz:
                      "--out", str(tmp_path)])
         event(f"exit {code}")
         # a growing "vanishing" disturbance is an input error too
-        rejected = (malformed and malformed[0] in read) or (kind == "vanishing" and decay < 0)
+        rejected = (malformed and (malformed[0] in read
+                                   or malformed[1] in unconvertible.get(malformed[0], ()))) \
+            or (kind == "vanishing" and decay < 0)
         assert code in ((EXIT_PARSE,) if rejected else (EXIT_OK, EXIT_DIVERGENCE))
         if code == EXIT_OK:  # a run that ends normally logs finite states
             _, data = read_csv(tmp_path / f"{name}.csv")
             assert np.all(np.isfinite(data[:, 1:-3]))  # the states x and ctrl
+
+
+SHIPPED = sorted(os.path.splitext(f)[0] for f in os.listdir(SCEN) if f.endswith(".scenario"))
+KEY_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789_"
+
+
+@st.composite
+def _unknown_keys(draw):
+    """A shipped scenario, one of its sections and a key that section does not
+    read: one edit away from one of its keys, or any identifier."""
+    name = draw(st.sampled_from(SHIPPED))
+    section = draw(st.sampled_from(sorted(load_scenario(scen(f"{name}.scenario")).sections)))
+    keys = cli.SCENARIO_KEYS[section]
+    real = draw(st.sampled_from(sorted(keys)))
+    i = draw(st.integers(0, len(real) - 1))
+    c = draw(st.sampled_from(KEY_ALPHABET))
+    near = draw(st.sampled_from([
+        real[:i] + real[i + 1:],  # a letter dropped
+        real[:i] + c + real[i:],  # one added
+        real[:i] + c + real[i + 1:],  # one replaced
+        real[:i] + real[i + 1:i + 2] + real[i] + real[i + 2:],  # two swapped
+    ]))
+    unknown = draw(st.from_regex(r"[a-z_][a-z0-9_]{0,15}", fullmatch=True))
+    key = draw(st.sampled_from([near, unknown]))
+    assume(key and key not in keys)
+    return name, section, key
+
+
+class TestKeyFuzz:
+    """Bounded fuzz of key names: a key a section does not read, added to a
+    shipped scenario, makes every command that takes the scenario exit 2
+    before any work, with one error line and nothing written."""
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=_unknown_keys())
+    def test_exit_2(self, tmp_path, capsys, no_work, drawn):
+        name, section, key = drawn
+        path = edited(name, tmp_path, {(section, key): "1"})
+        sections = load_scenario(scen(f"{name}.scenario")).sections
+        commands = ([["simulate", path], ["compare", path, scen("fig4_sigma0.scenario")]]
+                    if "sim" in sections else [])
+        commands += [["verify", path]] if "checks" in sections else []
+        commands += [["synthesize", path]] if "synthesis" in sections else []
+        for command in commands:
+            out = tempfile.mkdtemp(dir=tmp_path)
+            code = main([*command, "--t-end", "0.05", "--out", out])
+            assert code == EXIT_PARSE
+            assert _one_error_line(capsys).startswith(f"error: [{section}] does not read {key}; ")
+            assert os.listdir(out) == []
 
 
 class TestSynthesizeCommand:

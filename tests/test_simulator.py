@@ -185,7 +185,7 @@ class TestAccuracyAndStiffness:
 
         scn = load_scenario(str(SCENARIOS / f"{name}.scenario"))
         log, ctrl, dist = run_scenario(scn, Namespace(dt=None, t_end=0.5))
-        sys, theta = build_system(scn), np.array(scn.getvector("parameter", "value"))
+        sys, theta = build_system(scn), np.array(scn.get("parameter", "value"))
         got = np.column_stack([log.x, log.ctrl])
         with np.errstate(over="ignore", invalid="ignore"):
             ref = solve_ivp(
@@ -495,7 +495,7 @@ class TestCompiledLoop:
         scn = load_scenario(str(SCENARIOS / "fig4_sigma0.scenario"))
         sys = build_system(scn)
         tape, rates = simulate_module._trace_rhs(
-            sys, build_controller(scn, sys), scn.getvector("parameter", "value"),
+            sys, build_controller(scn, sys), scn.get("parameter", "value"),
             build_disturbance(scn, sys.l))
         # neither the sigma = 0 leak nor the disturbance channels a level
         # does not receive leave a product with 0.0 on the tape
