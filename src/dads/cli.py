@@ -2,7 +2,8 @@
 
 Scenarios are INI-style files whose sections and keys `SCENARIO_KEYS` lists:
 [system], [controller], [sim], [disturbance], [parameter], and optionally
-[checks] and [synthesis].  The subcommands are:
+[checks] and [synthesis].  `build` turns a file into one checked `Setup`,
+which is all a command reads.  The subcommands are:
 
 * simulate  — run one closed loop, write the trajectory CSV, print stats;
 * synthesize — run the backstepping construction, write the stage report;
@@ -21,7 +22,7 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +49,6 @@ from .systems import (
     zero_disturbance,
 )
 from . import verify as ver
-from .jets import SmoothMap
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -114,7 +114,7 @@ SCENARIO_KEYS = {
     "parameter": {"value": _VECTOR},
     "checks": {"names": _NAMES, "n_samples": _INTEGER, "tol": _NUMBER,
                "corrupt_controller": _BOOLEAN},
-    "synthesis": {**dict.fromkeys(_SYNTHESIS_FIELDS, _NUMBER), "override_base_r": _NUMBER},
+    "synthesis": dict.fromkeys(_SYNTHESIS_FIELDS, _NUMBER),
 }
 
 
@@ -193,14 +193,9 @@ def build_system(scn: Scenario):
         raise ScenarioError(str(exc)) from None
 
 
-def controller_type(scn: Scenario) -> str:
-    """The [controller] type; the closed-form wing-rock law when omitted."""
-    return scn.get("controller", "type", "dads-wingrock")
-
-
 def build_controller(scn: Scenario, sys_model=None):
     """The [controller] law; sys_model is unused (perfbench's probe passes it)."""
-    ctype = controller_type(scn)
+    ctype = scn.get("controller", "type", "dads-wingrock")
     if ctype not in _CONTROLLER_FIELDS:
         raise ScenarioError(f"unknown controller type {ctype!r}")
     cls, fields = _CONTROLLER_FIELDS[ctype]
@@ -265,43 +260,100 @@ def build_sim_config(scn: Scenario, args) -> SimConfig:
         raise ScenarioError(str(exc)) from None
 
 
-def _sized_vector(scn: Scenario, section: str, key: str, size: int) -> list[float]:
+def _sized_vector(scn: Scenario, section: str, key: str, size: int) -> tuple:
     """A vector entry of the given length; all zeros when absent."""
     v = scn.get(section, key, [0.0] * size)
     if len(v) != size:
         raise ScenarioError(f"[{section}] {key} has {len(v)} entries, expected {size}")
-    return v
+    return tuple(v)
 
 
-def run_scenario(scn: Scenario, args) -> tuple[TrajectoryLog, object, object]:
+def _output_indices(scn: Scenario, dim: int) -> tuple | None:
+    """The [sim] output_indices: distinct states, at least one; None for all."""
+    sel = scn.get("sim", "output_indices")
+    # `in range` is false for a fraction and a negative alike
+    if sel is not None and (not sel or len(set(sel)) < len(sel)
+                            or not all(v in range(dim) for v in sel)):
+        raise ScenarioError(
+            f"[sim] output_indices must be distinct integers in [0, {dim}), "
+            f"at least one, got {sel}")
+    return None if sel is None else tuple(int(v) for v in sel)
+
+
+@dataclass(frozen=True)
+class Setup:
+    """Everything the commands read from one scenario file, built by `build`."""
+
+    path: str
+    system: object
+    ctype: str  # the [controller] type
+    controller: object
+    gains: DadsGains  # the [synthesis] constants
+    config: SimConfig
+    disturbance: DisturbanceProfile
+    x0: tuple
+    ctrl0: tuple
+    theta: tuple  # the [parameter] value
+    output_indices: tuple | None
+    checks: tuple  # the [checks] names
+    n_samples: int
+    tol: float
+    corrupt: bool  # [checks] corrupt_controller
+
+
+def build(path: str, args) -> Setup:
+    """Load a scenario file and build every object a command reads, once.
+
+    Every rule is applied here, so a malformed value exits 2 before any
+    solve, synthesis or check, whichever command runs.  The builders are
+    looked up as module globals, where perfbench spans them.
+    """
+    scn = load_scenario(path)
     sysm = build_system(scn)
     controller = build_controller(scn, sysm)
-    config = build_sim_config(scn, args)
-    x0 = _sized_vector(scn, "sim", "x0", sysm.state_dim)
-    ctrl0 = _sized_vector(scn, "sim", "ctrl0", controller.ctrl_dim)
-    theta = constant_parameter(_sized_vector(scn, "parameter", "value", sysm.p))
-    dist = build_disturbance(scn, sysm.l)
-    sel = scn.get("sim", "output_indices")
-    if sel is not None:
-        # `in range` is false for a fraction and a negative alike
-        if not all(v in range(sysm.state_dim) for v in sel):
-            raise ScenarioError(
-                f"[sim] output_indices must be integers in [0, {sysm.state_dim}), got {sel}"
-            )
-        sel = [int(v) for v in sel]
-    log = simulate(sysm, controller, x0, ctrl0, dist, theta, config, output_indices=sel)
-    return log, controller, dist
+    ctype = next(t for t, (cls, _) in _CONTROLLER_FIELDS.items() if type(controller) is cls)
+    checks = tuple(scn.get("checks", "names", []))
+    for name in checks:
+        if name not in CHECKS:
+            raise ScenarioError(f"unknown check {name!r}; checks are {', '.join(CHECKS)}")
+        need, what, _ = CHECKS[name]
+        if need is not None and ctype != need:
+            raise ScenarioError(f"check {name!r} evaluates {what}; it needs controller "
+                                f"type {need!r}, got {ctype!r}")
+    n = scn.get("checks", "n_samples", 1000)
+    if not 1 <= n <= MAX_SAMPLES:
+        raise ScenarioError(
+            f"[checks] n_samples must be in [1, MAX_SAMPLES = {MAX_SAMPLES}], got {n}")
+    tol = scn.get("checks", "tol", 1e-6)
+    if not 0 <= tol < math.inf:  # an infinite tolerance would pass any margin
+        raise ScenarioError(f"[checks] tol must be finite and >= 0, got {tol}")
+    return Setup(
+        path, sysm, ctype, controller, build_gains(scn), build_sim_config(scn, args),
+        build_disturbance(scn, sysm.l),
+        _sized_vector(scn, "sim", "x0", sysm.state_dim),
+        _sized_vector(scn, "sim", "ctrl0", controller.ctrl_dim),
+        _sized_vector(scn, "parameter", "value", sysm.p),
+        _output_indices(scn, sysm.state_dim), checks, n, tol,
+        scn.get("checks", "corrupt_controller", False),
+    )
 
 
-def _out_path(args, scn: Scenario, suffix: str) -> str:
-    stem = os.path.splitext(os.path.basename(scn.path))[0] or "scenario"
+def run_scenario(setup: Setup) -> tuple[TrajectoryLog, object, DisturbanceProfile]:
+    log = simulate(setup.system, setup.controller, setup.x0, setup.ctrl0, setup.disturbance,
+                   constant_parameter(setup.theta), setup.config,
+                   output_indices=setup.output_indices)
+    return log, setup.controller, setup.disturbance
+
+
+def _out_path(args, setup: Setup, suffix: str) -> str:
+    stem = os.path.splitext(os.path.basename(setup.path))[0] or "scenario"
     return os.path.join(args.out or ".", f"{stem}.{suffix}")
 
 
 def cmd_simulate(args) -> int:
-    scn = load_scenario(args.scenario)
-    log, controller, _ = run_scenario(scn, args)
-    path = _out_path(args, scn, "csv")
+    setup = build(args.scenario, args)
+    log, controller, _ = run_scenario(setup)
+    path = _out_path(args, setup, "csv")
     log.to_csv(path)
     stats = trajectory_stats(log, controller)
     print(f"wrote {path}")
@@ -312,32 +364,20 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _synthesis_reports(sysm, result, gains, seed: int) -> list[ver.CheckReport]:
-    """Stage certificates at 200 samples each, then the final one at 500."""
+def _synthesis(setup: Setup, seed: int):
+    """The construction, its stage certificates at 200 samples each, the final one at 500."""
+    sysm, gains = setup.system, setup.gains
+    result = synthesize(sysm, gains, wingrock_majorants(gains), seed=seed)
     last = result.stage_trace[-1]
-    return ver.stage_certificate_checks(sysm, result, gains, n=200, seed=seed) + [
-        ver.synthesized_dissipation_check(
-            sysm, last.V, last.k, gains,
-            last.rate_c, last.effective_gain, n=500, seed=seed,
-        )
-    ]
+    reports = ver.stage_certificate_checks(sysm, result, gains, n=200, seed=seed)
+    return result, reports + [ver.synthesized_dissipation_check(
+        sysm, last.V, last.k, gains, last.rate_c, last.effective_gain, n=500, seed=seed)]
 
 
 def cmd_synthesize(args) -> int:
-    scn = load_scenario(args.scenario)
-    sysm = build_system(scn)
-    gains = build_gains(scn)
-    pack = wingrock_majorants(gains)
-    bad_r = scn.get("synthesis", "override_base_r")
-    if bad_r is not None:
-        def override(arity):
-            return SmoothMap(arity, lambda *a: bad_r, name="override_r")
-
-        pack = replace(pack, base_r=override(1), levels=tuple(
-            replace(lv, r=override(lv.r.arity)) for lv in pack.levels))
-    result = synthesize(sysm, gains, pack, seed=args.seed)
-    reports = _synthesis_reports(sysm, result, gains, args.seed)
-    path = _out_path(args, scn, "report.txt")
+    setup = build(args.scenario, args)
+    result, reports = _synthesis(setup, args.seed)
+    path = _out_path(args, setup, "report.txt")
     with open(path, "w") as fh:
         fh.write(result.report() + "\n\n" + ver.summarize(reports) + "\n")
     print(result.report())
@@ -346,94 +386,56 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
-# every check, with the controller law it evaluates: (type, what it checks),
-# or None for one that builds no controller
-_CHECK_CONTROLLERS = {
-    "dissipation-dads": ("dads-wingrock", "the closed-form deadzone-adapted law"),
-    "trajectory": ("dads-wingrock", "the trajectory estimates of a deadzone-adapted controller"),
-    "dissipation-sigma": ("sigma-mod", "the sigma-modification law"),
-    "sigma-tradeoff": ("sigma-mod", "the sigma-modification residual bound"),
-    "synthesis-certificates": None,
+def _dissipation_dads(setup: Setup, seed: int) -> list[ver.CheckReport]:
+    control_fn = None
+    if setup.corrupt:
+        # mutation probe: sign-flip the stabilizing damping term
+        def control_fn(x, z, _c=setup.controller):
+            u, _ = wingrock_control(x, z, _c)
+            terms = wingrock_intermediates(x[0], x[1], x[2], z, _c.c, _c.K)
+            return u + 2.0 * wingrock_damping(terms, _c.c, _c.K)
+    return [ver.wingrock_dissipation_check(
+        setup.system, setup.controller, n=setup.n_samples, tol=setup.tol, seed=seed,
+        control_fn=control_fn)]
+
+
+def _trajectory(setup: Setup, seed: int) -> list[ver.CheckReport]:
+    log, controller, dist = run_scenario(setup)
+    gains = controller.gains
+    return ver.check_trajectory_estimates(
+        log, gains, d_sup=ver.signal_sup(dist, log.t),
+        theta_sup=float(np.linalg.norm(setup.theta)),
+        attractivity_radius=ver.wingrock_attractivity_radius(gains.c, gains.eps_dz))
+
+
+def _sigma_tradeoff(setup: Setup, seed: int) -> list[ver.CheckReport]:
+    log, controller, dist = run_scenario(setup)
+    return [ver.check_sigma_tradeoff(
+        log, setup.theta, controller, d_sup=ver.signal_sup(dist, log.t))]
+
+
+# every check: the controller type it needs (None for none), what it
+# evaluates, and run(setup, seed) -> reports
+CHECKS = {
+    "dissipation-dads": ("dads-wingrock", "the closed-form deadzone-adapted law",
+                         _dissipation_dads),
+    "trajectory": ("dads-wingrock", "the trajectory estimates of a deadzone-adapted controller",
+                   _trajectory),
+    "dissipation-sigma": ("sigma-mod", "the sigma-modification law", lambda setup, seed: [
+        ver.sigma_mod_dissipation_check(setup.system, setup.controller, setup.theta,
+                                        n=setup.n_samples, tol=setup.tol, seed=seed)]),
+    "sigma-tradeoff": ("sigma-mod", "the sigma-modification residual bound", _sigma_tradeoff),
+    "synthesis-certificates": (None, "the synthesized law",
+                               lambda setup, seed: _synthesis(setup, seed)[1]),
 }
 
 
-def _run_checks(scn: Scenario, args) -> list[ver.CheckReport]:
-    sysm = build_system(scn)
-    names = scn.get("checks", "names", [])
-    if not names:
-        raise ScenarioError("verify: scenario has no [checks] names")
-    n = scn.get("checks", "n_samples", 1000)
-    if not 1 <= n <= MAX_SAMPLES:
-        raise ScenarioError(
-            f"[checks] n_samples must be in [1, MAX_SAMPLES = {MAX_SAMPLES}], got {n}"
-        )
-    tol = scn.get("checks", "tol", 1e-6)
-    if not 0 <= tol < math.inf:  # an infinite tolerance would pass any margin
-        raise ScenarioError(f"[checks] tol must be finite and >= 0, got {tol}")
-    corrupt = scn.get("checks", "corrupt_controller", False)
-    seed = args.seed
-    ctype = controller_type(scn)
-    theta = _sized_vector(scn, "parameter", "value", sysm.p)
-    for name in names:  # the whole list, before the first check runs
-        if name not in _CHECK_CONTROLLERS:
-            raise ScenarioError(
-                f"unknown check {name!r}; checks are {', '.join(_CHECK_CONTROLLERS)}")
-        need = _CHECK_CONTROLLERS[name]
-        if need is not None and ctype != need[0]:
-            raise ScenarioError(
-                f"check {name!r} evaluates {need[1]}; it needs controller type "
-                f"{need[0]!r}, got {ctype!r}"
-            )
-    reports: list[ver.CheckReport] = []
-    for name in names:
-        if name == "dissipation-dads":
-            ctrl = build_controller(scn, sysm)
-            control_fn = None
-            if corrupt:
-                # mutation probe: sign-flip the stabilizing damping term
-                def control_fn(x, z, _c=ctrl):
-                    u, _ = wingrock_control(x, z, _c)
-                    terms = wingrock_intermediates(x[0], x[1], x[2], z, _c.c, _c.K)
-                    return u + 2.0 * wingrock_damping(terms, _c.c, _c.K)
-            reports.append(
-                ver.wingrock_dissipation_check(
-                    sysm, ctrl, n=n, tol=tol, seed=seed, control_fn=control_fn
-                )
-            )
-        elif name == "dissipation-sigma":
-            ctrl = build_controller(scn, sysm)
-            reports.append(
-                ver.sigma_mod_dissipation_check(sysm, ctrl, theta, n=n, tol=tol, seed=seed)
-            )
-        elif name == "synthesis-certificates":
-            gains = build_gains(scn)
-            result = synthesize(sysm, gains, wingrock_majorants(gains), seed=seed)
-            reports.extend(_synthesis_reports(sysm, result, gains, seed))
-        elif name == "trajectory":
-            log, controller, dist = run_scenario(scn, args)
-            gains = controller.gains
-            reports.extend(
-                ver.check_trajectory_estimates(
-                    log, gains,
-                    d_sup=ver.signal_sup(dist, log.t),
-                    theta_sup=float(np.linalg.norm(theta)),
-                    attractivity_radius=ver.wingrock_attractivity_radius(gains.c, gains.eps_dz),
-                )
-            )
-        elif name == "sigma-tradeoff":
-            log, controller, dist = run_scenario(scn, args)
-            reports.append(
-                ver.check_sigma_tradeoff(
-                    log, theta, controller, d_sup=ver.signal_sup(dist, log.t)
-                )
-            )
-    return reports
-
-
 def cmd_verify(args) -> int:
-    scn = load_scenario(args.scenario)
-    reports = _run_checks(scn, args)
-    path = _out_path(args, scn, "checks.csv")
+    setup = build(args.scenario, args)
+    if not setup.checks:
+        raise ScenarioError("verify: scenario has no [checks] names")
+    reports = [rep for name in setup.checks for rep in CHECKS[name][2](setup, args.seed)]
+    path = _out_path(args, setup, "checks.csv")
     ver.reports_to_csv(reports, path)
     print(ver.summarize(reports))
     print(f"wrote {path}")
@@ -443,19 +445,15 @@ def cmd_verify(args) -> int:
 def cmd_compare(args) -> int:
     if len(args.scenarios) < 2:
         raise ScenarioError("compare needs at least two scenarios")
-    rows = []
-    logs = {}
-    expect_drift = False  # a persistent disturbance in any scenario
-    for path in args.scenarios:
-        scn = load_scenario(path)
-        expect_drift |= scn.get("disturbance", "kind", "zero") != "zero"
-        log, controller, _ = run_scenario(scn, args)
+    setups = [build(path, args) for path in args.scenarios]  # before the first solve
+    rows, logs = [], {}
+    for setup in setups:
+        log, controller, _ = run_scenario(setup)
         stats = trajectory_stats(log, controller)
-        ctype = controller_type(scn)
-        leak = controller.sigma_leak if ctype == "sigma-mod" else None
-        label = ctype if leak is None else f"{ctype}({leak:g})"
-        rows.append((os.path.basename(path), label, stats, log))
-        logs[(ctype, leak)] = log
+        leak = controller.sigma_leak if setup.ctype == "sigma-mod" else None
+        label = setup.ctype if leak is None else f"{setup.ctype}({leak:g})"
+        rows.append((os.path.basename(setup.path), label, stats, log))
+        logs[(setup.ctype, leak)] = log
 
     horizons = {round(float(r[3].t[-1]), 9) for r in rows}
     if len(horizons) != 1:
@@ -473,11 +471,11 @@ def cmd_compare(args) -> int:
 
     dads = logs.get(("dads-wingrock", None))
     s0 = logs.get(("sigma-mod", 0.0))
-    s_leak = next(
-        (v for (t, lk), v in logs.items() if t == "sigma-mod" and lk not in (None, 0.0)),
-        None,
-    )
+    s_leak = next((v for (t, lk), v in logs.items()
+                   if t == "sigma-mod" and lk not in (None, 0.0)), None)
     if dads is not None and s0 is not None and s_leak is not None:
+        # drift is expected when a disturbance in any scenario persists
+        expect_drift = any(s.disturbance.persists for s in setups)
         rep = ver.check_drift_contrast(dads, s0, s_leak, expect_drift=expect_drift)
         print(rep.summary())
         if expect_drift and rep.passed:

@@ -168,6 +168,11 @@ class DisturbanceProfile:
     frequencies: tuple[float, ...] = ()
     decay: float = 0.0
 
+    @property
+    def persists(self) -> bool:
+        """Whether d(t) does not decay: a sinusoid bank, or "vanishing" with decay 0."""
+        return self.kind == "sinusoid-bank" or (self.kind == "vanishing" and self.decay == 0.0)
+
     def __call__(self, t: float) -> np.ndarray:
         if t < 0:
             raise ValueError("disturbance signals are defined for t >= 0")

@@ -7,6 +7,7 @@ import os
 import re
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from dads.cli import (
 import dads.cli as cli
 import dads.verify as ver
 from dads.controllers import WingRockDadsController
+from dads.jets import SmoothMap
 from dads.simulate import SimConfig
 
 SCEN = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -153,7 +155,9 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
 
-    @pytest.mark.parametrize("indices", ["0, 7", "-1", "0.5"])
+    # an empty list logged |Y| = 0, so `verify fig4_dads` passed its tail
+    # output bound with it
+    @pytest.mark.parametrize("indices", ["0, 7", "-1", "0.5", "", "1, 1"])
     def test_bad_output_indices_is_parse_error(self, tmp_path, capsys, indices):
         text = open(scen("fig1_sigma0.scenario")).read()
         bad = tmp_path / "indices.scenario"
@@ -424,8 +428,20 @@ class TestNonFiniteParameters:
         assert err.startswith("error: trajectory diverged; last finite time t = 0 (lsoda: ")
         assert len(err.splitlines()) == 1
 
-    def test_nan_majorant_exits_4(self, tmp_path):
-        path = edited("synth_wingrock", tmp_path, {("synthesis", "override_base_r"): "nan"})
+    def test_nan_majorant_exits_4(self, tmp_path, monkeypatch):
+        # no scenario value makes a majorant nan; replace every drift
+        # majorant r of the shipped pack with one
+        def nan_r(arity):
+            return SmoothMap(arity, lambda *a: math.nan, name="nan_r")
+
+        def nan_pack(gains):
+            pack = majorants(gains)
+            return replace(pack, base_r=nan_r(1), levels=tuple(
+                replace(lv, r=nan_r(lv.r.arity)) for lv in pack.levels))
+
+        majorants = cli.wingrock_majorants
+        monkeypatch.setattr(cli, "wingrock_majorants", nan_pack)
+        path = scen("synth_wingrock.scenario")
         assert main(["synthesize", path, "--out", str(tmp_path)]) == EXIT_MAJORANT
 
 
@@ -587,6 +603,39 @@ class TestScenarioKeys:
             (sec, key) for sec, keys in cli.SCENARIO_KEYS.items() for key in keys)
 
 
+class TestBuiltBeforeWork:
+    """`build` applies every rule of the whole scenario before a command
+    runs anything, whichever sections that command reads itself."""
+
+    @pytest.mark.parametrize("command, name, entries, message", [
+        # the 100,000-sample dissipation check ran for seconds first
+        ("verify", "fig1_dads", {("checks", "names"): "dissipation-dads, trajectory",
+                                 ("sim", "x0"): "1, 2", ("checks", "n_samples"): "100000"},
+         "[sim] x0 has 2 entries, expected 3"),
+        # synthesize never built the [controller] law, and exited 0
+        ("synthesize", "synth_wingrock", {("controller", "type"): "bogus"},
+         "unknown controller type 'bogus'"),
+        ("synthesize", "synth_wingrock", {("sim", "x0"): "1, 2"},
+         "[sim] x0 has 2 entries, expected 3"),
+        ("simulate", "fig1_dads", {("checks", "n_samples"): "0"},
+         f"[checks] n_samples must be in [1, MAX_SAMPLES = {MAX_SAMPLES}], got 0"),
+    ])
+    def test_exit_2(self, tmp_path, capsys, no_work, command, name, entries, message):
+        out = tmp_path / "out"
+        assert main([command, edited(name, tmp_path, entries), "--out", str(out)]) == EXIT_PARSE
+        assert _one_error_line(capsys) == f"error: {message}\n"
+        assert not any(out.iterdir())
+
+    def test_compare_builds_every_scenario_first(self, tmp_path, capsys, no_work):
+        # the two 10 s runs of the first scenarios came before the error
+        paths = [scen("fig4_dads.scenario"), scen("fig4_sigma0.scenario"),
+                 edited("fig4_sigma04", tmp_path, {("sim", "x0"): "1, 2"})]
+        out = tmp_path / "out"
+        assert main(["compare", *paths, "--out", str(out)]) == EXIT_PARSE
+        assert _one_error_line(capsys) == "error: [sim] x0 has 2 entries, expected 3\n"
+        assert not any(out.iterdir())
+
+
 class TestVerifyFuzz:
     """Bounded fuzz of [controller] numbers and [checks] n_samples through
     `dads verify`.  Accepted sample counts stay at most 20."""
@@ -707,6 +756,14 @@ def _unknown_keys(draw):
     return name, section, key
 
 
+def _commands(name, path):
+    """Every command that takes the shipped scenario `name`, on `path`."""
+    sections = load_scenario(scen(f"{name}.scenario")).sections
+    commands = [["simulate", path], ["compare", path, path]] if "sim" in sections else []
+    commands += [["verify", path]] if "checks" in sections else []
+    return commands + ([["synthesize", path]] if "synthesis" in sections else [])
+
+
 class TestKeyFuzz:
     """Bounded fuzz of key names: a key a section does not read, added to a
     shipped scenario, makes every command that takes the scenario exit 2
@@ -718,17 +775,87 @@ class TestKeyFuzz:
     def test_exit_2(self, tmp_path, capsys, no_work, drawn):
         name, section, key = drawn
         path = edited(name, tmp_path, {(section, key): "1"})
-        sections = load_scenario(scen(f"{name}.scenario")).sections
-        commands = ([["simulate", path], ["compare", path, scen("fig4_sigma0.scenario")]]
-                    if "sim" in sections else [])
-        commands += [["verify", path]] if "checks" in sections else []
-        commands += [["synthesize", path]] if "synthesis" in sections else []
-        for command in commands:
+        for command in _commands(name, path):
             out = tempfile.mkdtemp(dir=tmp_path)
             code = main([*command, "--t-end", "0.05", "--out", out])
             assert code == EXIT_PARSE
             assert _one_error_line(capsys).startswith(f"error: [{section}] does not read {key}; ")
             assert os.listdir(out) == []
+
+
+# value texts: usable ones, the extremes of each range, and text that is not
+# a number of the key's kind
+_DT = ("1e-4", "1e-3", "0.05", "1e-300", "0", "-1e-4", "nan", "inf", "1e300", "x", "")
+_T_END = ("0.05", "0.01", "1e-5", "0", "-1", "nan", "inf", "1e300", "x")
+_STRIDE = ("1", "7", "100", "10000000000", "0", "-1", "1.5", "x")
+_GAIN = ("0.5", "2", "20", "5", "1e4", "0", "-1", "1e-300", "1e308", "nan", "inf", "x")
+# a vector of 0 to 5 numbers (the plant takes 3 states and 4 parameters, the
+# laws 1 or 4 states), or text that is not one
+_VECTOR_TEXT = st.one_of(st.lists(_numbers(), max_size=5).map(lambda v: ", ".join(map(repr, v))),
+                         st.sampled_from(["nan, 0, 0", "1, x, 2", "1; 2; 3"]))
+_VALUES = {
+    ("sim", "dt"): st.sampled_from(_DT),
+    ("sim", "log_stride"): st.sampled_from(_STRIDE),
+    ("sim", "x0"): _VECTOR_TEXT,
+    ("sim", "ctrl0"): _VECTOR_TEXT,
+    ("sim", "output_indices"): st.one_of(
+        st.lists(st.integers(-1, 3), max_size=3).map(lambda v: ", ".join(map(str, v))),
+        st.just("0.5")),
+    ("parameter", "value"): _VECTOR_TEXT,
+    **{("synthesis", key): st.sampled_from(_GAIN) for key in cli.SCENARIO_KEYS["synthesis"]},
+}
+
+
+def _too_long(dt, t_end):
+    """Whether a run of these texts would be accepted and take more than
+    10^4 steps or 0.05 time units."""
+    try:
+        SimConfig(dt=float(dt), t_end=float(t_end))
+    except ValueError:  # not a number, or rejected before any step
+        return False
+    return float(t_end) > 0.05 or float(t_end) / float(dt) > 1e4
+
+
+@st.composite
+def _value_edits(draw):
+    """A shipped scenario, --t-end (or none) and up to three drawn values of
+    [sim], [parameter] and [synthesis]; without --t-end, [sim] t_end is drawn."""
+    name = draw(st.sampled_from(SHIPPED))
+    flag = draw(st.sampled_from([None, "0.05", "0.01", "1e-3"]))
+    keys = draw(st.lists(st.sampled_from(sorted(_VALUES)), max_size=3, unique=True))
+    edits = {key: draw(_VALUES[key]) for key in keys}
+    if flag is None:
+        edits[("sim", "t_end")] = draw(st.sampled_from(_T_END))
+    sim = load_scenario(scen(f"{name}.scenario")).sections.get("sim", {})
+    dt = edits.get(("sim", "dt"), repr(sim.get("dt", SimConfig.dt)))
+    assume(not _too_long(dt, flag or edits[("sim", "t_end")]))
+    return name, flag, edits
+
+
+class TestValueFuzz:
+    """Bounded fuzz of [sim], [parameter] value and [synthesis] values through
+    every command that takes the scenario: a documented exit code, one error
+    line for 2, 3 and 4, no traceback, and each run short."""
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=_value_edits())
+    def test_exit_codes(self, tmp_path, capsys, drawn):
+        name, flag, edits = drawn
+        path = edited(name, tmp_path, edits)
+        for command in _commands(name, path):
+            start = time.perf_counter()
+            code = main([*command, *(["--t-end", flag] if flag else []),
+                         "--out", tempfile.mkdtemp(dir=tmp_path)])
+            assert time.perf_counter() - start < 5.0
+            event(f"{command[0]} exit {code}")
+            assert code in (EXIT_OK, EXIT_PARSE, EXIT_DIVERGENCE, EXIT_MAJORANT,
+                            EXIT_CHECK_FAILED)
+            err = capsys.readouterr().err
+            if code in (EXIT_PARSE, EXIT_DIVERGENCE, EXIT_MAJORANT):
+                assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+            else:
+                assert err == ""
 
 
 class TestSynthesizeCommand:
@@ -740,14 +867,12 @@ class TestSynthesizeCommand:
         assert "stage 3" in out
         assert (tmp_path / "synth_wingrock.report.txt").exists()
 
-    def test_undersized_majorant_exits_4(self, tmp_path):
-        bad = tmp_path / "badmaj.scenario"
-        bad.write_text(
-            "[system]\nname = wingrock\n"
-            "[synthesis]\nb = 1.0\na = 2.0\nc = 0.5\ngamma = 20\neps = 0.01\n"
-            "override_base_r = 0.001\n"
-        )
-        assert main(["synthesize", str(bad), "--out", str(tmp_path)]) == EXIT_MAJORANT
+    def test_undersized_majorant_exits_4(self, tmp_path, capsys):
+        # the shipped majorants do not bound the stage growth of these gains
+        for key, value in (("gamma", "1e4"), ("c", "5")):
+            path = edited("synth_wingrock", tmp_path, {("synthesis", key): value})
+            assert main(["synthesize", path, "--out", str(tmp_path)]) == EXIT_MAJORANT
+            assert _one_error_line(capsys).startswith("error: majorant 'R (stage growth)' ")
 
 
 class TestPinnedMargins:
@@ -812,6 +937,45 @@ class TestCompareCommand:
         assert loaded == paths
         # the persistent disturbance is read from those parses
         assert drift == [True]
+
+    @staticmethod
+    def _fig4_with(tmp_path, disturbance):
+        """The fig4 triple with its [disturbance] entries set."""
+        entries = {("disturbance", k): v for k, v in disturbance.items()}
+        paths = []
+        for s in ("dads", "sigma0", "sigma04"):
+            os.makedirs(tmp_path / s, exist_ok=True)
+            paths.append(edited(f"fig4_{s}", tmp_path / s, entries))
+        return paths
+
+    @pytest.mark.parametrize("disturbance, expected", [
+        ({"kind": "vanishing", "decay": "0"}, True),
+        ({"kind": "vanishing", "decay": "1.0"}, False),
+        ({"kind": "vanishing", "decay": "1e-300"}, False),
+        ({"kind": "zero"}, False),
+    ])
+    def test_drift_is_expected_of_a_persistent_disturbance(self, tmp_path, monkeypatch,
+                                                           disturbance, expected):
+        drift = []
+
+        def contrast(*logs, expect_drift):
+            drift.append(expect_drift)
+            return check_drift_contrast(*logs, expect_drift=expect_drift)
+
+        check_drift_contrast = ver.check_drift_contrast
+        monkeypatch.setattr(ver, "check_drift_contrast", contrast)
+        paths = self._fig4_with(tmp_path, disturbance)
+        assert main(["compare", *paths, "--t-end", "0.1"]) == EXIT_OK
+        assert drift == [expected]
+
+    def test_decaying_disturbance_passes_the_contrast(self, tmp_path, capsys):
+        # with drift expected of a decaying disturbance the report read
+        # "[FAIL] drift contrast: worst margin -0.0823164"
+        paths = self._fig4_with(tmp_path, {"kind": "vanishing", "decay": "1.0"})
+        assert main(["compare", *paths, "--t-end", "4"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "[PASS] drift contrast: worst margin 0.01 over 401 samples" in out
+        assert "flagged: drift" not in out
 
     def test_horizon_mismatch_is_parse_error(self, tmp_path):
         a = tmp_path / "a.scenario"

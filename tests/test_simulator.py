@@ -15,6 +15,7 @@ import pytest
 
 import dads.simulate as simulate_module
 from dads.cli import (
+    build,
     build_controller,
     build_disturbance,
     build_gains,
@@ -183,9 +184,9 @@ class TestAccuracyAndStiffness:
         # the stiff method ran with before it moved to LSODA
         from scipy.integrate import solve_ivp
 
-        scn = load_scenario(str(SCENARIOS / f"{name}.scenario"))
-        log, ctrl, dist = run_scenario(scn, Namespace(dt=None, t_end=0.5))
-        sys, theta = build_system(scn), np.array(scn.get("parameter", "value"))
+        setup = build(str(SCENARIOS / f"{name}.scenario"), Namespace(dt=None, t_end=0.5))
+        log, ctrl, dist = run_scenario(setup)
+        sys, theta = setup.system, np.array(setup.theta)
         got = np.column_stack([log.x, log.ctrl])
         with np.errstate(over="ignore", invalid="ignore"):
             ref = solve_ivp(
@@ -200,8 +201,8 @@ class TestAccuracyAndStiffness:
     def test_stiff_solver_completes_at_other_horizons(self, name, t_end):
         # with the last plant state held to RTOL/ATOL like the others, LSODA
         # failed its error test (fig1) or crawled into the budget here
-        scn = load_scenario(str(SCENARIOS / f"{name}.scenario"))
-        log, _, _ = run_scenario(scn, Namespace(dt=None, t_end=t_end))
+        log, _, _ = run_scenario(build(str(SCENARIOS / f"{name}.scenario"),
+                                       Namespace(dt=None, t_end=t_end)))
         assert log.t[-1] == t_end
         assert np.min(np.diff(log.ctrl[:, 0])) >= -1e-13
 
@@ -479,8 +480,7 @@ class TestCompiledLoop:
         trace, traced = simulate_module._trace_rhs, []
         monkeypatch.setattr(simulate_module, "_trace_rhs",
                             lambda *args: traced.append(trace(*args)) or traced[-1])
-        run_scenario(load_scenario(str(SCENARIOS / f"{name}.scenario")),
-                     Namespace(dt=None, t_end=1e-3))
+        run_scenario(build(str(SCENARIOS / f"{name}.scenario"), Namespace(dt=None, t_end=1e-3)))
         ((tape, rates),) = traced
         right_sides = [line.rhs({}) for line in tape.lines]
         assert len(set(right_sides)) == len(right_sides)
@@ -536,8 +536,8 @@ class TestPinnedTrajectories:
         ("fig4_dads", "9cf84db3d672f001b7aa1f80a5d5d6d4260c9dea82ed5ff9670566ce4d6960bd"),
     ])
     def test_stiff_dads_runs(self, name, digest):
-        log, _, _ = run_scenario(load_scenario(str(SCENARIOS / f"{name}.scenario")),
-                                 Namespace(dt=None, t_end=0.5))
+        log, _, _ = run_scenario(build(str(SCENARIOS / f"{name}.scenario"),
+                                       Namespace(dt=None, t_end=0.5)))
         assert _log_digest(log) == digest
 
 
