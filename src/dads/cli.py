@@ -446,22 +446,20 @@ def cmd_compare(args) -> int:
     if len(args.scenarios) < 2:
         raise ScenarioError("compare needs at least two scenarios")
     setups = [build(path, args) for path in args.scenarios]  # before the first solve
+    if len({round(setup.config.t_last, 9) for setup in setups}) != 1:
+        raise ScenarioError("scenarios have different horizons")
     rows, logs = [], {}
     for setup in setups:
         log, controller, _ = run_scenario(setup)
         stats = trajectory_stats(log, controller)
         leak = controller.sigma_leak if setup.ctype == "sigma-mod" else None
         label = setup.ctype if leak is None else f"{setup.ctype}({leak:g})"
-        rows.append((os.path.basename(setup.path), label, stats, log))
+        rows.append((os.path.basename(setup.path), label, stats))
         logs[(setup.ctype, leak)] = log
-
-    horizons = {round(float(r[3].t[-1]), 9) for r in rows}
-    if len(horizons) != 1:
-        raise ScenarioError("scenarios have different horizons")
 
     header = f"{'scenario':30s} {'controller':22s} {'sup|Y|tail':>12s} {'sup gain':>12s} {'energy':>14s}"
     lines = [header, "-" * len(header)]
-    for name, label, stats, _ in rows:
+    for name, label, stats in rows:
         lines.append(
             f"{name:30s} {label:22s} {stats.sup_output_tail:12.5g}"
             f" {stats.sup_gain:12.5g} {stats.control_energy:14.6g}"

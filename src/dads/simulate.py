@@ -3,18 +3,22 @@
 The integration state is the plant state concatenated with the controller
 state (adaptation gain z or parameter estimates).  Two methods are available:
 
-* "rk4": the classical fixed-step fourth-order Runge-Kutta scheme, suitable
-  for the baseline adaptive loops;
-* "radau": the stiff integrator, needed for the deadzone-adapted loops whose
-  stacked damping gains make the dynamics extremely stiff (the fastest
-  closed-loop eigenvalue sits many decades above the slow ones, and explicit
-  fixed-step schemes diverge immediately at practical step sizes).  It runs
-  LSODA (Petzold 1983, from Hindmarsh's ODEPACK) through the `odeint` entry
-  of scipy's compiled `scipy.integrate._odepack` extension, which makes the
-  whole solve over the log grid one compiled call.  The method keeps the name
+* "radau": the stiff integrator, which every shipped scenario uses.  The
+  deadzone-adapted loops need it: their stacked damping gains make the
+  dynamics extremely stiff (the fastest closed-loop eigenvalue sits many
+  decades above the slow ones, and explicit fixed-step schemes diverge
+  immediately at practical step sizes).  The sigma-modification loops are
+  not stiff at the shipped gains, but LSODA takes about a tenth of RK4's
+  rhs evaluations on them at dt = 1e-4, and stays stable at adaptation gains
+  where RK4 at that step does not.  It runs LSODA (Petzold 1983, from
+  Hindmarsh's ODEPACK) through the `odeint` entry of scipy's compiled
+  `scipy.integrate._odepack` extension, which makes the whole solve over the
+  log grid one compiled call.  The method keeps the name
   "radau", after scipy's Radau IIA that it first ran, because scenario files
   and the benchmark harness (perfbench) name it.  The last plant state has an
-  absolute tolerance of its own (ATOL_INPUT_STATE).
+  absolute tolerance of its own (ATOL_INPUT_STATE);
+* "rk4": the classical fixed-step fourth-order Runge-Kutta scheme, the
+  default of SimConfig and of a scenario that does not name a method.
 
 The extension is loaded once, by the first stiff solve, from its file
 (`odepack`), so scipy's package `__init__` never runs: importing
@@ -28,23 +32,24 @@ counts `nfev`, `njev` and `nlu` from its result; `nlu` is LSODA's `nje`, as
 scipy's own LSODA wrapper reports it.
 
 The stiff solve has a budget of NFEV_PER_SECOND right-hand-side evaluations
-per unit of simulated time (at least one unit).  LSODA never gives up on a
-finite-time blow-up by itself, so a run past the budget raises
-DivergenceError with the time reached; a failure LSODA reports itself
-(istate < 0) raises DivergenceError at the last output time it completed,
-with LSODA's own message.
+per unit of simulated time (at least one unit), counted inside the generated
+rhs itself.  LSODA never gives up on a finite-time blow-up by itself, so a
+run past the budget raises DivergenceError with the time reached; a failure
+LSODA reports itself (istate < 0) raises DivergenceError at the last output
+time it completed, with LSODA's own message.
 
 Before integrating, `simulate` traces the closed loop once: one evaluation of
 the controller's `step`, of the disturbance formula
 (`systems.sample_disturbance`) and of the plant formula
 (`systems.state_rates`) on `jets.Traced` inputs records every operation in
 the law's own order, each distinct operation once, and `compile_rhs` turns
-the record into one straight-line function f(t, s0, ..., sN) -> tuple on
-floats, which evaluates d(t) inline.  A zero disturbance is float constants,
-which the trace folds away.  The stiff solver calls f; the RK4 loop is built
-from the same recorded lines (below).  Laws must therefore be
-written in generic arithmetic: a branch on the data, a comparison, float() or
-a numpy ufunc on a traced value raises TypeError before the first step.  The
+the record into one straight-line function f(t, s) -> tuple on floats,
+which unpacks the state array s itself and evaluates d(t) inline.  A zero
+disturbance is float constants, which the trace folds away.  The stiff
+solver calls f with no wrapper; the RK4 loop is built from the same recorded
+lines (below).  Laws must therefore be written in generic arithmetic: a
+branch on the data, a comparison, float() or a numpy ufunc on a traced value
+raises TypeError before the first step.  The
 trace folds exactly four identities (x + 0.0, 0.0 + x, 1.0 * x, x * 1.0),
 which can change at most the sign of a zero.  Zero-weighted terms are left
 out where the formulas live, not by the trace: the plant's dot products skip
@@ -107,8 +112,9 @@ RTOL = 1e-12
 ATOL = 1e-14
 ATOL_INPUT_STATE = 1e-10
 # rhs evaluations the stiff solver may spend per unit of simulated time (the
-# shipped 10 s DADS runs use at most about 2,200: nfe 5,992 on fig1_dads,
-# 22,247 on fig4_dads, 13,438 on vanishing)
+# shipped 10 s runs use at most about 3,500: nfe 5,992 on fig1_dads, 22,247
+# on fig4_dads, 13,438 on vanishing, and 5,664 to 34,628 on the four
+# sigma-modification scenarios)
 NFEV_PER_SECOND = 10**5
 # The state magnitude at which RK4 declares divergence
 DIVERGENCE_THRESHOLD = 1e8
@@ -248,6 +254,11 @@ class SimConfig:
         if self.method not in ("rk4", "radau"):
             raise ValueError(f"unknown method {self.method!r}")
 
+    @property
+    def t_last(self) -> float:
+        """The time of the last logged row (see the class docstring)."""
+        return self.t_end if self.method == "radau" else self.dt * round(self.t_end / self.dt)
+
 
 @dataclass
 class TrajectoryLog:
@@ -306,8 +317,10 @@ def simulate(
     theta_value = theta(0.0)  # held constant
     s0 = np.concatenate([x0, ctrl0])
     traced = _trace_rhs(sys, controller, theta_value.tolist(), disturbance)
-    rhs = _rhs_function(*traced)
-    _check_compiled(rhs, sys, controller, s0, theta_value, disturbance)
+    budgeted = _rhs_function(*traced)
+    budget = int(NFEV_PER_SECOND * max(config.t_end, 1.0))
+    # checked on an instance of its own, so the solve's count starts at 0
+    _check_compiled(budgeted(budget), sys, controller, s0, theta_value, disturbance)
 
     n_steps = int(round(config.t_end / config.dt))
     if config.method == "rk4":
@@ -324,9 +337,8 @@ def simulate(
             t_log = np.append(t_log, config.t_end)
         atol = np.full(len(s0), ATOL)
         atol[n - 1] = ATOL_INPUT_STATE
-        budget = int(NFEV_PER_SECOND * max(config.t_end, 1.0))
         with np.errstate(over="ignore", invalid="ignore"):
-            sol = solve_ivp(_budgeted(rhs, budget), s0, t_log, atol, budget)
+            sol = solve_ivp(budgeted(budget), s0, t_log, atol, budget)
         if sol.istate < 0:
             raise DivergenceError(
                 t_log[sol.failed - 1], "lsoda: " + LSODA_MESSAGES[sol.istate])
@@ -354,7 +366,7 @@ def simulate(
 def compile_rhs(sys, controller, theta: Sequence[float], disturbance) -> Callable:
     """The closed-loop rhs as one straight-line float function, traced once.
 
-    The result is f(t, s0, ..., sN) -> tuple of the N + 1 rates, where s is
+    The result is f(t, s) -> tuple of the N + 1 rates, where s is an array of
     the plant state followed by the controller state; theta holds the
     parameter values.  controller.step runs once on traced state, controller
     state and t, the disturbance formula (`systems.sample_disturbance`) once
@@ -362,7 +374,7 @@ def compile_rhs(sys, controller, theta: Sequence[float], disturbance) -> Callabl
     evaluates d(t) inline.  A law that is not generic arithmetic raises
     TypeError here.
     """
-    return _rhs_function(*_trace_rhs(sys, controller, theta, disturbance))
+    return _rhs_function(*_trace_rhs(sys, controller, theta, disturbance))(math.inf)
 
 
 def _trace_rhs(sys, controller, theta: Sequence[float], disturbance) -> tuple[Tape, list]:
@@ -379,14 +391,36 @@ def _trace_rhs(sys, controller, theta: Sequence[float], disturbance) -> tuple[Ta
 
 
 def _rhs_function(tape: Tape, rates: Sequence) -> Callable:
-    """f(t, s0, ..., sN) -> rates, the traced lines as one function."""
+    """budgeted(budget) -> f(t, s), the traced lines as one function.
+
+    f takes the state as an array, as the stiff solver passes it, and
+    returns the rates.  Each f that budgeted returns counts its own calls and
+    raises DivergenceError at t on the call after the budget-th one, so the
+    count and the budget test cost no frame of their own.
+    """
     statements, texts, _ = tape.emit(rates)
-    source = "\n    ".join([
-        f"def rhs(t, {', '.join(f's{i}' for i in range(len(rates)))}):",
-        *statements,
-        f"return ({', '.join(texts)},)",
+    source = "\n".join([
+        "def budgeted(budget):",
+        "    calls = 0",
+        "    def rhs(t, s):",
+        *("        " + line for line in [
+            "nonlocal calls",
+            "calls += 1",
+            "if calls > budget:",
+            "    raise _over_budget(t, budget)",
+            f"{', '.join(f's{i}' for i in range(len(rates)))}, = s.tolist()",
+            *statements,
+            f"return ({', '.join(texts)},)",
+        ]),
+        "    return rhs",
     ])
-    return tape.compile(source, "rhs", {})
+    return tape.compile(source, "budgeted", {"_over_budget": _over_budget})
+
+
+def _over_budget(t: float, budget: int) -> DivergenceError:
+    return DivergenceError(
+        t, f"the stiff solver used its budget of {budget} rhs evaluations "
+        f"(NFEV_PER_SECOND = {NFEV_PER_SECOND} per unit of simulated time)")
 
 
 def _check_compiled(rhs, sys, controller, s0, theta, disturbance) -> None:
@@ -399,29 +433,12 @@ def _check_compiled(rhs, sys, controller, s0, theta, disturbance) -> None:
         u, rate = controller.step(s0[:n], s0[n:], 0.0)
         expected = np.concatenate(
             [eval_dynamics(sys, s0[:n], u, theta, disturbance(0.0)), rate])
-        got = np.array(rhs(0.0, *s0.tolist()), float)
+        got = np.array(rhs(0.0, s0), float)
     if not np.array_equal(got, expected, equal_nan=True):
         raise RuntimeError(
             f"the traced rhs at t = 0 gives {got.tolist()}, the interpreted one "
             f"{expected.tolist()}"
         )
-
-
-def _budgeted(rhs, budget: int) -> Callable:
-    """The compiled rhs as the stiff solver calls it, fun(t, s) with s an
-    array, raising DivergenceError at the call after the budget-th one."""
-    calls = 0
-
-    def counted(t, s):
-        nonlocal calls
-        calls += 1
-        if calls > budget:
-            raise DivergenceError(
-                t, f"the stiff solver used its budget of {budget} rhs evaluations "
-                f"(NFEV_PER_SECOND = {NFEV_PER_SECOND} per unit of simulated time)")
-        return rhs(t, *s.tolist())
-
-    return counted
 
 
 def _integrate_rk4(traced: tuple[Tape, list], s0: np.ndarray, config: SimConfig,

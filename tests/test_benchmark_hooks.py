@@ -1,7 +1,8 @@
 """The benchmark harness wraps `dads` functions by name; a traced run of it
 fails if one of those names is renamed or removed.  Its set-up probe calls
 the scenario build functions of `dads.cli` positionally, so a changed
-signature fails the probe."""
+signature fails the probe.  Its `--self-test` runs the harness's failure
+probes, which read the shipped scenarios."""
 
 import subprocess
 import sys
@@ -38,4 +39,13 @@ def test_traced_invocation_exits_zero(tmp_path, args):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_setup_probe_exits_zero(tmp_path, scenario):
     proc = _invoke(tmp_path, "--setup-only", [scenario])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_self_test_passes():
+    # its exit-3 probe swaps fig4_dads's `method = radau` for `method = rk4`
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--self-test"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
     assert proc.returncode == 0, proc.stdout + proc.stderr

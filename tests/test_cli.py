@@ -257,6 +257,17 @@ class TestSimulateCommand:
         )
         assert main(["simulate", str(stiff), "--out", str(tmp_path)]) == EXIT_DIVERGENCE
 
+    def test_high_adaptation_gain_sigma_mod_runs_on_the_stiff_method(self, tmp_path, capsys):
+        # the shipped sigma-mod loop runs LSODA; at gamma = 1e4 RK4 at
+        # dt = 1e-4 is explicitly unstable and reports a false divergence
+        entries = {("controller", "gamma"): "1e4"}
+        args = ["--t-end", "0.05", "--out", str(tmp_path)]
+        assert main(["simulate", edited("fig4_sigma0", tmp_path, entries), *args]) == EXIT_OK
+        entries["sim", "method"] = "rk4"
+        assert main(["simulate", edited("fig4_sigma0", tmp_path, entries), *args]) == EXIT_DIVERGENCE
+        assert capsys.readouterr().err == (
+            "error: trajectory diverged; last finite time t = 0.0001\n")
+
 
 class TestVerifyCommand:
     def test_dissipation_check_ok(self, tmp_path, capsys):
@@ -401,15 +412,23 @@ class TestNonFiniteParameters:
         assert main(["simulate", path, "--t-end", "0.01", "--out", str(tmp_path)]) == EXIT_PARSE
         assert "[disturbance] decay must be finite and >= 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name, t_last", [("fig4_sigma0", "1.797"), ("vanishing", "1.7")])
-    def test_overflowing_frequency_diverges(self, tmp_path, capsys, name, t_last):
+    @pytest.mark.parametrize("name, method, t_last", [
+        pytest.param("fig4_sigma0", "rk4", "1.797", id="fig4_sigma0-1.797"),
+        pytest.param("fig4_sigma0", None, "1.7", id="fig4_sigma0-1.7"),
+        pytest.param("vanishing", None, "1.7", id="vanishing-1.7"),
+    ])
+    def test_overflowing_frequency_diverges(self, tmp_path, capsys, name, method, t_last):
         # w t overflows to inf past t = 1.797, where cos gives nan, not a
-        # math domain error; RK4 stops at that step, the stiff solve at the
-        # last finite logged row (LSODA itself reports success)
-        path = edited(name, tmp_path, {
+        # math domain error; RK4 stops at that step, the stiff solve (every
+        # shipped scenario's method) at the last finite logged row (LSODA
+        # itself reports success)
+        entries = {
             ("disturbance", "kind"): "vanishing", ("disturbance", "decay"): "0",
             ("disturbance", "amplitudes"): "1e-300, 0",
-            ("disturbance", "frequencies"): "1e308, 1"})
+            ("disturbance", "frequencies"): "1e308, 1"}
+        if method:
+            entries["sim", "method"] = method
+        path = edited(name, tmp_path, entries)
         code = main(["simulate", path, "--t-end", "2.5", "--dt", "1e-3", "--out", str(tmp_path)])
         assert code == EXIT_DIVERGENCE
         assert re.search(rf"last finite time t = {re.escape(t_last)}\b", capsys.readouterr().err)
@@ -992,6 +1011,12 @@ class TestCompareCommand:
         a.write_text(text(0.2))
         b.write_text(text(0.4))
         assert main(["compare", str(a), str(b)]) == EXIT_PARSE
+
+    def test_horizon_mismatch_exits_before_any_solve(self, tmp_path, capsys, no_work):
+        # both scenarios were simulated, the 10 s one in full, before the error
+        short = edited("fig4_sigma0", tmp_path, {("sim", "t_end"): "0.2"})
+        assert main(["compare", scen("fig4_sigma0.scenario"), short]) == EXIT_PARSE
+        assert _one_error_line(capsys) == "error: scenarios have different horizons\n"
 
 
 class TestArgumentParsing:

@@ -350,7 +350,7 @@ class TestTrace:
             for _ in range(1000):
                 s = np.concatenate([rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, q)])
                 t = rng.uniform(0.0, 10.0)
-                got = np.array(rhs(t, *s.tolist()))
+                got = np.array(rhs(t, s))
                 want = _interpreted_rhs(sys, ctrl, theta, dist, t, s)
                 assert np.array_equal(got, want, equal_nan=True), (s, t, got, want)
                 finite += bool(np.all(np.isfinite(want)))
@@ -368,7 +368,7 @@ class TestTrace:
         rhs = compile_rhs(wingrock(), ctrl, THETA(0.0).tolist(), dist)
         s = np.array([1e200, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         with np.errstate(all="ignore"):
-            got = np.array(rhs(0.0, *s.tolist()))
+            got = np.array(rhs(0.0, s))
             want = _interpreted_rhs(wingrock(), ctrl, THETA(0.0), dist, 0.0, s)
         assert np.array_equal(got, want, equal_nan=True)
         assert not np.all(np.isfinite(got))
