@@ -33,7 +33,8 @@ from .controllers import (
     wingrock_damping,
     wingrock_intermediates,
 )
-from .simulate import DivergenceError, SimConfig, TrajectoryLog, simulate, trajectory_stats
+from .simulate import (DivergenceError, SimConfig, TrajectoryLog, select_outputs, simulate,
+                       trajectory_stats)
 from .synthesis import (
     DadsGains,
     MajorantViolationError,
@@ -44,9 +45,6 @@ from .systems import (
     DisturbanceProfile,
     constant_parameter,
     get_system,
-    sinusoid_bank,
-    vanishing_disturbance,
-    zero_disturbance,
 )
 from . import verify as ver
 
@@ -225,25 +223,16 @@ def build_gains(scn: Scenario) -> DadsGains:
 
 
 def build_disturbance(scn: Scenario, dim: int) -> DisturbanceProfile:
+    """The [disturbance] signal; decay is read by the vanishing kind only, default 1."""
     kind = scn.get("disturbance", "kind", "zero")
-    if kind == "zero":
-        return zero_disturbance(dim)
-    amps = scn.get("disturbance", "amplitudes", [])
-    freqs = scn.get("disturbance", "frequencies", [])
-    if len(amps) != dim or len(freqs) != dim:
-        raise ScenarioError(
-            f"disturbance needs {dim} amplitudes/frequencies, got {len(amps)}/{len(freqs)}"
-        )
-    if kind == "sinusoid-bank":
-        return sinusoid_bank(amps, freqs)
-    if kind == "vanishing":
-        decay = scn.get("disturbance", "decay", 1.0)
-        # a "vanishing" disturbance that grows is an input error; the chained
-        # comparison also rejects nan
-        if not 0.0 <= decay < math.inf:
-            raise ScenarioError(f"[disturbance] decay must be finite and >= 0, got {decay}")
-        return vanishing_disturbance(amps, freqs, decay)
-    raise ScenarioError(f"unknown disturbance kind {kind!r}")
+    try:
+        return DisturbanceProfile(
+            kind, dim, tuple(scn.get("disturbance", "amplitudes", ())),
+            tuple(scn.get("disturbance", "frequencies", ())),
+            scn.get("disturbance", "decay", 1.0) if kind == "vanishing" else 0.0)
+    except ValueError as exc:  # the decay message names its section, as conversion errors do
+        prefix = "[disturbance] " if str(exc).startswith("decay") else ""
+        raise ScenarioError(f"{prefix}{exc}") from None
 
 
 def build_sim_config(scn: Scenario, args) -> SimConfig:
@@ -268,18 +257,6 @@ def _sized_vector(scn: Scenario, section: str, key: str, size: int) -> tuple:
     return tuple(v)
 
 
-def _output_indices(scn: Scenario, dim: int) -> tuple | None:
-    """The [sim] output_indices: distinct states, at least one; None for all."""
-    sel = scn.get("sim", "output_indices")
-    # `in range` is false for a fraction and a negative alike
-    if sel is not None and (not sel or len(set(sel)) < len(sel)
-                            or not all(v in range(dim) for v in sel)):
-        raise ScenarioError(
-            f"[sim] output_indices must be distinct integers in [0, {dim}), "
-            f"at least one, got {sel}")
-    return None if sel is None else tuple(int(v) for v in sel)
-
-
 @dataclass(frozen=True)
 class Setup:
     """Everything the commands read from one scenario file, built by `build`."""
@@ -294,7 +271,7 @@ class Setup:
     x0: tuple
     ctrl0: tuple
     theta: tuple  # the [parameter] value
-    output_indices: tuple | None
+    output_indices: tuple  # the plant states in |Y|
     checks: tuple  # the [checks] names
     n_samples: int
     tol: float
@@ -327,15 +304,16 @@ def build(path: str, args) -> Setup:
     tol = scn.get("checks", "tol", 1e-6)
     if not 0 <= tol < math.inf:  # an infinite tolerance would pass any margin
         raise ScenarioError(f"[checks] tol must be finite and >= 0, got {tol}")
-    return Setup(
-        path, sysm, ctype, controller, build_gains(scn), build_sim_config(scn, args),
-        build_disturbance(scn, sysm.l),
-        _sized_vector(scn, "sim", "x0", sysm.state_dim),
-        _sized_vector(scn, "sim", "ctrl0", controller.ctrl_dim),
-        _sized_vector(scn, "parameter", "value", sysm.p),
-        _output_indices(scn, sysm.state_dim), checks, n, tol,
-        scn.get("checks", "corrupt_controller", False),
-    )
+    built = (build_gains(scn), build_sim_config(scn, args), build_disturbance(scn, sysm.l),
+             _sized_vector(scn, "sim", "x0", sysm.state_dim),
+             _sized_vector(scn, "sim", "ctrl0", controller.ctrl_dim),
+             _sized_vector(scn, "parameter", "value", sysm.p))
+    try:
+        outputs = select_outputs(scn.get("sim", "output_indices"), sysm.state_dim)
+    except ValueError as exc:
+        raise ScenarioError(f"[sim] {exc}") from None
+    return Setup(path, sysm, ctype, controller, *built, outputs, checks, n, tol,
+                 scn.get("checks", "corrupt_controller", False))
 
 
 def run_scenario(setup: Setup) -> tuple[TrajectoryLog, object, DisturbanceProfile]:
@@ -446,16 +424,24 @@ def cmd_compare(args) -> int:
     if len(args.scenarios) < 2:
         raise ScenarioError("compare needs at least two scenarios")
     setups = [build(path, args) for path in args.scenarios]  # before the first solve
-    if len({round(setup.config.t_last, 9) for setup in setups}) != 1:
+    grids = [np.round(setup.config.log_times(), 9) for setup in setups]
+    if len({grid[-1] for grid in grids}) != 1:
         raise ScenarioError("scenarios have different horizons")
-    rows, logs = [], {}
-    for setup in setups:
+    # the drift contrast reads the last DADS, sigma = 0 and leaky sigma-mod scenario
+    leaks = [s.controller.sigma_leak if s.ctype == "sigma-mod" else None for s in setups]
+    slots = {"dads" if leak is None else "sigma0" if leak == 0.0 else "leak": i
+             for i, leak in enumerate(leaks)}
+    triple = [slots[key] for key in ("dads", "sigma0", "leak") if key in slots]
+    if len(triple) == 3 and not all(
+            np.array_equal(grids[triple[0]], grids[i]) for i in triple[1:]):
+        raise ScenarioError("the drift contrast's scenarios have different log grids")
+    rows, logs = [], []
+    for setup, leak in zip(setups, leaks):
         log, controller, _ = run_scenario(setup)
         stats = trajectory_stats(log, controller)
-        leak = controller.sigma_leak if setup.ctype == "sigma-mod" else None
         label = setup.ctype if leak is None else f"{setup.ctype}({leak:g})"
         rows.append((os.path.basename(setup.path), label, stats))
-        logs[(setup.ctype, leak)] = log
+        logs.append(log)
 
     header = f"{'scenario':30s} {'controller':22s} {'sup|Y|tail':>12s} {'sup gain':>12s} {'energy':>14s}"
     lines = [header, "-" * len(header)]
@@ -467,14 +453,10 @@ def cmd_compare(args) -> int:
     table = "\n".join(lines)
     print(table)
 
-    dads = logs.get(("dads-wingrock", None))
-    s0 = logs.get(("sigma-mod", 0.0))
-    s_leak = next((v for (t, lk), v in logs.items()
-                   if t == "sigma-mod" and lk not in (None, 0.0)), None)
-    if dads is not None and s0 is not None and s_leak is not None:
+    if len(triple) == 3:
         # drift is expected when a disturbance in any scenario persists
         expect_drift = any(s.disturbance.persists for s in setups)
-        rep = ver.check_drift_contrast(dads, s0, s_leak, expect_drift=expect_drift)
+        rep = ver.check_drift_contrast(*(logs[i] for i in triple), expect_drift=expect_drift)
         print(rep.summary())
         if expect_drift and rep.passed:
             print("sigma=0 baseline flagged: drift")

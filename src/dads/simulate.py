@@ -64,19 +64,14 @@ Both generated functions come from one emitter, `Tape.emit`: f and each
 stage of the RK4 loop write every recorded line once, except that a
 temporary read exactly once is substituted, parenthesised, into its
 reader, which performs the same operations in the same order.  The RK4
-loop is one generated float kernel per run (`_rk4_source`): one variable
-per state component, the traced lines written out once per stage instead of
-four calls of f, stage 3 taking the lines that depend on t alone from stage
-2 (both run at t + dt/2), the later stages and the update reading each
-stage's rates by name, the update in the operation order of
-s + dt/6 (k1 + 2 k2 + 2 k3 + k4), and a divergence test on each component,
-so its states are bit-identical to the same scheme on numpy arrays.  A
-stiff solve whose state turns non-finite raises DivergenceError as well:
-LSODA reports success (istate 2) on a nan right-hand side.
+loop is one generated float kernel per run (`_rk4_source`), bit-identical to
+the same scheme on numpy arrays.  A stiff solve whose state turns non-finite
+raises DivergenceError as well: LSODA reports success (istate 2) on a nan
+right-hand side.
 
-Logs are dense (every log_stride-th grid point) and serialize to CSV with full
-floating-point precision for reproducible downstream checks.  The logged
-input u comes from the interpreted `step`, once per row.
+Logs are dense (the times of `SimConfig.log_times`) and serialize to CSV
+with full floating-point precision for reproducible downstream checks.  The
+logged input u comes from the interpreted `step`, once per row.
 """
 
 from __future__ import annotations
@@ -255,9 +250,20 @@ class SimConfig:
             raise ValueError(f"unknown method {self.method!r}")
 
     @property
-    def t_last(self) -> float:
-        """The time of the last logged row (see the class docstring)."""
-        return self.t_end if self.method == "radau" else self.dt * round(self.t_end / self.dt)
+    def n_steps(self) -> int:
+        """round(t_end / dt): RK4's whole steps, and the last grid index."""
+        return round(self.t_end / self.dt)
+
+    def log_times(self) -> np.ndarray:
+        """The logged times: every log_stride-th grid point k dt, then the
+        last row (see the class docstring) when the stride skips it."""
+        n = self.n_steps
+        t = self.dt * np.arange(0, n + 1, self.log_stride)
+        if self.method == "rk4":
+            return t if n % self.log_stride == 0 else np.append(t, self.dt * n)
+        # the last grid point can round past t_end; the log ends at t_end
+        t = np.minimum(t, self.t_end)
+        return t if t[-1] >= self.t_end - 1e-12 else np.append(t, self.t_end)
 
 
 @dataclass
@@ -302,7 +308,7 @@ def simulate(
     """Integrate the closed loop and return a dense trajectory log.
 
     output_indices selects which plant states enter the logged output norm
-    (default: all of them).  Raises DivergenceError when the state leaves the
+    (see `select_outputs`).  Raises DivergenceError when the state leaves the
     finite range.
     """
     x0 = np.asarray(x0, float)
@@ -313,7 +319,7 @@ def simulate(
         raise ValueError(f"x0 has shape {x0.shape}, expected ({n},)")
     if ctrl0.shape != (q,):
         raise ValueError(f"ctrl0 has shape {ctrl0.shape}, expected ({q},)")
-    sel = np.arange(n) if output_indices is None else np.asarray(output_indices, int)
+    sel = list(select_outputs(output_indices, n))
     theta_value = theta(0.0)  # held constant
     s0 = np.concatenate([x0, ctrl0])
     traced = _trace_rhs(sys, controller, theta_value.tolist(), disturbance)
@@ -322,19 +328,10 @@ def simulate(
     # checked on an instance of its own, so the solve's count starts at 0
     _check_compiled(budgeted(budget), sys, controller, s0, theta_value, disturbance)
 
-    n_steps = int(round(config.t_end / config.dt))
+    t_log = config.log_times()
     if config.method == "rk4":
-        traj = _integrate_rk4(traced, s0, config, n_steps)
-        log_idx = list(range(0, n_steps + 1, config.log_stride))
-        if log_idx[-1] != n_steps:
-            log_idx.append(n_steps)
-        t_log = config.dt * np.array(log_idx, float)
+        traj = _integrate_rk4(traced, s0, config, config.n_steps)
     else:
-        # the last grid point can round past t_end; the log ends at t_end
-        t_log = np.minimum(
-            config.dt * np.arange(0, n_steps + 1, config.log_stride), config.t_end)
-        if t_log[-1] < config.t_end - 1e-12:
-            t_log = np.append(t_log, config.t_end)
         atol = np.full(len(s0), ATOL)
         atol[n - 1] = ATOL_INPUT_STATE
         with np.errstate(over="ignore", invalid="ignore"):
@@ -352,15 +349,24 @@ def simulate(
 
     u_log = np.array([controller.step(s[:n], s[n:], t)[0] for t, s in zip(t_log, traj)])
     V_log = np.array([controller.lyapunov(s[:n], s[n:]) for s in traj])
-    Y_log = np.linalg.norm(traj[:, sel], axis=1)
-    return TrajectoryLog(
-        t=t_log,
-        x=traj[:, :n],
-        ctrl=traj[:, n:],
-        u=u_log,
-        V=V_log,
-        Ynorm=Y_log,
-    )
+    return TrajectoryLog(t_log, traj[:, :n], traj[:, n:], u_log, V_log,
+                         np.linalg.norm(traj[:, sel], axis=1))
+
+
+def select_outputs(output_indices: Sequence[int] | None, n: int) -> tuple[int, ...]:
+    """The states of an n-state plant in the output norm |Y|, all for None.
+
+    Raises ValueError unless they are distinct integers in [0, n), at least
+    one: none would log |Y| = 0, and a repeat would count its state twice.
+    """
+    if output_indices is None:
+        return tuple(range(n))
+    # `in range` is false for a fraction and a negative alike
+    if (not output_indices or len(set(output_indices)) < len(output_indices)
+            or not all(v in range(n) for v in output_indices)):
+        raise ValueError(f"output_indices must be distinct integers in [0, {n}), "
+                         f"at least one, got {output_indices}")
+    return tuple(int(v) for v in output_indices)
 
 
 def compile_rhs(sys, controller, theta: Sequence[float], disturbance) -> Callable:
@@ -448,13 +454,12 @@ def _integrate_rk4(traced: tuple[Tape, list], s0: np.ndarray, config: SimConfig,
     traced is the (tape, rates) pair of `_trace_rhs`; the loop is its
     generated RK4 kernel (see `_rk4_source`).
     """
-    stride = config.log_stride
-    out = np.empty((math.ceil(n_steps / stride) + 1, len(s0)))
+    out = np.empty((len(config.log_times()), len(s0)))
     out[0] = s0
     tape, rates = traced
     loop = tape.compile(_rk4_source(tape, rates), "rk4", {"DivergenceError": DivergenceError})
     with np.errstate(over="ignore", invalid="ignore"):
-        out[-1] = loop(config.dt, n_steps, stride, out, *s0.tolist())
+        out[-1] = loop(config.dt, n_steps, config.log_stride, out, *s0.tolist())
     return out
 
 

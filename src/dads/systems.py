@@ -12,6 +12,7 @@ gain bounds) and the sampled certificate checks draw theta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -160,13 +161,28 @@ def state_rates(sys: StrictFeedbackSystem, s, u, theta, d) -> list:
 
 @dataclass(frozen=True)
 class DisturbanceProfile:
-    """Deterministic disturbance signal d(t), defined for all t >= 0."""
+    """Deterministic disturbance signal d(t), defined for all t >= 0.
+
+    Checked at construction: a known kind, dim amplitudes and frequencies
+    unless the kind is zero, and a finite decay >= 0 (read when vanishing).
+    """
 
     kind: str  # zero | sinusoid-bank | vanishing
     dim: int
     amplitudes: tuple[float, ...] = ()
     frequencies: tuple[float, ...] = ()
     decay: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("zero", "sinusoid-bank", "vanishing"):
+            raise ValueError(f"unknown disturbance kind {self.kind!r}")
+        a, w = len(self.amplitudes), len(self.frequencies)
+        if self.kind != "zero" and not a == w == self.dim:
+            raise ValueError(f"disturbance needs {self.dim} amplitudes/frequencies, got {a}/{w}")
+        # a "vanishing" disturbance that grows is an input error; the chained
+        # comparison also rejects nan
+        if not 0.0 <= self.decay < math.inf:
+            raise ValueError(f"decay must be finite and >= 0, got {self.decay}")
 
     @property
     def persists(self) -> bool:
@@ -184,8 +200,6 @@ def zero_disturbance(dim: int) -> DisturbanceProfile:
 
 
 def sinusoid_bank(amplitudes: Sequence[float], frequencies: Sequence[float]) -> DisturbanceProfile:
-    if len(amplitudes) != len(frequencies):
-        raise ValueError("amplitudes and frequencies must have equal length")
     return DisturbanceProfile(
         "sinusoid-bank", len(amplitudes), tuple(amplitudes), tuple(frequencies)
     )
@@ -211,11 +225,9 @@ def sample_disturbance(profile: DisturbanceProfile, t) -> tuple:
     if profile.kind == "sinusoid-bank":
         return tuple(
             a * jet_cos(w * t) for a, w in zip(profile.amplitudes, profile.frequencies))
-    if profile.kind == "vanishing":
-        e = jet_exp(-profile.decay * t)
-        return tuple(
-            a * jet_cos(w * t) * e for a, w in zip(profile.amplitudes, profile.frequencies))
-    raise ValueError(f"unknown disturbance kind {profile.kind!r}")
+    e = jet_exp(-profile.decay * t)  # vanishing
+    return tuple(
+        a * jet_cos(w * t) * e for a, w in zip(profile.amplitudes, profile.frequencies))
 
 
 @dataclass(frozen=True)

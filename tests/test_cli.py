@@ -776,9 +776,21 @@ def _unknown_keys(draw):
 
 
 def _commands(name, path):
-    """Every command that takes the shipped scenario `name`, on `path`."""
+    """Every command that takes the shipped scenario `name`, on `path`.
+
+    compare runs the shipped fig1 (or else fig4) triple, with `path` in the
+    slot of its law, so that the cross-scenario rules apply to it.
+    """
     sections = load_scenario(scen(f"{name}.scenario")).sections
-    commands = [["simulate", path], ["compare", path, path]] if "sim" in sections else []
+    commands = []
+    if "sim" in sections:
+        law = sections.get("controller", {})
+        slot = ("dads" if law.get("type", "dads-wingrock") == "dads-wingrock"
+                else "sigma0" if law.get("sigma") == 0.0 else "sigma04")
+        family = "fig1" if name.startswith("fig1") else "fig4"
+        triple = [path if s == slot else scen(f"{family}_{s}.scenario")
+                  for s in ("dads", "sigma0", "sigma04")]
+        commands = [["simulate", path], ["compare", *triple]]
     commands += [["verify", path]] if "checks" in sections else []
     return commands + ([["synthesize", path]] if "synthesis" in sections else [])
 
@@ -1017,6 +1029,27 @@ class TestCompareCommand:
         short = edited("fig4_sigma0", tmp_path, {("sim", "t_end"): "0.2"})
         assert main(["compare", scen("fig4_sigma0.scenario"), short]) == EXIT_PARSE
         assert _one_error_line(capsys) == "error: scenarios have different horizons\n"
+
+    @pytest.mark.parametrize("entries", [{("sim", "log_stride"): "50"},
+                                         {("sim", "dt"): "2e-4"}])
+    def test_drift_contrast_grid_mismatch_exits_before_any_solve(self, tmp_path, capsys,
+                                                                 no_work, entries):
+        # all three were simulated, then check_drift_contrast raised a
+        # "logs must share the time grid" traceback
+        paths = [scen("fig4_dads.scenario"), edited("fig4_sigma0", tmp_path, entries),
+                 scen("fig4_sigma04.scenario")]
+        out = tmp_path / "out"
+        assert main(["compare", *paths, "--t-end", "2", "--out", str(out)]) == EXIT_PARSE
+        assert _one_error_line(capsys) == (
+            "error: the drift contrast's scenarios have different log grids\n")
+        assert not any(out.iterdir())
+
+    def test_mixed_grids_without_the_triple(self, tmp_path, capsys):
+        # no drift contrast runs, so the grids need not agree
+        paths = [scen("fig4_dads.scenario"),
+                 edited("fig4_sigma0", tmp_path, {("sim", "log_stride"): "50"})]
+        assert main(["compare", *paths, "--t-end", "0.05"]) == EXIT_OK
+        assert "drift contrast" not in capsys.readouterr().out
 
 
 class TestArgumentParsing:

@@ -137,6 +137,26 @@ class TestBasicSimulation:
         expected = float(np.hypot(log.x[0, 0], log.x[0, 1]))
         assert log.Ynorm[0] == pytest.approx(expected)
 
+    # [] logged |Y| = 0, so a tail-output bound passed vacuously; [0, 0] logged
+    # sqrt(2) |x1|; [0.7] was truncated to [0]; [3] failed after the solve
+    @pytest.mark.parametrize("indices", [[], [0, 0], [0.7], [3], [-1]])
+    def test_bad_output_indices_are_rejected(self, monkeypatch, indices):
+        monkeypatch.setattr(simulate_module, "_trace_rhs", None)  # before any work
+        with pytest.raises(ValueError,
+                           match=r"output_indices must be distinct integers in \[0, 3\)"):
+            simulate(wingrock(), SigmaModController(), X0, [0.0] * 4, zero_disturbance(2),
+                     THETA, SimConfig(dt=1e-3, t_end=0.01), output_indices=indices)
+
+    @pytest.mark.parametrize("method", ["rk4", "radau"])
+    @pytest.mark.parametrize("t_end, stride", [(0.00035, 1), (0.0305, 100), (0.03, 100)])
+    def test_log_times_are_the_logged_times(self, method, t_end, stride):
+        cfg = SimConfig(dt=1e-4, t_end=t_end, method=method, log_stride=stride)
+        log = simulate(wingrock(), SigmaModController(), X0, [0.0] * 4, zero_disturbance(2),
+                       THETA, cfg)
+        assert log.t.tobytes() == cfg.log_times().tobytes()
+        # RK4 ends on its last whole step, 0.0004 for t_end = 0.00035
+        assert log.t[-1] == (1e-4 * round(t_end / 1e-4) if method == "rk4" else t_end)
+
 
 class TestAccuracyAndStiffness:
     def test_rk4_order_by_step_halving(self):

@@ -318,9 +318,23 @@ class TestDisturbanceProfiles:
             assert np.array(traced(t), float).tobytes() == profile(t).tobytes()
 
     def test_unknown_kind(self):
-        d = DisturbanceProfile("mystery", 1)
-        with pytest.raises(ValueError):
-            d(0.0)
+        # it was accepted, and failed only at the first d(t)
+        with pytest.raises(ValueError, match="unknown disturbance kind 'mystery'"):
+            DisturbanceProfile("mystery", 1)
+
+    def test_vanishing_length_mismatch(self):
+        with pytest.raises(ValueError, match="needs 2 amplitudes/frequencies, got 2/1"):
+            vanishing_disturbance([1.0, 2.0], [3.0], 1.0)
+
+    @pytest.mark.parametrize("decay", [-1.0, math.nan, math.inf])
+    def test_decay_must_be_finite_and_nonnegative(self, decay):
+        # a decay of -1 was accepted as "vanishing": d(5) = cos(5) e^5 = 42.1
+        with pytest.raises(ValueError, match="decay must be finite and >= 0"):
+            vanishing_disturbance([1.0], [1.0], decay)
+
+    def test_zero_kind_reads_no_amplitudes(self):
+        d = DisturbanceProfile("zero", 2, (1.0,), (), 0.0)
+        assert d(1.0).tolist() == [0.0, 0.0] and not d.persists
 
 
 class TestParameterSignal:
