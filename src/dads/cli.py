@@ -424,8 +424,8 @@ def cmd_compare(args) -> int:
     if len(args.scenarios) < 2:
         raise ScenarioError("compare needs at least two scenarios")
     setups = [build(path, args) for path in args.scenarios]  # before the first solve
-    grids = [np.round(setup.config.log_times(), 9) for setup in setups]
-    if len({grid[-1] for grid in grids}) != 1:
+    grids = [setup.config.log_times() for setup in setups]
+    if len({np.round(grid[-1], 9) for grid in grids}) != 1:
         raise ScenarioError("scenarios have different horizons")
     # the drift contrast reads the last DADS, sigma = 0 and leaky sigma-mod scenario
     leaks = [s.controller.sigma_leak if s.ctype == "sigma-mod" else None for s in setups]
@@ -433,7 +433,7 @@ def cmd_compare(args) -> int:
              for i, leak in enumerate(leaks)}
     triple = [slots[key] for key in ("dads", "sigma0", "leak") if key in slots]
     if len(triple) == 3 and not all(
-            np.array_equal(grids[triple[0]], grids[i]) for i in triple[1:]):
+            ver.same_grid(grids[triple[0]], grids[i]) for i in triple[1:]):
         raise ScenarioError("the drift contrast's scenarios have different log grids")
     rows, logs = [], []
     for setup, leak in zip(setups, leaks):

@@ -17,10 +17,10 @@ evaluating them on first-order jets; since those maps already contain the
 derivatives taken one stage earlier, each backstep nests one more jet level.
 The growth majorants R, r, rho that the construction needs cannot be derived
 automatically from closures; they are supplied per level by the caller.
-`synthesize` samples each assumption of the construction once, with every
-state in one box [-BOX_RADIUS, BOX_RADIUS]: on the same (state, theta) draws,
-the gains below the input are free of theta (a ValueError otherwise) and
-obey eta <= g <= mu (1 + |theta|); then the first-level drift bound r and
+`synthesize` samples each assumption once, through `systems.box_sampler`,
+every state in the box `dads.systems` declares: on the same (state, theta)
+draws, the gains below the input are free of theta (a ValueError otherwise)
+and obey eta <= g <= mu (1 + |theta|); then the first-level drift bound r and
 each backstep's (R, r, rho).  A bound violation raises with its witness point.
 
 Rates halve and disturbance gains double per backstep, so a base started at
@@ -36,10 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .jets import SmoothMap, jet_exp, partial_map
-from .systems import StrictFeedbackSystem, sample_ball, state_rates, truncate
-
-# every state the synthesis samples lies in [-BOX_RADIUS, BOX_RADIUS]^dim
-BOX_RADIUS = 3.0
+from .systems import StrictFeedbackSystem, box_sampler, draw_rows, state_rates, truncate
 
 
 class MajorantViolationError(Exception):
@@ -340,21 +337,11 @@ def _validate_backstep_majorants(
         dk_phi = _norm_sq(_dk_times_rows([g(*xs, z) for g in dk_dx], sys, sys.phi, xs))
         return np.where(mag == 0.0, 0.0, (grad_V + kv + np.sqrt(dk_phi)) / mag)
 
-    _validate_scaled_bound(
-        "R (stage growth)", R_lhs, lambda pt: majorants.R(*pt),
-        rng.uniform(-BOX_RADIUS, BOX_RADIUS, (n_samples, d + 1)),
-    )
-
     def r_lhs(pt):
         # the x-block with the new level, theta and d set to zero
         drift = state_rates(block_plant, pt, 0.0, np.zeros(sys.p), np.zeros(sys.l))
         mag = np.sqrt(_norm_sq(pt))
         return np.where(mag == 0.0, 0.0, np.sqrt(_norm_sq(drift)) / mag)
-
-    _validate_scaled_bound(
-        "r (x-block drift)", r_lhs, lambda pt: majorants.r(*pt),
-        rng.uniform(-BOX_RADIUS, BOX_RADIUS, (n_samples, d)),
-    )
 
     def rho_lhs(pt):
         # scale by |x| + |y| with x the block and y the new level
@@ -364,10 +351,11 @@ def _validate_backstep_majorants(
         pv = np.sqrt(_norm_sq(_as_tuple(sys.phi[j](*pt))))
         return np.where(mag == 0.0, 0.0, (hv + pv) / mag)
 
-    _validate_scaled_bound(
-        "rho (new-level growth)", rho_lhs, lambda pt: majorants.rho(*pt),
-        rng.uniform(-BOX_RADIUS, BOX_RADIUS, (n_samples, d + 1)),
-    )
+    for name, lhs, bound, width in (("R (stage growth)", R_lhs, majorants.R, d + 1),
+                                    ("r (x-block drift)", r_lhs, majorants.r, d),
+                                    ("rho (new-level growth)", rho_lhs, majorants.rho, d + 1)):
+        pts = draw_rows(box_sampler(width), rng, n_samples)
+        _validate_scaled_bound(name, lhs, lambda cols: bound(*cols), pts)
 
 
 def backstep(
@@ -507,13 +495,9 @@ def _validate_plant_bounds(sys: StrictFeedbackSystem, n_samples, seed):
     Each draw is a state in the synthesis box followed by a theta from the
     plant's ball, drawn one after the other; every check reads the same draws.
     """
-    rng = np.random.default_rng(seed)
     dim = sys.state_dim
-    pts = np.array([
-        (*rng.uniform(-BOX_RADIUS, BOX_RADIUS, dim),
-         *sample_ball(rng, sys.p, sys.theta_radius))
-        for _ in range(n_samples)
-    ])
+    pts = draw_rows(box_sampler(dim, (sys.p, sys.theta_radius)),
+                    np.random.default_rng(seed), n_samples)
     cols = tuple(np.ascontiguousarray(pts.T))
     for j in range(sys.m - 1):
         head = cols[: sys.n + j + 1]
@@ -552,7 +536,7 @@ def _validate_base_drift(sys: StrictFeedbackSystem, r: SmoothMap, n_samples, see
 
     _validate_scaled_bound(
         "r (first-level drift)", drift, lambda head: r(*head),
-        np.random.default_rng(seed).uniform(-BOX_RADIUS, BOX_RADIUS, (n_samples, sys.n + 1)),
+        draw_rows(box_sampler(sys.n + 1), np.random.default_rng(seed), n_samples),
     )
 
 
@@ -571,7 +555,7 @@ def synthesize(
     stage has rate_c = gains.c and gain_a = gains.a exactly.
 
     Before building, each assumption the construction makes is sampled once
-    at n_samples points, states in [-BOX_RADIUS, BOX_RADIUS]: the plant's
+    at n_samples points, states in the box of `dads.systems`: the plant's
     gains free of theta below the input (a ValueError otherwise), the
     plant's gain bounds, the first-level drift bound and, in each backstep,
     its majorants.  The first bound violation raises MajorantViolationError.

@@ -6,8 +6,8 @@ last level.  n = 0 is the pure strict-feedback chain (the wing-rock plant).
 The plant carries the positive majorants eta (lower bound on the controlled
 gain) and mu (upper bound proportional to 1 + |theta|) that the backstepping
 synthesis relies on.  theta is unknown and its bound arbitrary; the plant
-only names the radius of the ball from which the synthesis (sampling these
-gain bounds) and the sampled certificate checks draw theta.
+only names the radius of its theta ball.  The rest of the domain that every
+sampled bound draws from, and the one sampler they all draw through, live here.
 """
 
 from __future__ import annotations
@@ -38,10 +38,33 @@ def _dot(vec_map_out, v) -> float:
     return acc
 
 
-def sample_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
-    """A random direction scaled by a radius drawn uniformly from [0, radius]."""
+# every sampled bound draws states and z from [-BOX_RADIUS, BOX_RADIUS], theta
+# (or its estimate) from the plant's theta_radius ball and d from this ball
+BOX_RADIUS = 3.0
+D_RADIUS = 30.0
+
+
+def sample_ball(rng: np.random.Generator, dim: int, radius: float) -> list[float]:
+    """A random direction scaled by a radius drawn uniformly from [0, radius]:
+    as floats, the bits of numpy's v / norm(v) * rng.uniform(0.0, radius)."""
     v = rng.standard_normal(dim)
-    return v / max(np.linalg.norm(v), 1e-12) * rng.uniform(0.0, radius)
+    norm, scale = max(math.sqrt(v @ v), 1e-12), rng.random() * radius
+    return [e / norm * scale for e in v.tolist()]
+
+
+def box_sampler(box_dim: int, *balls: tuple[int, float]):
+    """rng -> one draw: box_dim box entries, then a point of each (dim, radius) ball."""
+    def draw(rng):
+        row = rng.uniform(-BOX_RADIUS, BOX_RADIUS, box_dim).tolist()
+        for dim, radius in balls:
+            row += sample_ball(rng, dim, radius)
+        return row
+    return draw
+
+
+def draw_rows(sampler, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n draws of sampler(rng), in order, as the rows of an array."""
+    return np.array([sampler(rng) for _ in range(n)], float)
 
 
 @dataclass(frozen=True)

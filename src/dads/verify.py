@@ -2,9 +2,10 @@
 
 Every check produces a CheckReport with the worst margin observed and the
 sample achieving it (margin >= -tolerance means pass).  A sampled check draws
-its samples one per sampler call and then evaluates every one of them in a
-single array pass: V's gradient comes from jets with array coefficients, and
-the rhs, bound and exclusion callables take a tuple of sample columns.
+one sample per sampler call, through `systems.box_sampler` as synthesis's
+majorant validations do, then evaluates them all in a single array pass:
+V's gradient comes from jets with array coefficients, and the rhs, bound
+and exclusion callables take a tuple of sample columns.
 Asymptotic claims are checked as finite-horizon surrogates: suprema over the
 final portion of the horizon with recorded slack, since a simulation cannot
 observe true limits.
@@ -29,13 +30,9 @@ from .controllers import (
 )
 from .jets import SmoothMap, gradient, jet_exp, jet_relu_plus
 from .simulate import TrajectoryLog, tail_length
-from .synthesis import BOX_RADIUS, DadsGains, _norm_sq
-from .systems import eval_dynamics, sample_ball, truncate
+from .synthesis import DadsGains, _norm_sq
+from .systems import D_RADIUS, box_sampler, draw_rows, eval_dynamics, truncate
 
-# a sampled check draws states and z from the box [-BOX_RADIUS, BOX_RADIUS]
-# on which synthesis validated the plant bounds, theta (and its estimate) from
-# the plant's ball of radius theta_radius, and d from this ball
-D_RADIUS = 30.0
 # samples this close to the deadzone boundary are excluded (derivative kink)
 KINK_BAND = 1e-9
 # a tail bound passes within this relative slack of the limit it stands for
@@ -128,7 +125,7 @@ def check_dissipation(
     with np.errstate(all="ignore"):
         while used < n and drawn < 10 * n:
             size = min(n - used, 10 * n - drawn)
-            batch = np.array([sampler(rng) for _ in range(size)], float)
+            batch = draw_rows(sampler, rng, size)
             drawn += len(batch)
             if exclude is not None:
                 batch = batch[~np.broadcast_to(exclude(tuple(batch.T)), len(batch))]
@@ -154,16 +151,6 @@ def check_dissipation(
 # ---------------------------------------------------------------------------
 # Prebuilt dissipation checks for the wing-rock benchmark
 # ---------------------------------------------------------------------------
-
-def _box_sampler(sys, box_dim, theta_dim):
-    """One draw: box_dim entries from the state box, then theta_dim from the
-    plant's theta ball and sys.l from the disturbance ball."""
-    return lambda rng: (
-        *rng.uniform(-BOX_RADIUS, BOX_RADIUS, box_dim),
-        *sample_ball(rng, theta_dim, sys.theta_radius),
-        *sample_ball(rng, sys.l, D_RADIUS),
-    )
-
 
 def wingrock_dissipation_check(
     sys,
@@ -228,8 +215,8 @@ def sigma_mod_dissipation_check(
         )
 
     return check_dissipation(
-        W, rhs, bound, _box_sampler(sys, nx, nt), n=n, tol=tol, seed=seed,
-        name=f"sigma-mod dissipation (leak={leak:g})",
+        W, rhs, bound, box_sampler(nx, (nt, sys.theta_radius), (sys.l, D_RADIUS)),
+        n=n, tol=tol, seed=seed, name=f"sigma-mod dissipation (leak={leak:g})",
     )
 
 
@@ -275,8 +262,8 @@ def synthesized_dissipation_check(
         return np.abs(V(*cols[: dim + 1]) - gains.eps_dz) < KINK_BAND
 
     return check_dissipation(
-        V, rhs, bound, _box_sampler(sys, dim + 1, sys.p), n=n, tol=tol,
-        seed=seed, exclude=exclude, name=name,
+        V, rhs, bound, box_sampler(dim + 1, (sys.p, sys.theta_radius), (sys.l, D_RADIUS)),
+        n=n, tol=tol, seed=seed, exclude=exclude, name=name,
     )
 
 
@@ -374,6 +361,11 @@ def wingrock_attractivity_radius(c: float, eps: float) -> float:
     return (math.sqrt(c * c + 1.0) + c) * math.sqrt(2.0 * eps)
 
 
+def same_grid(t, other) -> bool:
+    """Whether two time grids agree row by row, rounded to 9 decimals."""
+    return np.array_equal(np.round(t, 9), np.round(other, 9))
+
+
 def check_drift_contrast(
     dads_log: TrajectoryLog,
     sigma0_log: TrajectoryLog,
@@ -387,9 +379,8 @@ def check_drift_contrast(
     more than DRIFT_FACTOR between mid-horizon and the end (when a persistent
     disturbance makes drift expected), and the leaky estimates stay finite.
     """
-    for other in (sigma0_log, sigma_log):
-        if len(other) != len(dads_log) or abs(other.t[-1] - dads_log.t[-1]) > 1e-9:
-            raise ValueError("logs must share the time grid")
+    if not all(same_grid(dads_log.t, other.t) for other in (sigma0_log, sigma_log)):
+        raise ValueError("logs must share the time grid")
 
     rho = 1.0 + np.exp(dads_log.ctrl[:, 0])
     # growth needs two rows even in a short log

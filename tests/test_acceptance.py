@@ -1,4 +1,4 @@
-"""Acceptance suite: the ten headline requirements, one test per criterion.
+"""Acceptance suite: the headline requirements, one test per criterion.
 
 Each test prints a single pass/fail line with the measured quantity so the
 suite output doubles as a results summary.  Simulation fixtures are module
@@ -6,12 +6,15 @@ scoped (the two sigma-mod runs are session fixtures in conftest.py); every
 closed-loop run happens once.
 """
 
+import csv
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dads.cli import EXIT_OK, load_scenario, main
 from dads.controllers import SigmaModController, WingRockDadsController
 from dads.jets import SmoothMap, gradient
 from dads.simulate import SimConfig, simulate
@@ -281,3 +284,27 @@ def test_criterion_10_base_step_algebra():
            f"scalar base step: P = {P:g}, omega = {omega:g} (pole at -1), "
            f"Lyapunov residual {resid:.2g}, comparison constant before "
            f"inflation = {M_raw:.12g} (= 2 + sqrt 2)")
+
+
+def test_criterion_11_assignable_level(tmp_path):
+    # the persistent fig4_dads run over 10 s, its deadzone level eps set in
+    # the scenario: every trajectory check passes, and the tail output falls
+    # with eps (0.0985, 0.0398 and 0.0347 when this test was written)
+    shipped = Path(__file__).resolve().parents[1] / "scenarios" / "fig4_dads.scenario"
+    tails = []
+    for eps in ("0.1", "0.01", "0.001"):
+        scn = load_scenario(str(shipped))
+        scn.sections["controller"]["eps"] = eps
+        out = tmp_path / eps
+        out.mkdir()
+        path = out / "fig4_dads.scenario"
+        path.write_text(scn.serialize())
+        assert main(["verify", str(path), "--out", str(out)]) == EXIT_OK
+        with open(out / "fig4_dads.checks.csv") as fh:
+            rows = {r["name"]: r for r in csv.DictReader(fh)}
+        assert all(r["passed"] == "True" for r in rows.values())
+        tails.append(float(rows["tail output bound"]["witness"]))
+    ok = tails[0] > tails[1] > tails[2]
+    report(11, ok,
+           "tail sup|Y| at eps = 0.1, 0.01, 0.001: "
+           + ", ".join(f"{y:.3g}" for y in tails) + " (falling, all checks pass)")

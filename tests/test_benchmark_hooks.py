@@ -4,6 +4,7 @@ the scenario build functions of `dads.cli` positionally, so a changed
 signature fails the probe.  Its `--self-test` runs the harness's failure
 probes, which read the shipped scenarios."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,12 @@ def _invoke(tmp_path, mode, args):
 def test_traced_invocation_exits_zero(tmp_path, args):
     proc = _invoke(tmp_path, "--trace", args)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    # the harness counts the draws through check_dissipation's per-draw
+    # sampler; every drawn sample is used (none falls in the kink band)
+    samples = {"verify": 1000, "synthesize": 1100}.get(args[0])
+    if samples is not None:
+        totals = json.loads((tmp_path / "result.json").read_text())["totals"]
+        assert totals["verify.samples_drawn"] == totals["verify.samples_used"] == samples
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dads.systems as systems
 import dads.verify as ver
 from dads.controllers import SigmaModController, WingRockDadsController
 from dads.jets import SmoothMap, Tape, Traced
@@ -156,7 +157,7 @@ class TestSamplingDomain:
             radii.append(radius)
             return sample_ball(rng, dim, radius)
 
-        monkeypatch.setattr(ver, "sample_ball", recording)
+        monkeypatch.setattr(systems, "sample_ball", recording)
         rep = check(20)
         assert rep.n_samples == 20
         # each draw takes theta, then d

@@ -15,7 +15,7 @@ from dads.controllers import (
     wingrock_control,
 )
 from dads.jets import SmoothMap, gradient, jet_exp
-from dads.simulate import SimConfig, simulate, tail_length
+from dads.simulate import SimConfig, TrajectoryLog, simulate, tail_length
 from dads.synthesis import DadsGains, synthesize, wingrock_majorants
 from dads.systems import (
     constant_parameter,
@@ -190,8 +190,8 @@ class TestDissipationChecks:
         worst, witness = math.inf, None
         for _ in range(300):
             x = rng.uniform(-3.0, 3.0, 3)
-            th_hat = sample_ball(rng, 4, 40.0)
-            d = sample_ball(rng, 2, 30.0)
+            th_hat = np.asarray(sample_ball(rng, 4, 40.0))
+            d = np.asarray(sample_ball(rng, 2, 30.0))
             g = gradient(W, (*x, *th_hat))
             u, w = sigma_mod_control(x, th_hat, ctrl)
             f = np.concatenate([eval_dynamics(sys, x, u, THETA, d), w])
@@ -356,6 +356,20 @@ class TestContrastChecks:
         short = sigma_run(0.0, sinusoid_bank([20.0, 10.0], [10.0, 20.0]), t_end=1.0)
         with pytest.raises(ValueError):
             check_drift_contrast(dads_log, short, s4_log)
+
+    def test_drift_contrast_rejects_other_interior_times(self):
+        # same length and last time, other interior times: a DADS grid at
+        # dt = 0.01 ending at 0.035 against a uniform sigma = 0 grid; the
+        # contrast returned a report over 5 samples
+        def log(t):
+            n = len(t)
+            return TrajectoryLog(np.array(t), np.zeros((n, 3)), np.ones((n, 1)),
+                                 np.zeros(n), np.zeros(n), np.zeros(n))
+
+        dads_log = log([0.0, 0.01, 0.02, 0.03, 0.035])
+        sigma0_log = log([0.0, 0.00875, 0.0175, 0.02625, 0.035])
+        with pytest.raises(ValueError, match="logs must share the time grid"):
+            check_drift_contrast(dads_log, sigma0_log, dads_log)
 
     def test_sigma_tradeoff_bound(self, persistent_triple):
         _, _, s4_log = persistent_triple
