@@ -187,8 +187,8 @@ def build_system(scn: Scenario):
         raise ScenarioError("missing system name")
     try:
         return get_system(name)
-    except KeyError as exc:
-        raise ScenarioError(str(exc)) from None
+    except KeyError as exc:  # str() of a KeyError is its message's repr
+        raise ScenarioError(exc.args[0]) from None
 
 
 def build_controller(scn: Scenario, sys_model=None):
@@ -293,7 +293,7 @@ def build(path: str, args) -> Setup:
     for name in checks:
         if name not in CHECKS:
             raise ScenarioError(f"unknown check {name!r}; checks are {', '.join(CHECKS)}")
-        need, what, _ = CHECKS[name]
+        need, what, _, _ = CHECKS[name]
         if need is not None and ctype != need:
             raise ScenarioError(f"check {name!r} evaluates {what}; it needs controller "
                                 f"type {need!r}, got {ctype!r}")
@@ -312,6 +312,13 @@ def build(path: str, args) -> Setup:
         outputs = select_outputs(scn.get("sim", "output_indices"), sysm.state_dim)
     except ValueError as exc:
         raise ScenarioError(f"[sim] {exc}") from None
+    # a [checks] key that no named check reads would be silently ignored
+    read = [key for key in SCENARIO_KEYS["checks"]
+            if key == "names" or any(key in CHECKS[name][2] for name in checks)]
+    unread = [key for key in scn.sections.get("checks", {}) if key not in read]
+    if unread:
+        raise ScenarioError(f"[checks] names = {', '.join(checks) or '(none)'} does not read "
+                            f"{', '.join(unread)}; it reads {', '.join(read)}")
     return Setup(path, sysm, ctype, controller, *built, outputs, checks, n, tol,
                  scn.get("checks", "corrupt_controller", False))
 
@@ -343,13 +350,13 @@ def cmd_simulate(args) -> int:
 
 
 def _synthesis(setup: Setup, seed: int):
-    """The construction, its stage certificates at 200 samples each, the final one at 500."""
+    """The construction, its stage certificates and the final one, at verify's sample sizes."""
     sysm, gains = setup.system, setup.gains
     result = synthesize(sysm, gains, wingrock_majorants(gains), seed=seed)
     last = result.stage_trace[-1]
-    reports = ver.stage_certificate_checks(sysm, result, gains, n=200, seed=seed)
+    reports = ver.stage_certificate_checks(sysm, result, gains, seed=seed)
     return result, reports + [ver.synthesized_dissipation_check(
-        sysm, last.V, last.k, gains, last.rate_c, last.effective_gain, n=500, seed=seed)]
+        sysm, last.V, last.k, gains, last.rate_c, last.effective_gain, seed=seed)]
 
 
 def cmd_synthesize(args) -> int:
@@ -393,17 +400,20 @@ def _sigma_tradeoff(setup: Setup, seed: int) -> list[ver.CheckReport]:
 
 
 # every check: the controller type it needs (None for none), what it
-# evaluates, and run(setup, seed) -> reports
+# evaluates, the [checks] keys it reads besides names, and
+# run(setup, seed) -> reports
 CHECKS = {
     "dissipation-dads": ("dads-wingrock", "the closed-form deadzone-adapted law",
-                         _dissipation_dads),
+                         ("n_samples", "tol", "corrupt_controller"), _dissipation_dads),
     "trajectory": ("dads-wingrock", "the trajectory estimates of a deadzone-adapted controller",
-                   _trajectory),
-    "dissipation-sigma": ("sigma-mod", "the sigma-modification law", lambda setup, seed: [
-        ver.sigma_mod_dissipation_check(setup.system, setup.controller, setup.theta,
-                                        n=setup.n_samples, tol=setup.tol, seed=seed)]),
-    "sigma-tradeoff": ("sigma-mod", "the sigma-modification residual bound", _sigma_tradeoff),
-    "synthesis-certificates": (None, "the synthesized law",
+                   (), _trajectory),
+    "dissipation-sigma": ("sigma-mod", "the sigma-modification law", ("n_samples", "tol"),
+                          lambda setup, seed: [ver.sigma_mod_dissipation_check(
+                              setup.system, setup.controller, setup.theta,
+                              n=setup.n_samples, tol=setup.tol, seed=seed)]),
+    "sigma-tradeoff": ("sigma-mod", "the sigma-modification residual bound", (),
+                       _sigma_tradeoff),
+    "synthesis-certificates": (None, "the synthesized law", (),
                                lambda setup, seed: _synthesis(setup, seed)[1]),
 }
 
@@ -412,7 +422,7 @@ def cmd_verify(args) -> int:
     setup = build(args.scenario, args)
     if not setup.checks:
         raise ScenarioError("verify: scenario has no [checks] names")
-    reports = [rep for name in setup.checks for rep in CHECKS[name][2](setup, args.seed)]
+    reports = [rep for name in setup.checks for rep in CHECKS[name][3](setup, args.seed)]
     path = _out_path(args, setup, "checks.csv")
     ver.reports_to_csv(reports, path)
     print(ver.summarize(reports))
@@ -425,7 +435,7 @@ def cmd_compare(args) -> int:
         raise ScenarioError("compare needs at least two scenarios")
     setups = [build(path, args) for path in args.scenarios]  # before the first solve
     grids = [setup.config.log_times() for setup in setups]
-    if len({np.round(grid[-1], 9) for grid in grids}) != 1:
+    if not all(ver.same_grid(grids[0][-1], grid[-1]) for grid in grids[1:]):
         raise ScenarioError("scenarios have different horizons")
     # the drift contrast reads the last DADS, sigma = 0 and leaky sigma-mod scenario
     leaks = [s.controller.sigma_leak if s.ctype == "sigma-mod" else None for s in setups]

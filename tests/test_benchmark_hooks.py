@@ -36,7 +36,7 @@ def test_traced_invocation_exits_zero(tmp_path, args):
     proc = _invoke(tmp_path, "--trace", args)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     # the harness counts the draws through check_dissipation's per-draw
-    # sampler; every drawn sample is used (none falls in the kink band)
+    # sampler; a check draws exactly its samples and uses every one
     samples = {"verify": 1000, "synthesize": 1100}.get(args[0])
     if samples is not None:
         totals = json.loads((tmp_path / "result.json").read_text())["totals"]

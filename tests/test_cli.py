@@ -638,6 +638,17 @@ class TestBuiltBeforeWork:
          "[sim] x0 has 2 entries, expected 3"),
         ("simulate", "fig1_dads", {("checks", "n_samples"): "0"},
          f"[checks] n_samples must be in [1, MAX_SAMPLES = {MAX_SAMPLES}], got 0"),
+        # the message was printed in quotes, as the repr of a KeyError
+        ("verify", "ineq34", {("system", "name"): "bogus"},
+         "unknown built-in system 'bogus'; available: ['wingrock']"),
+        # keys that no named check reads: the certificates ran 200/500
+        # samples at tol 1e-7, and the trajectory check ran no mutation
+        # probe, and each exited 0
+        ("verify", "synth_wingrock", {("checks", "n_samples"): "5", ("checks", "tol"): "1e9"},
+         "[checks] names = synthesis-certificates does not read n_samples, tol; "
+         "it reads names"),
+        ("verify", "fig1_dads", {("checks", "corrupt_controller"): "yes"},
+         "[checks] names = trajectory does not read corrupt_controller; it reads names"),
     ])
     def test_exit_2(self, tmp_path, capsys, no_work, command, name, entries, message):
         out = tmp_path / "out"
@@ -775,24 +786,39 @@ def _unknown_keys(draw):
     return name, section, key
 
 
-def _commands(name, path):
-    """Every command that takes the shipped scenario `name`, on `path`.
+def _compare(name, path):
+    """compare on the shipped fig1 (or else fig4) triple, with `path` in the
+    slot of the shipped scenario `name`'s law, so that the cross-scenario
+    rules apply to it."""
+    law = load_scenario(scen(f"{name}.scenario")).sections.get("controller", {})
+    slot = ("dads" if law.get("type", "dads-wingrock") == "dads-wingrock"
+            else "sigma0" if law.get("sigma") == 0.0 else "sigma04")
+    family = "fig1" if name.startswith("fig1") else "fig4"
+    return ["compare", *(path if s == slot else scen(f"{family}_{s}.scenario")
+                         for s in ("dads", "sigma0", "sigma04"))]
 
-    compare runs the shipped fig1 (or else fig4) triple, with `path` in the
-    slot of its law, so that the cross-scenario rules apply to it.
-    """
+
+def _commands(name, path):
+    """Every command that takes the shipped scenario `name`, on `path`."""
     sections = load_scenario(scen(f"{name}.scenario")).sections
-    commands = []
-    if "sim" in sections:
-        law = sections.get("controller", {})
-        slot = ("dads" if law.get("type", "dads-wingrock") == "dads-wingrock"
-                else "sigma0" if law.get("sigma") == 0.0 else "sigma04")
-        family = "fig1" if name.startswith("fig1") else "fig4"
-        triple = [path if s == slot else scen(f"{family}_{s}.scenario")
-                  for s in ("dads", "sigma0", "sigma04")]
-        commands = [["simulate", path], ["compare", *triple]]
+    commands = [["simulate", path], _compare(name, path)] if "sim" in sections else []
     commands += [["verify", path]] if "checks" in sections else []
     return commands + ([["synthesize", path]] if "synthesis" in sections else [])
+
+
+def _documented_exit(capsys, argv):
+    """Run one command in process within 5 s: a documented exit code, one
+    error line for 2, 3 and 4, and nothing on stderr otherwise."""
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 5.0
+    event(f"{argv[0]} exit {code}")
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_DIVERGENCE, EXIT_MAJORANT, EXIT_CHECK_FAILED)
+    err = capsys.readouterr().err
+    if code in (EXIT_PARSE, EXIT_DIVERGENCE, EXIT_MAJORANT):
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+    else:
+        assert err == ""
 
 
 class TestKeyFuzz:
@@ -890,18 +916,57 @@ class TestValueFuzz:
                 # float() rejects stays in the edited file, whose load exits 2
                 t_end = edits[("sim", "t_end")]
                 t_end = t_end if _is_float(t_end) else None
-            start = time.perf_counter()
-            code = main([*command, *(["--t-end", t_end] if t_end else []),
-                         "--out", tempfile.mkdtemp(dir=tmp_path)])
-            assert time.perf_counter() - start < 5.0
-            event(f"{command[0]} exit {code}")
-            assert code in (EXIT_OK, EXIT_PARSE, EXIT_DIVERGENCE, EXIT_MAJORANT,
-                            EXIT_CHECK_FAILED)
-            err = capsys.readouterr().err
-            if code in (EXIT_PARSE, EXIT_DIVERGENCE, EXIT_MAJORANT):
-                assert err.startswith("error: ") and len(err.splitlines()) == 1, err
-            else:
-                assert err == ""
+            _documented_exit(capsys, [*command, *(["--t-end", t_end] if t_end else []),
+                                      "--out", tempfile.mkdtemp(dir=tmp_path)])
+
+
+def _mostly(usable, other):
+    """One of the texts, a usable one three times as often as another."""
+    return st.sampled_from(usable * (3 * len(other)) + other * len(usable))
+
+
+# values of the [system], [controller] and [checks] choices: usable ones, and
+# names of nothing or text not of the key's kind; the usable check names are
+# the sampled checks, which read tol and corrupt_controller
+_SECTION_VALUES = {
+    ("system", "name"): _mostly(["wingrock"], ["WingRock", ""]),
+    ("controller", "type"): _mostly(["dads-wingrock", "sigma-mod"],
+                                    ["dads-synthesized", "bogus"]),
+    ("checks", "names"): _mostly(
+        ["dissipation-dads", "dissipation-sigma", "dissipation-dads, trajectory",
+         "dissipation-sigma, sigma-tradeoff"],
+        ["", "trajectory", "sigma-tradeoff", "synthesis-certificates", "bogus"]),
+    ("checks", "tol"): _mostly(["1e-6", "0", "1e9"], ["-1", "nan", "x"]),
+    ("checks", "corrupt_controller"): _mostly(["yes", "no"], ["maybe"]),
+}
+
+
+@st.composite
+def _section_edits(draw):
+    """A shipped scenario and drawn values of two or three keys of
+    _SECTION_VALUES, in at least two sections."""
+    name = draw(st.sampled_from(SHIPPED))
+    keys = draw(st.lists(st.sampled_from(sorted(_SECTION_VALUES)), min_size=2, max_size=3,
+                         unique=True))
+    assume(len({section for section, _ in keys}) >= 2)
+    return name, {key: draw(_SECTION_VALUES[key]) for key in keys}
+
+
+class TestSectionFuzz:
+    """Bounded fuzz of several sections at once: the system, the controller
+    type and the [checks] choices of a shipped scenario, through all four
+    commands over a short horizon, in process."""
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=_section_edits())
+    def test_exit_codes(self, tmp_path, capsys, drawn):
+        name, edits = drawn
+        path = edited(name, tmp_path, edits)
+        for command in (["simulate", path], _compare(name, path), ["verify", path],
+                        ["synthesize", path]):
+            _documented_exit(capsys, [*command, "--t-end", "0.05",
+                                      "--out", tempfile.mkdtemp(dir=tmp_path)])
 
 
 class TestSynthesizeCommand:
