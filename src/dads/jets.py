@@ -356,41 +356,21 @@ class Tape:
                              if isinstance(line.operands[i], Traced))
         return out
 
-    def independent_of(self, inputs) -> set[str]:
-        """The names of the lines that read none of the named inputs, not
-        even through other lines."""
-        dependent = set(inputs)
-        for line in self.lines:
-            if any(isinstance(x, Traced) and x.name in dependent for x in line.operands):
-                dependent.add(line.name)
-        return {line.name for line in self.lines} - dependent
+    def emit(self, outputs) -> tuple[list[str], list[str]]:
+        """Statements computing `outputs`, and the outputs' texts.
 
-    def emit(self, outputs, env: dict | None = None, suffix: str = "",
-             shared=frozenset()) -> tuple[list[str], list[str], dict]:
-        """Statements computing `outputs`, the outputs' texts, and the text
-        of every traced name.
-
-        outputs are operands, as `operand` returns them.  env maps a traced
-        name to its text: an input's name in the generated code, or a line
-        that earlier statements computed, which is then not written again.
-        Every other line vK is written `vK{suffix} = rhs`, in tape order,
-        except a temporary that is read exactly once and is not an output:
-        its right-hand side is substituted, parenthesised, into its one
-        reader, where Python performs the same operations in the same order,
-        so its value is the same float.  Two kinds of such temporaries stay
-        named all the same: a line in `shared` that a line outside `shared`
-        reads, so that a later call can take it into its env, and a line
-        whose text would nest more than MAX_NESTING substitutions.  A line
-        that nothing reads and that is not an output is not written.
+        outputs are operands, as `operand` returns them.  Every line vK is
+        written `vK = rhs`, in tape order, except a temporary that is read
+        exactly once and is not an output: its right-hand side is
+        substituted, parenthesised, into its one reader, where Python
+        performs the same operations in the same order, so its value is the
+        same float.  A line whose text would nest more than MAX_NESTING
+        substitutions stays named all the same.  A line that nothing reads and
+        that is not an output is not written.
         """
-        names = dict(env or {})
+        names, nesting, statements = {}, {}, []
         keep = {x.name for x in outputs if isinstance(x, Traced)}
-        keep.update(x.name for line in self.lines if line.name not in shared
-                    for x in line.operands if isinstance(x, Traced) and x.name in shared)
-        statements, nesting = [], {}
         for line in self.lines:
-            if line.name in names:
-                continue
             rhs = line.rhs(names)
             level = 1 + max((nesting.get(x.name, 0) for x in line.operands
                              if isinstance(x, Traced)), default=0)
@@ -398,10 +378,9 @@ class Tape:
                 names[line.name] = f"({rhs})"
                 nesting[line.name] = level
             else:
-                names[line.name] = line.name + suffix
-                statements.append(f"{line.name}{suffix} = {rhs}")
+                statements.append(f"{line.name} = {rhs}")
         texts = [names.get(x.name, x.name) if isinstance(x, Traced) else x for x in outputs]
-        return statements, texts, names
+        return statements, texts
 
     def compile(self, source: str, name: str, namespace: dict) -> Callable:
         """Execute `source` and return the function it defines as `name`.

@@ -45,13 +45,12 @@ the controller's `step`, of the disturbance formula
 the law's own order, each distinct operation once, and `compile_rhs` turns
 the record into one straight-line function f(t, s) -> tuple on floats,
 which unpacks the state array s itself and evaluates d(t) inline.  A zero
-disturbance is float constants, which the trace folds away.  The stiff
-solver calls f with no wrapper; the RK4 loop is built from the same recorded
-lines (below).  Laws must therefore be written in generic arithmetic: a
-branch on the data, a comparison, float() or a numpy ufunc on a traced value
-raises TypeError before the first step.  The
-trace folds exactly four identities (x + 0.0, 0.0 + x, 1.0 * x, x * 1.0),
-which can change at most the sign of a zero.  Zero-weighted terms are left
+disturbance is float constants, which the trace folds away.  Both methods
+call f with no wrapper.  Laws must therefore be written in generic
+arithmetic: a branch on the data, a comparison, float() or a numpy ufunc on a
+traced value raises TypeError before the first step.  The trace folds
+exactly four identities (x + 0.0, 0.0 + x, 1.0 * x, x * 1.0), which can
+change at most the sign of a zero.  Zero-weighted terms are left
 out where the formulas live, not by the trace: the plant's dot products skip
 a weight that is the float 0.0 (a disturbance channel a level does not
 receive) and the sigma-modification law forms its leak only for a nonzero
@@ -60,13 +59,13 @@ The interpreted evaluation stays the reference: the compiled rhs at
 (0, s0) must equal eval_dynamics plus controller.step there, or the run
 raises.
 
-Both generated functions come from one emitter, `Tape.emit`: f and each
-stage of the RK4 loop write every recorded line once, except that a
-temporary read exactly once is substituted, parenthesised, into its
-reader, which performs the same operations in the same order.  The RK4
-loop is one generated float kernel per run (`_rk4_source`), bit-identical to
-the same scheme on numpy arrays.  A stiff solve whose state turns non-finite
-raises DivergenceError as well: LSODA reports success (istate 2) on a nan
+f is the one generated function per run.  `Tape.emit` writes every
+recorded line into it once, except that a temporary read exactly once is
+substituted, parenthesised, into its reader, which performs the same
+operations in the same order.  The RK4 loop steps on Python floats in the
+operation order of the array form, so its rows are bit-identical to the same
+scheme on numpy arrays.  A stiff solve whose state turns non-finite raises
+DivergenceError as well: LSODA reports success (istate 2) on a nan
 right-hand side.
 
 Logs are dense (the times of `SimConfig.log_times`) and serialize to CSV
@@ -81,6 +80,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -220,9 +220,9 @@ class SimConfig:
     """Integration settings.
 
     dt is the logging grid spacing (and the RK4 step); log_stride thins the
-    stored samples.  The implicit method integrates adaptively and evaluates
-    the solution on the same logging grid, and its last row is at t_end.
-    RK4 takes round(t_end / dt) whole steps, so its last row is at
+    stored samples.  The stiff method (LSODA) integrates adaptively and
+    evaluates the solution on the same logging grid, and its last row is at
+    t_end.  RK4 takes round(t_end / dt) whole steps, so its last row is at
     round(t_end / dt) dt: 0.0004 for t_end = 0.00035 and dt = 1e-4.  A t_end
     below dt, which RK4 would round to no step at all, is rejected.
     """
@@ -404,7 +404,7 @@ def _rhs_function(tape: Tape, rates: Sequence) -> Callable:
     raises DivergenceError at t on the call after the budget-th one, so the
     count and the budget test cost no frame of their own.
     """
-    statements, texts, _ = tape.emit(rates)
+    statements, texts = tape.emit(rates)
     source = "\n".join([
         "def budgeted(budget):",
         "    calls = 0",
@@ -451,79 +451,34 @@ def _integrate_rk4(traced: tuple[Tape, list], s0: np.ndarray, config: SimConfig,
                    n_steps: int) -> np.ndarray:
     """The states at steps 0, log_stride, 2 log_stride, ... and at n_steps.
 
-    traced is the (tape, rates) pair of `_trace_rhs`; the loop is its
-    generated RK4 kernel (see `_rk4_source`).
+    Classical RK4 over the compiled rhs of traced, the (tape, rates) pair of
+    `_trace_rhs`, on floats in the operation order of the array form
+    s + dt/6 (k1 + 2 k2 + 2 k3 + k4).  Each state is an array("d"), which has
+    the tolist() the rhs unpacks its state with.  Raises DivergenceError(i dt)
+    at the first step i that leaves [-DIVERGENCE_THRESHOLD,
+    DIVERGENCE_THRESHOLD] in some component, or turns nan.
     """
+    f = _rhs_function(*traced)(math.inf)
+    dt, h2, h6, stride = config.dt, config.dt / 2.0, config.dt / 6.0, config.log_stride
+    limit = DIVERGENCE_THRESHOLD
     out = np.empty((len(config.log_times()), len(s0)))
     out[0] = s0
-    tape, rates = traced
-    loop = tape.compile(_rk4_source(tape, rates), "rk4", {"DivergenceError": DivergenceError})
+    y = array("d", s0)
     with np.errstate(over="ignore", invalid="ignore"):
-        out[-1] = loop(config.dt, n_steps, config.log_stride, out, *s0.tolist())
+        for i in range(n_steps):
+            t = i * dt
+            k1 = f(t, y)
+            k2 = f(t + h2, array("d", [a + h2 * k for a, k in zip(y, k1)]))
+            k3 = f(t + h2, array("d", [a + h2 * k for a, k in zip(y, k2)]))
+            k4 = f(t + dt, array("d", [a + dt * k for a, k in zip(y, k3)]))
+            y = array("d", [a + h6 * (p + 2.0 * q + 2.0 * r + w)
+                            for a, p, q, r, w in zip(y, k1, k2, k3, k4)])
+            if not all(-limit <= a <= limit for a in y):
+                raise DivergenceError(t)
+            if (i + 1) % stride == 0:
+                out[(i + 1) // stride] = y
+    out[-1] = y
     return out
-
-
-def _rk4_source(tape: Tape, rates: Sequence) -> str:
-    """Source of rk4(dt, n_steps, stride, out, y0, ..., yN) -> final state.
-
-    Classical RK4 with one float variable per state component, in the
-    operation order of the array form s + dt/6 (k1 + 2 k2 + 2 k3 + k4).  The
-    traced lines are written out once per stage by `Tape.emit`, their names
-    suffixed with the stage number j: stage j reads its time and its state
-    sI_j (stage 1 reads t_i and yI themselves), and the later stages and
-    the update read its rates by their names, without copies.  Stages 2 and
-    3 both run at t_2 = t_i + dt/2, so stage 3 takes the lines that depend on
-    t alone from stage 2.  The update assigns every yI at once, because a
-    stage-1 rate may be some yI itself.  No local is named cK, the tape's
-    name for a non-finite constant.  The kernel writes every stride-th
-    state into row (i + 1) // stride of out, and raises DivergenceError(i dt)
-    at the first step that leaves [-DIVERGENCE_THRESHOLD, DIVERGENCE_THRESHOLD]
-    in some component; the chained comparison is false for nan and +-inf as
-    well.
-    """
-    dim = len(rates)
-    timed = tape.independent_of(f"s{i}" for i in range(dim))
-    y = [f"y{i}" for i in range(dim)]
-
-    def stage(j: int, t: str, h: str = "", k: Sequence[str] = (), env: dict | None = None):
-        """Stage j at time t and state y + h k (y itself without h): its
-        statements, rate texts and names, from tape.emit."""
-        state = [f"s{i}_{j}" for i in range(dim)] if h else y
-        inputs = {"t": t, **{f"s{i}": s for i, s in enumerate(state)}}
-        statements, texts, names = tape.emit(
-            rates, {**(env or {}), **inputs}, f"_{j}", shared=timed)
-        bound = [f"s{i}_{j} = y{i} + {h} * {k[i]}" for i in range(dim)] if h else []
-        return bound + statements, texts, names
-
-    lines1, k1, _ = stage(1, "t_i")
-    lines2, k2, names2 = stage(2, "t_2", "h2", k1)
-    lines3, k3, _ = stage(3, "t_2", "h2", k2, {v: names2[v] for v in timed})
-    lines4, k4, _ = stage(4, "t_4", "dt", k3)
-    limit = repr(DIVERGENCE_THRESHOLD)
-    body = [
-        "t_i = i * dt",
-        *lines1,
-        "t_2 = t_i + h2",
-        *lines2,
-        *lines3,
-        "t_4 = t_i + dt",
-        *lines4,
-        f"{', '.join(y)} = " + ", ".join(
-            f"y{i} + h6 * ({k1[i]} + 2.0 * {k2[i]} + 2.0 * {k3[i]} + {k4[i]})"
-            for i in range(dim)),
-        "if not (" + " and ".join(f"-{limit} <= {v} <= {limit}" for v in y) + "):",
-        "    raise DivergenceError(t_i)",
-        "if (i + 1) % stride == 0:",
-        f"    out[(i + 1) // stride] = {', '.join(y)}",
-    ]
-    return "\n".join([
-        f"def rk4(dt, n_steps, stride, out, {', '.join(y)}):",
-        "    h2 = dt / 2.0",
-        "    h6 = dt / 6.0",
-        "    for i in range(n_steps):",
-        *("        " + line for line in body),
-        f"    return {', '.join(y)},",
-    ])
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,8 @@ DRIFT_FACTOR = 1.1
 class CheckReport:
     """Worst margin of a check and the sample achieving it.
 
-    A non-finite worst margin never passes.
+    A non-finite worst margin never passes.  note, when given, ends the
+    summary of a failing check.
     """
 
     name: str
@@ -54,6 +55,7 @@ class CheckReport:
     worst_margin: float
     witness: tuple
     tolerance: float
+    note: str = ""
 
     @property
     def passed(self) -> bool:
@@ -61,9 +63,10 @@ class CheckReport:
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
+        note = f" ({self.note})" if self.note and not self.passed else ""
         return (
             f"[{status}] {self.name}: worst margin {self.worst_margin:.6g} "
-            f"over {self.n_samples} samples (tol {self.tolerance:g})"
+            f"over {self.n_samples} samples (tol {self.tolerance:g}){note}"
         )
 
 
@@ -275,7 +278,8 @@ def check_trajectory_estimates(
     (ii) monotonicity of the adaptation state z, (iii) the tail bound
     V <= eps_dz (1 + SLACK), and (iv) when a radius is given, the tail output
     bound |Y| <= radius (1 + SLACK).  The envelope uses the supplied signal
-    suprema, which should come from the actually sampled signals.
+    suprema, which should come from the actually sampled signals.  A failing
+    tail bound notes when z still rose over the tail: the gain had not settled.
     """
     c, a, b = gains.c, gains.a, gains.b
     z = log.ctrl[:, 0]
@@ -306,11 +310,12 @@ def check_trajectory_estimates(
     )
 
     n_tail = tail_length(len(log))
+    note = "z still rising at t_end" if z[-1] > z[-n_tail] else ""
     v_tail = float(np.max(log.V[-n_tail:]))
     reports.append(
         CheckReport(
             "tail V bound", n_tail, gains.eps_dz * (1.0 + SLACK) - v_tail,
-            (v_tail,), tol,
+            (v_tail,), tol, note,
         )
     )
 
@@ -319,7 +324,7 @@ def check_trajectory_estimates(
         reports.append(
             CheckReport(
                 "tail output bound", n_tail,
-                attractivity_radius * (1.0 + SLACK) - y_tail, (y_tail,), tol,
+                attractivity_radius * (1.0 + SLACK) - y_tail, (y_tail,), tol, note,
             )
         )
     return reports

@@ -29,6 +29,7 @@ from dads.cli import (
     parse_scenario_text,
 )
 import dads.cli as cli
+import dads.simulate
 import dads.verify as ver
 from dads.controllers import WingRockDadsController
 from dads.jets import SmoothMap
@@ -315,6 +316,16 @@ class TestVerifyCommand:
         )
         assert main(["verify", str(bad), "--out", str(tmp_path)]) == EXIT_PARSE
         assert "needs controller type" in capsys.readouterr().err
+
+    def test_failing_tail_bounds_name_an_unsettled_gain(self, tmp_path, capsys):
+        # at eps = 1e-4 the deadzone gain is still rising at 10 s: the tail
+        # bounds fail on the horizon, and say so
+        path = edited("fig4_dads", tmp_path, {("controller", "eps"): "1e-4"})
+        assert main(["verify", path, "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
+        lines = capsys.readouterr().out.splitlines()
+        for name in ("tail V bound", "tail output bound"):
+            (line,) = [line for line in lines if f"] {name}: " in line]
+            assert line.startswith("[FAIL]") and line.endswith(" (z still rising at t_end)")
 
     def test_trajectory_check_on_sigma_mod_scenario(self, tmp_path, capsys):
         text = open(scen("fig4_sigma0.scenario")).read()
@@ -967,6 +978,39 @@ class TestSectionFuzz:
                         ["synthesize", path]):
             _documented_exit(capsys, [*command, "--t-end", "0.05",
                                       "--out", tempfile.mkdtemp(dir=tmp_path)])
+
+
+class TestNoShippedRk4:
+    """No command on a shipped scenario reaches the RK4 loop: every shipped
+    closed loop runs the stiff method."""
+
+    def test_every_command_runs_without_rk4(self, tmp_path, capsys, monkeypatch):
+        reached = []
+
+        def rk4(*args):
+            reached.append(args)
+            raise AssertionError("the RK4 loop was reached")
+
+        monkeypatch.setattr(dads.simulate, "_integrate_rk4", rk4)
+        commands = [["simulate", scen(f"{name}.scenario")] for name in SHIPPED
+                    if "sim" in load_scenario(scen(f"{name}.scenario")).sections]
+        commands += [["verify", scen(f"{name}.scenario")] for name in SHIPPED
+                     if "checks" in load_scenario(scen(f"{name}.scenario")).sections]
+        commands += [["synthesize", scen("synth_wingrock.scenario")]]
+        commands += [["compare", *(scen(f"{family}_{law}.scenario")
+                                   for law in ("dads", "sigma0", "sigma04"))]
+                     for family in ("fig1", "fig4")]
+        codes = {}
+        for command in commands:
+            name = os.path.basename(command[1]).removesuffix(".scenario")
+            codes[command[0], name] = main([*command, "--t-end", "0.05",
+                                            "--out", tempfile.mkdtemp(dir=tmp_path)])
+        assert reached == []
+        # the exit codes these commands give unstubbed: over 0.05 s the DADS
+        # tail bounds fail, and so does fig1_sigma0's residual bound
+        failing = {("verify", "fig1_dads"), ("verify", "fig1_sigma0"), ("verify", "fig4_dads")}
+        assert len(codes) == 19
+        assert codes == {key: EXIT_CHECK_FAILED if key in failing else EXIT_OK for key in codes}
 
 
 class TestSynthesizeCommand:

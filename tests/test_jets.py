@@ -310,7 +310,7 @@ def _compiled(build, arity=1):
     """Trace build(*inputs) and compile it to f(x0, ..) -> result."""
     tape = Tape()
     xs = [Traced(tape, f"x{i}") for i in range(arity)]
-    statements, (out,), _ = tape.emit([tape.operand(build(*xs))])
+    statements, (out,) = tape.emit([tape.operand(build(*xs))])
     source = "\n    ".join([
         f"def f({', '.join(x.name for x in xs)}):",
         *statements,
@@ -384,7 +384,7 @@ class TestTrace:
 
         tape = Tape()
         out = build(Traced(tape, "x0"), Traced(tape, "x1"))
-        statements, texts, _ = tape.emit([out])
+        statements, texts = tape.emit([out])
         assert statements == ["v2 = ((x0 * x1) + 1.0) * 2.0", "v4 = v2 + (v2 * x1)"]
         assert texts == ["v4"]
         assert _compiled(build, arity=2)[1](1.5, -2.0) == build(1.5, -2.0)

@@ -310,7 +310,7 @@ class TestDisturbanceProfiles:
         # compiled d(t) must give the profile's values bit for bit
         tape = Tape()
         d = sample_disturbance(profile, Traced(tape, "t"))
-        statements, texts, _ = tape.emit([tape.operand(x) for x in d])
+        statements, texts = tape.emit([tape.operand(x) for x in d])
         source = "\n    ".join(["def d(t):", *statements, f"return ({', '.join(texts)},)"])
         traced = tape.compile(source, "d", {})
         if profile.kind == "zero":

@@ -324,6 +324,24 @@ class TestTrajectoryEstimates:
             0.22882456112707372, rel=1e-15
         )
 
+    @pytest.mark.parametrize("z_last, rising", [(1.0, False), (1.5, True)])
+    def test_failing_tail_bounds_say_whether_z_still_rose(self, z_last, rising):
+        # ten rows, the last two of them the tail, with V and |Y| far above
+        # their bounds; z rises into the tail and then holds or goes on rising
+        t, ones = np.linspace(0.0, 1.0, 10), np.ones(10)
+        z = np.array([0.0] * 8 + [1.0, z_last])
+        log = TrajectoryLog(t, np.ones((10, 3)), z[:, None], ones, ones, ones)
+        reports = check_trajectory_estimates(
+            log, WingRockDadsController().gains, d_sup=0.0, theta_sup=0.0,
+            attractivity_radius=0.1)
+        assert [r.name for r in reports[2:]] == ["tail V bound", "tail output bound"]
+        for rep in reports[2:]:
+            assert not rep.passed
+            assert rep.summary().endswith(" (z still rising at t_end)") == rising
+        # a passing check keeps its note to itself
+        held = CheckReport("tail V bound", 2, 0.5, (0.0,), 0.0, "z still rising at t_end")
+        assert held.summary().endswith("(tol 0)")
+
     def test_violated_envelope_fails(self, dads_quiet_log):
         # shrinking the claimed offset and rate far enough must break the bound
         reports = check_trajectory_estimates(
