@@ -115,13 +115,6 @@ def _constant(value, like: Jet) -> Jet:
     return Jet((value,) + (0.0,) * (len(like.coeffs) - 1))
 
 
-def scalar_value(x):
-    """Innermost value of a possibly nested jet (a number or an array)."""
-    while isinstance(x, Jet):
-        x = x.coeffs[0]
-    return x
-
-
 def jet_exp(a):
     """exp; overflow of a plain number or an array entry gives inf."""
     if isinstance(a, Traced):
@@ -174,32 +167,17 @@ def jet_pow_int(a, p: int):
 
 
 def jet_relu_plus(a):
-    """Positive part max(a, 0). Derivative at exactly 0 is taken as 0.
-
-    On arrays, and on jets whose innermost value is an array, the choice is
-    made per entry; a nan value gives nan for a plain number or array and
-    the zero jet for a jet, as it does per point.
+    """Positive part max(a, 0) of a number, an array (per entry) or a traced
+    value.  It evaluates the kink and does not differentiate it: no jet
+    passes through it, and a Jet raises TypeError from the float comparison.
+    A nan gives nan.
     """
     if isinstance(a, Traced):
         # max(a, 0.0) keeps a unless 0.0 > a, so -0.0 and nan stay a
         return a.tape.record("(0.0 if 0.0 > {0} else {0})", a)
     if isinstance(a, np.ndarray):
         return np.where(a < 0.0, 0.0, a)
-    if not isinstance(a, Jet):
-        return max(a, 0.0)
-    positive = scalar_value(a) > 0.0
-    if isinstance(positive, np.ndarray):
-        return _where(positive, a)
-    if positive:
-        return a
-    return _constant(0.0, a)
-
-
-def _where(mask: np.ndarray, a):
-    """a where mask holds and 0 elsewhere, through every nested coefficient."""
-    if isinstance(a, Jet):
-        return Jet(tuple(_where(mask, c) for c in a.coeffs))
-    return np.where(mask, a, 0.0)
+    return max(a, 0.0)
 
 
 @dataclass(frozen=True)

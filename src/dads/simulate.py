@@ -3,7 +3,8 @@
 The integration state is the plant state concatenated with the controller
 state (adaptation gain z or parameter estimates).  Two methods are available:
 
-* "radau": the stiff integrator, which every shipped scenario uses.  The
+* "radau": the stiff integrator, the default of SimConfig and of a scenario
+  that does not name a method, and the one every shipped scenario uses.  The
   deadzone-adapted loops need it: their stacked damping gains make the
   dynamics extremely stiff (the fastest closed-loop eigenvalue sits many
   decades above the slow ones, and explicit fixed-step schemes diverge
@@ -17,8 +18,8 @@ state (adaptation gain z or parameter estimates).  Two methods are available:
   "radau", after scipy's Radau IIA that it first ran, because scenario files
   and the benchmark harness (perfbench) name it.  The last plant state has an
   absolute tolerance of its own (ATOL_INPUT_STATE);
-* "rk4": the classical fixed-step fourth-order Runge-Kutta scheme, the
-  default of SimConfig and of a scenario that does not name a method.
+* "rk4": the classical fixed-step fourth-order Runge-Kutta scheme, selected
+  by name only.
 
 The extension is loaded once, by the first stiff solve, from its file
 (`odepack`), so scipy's package `__init__` never runs: importing
@@ -158,7 +159,7 @@ def odepack():
     return module
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StiffSolution:
     """One LSODA solve over an output grid.
 
@@ -229,7 +230,7 @@ class SimConfig:
 
     dt: float = 1e-4
     t_end: float = 10.0
-    method: str = "rk4"  # rk4 | radau (runs LSODA; see the module docstring)
+    method: str = "radau"  # runs LSODA (see the module docstring); rk4 by name only
     log_stride: int = 100
 
     def __post_init__(self):
@@ -266,7 +267,7 @@ class SimConfig:
         return t if t[-1] >= self.t_end - 1e-12 else np.append(t, self.t_end)
 
 
-@dataclass
+@dataclass(eq=False)
 class TrajectoryLog:
     """Dense closed-loop log: states, controller states, input, V, output norm."""
 

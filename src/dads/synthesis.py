@@ -113,7 +113,7 @@ class DadsStage:
         return self.gain_a / self.gain_div
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BaseStepResult:
     """Output of the quadratic-form base step."""
 

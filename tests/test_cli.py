@@ -982,7 +982,7 @@ class TestSectionFuzz:
 
 class TestNoShippedRk4:
     """No command on a shipped scenario reaches the RK4 loop: every shipped
-    closed loop runs the stiff method."""
+    closed loop runs the stiff method, named or by default."""
 
     def test_every_command_runs_without_rk4(self, tmp_path, capsys, monkeypatch):
         reached = []
@@ -992,14 +992,15 @@ class TestNoShippedRk4:
             raise AssertionError("the RK4 loop was reached")
 
         monkeypatch.setattr(dads.simulate, "_integrate_rk4", rk4)
-        commands = [["simulate", scen(f"{name}.scenario")] for name in SHIPPED
-                    if "sim" in load_scenario(scen(f"{name}.scenario")).sections]
+        # simulate runs every scenario, the check-only ones from their zero state
+        commands = [["simulate", scen(f"{name}.scenario")] for name in SHIPPED]
         commands += [["verify", scen(f"{name}.scenario")] for name in SHIPPED
                      if "checks" in load_scenario(scen(f"{name}.scenario")).sections]
         commands += [["synthesize", scen("synth_wingrock.scenario")]]
         commands += [["compare", *(scen(f"{family}_{law}.scenario")
                                    for law in ("dads", "sigma0", "sigma04"))]
                      for family in ("fig1", "fig4")]
+        commands += [["compare", scen("ineq34.scenario"), scen("ineq38.scenario")]]
         codes = {}
         for command in commands:
             name = os.path.basename(command[1]).removesuffix(".scenario")
@@ -1009,7 +1010,7 @@ class TestNoShippedRk4:
         # the exit codes these commands give unstubbed: over 0.05 s the DADS
         # tail bounds fail, and so does fig1_sigma0's residual bound
         failing = {("verify", "fig1_dads"), ("verify", "fig1_sigma0"), ("verify", "fig4_dads")}
-        assert len(codes) == 19
+        assert len(codes) == 23
         assert codes == {key: EXIT_CHECK_FAILED if key in failing else EXIT_OK for key in codes}
 
 

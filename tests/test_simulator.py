@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from argparse import Namespace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +31,12 @@ from dads.controllers import (
 from dads.simulate import (
     DivergenceError,
     SimConfig,
+    StiffSolution,
     compile_rhs,
     simulate,
     trajectory_stats,
 )
-from dads.synthesis import synthesize, wingrock_majorants
+from dads.synthesis import BaseStepResult, synthesize, wingrock_majorants
 from dads.systems import (
     constant_parameter,
     eval_dynamics,
@@ -81,6 +83,17 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="shorter than one step"):
             SimConfig(dt=1e-4, t_end=4e-5, method="rk4")
         assert SimConfig(dt=1e-4, t_end=1e-4).t_end == 1e-4
+
+    def test_the_default_method_runs_lsoda(self, monkeypatch):
+        # RK4 runs only when a scenario or caller names it
+        solves, solve = [], simulate_module.solve_ivp
+        monkeypatch.setattr(simulate_module, "_integrate_rk4", None)
+        monkeypatch.setattr(simulate_module, "solve_ivp",
+                            lambda *args: solves.append(args) or solve(*args))
+        assert SimConfig().method == "radau"
+        simulate(wingrock(), SigmaModController(), X0, [0.0] * 4, zero_disturbance(2),
+                 THETA, SimConfig(dt=1e-3, t_end=0.01))
+        assert len(solves) == 1
 
 
 class TestBasicSimulation:
@@ -228,6 +241,19 @@ class TestAccuracyAndStiffness:
     def test_dads_regulates(self):
         log, _ = run_dads(t_end=2.0)
         assert log.Ynorm[-1] < 0.25 * log.Ynorm[0]
+
+
+class TestRecordsHoldingArrays:
+    def test_equality_and_hash_are_identity(self):
+        # generated field-wise equality would compare arrays, whose truth
+        # value is ambiguous
+        log, _ = run_sigma(t_end=0.01)
+        solution = StiffSolution(np.zeros((2, 1)), None, 2, 1, 0, 0)
+        base = BaseStepResult(np.eye(2), np.zeros(2), 1.0, 1.0, None)
+        for record, copy in ((log, replace(log)), (solution, replace(solution)),
+                             (base, replace(base))):
+            assert record == record and record != copy
+            assert hash(record) != hash(copy)
 
 
 class TestCsvRoundTrip:
@@ -610,6 +636,19 @@ class TestDeferredScipy:
             "'scipy.integrate' in sys.modules, 'scipy.special' in sys.modules)",
             str(SCENARIOS / "fig1_dads.scenario"), str(tmp_path))
         assert out.splitlines()[-1].split() == ["0", "1", "False", "False"]
+
+    def test_only_the_sampled_checks_import_numpy_random(self, tmp_path):
+        # numpy.random costs a simulating command about 13 ms and 6 MB per
+        # process; only the seeded samplers load it
+        out = self._run(
+            "seen = lambda: 'numpy.random' in sys.modules; print(seen()); "
+            "dads.cli.main(['verify', sys.argv[2], '--t-end', '0.05', '--out', sys.argv[4]]); "
+            "print(seen()); "
+            "dads.cli.main(['verify', sys.argv[3], '--out', sys.argv[4]]); print(seen())",
+            str(SCENARIOS / "fig1_dads.scenario"), str(SCENARIOS / "ineq34.scenario"),
+            str(tmp_path))
+        seen = [line for line in out.splitlines() if line in ("False", "True")]
+        assert seen == ["False", "False", "True"]
 
 
 class TestOdepackExtension:
