@@ -3,7 +3,8 @@
 Scenarios are INI-style files whose sections and keys `SCENARIO_KEYS` lists:
 [system], [controller], [sim], [disturbance], [parameter], and optionally
 [checks] and [synthesis].  `build` turns a file into one checked `Setup`,
-which is all a command reads.  The subcommands are:
+which is all a command reads; simulate, compare and the checks that
+simulate need [sim].  The subcommands are:
 
 * simulate  — run one closed loop, write the trajectory CSV, print stats;
 * synthesize — run the backstepping construction, write the stage report;
@@ -278,12 +279,14 @@ class Setup:
     corrupt: bool  # [checks] corrupt_controller
 
 
-def build(path: str, args) -> Setup:
+def build(path: str, args, simulates: str = "") -> Setup:
     """Load a scenario file and build every object a command reads, once.
 
     Every rule is applied here, so a malformed value exits 2 before any
-    solve, synthesis or check, whichever command runs.  The builders are
-    looked up as module globals, where perfbench spans them.
+    solve, synthesis or check, whichever command runs.  simulates names the
+    command when it simulates the loop; it, like a check that simulates,
+    needs a [sim] section.  The builders are looked up as module globals,
+    where perfbench spans them.
     """
     scn = load_scenario(path)
     sysm = build_system(scn)
@@ -319,6 +322,10 @@ def build(path: str, args) -> Setup:
     if unread:
         raise ScenarioError(f"[checks] names = {', '.join(checks) or '(none)'} does not read "
                             f"{', '.join(unread)}; it reads {', '.join(read)}")
+    # without [sim] the loop would start at the zero state, an equilibrium
+    user = simulates or next((f"check {n!r}" for n in checks if n in SIMULATING), None)
+    if user and "sim" not in scn.sections:
+        raise ScenarioError(f"{user}: {path} has no [sim] section to simulate the loop with")
     return Setup(path, sysm, ctype, controller, *built, outputs, checks, n, tol,
                  scn.get("checks", "corrupt_controller", False))
 
@@ -336,7 +343,7 @@ def _out_path(args, setup: Setup, suffix: str) -> str:
 
 
 def cmd_simulate(args) -> int:
-    setup = build(args.scenario, args)
+    setup = build(args.scenario, args, "simulate")
     log, controller, _ = run_scenario(setup)
     path = _out_path(args, setup, "csv")
     log.to_csv(path)
@@ -416,6 +423,8 @@ CHECKS = {
     "synthesis-certificates": (None, "the synthesized law", (),
                                lambda setup, seed: _synthesis(setup, seed)[1]),
 }
+# the checks that simulate the scenario's loop
+SIMULATING = ("trajectory", "sigma-tradeoff")
 
 
 def cmd_verify(args) -> int:
@@ -433,7 +442,7 @@ def cmd_verify(args) -> int:
 def cmd_compare(args) -> int:
     if len(args.scenarios) < 2:
         raise ScenarioError("compare needs at least two scenarios")
-    setups = [build(path, args) for path in args.scenarios]  # before the first solve
+    setups = [build(path, args, "compare") for path in args.scenarios]  # before the first solve
     grids = [setup.config.log_times() for setup in setups]
     if not all(ver.same_grid(grids[0][-1], grid[-1]) for grid in grids[1:]):
         raise ScenarioError("scenarios have different horizons")

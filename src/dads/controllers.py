@@ -232,23 +232,15 @@ class SynthesizedDadsController:
     ctrl_dim = 1
 
     def step(self, x, cs, t=0.0):
-        """Input and controller-state rate at (x, cs, t)."""
-        u, zdot = synthesized_control(x, cs[0], self)
-        return u, (zdot,)
+        """u = k(x, z) and the deadzone update rate for z, at (x, cs, t)."""
+        if len(x) != self.state_dim:
+            raise ValueError(f"state has length {len(x)}, controller expects {self.state_dim}")
+        z = cs[0]
+        u = self.k_final(*x, z)
+        return u, (deadzone_rate(self.V_final(*x, z), z, self.Gamma, self.eps_dz),)
 
     def gain_magnitude(self, cs) -> float:
         return 1.0 + np.exp(float(cs[0]))
 
     def lyapunov(self, x, cs) -> float:
         return float(self.V_final(*x, float(cs[0])))
-
-
-def synthesized_control(state, z, ctrl: SynthesizedDadsController):
-    """u = k(state, z) and the deadzone update rate for z."""
-    if len(state) != ctrl.state_dim:
-        raise ValueError(
-            f"state has length {len(state)}, controller expects {ctrl.state_dim}"
-        )
-    u = ctrl.k_final(*state, z)
-    V = ctrl.V_final(*state, z)
-    return u, deadzone_rate(V, z, ctrl.Gamma, ctrl.eps_dz)

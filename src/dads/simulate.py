@@ -43,13 +43,14 @@ Before integrating, `simulate` traces the closed loop once: one evaluation of
 the controller's `step`, of the disturbance formula
 (`systems.sample_disturbance`) and of the plant formula
 (`systems.state_rates`) on `jets.Traced` inputs records every operation in
-the law's own order, each distinct operation once, and `compile_rhs` turns
-the record into one straight-line function f(t, s) -> tuple on floats,
-which unpacks the state array s itself and evaluates d(t) inline.  A zero
-disturbance is float constants, which the trace folds away.  Both methods
-call f with no wrapper.  Laws must therefore be written in generic
-arithmetic: a branch on the data, a comparison, float() or a numpy ufunc on a
-traced value raises TypeError before the first step.  The trace folds
+the law's own order, each distinct operation once (`_trace_rhs`), and
+`_rhs_function` turns the record into one straight-line function
+f(t, s) -> tuple on floats, which unpacks the state array s itself and
+evaluates d(t) inline.  A zero disturbance is float constants, which the
+trace folds away.  Both methods call f with no wrapper.  Laws must
+therefore be written in generic arithmetic: a branch on the data, a
+comparison, float() or a numpy ufunc on a traced value raises TypeError
+before the first step.  The trace folds
 exactly four identities (x + 0.0, 0.0 + x, 1.0 * x, x * 1.0), which can
 change at most the sign of a zero.  Zero-weighted terms are left
 out where the formulas live, not by the trace: the plant's dot products skip
@@ -60,14 +61,15 @@ The interpreted evaluation stays the reference: the compiled rhs at
 (0, s0) must equal eval_dynamics plus controller.step there, or the run
 raises.
 
-f is the one generated function per run.  `Tape.emit` writes every
-recorded line into it once, except that a temporary read exactly once is
-substituted, parenthesised, into its reader, which performs the same
-operations in the same order.  The RK4 loop steps on Python floats in the
-operation order of the array form, so its rows are bit-identical to the same
-scheme on numpy arrays.  A stiff solve whose state turns non-finite raises
-DivergenceError as well: LSODA reports success (istate 2) on a nan
-right-hand side.
+f is the one generated function per run, whichever the method: `simulate`
+compiles it once, and the compiled check and the solve each call an
+instance of it.  `Tape.emit` writes every recorded line into it once,
+except that a temporary read exactly once is substituted, parenthesised,
+into its reader, which performs the same operations in the same order.
+The RK4 loop steps on Python floats in the operation order of the array
+form, so its rows are bit-identical to the same scheme on numpy arrays.
+A stiff solve whose state turns non-finite raises DivergenceError as well:
+LSODA reports success (istate 2) on a nan right-hand side.
 
 Logs are dense (the times of `SimConfig.log_times`) and serialize to CSV
 with full floating-point precision for reproducible downstream checks.  The
@@ -323,15 +325,14 @@ def simulate(
     sel = list(select_outputs(output_indices, n))
     theta_value = theta(0.0)  # held constant
     s0 = np.concatenate([x0, ctrl0])
-    traced = _trace_rhs(sys, controller, theta_value.tolist(), disturbance)
-    budgeted = _rhs_function(*traced)
+    budgeted = _rhs_function(*_trace_rhs(sys, controller, theta_value.tolist(), disturbance))
     budget = int(NFEV_PER_SECOND * max(config.t_end, 1.0))
     # checked on an instance of its own, so the solve's count starts at 0
     _check_compiled(budgeted(budget), sys, controller, s0, theta_value, disturbance)
 
     t_log = config.log_times()
     if config.method == "rk4":
-        traj = _integrate_rk4(traced, s0, config, config.n_steps)
+        traj = _integrate_rk4(budgeted(math.inf), s0, config, config.n_steps)
     else:
         atol = np.full(len(s0), ATOL)
         atol[n - 1] = ATOL_INPUT_STATE
@@ -370,23 +371,11 @@ def select_outputs(output_indices: Sequence[int] | None, n: int) -> tuple[int, .
     return tuple(int(v) for v in output_indices)
 
 
-def compile_rhs(sys, controller, theta: Sequence[float], disturbance) -> Callable:
-    """The closed-loop rhs as one straight-line float function, traced once.
-
-    The result is f(t, s) -> tuple of the N + 1 rates, where s is an array of
-    the plant state followed by the controller state; theta holds the
-    parameter values.  controller.step runs once on traced state, controller
-    state and t, the disturbance formula (`systems.sample_disturbance`) once
-    on the traced t, and the plant formula once on their results, so f
-    evaluates d(t) inline.  A law that is not generic arithmetic raises
-    TypeError here.
-    """
-    return _rhs_function(*_trace_rhs(sys, controller, theta, disturbance))(math.inf)
-
-
 def _trace_rhs(sys, controller, theta: Sequence[float], disturbance) -> tuple[Tape, list]:
-    """The tape of one traced rhs evaluation on inputs t, s0, ..., sN, and
-    the N + 1 rates as tape operands (see `compile_rhs`)."""
+    """The tape of one traced rhs evaluation on inputs t, s0, ..., sN (the
+    plant state, then the controller state; theta holds the parameter
+    values) and the N + 1 rates as tape operands, for `_rhs_function`.
+    A law that is not generic arithmetic raises TypeError here."""
     n, q = sys.state_dim, controller.ctrl_dim
     tape = Tape()
     t = Traced(tape, "t")
@@ -448,18 +437,17 @@ def _check_compiled(rhs, sys, controller, s0, theta, disturbance) -> None:
         )
 
 
-def _integrate_rk4(traced: tuple[Tape, list], s0: np.ndarray, config: SimConfig,
+def _integrate_rk4(f: Callable, s0: np.ndarray, config: SimConfig,
                    n_steps: int) -> np.ndarray:
     """The states at steps 0, log_stride, 2 log_stride, ... and at n_steps.
 
-    Classical RK4 over the compiled rhs of traced, the (tape, rates) pair of
-    `_trace_rhs`, on floats in the operation order of the array form
+    Classical RK4 over f(t, s), the compiled rhs that `_rhs_function` built,
+    on floats in the operation order of the array form
     s + dt/6 (k1 + 2 k2 + 2 k3 + k4).  Each state is an array("d"), which has
     the tolist() the rhs unpacks its state with.  Raises DivergenceError(i dt)
     at the first step i that leaves [-DIVERGENCE_THRESHOLD,
     DIVERGENCE_THRESHOLD] in some component, or turns nan.
     """
-    f = _rhs_function(*traced)(math.inf)
     dt, h2, h6, stride = config.dt, config.dt / 2.0, config.dt / 6.0, config.log_stride
     limit = DIVERGENCE_THRESHOLD
     out = np.empty((len(config.log_times()), len(s0)))

@@ -218,24 +218,6 @@ class DisturbanceProfile:
         return np.array(sample_disturbance(self, t), float)
 
 
-def zero_disturbance(dim: int) -> DisturbanceProfile:
-    return DisturbanceProfile("zero", dim)
-
-
-def sinusoid_bank(amplitudes: Sequence[float], frequencies: Sequence[float]) -> DisturbanceProfile:
-    return DisturbanceProfile(
-        "sinusoid-bank", len(amplitudes), tuple(amplitudes), tuple(frequencies)
-    )
-
-
-def vanishing_disturbance(
-    amplitudes: Sequence[float], frequencies: Sequence[float], decay: float
-) -> DisturbanceProfile:
-    return DisturbanceProfile(
-        "vanishing", len(amplitudes), tuple(amplitudes), tuple(frequencies), decay
-    )
-
-
 def sample_disturbance(profile: DisturbanceProfile, t) -> tuple:
     """The entries of d(t), in generic arithmetic.
 

@@ -4,7 +4,7 @@ import pytest
 
 from dads.controllers import SigmaModController
 from dads.simulate import SimConfig, simulate
-from dads.systems import constant_parameter, sinusoid_bank, wingrock
+from dads.systems import DisturbanceProfile, constant_parameter, wingrock
 
 
 def sigma_persistent_run(leak):
@@ -12,7 +12,7 @@ def sigma_persistent_run(leak):
     cfg = SimConfig(dt=1e-4, t_end=10.0, method="rk4", log_stride=100)
     return simulate(
         wingrock(), SigmaModController(sigma_leak=leak), [1.0, -0.5, -18.0], [0.0] * 4,
-        sinusoid_bank([20.0, 10.0], [10.0, 20.0]),
+        DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0)),
         constant_parameter([20.0, 20.0, 2.0, 1.0]), cfg, output_indices=[0, 1],
     )
 

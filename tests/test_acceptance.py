@@ -25,11 +25,9 @@ from dads.synthesis import (
     wingrock_majorants,
 )
 from dads.systems import (
+    DisturbanceProfile,
     constant_parameter,
-    sinusoid_bank,
-    vanishing_disturbance,
     wingrock,
-    zero_disturbance,
 )
 from dads.verify import (
     check_drift_contrast,
@@ -46,7 +44,7 @@ THETA = [20.0, 20.0, 2.0, 1.0]
 X0 = [1.0, -0.5, -18.0]
 Z0 = [-math.log(10.0)]
 GAINS = DadsGains(b=1.0, Gamma=20.0, eps_dz=0.01, c=0.5, a=2.0)
-PERSISTENT = sinusoid_bank([20.0, 10.0], [10.0, 20.0])
+PERSISTENT = DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0))
 
 
 def report(criterion, ok, detail):
@@ -63,7 +61,7 @@ def dads_cfg():
 @pytest.fixture(scope="module")
 def dads_quiet():
     return simulate(wingrock(), WingRockDadsController(), X0, Z0,
-                    zero_disturbance(2), constant_parameter(THETA), dads_cfg(),
+                    DisturbanceProfile("zero", 2), constant_parameter(THETA), dads_cfg(),
                     output_indices=[0, 1])
 
 
@@ -136,7 +134,7 @@ def test_criterion_04_quiet_run_regulates(dads_quiet):
 def test_criterion_04_runtime_budget():
     t0 = time.perf_counter()
     simulate(wingrock(), WingRockDadsController(), X0, Z0,
-             zero_disturbance(2), constant_parameter(THETA), dads_cfg(),
+             DisturbanceProfile("zero", 2), constant_parameter(THETA), dads_cfg(),
              output_indices=[0, 1])
     elapsed = time.perf_counter() - t0
     report("4 (runtime)", elapsed < 30.0,
@@ -174,7 +172,7 @@ def test_criterion_06_drift_contrast(dads_persistent, sigma0_persistent,
 def test_criterion_07_envelope_both_runs(dads_quiet, dads_persistent):
     theta_sup = float(np.linalg.norm(THETA))
     worst = math.inf
-    for log, dist in ((dads_quiet, zero_disturbance(2)),
+    for log, dist in ((dads_quiet, DisturbanceProfile("zero", 2)),
                       (dads_persistent, PERSISTENT)):
         reports = check_trajectory_estimates(
             log, GAINS,
@@ -188,7 +186,7 @@ def test_criterion_07_envelope_both_runs(dads_quiet, dads_persistent):
 
 
 def test_criterion_08_vanishing_disturbance():
-    dist = vanishing_disturbance([20.0, 0.0], [10.0, 0.0], decay=1.0)
+    dist = DisturbanceProfile("vanishing", 2, (20.0, 0.0), (10.0, 0.0), 1.0)
     log = simulate(wingrock(), WingRockDadsController(), X0, Z0, dist,
                    constant_parameter([0.0] * 4), dads_cfg())
     final = float(np.linalg.norm(log.x[-1]))
@@ -248,7 +246,7 @@ def test_criterion_09_ad_and_integrator_order():
         cfg = SimConfig(dt=dt, t_end=0.5, method="rk4",
                         log_stride=int(round(0.5 / dt)))
         log = simulate(wingrock(), SigmaModController(), X0, [0.0] * 4,
-                       zero_disturbance(2), constant_parameter(THETA), cfg)
+                       DisturbanceProfile("zero", 2), constant_parameter(THETA), cfg)
         ends[dt] = log.x[-1]
     ratio = float(
         np.linalg.norm(ends[4e-4] - ends[2e-4])

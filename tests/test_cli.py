@@ -676,6 +676,25 @@ class TestBuiltBeforeWork:
         assert _one_error_line(capsys) == "error: [sim] x0 has 2 entries, expected 3\n"
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("command, names, checks, user", [
+        # each integrated the zero state, an equilibrium, for 10 s and exited 0
+        ("simulate", ["ineq34"], None, "simulate"),
+        ("compare", ["ineq34", "ineq38"], None, "compare"),
+        ("compare", ["fig4_dads", "ineq34"], None, "compare"),
+        ("verify", ["ineq34"], "dissipation-dads, trajectory", "check 'trajectory'"),
+        ("verify", ["ineq38"], "dissipation-sigma, sigma-tradeoff", "check 'sigma-tradeoff'"),
+    ])
+    def test_a_simulation_needs_a_sim_section(self, tmp_path, capsys, no_work,
+                                              command, names, checks, user):
+        paths = [edited(name, tmp_path, {("checks", "names"): checks}) if checks
+                 else scen(f"{name}.scenario") for name in names]
+        out = tmp_path / "out"
+        assert main([command, *paths, "--out", str(out)]) == EXIT_PARSE
+        path = next(p for p in paths if "[sim]" not in open(p).read())
+        assert _one_error_line(capsys) == (
+            f"error: {user}: {path} has no [sim] section to simulate the loop with\n")
+        assert not any(out.iterdir())
+
 
 class TestVerifyFuzz:
     """Bounded fuzz of [controller] numbers and [checks] n_samples through
@@ -992,7 +1011,7 @@ class TestNoShippedRk4:
             raise AssertionError("the RK4 loop was reached")
 
         monkeypatch.setattr(dads.simulate, "_integrate_rk4", rk4)
-        # simulate runs every scenario, the check-only ones from their zero state
+        # simulate takes every scenario; the check-only ones have no [sim]
         commands = [["simulate", scen(f"{name}.scenario")] for name in SHIPPED]
         commands += [["verify", scen(f"{name}.scenario")] for name in SHIPPED
                      if "checks" in load_scenario(scen(f"{name}.scenario")).sections]
@@ -1008,10 +1027,14 @@ class TestNoShippedRk4:
                                             "--out", tempfile.mkdtemp(dir=tmp_path)])
         assert reached == []
         # the exit codes these commands give unstubbed: over 0.05 s the DADS
-        # tail bounds fail, and so does fig1_sigma0's residual bound
+        # tail bounds fail, and so does fig1_sigma0's residual bound; a
+        # scenario without [sim] is not simulated
         failing = {("verify", "fig1_dads"), ("verify", "fig1_sigma0"), ("verify", "fig4_dads")}
+        unsimulated = {("simulate", "ineq34"), ("simulate", "ineq38"),
+                       ("simulate", "synth_wingrock"), ("compare", "ineq34")}
         assert len(codes) == 23
-        assert codes == {key: EXIT_CHECK_FAILED if key in failing else EXIT_OK for key in codes}
+        assert codes == {key: EXIT_CHECK_FAILED if key in failing else
+                         EXIT_PARSE if key in unsimulated else EXIT_OK for key in codes}
 
 
 class TestSynthesizeCommand:

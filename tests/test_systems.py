@@ -26,11 +26,8 @@ from dads.systems import (
     get_system,
     sample_ball,
     sample_disturbance,
-    sinusoid_bank,
     truncate,
-    vanishing_disturbance,
     wingrock,
-    zero_disturbance,
 )
 from dads.verify import (
     sigma_mod_dissipation_check,
@@ -275,35 +272,35 @@ class TestMajorantValidation:
 
 class TestDisturbanceProfiles:
     def test_zero(self):
-        d = zero_disturbance(2)
+        d = DisturbanceProfile("zero", 2)
         assert d(3.7) == pytest.approx([0.0, 0.0])
 
     def test_sinusoid_bank_values(self):
-        d = sinusoid_bank([20.0, 10.0], [10.0, 20.0])
+        d = DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0))
         assert d(0.0) == pytest.approx([20.0, 10.0])
         # at t = pi/10 the first channel sits at a trough
         assert d(math.pi / 10.0)[0] == pytest.approx(-20.0)
 
     def test_sinusoid_bank_length_mismatch(self):
         with pytest.raises(ValueError):
-            sinusoid_bank([1.0, 2.0], [1.0])
+            DisturbanceProfile("sinusoid-bank", 2, (1.0, 2.0), (1.0,))
 
     def test_vanishing_envelope(self):
-        d = vanishing_disturbance([20.0, 0.0], [10.0, 0.0], decay=1.0)
+        d = DisturbanceProfile("vanishing", 2, (20.0, 0.0), (10.0, 0.0), 1.0)
         assert d(0.0) == pytest.approx([20.0, 0.0])
         t = 2.0
         assert d(t)[0] == pytest.approx(20.0 * math.cos(10.0 * t) * math.exp(-t))
         assert d(t)[1] == 0.0
 
     def test_negative_time_rejected(self):
-        d = zero_disturbance(1)
+        d = DisturbanceProfile("zero", 1)
         with pytest.raises(ValueError):
             d(-0.1)
 
     @pytest.mark.parametrize("profile", [
-        zero_disturbance(2),
-        sinusoid_bank([20.0, 10.0], [10.0, 20.0]),
-        vanishing_disturbance([20.0, -3.0], [10.0, 0.5], decay=0.7),
+        DisturbanceProfile("zero", 2),
+        DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0)),
+        DisturbanceProfile("vanishing", 2, (20.0, -3.0), (10.0, 0.5), 0.7),
     ], ids=lambda p: p.kind)
     def test_traced_formula_equals_the_profile(self, profile):
         # the simulator compiles sample_disturbance on a traced t; the
@@ -325,13 +322,13 @@ class TestDisturbanceProfiles:
 
     def test_vanishing_length_mismatch(self):
         with pytest.raises(ValueError, match="needs 2 amplitudes/frequencies, got 2/1"):
-            vanishing_disturbance([1.0, 2.0], [3.0], 1.0)
+            DisturbanceProfile("vanishing", 2, (1.0, 2.0), (3.0,), 1.0)
 
     @pytest.mark.parametrize("decay", [-1.0, math.nan, math.inf])
     def test_decay_must_be_finite_and_nonnegative(self, decay):
         # a decay of -1 was accepted as "vanishing": d(5) = cos(5) e^5 = 42.1
         with pytest.raises(ValueError, match="decay must be finite and >= 0"):
-            vanishing_disturbance([1.0], [1.0], decay)
+            DisturbanceProfile("vanishing", 1, (1.0,), (1.0,), decay)
 
     def test_zero_kind_reads_no_amplitudes(self):
         d = DisturbanceProfile("zero", 2, (1.0,), (), 0.0)

@@ -18,13 +18,12 @@ from dads.jets import SmoothMap, gradient, jet_exp
 from dads.simulate import SimConfig, TrajectoryLog, simulate, tail_length
 from dads.synthesis import DadsGains, synthesize, wingrock_majorants
 from dads.systems import (
+    DisturbanceProfile,
     box_sampler,
     constant_parameter,
     eval_dynamics,
     sample_ball,
-    sinusoid_bank,
     wingrock,
-    zero_disturbance,
 )
 from dads.verify import (
     CheckReport,
@@ -280,17 +279,17 @@ def dads_run(dist, t_end=10.0):
 
 @pytest.fixture(scope="module")
 def dads_quiet_log():
-    return dads_run(zero_disturbance(2))
+    return dads_run(DisturbanceProfile("zero", 2))
 
 
 @pytest.fixture(scope="module")
 def dads_persistent_log():
-    return dads_run(sinusoid_bank([20.0, 10.0], [10.0, 20.0]))
+    return dads_run(DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0)))
 
 
 class TestTrajectoryEstimates:
     def test_signal_sup(self):
-        d = sinusoid_bank([20.0, 10.0], [10.0, 20.0])
+        d = DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0))
         times = np.linspace(0.0, 10.0, 2001)
         assert signal_sup(d, times) <= math.hypot(20.0, 10.0) + 1e-9
         assert signal_sup(d, times) >= 20.0
@@ -308,7 +307,7 @@ class TestTrajectoryEstimates:
             assert rep.passed, rep.summary()
 
     def test_persistent_run_estimates(self, dads_persistent_log):
-        d = sinusoid_bank([20.0, 10.0], [10.0, 20.0])
+        d = DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0))
         d_sup = signal_sup(d, dads_persistent_log.t)
         reports = check_trajectory_estimates(
             dads_persistent_log, WingRockDadsController().gains,
@@ -380,7 +379,8 @@ class TestContrastChecks:
 
     def test_drift_contrast_requires_shared_grid(self, persistent_triple):
         dads_log, s0_log, s4_log = persistent_triple
-        short = sigma_run(0.0, sinusoid_bank([20.0, 10.0], [10.0, 20.0]), t_end=1.0)
+        short = sigma_run(0.0, DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0)),
+                          t_end=1.0)
         with pytest.raises(ValueError):
             check_drift_contrast(dads_log, short, s4_log)
 
@@ -401,7 +401,7 @@ class TestContrastChecks:
     def test_sigma_tradeoff_bound(self, persistent_triple):
         _, _, s4_log = persistent_triple
         ctrl = SigmaModController(sigma_leak=0.4)
-        dist = sinusoid_bank([20.0, 10.0], [10.0, 20.0])
+        dist = DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0))
         d_sup = signal_sup(dist, s4_log.t)
         rep = check_sigma_tradeoff(s4_log, THETA, ctrl, d_sup)
         assert rep.passed, rep.summary()
@@ -419,7 +419,7 @@ class TestContrastChecks:
 
     def test_sigma_tradeoff_bound_linear_in_sigma(self, persistent_triple):
         _, _, s4_log = persistent_triple
-        dist = sinusoid_bank([20.0, 10.0], [10.0, 20.0])
+        dist = DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0))
         d_sup = signal_sup(dist, s4_log.t)
         b4 = check_sigma_tradeoff(
             s4_log, THETA, SigmaModController(sigma_leak=0.4), d_sup
