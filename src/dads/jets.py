@@ -19,15 +19,12 @@ evaluation of a map on array coordinates differentiates it at every sample.
 The same operator-overloading idiom records instead of computing: arithmetic
 on `Traced` values appends one line per distinct operation to a `Tape`
 (the "tape" of Griewank & Walther, Evaluating Derivatives, ch. 3), and the
-tape emits and compiles straight-line Python code on floats.
+tape compiles its lines as straight-line Python code on floats.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import re
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -244,70 +241,29 @@ def partial_map(f: SmoothMap, var_index: int) -> SmoothMap:
     )
 
 
-# The most right-hand sides `Tape.emit` substitutes one into another.  Each
-# adds at most three levels of parentheses (its own and a guard's two), and
-# Python's parser rejects an expression nested 200 levels deep.
-MAX_NESTING = 50
-
-
-class Line:
-    """One recorded operation: `name = template.format(*operands)`.
-
-    operands holds `Traced` values and the literal texts of numbers.
-    """
-
-    __slots__ = ("name", "template", "operands")
-
-    def __init__(self, name: str, template: str, operands: tuple):
-        self.name = name
-        self.template = template
-        self.operands = operands
-
-    def rhs(self, names: dict) -> str:
-        """The right-hand side, each traced operand written as names gives
-        it, or as its own name."""
-        return self.template.format(*(
-            names.get(x.name, x.name) if isinstance(x, Traced) else x
-            for x in self.operands))
-
-    def __str__(self) -> str:
-        return f"{self.name} = {self.rhs({})}"
-
-
-@functools.cache
-def _fields(template: str) -> tuple[int, ...]:
-    """The operand index of each replacement field ({} or {i}) of a
-    template, in order."""
-    fields = re.findall(r"{(\d*)}", template)
-    return tuple(int(f) if f else i for i, f in enumerate(fields))
-
-
 class Tape:
     """A straight-line program recorded by arithmetic on `Traced` values.
 
-    Each distinct operation appends one `Line` vK in the order the traced
-    code first performs it; an operation whose right-hand side was recorded
-    already returns the earlier value, which is the same float because every
-    recorded operation is a pure function of its operands.  `uses` counts
-    the reads of each traced name by the lines (a template that writes an
-    operand twice, as the guard of an inline cos does, reads it twice).  A
-    caller makes the inputs as `Traced(tape, name)`, turns the lines into
-    statements with `emit`, writes a function around them and turns it
-    into code with `compile`.  The source holds generated names and float
-    literals only: constants are written with `repr`, which round-trips,
-    and the non-finite ones, which have no literal, are bound by name as cK.
+    Each distinct operation appends one line `vK = rhs` in the order the
+    traced code first performs it; an operation whose right-hand side was
+    recorded already returns the earlier value, which is the same float
+    because every recorded operation is a pure function of its operands.  A
+    caller makes the inputs as `Traced(tape, name)`, writes a function around
+    the lines, in tape order, and turns it into code with `compile`.  The
+    source holds generated names and float literals only: constants are
+    written with `repr`, which round-trips, and the non-finite ones, which
+    have no literal, are bound by name as cK.
     """
 
     def __init__(self):
-        self.lines: list[Line] = []
-        self.uses: Counter[str] = Counter()
+        self.lines: list[str] = []
         self.constants: dict[str, float] = {}
         self._recorded: dict[str, Traced] = {}
 
-    def operand(self, x):
-        """A traced value itself, or the source text of a number."""
+    def operand(self, x) -> str:
+        """The source text of a traced value (its name) or of a number."""
         if isinstance(x, Traced):
-            return x
+            return x.name
         if isinstance(x, (int, np.integer)):
             text = repr(int(x))
         elif isinstance(x, (float, np.floating)):
@@ -324,41 +280,12 @@ class Tape:
     def record(self, template: str, *operands) -> "Traced":
         """The value of template(operands): vK, from a line appended unless
         the same right-hand side was recorded before."""
-        line = Line(f"v{len(self.lines)}", template, tuple(map(self.operand, operands)))
-        rhs = line.rhs({})
+        rhs = template.format(*map(self.operand, operands))
         out = self._recorded.get(rhs)
         if out is None:
-            out = self._recorded[rhs] = Traced(self, line.name)
-            self.lines.append(line)
-            self.uses.update(line.operands[i].name for i in _fields(template)
-                             if isinstance(line.operands[i], Traced))
+            out = self._recorded[rhs] = Traced(self, f"v{len(self.lines)}")
+            self.lines.append(f"{out.name} = {rhs}")
         return out
-
-    def emit(self, outputs) -> tuple[list[str], list[str]]:
-        """Statements computing `outputs`, and the outputs' texts.
-
-        outputs are operands, as `operand` returns them.  Every line vK is
-        written `vK = rhs`, in tape order, except a temporary that is read
-        exactly once and is not an output: its right-hand side is
-        substituted, parenthesised, into its one reader, where Python
-        performs the same operations in the same order, so its value is the
-        same float.  A line whose text would nest more than MAX_NESTING
-        substitutions stays named all the same.  A line that nothing reads and
-        that is not an output is not written.
-        """
-        names, nesting, statements = {}, {}, []
-        keep = {x.name for x in outputs if isinstance(x, Traced)}
-        for line in self.lines:
-            rhs = line.rhs(names)
-            level = 1 + max((nesting.get(x.name, 0) for x in line.operands
-                             if isinstance(x, Traced)), default=0)
-            if self.uses[line.name] <= 1 and line.name not in keep and level <= MAX_NESTING:
-                names[line.name] = f"({rhs})"
-                nesting[line.name] = level
-            else:
-                statements.append(f"{line.name} = {rhs}")
-        texts = [names.get(x.name, x.name) if isinstance(x, Traced) else x for x in outputs]
-        return statements, texts
 
     def compile(self, source: str, name: str, namespace: dict) -> Callable:
         """Execute `source` and return the function it defines as `name`.

@@ -59,13 +59,13 @@ receive) and the sigma-modification law forms its leak only for a nonzero
 sigma, so the interpreted and the traced evaluation skip the same terms.
 The interpreted evaluation stays the reference: the compiled rhs at
 (0, s0) must equal eval_dynamics plus controller.step there, or the run
-raises.
+raises.  A rhs that is not finite there raises DivergenceError at t = 0,
+naming each such rate, before either method steps.
 
 f is the one generated function per run, whichever the method: `simulate`
 compiles it once, and the compiled check and the solve each call an
-instance of it.  `Tape.emit` writes every recorded line into it once,
-except that a temporary read exactly once is substituted, parenthesised,
-into its reader, which performs the same operations in the same order.
+instance of it.  Its statements are the tape's lines as recorded, one
+`vK = rhs` each, in tape order.
 The RK4 loop steps on Python floats in the operation order of the array
 form, so its rows are bit-identical to the same scheme on numpy arrays.
 A stiff solve whose state turns non-finite raises DivergenceError as well:
@@ -284,11 +284,8 @@ class TrajectoryLog:
         return len(self.t)
 
     def header(self) -> list[str]:
-        """Column names: x1..xn, then z for one controller state or
-        th1..thq for parameter estimates."""
-        q = self.ctrl.shape[1]
-        ctrl = ["z"] if q == 1 else [f"th{i + 1}" for i in range(q)]
-        return ["t", *(f"x{i + 1}" for i in range(self.x.shape[1])), *ctrl, "u", "V", "Ynorm"]
+        """Column names: t, the `state_names`, u, V and Ynorm."""
+        return ["t", *state_names(self.x.shape[1], self.ctrl.shape[1]), "u", "V", "Ynorm"]
 
     def to_csv(self, path: str) -> None:
         data = np.column_stack(
@@ -355,6 +352,13 @@ def simulate(
                          np.linalg.norm(traj[:, sel], axis=1))
 
 
+def state_names(n: int, q: int) -> list[str]:
+    """x1..xn, then z for one controller state or th1..thq for q parameter
+    estimates."""
+    ctrl = ["z"] if q == 1 else [f"th{i + 1}" for i in range(q)]
+    return [*(f"x{i + 1}" for i in range(n)), *ctrl]
+
+
 def select_outputs(output_indices: Sequence[int] | None, n: int) -> tuple[int, ...]:
     """The states of an n-state plant in the output norm |Y|, all for None.
 
@@ -371,10 +375,10 @@ def select_outputs(output_indices: Sequence[int] | None, n: int) -> tuple[int, .
     return tuple(int(v) for v in output_indices)
 
 
-def _trace_rhs(sys, controller, theta: Sequence[float], disturbance) -> tuple[Tape, list]:
+def _trace_rhs(sys, controller, theta: Sequence[float], disturbance) -> tuple[Tape, list[str]]:
     """The tape of one traced rhs evaluation on inputs t, s0, ..., sN (the
     plant state, then the controller state; theta holds the parameter
-    values) and the N + 1 rates as tape operands, for `_rhs_function`.
+    values) and the source texts of the N + 1 rates, for `_rhs_function`.
     A law that is not generic arithmetic raises TypeError here."""
     n, q = sys.state_dim, controller.ctrl_dim
     tape = Tape()
@@ -386,15 +390,15 @@ def _trace_rhs(sys, controller, theta: Sequence[float], disturbance) -> tuple[Ta
     return tape, [tape.operand(x) for x in outputs]
 
 
-def _rhs_function(tape: Tape, rates: Sequence) -> Callable:
+def _rhs_function(tape: Tape, rates: Sequence[str]) -> Callable:
     """budgeted(budget) -> f(t, s), the traced lines as one function.
 
-    f takes the state as an array, as the stiff solver passes it, and
-    returns the rates.  Each f that budgeted returns counts its own calls and
-    raises DivergenceError at t on the call after the budget-th one, so the
-    count and the budget test cost no frame of their own.
+    f takes the state as an array, as the stiff solver passes it, runs the
+    tape's lines in tape order (statement K after the unpacking is line vK)
+    and returns the rates.  Each f that budgeted returns counts its own calls
+    and raises DivergenceError at t on the call after the budget-th one, so
+    the count and the budget test cost no frame of their own.
     """
-    statements, texts = tape.emit(rates)
     source = "\n".join([
         "def budgeted(budget):",
         "    calls = 0",
@@ -405,8 +409,8 @@ def _rhs_function(tape: Tape, rates: Sequence) -> Callable:
             "if calls > budget:",
             "    raise _over_budget(t, budget)",
             f"{', '.join(f's{i}' for i in range(len(rates)))}, = s.tolist()",
-            *statements,
-            f"return ({', '.join(texts)},)",
+            *tape.lines,
+            f"return ({', '.join(rates)},)",
         ]),
         "    return rhs",
     ])
@@ -420,7 +424,9 @@ def _over_budget(t: float, budget: int) -> DivergenceError:
 
 
 def _check_compiled(rhs, sys, controller, s0, theta, disturbance) -> None:
-    """Raise unless the compiled rhs equals the interpreted one at (0, s0).
+    """Raise unless the compiled rhs equals the interpreted one at (0, s0),
+    and raise DivergenceError at t = 0, naming each rate that is nan or
+    infinite, unless that rhs is finite.
 
     nan equals nan; the sign of a zero may differ (see the module docstring).
     """
@@ -435,6 +441,11 @@ def _check_compiled(rhs, sys, controller, s0, theta, disturbance) -> None:
             f"the traced rhs at t = 0 gives {got.tolist()}, the interpreted one "
             f"{expected.tolist()}"
         )
+    names = state_names(n, controller.ctrl_dim)
+    bad = [f"d{name}/dt = {v:g}" for name, v in zip(names, expected) if not math.isfinite(v)]
+    if bad:
+        raise DivergenceError(0.0, "the rhs at the initial state is not finite: "
+                              + ", ".join(bad))
 
 
 def _integrate_rk4(f: Callable, s0: np.ndarray, config: SimConfig,

@@ -9,12 +9,13 @@ closed-loop run happens once.
 import csv
 import math
 import time
+from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dads.cli import EXIT_OK, load_scenario, main
+from dads.cli import EXIT_OK, build, load_scenario, main, run_scenario
 from dads.controllers import SigmaModController, WingRockDadsController
 from dads.jets import SmoothMap, gradient
 from dads.simulate import SimConfig, simulate
@@ -306,3 +307,51 @@ def test_criterion_11_assignable_level(tmp_path):
     report(11, ok,
            "tail sup|Y| at eps = 0.1, 0.01, 0.001: "
            + ", ".join(f"{y:.3g}" for y in tails) + " (falling, all checks pass)")
+
+
+def _scaled_fig4(name, tmp_path, amplitude, theta):
+    """The shipped scenario `name` with its disturbance amplitudes and its
+    parameter value scaled, built as the CLI builds it."""
+    shipped = Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.scenario"
+    scn = load_scenario(str(shipped))
+    scn.sections["disturbance"]["amplitudes"] = [
+        amplitude * a for a in scn.get("disturbance", "amplitudes")]
+    scn.sections["parameter"]["value"] = [theta * v for v in scn.get("parameter", "value")]
+    path = tmp_path / f"{name}_{amplitude}_{theta}.scenario"
+    path.write_text(scn.serialize())
+    return build(str(path), Namespace(dt=None, t_end=None))
+
+
+def test_criterion_12_size_independence(tmp_path):
+    # the persistent fig4_dads run over 10 s with its disturbance amplitudes
+    # and its parameter scaled by 1 and 10: the tail output bound holds, z
+    # stays finite and rises less over the second half than over the first,
+    # and at each amplitude the deadzone gain plateaus while the sigma = 0
+    # estimates drift (contrast margins 0.01 and 0.0016 when this test was
+    # written).  At amplitudes x10 the tail V bound fails because z is still
+    # rising at t_end, a horizon effect, so it is not asserted.
+    ok, details = True, []
+    for amplitude in (1, 10):
+        for theta in (1, 10):
+            setup = _scaled_fig4("fig4_dads", tmp_path, amplitude, theta)
+            log, controller, dist = run_scenario(setup)
+            gains = controller.gains
+            reports = {r.name: r for r in check_trajectory_estimates(
+                log, gains, d_sup=signal_sup(dist, log.t),
+                theta_sup=float(np.linalg.norm(setup.theta)),
+                attractivity_radius=wingrock_attractivity_radius(gains.c, gains.eps_dz))}
+            tail = reports["tail output bound"]
+            z = log.ctrl[:, 0]
+            mid = np.searchsorted(log.t, 0.5 * log.t[-1])
+            settles = bool(np.all(np.isfinite(z))) and z[-1] - z[mid] < z[mid] - z[0]
+            ok = ok and tail.passed and settles
+            detail = (f"x{amplitude} amplitudes, x{theta} theta: tail sup|Y| "
+                      f"{tail.witness[0]:.3g}, z {z[0]:.3g} -> {z[mid]:.4g} -> {z[-1]:.4g}")
+            if theta == 1:
+                sigma0, leaky = (run_scenario(_scaled_fig4(name, tmp_path, amplitude, 1))[0]
+                                 for name in ("fig4_sigma0", "fig4_sigma04"))
+                contrast = check_drift_contrast(log, sigma0, leaky, expect_drift=True)
+                ok = ok and contrast.passed
+                detail += f", drift contrast margin {contrast.worst_margin:.2g}"
+            details.append(detail)
+    report(12, ok, "; ".join(details))

@@ -458,6 +458,26 @@ class TestNonFiniteParameters:
         assert err.startswith("error: trajectory diverged; last finite time t = 0 (lsoda: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("method", ["rk4", None])
+    @pytest.mark.parametrize("section, key, value, rates", [
+        ("controller", "k", "1e308", "dx3/dt = nan, dz/dt = inf"),
+        ("controller", "gamma", "1e308", "dx3/dt = -inf, dz/dt = inf"),
+        ("sim", "x0", "1e200, 0, 0", "dx3/dt = nan, dz/dt = inf"),
+        ("sim", "ctrl0", "-800", "dz/dt = inf"),
+    ], ids=["k", "gamma", "x0", "ctrl0"])
+    def test_non_finite_initial_rhs_names_the_rate(self, tmp_path, capsys, section, key, value,
+                                                   rates, method):
+        # the rhs at the initial state holds a nan or inf, which LSODA would
+        # report only as "Illegal input"; the error names each such rate
+        entries = {(section, key): value}
+        if method:
+            entries["sim", "method"] = method
+        path = edited("fig1_dads", tmp_path, entries)
+        assert main(["simulate", path, "--t-end", "1", "--out", str(tmp_path)]) == EXIT_DIVERGENCE
+        assert capsys.readouterr().err == (
+            "error: trajectory diverged; last finite time t = 0 (the rhs at the initial state "
+            f"is not finite: {rates})\n")
+
     def test_nan_majorant_exits_4(self, tmp_path, monkeypatch):
         # no scenario value makes a majorant nan; replace every drift
         # majorant r of the shipped pack with one

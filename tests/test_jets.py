@@ -302,10 +302,10 @@ def _compiled(build, arity=1):
     """Trace build(*inputs) and compile it to f(x0, ..) -> result."""
     tape = Tape()
     xs = [Traced(tape, f"x{i}") for i in range(arity)]
-    statements, (out,) = tape.emit([tape.operand(build(*xs))])
+    out = tape.operand(build(*xs))
     source = "\n    ".join([
         f"def f({', '.join(x.name for x in xs)}):",
-        *statements,
+        *tape.lines,
         f"return {out}",
     ])
     return tape, tape.compile(source, "f", {})
@@ -368,28 +368,17 @@ class TestTrace:
             "v0 = (x0 ** 4 if -5.78960446186581e+76 < x0 < 5.78960446186581e+76 "
             "else _pow(x0, 4))"]
 
-    def test_emit_substitutes_single_use_temporaries(self):
-        # v0, v1 and v3 are read once each; v2 is read twice and v4 is the
-        # output, so those two keep their names
-        def build(x, y):
-            return (x * y + 1.0) * 2.0 + (x * y + 1.0) * 2.0 * y
-
-        tape = Tape()
-        out = build(Traced(tape, "x0"), Traced(tape, "x1"))
-        statements, texts = tape.emit([out])
-        assert statements == ["v2 = ((x0 * x1) + 1.0) * 2.0", "v4 = v2 + (v2 * x1)"]
-        assert texts == ["v4"]
-        assert _compiled(build, arity=2)[1](1.5, -2.0) == build(1.5, -2.0)
-
     def test_a_long_chain_of_temporaries_compiles(self):
-        # every partial result is read once; substituted without a bound,
-        # the chain would nest past the 200 parentheses Python's parser takes
+        # every partial result is read once and is a statement of its own,
+        # so the source nests no deeper than one line, however long the chain
         def chain(x):
             for k in range(1, 400):
                 x = x * 0.5 + k
             return x
 
-        assert _compiled(chain)[1](0.3) == chain(0.3)
+        tape, f = _compiled(chain)
+        assert len(tape.lines) == 2 * 399
+        assert f(0.3) == chain(0.3)
 
     @pytest.mark.parametrize("elementary, helper, points", [
         (jet_exp, jet_exp, [709.0, 709.78, 709.79, 710.0, math.inf, -math.inf,

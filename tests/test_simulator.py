@@ -3,6 +3,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -524,15 +525,25 @@ class TestCompiledLoop:
         if law != "dads":
             assert got.value.t_last == pytest.approx(0.1, abs=2e-4)
 
+    @staticmethod
+    def _traced_run(name, monkeypatch):
+        """The tape, the rates' texts and the generated source of a short
+        run of a shipped scenario."""
+        trace, traced = simulate_module._trace_rhs, []
+        compile_, sources = Tape.compile, []
+        monkeypatch.setattr(simulate_module, "_trace_rhs",
+                            lambda *args: traced.append(trace(*args)) or traced[-1])
+        monkeypatch.setattr(Tape, "compile", lambda tape, source, name, namespace: (
+            sources.append(source) or compile_(tape, source, name, namespace)))
+        run_scenario(build(str(SCENARIOS / f"{name}.scenario"), Namespace(dt=None, t_end=1e-3)))
+        ((tape, rates),), (source,) = traced, sources
+        return tape, rates, source
+
     @pytest.mark.parametrize("name", SIMULATING)
     def test_shipped_kernels_record_each_operation_once_and_call_no_rhs(
             self, name, monkeypatch):
-        trace, traced = simulate_module._trace_rhs, []
-        monkeypatch.setattr(simulate_module, "_trace_rhs",
-                            lambda *args: traced.append(trace(*args)) or traced[-1])
-        run_scenario(build(str(SCENARIOS / f"{name}.scenario"), Namespace(dt=None, t_end=1e-3)))
-        ((tape, rates),) = traced
-        right_sides = [line.rhs({}) for line in tape.lines]
+        tape, rates, _ = self._traced_run(name, monkeypatch)
+        right_sides = [line.partition(" = ")[2] for line in tape.lines]
         assert len(set(right_sides)) == len(right_sides)
         # the compiled rhs, which both methods call, reads no global but the
         # state's tolist, the budget's error and the inline elementary
@@ -540,6 +551,16 @@ class TestCompiledLoop:
         rhs = simulate_module._rhs_function(tape, rates)(math.inf)
         assert set(rhs.__code__.co_names) <= {
             "tolist", "_over_budget", "exp", "jet_exp", "cos", "inf", "nan", "_pow", "_div"}
+
+    @pytest.mark.parametrize("name", SIMULATING)
+    def test_compiled_source_is_the_tape(self, name, monkeypatch):
+        # statement K after the state's unpacking is tape line vK, every
+        # line in tape order, then the return of the rates' texts
+        tape, rates, source = self._traced_run(name, monkeypatch)
+        body = [line.strip() for line in source.splitlines()]
+        start = next(i for i, line in enumerate(body) if line.endswith("= s.tolist()")) + 1
+        assert body[start:-2] == tape.lines
+        assert body[-2:] == [f"return ({', '.join(rates)},)", "return rhs"]
 
     @pytest.mark.parametrize("method", ["rk4", None])
     def test_one_generated_function_per_run(self, method, monkeypatch):
@@ -561,8 +582,7 @@ class TestCompiledLoop:
         # neither the sigma = 0 leak nor the disturbance channels a level
         # does not receive leave a product with 0.0 on the tape
         assert len(tape.lines) <= 65
-        assert not any(line.template == "{} * {}" and "0.0" in
-                       [x for x in line.operands if isinstance(x, str)]
+        assert not any(re.fullmatch(r"v\d+ = (0\.0 \* \S+|\S+ \* 0\.0)", line)
                        for line in tape.lines)
 
 

@@ -307,8 +307,8 @@ class TestDisturbanceProfiles:
         # compiled d(t) must give the profile's values bit for bit
         tape = Tape()
         d = sample_disturbance(profile, Traced(tape, "t"))
-        statements, texts = tape.emit([tape.operand(x) for x in d])
-        source = "\n    ".join(["def d(t):", *statements, f"return ({', '.join(texts)},)"])
+        texts = [tape.operand(x) for x in d]
+        source = "\n    ".join(["def d(t):", *tape.lines, f"return ({', '.join(texts)},)"])
         traced = tape.compile(source, "d", {})
         if profile.kind == "zero":
             assert tape.lines == []  # float zeros, nothing to record
