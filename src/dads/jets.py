@@ -7,10 +7,10 @@ written with generic arithmetic (+, -, *, /, jet_exp, ...) on coordinate jets
 yields its gradient.
 
 Coefficients may themselves be Jets.  Differentiating a map whose arguments
-are already jets gives jets of derivatives, which is how `partial_map` builds
-partial derivatives that stay differentiable, and how each backstep of the
-synthesis takes one more derivative of the previous stage: derivatives of
-order k come from k nested first-order jets.
+are already jets gives jets of derivatives: `partials` returns every first
+partial of a map, from one evaluation, as a map that stays differentiable,
+and each backstep of the synthesis takes one more derivative of the previous
+stage that way.  Derivatives of order k come from k nested first-order jets.
 
 Coefficients may also be numpy arrays.  A jet whose innermost values are
 arrays of N points carries N gradients at once (vector forward mode), so one
@@ -25,6 +25,7 @@ tape compiles its lines as straight-line Python code on floats.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -199,6 +200,23 @@ class SmoothMap:
         return self.fn(*args)
 
 
+def partials(f: SmoothMap) -> SmoothMap:
+    """Every first partial of scalar-valued `f`, as a map of codim = arity.
+
+    One evaluation of `f` on `variables` gives them all.  On jet arguments
+    the partials are jets again, so they nest; on arrays, one per sample.
+    """
+    if f.codim != 1:
+        raise ValueError("partials requires a scalar-valued map")
+
+    def deriv(*args):
+        out = f(*variables(args))
+        # constant maps may return a bare number
+        return out.coeffs[1:] if isinstance(out, Jet) else (0.0,) * f.arity
+
+    return SmoothMap(f.arity, deriv, codim=f.arity, name=f"d({f.name})" if f.name else "")
+
+
 def gradient(f: SmoothMap, point: Sequence) -> tuple:
     """Exact first-order partials of a scalar-valued map at a point.
 
@@ -206,39 +224,10 @@ def gradient(f: SmoothMap, point: Sequence) -> tuple:
     each partial is then an array of the broadcast batch shape, and a float
     (numpy scalar) when every coordinate is a number.
     """
-    if f.codim != 1:
-        raise ValueError("gradient requires a scalar-valued map")
     if len(point) != f.arity:
         raise ValueError(f"expected {f.arity} coordinates, got {len(point)}")
-    out = f(*variables(point))
-    # constant maps may return a bare number
-    partials = out.coeffs[1:] if isinstance(out, Jet) else (0.0,) * len(point)
     shape = np.broadcast_shapes(*(np.shape(v) for v in point))
-    return tuple(np.broadcast_to(np.asarray(c, float), shape)[()] for c in partials)
-
-
-def partial_map(f: SmoothMap, var_index: int) -> SmoothMap:
-    """SmoothMap computing the partial derivative of scalar-valued `f`.
-
-    Works by evaluating `f` on jets in a single inner variable whose values
-    are the (possibly jet-valued) outer arguments, so the result itself
-    remains jet-evaluable and can be differentiated again.
-    """
-    if f.codim != 1:
-        raise ValueError("partial_map requires a scalar-valued map")
-    if not 0 <= var_index < f.arity:
-        raise ValueError(f"var_index {var_index} out of range for arity {f.arity}")
-
-    def deriv(*args):
-        out = f(*(Jet((a, 1.0 if i == var_index else 0.0)) for i, a in enumerate(args)))
-        if isinstance(out, Jet):
-            return out.coeffs[1]
-        # f does not depend on its arguments at all
-        return 0.0 * args[0] if isinstance(args[0], Jet) else 0.0
-
-    return SmoothMap(
-        f.arity, deriv, codim=1, name=f"d{var_index}({f.name})" if f.name else ""
-    )
+    return tuple(np.broadcast_to(np.asarray(c, float), shape)[()] for c in partials(f)(*point))
 
 
 class Tape:
@@ -252,7 +241,7 @@ class Tape:
     the lines, in tape order, and turns it into code with `compile`.  The
     source holds generated names and float literals only: constants are
     written with `repr`, which round-trips, and the non-finite ones, which
-    have no literal, are bound by name as cK.
+    have no literal, are bound as c + their bits in hex, once per value.
     """
 
     def __init__(self):
@@ -269,7 +258,7 @@ class Tape:
         elif isinstance(x, (float, np.floating)):
             x = float(x)
             if not math.isfinite(x):
-                name = f"c{len(self.constants)}"
+                name = "c" + struct.pack(">d", x).hex()
                 self.constants[name] = x
                 return name
             text = repr(x)

@@ -12,8 +12,8 @@ plant (n >= 0 leading integrators, m levels) in two phases:
   stage.  The backstep reads that level's maps from the plant itself, and
   the drift of the block it extends from `systems.state_rates`.
 
-Derivatives of the previous stage's maps (dk/dx, dk/dz, dV/dz) are obtained by
-evaluating them on first-order jets; since those maps already contain the
+Each previous-stage map is evaluated once on first-order jets for all its
+partials (dk/dx, dk/dz, dV/dz); since those maps already contain the
 derivatives taken one stage earlier, each backstep nests one more jet level.
 The growth majorants R, r, rho that the construction needs cannot be derived
 automatically from closures; they are supplied per level by the caller.
@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jets import SmoothMap, jet_exp, partial_map
+from .jets import SmoothMap, jet_exp, partials
 from .systems import StrictFeedbackSystem, box_sampler, draw_rows, state_rates, truncate
 
 
@@ -326,15 +326,14 @@ def _validate_backstep_majorants(
     d = sys.n + j
     block_plant = truncate(sys, d)
     rng = np.random.default_rng(seed)
-    dk_dx = [partial_map(prev.k, i) for i in range(d)]
-    dV_dx = [partial_map(prev.V, i) for i in range(d)]
+    dk, dV = partials(prev.k), partials(prev.V)
 
     def R_lhs(pt):
         xs, z = pt[:d], pt[d]
         mag = np.sqrt(_norm_sq(xs))
-        grad_V = np.sqrt(_norm_sq([g(*xs, z) for g in dV_dx]))
+        grad_V = np.sqrt(_norm_sq(dV(*xs, z)[:d]))
         kv = abs(prev.k(*xs, z))
-        dk_phi = _norm_sq(_dk_times_rows([g(*xs, z) for g in dk_dx], sys, sys.phi, xs))
+        dk_phi = _norm_sq(_dk_times_rows(dk(*xs, z), sys, sys.phi, xs))
         return np.where(mag == 0.0, 0.0, (grad_V + kv + np.sqrt(dk_phi)) / mag)
 
     def r_lhs(pt):
@@ -383,9 +382,7 @@ def backstep(
         )
     _validate_backstep_majorants(prev, sys, j, majorants, n_samples, seed)
 
-    dk_dx = [partial_map(prev.k, i) for i in range(d)]
-    dk_dz = partial_map(prev.k, d)
-    dV_dz = partial_map(prev.V, d)
+    dk, dV = partials(prev.k), partials(prev.V)
 
     b_gain, Gamma = gains.b, gains.Gamma
     cc = prev.rate_c
@@ -393,15 +390,14 @@ def backstep(
     alpha, eta, mu = sys.alpha[j], sys.eta[j], sys.mu[j - 1]
 
     def stacked_gain(*args):
+        """The error s = y - k and the stacked gain M that multiplies it."""
         xs, y, z = args[:d], args[d], args[d + 1]
         ez = jet_exp(z)
         emz = jet_exp(-z)
-        kv = prev.k(*xs, z)
         Vv = prev.V(*xs, z)
-        s = y - kv
-        dkz = dk_dz(*xs, z)
-        dVz = dV_dz(*xs, z)
-        dkx = [g(*xs, z) for g in dk_dx]
+        s = y - prev.k(*xs, z)
+        *dkx, dkz = dk(*xs, z)
+        dVz = dV(*xs, z)[d]
         dkx_sq = _norm_sq(dkx)
         Rv = majorants.R(*xs, z)
         rv = majorants.r(*xs)
@@ -418,7 +414,7 @@ def backstep(
             + (1.0 + muv / 2.0 * (3.0 + dkx_sq) + rhov) * Rv
         )
         one_dkz = 1.0 + dkz * dkz
-        return (
+        return s, (
             cc / 4.0
             + Gamma * Gamma * emz * emz / (4.0 * cc) * one_dkz * one_dkz * Vv
             + P_val * (b_gain + ez)
@@ -432,9 +428,8 @@ def backstep(
         )
 
     def k_bar(*args):
-        xs, y, z = args[:d], args[d], args[d + 1]
-        s = y - prev.k(*xs, z)
-        return -(stacked_gain(*args) / eta(*xs, y)) * s
+        s, gain = stacked_gain(*args)
+        return -(gain / eta(*args[:d + 1])) * s
 
     def V_bar(*args):
         xs, y, z = args[:d], args[d], args[d + 1]

@@ -21,7 +21,7 @@ from dads.jets import (
     jet_pow_int,
     jet_recip,
     jet_relu_plus,
-    partial_map,
+    partials,
     variables,
 )
 
@@ -34,9 +34,15 @@ def central_diff(f, point, i, h=1e-6):
     return (f(*hi) - f(*lo)) / (2.0 * h)
 
 
+def partial(f, i):
+    """The map of df / dx_i: component i of `partials`."""
+    df = partials(f)
+    return SmoothMap(f.arity, lambda *a: df(*a)[i])
+
+
 def second(f, i=0, j=0):
-    """The map of d^2 f / dx_i dx_j, by nesting partial_map."""
-    return partial_map(partial_map(f, i), j)
+    """The map of d^2 f / dx_i dx_j, by nesting partials."""
+    return partial(partial(f, i), j)
 
 
 class TestLift:
@@ -51,13 +57,6 @@ class TestLift:
         for i in range(3):
             for j in range(3):
                 assert second(f, i, j)(0.2, -0.5, 1.0) == 0.0
-
-    def test_var_index_out_of_range(self):
-        f = SmoothMap(2, lambda x, y: x * y)
-        with pytest.raises(ValueError):
-            partial_map(f, 2)
-        with pytest.raises(ValueError):
-            partial_map(f, -1)
 
     def test_coeff_count(self):
         for n_vars in (1, 2, 4):
@@ -124,7 +123,7 @@ class TestElementaries:
         assert e.coeffs[1] == pytest.approx(v)
         f = SmoothMap(1, jet_exp)
         assert second(f)(0.7) == pytest.approx(v)
-        assert partial_map(second(f), 0)(0.7) == pytest.approx(v)
+        assert partial(second(f), 0)(0.7) == pytest.approx(v)
 
     def test_pow_int(self):
         (x,) = variables((1.0,))
@@ -189,7 +188,7 @@ class TestArrayCoefficients:
             assert (batched[0][i], batched[1][i]) == pytest.approx(per_point, rel=1e-15)
 
     def test_second_partial_matches_per_point(self):
-        d2 = partial_map(partial_map(SmoothMap(2, self.f), 0), 1)
+        d2 = second(SmoothMap(2, self.f), 0, 1)
         xs, ys = np.array([-1.0, 0.5, 3.0]), np.array([2.0, -1.0, 0.25])
         batched = d2(xs, ys)
         for i in range(3):
@@ -218,10 +217,28 @@ class TestArrayCoefficients:
 
 
 class TestPartialMap:
+    """`partials`: every first partial of a map, as a map that nests."""
+
     def test_first_partial(self):
         f = SmoothMap(2, lambda x, y: x * x * y)
-        dfx = partial_map(f, 0)
+        dfx = partial(f, 0)
         assert float(dfx(3.0, 2.0)) == pytest.approx(12.0)
+
+    def test_every_partial_from_one_evaluation(self):
+        calls = []
+
+        def f(x, y, z):
+            calls.append(1)
+            return x * x * y + jet_exp(z)
+
+        df = partials(SmoothMap(3, f, name="f"))
+        assert (df.arity, df.codim, df.name) == (3, 3, "d(f)")
+        assert df(3.0, 2.0, 0.0) == (12.0, 9.0, 1.0)
+        assert len(calls) == 1
+
+    def test_scalar_valued_only(self):
+        with pytest.raises(ValueError, match="scalar-valued"):
+            partials(SmoothMap(2, lambda x, y: (x, y), codim=2))
 
     def test_nested_second_partial(self):
         f = SmoothMap(2, lambda x, y: x ** 3 * y + jet_exp(x))
@@ -236,7 +253,7 @@ class TestPartialMap:
 
     def test_partial_is_jet_evaluable(self):
         f = SmoothMap(2, lambda x, y: x * x * y)
-        dfx = partial_map(f, 0)
+        dfx = partial(f, 0)
         g = gradient(dfx, (3.0, 2.0))  # d/dx (2xy) = 2y, d/dy = 2x
         assert g == pytest.approx((4.0, 6.0))
 
@@ -336,6 +353,21 @@ class TestTrace:
         tape, f = _compiled(lambda x: (-2.0) ** x * np.float64(third))
         assert f(2.0) == 4.0 * third
 
+    def test_binds_each_non_finite_value_once(self):
+        # a repeated value is one name, so the repeated product is one line
+        tape, f = _compiled(lambda x: x * math.inf - x * math.inf)
+        assert tape.lines == ["v0 = x0 * c7ff0000000000000", "v1 = v0 - v0"]
+        assert math.isnan(f(1.0))
+        # the name is the value's bits, so a nan keeps its sign
+        tape = Tape()
+        values = (math.inf, -math.inf, math.nan, -math.nan, math.inf, -math.nan)
+        names = [tape.operand(v) for v in values]
+        assert len(set(names)) == 4 == len(tape.constants)
+        for name, v in zip(names, values):
+            bound = tape.constants[name]
+            assert np.array_equal(bound, v, equal_nan=True)
+            assert math.copysign(1.0, bound) == math.copysign(1.0, v)
+
     def test_float_power_and_division_as_numpy(self):
         # Python's float ** and / raise where numpy's float64 gives inf
         f = _compiled(lambda x, y: x ** 3 + 1.0 / y + x / y, arity=2)[1]
@@ -402,7 +434,7 @@ class TestTrace:
 
     def test_traces_through_nested_jets(self):
         f = SmoothMap(2, lambda x, y: x * x * y + jet_exp(0.3 * y) / x)
-        d1 = partial_map(f, 0)
+        d1 = partial(f, 0)
         compiled = _compiled(d1, arity=2)[1]
         assert compiled(1.5, -0.5) == d1(1.5, -0.5)
 

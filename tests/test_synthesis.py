@@ -1,12 +1,13 @@
 """Tests for the backstepping synthesis engine."""
 
+import collections
 import math
 from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 
-from dads.jets import SmoothMap, jet_exp
+from dads.jets import SmoothMap, gradient, jet_exp
 from dads.synthesis import (
     DadsGains,
     DadsStage,
@@ -367,6 +368,39 @@ class TestFullSynthesis:
         short = MajorantPack(base_r=pack.base_r, levels=pack.levels[:1])
         with pytest.raises(ValueError):
             synthesize(wingrock(), gains, short)
+
+
+class TestProbePoint:
+    """The synthesized wing-rock feedback at (x1, x2, x3, z) = (0.01, 0.01, 0.01, 0)."""
+
+    PROBE = (0.01, 0.01, 0.01, 0.0)
+
+    @pytest.fixture(scope="class")
+    def final_k(self):
+        # the [synthesis] gains of scenarios/synth_wingrock.scenario
+        gains = default_gains(eps_dz=5e-5)
+        result = synthesize(wingrock(), gains, wingrock_majorants(gains), n_samples=10)
+        return result.stage_trace[-1].k
+
+    def test_value_and_gradient_to_the_last_bit(self, final_k):
+        assert final_k(*self.PROBE) == -3.664265063035974e+44
+        assert gradient(final_k, self.PROBE) == (
+            -8.891003291343159e+46, -2.2289064523524676e+46,
+            -3.947979672313199e+41, -7.631503602687235e+45,
+        )
+
+    def test_each_backstep_evaluates_the_previous_feedback_twice(self, final_k, monkeypatch):
+        # once for its value and once on jets for all its partials
+        calls = collections.Counter()
+        plain = SmoothMap.__call__
+
+        def counting(f, *args):
+            calls[f.name] += 1
+            return plain(f, *args)
+
+        monkeypatch.setattr(SmoothMap, "__call__", counting)
+        final_k(*self.PROBE)
+        assert (calls["k3"], calls["k2"], calls["k1"]) == (1, 2, 6)
 
 
 def _cascade_plant():
