@@ -12,7 +12,8 @@ simulate need [sim].  The subcommands are:
 * compare   — run several scenarios and print a side-by-side table.
 
 Exit codes: 0 success, 2 parse/usage error, 3 divergence, 4 majorant
-violation, 5 failed check.
+violation, 5 failed check of verify or synthesize (compare prints the drift
+contrast's verdict and exits 0 either way).
 """
 
 from __future__ import annotations
@@ -293,9 +294,11 @@ def build(path: str, args, simulates: str = "") -> Setup:
     controller = build_controller(scn, sysm)
     ctype = next(t for t, (cls, _) in _CONTROLLER_FIELDS.items() if type(controller) is cls)
     checks = tuple(scn.get("checks", "names", []))
-    for name in checks:
+    for i, name in enumerate(checks):
         if name not in CHECKS:
             raise ScenarioError(f"unknown check {name!r}; checks are {', '.join(CHECKS)}")
+        if name in checks[:i]:  # it would run, print and write its report twice
+            raise ScenarioError(f"[checks] names lists {name!r} twice")
         need, what, _, _ = CHECKS[name]
         if need is not None and ctype != need:
             raise ScenarioError(f"check {name!r} evaluates {what}; it needs controller "

@@ -11,9 +11,11 @@ Three controllers are provided:
   engine, for library use: the CLI builds no controller from it.
 
 Each controller exposes step(x, cs, t) -> (u, rate): the input and the rate
-of the controller state, from one evaluation of the law.  All formula
-evaluation is written with generic arithmetic so the same code paths can be
-fed jets for derivative-based certificate checking.
+of the controller state, from one evaluation of the law, and lyapunov(x, cs),
+the law's one Lyapunov function, which the simulator logs and the trajectory
+checks and certificates read.  All formula evaluation is written with generic
+arithmetic so the same code paths can be fed jets for derivative-based
+certificate checking.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .jets import SmoothMap, jet_exp, jet_relu_plus
-from .synthesis import DadsGains
+from .synthesis import DadsGains, _norm_sq
 
 
 class WingRockTerms(NamedTuple):
@@ -92,17 +94,8 @@ class WingRockDadsController:
     def gain_magnitude(self, cs) -> float:
         return 1.0 + np.exp(float(cs[0]))
 
-    def lyapunov(self, x, cs) -> float:
-        return wingrock_intermediates(x[0], x[1], x[2], float(cs[0]), self.c, self.K).V
-
-    def lyapunov_map(self) -> SmoothMap:
-        """V(x1, x2, x3, z) as a jet-evaluable map."""
-        c, K = self.c, self.K
-
-        def V(x1, x2, x3, z):
-            return wingrock_intermediates(x1, x2, x3, z, c, K).V
-
-        return SmoothMap(4, V, name="wingrock_V")
+    def lyapunov(self, x, cs):
+        return wingrock_intermediates(x[0], x[1], x[2], cs[0], self.c, self.K).V
 
 
 def wingrock_damping(terms: WingRockTerms, c: float, K: float):
@@ -161,7 +154,7 @@ class SigmaModController:
     def gain_magnitude(self, cs) -> float:
         return float(np.linalg.norm(cs))
 
-    def lyapunov(self, x, cs) -> float:
+    def lyapunov(self, x, cs):
         # state part of the comparison function (parameter-error term omitted:
         # the true theta is not available at runtime)
         zeta, chi, _ = _sigma_mod_terms(x[0], x[1], x[2], *cs, c=self.c, K=self.K)
@@ -197,15 +190,11 @@ def sigma_mod_control(x, theta_hat, ctrl: SigmaModController):
 
 def sigma_mod_W_map(ctrl: SigmaModController, theta) -> SmoothMap:
     """Comparison function W(x, theta_hat) for a fixed true parameter vector."""
-    c, K, Gamma = ctrl.c, ctrl.K, ctrl.Gamma
     th = tuple(float(v) for v in theta)
 
-    def W(x1, x2, x3, t1, t2, t3, t4):
-        zeta, chi, _ = _sigma_mod_terms(x1, x2, x3, t1, t2, t3, t4, c, K)
-        err = 0.0
-        for est, true in zip((t1, t2, t3, t4), th):
-            err = err + (est - true) * (est - true)
-        return 0.5 * x1 * x1 + 0.5 * zeta * zeta + 0.5 * chi * chi + err / (2.0 * Gamma)
+    def W(x1, x2, x3, *th_hat):
+        err = _norm_sq(est - true for est, true in zip(th_hat, th))
+        return ctrl.lyapunov((x1, x2, x3), th_hat) + err / (2.0 * ctrl.Gamma)
 
     return SmoothMap(7, W, name="sigma_mod_W")
 
@@ -242,5 +231,5 @@ class SynthesizedDadsController:
     def gain_magnitude(self, cs) -> float:
         return 1.0 + np.exp(float(cs[0]))
 
-    def lyapunov(self, x, cs) -> float:
-        return float(self.V_final(*x, float(cs[0])))
+    def lyapunov(self, x, cs):
+        return self.V_final(*x, cs[0])

@@ -143,9 +143,10 @@ def wingrock_dissipation_check(
     """
     u_of = control_fn or (lambda x, z: wingrock_control(x, z, ctrl)[0])
     k = SmoothMap(4, lambda x1, x2, x3, z: u_of((x1, x2, x3), z), name="wingrock_u")
+    V = SmoothMap(4, lambda x1, x2, x3, z: ctrl.lyapunov((x1, x2, x3), (z,)), name="wingrock_V")
     gains = ctrl.gains
     return synthesized_dissipation_check(
-        sys, ctrl.lyapunov_map(), k, gains, rate_c=gains.c, gain_a=gains.a,
+        sys, V, k, gains, rate_c=gains.c, gain_a=gains.a,
         n=n, tol=tol, seed=seed, name="wingrock dissipation",
     )
 
@@ -269,15 +270,15 @@ def check_trajectory_estimates(
     gains: DadsGains,
     d_sup: float,
     theta_sup: float,
-    attractivity_radius: float | None = None,
+    attractivity_radius: float,
     tol: float = 1e-6,
 ) -> list[CheckReport]:
     """Estimate checks along a deadzone-adapted run.
 
     Produces reports for (i) the exponential-plus-offset envelope on V,
     (ii) monotonicity of the adaptation state z, (iii) the tail bound
-    V <= eps_dz (1 + SLACK), and (iv) when a radius is given, the tail output
-    bound |Y| <= radius (1 + SLACK).  The envelope uses the supplied signal
+    V <= eps_dz (1 + SLACK), and (iv) the tail output bound |Y| <=
+    attractivity_radius (1 + SLACK).  The envelope uses the supplied signal
     suprema, which should come from the actually sampled signals.  A failing
     tail bound notes when z still rose over the tail: the gain had not settled.
     """
@@ -319,14 +320,13 @@ def check_trajectory_estimates(
         )
     )
 
-    if attractivity_radius is not None:
-        y_tail = float(np.max(log.Ynorm[-n_tail:]))
-        reports.append(
-            CheckReport(
-                "tail output bound", n_tail,
-                attractivity_radius * (1.0 + SLACK) - y_tail, (y_tail,), tol, note,
-            )
+    y_tail = float(np.max(log.Ynorm[-n_tail:]))
+    reports.append(
+        CheckReport(
+            "tail output bound", n_tail,
+            attractivity_radius * (1.0 + SLACK) - y_tail, (y_tail,), tol, note,
         )
+    )
     return reports
 
 

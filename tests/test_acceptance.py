@@ -177,7 +177,8 @@ def test_criterion_07_envelope_both_runs(dads_quiet, dads_persistent):
                       (dads_persistent, PERSISTENT)):
         reports = check_trajectory_estimates(
             log, GAINS,
-            d_sup=signal_sup(dist, log.t), theta_sup=theta_sup, tol=1e-6,
+            d_sup=signal_sup(dist, log.t), theta_sup=theta_sup,
+            attractivity_radius=wingrock_attractivity_radius(GAINS.c, GAINS.eps_dz), tol=1e-6,
         )
         env = next(r for r in reports if r.name == "V envelope")
         worst = min(worst, env.worst_margin)
@@ -214,7 +215,8 @@ def _shipped_scalar_maps():
                         name=f"{m.name}[{q}]",
                     )
                     out.append((f"{fam}:{m.name}[{q}]", comp, 2.0))
-    out.append(("V:wingrock", WingRockDadsController().lyapunov_map(), 1.5))
+    ctrl = WingRockDadsController()
+    out.append(("V:wingrock", SmoothMap(4, lambda *p: ctrl.lyapunov(p[:3], p[3:])), 1.5))
     pack = wingrock_majorants(GAINS)
     out.append(("majorant:base_r", pack.base_r, 2.0))
     for i, lv in enumerate(pack.levels):

@@ -8,6 +8,7 @@ import re
 import tempfile
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,7 +161,7 @@ class TestSimulateCommand:
     # output bound with it
     @pytest.mark.parametrize("indices", ["0, 7", "-1", "0.5", "", "1, 1"])
     def test_bad_output_indices_is_parse_error(self, tmp_path, capsys, indices):
-        text = open(scen("fig1_sigma0.scenario")).read()
+        text = Path(scen("fig1_sigma0.scenario")).read_text()
         bad = tmp_path / "indices.scenario"
         bad.write_text(text.replace("output_indices = 0, 1", f"output_indices = {indices}"))
         assert main(["simulate", str(bad), "--t-end", "0.01", "--out", str(tmp_path)]) == EXIT_PARSE
@@ -208,7 +209,7 @@ class TestSimulateCommand:
     @staticmethod
     def _high_gain(tmp_path, k):
         # a valid gain (K >= 28 c) far above the shipped k = 14
-        text = open(scen("fig1_dads.scenario")).read()
+        text = Path(scen("fig1_dads.scenario")).read_text()
         assert "\nk = 14\n" in text
         path = tmp_path / f"gain_{k}.scenario"
         path.write_text(text.replace("\nk = 14\n", f"\nk = {k}\n"))
@@ -328,7 +329,7 @@ class TestVerifyCommand:
             assert line.startswith("[FAIL]") and line.endswith(" (z still rising at t_end)")
 
     def test_trajectory_check_on_sigma_mod_scenario(self, tmp_path, capsys):
-        text = open(scen("fig4_sigma0.scenario")).read()
+        text = Path(scen("fig4_sigma0.scenario")).read_text()
         bad = tmp_path / "traj_sigma.scenario"
         bad.write_text(text.replace("names = sigma-tradeoff", "names = trajectory"))
         assert main(["verify", str(bad), "--out", str(tmp_path)]) == EXIT_PARSE
@@ -338,7 +339,7 @@ class TestVerifyCommand:
     def test_no_samples_is_parse_error(self, tmp_path, capsys, monkeypatch, n_samples):
         # rejected before any sample is drawn
         monkeypatch.setattr(ver, "check_dissipation", None)
-        text = open(scen("ineq34.scenario")).read()
+        text = Path(scen("ineq34.scenario")).read_text()
         bad = tmp_path / "nosamples.scenario"
         bad.write_text(text.replace("n_samples = 1000", f"n_samples = {n_samples}"))
         assert main(["verify", str(bad), "--out", str(tmp_path)]) == EXIT_PARSE
@@ -346,7 +347,7 @@ class TestVerifyCommand:
             capsys.readouterr().err)
 
     def test_fractional_sample_count_is_not_an_integer(self, tmp_path, capsys):
-        text = open(scen("ineq34.scenario")).read()
+        text = Path(scen("ineq34.scenario")).read_text()
         bad = tmp_path / "fraction.scenario"
         bad.write_text(text.replace("n_samples = 1000", "n_samples = 1e3"))
         assert main(["verify", str(bad), "--out", str(tmp_path)]) == EXIT_PARSE
@@ -580,7 +581,7 @@ class TestScenarioKeys:
     ])
     def test_misspelt_key(self, tmp_path, capsys, no_work, command, name, section, key, typo):
         # each ran with the key's default: `knd` simulated fig4_sigma0 with d = 0
-        text = open(scen(f"{name}.scenario")).read()
+        text = Path(scen(f"{name}.scenario")).read_text()
         assert f"\n{key} = " in text
         path = tmp_path / f"{name}.scenario"
         path.write_text(text.replace(f"\n{key} = ", f"\n{typo} = "))
@@ -598,7 +599,7 @@ class TestScenarioKeys:
     ])
     def test_unknown_section(self, tmp_path, capsys, no_work, text):
         path = tmp_path / "ineq34.scenario"
-        path.write_text(text + open(scen("ineq34.scenario")).read())
+        path.write_text(text + Path(scen("ineq34.scenario")).read_text())
         out = tmp_path / "out"
         assert main(["verify", str(path), "--out", str(out)]) == EXIT_PARSE
         section = text[1:text.index("]")]
@@ -645,7 +646,7 @@ class TestScenarioKeys:
         assert _one_error_line(capsys).startswith(f"error: {message}")
 
     def test_readme_table_names_every_key(self):
-        readme = open(os.path.join(SCEN, "..", "README.md")).read()
+        readme = Path(os.path.join(SCEN, "..", "README.md")).read_text()
         section = readme[readme.index("### Scenario files"):]
         section = section[:section.index("\n## ")]
         rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", section, re.MULTILINE)
@@ -680,6 +681,11 @@ class TestBuiltBeforeWork:
          "it reads names"),
         ("verify", "fig1_dads", {("checks", "corrupt_controller"): "yes"},
          "[checks] names = trajectory does not read corrupt_controller; it reads names"),
+        # the check ran twice, printed its line twice and wrote two CSV rows
+        ("verify", "ineq34", {("checks", "names"): "dissipation-dads, dissipation-dads"},
+         "[checks] names lists 'dissipation-dads' twice"),
+        ("verify", "fig1_dads", {("checks", "names"): "trajectory, trajectory"},
+         "[checks] names lists 'trajectory' twice"),
     ])
     def test_exit_2(self, tmp_path, capsys, no_work, command, name, entries, message):
         out = tmp_path / "out"
@@ -710,7 +716,7 @@ class TestBuiltBeforeWork:
                  else scen(f"{name}.scenario") for name in names]
         out = tmp_path / "out"
         assert main([command, *paths, "--out", str(out)]) == EXIT_PARSE
-        path = next(p for p in paths if "[sim]" not in open(p).read())
+        path = next(p for p in paths if "[sim]" not in Path(p).read_text())
         assert _one_error_line(capsys) == (
             f"error: {user}: {path} has no [sim] section to simulate the loop with\n")
         assert not any(out.iterdir())

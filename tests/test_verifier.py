@@ -124,14 +124,13 @@ class TestDissipationChecks:
         # differentiated: every draw is moved onto V = eps by scaling its x
         # (V(0, z) = 0 < eps) and the wing-rock inequality still holds there
         ctrl = WingRockDadsController()
-        V = ctrl.lyapunov_map()
         placed = []
 
         def on_boundary(box_dim, *balls):
             draw = box_sampler(box_dim, *balls)
 
             def excess(row, s):
-                return V(*(s * v for v in row[:3]), row[3]) - ctrl.eps_dz
+                return ctrl.lyapunov([s * v for v in row[:3]], row[3:]) - ctrl.eps_dz
 
             def sampler(rng):
                 row = draw(rng)
@@ -345,7 +344,8 @@ class TestTrajectoryEstimates:
         # shrinking the claimed offset and rate far enough must break the bound
         reports = check_trajectory_estimates(
             dads_quiet_log, DadsGains(b=1.0, Gamma=20.0, eps_dz=1e-9, c=50.0, a=1e-6),
-            d_sup=0.0, theta_sup=float(np.linalg.norm(THETA)), tol=0.0,
+            d_sup=0.0, theta_sup=float(np.linalg.norm(THETA)),
+            attractivity_radius=wingrock_attractivity_radius(0.5, 0.01), tol=0.0,
         )
         by_name = {r.name: r for r in reports}
         assert not by_name["V envelope"].passed
