@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import math
 import os
 import sys
@@ -29,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controllers import (
+    DadsGains,
     SigmaModController,
     WingRockDadsController,
     wingrock_control,
@@ -37,12 +37,7 @@ from .controllers import (
 )
 from .simulate import (DivergenceError, SimConfig, TrajectoryLog, select_outputs, simulate,
                        trajectory_stats)
-from .synthesis import (
-    DadsGains,
-    MajorantViolationError,
-    synthesize,
-    wingrock_majorants,
-)
+from .synthesis import MajorantViolationError, synthesize, wingrock_majorants
 from .systems import (
     DisturbanceProfile,
     constant_parameter,
@@ -123,20 +118,9 @@ class Scenario:
     """Parsed scenario file: each section's values, converted by SCENARIO_KEYS."""
 
     sections: dict
-    path: str = ""
 
     def get(self, section: str, key: str, default=None):
         return self.sections.get(section, {}).get(key, default)
-
-    def serialize(self) -> str:
-        """Text that parses back to these sections."""
-        cp = configparser.ConfigParser(interpolation=None)
-        for sec, kv in self.sections.items():
-            cp[sec] = {k: ", ".join(map(str, v)) if isinstance(v, list) else str(v)
-                       for k, v in kv.items()}
-        buf = io.StringIO()
-        cp.write(buf)
-        return buf.getvalue()
 
 
 def load_scenario(path: str) -> Scenario:
@@ -162,7 +146,7 @@ def parse_scenario_text(text: str, path: str = "<string>") -> Scenario:
         cp.read_string(text, source=path)
     except configparser.Error as exc:
         raise ScenarioError(f"{path}: {exc}") from None
-    return Scenario({sec: _convert_section(sec, cp[sec]) for sec in cp.sections()}, path)
+    return Scenario({sec: _convert_section(sec, cp[sec]) for sec in cp.sections()})
 
 
 def _convert_section(section: str, entries) -> dict:

@@ -16,6 +16,10 @@ the law's one Lyapunov function, which the simulator logs and the trajectory
 checks and certificates read.  All formula evaluation is written with generic
 arithmetic so the same code paths can be fed jets for derivative-based
 certificate checking.
+
+`DadsGains`, the design constants of the deadzone law, lives here beside
+`deadzone_rate`; the synthesis engine and the checks read it from here.  The
+module imports no other part of `dads` than `jets`.
 """
 
 from __future__ import annotations
@@ -26,8 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .jets import SmoothMap, jet_exp, jet_relu_plus
-from .synthesis import DadsGains, _norm_sq
+from .jets import SmoothMap, jet_exp, jet_relu_plus, norm_sq
 
 
 class WingRockTerms(NamedTuple):
@@ -52,6 +55,29 @@ def deadzone_rate(V, z, Gamma: float, eps_dz: float):
     """Deadzone gain adaptation Gamma e^{-z} (V - eps_dz)^+: zero whenever
     V <= eps_dz, nonnegative always (generic arithmetic)."""
     return Gamma * jet_exp(-z) * jet_relu_plus(V - eps_dz)
+
+
+@dataclass(frozen=True)
+class DadsGains:
+    """Design constants of the deadzone-adapted scheme.
+
+    b offsets the parameter norm in (|theta| - b - e^z)^+, Gamma is the
+    adaptation rate, eps_dz the deadzone level (z freezes while V <= eps_dz),
+    c the decay rate and a the disturbance gain.  The gain-attenuation
+    functions of the general law are the identity.
+    """
+
+    b: float
+    Gamma: float
+    eps_dz: float
+    c: float
+    a: float
+
+    def __post_init__(self):
+        for name in ("b", "Gamma", "eps_dz", "c", "a"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # false for nan as well
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -193,7 +219,7 @@ def sigma_mod_W_map(ctrl: SigmaModController, theta) -> SmoothMap:
     th = tuple(float(v) for v in theta)
 
     def W(x1, x2, x3, *th_hat):
-        err = _norm_sq(est - true for est, true in zip(th_hat, th))
+        err = norm_sq(est - true for est, true in zip(th_hat, th))
         return ctrl.lyapunov((x1, x2, x3), th_hat) + err / (2.0 * ctrl.Gamma)
 
     return SmoothMap(7, W, name="sigma_mod_W")

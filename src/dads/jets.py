@@ -16,6 +16,10 @@ Coefficients may also be numpy arrays.  A jet whose innermost values are
 arrays of N points carries N gradients at once (vector forward mode), so one
 evaluation of a map on array coordinates differentiates it at every sample.
 
+`norm_sq` and `as_tuple` are the generic helpers the laws, the plant, the
+synthesis and the checks share: a sum of squares in any of these arithmetics,
+and a map's output as a sequence.
+
 The same operator-overloading idiom records instead of computing: arithmetic
 on `Traced` values appends one line per distinct operation to a `Tape`
 (the "tape" of Griewank & Walther, Evaluating Derivatives, ch. 3), and the
@@ -148,10 +152,8 @@ def jet_recip(a):
     return Jet((inv,) + tuple(slope * ai for ai in a.coeffs[1:]))
 
 
-def jet_pow_int(a, p: int):
-    """Integer power by repeated squaring; negative powers via reciprocal."""
-    if not isinstance(a, Jet):
-        return float(a) ** p
+def jet_pow_int(a: Jet, p: int) -> Jet:
+    """Integer power of a jet by repeated squaring; negative powers via reciprocal."""
     if p < 0:
         return jet_recip(jet_pow_int(a, -p))
     result = _constant(1.0, a)
@@ -176,6 +178,19 @@ def jet_relu_plus(a):
     if isinstance(a, np.ndarray):
         return np.where(a < 0.0, 0.0, a)
     return max(a, 0.0)
+
+
+def norm_sq(values):
+    """Sum of squares, in generic arithmetic (numbers, jets or sample columns)."""
+    acc = 0.0
+    for v in values:
+        acc = acc + v * v
+    return acc
+
+
+def as_tuple(out):
+    """A map's output as a sequence: a scalar-valued map may return a bare value."""
+    return out if isinstance(out, (tuple, list)) else (out,)
 
 
 @dataclass(frozen=True)

@@ -24,18 +24,20 @@ and obey eta <= g <= mu (1 + |theta|); then the first-level drift bound r and
 each backstep's (R, r, rho).  A bound violation raises with its witness point.
 
 Rates halve and disturbance gains double per backstep, so a base started at
-(2^{m-1} c, 2^{1-m} a) ends exactly at (c, a).
+(2^{m-1} c, 2^{1-m} a) ends exactly at (c, a).  The design constants are
+`controllers.DadsGains`; the CLI is the one module of the package that
+imports this engine.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .jets import SmoothMap, jet_exp, partials
+from .controllers import DadsGains
+from .jets import SmoothMap, as_tuple, jet_exp, norm_sq, partials
 from .systems import StrictFeedbackSystem, box_sampler, draw_rows, state_rates, truncate
 
 
@@ -51,29 +53,6 @@ class MajorantViolationError(Exception):
             f"majorant {name!r} violated at {self.point}: "
             f"required {lhs:.6g} <= {bound:.6g}, bound > 0"
         )
-
-
-@dataclass(frozen=True)
-class DadsGains:
-    """Design constants of the deadzone-adapted scheme.
-
-    b offsets the parameter norm in (|theta| - b - e^z)^+, Gamma is the
-    adaptation rate, eps_dz the deadzone level (z freezes while V <= eps_dz),
-    c the decay rate and a the disturbance gain.  The gain-attenuation
-    functions of the general law are the identity.
-    """
-
-    b: float
-    Gamma: float
-    eps_dz: float
-    c: float
-    a: float
-
-    def __post_init__(self):
-        for name in ("b", "Gamma", "eps_dz", "c", "a"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:  # false for nan as well
-                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -124,18 +103,6 @@ class BaseStepResult:
     stage: DadsStage
 
 
-def _norm_sq(values):
-    """Sum of squares, in generic arithmetic (numbers, jets or sample columns)."""
-    acc = 0.0
-    for v in values:
-        acc = acc + v * v
-    return acc
-
-
-def _as_tuple(out):
-    return out if isinstance(out, (tuple, list)) else (out,)
-
-
 def _validate_scaled_bound(name, lhs_fn, bound_fn, pts):
     """Check 0 < bound and lhs <= bound at drawn points; raise at the first violation.
 
@@ -176,7 +143,7 @@ def solve_base_theorem3(
     def M1(x1, z):
         ez = jet_exp(z)
         rv = r(x1)
-        asq = _norm_sq(_as_tuple(alpha1(x1)))
+        asq = norm_sq(as_tuple(alpha1(x1)))
         return (
             (b + 1.0 + ez) * rv
             + (1.0 + ez) / denom * (asq + rv * rv * x1 * x1)
@@ -265,13 +232,13 @@ def solve_base_theorem1(
         ez = jet_exp(z)
         rv = r(*xs, y1)
         head = K_const + rv * (1.0 + omega_norm) * (1.0 + b_gain + ez)
-        asq = _norm_sq(_as_tuple(alpha1(*xs, y1)))
+        asq = norm_sq(as_tuple(alpha1(*xs, y1)))
         return (
             M_const / (2.0 ** (m + 1) * c) * head * head
             + omega_b
             + 2.0 ** (m - 2) * c
             + M_const * (1.0 + ez) / denom
-            * (asq + rv * rv * (_norm_sq(xs) + y1 * y1))
+            * (asq + rv * rv * (norm_sq(xs) + y1 * y1))
             + rv * (1.0 + b_gain + ez)
         )
 
@@ -308,7 +275,7 @@ def _dk_times_rows(dk, sys: StrictFeedbackSystem, rows, xs) -> list:
     q + 1; the integrator rows of A are zero and are left out.
     """
     n = sys.n
-    vals = [_as_tuple(rows[q](*xs[: n + q + 1])) for q in range(len(xs) - n)]
+    vals = [as_tuple(rows[q](*xs[: n + q + 1])) for q in range(len(xs) - n)]
     return [
         sum(dk[n + q] * v[col] for q, v in enumerate(vals))
         for col in range(rows[0].codim)
@@ -330,24 +297,24 @@ def _validate_backstep_majorants(
 
     def R_lhs(pt):
         xs, z = pt[:d], pt[d]
-        mag = np.sqrt(_norm_sq(xs))
-        grad_V = np.sqrt(_norm_sq(dV(*xs, z)[:d]))
+        mag = np.sqrt(norm_sq(xs))
+        grad_V = np.sqrt(norm_sq(dV(*xs, z)[:d]))
         kv = abs(prev.k(*xs, z))
-        dk_phi = _norm_sq(_dk_times_rows(dk(*xs, z), sys, sys.phi, xs))
+        dk_phi = norm_sq(_dk_times_rows(dk(*xs, z), sys, sys.phi, xs))
         return np.where(mag == 0.0, 0.0, (grad_V + kv + np.sqrt(dk_phi)) / mag)
 
     def r_lhs(pt):
         # the x-block with the new level, theta and d set to zero
         drift = state_rates(block_plant, pt, 0.0, np.zeros(sys.p), np.zeros(sys.l))
-        mag = np.sqrt(_norm_sq(pt))
-        return np.where(mag == 0.0, 0.0, np.sqrt(_norm_sq(drift)) / mag)
+        mag = np.sqrt(norm_sq(pt))
+        return np.where(mag == 0.0, 0.0, np.sqrt(norm_sq(drift)) / mag)
 
     def rho_lhs(pt):
         # scale by |x| + |y| with x the block and y the new level
         xs, y = pt[:d], pt[d]
-        mag = np.sqrt(_norm_sq(xs)) + abs(y)
+        mag = np.sqrt(norm_sq(xs)) + abs(y)
         hv = abs(sys.h[j](*pt))
-        pv = np.sqrt(_norm_sq(_as_tuple(sys.phi[j](*pt))))
+        pv = np.sqrt(norm_sq(as_tuple(sys.phi[j](*pt))))
         return np.where(mag == 0.0, 0.0, (hv + pv) / mag)
 
     for name, lhs, bound, width in (("R (stage growth)", R_lhs, majorants.R, d + 1),
@@ -398,7 +365,7 @@ def backstep(
         s = y - prev.k(*xs, z)
         *dkx, dkz = dk(*xs, z)
         dVz = dV(*xs, z)[d]
-        dkx_sq = _norm_sq(dkx)
+        dkx_sq = norm_sq(dkx)
         Rv = majorants.R(*xs, z)
         rv = majorants.r(*xs)
         rhov = majorants.rho(*xs, y)
@@ -406,7 +373,7 @@ def backstep(
         sigv = prev.sigma(*xs, z)
         # |alpha' - dk/dx . G|^2, G the disturbance matrix of the x-block
         dk_G = _dk_times_rows(dkx, sys, sys.alpha, xs)
-        mismatch = _norm_sq(a - g for a, g in zip(_as_tuple(alpha(*xs, y)), dk_G))
+        mismatch = norm_sq(a - g for a, g in zip(as_tuple(alpha(*xs, y)), dk_G))
 
         P_val = (
             (rv + muv) / 2.0 * (1.0 + dkx_sq)
@@ -423,7 +390,7 @@ def backstep(
             + rhov
             + sigv / cc * P_val * P_val * (b_gain + 1.0 + ez) ** 2
             + (1.0 + ez) / (4.0 * aa) * mismatch
-            + (1.0 + ez) / (2.0 * aa) * P_val * P_val * (s * s + _norm_sq(xs))
+            + (1.0 + ez) / (2.0 * aa) * P_val * P_val * (s * s + norm_sq(xs))
             + Gamma * emz / 4.0 * (1.0 + dVz * dVz)
         )
 
@@ -517,7 +484,7 @@ def _validate_plant_bounds(sys: StrictFeedbackSystem, n_samples, seed):
         if j < sys.m - 1:
             _validate_scaled_bound(
                 f"mu{j + 1} (gain growth)", gain,
-                lambda cols: sys.mu[j](*cols[:width]) * (1.0 + np.sqrt(_norm_sq(cols[dim:]))),
+                lambda cols: sys.mu[j](*cols[:width]) * (1.0 + np.sqrt(norm_sq(cols[dim:]))),
                 pts,
             )
 
@@ -525,8 +492,8 @@ def _validate_plant_bounds(sys: StrictFeedbackSystem, n_samples, seed):
 def _validate_base_drift(sys: StrictFeedbackSystem, r: SmoothMap, n_samples, seed):
     """0 < r and (|h_1| + |phi_1|) / |head| <= r on the first-level head (x, y_1)."""
     def drift(head):
-        mag = np.sqrt(_norm_sq(head))
-        content = abs(sys.h[0](*head)) + np.sqrt(_norm_sq(_as_tuple(sys.phi[0](*head))))
+        mag = np.sqrt(norm_sq(head))
+        content = abs(sys.h[0](*head)) + np.sqrt(norm_sq(as_tuple(sys.phi[0](*head))))
         return np.where(mag == 0.0, 0.0, content / mag)
 
     _validate_scaled_bound(

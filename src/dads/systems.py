@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jets import SmoothMap, jet_cos, jet_exp
+from .jets import SmoothMap, as_tuple, jet_cos, jet_exp
 
 
 def _dot(vec_map_out, v) -> float:
@@ -29,10 +29,8 @@ def _dot(vec_map_out, v) -> float:
     the trace alike.  The skipped term could only have carried a nan or inf
     of v, or the sign of a zero, into the sum.
     """
-    if not isinstance(vec_map_out, (tuple, list)):
-        vec_map_out = (vec_map_out,)
     acc = 0.0
-    for a, b in zip(vec_map_out, v):
+    for a, b in zip(as_tuple(vec_map_out), v):
         if not (isinstance(a, float) and a == 0.0):
             acc = acc + a * b
     return acc

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .controllers import (
+    DadsGains,
     SigmaModController,
     WingRockDadsController,
     _sigma_mod_terms,
@@ -28,9 +29,8 @@ from .controllers import (
     sigma_mod_W_map,
     wingrock_control,
 )
-from .jets import SmoothMap, gradient, jet_exp, jet_relu_plus
+from .jets import SmoothMap, gradient, jet_exp, jet_relu_plus, norm_sq
 from .simulate import TrajectoryLog, tail_length
-from .synthesis import DadsGains, _norm_sq
 from .systems import D_RADIUS, box_sampler, draw_rows, eval_dynamics, truncate
 
 # a tail bound passes within this relative slack of the limit it stands for
@@ -182,11 +182,11 @@ def sigma_mod_dissipation_check(
     def bound(cols):
         x, th_hat, d = split(cols)
         zeta, chi, _ = _sigma_mod_terms(*x, *th_hat, c=c, K=ctrl.K)
-        err = _norm_sq(e - t for e, t in zip(th_hat, theta))
+        err = norm_sq(e - t for e, t in zip(th_hat, theta))
         return (
             -c * (x[0] ** 2 + zeta ** 2 + chi ** 2)
             - leak / (2.0 * Gamma) * err
-            + 0.5 * _norm_sq(d)
+            + 0.5 * norm_sq(d)
             + leak / (2.0 * Gamma) * float(theta @ theta)
         )
 
@@ -229,9 +229,9 @@ def synthesized_dissipation_check(
     def bound(cols):
         x, z, th, d = split(cols)
         ez = jet_exp(z)
-        excess = jet_relu_plus(np.sqrt(_norm_sq(th)) - gains.b - ez)
+        excess = jet_relu_plus(np.sqrt(norm_sq(th)) - gains.b - ez)
         return -rate_c * V(*x, z) + gain_a * (
-            _norm_sq(d) + excess * excess
+            norm_sq(d) + excess * excess
         ) / (1.0 + ez)
 
     return check_dissipation(

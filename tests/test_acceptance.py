@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import scenario_text
 from dads.cli import EXIT_OK, build, load_scenario, main, run_scenario
 from dads.controllers import SigmaModController, WingRockDadsController
 from dads.jets import SmoothMap, gradient
@@ -299,7 +300,7 @@ def test_criterion_11_assignable_level(tmp_path):
         out = tmp_path / eps
         out.mkdir()
         path = out / "fig4_dads.scenario"
-        path.write_text(scn.serialize())
+        path.write_text(scenario_text(scn.sections))
         assert main(["verify", str(path), "--out", str(out)]) == EXIT_OK
         with open(out / "fig4_dads.checks.csv") as fh:
             rows = {r["name"]: r for r in csv.DictReader(fh)}
@@ -320,7 +321,7 @@ def _scaled_fig4(name, tmp_path, amplitude, theta):
         amplitude * a for a in scn.get("disturbance", "amplitudes")]
     scn.sections["parameter"]["value"] = [theta * v for v in scn.get("parameter", "value")]
     path = tmp_path / f"{name}_{amplitude}_{theta}.scenario"
-    path.write_text(scn.serialize())
+    path.write_text(scenario_text(scn.sections))
     return build(str(path), Namespace(dt=None, t_end=None))
 
 

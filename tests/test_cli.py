@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
+from conftest import scenario_text
 from dads.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DIVERGENCE,
@@ -70,7 +71,7 @@ class TestScenarioParsing:
 
     def test_round_trip(self):
         s = load_scenario(scen("fig4_sigma04.scenario"))
-        back = parse_scenario_text(s.serialize())
+        back = parse_scenario_text(scenario_text(s.sections))
         assert back.sections == s.sections
 
     def test_defaults(self):
@@ -373,7 +374,7 @@ def edited(name, tmp_path, entries):
     for (section, key), value in entries.items():
         scn.sections.setdefault(section, {})[key] = value
     path = tmp_path / f"{name}.scenario"
-    path.write_text(scn.serialize())
+    path.write_text(scenario_text(scn.sections))
     return str(path)
 
 

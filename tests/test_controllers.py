@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import run_fresh
 from dads.controllers import (
     SigmaModController,
     SynthesizedDadsController,
@@ -228,3 +229,33 @@ class TestSynthesizedWrapper:
         ctrl = self._make()
         with pytest.raises(ValueError):
             ctrl.step(np.array([1.0, 2.0]), np.array([0.0]))
+
+
+class TestEngineImport:
+    """The runtime laws, the simulator and the checks run without the
+    backstepping engine; only the CLI imports `dads.synthesis`."""
+
+    @staticmethod
+    def _run(code):
+        """The dads modules that a fresh interpreter has loaded after code."""
+        return run_fresh(
+            code + "; import sys; "
+            "assert all(m.__file__.startswith(sys.argv[1]) for n, m in sys.modules.items() "
+            "if n.startswith('dads.')); "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'dads'))").split()
+
+    def test_law_simulator_and_checks_leave_the_engine_out(self):
+        loaded = self._run("import dads.controllers, dads.simulate, dads.verify")
+        assert loaded == ["dads", "dads.controllers", "dads.jets", "dads.simulate",
+                          "dads.systems", "dads.verify"]
+
+    def test_the_laws_import_only_jets(self):
+        assert self._run("import dads.controllers") == ["dads", "dads.controllers", "dads.jets"]
+
+    def test_the_cli_binds_the_engine_by_name(self):
+        # perfbench spans cli.synthesize and cli.wingrock_majorants
+        loaded = self._run(
+            "import dads.cli as cli, dads.synthesis as syn; "
+            "assert cli.synthesize is syn.synthesize; "
+            "assert cli.wingrock_majorants is syn.wingrock_majorants")
+        assert "dads.synthesis" in loaded

@@ -2,10 +2,7 @@
 
 import hashlib
 import math
-import os
 import re
-import subprocess
-import sys
 import time
 from argparse import Namespace
 from dataclasses import replace
@@ -15,6 +12,7 @@ import numpy as np
 import pytest
 
 import dads.simulate as simulate_module
+from conftest import run_fresh
 from dads.cli import (
     build,
     build_controller,
@@ -642,18 +640,10 @@ class TestStats:
 class TestDeferredScipy:
     @staticmethod
     def _run(code, *args):
-        """Run code in a fresh interpreter that imports dads from src/."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, dads.cli; assert dads.cli.__file__.startswith(sys.argv[1]); "
-             + code, src, *args],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout
+        """Run code in a fresh interpreter that has imported dads.cli from src/."""
+        return run_fresh(
+            "import sys, dads.cli; assert dads.cli.__file__.startswith(sys.argv[1]); " + code,
+            *args)
 
     def test_cli_import_does_not_load_scipy(self):
         # the LSODA extension is loaded by the first stiff solve, not by
