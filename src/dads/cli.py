@@ -12,8 +12,8 @@ simulate need [sim].  The subcommands are:
 * compare   — run several scenarios and print a side-by-side table.
 
 Exit codes: 0 success, 2 parse/usage error, 3 divergence, 4 majorant
-violation, 5 failed check of verify or synthesize (compare prints the drift
-contrast's verdict and exits 0 either way).
+violation, 5 failed check of verify or synthesize, or failed drift
+contrast of compare.
 """
 
 from __future__ import annotations
@@ -472,7 +472,7 @@ def cmd_compare(args) -> int:
         with open(path, "w") as fh:
             fh.write(table + "\n")
         print(f"wrote {path}")
-    return EXIT_OK
+    return EXIT_OK if len(triple) < 3 or rep.passed else EXIT_CHECK_FAILED
 
 
 def nonnegative_int(text: str) -> int:

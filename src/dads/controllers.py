@@ -13,9 +13,10 @@ Three controllers are provided:
 Each controller exposes step(x, cs, t) -> (u, rate): the input and the rate
 of the controller state, from one evaluation of the law, and lyapunov(x, cs),
 the law's one Lyapunov function, which the simulator logs and the trajectory
-checks and certificates read.  All formula evaluation is written with generic
-arithmetic so the same code paths can be fed jets for derivative-based
-certificate checking.
+checks and certificates read.  Each law's dissipation inequality is stated
+once, beside its Lyapunov function, and the checks of `verify` read it.  All
+formula evaluation is written with generic arithmetic so the same code paths
+can be fed jets for derivative-based certificate checking.
 
 `DadsGains`, the design constants of the deadzone law, lives here beside
 `deadzone_rate`; the synthesis engine and the checks read it from here.  The
@@ -55,6 +56,14 @@ def deadzone_rate(V, z, Gamma: float, eps_dz: float):
     """Deadzone gain adaptation Gamma e^{-z} (V - eps_dz)^+: zero whenever
     V <= eps_dz, nonnegative always (generic arithmetic)."""
     return Gamma * jet_exp(-z) * jet_relu_plus(V - eps_dz)
+
+
+def dads_residual(d_sq, theta_norm, z, b: float, a: float):
+    """The residual of the deadzone law's V' <= -c V + residual, from |d|^2
+    and |theta|: a (|d|^2 + ((|theta| - b - e^z)^+)^2) / (1 + e^z)."""
+    ez = jet_exp(z)
+    excess = jet_relu_plus(theta_norm - b - ez)
+    return a * (d_sq + excess * excess) / (1.0 + ez)
 
 
 @dataclass(frozen=True)
@@ -186,6 +195,27 @@ class SigmaModController:
         zeta, chi, _ = _sigma_mod_terms(x[0], x[1], x[2], *cs, c=self.c, K=self.K)
         return 0.5 * x[0] ** 2 + 0.5 * zeta ** 2 + 0.5 * chi ** 2
 
+    # W = V + E, E the estimate energy at the true theta, obeys
+    # W' <= -2c V - sigma E + r, and r grows with sigma |theta|^2.
+    def estimate_energy(self, theta_hat, theta):
+        return norm_sq(est - true for est, true in zip(theta_hat, theta)) / (2.0 * self.Gamma)
+
+    @property
+    def decay_rates(self) -> tuple[float, float]:
+        """The rates 2c on V and sigma on E."""
+        return 2.0 * self.c, self.sigma_leak
+
+    def residual(self, d_sq, theta_sq):
+        """r = |d|^2 / 2 + sigma |theta|^2 / (2 Gamma), from |d|^2 and |theta|^2."""
+        return 0.5 * d_sq + self.sigma_leak / (2.0 * self.Gamma) * theta_sq
+
+    def dissipation_bound(self, x, theta_hat, theta, d_sq):
+        """-2c V - sigma E + r, with sigma E rounded as r's leak share is."""
+        rate_V, rate_E = self.decay_rates
+        err = norm_sq(est - true for est, true in zip(theta_hat, theta))
+        return (-rate_V * self.lyapunov(x, theta_hat) - rate_E / (2.0 * self.Gamma) * err
+                + self.residual(d_sq, norm_sq(theta)))
+
 
 def _sigma_mod_terms(x1, x2, x3, t1, t2, t3, t4, c, K):
     zeta = x2 + 2.0 * c * x1
@@ -219,8 +249,7 @@ def sigma_mod_W_map(ctrl: SigmaModController, theta) -> SmoothMap:
     th = tuple(float(v) for v in theta)
 
     def W(x1, x2, x3, *th_hat):
-        err = norm_sq(est - true for est, true in zip(th_hat, th))
-        return ctrl.lyapunov((x1, x2, x3), th_hat) + err / (2.0 * ctrl.Gamma)
+        return ctrl.lyapunov((x1, x2, x3), th_hat) + ctrl.estimate_energy(th_hat, th)
 
     return SmoothMap(7, W, name="sigma_mod_W")
 

@@ -1,11 +1,10 @@
 """Executable checks: sampled dissipation inequalities and trajectory estimates.
 
 Every check produces a CheckReport with the worst margin observed and the
-sample achieving it (margin >= -tolerance means pass).  A sampled check draws
-one sample per sampler call, through `systems.box_sampler` as synthesis's
-majorant validations do, then evaluates them all in a single array pass:
-V's gradient comes from jets with array coefficients, and the rhs and
-bound callables take a tuple of sample columns.
+sample achieving it (margin >= -tolerance means pass).  A sampled check
+draws through `systems.box_sampler`, as synthesis's majorant validations do,
+and evaluates all its samples in one array pass (see `check_dissipation`).
+The bounds are each law's own dissipation inequality, from `controllers`.
 Asymptotic claims are checked as finite-horizon surrogates: suprema over the
 final portion of the horizon with recorded slack, since a simulation cannot
 observe true limits.
@@ -23,13 +22,14 @@ from .controllers import (
     DadsGains,
     SigmaModController,
     WingRockDadsController,
-    _sigma_mod_terms,
+    _sigma_mod_terms,  # noqa: F401  (perfbench/invoke.py spans verify._sigma_mod_terms)
+    dads_residual,
     deadzone_rate,
     sigma_mod_control,
     sigma_mod_W_map,
     wingrock_control,
 )
-from .jets import SmoothMap, gradient, jet_exp, jet_relu_plus, norm_sq
+from .jets import SmoothMap, gradient, norm_sq
 from .simulate import TrajectoryLog, tail_length
 from .systems import D_RADIUS, box_sampler, draw_rows, eval_dynamics, truncate
 
@@ -135,11 +135,9 @@ def wingrock_dissipation_check(
     seed: int = 0,
     control_fn: Callable | None = None,
 ) -> CheckReport:
-    """Sampled decay inequality for the closed-form wing-rock law.
-
-    The bound is -cV + a(|d|^2 + ((|theta|-b-e^z)^+)^2)/(1+e^z): the general
-    DADS inequality with the controller's gains.  control_fn overrides the
-    input computation (used by mutation tests).
+    """Sampled decay inequality for the closed-form wing-rock law: the bound
+    is -cV + `dads_residual` with the controller's gains.  control_fn
+    overrides the input computation (used by mutation tests).
     """
     u_of = control_fn or (lambda x, z: wingrock_control(x, z, ctrl)[0])
     k = SmoothMap(4, lambda x1, x2, x3, z: u_of((x1, x2, x3), z), name="wingrock_u")
@@ -159,15 +157,10 @@ def sigma_mod_dissipation_check(
     tol: float = 1e-6,
     seed: int = 0,
 ) -> CheckReport:
-    """Sampled decay inequality of the leakage baseline for a fixed theta.
-
-    The comparison function includes the parameter-estimation error, and the
-    bound carries the leakage residual (sigma/2Gamma)|theta|^2.
+    """Sampled decay inequality of the leakage baseline for a fixed theta:
+    W = V + E (`sigma_mod_W_map`) against the law's -2c V - sigma E + r.
     """
-    theta = np.asarray(theta, float)
     W = sigma_mod_W_map(ctrl, theta)
-    leak, Gamma, c = ctrl.sigma_leak, ctrl.Gamma, ctrl.c
-
     nx, nt = sys.state_dim, ctrl.ctrl_dim
 
     def split(cols):
@@ -181,18 +174,11 @@ def sigma_mod_dissipation_check(
 
     def bound(cols):
         x, th_hat, d = split(cols)
-        zeta, chi, _ = _sigma_mod_terms(*x, *th_hat, c=c, K=ctrl.K)
-        err = norm_sq(e - t for e, t in zip(th_hat, theta))
-        return (
-            -c * (x[0] ** 2 + zeta ** 2 + chi ** 2)
-            - leak / (2.0 * Gamma) * err
-            + 0.5 * norm_sq(d)
-            + leak / (2.0 * Gamma) * float(theta @ theta)
-        )
+        return ctrl.dissipation_bound(x, th_hat, theta, norm_sq(d))
 
     return check_dissipation(
         W, rhs, bound, box_sampler(nx, (nt, sys.theta_radius), (sys.l, D_RADIUS)),
-        n=n, tol=tol, seed=seed, name=f"sigma-mod dissipation (leak={leak:g})",
+        n=n, tol=tol, seed=seed, name=f"sigma-mod dissipation (leak={ctrl.sigma_leak:g})",
     )
 
 
@@ -228,11 +214,8 @@ def synthesized_dissipation_check(
 
     def bound(cols):
         x, z, th, d = split(cols)
-        ez = jet_exp(z)
-        excess = jet_relu_plus(np.sqrt(norm_sq(th)) - gains.b - ez)
-        return -rate_c * V(*x, z) + gain_a * (
-            norm_sq(d) + excess * excess
-        ) / (1.0 + ez)
+        return -rate_c * V(*x, z) + dads_residual(
+            norm_sq(d), np.sqrt(norm_sq(th)), z, gains.b, gain_a)
 
     return check_dissipation(
         V, rhs, bound, box_sampler(dim + 1, (sys.p, sys.theta_radius), (sys.l, D_RADIUS)),
@@ -244,16 +227,10 @@ def stage_certificate_checks(
     sys, result, gains, n: int = 200, tol: float = 1e-7, seed: int = 0
 ) -> list[CheckReport]:
     """One decay-inequality report per synthesis stage."""
-    reports = []
-    for stage in result.stage_trace:
-        reports.append(
-            synthesized_dissipation_check(
-                sys, stage.V, stage.k, gains, stage.rate_c, stage.effective_gain,
-                n=n, tol=tol, seed=seed + stage.level,
-                name=f"stage {stage.level} certificate",
-            )
-        )
-    return reports
+    return [synthesized_dissipation_check(
+        sys, stage.V, stage.k, gains, stage.rate_c, stage.effective_gain,
+        n=n, tol=tol, seed=seed + stage.level, name=f"stage {stage.level} certificate",
+    ) for stage in result.stage_trace]
 
 
 # ---------------------------------------------------------------------------
@@ -275,31 +252,17 @@ def check_trajectory_estimates(
 ) -> list[CheckReport]:
     """Estimate checks along a deadzone-adapted run.
 
-    Produces reports for (i) the exponential-plus-offset envelope on V,
-    (ii) monotonicity of the adaptation state z, (iii) the tail bound
-    V <= eps_dz (1 + SLACK), and (iv) the tail output bound |Y| <=
-    attractivity_radius (1 + SLACK).  The envelope uses the supplied signal
-    suprema, which should come from the actually sampled signals.  A failing
-    tail bound notes when z still rose over the tail: the gain had not settled.
+    Produces reports for (i) the envelope e^{-ct} V(0) + residual / c on V,
+    the law's residual at (d_sup, theta_sup, z(0)) from the sampled signals'
+    suprema, (ii) monotonicity of the adaptation state z, (iii) the tail
+    bound V <= eps_dz (1 + SLACK), and (iv) the tail output bound |Y| <=
+    attractivity_radius (1 + SLACK).  A failing tail bound notes when z
+    still rose over the tail: the gain had not settled.
     """
-    c, a, b = gains.c, gains.a, gains.b
     z = log.ctrl[:, 0]
-    z0 = float(z[0])
-    V0 = float(log.V[0])
-    ez0 = math.exp(z0)
-    offset = (
-        a * (d_sup ** 2 + max(theta_sup - b - ez0, 0.0) ** 2) / (c * (1.0 + ez0))
-    )
-    envelope = np.exp(-c * log.t) * V0 + offset
-    margins = envelope - log.V
-    i_env = int(np.argmin(margins))
-    reports = [
-        CheckReport(
-            "V envelope", len(log), float(margins[i_env]),
-            (float(log.t[i_env]), float(log.V[i_env]), float(envelope[i_env])),
-            tol,
-        )
-    ]
+    offset = dads_residual(d_sup ** 2, theta_sup, float(z[0]), gains.b, gains.a) / gains.c
+    envelope = np.exp(-gains.c * log.t) * float(log.V[0]) + offset
+    reports = [_envelope_report("V envelope", log.t, log.V, envelope, tol)]
 
     dz = np.diff(z)
     i_z = int(np.argmin(dz)) if len(dz) else 0
@@ -328,6 +291,15 @@ def check_trajectory_estimates(
         )
     )
     return reports
+
+
+def _envelope_report(name: str, t, W, envelope, tol: float) -> CheckReport:
+    """Worst margin of W <= envelope over the logged rows t, with the
+    witness (t, W, envelope)."""
+    margins = envelope - W
+    i = int(np.argmin(margins))
+    return CheckReport(name, len(t), float(margins[i]),
+                       (float(t[i]), float(W[i]), float(envelope[i])), tol)
 
 
 def wingrock_attractivity_radius(c: float, eps: float) -> float:
@@ -387,20 +359,19 @@ def check_sigma_tradeoff(
     ctrl: SigmaModController,
     d_sup: float,
 ) -> CheckReport:
-    """Residual-set bound of the leakage baseline grows with |theta|.
+    """The envelope of W = V + E that the leakage law's dissipation implies.
 
-    Checks that the tail sup of x1^2 + zeta^2 + chi^2, twice the logged
-    state part of the comparison function, stays below the Lyapunov-implied
-    residual level (|d|^2/2 + (sigma/2Gamma)|theta|^2)/c.
+    W' <= -2c V - sigma E + r <= -lam W + r with lam = min(2c, sigma), so by
+    the comparison lemma W(t) <= e^{-lam t} W(0) + r (1 - e^{-lam t}) / lam,
+    W(0) + r t at sigma = 0, with r at d_sup.  r grows with sigma |theta|^2.
+    Row 0 meets the bound with equality; the rows after it are checked, and
+    the witness is (t, W, envelope).
     """
-    theta = np.asarray(theta, float)
-    bound = (
-        0.5 * d_sup ** 2
-        + ctrl.sigma_leak / (2.0 * ctrl.Gamma) * float(theta @ theta)
-    ) / ctrl.c
-    n_tail = tail_length(len(sigma_log))
-    worst_val = 2.0 * float(np.max(sigma_log.V[-n_tail:]))
-    return CheckReport(
-        "sigma-mod residual bound", n_tail,
-        bound * (1.0 + SLACK) - worst_val, (worst_val, bound), 0.0,
-    )
+    lam = min(ctrl.decay_rates)
+    r = ctrl.residual(d_sup ** 2, norm_sq(theta))
+    W = sigma_log.V + ctrl.estimate_energy(sigma_log.ctrl.T, theta)
+    t = sigma_log.t[1:]
+    # the integral of e^{-lam s} over [0, t]
+    spread = t if lam == 0.0 else -np.expm1(-lam * t) / lam
+    envelope = np.exp(-lam * t) * W[0] + r * spread
+    return _envelope_report("sigma-mod W envelope", t, W[1:], envelope, 0.0)

@@ -7,6 +7,7 @@ closed-loop run happens once.
 """
 
 import csv
+import itertools
 import math
 import time
 from argparse import Namespace
@@ -312,17 +313,30 @@ def test_criterion_11_assignable_level(tmp_path):
            + ", ".join(f"{y:.3g}" for y in tails) + " (falling, all checks pass)")
 
 
-def _scaled_fig4(name, tmp_path, amplitude, theta):
-    """The shipped scenario `name` with its disturbance amplitudes and its
-    parameter value scaled, built as the CLI builds it."""
+def _scaled(name, tmp_path, amplitude, theta):
+    """The shipped scenario `name` with its disturbance amplitudes scaled by
+    amplitude and its parameter value entrywise by theta, built as the CLI
+    builds it."""
     shipped = Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.scenario"
     scn = load_scenario(str(shipped))
-    scn.sections["disturbance"]["amplitudes"] = [
-        amplitude * a for a in scn.get("disturbance", "amplitudes")]
-    scn.sections["parameter"]["value"] = [theta * v for v in scn.get("parameter", "value")]
-    path = tmp_path / f"{name}_{amplitude}_{theta}.scenario"
+    if amplitude != 1:
+        scn.sections["disturbance"]["amplitudes"] = [
+            amplitude * a for a in scn.get("disturbance", "amplitudes")]
+    scn.sections["parameter"]["value"] = [
+        f * v for f, v in zip(theta, scn.get("parameter", "value"))]
+    path = tmp_path / f"{name}_{amplitude}_{'_'.join(map(str, theta))}.scenario"
     path.write_text(scenario_text(scn.sections))
     return build(str(path), Namespace(dt=None, t_end=None))
+
+
+def _trajectory_reports(setup):
+    """The scenario's log and its trajectory-estimate reports by name."""
+    log, controller, dist = run_scenario(setup)
+    gains = controller.gains
+    return log, {r.name: r for r in check_trajectory_estimates(
+        log, gains, d_sup=signal_sup(dist, log.t),
+        theta_sup=float(np.linalg.norm(setup.theta)),
+        attractivity_radius=wingrock_attractivity_radius(gains.c, gains.eps_dz))}
 
 
 def test_criterion_12_size_independence(tmp_path):
@@ -336,13 +350,8 @@ def test_criterion_12_size_independence(tmp_path):
     ok, details = True, []
     for amplitude in (1, 10):
         for theta in (1, 10):
-            setup = _scaled_fig4("fig4_dads", tmp_path, amplitude, theta)
-            log, controller, dist = run_scenario(setup)
-            gains = controller.gains
-            reports = {r.name: r for r in check_trajectory_estimates(
-                log, gains, d_sup=signal_sup(dist, log.t),
-                theta_sup=float(np.linalg.norm(setup.theta)),
-                attractivity_radius=wingrock_attractivity_radius(gains.c, gains.eps_dz))}
+            log, reports = _trajectory_reports(
+                _scaled("fig4_dads", tmp_path, amplitude, [theta] * 4))
             tail = reports["tail output bound"]
             z = log.ctrl[:, 0]
             mid = np.searchsorted(log.t, 0.5 * log.t[-1])
@@ -351,10 +360,26 @@ def test_criterion_12_size_independence(tmp_path):
             detail = (f"x{amplitude} amplitudes, x{theta} theta: tail sup|Y| "
                       f"{tail.witness[0]:.3g}, z {z[0]:.3g} -> {z[mid]:.4g} -> {z[-1]:.4g}")
             if theta == 1:
-                sigma0, leaky = (run_scenario(_scaled_fig4(name, tmp_path, amplitude, 1))[0]
+                sigma0, leaky = (run_scenario(_scaled(name, tmp_path, amplitude, [1] * 4))[0]
                                  for name in ("fig4_sigma0", "fig4_sigma04"))
                 contrast = check_drift_contrast(log, sigma0, leaky, expect_drift=True)
                 ok = ok and contrast.passed
                 detail += f", drift contrast margin {contrast.worst_margin:.2g}"
             details.append(detail)
     report(12, ok, "; ".join(details))
+
+
+def test_criterion_12_sign_patterns(tmp_path):
+    # a sign is a size too: every sign pattern of theta = (20, 20, 2, 1)
+    # passes all four trajectory checks on the quiet and the disturbed DADS
+    # scenario over their 10 s
+    failing, worst = [], {}
+    for name in ("fig1_dads", "fig4_dads"):
+        for signs in itertools.product((1, -1), repeat=4):
+            _, reports = _trajectory_reports(_scaled(name, tmp_path, 1, signs))
+            failing += [f"{name} {signs}: {r.summary()}" for r in reports.values()
+                        if not r.passed]
+            envelope = reports["V envelope"].worst_margin
+            worst[name] = min(worst.get(name, math.inf), envelope)
+    report(12, not failing, "; ".join(failing) or "16 sign patterns pass on each; "
+           + ", ".join(f"{name} least V envelope margin {m:.4g}" for name, m in worst.items()))

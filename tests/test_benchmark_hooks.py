@@ -29,8 +29,9 @@ def _invoke(tmp_path, mode, args):
     ["simulate", "scenarios/fig4_sigma0.scenario", "--t-end", "0.01"],
     ["synthesize", "scenarios/synth_wingrock.scenario"],
     ["simulate", "scenarios/fig1_dads.scenario", "--t-end", "0.01"],
+    # compare exits 5 on a failed drift contrast, which passes at t_end = 2
     ["compare", "scenarios/fig4_dads.scenario", "scenarios/fig4_sigma0.scenario",
-     "scenarios/fig4_sigma04.scenario", "--t-end", "0.01"],
+     "scenarios/fig4_sigma04.scenario", "--t-end", "2"],
 ])
 def test_traced_invocation_exits_zero(tmp_path, args):
     proc = _invoke(tmp_path, "--trace", args)

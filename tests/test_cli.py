@@ -1054,14 +1054,43 @@ class TestNoShippedRk4:
                                             "--out", tempfile.mkdtemp(dir=tmp_path)])
         assert reached == []
         # the exit codes these commands give unstubbed: over 0.05 s the DADS
-        # tail bounds fail, and so does fig1_sigma0's residual bound; a
-        # scenario without [sim] is not simulated
-        failing = {("verify", "fig1_dads"), ("verify", "fig1_sigma0"), ("verify", "fig4_dads")}
+        # tail bounds fail, and so does the drift contrast of each triple (the
+        # DADS gain has not plateaued); a scenario without [sim] is not simulated
+        failing = {("verify", "fig1_dads"), ("verify", "fig4_dads"),
+                   ("compare", "fig1_dads"), ("compare", "fig4_dads")}
         unsimulated = {("simulate", "ineq34"), ("simulate", "ineq38"),
                        ("simulate", "synth_wingrock"), ("compare", "ineq34")}
         assert len(codes) == 23
         assert codes == {key: EXIT_CHECK_FAILED if key in failing else
                          EXIT_PARSE if key in unsimulated else EXIT_OK for key in codes}
+
+
+class TestShippedScenariosPass:
+    """Every shipped scenario passes its own checks at its own horizon."""
+
+    def test_verify_exits_zero(self, tmp_path, capsys):
+        names = [name for name in SHIPPED
+                 if "checks" in load_scenario(scen(f"{name}.scenario")).sections]
+        assert len(names) == 9
+        codes = {name: main(["verify", scen(f"{name}.scenario"), "--out", str(tmp_path)])
+                 for name in names}
+        assert codes == dict.fromkeys(names, EXIT_OK), capsys.readouterr().out
+        # the sigma-mod W envelope margins and where they are least
+        # (integrator tolerance: rtol 1e-6)
+        for name, margin, t in [("fig1_sigma0", 50.069807786070676, 0.01),
+                                ("fig1_sigma04", 10.157746437520448, 8.95),
+                                ("fig4_sigma0", 53.844555125707998, 0.01),
+                                ("fig4_sigma04", 53.629929849556561, 0.01)]:
+            with open(tmp_path / f"{name}.checks.csv") as fh:
+                (row,) = csv.DictReader(fh)
+            assert row["name"] == "sigma-mod W envelope"
+            assert float(row["worst_margin"]) == pytest.approx(margin, rel=1e-6)
+            assert float(row["witness"].split(";")[0]) == t
+
+    def test_fig4_compare_exits_zero(self, tmp_path, capsys):
+        paths = [scen(f"fig4_{law}.scenario") for law in ("dads", "sigma0", "sigma04")]
+        assert main(["compare", *paths, "--t-end", "2", "--out", str(tmp_path)]) == EXIT_OK
+        assert "[PASS] drift contrast" in capsys.readouterr().out
 
 
 class TestSynthesizeCommand:
@@ -1139,7 +1168,8 @@ class TestCompareCommand:
         monkeypatch.setattr(cli, "load_scenario", counting_load)
         monkeypatch.setattr(ver, "check_drift_contrast", contrast)
         paths = [scen(f"fig4_{s}.scenario") for s in ("dads", "sigma0", "sigma04")]
-        assert main(["compare", *paths, "--t-end", "0.1"]) == EXIT_OK
+        # over 0.1 s the DADS gain has not plateaued: the contrast fails
+        assert main(["compare", *paths, "--t-end", "0.1"]) == EXIT_CHECK_FAILED
         assert loaded == paths
         # the persistent disturbance is read from those parses
         assert drift == [True]
@@ -1171,7 +1201,8 @@ class TestCompareCommand:
         check_drift_contrast = ver.check_drift_contrast
         monkeypatch.setattr(ver, "check_drift_contrast", contrast)
         paths = self._fig4_with(tmp_path, disturbance)
-        assert main(["compare", *paths, "--t-end", "0.1"]) == EXIT_OK
+        # over 0.1 s the DADS gain has not plateaued: the contrast fails
+        assert main(["compare", *paths, "--t-end", "0.1"]) == EXIT_CHECK_FAILED
         assert drift == [expected]
 
     def test_decaying_disturbance_passes_the_contrast(self, tmp_path, capsys):

@@ -15,7 +15,7 @@ from dads.controllers import (
     wingrock_control,
 )
 from dads.jets import SmoothMap, gradient, jet_exp
-from dads.simulate import SimConfig, TrajectoryLog, simulate, tail_length
+from dads.simulate import SimConfig, TrajectoryLog, simulate
 from dads.synthesis import DadsGains, synthesize, wingrock_majorants
 from dads.systems import (
     DisturbanceProfile,
@@ -405,27 +405,51 @@ class TestContrastChecks:
         d_sup = signal_sup(dist, s4_log.t)
         rep = check_sigma_tradeoff(s4_log, THETA, ctrl, d_sup)
         assert rep.passed, rep.summary()
-        # bound arithmetic: (d_sup^2 / 2 + (sigma / 2 Gamma) |theta|^2) / c
-        expected = (0.5 * d_sup ** 2 + 0.4 / 40.0 * float(np.dot(THETA, THETA))) / 0.5
-        assert rep.witness[1] == pytest.approx(expected, rel=1e-12)
-        # the tail sup of x1^2 + zeta^2 + chi^2, recomputed row by row
-        n_tail = tail_length(len(s4_log))
-        worst = max(
-            x[0] ** 2 + zeta ** 2 + chi ** 2
-            for x, th_hat in zip(s4_log.x[-n_tail:], s4_log.ctrl[-n_tail:])
-            for zeta, chi, _ in [_sigma_mod_terms(*x, *th_hat, c=ctrl.c, K=ctrl.K)]
-        )
-        assert rep.witness[0] == worst
+        # W = V + |theta_hat - theta|^2 / (2 Gamma), recomputed row by row
+        W = [ctrl.lyapunov(x, th_hat) + sum((h - t) ** 2 for h, t in zip(th_hat, THETA)) / 40.0
+             for x, th_hat in zip(s4_log.x, s4_log.ctrl)]
+        # envelope e^{-lam t} W(0) + r (1 - e^{-lam t}) / lam with lam = min(2c, sigma)
+        # and r = d_sup^2 / 2 + (sigma / 2 Gamma) |theta|^2, over the rows after t = 0
+        r = 0.5 * d_sup ** 2 + 0.4 / 40.0 * float(np.dot(THETA, THETA))
+        envelope = [math.exp(-0.4 * t) * W[0] + r * (1.0 - math.exp(-0.4 * t)) / 0.4
+                    for t in s4_log.t]
+        margins = [e - w for e, w in zip(envelope[1:], W[1:])]
+        i = int(np.argmin(margins)) + 1
+        assert rep.n_samples == len(s4_log) - 1
+        assert rep.worst_margin == pytest.approx(margins[i - 1], rel=1e-12)
+        assert rep.witness == pytest.approx((s4_log.t[i], W[i], envelope[i]), rel=1e-12)
 
     def test_sigma_tradeoff_bound_linear_in_sigma(self, persistent_triple):
+        # the residual r the envelope reads, recovered from its witness, is
+        # d_sup^2 / 2 plus a leak share linear in sigma
         _, _, s4_log = persistent_triple
         dist = DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0))
         d_sup = signal_sup(dist, s4_log.t)
-        b4 = check_sigma_tradeoff(
-            s4_log, THETA, SigmaModController(sigma_leak=0.4), d_sup
-        ).witness[1]
-        b8 = check_sigma_tradeoff(
-            s4_log, THETA, SigmaModController(sigma_leak=0.8), d_sup
-        ).witness[1]
-        base = 0.5 * d_sup ** 2 / 0.5
-        assert b8 - base == pytest.approx(2.0 * (b4 - base), rel=1e-12)
+        W0 = float(s4_log.V[0]) + float(np.dot(THETA, THETA)) / 40.0  # theta_hat(0) = 0
+
+        def residual(sigma):
+            rep = check_sigma_tradeoff(s4_log, THETA, SigmaModController(sigma_leak=sigma), d_sup)
+            t, _, envelope = rep.witness
+            lam = min(1.0, sigma)
+            return (envelope - math.exp(-lam * t) * W0) * lam / -math.expm1(-lam * t)
+
+        base = 0.5 * d_sup ** 2
+        r4, r8 = residual(0.4), residual(0.8)
+        assert r4 - base == pytest.approx(0.4 / 40.0 * float(np.dot(THETA, THETA)), rel=1e-12)
+        assert r8 - base == pytest.approx(2.0 * (r4 - base), rel=1e-12)
+
+    def test_sigma_tradeoff_fails_when_W_rises(self):
+        # sigma = 0 and no disturbance: r = 0, so the envelope is W(0) at
+        # every t, and a W that rises above it fails with (t, W, W(0))
+        theta_hat = np.tile(THETA, (4, 1))  # E = 0, so W is the logged V
+        log = TrajectoryLog(np.array([0.0, 0.01, 0.02, 0.03]), np.zeros((4, 3)), theta_hat,
+                            np.zeros(4), np.array([1.0, 0.5, 1.0, 1.5]), np.zeros(4))
+        rep = check_sigma_tradeoff(log, THETA, SigmaModController(sigma_leak=0.0), 0.0)
+        assert not rep.passed
+        assert rep.n_samples == 3
+        assert rep.worst_margin == -0.5
+        assert rep.witness == (0.03, 1.5, 1.0)
+        # W(t) = W(0) meets the bound: tolerance 0, margin 0
+        log.V[3] = 1.0
+        rep = check_sigma_tradeoff(log, THETA, SigmaModController(sigma_leak=0.0), 0.0)
+        assert rep.passed and rep.worst_margin == 0.0
