@@ -97,6 +97,10 @@ _CONTROLLER_FIELDS = {
 # deadzone level, as in [controller]
 _SYNTHESIS_FIELDS = {"b": "b", "gamma": "Gamma", "eps": "eps_dz", "c": "c", "a": "a"}
 
+# the [disturbance] keys each kind reads
+_DISTURBANCE_KEYS = {"zero": ("kind",), "sinusoid-bank": ("kind", "amplitudes", "frequencies"),
+                     "vanishing": ("kind", "amplitudes", "frequencies", "decay")}
+
 # every section and key a scenario may have, with the conversion of its text
 SCENARIO_KEYS = {
     "system": {"name": _TEXT},
@@ -209,13 +213,19 @@ def build_gains(scn: Scenario) -> DadsGains:
 
 
 def build_disturbance(scn: Scenario, dim: int) -> DisturbanceProfile:
-    """The [disturbance] signal; decay is read by the vanishing kind only, default 1."""
+    """The [disturbance] signal of the keys its kind reads; decay defaults to 1."""
     kind = scn.get("disturbance", "kind", "zero")
+    # an unknown kind reads every key here, and DisturbanceProfile rejects it
+    reads = _DISTURBANCE_KEYS.get(kind, SCENARIO_KEYS["disturbance"])
+    unread = sorted(set(scn.sections.get("disturbance", {})) - set(reads))
+    if unread:
+        raise ScenarioError(f"[disturbance] kind {kind!r} does not read {', '.join(unread)}; "
+                            f"it reads {', '.join(reads)}")
     try:
         return DisturbanceProfile(
             kind, dim, tuple(scn.get("disturbance", "amplitudes", ())),
             tuple(scn.get("disturbance", "frequencies", ())),
-            scn.get("disturbance", "decay", 1.0) if kind == "vanishing" else 0.0)
+            scn.get("disturbance", "decay", 1.0 if kind == "vanishing" else 0.0))
     except ValueError as exc:  # the decay message names its section, as conversion errors do
         prefix = "[disturbance] " if str(exc).startswith("decay") else ""
         raise ScenarioError(f"{prefix}{exc}") from None
@@ -350,7 +360,7 @@ def _synthesis(setup: Setup, seed: int):
     last = result.stage_trace[-1]
     reports = ver.stage_certificate_checks(sysm, result, gains, seed=seed)
     return result, reports + [ver.synthesized_dissipation_check(
-        sysm, last.V, last.k, gains, last.rate_c, last.effective_gain, seed=seed)]
+        sysm, last.V, last.k, gains, last.rate_c, last.gain_a, seed=seed)]
 
 
 def cmd_synthesize(args) -> int:

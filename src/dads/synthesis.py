@@ -12,21 +12,22 @@ plant (n >= 0 leading integrators, m levels) in two phases:
   stage.  The backstep reads that level's maps from the plant itself, and
   the drift of the block it extends from `systems.state_rates`.
 
-Each previous-stage map is evaluated once on first-order jets for all its
-partials (dk/dx, dk/dz, dV/dz); since those maps already contain the
-derivatives taken one stage earlier, each backstep nests one more jet level.
-The growth majorants R, r, rho that the construction needs cannot be derived
-automatically from closures; they are supplied per level by the caller.
-`synthesize` samples each assumption once, through `systems.box_sampler`,
-every state in the box `dads.systems` declares: on the same (state, theta)
-draws, the gains below the input are free of theta (a ValueError otherwise)
-and obey eta <= g <= mu (1 + |theta|); then the first-level drift bound r and
-each backstep's (R, r, rho).  A bound violation raises with its witness point.
+A backstep takes each previous-stage map's partials from one jet pass,
+samples its majorants R, r, rho with them and builds the new stage from the
+same partials, so each backstep nests one more jet level.  The majorants
+cannot be derived from closures; the caller supplies them per level.
+`synthesize` samples each assumption once, states in the box of
+`dads.systems`: on the same (state, theta) draws, the gains below the input
+are free of theta (a ValueError otherwise) and obey eta <= g <= mu
+(1 + |theta|); then the first-level drift bound r and each backstep's
+(R, r, rho).  A bound violation raises with its witness point.
 
-Rates halve and disturbance gains double per backstep, so a base started at
-(2^{m-1} c, 2^{1-m} a) ends exactly at (c, a).  The design constants are
-`controllers.DadsGains`; the CLI is the one module of the package that
-imports this engine.
+A stage carries one disturbance gain, gain_a.  Rates halve and gains double
+per backstep, so a base started at (2^{m-1} c, 2^{1-m} a) ends at (c, a);
+the quadratic-form base divides its gain by the comparison constant M, so
+that chain ends at (c, a / M).  The pure chain's first-level gain is
+`chain_base_gain`.  The design constants are `controllers.DadsGains`; the
+CLI is the one module of the package that imports this engine.
 """
 
 from __future__ import annotations
@@ -74,9 +75,8 @@ class DadsStage:
     """One backstepping level: (V, k, sigma) plus its rate/gain bookkeeping.
 
     The stage satisfies |state|^2 <= sigma * V and a dissipation inequality
-    with decay rate_c and disturbance gain gain_a / gain_div (gain_div > 1
-    only on the quadratic-form base path, where the comparison constant
-    divides the gain).
+    with decay rate_c and disturbance gain gain_a (on the quadratic-form base
+    path the comparison constant already divides the gain).
     """
 
     level: int
@@ -85,11 +85,6 @@ class DadsStage:
     sigma: SmoothMap
     rate_c: float
     gain_a: float
-    gain_div: float = 1.0
-
-    @property
-    def effective_gain(self) -> float:
-        return self.gain_a / self.gain_div
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +116,19 @@ def _validate_scaled_bound(name, lhs_fn, bound_fn, pts):
         raise MajorantViolationError(name, pts[i], lhs[i], bound[i])
 
 
+def chain_base_gain(x1, z, m: int, gains: DadsGains, rv, asq):
+    """The pure chain's first-level gain M1 at (x1, z), given r(x1) = rv and
+    |alpha1(x1)|^2 = asq: the parameter-bound, disturbance and decay
+    contributions of a chain of m levels.
+    """
+    ez = jet_exp(z)
+    return (
+        (gains.b + 1.0 + ez) * rv
+        + (1.0 + ez) / (2.0 ** (3 - m) * gains.a) * (asq + rv * rv * x1 * x1)
+        + 2.0 ** (m - 2) * gains.c
+    )
+
+
 def solve_base_theorem3(
     m: int,
     gains: DadsGains,
@@ -130,28 +138,15 @@ def solve_base_theorem3(
 ) -> DadsStage:
     """Base step for the pure strict-feedback chain: V1 = x1^2 / 2.
 
-    k1 = -(M(x1, z) / eta1(x1)) x1 where M collects the parameter-bound,
-    disturbance and decay contributions of the first level.  For a chain of m
-    levels the stage starts at rate 2^{m-1} c and gain 2^{1-m} a.
+    k1 = -(M1(x1, z) / eta1(x1)) x1 with M1 = `chain_base_gain`.  For a chain
+    of m levels the stage starts at rate 2^{m-1} c and gain 2^{1-m} a.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    b, a, c = gains.b, gains.a, gains.c
-    denom = 2.0 ** (3 - m) * a
-    tail = 2.0 ** (m - 2) * c
-
-    def M1(x1, z):
-        ez = jet_exp(z)
-        rv = r(x1)
-        asq = norm_sq(as_tuple(alpha1(x1)))
-        return (
-            (b + 1.0 + ez) * rv
-            + (1.0 + ez) / denom * (asq + rv * rv * x1 * x1)
-            + tail
-        )
 
     def k1(x1, z):
-        return -(M1(x1, z) / eta1(x1)) * x1
+        M1 = chain_base_gain(x1, z, m, gains, r(x1), norm_sq(as_tuple(alpha1(x1))))
+        return -(M1 / eta1(x1)) * x1
 
     def V1(x1, z):
         return 0.5 * x1 * x1
@@ -161,8 +156,8 @@ def solve_base_theorem3(
         V=SmoothMap(2, V1, name="V1"),
         k=SmoothMap(2, k1, name="k1"),
         sigma=SmoothMap(2, lambda x1, z: 2.0, name="sigma1"),
-        rate_c=2.0 ** (m - 1) * c,
-        gain_a=2.0 ** (1 - m) * a,
+        rate_c=2.0 ** (m - 1) * gains.c,
+        gain_a=2.0 ** (1 - m) * gains.a,
     )
 
 
@@ -262,8 +257,7 @@ def solve_base_theorem1(
         k=SmoothMap(n + 2, k1, name="k1"),
         sigma=SmoothMap(n + 2, lambda *a_: M_const, name="sigma1"),
         rate_c=shift,
-        gain_a=2.0 ** (1 - m) * a,
-        gain_div=M_const,
+        gain_a=2.0 ** (1 - m) * a / M_const,
     )
     return BaseStepResult(P=P, omega=omega, K_const=K_const, M_const=M_const, stage=stage)
 
@@ -282,18 +276,33 @@ def _dk_times_rows(dk, sys: StrictFeedbackSystem, rows, xs) -> list:
     ]
 
 
-def _validate_backstep_majorants(
+def backstep(
     prev: DadsStage,
     sys: StrictFeedbackSystem,
     j: int,
+    gains: DadsGains,
     majorants: StageMajorants,
-    n_samples: int,
-    seed: int,
-):
+    n_samples: int = 200,
+    seed: int = 0,
+) -> DadsStage:
+    """Absorb plant level j + 1 (1 <= j < m) into the stage on (x, y_1..y_j).
+
+    First the majorants are sampled, in order R, r, rho, n_samples draws each
+    from default_rng(seed); the first violation raises.  Then V -> V + s^2/2
+    and k -> -(M/eta) s with s = y - k.  The stacked gain M dominates every
+    cross term the previous stage's certificate leaves over; all derivatives
+    of the previous maps come from the one jet pass `partials` that the
+    checks read too.  The new stage runs at half the rate and twice the gain.
+    """
+    if not 1 <= j < sys.m:
+        raise ValueError(f"level index j must be in [1, {sys.m - 1}], got {j}")
     d = sys.n + j
-    block_plant = truncate(sys, d)
-    rng = np.random.default_rng(seed)
+    if prev.V.arity != d + 1 or prev.k.arity != d + 1:
+        raise ValueError(
+            f"previous stage maps have arity {prev.V.arity}, expected {d + 1}"
+        )
     dk, dV = partials(prev.k), partials(prev.V)
+    block_plant = truncate(sys, d)
 
     def R_lhs(pt):
         xs, z = pt[:d], pt[d]
@@ -317,43 +326,16 @@ def _validate_backstep_majorants(
         pv = np.sqrt(norm_sq(as_tuple(sys.phi[j](*pt))))
         return np.where(mag == 0.0, 0.0, (hv + pv) / mag)
 
+    rng = np.random.default_rng(seed)
     for name, lhs, bound, width in (("R (stage growth)", R_lhs, majorants.R, d + 1),
                                     ("r (x-block drift)", r_lhs, majorants.r, d),
                                     ("rho (new-level growth)", rho_lhs, majorants.rho, d + 1)):
         pts = draw_rows(box_sampler(width), rng, n_samples)
         _validate_scaled_bound(name, lhs, lambda cols: bound(*cols), pts)
 
-
-def backstep(
-    prev: DadsStage,
-    sys: StrictFeedbackSystem,
-    j: int,
-    gains: DadsGains,
-    majorants: StageMajorants,
-    n_samples: int = 200,
-    seed: int = 0,
-) -> DadsStage:
-    """Absorb plant level j + 1 (1 <= j < m) into the stage on (x, y_1..y_j).
-
-    V -> V + s^2/2 and k -> -(M/eta) s with s = y - k.  The stacked gain M
-    dominates every cross term the previous stage's certificate leaves over;
-    all derivatives of the previous maps are taken by jet evaluation.  The
-    new stage runs at half the rate and twice the gain.
-    """
-    if not 1 <= j < sys.m:
-        raise ValueError(f"level index j must be in [1, {sys.m - 1}], got {j}")
-    d = sys.n + j
-    if prev.V.arity != d + 1 or prev.k.arity != d + 1:
-        raise ValueError(
-            f"previous stage maps have arity {prev.V.arity}, expected {d + 1}"
-        )
-    _validate_backstep_majorants(prev, sys, j, majorants, n_samples, seed)
-
-    dk, dV = partials(prev.k), partials(prev.V)
-
     b_gain, Gamma = gains.b, gains.Gamma
     cc = prev.rate_c
-    aa = prev.effective_gain
+    aa = prev.gain_a
     alpha, eta, mu = sys.alpha[j], sys.eta[j], sys.mu[j - 1]
 
     def stacked_gain(*args):
@@ -416,7 +398,6 @@ def backstep(
         sigma=SmoothMap(d + 2, sigma_bar, name=f"sigma{lvl}"),
         rate_c=prev.rate_c / 2.0,
         gain_a=2.0 * prev.gain_a,
-        gain_div=prev.gain_div,
     )
 
 
@@ -441,11 +422,8 @@ class SynthesisResult:
 
     def report(self) -> str:
         lines = ["synthesis stage trace", "====================="]
-        for st in self.stage_trace:
-            lines.append(
-                f"stage {st.level}: rate_c={st.rate_c:g} gain_a={st.gain_a:g}"
-                f" gain_div={st.gain_div:g} effective_gain={st.effective_gain:g}"
-            )
+        lines += [f"stage {st.level}: rate_c={st.rate_c:g} gain_a={st.gain_a:g}"
+                  for st in self.stage_trace]
         lines.append(f"comparison constant M = {self.M_const:g}")
         return "\n".join(lines)
 
@@ -513,8 +491,9 @@ def synthesize(
 
     The base step is chosen by the number of leading integrators: V1 = x1^2/2
     (comparison constant 2) when n = 0, the pole-placed quadratic form of the
-    chain (comparison constant from the base step) when n >= 1.  The final
-    stage has rate_c = gains.c and gain_a = gains.a exactly.
+    chain (comparison constant M from the base step) when n >= 1.  The final
+    stage has rate_c = gains.c exactly, and gain_a = gains.a when n = 0 and
+    gains.a / M when n >= 1.
 
     Before building, each assumption the construction makes is sampled once
     at n_samples points, states in the box of `dads.systems`: the plant's
@@ -528,15 +507,11 @@ def synthesize(
         raise ValueError(f"majorant pack must supply {sys.m - 1} backstep levels")
     _validate_plant_bounds(sys, n_samples, seed)
     _validate_base_drift(sys, majorant_pack.base_r, n_samples, seed)
+    first_level = (gains, sys.eta[0], majorant_pack.base_r, sys.alpha[0])
     if sys.n == 0:
-        stage = solve_base_theorem3(
-            sys.m, gains, sys.eta[0], majorant_pack.base_r, sys.alpha[0],
-        )
-        M_const = 2.0
+        stage, M_const = solve_base_theorem3(sys.m, *first_level), 2.0
     else:
-        base = solve_base_theorem1(
-            sys.n, sys.m, gains, sys.eta[0], majorant_pack.base_r, sys.alpha[0],
-        )
+        base = solve_base_theorem1(sys.n, sys.m, *first_level)
         stage, M_const = base.stage, base.M_const
     trace = [stage]
     for j in range(1, sys.m):
@@ -567,18 +542,12 @@ def wingrock_majorants(gains: DadsGains) -> MajorantPack:
     stage-1 growth bound is exact: |dV1/dx1| + |k1| = (1 + M1)|x1|.  The
     stage-2 bound uses a smooth template with frozen calibration constants.
     """
-    b, a, c = gains.b, gains.a, gains.c
-
     base_r = SmoothMap(1, lambda x1: 1.0, name="wr_r1")
 
-    # matches the built base step for the three-level chain, where the
-    # disturbance-gain denominator is 2^{3-n} a = a
-    def M1(x1, z):
-        ez = jet_exp(z)
-        return (b + 1.0 + ez) + (1.0 + ez) / a * x1 * x1 + 2.0 * c
-
+    # the built base step's M1 with wing-rock's r1 = 1 and alpha1 = 0
     level2 = StageMajorants(
-        R=SmoothMap(2, lambda x1, z: 1.0 + M1(x1, z), name="wr_R1"),
+        R=SmoothMap(2, lambda x1, z: 1.0 + chain_base_gain(x1, z, 3, gains, 1.0, 0.0),
+                    name="wr_R1"),
         r=SmoothMap(1, lambda x1: 1.0, name="wr_r2"),
         rho=SmoothMap(2, lambda x1, x2: 1.5 + 0.5 * x2 * x2, name="wr_rho2"),
     )

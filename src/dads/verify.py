@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Callable, Sequence
 
 import numpy as np
@@ -228,7 +229,7 @@ def stage_certificate_checks(
 ) -> list[CheckReport]:
     """One decay-inequality report per synthesis stage."""
     return [synthesized_dissipation_check(
-        sys, stage.V, stage.k, gains, stage.rate_c, stage.effective_gain,
+        sys, stage.V, stage.k, gains, stage.rate_c, stage.gain_a,
         n=n, tol=tol, seed=seed + stage.level, name=f"stage {stage.level} certificate",
     ) for stage in result.stage_trace]
 
@@ -257,7 +258,8 @@ def check_trajectory_estimates(
     suprema, (ii) monotonicity of the adaptation state z, (iii) the tail
     bound V <= eps_dz (1 + SLACK), and (iv) the tail output bound |Y| <=
     attractivity_radius (1 + SLACK).  A failing tail bound notes when z
-    still rose over the tail: the gain had not settled.
+    still rose over the tail: the gain had not settled; the tail V bound
+    notes the trend of max V/eps over halving windows too.
     """
     z = log.ctrl[:, 0]
     offset = dads_residual(d_sup ** 2, theta_sup, float(z[0]), gains.b, gains.a) / gains.c
@@ -276,10 +278,15 @@ def check_trajectory_estimates(
     n_tail = tail_length(len(log))
     note = "z still rising at t_end" if z[-1] > z[-n_tail] else ""
     v_tail = float(np.max(log.V[-n_tail:]))
+    # max V/eps over (t_end/2, t_end], (t_end/4, t_end/2], ... up to five
+    # windows, latest first, up to the first window that holds no row
+    halves = ((log.t > log.t[-1] / 2 ** (k + 1)) & (log.t <= log.t[-1] / 2 ** k) for k in range(5))
+    trend = ", ".join(f"{np.max(log.V[w]) / gains.eps_dz:.3g}" for w in takewhile(np.any, halves))
     reports.append(
         CheckReport(
-            "tail V bound", n_tail, gains.eps_dz * (1.0 + SLACK) - v_tail,
-            (v_tail,), tol, note,
+            "tail V bound", n_tail, gains.eps_dz * (1.0 + SLACK) - v_tail, (v_tail,), tol,
+            "; ".join(filter(None, (f"max V/eps per halving window back from t_end: {trend}",
+                                    note))),
         )
     )
 

@@ -105,7 +105,7 @@ def test_criterion_03_synthesized_certificates(synthesis):
     final = synthesis.stage_trace[-1]
     rep_final = synthesized_dissipation_check(
         wingrock(), final.V, final.k, GAINS, final.rate_c,
-        final.effective_gain, n=500, tol=1e-7, seed=0,
+        final.gain_a, n=500, tol=1e-7, seed=0,
     )
     stage_reps = stage_certificate_checks(wingrock(), synthesis, GAINS,
                                           n=200, tol=1e-7, seed=0)

@@ -325,9 +325,23 @@ class TestVerifyCommand:
         path = edited("fig4_dads", tmp_path, {("controller", "eps"): "1e-4"})
         assert main(["verify", path, "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
         lines = capsys.readouterr().out.splitlines()
-        for name in ("tail V bound", "tail output bound"):
+        for name, note_end in (("tail V bound", "; z still rising at t_end)"),
+                               ("tail output bound", " (z still rising at t_end)")):
             (line,) = [line for line in lines if f"] {name}: " in line]
-            assert line.startswith("[FAIL]") and line.endswith(" (z still rising at t_end)")
+            assert line.startswith("[FAIL]") and line.endswith(note_end)
+
+    def test_failing_tail_V_bound_shows_the_trend(self, tmp_path, capsys):
+        # fig4_dads at amplitudes x10: max V/eps falls from window to window
+        # back from t_end while the tail bound still fails at 10 s
+        path = edited("fig4_dads", tmp_path, {("disturbance", "amplitudes"): "200, 100"})
+        assert main(["verify", path, "--t-end", "10", "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
+        (line,) = [line for line in capsys.readouterr().out.splitlines()
+                   if "] tail V bound: " in line]
+        assert line.endswith(" (max V/eps per halving window back from t_end: "
+                             "1.84, 2.41, 7.55, 21.4, 33.3; z still rising at t_end)")
+        # a note is not in the CSV
+        text = (tmp_path / "fig4_dads.checks.csv").read_text()
+        assert "V/eps" not in text and "rising" not in text
 
     def test_trajectory_check_on_sigma_mod_scenario(self, tmp_path, capsys):
         text = Path(scen("fig4_sigma0.scenario")).read_text()
@@ -369,10 +383,15 @@ class TestVerifyCommand:
 
 
 def edited(name, tmp_path, entries):
-    """A shipped scenario with {(section, key): value} entries set."""
+    """A shipped scenario with {(section, key): value} entries set; a value
+    of None removes the key."""
     scn = load_scenario(scen(f"{name}.scenario"))
     for (section, key), value in entries.items():
-        scn.sections.setdefault(section, {})[key] = value
+        values = scn.sections.setdefault(section, {})
+        if value is None:
+            values.pop(key, None)
+        else:
+            values[key] = value
     path = tmp_path / f"{name}.scenario"
     path.write_text(scenario_text(scn.sections))
     return str(path)
@@ -687,6 +706,18 @@ class TestBuiltBeforeWork:
          "[checks] names lists 'dissipation-dads' twice"),
         ("verify", "fig1_dads", {("checks", "names"): "trajectory, trajectory"},
          "[checks] names lists 'trajectory' twice"),
+        # [disturbance] keys that the kind does not read: fig4_dads ran its
+        # persistent disturbance, and fig1_dads gave the unedited file's output
+        ("simulate", "fig4_dads", {("disturbance", "decay"): "5"},
+         "[disturbance] kind 'sinusoid-bank' does not read decay; "
+         "it reads kind, amplitudes, frequencies"),
+        ("simulate", "fig1_dads", {("disturbance", "amplitudes"): "20, 10"},
+         "[disturbance] kind 'zero' does not read amplitudes; it reads kind"),
+        ("simulate", "vanishing", {("disturbance", "kind"): "zero"},
+         "[disturbance] kind 'zero' does not read amplitudes, decay, frequencies; "
+         "it reads kind"),
+        ("synthesize", "synth_wingrock", {("disturbance", "decay"): "1"},
+         "[disturbance] kind 'zero' does not read decay; it reads kind"),
     ])
     def test_exit_2(self, tmp_path, capsys, no_work, command, name, entries, message):
         out = tmp_path / "out"
@@ -774,14 +805,22 @@ class TestDisturbanceFuzz:
 
     A section of finite numbers, with at most one entry replaced by a
     malformed text: nan, inf, a wrong length (the wing-rock plant takes two
-    entries) or not a number.
+    entries) or not a number.  Its keys are either exactly the ones its kind
+    reads or any drawn subset, so that every kind can run.
     """
+
+    @staticmethod
+    def _reads(kind):
+        return {"kind"} | ({"amplitudes", "frequencies"} if kind != "zero" else set()) \
+            | ({"decay"} if kind == "vanishing" else set())
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         name=st.sampled_from(["fig4_sigma0", "vanishing"]),
         kind=st.sampled_from(["zero", "sinusoid-bank", "vanishing"]),
+        present=st.one_of(st.none(), st.sets(
+            st.sampled_from(["kind", "amplitudes", "frequencies", "decay"]))),
         amplitudes=st.lists(_numbers(), min_size=2, max_size=2),
         frequencies=st.lists(_numbers(), min_size=2, max_size=2),
         decay=_numbers(),
@@ -790,27 +829,36 @@ class TestDisturbanceFuzz:
             st.sampled_from(["nan", "-inf", "inf, 1", "1, 2, 3", "", "x"]))),
         horizon=_horizons(),
     )
-    def test_exit_codes(self, tmp_path, name, kind, amplitudes, frequencies, decay,
+    def test_exit_codes(self, tmp_path, name, kind, present, amplitudes, frequencies, decay,
                         malformed, horizon):
         section = {"kind": kind, "amplitudes": ", ".join(map(repr, amplitudes)),
                    "frequencies": ", ".join(map(repr, frequencies)), "decay": repr(decay)}
-        read = {"kind"} | ({"amplitudes", "frequencies"} if kind != "zero" else set()) \
-            | ({"decay"} if kind == "vanishing" else set())
+        present = self._reads(kind) if present is None else present
+        if malformed:  # a malformed entry is written
+            section[malformed[0]] = malformed[1]
+            present = present | {malformed[0]}
+        if "kind" not in present:
+            kind = "zero"
+        read = self._reads(kind)
         # texts that fail their key's conversion, whether the kind reads the key or not
         not_numbers = {"nan", "-inf", "inf, 1", "x"}
         unconvertible = {"amplitudes": not_numbers, "frequencies": not_numbers,
                          "decay": {"inf, 1", "1, 2, 3", "", "x"}}
-        if malformed:
-            section[malformed[0]] = malformed[1]
-        path = edited(name, tmp_path, {("disturbance", k): v for k, v in section.items()})
+        # a key absent from the section is removed from the shipped file
+        path = edited(name, tmp_path, {("disturbance", k): v if k in present else None
+                                       for k, v in section.items()})
         t_end, dt = horizon
         code = main(["simulate", path, "--t-end", repr(t_end), "--dt", repr(dt),
                      "--out", str(tmp_path)])
         event(f"exit {code}")
-        # a growing "vanishing" disturbance is an input error too
+        # input errors: a malformed entry that the kind reads or that fails
+        # its conversion, a key the kind does not read, a missing amplitude
+        # or frequency list, and a growing "vanishing" disturbance
         rejected = (malformed and (malformed[0] in read
                                    or malformed[1] in unconvertible.get(malformed[0], ()))) \
-            or (kind == "vanishing" and decay < 0)
+            or not present <= read \
+            or (kind != "zero" and not {"amplitudes", "frequencies"} <= present) \
+            or (kind == "vanishing" and "decay" in present and decay < 0)
         assert code in ((EXIT_PARSE,) if rejected else (EXIT_OK, EXIT_DIVERGENCE))
         if code == EXIT_OK:  # a run that ends normally logs finite states
             _, data = read_csv(tmp_path / f"{name}.csv")
@@ -1188,7 +1236,7 @@ class TestCompareCommand:
         ({"kind": "vanishing", "decay": "0"}, True),
         ({"kind": "vanishing", "decay": "1.0"}, False),
         ({"kind": "vanishing", "decay": "1e-300"}, False),
-        ({"kind": "zero"}, False),
+        ({"kind": "zero", "amplitudes": None, "frequencies": None}, False),
     ])
     def test_drift_is_expected_of_a_persistent_disturbance(self, tmp_path, monkeypatch,
                                                            disturbance, expected):

@@ -22,6 +22,7 @@ from dads.synthesis import (
     wingrock_majorants,
 )
 from dads.systems import StrictFeedbackSystem, wingrock
+import dads.synthesis as synthesis
 from dads.verify import stage_certificate_checks, synthesized_dissipation_check
 
 GAINS = dict(b=1.0, Gamma=20.0, eps_dz=0.01, c=0.5, a=2.0)
@@ -129,9 +130,9 @@ class TestBaseQuadraticForm:
             eta1=one3, r=one3, alpha1=SmoothMap(3, lambda *a: (0.0,), codim=1),
         )
         assert base.stage.rate_c == pytest.approx(2.0 ** 2 * 0.5)
-        assert base.stage.gain_a == pytest.approx(2.0 ** -2 * 2.0)
-        assert base.stage.gain_div == base.M_const
-        assert base.stage.effective_gain == pytest.approx(base.stage.gain_a / base.M_const)
+        # 2^{1-m} a, divided by the comparison constant
+        assert base.stage.gain_a == 2.0 ** -2 * 2.0 / base.M_const
+        assert base.stage.gain_a * base.M_const == pytest.approx(2.0 ** -2 * 2.0)
 
 
 class TestBasePureChain:
@@ -362,6 +363,30 @@ class TestFullSynthesis:
         with pytest.raises(ValueError, match="gain of level 1"):
             synthesize(replace(base, g=(g1, *base.g[1:])), gains, wingrock_majorants(gains))
 
+    def test_each_backstep_builds_the_previous_partials_once(self, monkeypatch):
+        # one jet pass of k and one of V per backstep, which the majorant
+        # checks and the new stage both read
+        built = []
+
+        def spy(f):
+            built.append(f.name)
+            return partials(f)
+
+        partials = synthesis.partials
+        monkeypatch.setattr(synthesis, "partials", spy)
+        gains = default_gains()
+        synthesize(wingrock(), gains, wingrock_majorants(gains), n_samples=10)
+        assert built == ["k1", "V1", "k2", "V2"]
+
+    def test_wingrock_R1_is_the_stage_1_growth(self, result):
+        # the documented identity |dV1/dx1| + |k1| = R1 |x1| for the built
+        # stage 1: wing-rock's first level has eta1 = r1 = 1 and alpha1 = 0
+        R1 = wingrock_majorants(default_gains()).levels[0].R
+        stage1 = result.stage_trace[0]
+        for x1, z in np.random.default_rng(3).uniform(-3.0, 3.0, (50, 2)):
+            growth = abs(gradient(stage1.V, (x1, z))[0]) + abs(float(stage1.k(x1, z)))
+            assert growth == pytest.approx(float(R1(x1, z)) * abs(x1), rel=1e-12)
+
     def test_majorant_pack_size_checked(self):
         gains = default_gains()
         pack = wingrock_majorants(gains)
@@ -473,13 +498,16 @@ class TestCascadeSynthesis:
         gains = default_gains()
         result = synthesize(sys, gains, _cascade_pack())
         assert [st.rate_c for st in result.stage_trace] == [1.0, 0.5]
-        # n = 1: the comparison constant is the Theorem-1 base step's
-        assert result.M_const == result.stage_trace[0].gain_div
-        last = result.stage_trace[-1]
+        # n = 1: the comparison constant is the Theorem-1 base step's, its
+        # sigma, and it divides the gain: 2^{1-m} a / M, doubled once
+        first, last = result.stage_trace
+        assert result.M_const == float(first.sigma(0.1, -0.2, 0.3))
+        assert first.gain_a == 2.0 ** -1 * 2.0 / result.M_const
+        assert last.gain_a == 2.0 * first.gain_a
         reports = stage_certificate_checks(sys, result, gains, n=200) + [
             synthesized_dissipation_check(
                 sys, last.V, last.k, gains,
-                last.rate_c, last.effective_gain, n=500,
+                last.rate_c, last.gain_a, n=500,
             )
         ]
         for rep in reports:

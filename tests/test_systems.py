@@ -119,7 +119,7 @@ class TestCascadeDynamics:
             r=SmoothMap(3, lambda *a: 1.0, name="r"), alpha1=sys.alpha[0],
         ).stage
         rep = synthesized_dissipation_check(
-            sys, base.V, base.k, gains, base.rate_c, base.effective_gain, n=200, seed=0,
+            sys, base.V, base.k, gains, base.rate_c, base.gain_a, n=200, seed=0,
         )
         assert rep.n_samples == 200
         assert rep.passed, rep.summary()
@@ -133,7 +133,7 @@ def _cascade_base_check(n):
         r=SmoothMap(3, lambda *a: 1.0, name="r"), alpha1=sys.alpha[0],
     ).stage
     return synthesized_dissipation_check(
-        sys, base.V, base.k, gains, base.rate_c, base.effective_gain, n=n,
+        sys, base.V, base.k, gains, base.rate_c, base.gain_a, n=n,
     )
 
 

@@ -256,7 +256,7 @@ class TestSynthesizedChecks:
         final = result.stage_trace[-1]
         rep = synthesized_dissipation_check(
             wingrock(), final.V, final.k, gains, final.rate_c,
-            final.effective_gain, n=200, seed=0,
+            final.gain_a, n=200, seed=0,
         )
         assert rep.passed, rep.summary()
 
@@ -333,12 +333,36 @@ class TestTrajectoryEstimates:
             log, WingRockDadsController().gains, d_sup=0.0, theta_sup=0.0,
             attractivity_radius=0.1)
         assert [r.name for r in reports[2:]] == ["tail V bound", "tail output bound"]
-        for rep in reports[2:]:
-            assert not rep.passed
-            assert rep.summary().endswith(" (z still rising at t_end)") == rising
+        tail_V, tail_Y = reports[2:]
+        assert not tail_V.passed and not tail_Y.passed
+        assert tail_Y.summary().endswith(" (z still rising at t_end)") == rising
+        # the tail V bound notes max V/eps over its halving windows first
+        trend = "max V/eps per halving window back from t_end: 100, 100, 100, 100"
+        assert tail_V.summary().endswith(
+            f" ({trend}; z still rising at t_end)" if rising else f" ({trend})")
         # a passing check keeps its note to itself
         held = CheckReport("tail V bound", 2, 0.5, (0.0,), 0.0, "z still rising at t_end")
         assert held.summary().endswith("(tol 0)")
+
+    @pytest.mark.parametrize("rows, trend", [
+        (101, "1.49, 1.74, 1.87, 1.93, 1.96"),
+        # (1/32, 1/16] holds no row of ten: four windows
+        (10, "1.44, 1.67, 1.78, 1.89"),
+    ])
+    def test_failing_tail_V_bound_notes_the_halving_window_trend(self, rows, trend):
+        # V = eps (2 - t) on [0, 1], so max V/eps over (1/2, 1], (1/4, 1/2],
+        # ... is 2 - t at the first row of each window; z rises into the tail
+        t, ones = np.linspace(0.0, 1.0, rows), np.ones(rows)
+        eps = WingRockDadsController().gains.eps_dz
+        log = TrajectoryLog(t, np.ones((rows, 3)), t[:, None], ones, eps * (2.0 - t), ones)
+        tail_V, tail_Y = check_trajectory_estimates(
+            log, WingRockDadsController().gains, d_sup=0.0, theta_sup=0.0,
+            attractivity_radius=0.1)[2:]
+        assert tail_V.note == (f"max V/eps per halving window back from t_end: {trend}; "
+                               "z still rising at t_end")
+        assert tail_V.summary().endswith(f" ({tail_V.note})")
+        # the output bound notes only the gain
+        assert tail_Y.note == "z still rising at t_end"
 
     def test_violated_envelope_fails(self, dads_quiet_log):
         # shrinking the claimed offset and rate far enough must break the bound
