@@ -24,6 +24,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -160,15 +161,22 @@ def _convert_section(section: str, entries) -> dict:
             f"unknown section [{section}]; a scenario has [{'], ['.join(SCENARIO_KEYS)}]")
     values = {}
     for key, text in entries.items():
-        if key not in keys:
-            raise ScenarioError(
-                f"[{section}] does not read {key}; it reads {', '.join(keys)}")
+        _reject_unread(f"[{section}]", (key,), keys)
         convert, what = keys[key]
         try:
             values[key] = convert(text)
         except (KeyError, ValueError):
             raise ScenarioError(f"[{section}] {key}: not {what}: {text!r}") from None
     return values
+
+
+def _reject_unread(what: str, given, reads) -> None:
+    """Exit 2 on the keys of given, in its order, that are not in reads: such
+    a key would run as if it were absent."""
+    unread = [key for key in given if key not in reads]
+    if unread:
+        raise ScenarioError(
+            f"{what} does not read {', '.join(unread)}; it reads {', '.join(reads)}")
 
 
 def build_system(scn: Scenario):
@@ -188,12 +196,7 @@ def build_controller(scn: Scenario, sys_model=None):
         raise ScenarioError(f"unknown controller type {ctype!r}")
     cls, fields = _CONTROLLER_FIELDS[ctype]
     given = scn.sections.get("controller", {})
-    unread = sorted(set(given) - {"type", *fields})
-    if unread:
-        raise ScenarioError(
-            f"[controller] type {ctype!r} does not read {', '.join(unread)}; "
-            f"it reads {', '.join(fields)}"
-        )
+    _reject_unread(f"[controller] type {ctype!r}", sorted(given), ("type", *fields))
     try:
         return cls(**{name: given[key] for key, name in fields.items() if key in given})
     except ValueError as exc:
@@ -217,10 +220,8 @@ def build_disturbance(scn: Scenario, dim: int) -> DisturbanceProfile:
     kind = scn.get("disturbance", "kind", "zero")
     # an unknown kind reads every key here, and DisturbanceProfile rejects it
     reads = _DISTURBANCE_KEYS.get(kind, SCENARIO_KEYS["disturbance"])
-    unread = sorted(set(scn.sections.get("disturbance", {})) - set(reads))
-    if unread:
-        raise ScenarioError(f"[disturbance] kind {kind!r} does not read {', '.join(unread)}; "
-                            f"it reads {', '.join(reads)}")
+    _reject_unread(f"[disturbance] kind {kind!r}", sorted(scn.sections.get("disturbance", {})),
+                   reads)
     try:
         return DisturbanceProfile(
             kind, dim, tuple(scn.get("disturbance", "amplitudes", ())),
@@ -293,10 +294,10 @@ def build(path: str, args, simulates: str = "") -> Setup:
             raise ScenarioError(f"unknown check {name!r}; checks are {', '.join(CHECKS)}")
         if name in checks[:i]:  # it would run, print and write its report twice
             raise ScenarioError(f"[checks] names lists {name!r} twice")
-        need, what, _, _ = CHECKS[name]
-        if need is not None and ctype != need:
-            raise ScenarioError(f"check {name!r} evaluates {what}; it needs controller "
-                                f"type {need!r}, got {ctype!r}")
+        check = CHECKS[name]
+        if check.needs is not None and ctype != check.needs:
+            raise ScenarioError(f"check {name!r} evaluates {check.evaluates}; it needs "
+                                f"controller type {check.needs!r}, got {ctype!r}")
     n = scn.get("checks", "n_samples", 1000)
     if not 1 <= n <= MAX_SAMPLES:
         raise ScenarioError(
@@ -314,13 +315,11 @@ def build(path: str, args, simulates: str = "") -> Setup:
         raise ScenarioError(f"[sim] {exc}") from None
     # a [checks] key that no named check reads would be silently ignored
     read = [key for key in SCENARIO_KEYS["checks"]
-            if key == "names" or any(key in CHECKS[name][2] for name in checks)]
-    unread = [key for key in scn.sections.get("checks", {}) if key not in read]
-    if unread:
-        raise ScenarioError(f"[checks] names = {', '.join(checks) or '(none)'} does not read "
-                            f"{', '.join(unread)}; it reads {', '.join(read)}")
+            if key == "names" or any(key in CHECKS[name].reads for name in checks)]
+    _reject_unread(f"[checks] names = {', '.join(checks) or '(none)'}",
+                   scn.sections.get("checks", {}), read)
     # without [sim] the loop would start at the zero state, an equilibrium
-    user = simulates or next((f"check {n!r}" for n in checks if n in SIMULATING), None)
+    user = simulates or next((f"check {n!r}" for n in checks if CHECKS[n].simulates), None)
     if user and "sim" not in scn.sections:
         raise ScenarioError(f"{user}: {path} has no [sim] section to simulate the loop with")
     return Setup(path, sysm, ctype, controller, *built, outputs, checks, n, tol,
@@ -403,32 +402,41 @@ def _sigma_tradeoff(setup: Setup, seed: int) -> list[ver.CheckReport]:
         log, setup.theta, controller, d_sup=ver.signal_sup(dist, log.t))]
 
 
-# every check: the controller type it needs (None for none), what it
-# evaluates, the [checks] keys it reads besides names, and
-# run(setup, seed) -> reports
+class Check(NamedTuple):
+    """A [checks] name: the controller type it needs (None for none), what it
+    evaluates, the [checks] keys it reads besides names, whether it
+    simulates the scenario's loop, and run(setup, seed) -> reports."""
+
+    needs: str | None
+    evaluates: str
+    reads: tuple
+    simulates: bool
+    run: Callable
+
+
 CHECKS = {
-    "dissipation-dads": ("dads-wingrock", "the closed-form deadzone-adapted law",
-                         ("n_samples", "tol", "corrupt_controller"), _dissipation_dads),
-    "trajectory": ("dads-wingrock", "the trajectory estimates of a deadzone-adapted controller",
-                   (), _trajectory),
-    "dissipation-sigma": ("sigma-mod", "the sigma-modification law", ("n_samples", "tol"),
-                          lambda setup, seed: [ver.sigma_mod_dissipation_check(
-                              setup.system, setup.controller, setup.theta,
-                              n=setup.n_samples, tol=setup.tol, seed=seed)]),
-    "sigma-tradeoff": ("sigma-mod", "the sigma-modification residual bound", (),
-                       _sigma_tradeoff),
-    "synthesis-certificates": (None, "the synthesized law", (),
-                               lambda setup, seed: _synthesis(setup, seed)[1]),
+    "dissipation-dads": Check("dads-wingrock", "the closed-form deadzone-adapted law",
+                              ("n_samples", "tol", "corrupt_controller"), False,
+                              _dissipation_dads),
+    "trajectory": Check("dads-wingrock",
+                        "the trajectory estimates of a deadzone-adapted controller", (), True,
+                        _trajectory),
+    "dissipation-sigma": Check("sigma-mod", "the sigma-modification law", ("n_samples", "tol"),
+                               False, lambda setup, seed: [ver.sigma_mod_dissipation_check(
+                                   setup.system, setup.controller, setup.theta,
+                                   n=setup.n_samples, tol=setup.tol, seed=seed)]),
+    "sigma-tradeoff": Check("sigma-mod", "the W = V + E envelope of the sigma-modification law",
+                            (), True, _sigma_tradeoff),
+    "synthesis-certificates": Check(None, "the synthesized law", (), False,
+                                    lambda setup, seed: _synthesis(setup, seed)[1]),
 }
-# the checks that simulate the scenario's loop
-SIMULATING = ("trajectory", "sigma-tradeoff")
 
 
 def cmd_verify(args) -> int:
     setup = build(args.scenario, args)
     if not setup.checks:
         raise ScenarioError("verify: scenario has no [checks] names")
-    reports = [rep for name in setup.checks for rep in CHECKS[name][3](setup, args.seed)]
+    reports = [rep for name in setup.checks for rep in CHECKS[name].run(setup, args.seed)]
     path = _out_path(args, setup, "checks.csv")
     ver.reports_to_csv(reports, path)
     print(ver.summarize(reports))

@@ -20,7 +20,10 @@ cannot be derived from closures; the caller supplies them per level.
 `dads.systems`: on the same (state, theta) draws, the gains below the input
 are free of theta (a ValueError otherwise) and obey eta <= g <= mu
 (1 + |theta|); then the first-level drift bound r and each backstep's
-(R, r, rho).  A bound violation raises with its witness point.
+(R, r, rho).  Each side of a bound is evaluated once on all its draws (each
+gain g once, for the theta test and both gain bounds), and
+`_validate_scaled_bound` judges the values; a violation raises with its
+witness point.
 
 A stage carries one disturbance gain, gain_a.  Rates halve and gains double
 per backstep, so a base started at (2^{m-1} c, 2^{1-m} a) ends at (c, a);
@@ -98,19 +101,19 @@ class BaseStepResult:
     stage: DadsStage
 
 
-def _validate_scaled_bound(name, lhs_fn, bound_fn, pts):
+def _validate_scaled_bound(name, lhs, bound, pts):
     """Check 0 < bound and lhs <= bound at drawn points; raise at the first violation.
 
-    pts holds one drawn point per row; both functions receive all of them at
-    once as a tuple of coordinate columns.  Every bound the construction
-    assumes (a majorant, a gain, a gain growth) is a positive function.
+    pts holds one drawn point per row; lhs and bound are numbers or arrays of
+    one entry per row, which the caller evaluated on all of them at once.
+    The caller evaluates and judges under np.errstate(all="ignore").  Every
+    bound the construction assumes (a majorant, a gain, a gain growth) is a
+    positive function.
     """
-    cols = tuple(np.ascontiguousarray(pts.T))
-    with np.errstate(all="ignore"):
-        lhs = np.broadcast_to(lhs_fn(cols), len(pts))
-        bound = np.broadcast_to(bound_fn(cols), len(pts))
-        # negated so that a nan on either side is a violation too
-        bad = ~((lhs <= bound * (1.0 + 1e-12) + 1e-12) & (bound > 0.0))
+    lhs = np.broadcast_to(lhs, len(pts))
+    bound = np.broadcast_to(bound, len(pts))
+    # negated so that a nan on either side is a violation too
+    bad = ~((lhs <= bound * (1.0 + 1e-12) + 1e-12) & (bound > 0.0))
     if bad.any():
         i = int(np.argmax(bad))
         raise MajorantViolationError(name, pts[i], lhs[i], bound[i])
@@ -331,7 +334,9 @@ def backstep(
                                     ("r (x-block drift)", r_lhs, majorants.r, d),
                                     ("rho (new-level growth)", rho_lhs, majorants.rho, d + 1)):
         pts = draw_rows(box_sampler(width), rng, n_samples)
-        _validate_scaled_bound(name, lhs, lambda cols: bound(*cols), pts)
+        cols = tuple(np.ascontiguousarray(pts.T))
+        with np.errstate(all="ignore"):
+            _validate_scaled_bound(name, lhs(cols), bound(*cols), pts)
 
     b_gain, Gamma = gains.b, gains.Gamma
     cc = prev.rate_c
@@ -433,51 +438,41 @@ def _validate_plant_bounds(sys: StrictFeedbackSystem, n_samples, seed):
     g_j <= mu_j (1 + |theta|) below the input.
 
     Each draw is a state in the synthesis box followed by a theta from the
-    plant's ball, drawn one after the other; every check reads the same draws.
+    plant's ball, drawn one after the other; each g_j is evaluated once on
+    the draws, and every check reads that value.
     """
     dim = sys.state_dim
     pts = draw_rows(box_sampler(dim, (sys.p, sys.theta_radius)),
                     np.random.default_rng(seed), n_samples)
     cols = tuple(np.ascontiguousarray(pts.T))
-    for j in range(sys.m - 1):
-        head = cols[: sys.n + j + 1]
-        with np.errstate(all="ignore"):
-            still = sys.g[j](*head, *np.zeros(sys.p))
-            moved = np.abs(sys.g[j](*head, *cols[dim:]) - still) > 1e-9 * (1.0 + np.abs(still))
-        if np.any(moved):
-            raise ValueError(
-                f"gain of level {j + 1} must not depend on the unknown parameters "
-                "for the inductive construction to apply"
-            )
-    for j in range(sys.m):
-        width = sys.n + j + 1
-
-        def gain(cols):
-            return sys.g[j](*cols[:width], *cols[dim:])
-
-        _validate_scaled_bound(
-            f"eta{j + 1} (gain lower bound)",
-            lambda cols: sys.eta[j](*cols[:width]), gain, pts,
-        )
-        if j < sys.m - 1:
-            _validate_scaled_bound(
-                f"mu{j + 1} (gain growth)", gain,
-                lambda cols: sys.mu[j](*cols[:width]) * (1.0 + np.sqrt(norm_sq(cols[dim:]))),
-                pts,
-            )
+    heads = [cols[: sys.n + j + 1] for j in range(sys.m)]
+    with np.errstate(all="ignore"):
+        g = [sys.g[j](*heads[j], *cols[dim:]) for j in range(sys.m)]
+        for j in range(sys.m - 1):
+            still = sys.g[j](*heads[j], *np.zeros(sys.p))
+            if np.any(np.abs(g[j] - still) > 1e-9 * (1.0 + np.abs(still))):
+                raise ValueError(
+                    f"gain of level {j + 1} must not depend on the unknown parameters "
+                    "for the inductive construction to apply"
+                )
+        growth = 1.0 + np.sqrt(norm_sq(cols[dim:]))
+        for j in range(sys.m):
+            _validate_scaled_bound(f"eta{j + 1} (gain lower bound)", sys.eta[j](*heads[j]),
+                                   g[j], pts)
+            if j < sys.m - 1:
+                _validate_scaled_bound(f"mu{j + 1} (gain growth)", g[j],
+                                       sys.mu[j](*heads[j]) * growth, pts)
 
 
 def _validate_base_drift(sys: StrictFeedbackSystem, r: SmoothMap, n_samples, seed):
     """0 < r and (|h_1| + |phi_1|) / |head| <= r on the first-level head (x, y_1)."""
-    def drift(head):
+    pts = draw_rows(box_sampler(sys.n + 1), np.random.default_rng(seed), n_samples)
+    head = tuple(np.ascontiguousarray(pts.T))
+    with np.errstate(all="ignore"):
         mag = np.sqrt(norm_sq(head))
         content = abs(sys.h[0](*head)) + np.sqrt(norm_sq(as_tuple(sys.phi[0](*head))))
-        return np.where(mag == 0.0, 0.0, content / mag)
-
-    _validate_scaled_bound(
-        "r (first-level drift)", drift, lambda head: r(*head),
-        draw_rows(box_sampler(sys.n + 1), np.random.default_rng(seed), n_samples),
-    )
+        _validate_scaled_bound("r (first-level drift)",
+                               np.where(mag == 0.0, 0.0, content / mag), r(*head), pts)
 
 
 def synthesize(

@@ -185,7 +185,8 @@ class DisturbanceProfile:
     """Deterministic disturbance signal d(t), defined for all t >= 0.
 
     Checked at construction: a known kind, dim amplitudes and frequencies
-    unless the kind is zero, and a finite decay >= 0 (read when vanishing).
+    unless the kind is zero, and a finite decay >= 0 that only a vanishing
+    disturbance may have nonzero.
     """
 
     kind: str  # zero | sinusoid-bank | vanishing
@@ -204,11 +205,13 @@ class DisturbanceProfile:
         # comparison also rejects nan
         if not 0.0 <= self.decay < math.inf:
             raise ValueError(f"decay must be finite and >= 0, got {self.decay}")
+        if self.decay != 0.0 and self.kind != "vanishing":
+            raise ValueError(f"a {self.kind!r} disturbance has no decay, got {self.decay}")
 
     @property
     def persists(self) -> bool:
         """Whether d(t) does not decay: a sinusoid bank, or "vanishing" with decay 0."""
-        return self.kind == "sinusoid-bank" or (self.kind == "vanishing" and self.decay == 0.0)
+        return self.kind != "zero" and self.decay == 0.0
 
     def __call__(self, t: float) -> np.ndarray:
         if t < 0:
@@ -220,15 +223,14 @@ def sample_disturbance(profile: DisturbanceProfile, t) -> tuple:
     """The entries of d(t), in generic arithmetic.
 
     t is a number or a traced value: this is the one home of the disturbance
-    formula, which DisturbanceProfile evaluates and the simulator traces.  A
-    zero profile gives float zeros, which the trace folds away.
+    formula a cos(w t) e^(-decay t), which DisturbanceProfile evaluates and
+    the simulator traces; a sinusoid bank is its decay 0.  A zero profile
+    gives float zeros, and a zero decay the float factor 1, which the trace
+    folds away.
     """
     if profile.kind == "zero":
         return (0.0,) * profile.dim
-    if profile.kind == "sinusoid-bank":
-        return tuple(
-            a * jet_cos(w * t) for a, w in zip(profile.amplitudes, profile.frequencies))
-    e = jet_exp(-profile.decay * t)  # vanishing
+    e = jet_exp(-profile.decay * t) if profile.decay != 0.0 else 1.0
     return tuple(
         a * jet_cos(w * t) * e for a, w in zip(profile.amplitudes, profile.frequencies))
 

@@ -3,7 +3,8 @@
 Every check produces a CheckReport with the worst margin observed and the
 sample achieving it (margin >= -tolerance means pass).  A sampled check
 draws through `systems.box_sampler`, as synthesis's majorant validations do,
-and evaluates all its samples in one array pass (see `check_dissipation`).
+and evaluates all its samples in one array pass of one closed-loop function,
+which gives the rhs and the bound together (see `check_dissipation`).
 The bounds are each law's own dissipation inequality, from `controllers`.
 Asymptotic claims are checked as finite-horizon surrogates: suprema over the
 final portion of the horizon with recorded slack, since a simulation cannot
@@ -89,8 +90,7 @@ def summarize(reports: Sequence[CheckReport]) -> str:
 
 def check_dissipation(
     V: SmoothMap,
-    closed_loop_rhs: Callable,
-    rhs_bound: Callable,
+    closed_loop: Callable,
     sampler: Callable,
     n: int = 1000,
     tol: float = 1e-6,
@@ -100,10 +100,11 @@ def check_dissipation(
     """Worst margin of (bound - dV/dt) over n sampled points.
 
     The sampler draws one sample per call, n times.  The draws are stacked,
-    and closed_loop_rhs and rhs_bound each receive all of them at once as a
-    tuple of columns (one array per sample entry); the first V.arity columns
-    are the coordinates of V.  closed_loop_rhs returns one component per
-    coordinate of V.  Only V is differentiated, so a kink of the rhs or the
+    and closed_loop receives all of them at once as a tuple of columns (one
+    array per sample entry); the first V.arity columns are the coordinates
+    of V.  It returns (rhs, bound) from one pass over the columns: rhs has
+    one component per coordinate of V, and bound is the right-hand side of
+    the inequality.  Only V is differentiated, so a kink of the rhs or the
     bound (the deadzone's at V = eps) needs no special treatment.  A
     non-finite margin ranks below every finite one, so the first such
     sample is the witness and the report fails.
@@ -115,11 +116,11 @@ def check_dissipation(
         samples = draw_rows(sampler, rng, n)
         cols = tuple(np.ascontiguousarray(samples.T))
         g = gradient(V, cols[: V.arity])
-        f = closed_loop_rhs(cols)
+        f, bound = closed_loop(cols)
         if len(f) != len(g):
             raise ValueError(f"rhs has {len(f)} components, V has {len(g)} coordinates")
         lhs = sum(gi * fi for gi, fi in zip(g, f))
-        margins = np.broadcast_to(rhs_bound(cols) - lhs, n)
+        margins = np.broadcast_to(bound - lhs, n)
         i = int(np.argmin(np.where(np.isfinite(margins), margins, -np.inf)))
     return CheckReport(name, n, float(margins[i]), tuple(float(v) for v in samples[i]), tol)
 
@@ -164,21 +165,14 @@ def sigma_mod_dissipation_check(
     W = sigma_mod_W_map(ctrl, theta)
     nx, nt = sys.state_dim, ctrl.ctrl_dim
 
-    def split(cols):
-        """(x, theta_hat, d) of the sample columns."""
-        return cols[:nx], cols[nx : nx + nt], cols[nx + nt :]
-
-    def rhs(cols):
-        x, th_hat, d = split(cols)
+    def closed_loop(cols):
+        x, th_hat, d = cols[:nx], cols[nx : nx + nt], cols[nx + nt :]
         u, w = sigma_mod_control(x, th_hat, ctrl)
-        return (*eval_dynamics(sys, x, u, theta, d), *w)
-
-    def bound(cols):
-        x, th_hat, d = split(cols)
-        return ctrl.dissipation_bound(x, th_hat, theta, norm_sq(d))
+        return ((*eval_dynamics(sys, x, u, theta, d), *w),
+                ctrl.dissipation_bound(x, th_hat, theta, norm_sq(d)))
 
     return check_dissipation(
-        W, rhs, bound, box_sampler(nx, (nt, sys.theta_radius), (sys.l, D_RADIUS)),
+        W, closed_loop, box_sampler(nx, (nt, sys.theta_radius), (sys.l, D_RADIUS)),
         n=n, tol=tol, seed=seed, name=f"sigma-mod dissipation (leak={ctrl.sigma_leak:g})",
     )
 
@@ -201,25 +195,18 @@ def synthesized_dissipation_check(
     truncated to the stage's state dimension with the next state replaced by
     the stage feedback.
     """
-    dim = V.arity - 1
+    dim, p = V.arity - 1, sys.p
     plant = truncate(sys, dim)
 
-    def split(cols):
-        """(x, z, theta, d) of the sample columns."""
-        return cols[:dim], cols[dim], cols[dim + 1 : dim + 1 + sys.p], cols[dim + 1 + sys.p :]
-
-    def rhs(cols):
-        x, z, th, d = split(cols)
-        zdot = deadzone_rate(V(*x, z), z, gains.Gamma, gains.eps_dz)
-        return (*eval_dynamics(plant, x, k(*x, z), th, d), zdot)
-
-    def bound(cols):
-        x, z, th, d = split(cols)
-        return -rate_c * V(*x, z) + dads_residual(
-            norm_sq(d), np.sqrt(norm_sq(th)), z, gains.b, gain_a)
+    def closed_loop(cols):
+        x, z, th, d = cols[:dim], cols[dim], cols[dim + 1 : dim + 1 + p], cols[dim + 1 + p :]
+        v = V(*x, z)  # the deadzone rate and -cV read one value
+        zdot = deadzone_rate(v, z, gains.Gamma, gains.eps_dz)
+        return ((*eval_dynamics(plant, x, k(*x, z), th, d), zdot),
+                -rate_c * v + dads_residual(norm_sq(d), np.sqrt(norm_sq(th)), z, gains.b, gain_a))
 
     return check_dissipation(
-        V, rhs, bound, box_sampler(dim + 1, (sys.p, sys.theta_radius), (sys.l, D_RADIUS)),
+        V, closed_loop, box_sampler(dim + 1, (p, sys.theta_radius), (sys.l, D_RADIUS)),
         n=n, tol=tol, seed=seed, name=name,
     )
 

@@ -319,6 +319,14 @@ class TestVerifyCommand:
         assert main(["verify", str(bad), "--out", str(tmp_path)]) == EXIT_PARSE
         assert "needs controller type" in capsys.readouterr().err
 
+    def test_sigma_tradeoff_on_dads_scenario_names_the_envelope(self, tmp_path, capsys, no_work):
+        # the check is the W envelope; the line still named a residual bound
+        path = edited("fig1_dads", tmp_path, {("checks", "names"): "sigma-tradeoff"})
+        assert main(["verify", path, "--out", str(tmp_path / "out")]) == EXIT_PARSE
+        assert _one_error_line(capsys) == (
+            "error: check 'sigma-tradeoff' evaluates the W = V + E envelope of the "
+            "sigma-modification law; it needs controller type 'sigma-mod', got 'dads-wingrock'\n")
+
     def test_failing_tail_bounds_name_an_unsettled_gain(self, tmp_path, capsys):
         # at eps = 1e-4 the deadzone gain is still rising at 10 s: the tail
         # bounds fail on the horizon, and say so
@@ -562,7 +570,9 @@ class TestRejectedInputs:
         err = capsys.readouterr().err
         ctype = load_scenario(scen(f"{name}.scenario")).get("controller", "type")
         if key in cli.SCENARIO_KEYS["controller"]:  # a key of the other type
-            assert err.startswith(f"error: [controller] type {ctype!r} does not read {key}; ")
+            reads = ", ".join(("type", *cli._CONTROLLER_FIELDS[ctype][1]))
+            assert err == (f"error: [controller] type {ctype!r} does not read {key}; "
+                           f"it reads {reads}\n")
         else:  # a key of no type, which the scenario table rejects at load
             assert err == (f"error: [controller] does not read {key}; "
                            "it reads type, c, k, gamma, eps, sigma\n")

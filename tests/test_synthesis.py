@@ -53,14 +53,14 @@ class TestScaledBound:
     @pytest.mark.parametrize("lhs, bound", [(math.nan, 1.0), (0.5, math.nan)])
     def test_nan_is_a_violation(self, lhs, bound):
         with pytest.raises(MajorantViolationError):
-            _validate_scaled_bound("toy", lambda pt: lhs, lambda pt: bound, np.zeros((5, 2)))
+            _validate_scaled_bound("toy", lhs, bound, np.zeros((5, 2)))
 
     def test_first_violating_draw_is_the_witness(self):
         # |x| <= 0.5 fails at several of the draws; the first one is raised
         pts = np.random.default_rng(4).uniform(-1.0, 1.0, (50, 1))
         first = next(p for p in pts if abs(p[0]) > 0.5)
         with pytest.raises(MajorantViolationError) as info:
-            _validate_scaled_bound("toy", lambda pt: abs(pt[0]), lambda pt: 0.5, pts)
+            _validate_scaled_bound("toy", np.abs(pts[:, 0]), 0.5, pts)
         assert info.value.point == (float(first[0]),)
         assert info.value.lhs == abs(float(first[0]))
         assert info.value.bound == 0.5
@@ -362,6 +362,23 @@ class TestFullSynthesis:
             5, lambda x1, t1, t2, t3, t4: 1.0 + 0.001 * t1 * t1 * (x1 - 0.7) ** 2, name="g1")
         with pytest.raises(ValueError, match="gain of level 1"):
             synthesize(replace(base, g=(g1, *base.g[1:])), gains, wingrock_majorants(gains))
+
+    def test_plant_bounds_evaluate_each_gain_once(self):
+        # each g_j once on the shared draws, which the theta-free test, the
+        # eta bound and the mu bound all read, plus g_j at theta = 0 below
+        # the input
+        base = wingrock()
+        calls = [0] * base.m
+
+        def counted(j, g):
+            def fn(*args):
+                calls[j] += 1
+                return g(*args)
+            return SmoothMap(g.arity, fn, name=g.name)
+
+        plant = replace(base, g=tuple(counted(j, g) for j, g in enumerate(base.g)))
+        synthesis._validate_plant_bounds(plant, 20, 0)
+        assert calls == [2, 2, 1]
 
     def test_each_backstep_builds_the_previous_partials_once(self, monkeypatch):
         # one jet pass of k and one of V per backstep, which the majorant

@@ -330,6 +330,12 @@ class TestDisturbanceProfiles:
         with pytest.raises(ValueError, match="decay must be finite and >= 0"):
             DisturbanceProfile("vanishing", 1, (1.0,), (1.0,), decay)
 
+    @pytest.mark.parametrize("kind", ["zero", "sinusoid-bank"])
+    def test_decay_only_on_vanishing(self, kind):
+        # the decay was silently ignored: d(t) ran undamped
+        with pytest.raises(ValueError, match=f"a '{kind}' disturbance has no decay, got 2.0"):
+            DisturbanceProfile(kind, 1, (1.0,), (1.0,), 2.0)
+
     def test_zero_kind_reads_no_amplitudes(self):
         d = DisturbanceProfile("zero", 2, (1.0,), (), 0.0)
         assert d(1.0).tolist() == [0.0, 0.0] and not d.persists

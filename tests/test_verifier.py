@@ -160,7 +160,7 @@ class TestDissipationChecks:
         def rhs(s):
             return (np.where(s[0] == 3.0, math.nan, s[0]),)
 
-        rep = check_dissipation(V, rhs, lambda s: 10.0, lambda rng: (next(draws),), n=5)
+        rep = check_dissipation(V, lambda s: (rhs(s), 10.0), lambda rng: (next(draws),), n=5)
         assert rep.n_samples == 5
         assert math.isnan(rep.worst_margin)
         assert rep.witness == (3.0,)
@@ -179,7 +179,7 @@ class TestDissipationChecks:
             assert isinstance(s[0], np.ndarray)
             return 100.0 - s[0]
 
-        rep = check_dissipation(V, lambda s: (s[0],), bound, sampler, n=8, name="toy")
+        rep = check_dissipation(V, lambda s: ((s[0],), bound(s)), sampler, n=8, name="toy")
         # exactly n draws, in stream order, nothing more
         assert calls == list(range(8))
         assert rep.n_samples == 8 and rep.passed
@@ -223,8 +223,7 @@ class TestDissipationChecks:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = check_dissipation(
-                V, lambda s: (0.0 * jet_exp(s[0]),), lambda s: 1.0,
-                lambda rng: (next(draws),), n=3,
+                V, lambda s: ((0.0 * jet_exp(s[0]),), 1.0), lambda rng: (next(draws),), n=3,
             )
         assert rep.witness == (1000.0,)
         assert not rep.passed
@@ -233,8 +232,7 @@ class TestDissipationChecks:
     def test_no_samples_rejected(self, n):
         V = SmoothMap(1, lambda v: v)
         with pytest.raises(ValueError):
-            check_dissipation(V, lambda s: np.array([0.0]), lambda s: 1.0,
-                              lambda rng: (0.5,), n=n)
+            check_dissipation(V, lambda s: (np.array([0.0]), 1.0), lambda rng: (0.5,), n=n)
 
     def test_seed_reproducibility(self):
         a = wingrock_dissipation_check(wingrock(), WingRockDadsController(), n=100, seed=7)
@@ -258,6 +256,24 @@ class TestSynthesizedChecks:
             wingrock(), final.V, final.k, gains, final.rate_c,
             final.gain_a, n=200, seed=0,
         )
+        assert rep.passed, rep.summary()
+
+    def test_certificate_evaluates_V_twice(self, synthesis_result):
+        # one jet pass for the gradient, one plain pass that the deadzone
+        # rate and -cV both read
+        gains, result = synthesis_result
+        final = result.stage_trace[-1]
+        calls = []
+
+        def V(*args):
+            calls.append(1)
+            return final.V(*args)
+
+        rep = synthesized_dissipation_check(
+            wingrock(), SmoothMap(final.V.arity, V, name="V3"), final.k, gains,
+            final.rate_c, final.gain_a, n=50, seed=0,
+        )
+        assert len(calls) == 2
         assert rep.passed, rep.summary()
 
     def test_every_stage_passes(self, synthesis_result):
