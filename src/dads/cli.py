@@ -1,10 +1,10 @@
 """Command-line front end: scenario files and the four subcommands.
 
 Scenarios are INI-style files whose sections and keys `SCENARIO_KEYS` lists:
-[system], [controller], [sim], [disturbance], [parameter], and optionally
-[checks] and [synthesis].  `build` turns a file into one checked `Setup`,
-which is all a command reads; simulate, compare and the checks that
-simulate need [sim].  The subcommands are:
+[system], [controller], [sim], [disturbance] (the signal's numbers; none is
+the zero signal), [parameter], and optionally [checks] and [synthesis].
+`build` turns a file into one checked `Setup`, which is all a command reads;
+simulate, compare and the checks that simulate need [sim].  The subcommands:
 
 * simulate  — run one closed loop, write the trajectory CSV, print stats;
 * synthesize — run the backstepping construction, write the stage report;
@@ -98,10 +98,6 @@ _CONTROLLER_FIELDS = {
 # deadzone level, as in [controller]
 _SYNTHESIS_FIELDS = {"b": "b", "gamma": "Gamma", "eps": "eps_dz", "c": "c", "a": "a"}
 
-# the [disturbance] keys each kind reads
-_DISTURBANCE_KEYS = {"zero": ("kind",), "sinusoid-bank": ("kind", "amplitudes", "frequencies"),
-                     "vanishing": ("kind", "amplitudes", "frequencies", "decay")}
-
 # every section and key a scenario may have, with the conversion of its text
 SCENARIO_KEYS = {
     "system": {"name": _TEXT},
@@ -109,8 +105,7 @@ SCENARIO_KEYS = {
         key: _NUMBER for _, fields in _CONTROLLER_FIELDS.values() for key in fields}},
     "sim": {"dt": _NUMBER, "t_end": _NUMBER, "method": _TEXT, "log_stride": _INTEGER,
             "x0": _VECTOR, "ctrl0": _VECTOR, "output_indices": _VECTOR},
-    "disturbance": {"kind": _TEXT, "amplitudes": _VECTOR,
-                    "frequencies": _VECTOR, "decay": _NUMBER},
+    "disturbance": {"amplitudes": _VECTOR, "frequencies": _VECTOR, "decay": _NUMBER},
     "parameter": {"value": _VECTOR},
     "checks": {"names": _NAMES, "n_samples": _INTEGER, "tol": _NUMBER,
                "corrupt_controller": _BOOLEAN},
@@ -216,20 +211,14 @@ def build_gains(scn: Scenario) -> DadsGains:
 
 
 def build_disturbance(scn: Scenario, dim: int) -> DisturbanceProfile:
-    """The [disturbance] signal of the keys its kind reads; decay defaults to 1."""
-    kind = scn.get("disturbance", "kind", "zero")
-    # an unknown kind reads every key here, and DisturbanceProfile rejects it
-    reads = _DISTURBANCE_KEYS.get(kind, SCENARIO_KEYS["disturbance"])
-    _reject_unread(f"[disturbance] kind {kind!r}", sorted(scn.sections.get("disturbance", {})),
-                   reads)
+    """The [disturbance] signal; without amplitudes it is zero, and decay defaults to 0."""
     try:
         return DisturbanceProfile(
-            kind, dim, tuple(scn.get("disturbance", "amplitudes", ())),
+            dim, tuple(scn.get("disturbance", "amplitudes", ())),
             tuple(scn.get("disturbance", "frequencies", ())),
-            scn.get("disturbance", "decay", 1.0 if kind == "vanishing" else 0.0))
-    except ValueError as exc:  # the decay message names its section, as conversion errors do
-        prefix = "[disturbance] " if str(exc).startswith("decay") else ""
-        raise ScenarioError(f"{prefix}{exc}") from None
+            scn.get("disturbance", "decay", 0.0))
+    except ValueError as exc:  # the message names its section, as conversion errors do
+        raise ScenarioError(f"[disturbance] {exc}") from None
 
 
 def build_sim_config(scn: Scenario, args) -> SimConfig:

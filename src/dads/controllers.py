@@ -66,6 +66,13 @@ def dads_residual(d_sq, theta_norm, z, b: float, a: float):
     return a * (d_sq + excess * excess) / (1.0 + ez)
 
 
+def _require_positive(law, *names: str) -> None:
+    """Raise unless each named field of law is positive and finite (nan fails too)."""
+    for name in names:
+        if not 0 < (value := getattr(law, name)) < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class DadsGains:
     """Design constants of the deadzone-adapted scheme.
@@ -83,10 +90,7 @@ class DadsGains:
     a: float
 
     def __post_init__(self):
-        for name in ("b", "Gamma", "eps_dz", "c", "a"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:  # false for nan as well
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        _require_positive(self, "b", "Gamma", "eps_dz", "c", "a")
 
 
 @dataclass(frozen=True)
@@ -108,10 +112,7 @@ class WingRockDadsController:
             raise ValueError(f"c must be finite and >= 1/2, got {self.c}")
         if not 28.0 * self.c <= self.K < math.inf:
             raise ValueError(f"K must be finite and >= 28 c = {28 * self.c}, got {self.K}")
-        if not 0 < self.Gamma < math.inf:
-            raise ValueError(f"Gamma must be positive and finite, got {self.Gamma}")
-        if not 0 < self.eps_dz < math.inf:
-            raise ValueError(f"eps_dz must be positive and finite, got {self.eps_dz}")
+        _require_positive(self, "Gamma", "eps_dz")
 
     @property
     def gains(self) -> DadsGains:
@@ -264,8 +265,7 @@ class SynthesizedDadsController:
     eps_dz: float
 
     def __post_init__(self):
-        if self.Gamma <= 0 or self.eps_dz <= 0:
-            raise ValueError("Gamma and eps_dz must be positive")
+        _require_positive(self, "Gamma", "eps_dz")
         if self.k_final.arity != self.V_final.arity:
             raise ValueError("k_final and V_final must share a state dimension")
 

@@ -109,11 +109,11 @@ from .systems import (
 RTOL = 1e-12
 ATOL = 1e-14
 ATOL_INPUT_STATE = 1e-10
-# rhs evaluations the stiff solver may spend per unit of simulated time (the
-# shipped 10 s runs use at most about 3,500: nfe 5,992 on fig1_dads, 22,247
-# on fig4_dads, 13,438 on vanishing, and 5,664 to 34,628 on the four
-# sigma-modification scenarios)
-NFEV_PER_SECOND = 10**5
+# rhs evaluations the stiff solver may spend per unit of simulated time: the
+# shipped loops use at most 6,025 per unit over horizons from 0.01 to 10 s
+# (fig4_dads at 1 s), fig1_dads at k = 1e5 over 0.05 s uses 15,813, and
+# fig4_dads at amplitudes and theta x10 uses 49,928 over 10 s
+NFEV_PER_SECOND = 3 * 10**4
 # The state magnitude at which RK4 declares divergence
 DIVERGENCE_THRESHOLD = 1e8
 # Largest accepted t_end / dt.  It bounds the length of the RK4 loop and the

@@ -7,7 +7,9 @@ The plant carries the positive majorants eta (lower bound on the controlled
 gain) and mu (upper bound proportional to 1 + |theta|) that the backstepping
 synthesis relies on.  theta is unknown and its bound arbitrary; the plant
 only names the radius of its theta ball.  The rest of the domain that every
-sampled bound draws from, and the one sampler they all draw through, live here.
+sampled bound draws from, and the one sampler they all draw through, live here,
+as does the disturbance: a cos(w t) e^(-decay t) per channel, zero when it has
+no amplitudes.
 """
 
 from __future__ import annotations
@@ -184,34 +186,31 @@ def state_rates(sys: StrictFeedbackSystem, s, u, theta, d) -> list:
 class DisturbanceProfile:
     """Deterministic disturbance signal d(t), defined for all t >= 0.
 
-    Checked at construction: a known kind, dim amplitudes and frequencies
-    unless the kind is zero, and a finite decay >= 0 that only a vanishing
-    disturbance may have nonzero.
+    Checked at construction: no amplitudes and frequencies (the zero signal)
+    or dim of each, and a finite decay >= 0 that only a nonzero signal may
+    have nonzero.
     """
 
-    kind: str  # zero | sinusoid-bank | vanishing
     dim: int
     amplitudes: tuple[float, ...] = ()
     frequencies: tuple[float, ...] = ()
     decay: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("zero", "sinusoid-bank", "vanishing"):
-            raise ValueError(f"unknown disturbance kind {self.kind!r}")
         a, w = len(self.amplitudes), len(self.frequencies)
-        if self.kind != "zero" and not a == w == self.dim:
+        if a != w or w not in (0, self.dim):
             raise ValueError(f"disturbance needs {self.dim} amplitudes/frequencies, got {a}/{w}")
-        # a "vanishing" disturbance that grows is an input error; the chained
-        # comparison also rejects nan
+        # a disturbance that grows is an input error; the chained comparison
+        # also rejects nan
         if not 0.0 <= self.decay < math.inf:
             raise ValueError(f"decay must be finite and >= 0, got {self.decay}")
-        if self.decay != 0.0 and self.kind != "vanishing":
-            raise ValueError(f"a {self.kind!r} disturbance has no decay, got {self.decay}")
+        if self.decay != 0.0 and not a:
+            raise ValueError(f"a zero disturbance has no decay, got {self.decay}")
 
     @property
     def persists(self) -> bool:
-        """Whether d(t) does not decay: a sinusoid bank, or "vanishing" with decay 0."""
-        return self.kind != "zero" and self.decay == 0.0
+        """Whether d(t) does not decay: it has amplitudes and decay 0."""
+        return bool(self.amplitudes) and self.decay == 0.0
 
     def __call__(self, t: float) -> np.ndarray:
         if t < 0:
@@ -224,11 +223,10 @@ def sample_disturbance(profile: DisturbanceProfile, t) -> tuple:
 
     t is a number or a traced value: this is the one home of the disturbance
     formula a cos(w t) e^(-decay t), which DisturbanceProfile evaluates and
-    the simulator traces; a sinusoid bank is its decay 0.  A zero profile
-    gives float zeros, and a zero decay the float factor 1, which the trace
-    folds away.
+    the simulator traces.  A profile without amplitudes gives float zeros,
+    and a zero decay the float factor 1, which the trace folds away.
     """
-    if profile.kind == "zero":
+    if not profile.amplitudes:
         return (0.0,) * profile.dim
     e = jet_exp(-profile.decay * t) if profile.decay != 0.0 else 1.0
     return tuple(

@@ -45,7 +45,7 @@ def sigma_persistent_run(leak):
     cfg = SimConfig(dt=1e-4, t_end=10.0, method="rk4", log_stride=100)
     return simulate(
         wingrock(), SigmaModController(sigma_leak=leak), [1.0, -0.5, -18.0], [0.0] * 4,
-        DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0)),
+        DisturbanceProfile(2, (20.0, 10.0), (10.0, 20.0)),
         constant_parameter([20.0, 20.0, 2.0, 1.0]), cfg, output_indices=[0, 1],
     )
 

@@ -47,7 +47,7 @@ THETA = [20.0, 20.0, 2.0, 1.0]
 X0 = [1.0, -0.5, -18.0]
 Z0 = [-math.log(10.0)]
 GAINS = DadsGains(b=1.0, Gamma=20.0, eps_dz=0.01, c=0.5, a=2.0)
-PERSISTENT = DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0))
+PERSISTENT = DisturbanceProfile(2, (20.0, 10.0), (10.0, 20.0))
 
 
 def report(criterion, ok, detail):
@@ -64,7 +64,7 @@ def dads_cfg():
 @pytest.fixture(scope="module")
 def dads_quiet():
     return simulate(wingrock(), WingRockDadsController(), X0, Z0,
-                    DisturbanceProfile("zero", 2), constant_parameter(THETA), dads_cfg(),
+                    DisturbanceProfile(2), constant_parameter(THETA), dads_cfg(),
                     output_indices=[0, 1])
 
 
@@ -137,7 +137,7 @@ def test_criterion_04_quiet_run_regulates(dads_quiet):
 def test_criterion_04_runtime_budget():
     t0 = time.perf_counter()
     simulate(wingrock(), WingRockDadsController(), X0, Z0,
-             DisturbanceProfile("zero", 2), constant_parameter(THETA), dads_cfg(),
+             DisturbanceProfile(2), constant_parameter(THETA), dads_cfg(),
              output_indices=[0, 1])
     elapsed = time.perf_counter() - t0
     report("4 (runtime)", elapsed < 30.0,
@@ -175,7 +175,7 @@ def test_criterion_06_drift_contrast(dads_persistent, sigma0_persistent,
 def test_criterion_07_envelope_both_runs(dads_quiet, dads_persistent):
     theta_sup = float(np.linalg.norm(THETA))
     worst = math.inf
-    for log, dist in ((dads_quiet, DisturbanceProfile("zero", 2)),
+    for log, dist in ((dads_quiet, DisturbanceProfile(2)),
                       (dads_persistent, PERSISTENT)):
         reports = check_trajectory_estimates(
             log, GAINS,
@@ -190,7 +190,7 @@ def test_criterion_07_envelope_both_runs(dads_quiet, dads_persistent):
 
 
 def test_criterion_08_vanishing_disturbance():
-    dist = DisturbanceProfile("vanishing", 2, (20.0, 0.0), (10.0, 0.0), 1.0)
+    dist = DisturbanceProfile(2, (20.0, 0.0), (10.0, 0.0), 1.0)
     log = simulate(wingrock(), WingRockDadsController(), X0, Z0, dist,
                    constant_parameter([0.0] * 4), dads_cfg())
     final = float(np.linalg.norm(log.x[-1]))
@@ -251,7 +251,7 @@ def test_criterion_09_ad_and_integrator_order():
         cfg = SimConfig(dt=dt, t_end=0.5, method="rk4",
                         log_stride=int(round(0.5 / dt)))
         log = simulate(wingrock(), SigmaModController(), X0, [0.0] * 4,
-                       DisturbanceProfile("zero", 2), constant_parameter(THETA), cfg)
+                       DisturbanceProfile(2), constant_parameter(THETA), cfg)
         ends[dt] = log.x[-1]
     ratio = float(
         np.linalg.norm(ends[4e-4] - ends[2e-4])

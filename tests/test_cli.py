@@ -445,10 +445,9 @@ class TestNonFiniteParameters:
         assert err.startswith("error:") and f"[{section}] {key}" in err
 
     def test_negative_decay_exits_2(self, tmp_path, capsys):
-        # a "vanishing" disturbance that grows overflowed exp at the first step
+        # a disturbance that grows overflowed exp at the first step
         path = edited("fig4_sigma0", tmp_path, {
-            ("disturbance", "kind"): "vanishing", ("disturbance", "decay"): "-1e6",
-            ("disturbance", "amplitudes"): "0, 0"})
+            ("disturbance", "decay"): "-1e6", ("disturbance", "amplitudes"): "0, 0"})
         assert main(["simulate", path, "--t-end", "0.01", "--out", str(tmp_path)]) == EXIT_PARSE
         assert "[disturbance] decay must be finite and >= 0" in capsys.readouterr().err
 
@@ -463,8 +462,7 @@ class TestNonFiniteParameters:
         # shipped scenario's method) at the last finite logged row (LSODA
         # itself reports success)
         entries = {
-            ("disturbance", "kind"): "vanishing", ("disturbance", "decay"): "0",
-            ("disturbance", "amplitudes"): "1e-300, 0",
+            ("disturbance", "decay"): "0", ("disturbance", "amplitudes"): "1e-300, 0",
             ("disturbance", "frequencies"): "1e308, 1"}
         if method:
             entries["sim", "method"] = method
@@ -486,6 +484,17 @@ class TestNonFiniteParameters:
         err = capsys.readouterr().err
         assert err.startswith("error: trajectory diverged; last finite time t = 0 (lsoda: ")
         assert len(err.splitlines()) == 1
+
+    def test_unintegrable_input_stops_at_the_budget(self, tmp_path, capsys):
+        # LSODA crawls at t = 5e-9 without a failure of its own; the budget
+        # of 3 units of NFEV_PER_SECOND ends it (300,000 evaluations in
+        # about 1.1 s at 10^5 per unit)
+        path = edited("vanishing", tmp_path, {
+            ("disturbance", "amplitudes"): "20, 5",
+            ("disturbance", "frequencies"): "1e308, 0", ("disturbance", "decay"): "0"})
+        code = main(["simulate", path, "--t-end", "3", "--dt", "0.01", "--out", str(tmp_path)])
+        assert code == EXIT_DIVERGENCE
+        assert "budget of 90000 rhs evaluations" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["rk4", None])
     @pytest.mark.parametrize("section, key, value, rates", [
@@ -604,13 +613,13 @@ class TestScenarioKeys:
         ("simulate", "fig4_sigma0", "system", "name", "nmae"),
         ("simulate", "fig4_sigma0", "controller", "sigma", "sigam"),
         ("simulate", "fig1_dads", "sim", "t_end", "t_ned"),
-        ("simulate", "fig4_sigma0", "disturbance", "kind", "knd"),
+        ("simulate", "fig4_sigma0", "disturbance", "amplitudes", "amplitude"),
         ("verify", "ineq38", "parameter", "value", "valeu"),
         ("verify", "ineq34", "checks", "n_samples", "n_sampels"),
         ("synthesize", "synth_wingrock", "synthesis", "gamma", "gamm"),
     ])
     def test_misspelt_key(self, tmp_path, capsys, no_work, command, name, section, key, typo):
-        # each ran with the key's default: `knd` simulated fig4_sigma0 with d = 0
+        # each ran with the key's default: `amplitude` simulated fig4_sigma0 with d = 0
         text = Path(scen(f"{name}.scenario")).read_text()
         assert f"\n{key} = " in text
         path = tmp_path / f"{name}.scenario"
@@ -716,18 +725,17 @@ class TestBuiltBeforeWork:
          "[checks] names lists 'dissipation-dads' twice"),
         ("verify", "fig1_dads", {("checks", "names"): "trajectory, trajectory"},
          "[checks] names lists 'trajectory' twice"),
-        # [disturbance] keys that the kind does not read: fig4_dads ran its
-        # persistent disturbance, and fig1_dads gave the unedited file's output
-        ("simulate", "fig4_dads", {("disturbance", "decay"): "5"},
-         "[disturbance] kind 'sinusoid-bank' does not read decay; "
-         "it reads kind, amplitudes, frequencies"),
+        # the [disturbance] rules: a file of the older format, whose kind
+        # line the numbers now say, half a signal, and a decay without one
+        ("simulate", "fig1_dads", {("disturbance", "kind"): "zero"},
+         "[disturbance] does not read kind; it reads amplitudes, frequencies, decay"),
         ("simulate", "fig1_dads", {("disturbance", "amplitudes"): "20, 10"},
-         "[disturbance] kind 'zero' does not read amplitudes; it reads kind"),
-        ("simulate", "vanishing", {("disturbance", "kind"): "zero"},
-         "[disturbance] kind 'zero' does not read amplitudes, decay, frequencies; "
-         "it reads kind"),
+         "[disturbance] disturbance needs 2 amplitudes/frequencies, got 2/0"),
+        ("simulate", "vanishing", {("disturbance", "amplitudes"): None,
+                                   ("disturbance", "frequencies"): None},
+         "[disturbance] a zero disturbance has no decay, got 1.0"),
         ("synthesize", "synth_wingrock", {("disturbance", "decay"): "1"},
-         "[disturbance] kind 'zero' does not read decay; it reads kind"),
+         "[disturbance] a zero disturbance has no decay, got 1.0"),
     ])
     def test_exit_2(self, tmp_path, capsys, no_work, command, name, entries, message):
         out = tmp_path / "out"
@@ -815,14 +823,12 @@ class TestDisturbanceFuzz:
 
     A section of finite numbers, with at most one entry replaced by a
     malformed text: nan, inf, a wrong length (the wing-rock plant takes two
-    entries) or not a number.  Its keys are either exactly the ones its kind
-    reads or any drawn subset, so that every kind can run.
+    entries) or not a number.  Its keys are either the three it reads or any
+    drawn subset of those and the `kind` line of an older file.
     """
 
-    @staticmethod
-    def _reads(kind):
-        return {"kind"} | ({"amplitudes", "frequencies"} if kind != "zero" else set()) \
-            | ({"decay"} if kind == "vanishing" else set())
+    # the malformed texts that convert to a vector, by its length
+    VECTOR_LENGTHS = {"": 0, "1, 2, 3": 3}
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -843,17 +849,19 @@ class TestDisturbanceFuzz:
                         malformed, horizon):
         section = {"kind": kind, "amplitudes": ", ".join(map(repr, amplitudes)),
                    "frequencies": ", ".join(map(repr, frequencies)), "decay": repr(decay)}
-        present = self._reads(kind) if present is None else present
+        if present is None:
+            present = {"amplitudes", "frequencies", "decay"}
         if malformed:  # a malformed entry is written
             section[malformed[0]] = malformed[1]
             present = present | {malformed[0]}
-        if "kind" not in present:
-            kind = "zero"
-        read = self._reads(kind)
-        # texts that fail their key's conversion, whether the kind reads the key or not
-        not_numbers = {"nan", "-inf", "inf, 1", "x"}
-        unconvertible = {"amplitudes": not_numbers, "frequencies": not_numbers,
-                         "decay": {"inf, 1", "1, 2, 3", "", "x"}}
+
+        def entries(key):  # how many a vector key gives; None if it does not convert
+            if key not in present:
+                return 0
+            if malformed and malformed[0] == key:
+                return self.VECTOR_LENGTHS.get(malformed[1])
+            return 2
+        a, w = entries("amplitudes"), entries("frequencies")
         # a key absent from the section is removed from the shipped file
         path = edited(name, tmp_path, {("disturbance", k): v if k in present else None
                                        for k, v in section.items()})
@@ -861,14 +869,13 @@ class TestDisturbanceFuzz:
         code = main(["simulate", path, "--t-end", repr(t_end), "--dt", repr(dt),
                      "--out", str(tmp_path)])
         event(f"exit {code}")
-        # input errors: a malformed entry that the kind reads or that fails
-        # its conversion, a key the kind does not read, a missing amplitude
-        # or frequency list, and a growing "vanishing" disturbance
-        rejected = (malformed and (malformed[0] in read
-                                   or malformed[1] in unconvertible.get(malformed[0], ()))) \
-            or not present <= read \
-            or (kind != "zero" and not {"amplitudes", "frequencies"} <= present) \
-            or (kind == "vanishing" and "decay" in present and decay < 0)
+        # input errors: the kind line, a vector that does not convert, half a
+        # signal or one of the wrong length, any malformed decay (nan and
+        # -inf convert and fail the range), a decay that grows, and a nonzero
+        # decay without amplitudes
+        rejected = "kind" in present or None in (a, w) or a != w or a not in (0, 2) \
+            or ("decay" in present and (malformed is not None and malformed[0] == "decay"
+                                        or decay < 0 or (a == 0 and decay != 0)))
         assert code in ((EXIT_PARSE,) if rejected else (EXIT_OK, EXIT_DIVERGENCE))
         if code == EXIT_OK:  # a run that ends normally logs finite states
             _, data = read_csv(tmp_path / f"{name}.csv")
@@ -1243,10 +1250,10 @@ class TestCompareCommand:
         return paths
 
     @pytest.mark.parametrize("disturbance, expected", [
-        ({"kind": "vanishing", "decay": "0"}, True),
-        ({"kind": "vanishing", "decay": "1.0"}, False),
-        ({"kind": "vanishing", "decay": "1e-300"}, False),
-        ({"kind": "zero", "amplitudes": None, "frequencies": None}, False),
+        ({"decay": "0"}, True),
+        ({"decay": "1.0"}, False),
+        ({"decay": "1e-300"}, False),
+        ({"amplitudes": None, "frequencies": None}, False),
     ])
     def test_drift_is_expected_of_a_persistent_disturbance(self, tmp_path, monkeypatch,
                                                            disturbance, expected):
@@ -1266,7 +1273,7 @@ class TestCompareCommand:
     def test_decaying_disturbance_passes_the_contrast(self, tmp_path, capsys):
         # with drift expected of a decaying disturbance the report read
         # "[FAIL] drift contrast: worst margin -0.0823164"
-        paths = self._fig4_with(tmp_path, {"kind": "vanishing", "decay": "1.0"})
+        paths = self._fig4_with(tmp_path, {"decay": "1.0"})
         assert main(["compare", *paths, "--t-end", "4"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "[PASS] drift contrast: worst margin 0.01 over 401 samples" in out

@@ -225,6 +225,15 @@ class TestSynthesizedWrapper:
         with pytest.raises(ValueError):
             SynthesizedDadsController(k_final=k, V_final=V, Gamma=-1.0, eps_dz=0.01)
 
+    @pytest.mark.parametrize("field", ["Gamma", "eps_dz"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_constructor_rejects_non_finite(self, field, value):
+        # both passed the wrapper's `<= 0` test; DadsGains rejected them already
+        k = SmoothMap(2, lambda x1, z: -x1)
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite, got {value}"):
+            SynthesizedDadsController(
+                k_final=k, V_final=k, **{"Gamma": 2.0, "eps_dz": 0.01, field: value})
+
     def test_state_length_check(self):
         ctrl = self._make()
         with pytest.raises(ValueError):

@@ -55,7 +55,7 @@ def run_sigma(t_end=1.0, dt=1e-4, sigma=0.4, dist=None, stride=100):
     sys = wingrock()
     ctrl = SigmaModController(sigma_leak=sigma)
     cfg = SimConfig(dt=dt, t_end=t_end, method="rk4", log_stride=stride)
-    d = dist if dist is not None else DisturbanceProfile("zero", 2)
+    d = dist if dist is not None else DisturbanceProfile(2)
     return simulate(sys, ctrl, X0, [0.0] * 4, d, THETA, cfg), ctrl
 
 
@@ -63,7 +63,7 @@ def run_dads(t_end=2.0, dist=None):
     sys = wingrock()
     ctrl = WingRockDadsController()
     cfg = SimConfig(dt=1e-3, t_end=t_end, method="radau", log_stride=10)
-    d = dist if dist is not None else DisturbanceProfile("zero", 2)
+    d = dist if dist is not None else DisturbanceProfile(2)
     return simulate(sys, ctrl, X0, Z0, d, THETA, cfg, output_indices=[0, 1]), ctrl
 
 
@@ -88,7 +88,7 @@ class TestSimConfig:
         monkeypatch.setattr(simulate_module, "solve_ivp",
                             lambda *args: solves.append(args) or solve(*args))
         assert SimConfig().method == "radau"
-        simulate(wingrock(), SigmaModController(), X0, [0.0] * 4, DisturbanceProfile("zero", 2),
+        simulate(wingrock(), SigmaModController(), X0, [0.0] * 4, DisturbanceProfile(2),
                  THETA, SimConfig(dt=1e-3, t_end=0.01))
         assert len(solves) == 1
 
@@ -129,7 +129,7 @@ class TestBasicSimulation:
         ctrl = SigmaModController()
         cfg = SimConfig(dt=1e-3, t_end=0.2, method="rk4", log_stride=10)
         log = simulate(sys, ctrl, [0.0] * 3, [0.0] * 4,
-                       DisturbanceProfile("zero", 2), THETA, cfg)
+                       DisturbanceProfile(2), THETA, cfg)
         assert np.max(np.abs(log.x)) == 0.0
         assert np.max(np.abs(log.u)) == 0.0
 
@@ -137,9 +137,9 @@ class TestBasicSimulation:
         sys = wingrock()
         ctrl = SigmaModController()
         with pytest.raises(ValueError):
-            simulate(sys, ctrl, [0.0, 0.0], [0.0] * 4, DisturbanceProfile("zero", 2), THETA)
+            simulate(sys, ctrl, [0.0, 0.0], [0.0] * 4, DisturbanceProfile(2), THETA)
         with pytest.raises(ValueError):
-            simulate(sys, ctrl, [0.0] * 3, [0.0], DisturbanceProfile("zero", 2), THETA)
+            simulate(sys, ctrl, [0.0] * 3, [0.0], DisturbanceProfile(2), THETA)
 
     def test_output_indices_restrict_norm(self):
         log, _ = run_dads(t_end=0.05)
@@ -154,7 +154,7 @@ class TestBasicSimulation:
         with pytest.raises(ValueError,
                            match=r"output_indices must be distinct integers in \[0, 3\)"):
             simulate(wingrock(), SigmaModController(), X0, [0.0] * 4,
-                     DisturbanceProfile("zero", 2), THETA, SimConfig(dt=1e-3, t_end=0.01),
+                     DisturbanceProfile(2), THETA, SimConfig(dt=1e-3, t_end=0.01),
                      output_indices=indices)
 
     @pytest.mark.parametrize("method", ["rk4", "radau"])
@@ -162,7 +162,7 @@ class TestBasicSimulation:
     def test_log_times_are_the_logged_times(self, method, t_end, stride):
         cfg = SimConfig(dt=1e-4, t_end=t_end, method=method, log_stride=stride)
         log = simulate(wingrock(), SigmaModController(), X0, [0.0] * 4,
-                       DisturbanceProfile("zero", 2), THETA, cfg)
+                       DisturbanceProfile(2), THETA, cfg)
         assert log.t.tobytes() == cfg.log_times().tobytes()
         # RK4 ends on its last whole step, 0.0004 for t_end = 0.00035
         assert log.t[-1] == (1e-4 * round(t_end / 1e-4) if method == "rk4" else t_end)
@@ -183,7 +183,7 @@ class TestAccuracyAndStiffness:
         ctrl = WingRockDadsController()
         cfg = SimConfig(dt=1e-4, t_end=1.0, method="rk4")
         with pytest.raises(DivergenceError) as ei:
-            simulate(sys, ctrl, X0, Z0, DisturbanceProfile("zero", 2), THETA, cfg)
+            simulate(sys, ctrl, X0, Z0, DisturbanceProfile(2), THETA, cfg)
         assert ei.value.t_last == pytest.approx(0.0, abs=1e-2)
 
     def test_stiff_blow_up_ends_at_the_budget(self):
@@ -196,7 +196,7 @@ class TestAccuracyAndStiffness:
         cfg = SimConfig(dt=1e-3, t_end=0.1, method="radau", log_stride=10)
         start = time.perf_counter()
         with pytest.raises(DivergenceError) as ei:
-            simulate(wingrock(), BlowUp(), X0, Z0, DisturbanceProfile("zero", 2), THETA, cfg)
+            simulate(wingrock(), BlowUp(), X0, Z0, DisturbanceProfile(2), THETA, cfg)
         assert time.perf_counter() - start < 10.0
         budget = simulate_module.NFEV_PER_SECOND  # t_end < 1
         assert f"budget of {budget} rhs evaluations" in str(ei.value)
@@ -296,7 +296,7 @@ class TestControllerCalls:
         CountingController.calls = 0
         cfg = SimConfig(dt=1e-3, t_end=0.05, method="rk4", log_stride=10)
         log = simulate(wingrock(), CountingController(), X0, [0.0] * 4,
-                       DisturbanceProfile("zero", 2), THETA, cfg)
+                       DisturbanceProfile(2), THETA, cfg)
         assert len(log) == 6
         assert CountingController.calls == 1 + 1 + len(log)
 
@@ -374,7 +374,7 @@ class TestTrace:
                                       "reads-t", "synthesized"])
     def test_compiled_equals_interpreted_at_sampled_states(self, case):
         sys, theta = wingrock(), np.array([20.0, 20.0, 2.0, 1.0])
-        dist = DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0))
+        dist = DisturbanceProfile(2, (20.0, 10.0), (10.0, 20.0))
         ctrl = {
             "sigma-mod": SigmaModController,
             "sigma-zero": lambda: SigmaModController(sigma_leak=0.0),
@@ -385,7 +385,7 @@ class TestTrace:
         }[case]()
         if case == "cascade-linear":
             sys, theta = _cascade_plant(), np.array([1.5])
-            dist = DisturbanceProfile("sinusoid-bank", 1, (2.0,), (3.0,))
+            dist = DisturbanceProfile(1, (2.0,), (3.0,))
         rhs = simulate_module._rhs_function(
             *simulate_module._trace_rhs(sys, ctrl, theta.tolist(), dist))(math.inf)
         rng = np.random.default_rng(11)
@@ -409,7 +409,7 @@ class TestTrace:
                 u, w = super().step(x, cs, t)
                 return u + x[0] ** 3 + 1.0 / (x[1] * 0.0), w
 
-        ctrl, dist = Steep(), DisturbanceProfile("zero", 2)
+        ctrl, dist = Steep(), DisturbanceProfile(2)
         rhs = simulate_module._rhs_function(
             *simulate_module._trace_rhs(wingrock(), ctrl, THETA(0.0).tolist(), dist))(math.inf)
         s = np.array([1e200, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
@@ -436,7 +436,7 @@ class TestTrace:
         monkeypatch.setattr(simulate_module, "_integrate_rk4", never)
         cfg = SimConfig(dt=1e-3, t_end=0.01, method="rk4", log_stride=1)
         with pytest.raises(TypeError, match="cannot trace|does not support ufuncs"):
-            simulate(wingrock(), Law(), X0, Z0, DisturbanceProfile("zero", 2), THETA, cfg)
+            simulate(wingrock(), Law(), X0, Z0, DisturbanceProfile(2), THETA, cfg)
 
     def test_mismatch_with_the_interpreted_rhs_raises(self):
         class Drifting(SigmaModController):
@@ -451,7 +451,7 @@ class TestTrace:
 
         cfg = SimConfig(dt=1e-3, t_end=0.01, method="rk4", log_stride=1)
         with pytest.raises(RuntimeError, match="traced rhs"):
-            simulate(wingrock(), Drifting(), X0, [0.0] * 4, DisturbanceProfile("zero", 2), THETA,
+            simulate(wingrock(), Drifting(), X0, [0.0] * 4, DisturbanceProfile(2), THETA,
                      cfg)
 
 
@@ -483,12 +483,12 @@ class TestCompiledLoop:
         sys, theta, ctrl = wingrock(), THETA(0.0), SigmaModController(sigma_leak=0.4)
         x0, c0 = X0, [0.0] * 4
         dist = {
-            "zero": DisturbanceProfile("zero", 2),
-            "vanishing": DisturbanceProfile("vanishing", 2, (20.0, 10.0), (10.0, 20.0), 0.7),
-        }.get(case, DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0)))
+            "zero": DisturbanceProfile(2),
+            "vanishing": DisturbanceProfile(2, (20.0, 10.0), (10.0, 20.0), 0.7),
+        }.get(case, DisturbanceProfile(2, (20.0, 10.0), (10.0, 20.0)))
         if case == "cascade":
             sys, theta = _cascade_plant(), np.array([1.5])
-            dist = DisturbanceProfile("sinusoid-bank", 1, (2.0,), (3.0,))
+            dist = DisturbanceProfile(1, (2.0,), (3.0,))
             ctrl, x0, c0 = LinearCascadeLaw(), [1.0, -0.5, 0.3], [2.0]
         if case == "reads-t":
             ctrl = TimedSigmaMod()
@@ -515,9 +515,9 @@ class TestCompiledLoop:
         x0, c0 = ([0.0] * 3, [0.0] * 4) if law == "ramps-an-estimate" else (X0, Z0)
         cfg = SimConfig(dt=1e-4, t_end=1.0, method="rk4")
         with pytest.raises(DivergenceError) as got:
-            simulate(wingrock(), ctrl, x0, c0, DisturbanceProfile("zero", 2), THETA, cfg)
+            simulate(wingrock(), ctrl, x0, c0, DisturbanceProfile(2), THETA, cfg)
         with pytest.raises(DivergenceError) as want, np.errstate(over="ignore", invalid="ignore"):
-            _reference_rk4(wingrock(), ctrl, THETA(0.0), DisturbanceProfile("zero", 2),
+            _reference_rk4(wingrock(), ctrl, THETA(0.0), DisturbanceProfile(2),
                            [*x0, *c0], cfg)
         assert got.value.t_last == want.value.t_last
         if law != "dads":
@@ -550,6 +550,14 @@ class TestCompiledLoop:
         assert set(rhs.__code__.co_names) <= {
             "tolist", "_over_budget", "exp", "jet_exp", "cos", "inf", "nan", "_pow", "_div"}
 
+    @pytest.mark.parametrize("name, lines", [
+        ("fig1_dads", 70), ("fig1_sigma0", 57), ("fig1_sigma04", 65), ("fig4_dads", 78),
+        ("fig4_sigma0", 65), ("fig4_sigma04", 73), ("vanishing", 83)])
+    def test_shipped_tape_lengths(self, name, lines, monkeypatch):
+        # the [disturbance] numbers alone fix the traced d(t): no amplitudes
+        # record no line, and a zero decay no decay factor
+        assert len(self._traced_run(name, monkeypatch)[0].lines) == lines
+
     @pytest.mark.parametrize("name", SIMULATING)
     def test_compiled_source_is_the_tape(self, name, monkeypatch):
         # statement K after the state's unpacking is tape line vK, every
@@ -567,7 +575,7 @@ class TestCompiledLoop:
         monkeypatch.setattr(Tape, "compile", lambda tape, source, name, namespace: (
             names.append(name) or compile_(tape, source, name, namespace)))
         cfg = SimConfig(dt=1e-3, t_end=0.01, **({"method": method} if method else {}))
-        simulate(wingrock(), SigmaModController(), X0, [0.0] * 4, DisturbanceProfile("zero", 2),
+        simulate(wingrock(), SigmaModController(), X0, [0.0] * 4, DisturbanceProfile(2),
                  THETA, cfg)
         assert names == ["budgeted"]
 

@@ -272,36 +272,36 @@ class TestMajorantValidation:
 
 class TestDisturbanceProfiles:
     def test_zero(self):
-        d = DisturbanceProfile("zero", 2)
+        d = DisturbanceProfile(2)
         assert d(3.7) == pytest.approx([0.0, 0.0])
 
     def test_sinusoid_bank_values(self):
-        d = DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0))
+        d = DisturbanceProfile(2, (20.0, 10.0), (10.0, 20.0))
         assert d(0.0) == pytest.approx([20.0, 10.0])
         # at t = pi/10 the first channel sits at a trough
         assert d(math.pi / 10.0)[0] == pytest.approx(-20.0)
 
     def test_sinusoid_bank_length_mismatch(self):
         with pytest.raises(ValueError):
-            DisturbanceProfile("sinusoid-bank", 2, (1.0, 2.0), (1.0,))
+            DisturbanceProfile(2, (1.0, 2.0), (1.0,))
 
     def test_vanishing_envelope(self):
-        d = DisturbanceProfile("vanishing", 2, (20.0, 0.0), (10.0, 0.0), 1.0)
+        d = DisturbanceProfile(2, (20.0, 0.0), (10.0, 0.0), 1.0)
         assert d(0.0) == pytest.approx([20.0, 0.0])
         t = 2.0
         assert d(t)[0] == pytest.approx(20.0 * math.cos(10.0 * t) * math.exp(-t))
         assert d(t)[1] == 0.0
 
     def test_negative_time_rejected(self):
-        d = DisturbanceProfile("zero", 1)
+        d = DisturbanceProfile(1)
         with pytest.raises(ValueError):
             d(-0.1)
 
     @pytest.mark.parametrize("profile", [
-        DisturbanceProfile("zero", 2),
-        DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0)),
-        DisturbanceProfile("vanishing", 2, (20.0, -3.0), (10.0, 0.5), 0.7),
-    ], ids=lambda p: p.kind)
+        DisturbanceProfile(2),
+        DisturbanceProfile(2, (20.0, 10.0), (10.0, 20.0)),
+        DisturbanceProfile(2, (20.0, -3.0), (10.0, 0.5), 0.7),
+    ], ids=["zero", "sinusoid-bank", "vanishing"])
     def test_traced_formula_equals_the_profile(self, profile):
         # the simulator compiles sample_disturbance on a traced t; the
         # compiled d(t) must give the profile's values bit for bit
@@ -310,35 +310,55 @@ class TestDisturbanceProfiles:
         texts = [tape.operand(x) for x in d]
         source = "\n    ".join(["def d(t):", *tape.lines, f"return ({', '.join(texts)},)"])
         traced = tape.compile(source, "d", {})
-        if profile.kind == "zero":
+        if not profile.amplitudes:
             assert tape.lines == []  # float zeros, nothing to record
         for t in [0.0, *np.random.default_rng(3).uniform(0.0, 50.0, 200).tolist()]:
             assert np.array(traced(t), float).tobytes() == profile(t).tobytes()
 
-    def test_unknown_kind(self):
-        # it was accepted, and failed only at the first d(t)
-        with pytest.raises(ValueError, match="unknown disturbance kind 'mystery'"):
-            DisturbanceProfile("mystery", 1)
+    def test_decay_needs_amplitudes(self):
+        # a decay without a signal to damp is an input error, not a no-op
+        with pytest.raises(ValueError, match="a zero disturbance has no decay, got 2.0"):
+            DisturbanceProfile(2, decay=2.0)
 
     def test_vanishing_length_mismatch(self):
         with pytest.raises(ValueError, match="needs 2 amplitudes/frequencies, got 2/1"):
-            DisturbanceProfile("vanishing", 2, (1.0, 2.0), (3.0,), 1.0)
+            DisturbanceProfile(2, (1.0, 2.0), (3.0,), 1.0)
 
     @pytest.mark.parametrize("decay", [-1.0, math.nan, math.inf])
     def test_decay_must_be_finite_and_nonnegative(self, decay):
         # a decay of -1 was accepted as "vanishing": d(5) = cos(5) e^5 = 42.1
         with pytest.raises(ValueError, match="decay must be finite and >= 0"):
-            DisturbanceProfile("vanishing", 1, (1.0,), (1.0,), decay)
+            DisturbanceProfile(1, (1.0,), (1.0,), decay)
 
     @pytest.mark.parametrize("kind", ["zero", "sinusoid-bank"])
     def test_decay_only_on_vanishing(self, kind):
-        # the decay was silently ignored: d(t) ran undamped
-        with pytest.raises(ValueError, match=f"a '{kind}' disturbance has no decay, got 2.0"):
-            DisturbanceProfile(kind, 1, (1.0,), (1.0,), 2.0)
+        # a decay makes a signal vanish: a zero one takes only decay 0, and
+        # a sinusoid bank given one is a vanishing signal, not an undamped one
+        if kind == "zero":
+            assert DisturbanceProfile(1, (), (), 0.0)(1.0).tolist() == [0.0]
+            with pytest.raises(ValueError, match="a zero disturbance has no decay, got 1e-300"):
+                DisturbanceProfile(1, (), (), 1e-300)
+        else:
+            d = DisturbanceProfile(1, (1.0,), (1.0,), 2.0)
+            assert d(3.0)[0] == math.cos(3.0) * math.exp(-6.0) and not d.persists
 
     def test_zero_kind_reads_no_amplitudes(self):
-        d = DisturbanceProfile("zero", 2, (1.0,), (), 0.0)
+        # the zero signal is the one without amplitudes; amplitudes alone
+        # are half a signal, not a zero one
+        d = DisturbanceProfile(2)
         assert d(1.0).tolist() == [0.0, 0.0] and not d.persists
+        with pytest.raises(ValueError, match="needs 2 amplitudes/frequencies, got 1/0"):
+            DisturbanceProfile(2, (1.0,), (), 0.0)
+
+    @pytest.mark.parametrize("amplitudes, decay, persists", [
+        ((), 0.0, False),
+        ((20.0, 10.0), 0.0, True),
+        ((20.0, 10.0), 1e-300, False),
+        ((20.0, 10.0), 1.0, False),
+    ])
+    def test_persists(self, amplitudes, decay, persists):
+        d = DisturbanceProfile(2, amplitudes, (10.0, 20.0)[:len(amplitudes)], decay)
+        assert d.persists is persists
 
 
 class TestParameterSignal:

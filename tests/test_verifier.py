@@ -294,17 +294,17 @@ def dads_run(dist, t_end=10.0):
 
 @pytest.fixture(scope="module")
 def dads_quiet_log():
-    return dads_run(DisturbanceProfile("zero", 2))
+    return dads_run(DisturbanceProfile(2))
 
 
 @pytest.fixture(scope="module")
 def dads_persistent_log():
-    return dads_run(DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0)))
+    return dads_run(DisturbanceProfile(2, (20.0, 10.0), (10.0, 20.0)))
 
 
 class TestTrajectoryEstimates:
     def test_signal_sup(self):
-        d = DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0))
+        d = DisturbanceProfile(2, (20.0, 10.0), (10.0, 20.0))
         times = np.linspace(0.0, 10.0, 2001)
         assert signal_sup(d, times) <= math.hypot(20.0, 10.0) + 1e-9
         assert signal_sup(d, times) >= 20.0
@@ -322,7 +322,7 @@ class TestTrajectoryEstimates:
             assert rep.passed, rep.summary()
 
     def test_persistent_run_estimates(self, dads_persistent_log):
-        d = DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0))
+        d = DisturbanceProfile(2, (20.0, 10.0), (10.0, 20.0))
         d_sup = signal_sup(d, dads_persistent_log.t)
         reports = check_trajectory_estimates(
             dads_persistent_log, WingRockDadsController().gains,
@@ -419,7 +419,7 @@ class TestContrastChecks:
 
     def test_drift_contrast_requires_shared_grid(self, persistent_triple):
         dads_log, s0_log, s4_log = persistent_triple
-        short = sigma_run(0.0, DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0)),
+        short = sigma_run(0.0, DisturbanceProfile(2, (20.0, 10.0), (10.0, 20.0)),
                           t_end=1.0)
         with pytest.raises(ValueError):
             check_drift_contrast(dads_log, short, s4_log)
@@ -441,7 +441,7 @@ class TestContrastChecks:
     def test_sigma_tradeoff_bound(self, persistent_triple):
         _, _, s4_log = persistent_triple
         ctrl = SigmaModController(sigma_leak=0.4)
-        dist = DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0))
+        dist = DisturbanceProfile(2, (20.0, 10.0), (10.0, 20.0))
         d_sup = signal_sup(dist, s4_log.t)
         rep = check_sigma_tradeoff(s4_log, THETA, ctrl, d_sup)
         assert rep.passed, rep.summary()
@@ -463,7 +463,7 @@ class TestContrastChecks:
         # the residual r the envelope reads, recovered from its witness, is
         # d_sup^2 / 2 plus a leak share linear in sigma
         _, _, s4_log = persistent_triple
-        dist = DisturbanceProfile("sinusoid-bank", 2, (20.0, 10.0), (10.0, 20.0))
+        dist = DisturbanceProfile(2, (20.0, 10.0), (10.0, 20.0))
         d_sup = signal_sup(dist, s4_log.t)
         W0 = float(s4_log.V[0]) + float(np.dot(THETA, THETA)) / 40.0  # theta_hat(0) = 0
 
