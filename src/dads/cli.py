@@ -4,7 +4,9 @@ Scenarios are INI-style files whose sections and keys `SCENARIO_KEYS` lists:
 [system], [controller], [sim], [disturbance] (the signal's numbers; none is
 the zero signal), [parameter], and optionally [checks] and [synthesis].
 `build` turns a file into one checked `Setup`, which is all a command reads;
-simulate, compare and the checks that simulate need [sim].  The subcommands:
+simulate, compare and the checks that simulate need [sim].  Every name a file
+gives (a section, the [system] name, the [controller] type, each [checks] name)
+is a key of one table, looked up by `_lookup`.  The subcommands, `COMMANDS`:
 
 * simulate  — run one closed loop, write the trajectory CSV, print stats;
 * synthesize — run the backstepping construction, write the stage report;
@@ -39,11 +41,7 @@ from .controllers import (
 from .simulate import (DivergenceError, SimConfig, TrajectoryLog, select_outputs, simulate,
                        trajectory_stats)
 from .synthesis import MajorantViolationError, synthesize, wingrock_majorants
-from .systems import (
-    DisturbanceProfile,
-    constant_parameter,
-    get_system,
-)
+from .systems import BUILTINS, DisturbanceProfile, constant_parameter
 from . import verify as ver
 
 EXIT_OK = 0
@@ -131,10 +129,7 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"scenario file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"could not read scenario file {path}: {exc}") from None
-    scn = parse_scenario_text(text, path)
-    if "system" not in scn.sections:
-        raise ScenarioError(f"{path}: missing [system] section")
-    return scn
+    return parse_scenario_text(text, path)
 
 
 def parse_scenario_text(text: str, path: str = "<string>") -> Scenario:
@@ -149,11 +144,16 @@ def parse_scenario_text(text: str, path: str = "<string>") -> Scenario:
     return Scenario({sec: _convert_section(sec, cp[sec]) for sec in cp.sections()})
 
 
+def _lookup(what: str, table: dict, name):
+    """table[name]; exit 2 on a name (None when absent) that table does not have."""
+    try:
+        return table[name]
+    except KeyError:
+        raise ScenarioError(f"{what} {name!r} is not one of {', '.join(table)}") from None
+
+
 def _convert_section(section: str, entries) -> dict:
-    keys = SCENARIO_KEYS.get(section)
-    if keys is None:
-        raise ScenarioError(
-            f"unknown section [{section}]; a scenario has [{'], ['.join(SCENARIO_KEYS)}]")
+    keys = _lookup("section", SCENARIO_KEYS, section)
     values = {}
     for key, text in entries.items():
         _reject_unread(f"[{section}]", (key,), keys)
@@ -175,21 +175,13 @@ def _reject_unread(what: str, given, reads) -> None:
 
 
 def build_system(scn: Scenario):
-    name = scn.get("system", "name")
-    if name is None:
-        raise ScenarioError("missing system name")
-    try:
-        return get_system(name)
-    except KeyError as exc:  # str() of a KeyError is its message's repr
-        raise ScenarioError(exc.args[0]) from None
+    return _lookup("[system] name", BUILTINS, scn.get("system", "name"))()
 
 
 def build_controller(scn: Scenario, sys_model=None):
     """The [controller] law; sys_model is unused (perfbench's probe passes it)."""
     ctype = scn.get("controller", "type", "dads-wingrock")
-    if ctype not in _CONTROLLER_FIELDS:
-        raise ScenarioError(f"unknown controller type {ctype!r}")
-    cls, fields = _CONTROLLER_FIELDS[ctype]
+    cls, fields = _lookup("[controller] type", _CONTROLLER_FIELDS, ctype)
     given = scn.sections.get("controller", {})
     _reject_unread(f"[controller] type {ctype!r}", sorted(given), ("type", *fields))
     try:
@@ -279,11 +271,9 @@ def build(path: str, args, simulates: str = "") -> Setup:
     ctype = next(t for t, (cls, _) in _CONTROLLER_FIELDS.items() if type(controller) is cls)
     checks = tuple(scn.get("checks", "names", []))
     for i, name in enumerate(checks):
-        if name not in CHECKS:
-            raise ScenarioError(f"unknown check {name!r}; checks are {', '.join(CHECKS)}")
+        check = _lookup("[checks] names entry", CHECKS, name)
         if name in checks[:i]:  # it would run, print and write its report twice
             raise ScenarioError(f"[checks] names lists {name!r} twice")
-        check = CHECKS[name]
         if check.needs is not None and ctype != check.needs:
             raise ScenarioError(f"check {name!r} evaluates {check.evaluates}; it needs "
                                 f"controller type {check.needs!r}, got {ctype!r}")
@@ -467,8 +457,8 @@ def cmd_compare(args) -> int:
     print(table)
 
     if len(triple) == 3:
-        # drift is expected when a disturbance in any scenario persists
-        expect_drift = any(s.disturbance.persists for s in setups)
+        # drift is expected when the sigma = 0 scenario's own disturbance persists
+        expect_drift = setups[triple[1]].disturbance.persists
         rep = ver.check_drift_contrast(*(logs[i] for i in triple), expect_drift=expect_drift)
         print(rep.summary())
         if expect_drift and rep.passed:
@@ -498,6 +488,16 @@ def _make_out_dir(path: str) -> None:
         raise ScenarioError(f"--out {path}: {exc.strerror}") from None
 
 
+# each subcommand: its function, its positional argument and its help; compare
+# takes any number of scenarios and says itself when it has too few
+COMMANDS = {
+    "simulate": (cmd_simulate, "scenario", "run one closed loop, write a trajectory CSV"),
+    "synthesize": (cmd_synthesize, "scenario", "run the backstepping construction"),
+    "verify": (cmd_verify, "scenario", "run the scenario's checks"),
+    "compare": (cmd_compare, "scenarios", "side-by-side table for several scenarios"),
+}
+
+
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=nonnegative_int, default=0)
@@ -509,26 +509,10 @@ def main(argv=None) -> int:
         description="Deadzone-adapted disturbance suppression: simulate, synthesize, verify, compare.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", parents=[common],
-                           help="run one closed loop, write a trajectory CSV")
-    p_sim.add_argument("scenario")
-    p_sim.set_defaults(fn=cmd_simulate)
-
-    p_syn = sub.add_parser("synthesize", parents=[common],
-                           help="run the backstepping construction")
-    p_syn.add_argument("scenario")
-    p_syn.set_defaults(fn=cmd_synthesize)
-
-    p_ver = sub.add_parser("verify", parents=[common],
-                           help="run the scenario's checks")
-    p_ver.add_argument("scenario")
-    p_ver.set_defaults(fn=cmd_verify)
-
-    p_cmp = sub.add_parser("compare", parents=[common],
-                           help="side-by-side table for several scenarios")
-    p_cmp.add_argument("scenarios", nargs="*")
-    p_cmp.set_defaults(fn=cmd_compare)
+    for name, (fn, arg, text) in COMMANDS.items():
+        cmd = sub.add_parser(name, parents=[common], help=text)
+        cmd.add_argument(arg, nargs="*" if arg == "scenarios" else None)
+        cmd.set_defaults(fn=fn)
 
     try:
         args = parser.parse_args(argv)

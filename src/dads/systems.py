@@ -9,7 +9,8 @@ synthesis relies on.  theta is unknown and its bound arbitrary; the plant
 only names the radius of its theta ball.  The rest of the domain that every
 sampled bound draws from, and the one sampler they all draw through, live here,
 as does the disturbance: a cos(w t) e^(-decay t) per channel, zero when it has
-no amplitudes.
+no amplitudes.  `BUILTINS` maps each built-in plant's name to its builder, one
+row per plant.
 """
 
 from __future__ import annotations
@@ -286,13 +287,4 @@ def wingrock() -> StrictFeedbackSystem:
     )
 
 
-_BUILTINS = {"wingrock": wingrock}
-
-
-def get_system(name: str):
-    try:
-        return _BUILTINS[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown built-in system {name!r}; available: {sorted(_BUILTINS)}"
-        ) from None
+BUILTINS = {"wingrock": wingrock}

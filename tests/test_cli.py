@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import scenario_text
@@ -36,6 +36,7 @@ import dads.verify as ver
 from dads.controllers import WingRockDadsController
 from dads.jets import SmoothMap
 from dads.simulate import SimConfig
+from dads.systems import BUILTINS
 
 SCEN = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
@@ -392,9 +393,12 @@ class TestVerifyCommand:
 
 def edited(name, tmp_path, entries):
     """A shipped scenario with {(section, key): value} entries set; a value
-    of None removes the key."""
+    of None removes the key, and a key of None the whole section."""
     scn = load_scenario(scen(f"{name}.scenario"))
     for (section, key), value in entries.items():
+        if key is None:
+            del scn.sections[section]
+            continue
         values = scn.sections.setdefault(section, {})
         if value is None:
             values.pop(key, None)
@@ -561,7 +565,8 @@ class TestRejectedInputs:
         )
         code = main(["simulate", str(bad), "--t-end", "0.01", "--out", str(tmp_path)])
         assert code == EXIT_PARSE
-        assert capsys.readouterr().err == "error: unknown controller type 'dads-synthesized'\n"
+        assert capsys.readouterr().err == (
+            "error: [controller] type 'dads-synthesized' is not one of dads-wingrock, sigma-mod\n")
 
     @pytest.mark.parametrize("command, name, key, value", [
         ("simulate", "fig4_sigma0", "eps", "nan"),
@@ -642,8 +647,9 @@ class TestScenarioKeys:
         out = tmp_path / "out"
         assert main(["verify", str(path), "--out", str(out)]) == EXIT_PARSE
         section = text[1:text.index("]")]
-        assert _one_error_line(capsys).startswith(
-            f"error: unknown section [{section}]; a scenario has [system], [controller], ")
+        assert _one_error_line(capsys) == (
+            f"error: section {section!r} is not one of system, controller, sim, disturbance, "
+            "parameter, checks, synthesis\n")
         assert not any(out.iterdir())
 
     @pytest.mark.parametrize("value", ["1%, 0, 0", "%(foo)s"])
@@ -673,7 +679,9 @@ class TestScenarioKeys:
         assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept\n"
 
     @pytest.mark.parametrize("name, names, message", [
-        ("ineq34", "dissipation-dads, bogus", "unknown check 'bogus'"),
+        ("ineq34", "dissipation-dads, bogus",
+         "[checks] names entry 'bogus' is not one of dissipation-dads, trajectory, "
+         "dissipation-sigma, sigma-tradeoff, synthesis-certificates\n"),
         ("fig1_dads", "trajectory, dissipation-sigma", "check 'dissipation-sigma' evaluates"),
     ])
     def test_check_names_are_read_before_any_check(self, tmp_path, capsys, no_work,
@@ -683,6 +691,22 @@ class TestScenarioKeys:
         path = edited(name, tmp_path, {("checks", "names"): names})
         assert main(["verify", path, "--out", str(tmp_path / "out")]) == EXIT_PARSE
         assert _one_error_line(capsys).startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("what, table, entries, name", [
+        ("section", cli.SCENARIO_KEYS, {("output", "dir"): "somewhere"}, "output"),
+        ("[system] name", BUILTINS, {("system", "name"): "bogus"}, "bogus"),
+        ("[controller] type", cli._CONTROLLER_FIELDS, {("controller", "type"): "bogus"}, "bogus"),
+        ("[checks] names entry", cli.CHECKS, {("checks", "names"): "bogus"}, "bogus"),
+    ])
+    def test_unknown_names_share_one_message(self, tmp_path, capsys, no_work,
+                                             what, table, entries, name):
+        # each kind of name had a message of its own, and a controller type's listed no types
+        path = edited("ineq34", tmp_path, entries)
+        out = tmp_path / "out"
+        assert main(["verify", path, "--out", str(out)]) == EXIT_PARSE
+        assert _one_error_line(capsys) == (
+            f"error: {what} {name!r} is not one of {', '.join(table)}\n")
+        assert not any(out.iterdir())
 
     def test_readme_table_names_every_key(self):
         readme = Path(os.path.join(SCEN, "..", "README.md")).read_text()
@@ -704,14 +728,14 @@ class TestBuiltBeforeWork:
          "[sim] x0 has 2 entries, expected 3"),
         # synthesize never built the [controller] law, and exited 0
         ("synthesize", "synth_wingrock", {("controller", "type"): "bogus"},
-         "unknown controller type 'bogus'"),
+         "[controller] type 'bogus' is not one of dads-wingrock, sigma-mod"),
         ("synthesize", "synth_wingrock", {("sim", "x0"): "1, 2"},
          "[sim] x0 has 2 entries, expected 3"),
         ("simulate", "fig1_dads", {("checks", "n_samples"): "0"},
          f"[checks] n_samples must be in [1, MAX_SAMPLES = {MAX_SAMPLES}], got 0"),
         # the message was printed in quotes, as the repr of a KeyError
         ("verify", "ineq34", {("system", "name"): "bogus"},
-         "unknown built-in system 'bogus'; available: ['wingrock']"),
+         "[system] name 'bogus' is not one of wingrock"),
         # keys that no named check reads: the certificates ran 200/500
         # samples at tol 1e-7, and the trajectory check ran no mutation
         # probe, and each exited 0
@@ -736,6 +760,11 @@ class TestBuiltBeforeWork:
          "[disturbance] a zero disturbance has no decay, got 1.0"),
         ("synthesize", "synth_wingrock", {("disturbance", "decay"): "1"},
          "[disturbance] a zero disturbance has no decay, got 1.0"),
+        # a plant the file does not name, with or without its section
+        ("simulate", "fig1_dads", {("system", None): None},
+         "[system] name None is not one of wingrock"),
+        ("verify", "ineq34", {("system", "name"): None},
+         "[system] name None is not one of wingrock"),
     ])
     def test_exit_2(self, tmp_path, capsys, no_work, command, name, entries, message):
         out = tmp_path / "out"
@@ -823,8 +852,8 @@ class TestDisturbanceFuzz:
 
     A section of finite numbers, with at most one entry replaced by a
     malformed text: nan, inf, a wrong length (the wing-rock plant takes two
-    entries) or not a number.  Its keys are either the three it reads or any
-    drawn subset of those and the `kind` line of an older file.
+    entries) or not a number.  Its keys are the three it reads, the decay
+    alone, or any drawn subset of those and the `kind` line of an older file.
     """
 
     # the malformed texts that convert to a vector, by its length
@@ -835,7 +864,9 @@ class TestDisturbanceFuzz:
     @given(
         name=st.sampled_from(["fig4_sigma0", "vanishing"]),
         kind=st.sampled_from(["zero", "sinusoid-bank", "vanishing"]),
-        present=st.one_of(st.none(), st.sets(
+        # a decay alone, which a zero disturbance may not have, is its own
+        # alternative: as one of the 16 subsets it was rarely drawn
+        present=st.one_of(st.none(), st.just({"decay"}), st.sets(
             st.sampled_from(["kind", "amplitudes", "frequencies", "decay"]))),
         amplitudes=st.lists(_numbers(), min_size=2, max_size=2),
         frequencies=st.lists(_numbers(), min_size=2, max_size=2),
@@ -845,6 +876,9 @@ class TestDisturbanceFuzz:
             st.sampled_from(["nan", "-inf", "inf, 1", "1, 2, 3", "", "x"]))),
         horizon=_horizons(),
     )
+    # with the alternative alone, 3 of 10 seeds drew it only with a decay <= 0
+    @example(name="vanishing", kind="zero", present={"decay"}, amplitudes=[1.0, 1.0],
+             frequencies=[1.0, 1.0], decay=1.0, malformed=None, horizon=(0.01, 0.01))
     def test_exit_codes(self, tmp_path, name, kind, present, amplitudes, frequencies, decay,
                         malformed, horizon):
         section = {"kind": kind, "amplitudes": ", ".join(map(repr, amplitudes)),
@@ -1238,6 +1272,17 @@ class TestCompareCommand:
         assert loaded == paths
         # the persistent disturbance is read from those parses
         assert drift == [True]
+
+    def test_drift_is_expected_of_the_sigma0_scenario_alone(self, capsys):
+        # the persistent disturbance of fig4_sigma04, outside the contrast,
+        # demanded drift of the undisturbed fig1_sigma0: "[FAIL] drift
+        # contrast: worst margin -0.0733637", exit 5
+        paths = [scen(f"{n}.scenario")
+                 for n in ("fig1_dads", "fig1_sigma0", "fig1_sigma04", "fig4_sigma04")]
+        assert main(["compare", *paths, "--t-end", "2"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "[PASS] drift contrast: worst margin 0.00416874 over 201 samples (tol 0)\n" in out
+        assert "flagged: drift" not in out
 
     @staticmethod
     def _fig4_with(tmp_path, disturbance):

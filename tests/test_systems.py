@@ -18,12 +18,13 @@ from dads.synthesis import (
     synthesize,
     wingrock_majorants,
 )
+from dads.cli import ScenarioError, build_system, parse_scenario_text
 from dads.systems import (
+    BUILTINS,
     DisturbanceProfile,
     StrictFeedbackSystem,
     constant_parameter,
     eval_dynamics,
-    get_system,
     sample_ball,
     sample_disturbance,
     truncate,
@@ -78,11 +79,12 @@ class TestWingRockDynamics:
         with pytest.raises(ValueError):
             eval_dynamics(sys, np.zeros(3), 0.0, THETA_WR, np.zeros(1))
 
-    def test_get_system(self):
-        sys = get_system("wingrock")
+    def test_builtins(self):
+        sys = BUILTINS["wingrock"]()
         assert (sys.n, sys.m, sys.p, sys.l) == (0, 3, 4, 2)
-        with pytest.raises(KeyError):
-            get_system("nope")
+        # a scenario's [system] name is looked up in this table
+        with pytest.raises(ScenarioError, match=r"^\[system\] name 'nope' is not one of wingrock$"):
+            build_system(parse_scenario_text("[system]\nname = nope\n"))
 
 
 def _cascade_toy(eta1_value=1.0):
