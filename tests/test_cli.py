@@ -5,6 +5,8 @@ import csv
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import replace
@@ -22,7 +24,6 @@ from dads.cli import (
     EXIT_MAJORANT,
     EXIT_OK,
     EXIT_PARSE,
-    MAX_SAMPLES,
     ScenarioError,
     build_gains,
     build_sim_config,
@@ -286,8 +287,7 @@ class TestVerifyCommand:
         bad.write_text(
             "[system]\nname = wingrock\n"
             "[controller]\ntype = dads-wingrock\n"
-            "[checks]\nnames = dissipation-dads\nn_samples = 200\n"
-            "corrupt_controller = true\n"
+            "[checks]\nnames = dissipation-dads\ncorrupt_controller = true\n"
         )
         assert main(["verify", str(bad), "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
 
@@ -298,8 +298,7 @@ class TestVerifyCommand:
     ])
     def test_corrupt_controller_reads_boolean_words(self, tmp_path, capsys, value, expected):
         # any other word ran the unmutated law, and the mutation probe passed
-        path = edited("ineq34", tmp_path, {
-            ("checks", "n_samples"): "200", ("checks", "corrupt_controller"): value})
+        path = edited("ineq34", tmp_path, {("checks", "corrupt_controller"): value})
         assert main(["verify", path, "--out", str(tmp_path)]) == expected
         if expected == EXIT_PARSE:
             assert capsys.readouterr().err == (
@@ -359,24 +358,26 @@ class TestVerifyCommand:
         assert main(["verify", str(bad), "--out", str(tmp_path)]) == EXIT_PARSE
         assert "deadzone-adapted" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n_samples", ["0", "-3", str(MAX_SAMPLES + 1)])
-    def test_no_samples_is_parse_error(self, tmp_path, capsys, monkeypatch, n_samples):
-        # rejected before any sample is drawn
-        monkeypatch.setattr(ver, "check_dissipation", None)
-        text = Path(scen("ineq34.scenario")).read_text()
-        bad = tmp_path / "nosamples.scenario"
-        bad.write_text(text.replace("n_samples = 1000", f"n_samples = {n_samples}"))
-        assert main(["verify", str(bad), "--out", str(tmp_path)]) == EXIT_PARSE
-        assert f"n_samples must be in [1, MAX_SAMPLES = {MAX_SAMPLES}], got {n_samples}" in (
-            capsys.readouterr().err)
+    @pytest.mark.parametrize("name", ["ineq34", "ineq38"])
+    def test_sample_settings_of_an_older_file_exit_2(self, tmp_path, capsys, no_work, name):
+        # each check draws the count and judges at the tolerance that
+        # dads.verify states; a file of the older format set both in [checks]
+        text = Path(scen(f"{name}.scenario")).read_text()
+        assert text.rsplit("\n[", 1)[1].startswith("checks]\n")  # the last section
+        old = tmp_path / f"{name}.scenario"
+        old.write_text(text + "n_samples = 1000\ntol = 1e-6\n")
+        assert main(["verify", str(old), "--out", str(tmp_path / "out")]) == EXIT_PARSE
+        assert _one_error_line(capsys) == (
+            "error: [checks] does not read n_samples; it reads names, corrupt_controller\n")
 
     def test_fractional_sample_count_is_not_an_integer(self, tmp_path, capsys):
-        text = Path(scen("ineq34.scenario")).read_text()
+        # the logged sample stride, the one integer a scenario gives
+        text = Path(scen("fig1_dads.scenario")).read_text()
         bad = tmp_path / "fraction.scenario"
-        bad.write_text(text.replace("n_samples = 1000", "n_samples = 1e3"))
-        assert main(["verify", str(bad), "--out", str(tmp_path)]) == EXIT_PARSE
+        bad.write_text(text.replace("log_stride = 100", "log_stride = 1.5"))
+        assert main(["simulate", str(bad), "--out", str(tmp_path)]) == EXIT_PARSE
         assert capsys.readouterr().err == (
-            "error: [checks] n_samples: not an integer: '1e3'\n")
+            "error: [sim] log_stride: not an integer: '1.5'\n")
 
     def test_unknown_check_is_parse_error(self, tmp_path):
         bad = tmp_path / "unknown.scenario"
@@ -410,8 +411,7 @@ def edited(name, tmp_path, entries):
 
 
 class TestNonFiniteParameters:
-    """A nan or inf design parameter or check tolerance is rejected before
-    any check runs."""
+    """A nan or inf design parameter is rejected before any check runs."""
 
     @pytest.mark.parametrize("command, name, section, key, value", [
         ("verify", "ineq34", "controller", "c", "nan"),
@@ -420,8 +420,8 @@ class TestNonFiniteParameters:
         ("verify", "ineq34", "controller", "k", "nan"),
         ("verify", "ineq34", "controller", "k", "inf"),
         ("verify", "ineq38", "controller", "sigma", "nan"),
-        ("verify", "ineq34", "checks", "tol", "inf"),
-        ("verify", "ineq34", "checks", "tol", "nan"),
+        ("verify", "ineq38", "controller", "sigma", "inf"),
+        ("verify", "ineq38", "controller", "gamma", "inf"),
         ("synthesize", "synth_wingrock", "synthesis", "c", "nan"),
         ("synthesize", "synth_wingrock", "synthesis", "gamma", "nan"),
         ("synthesize", "synth_wingrock", "synthesis", "b", "inf"),
@@ -620,7 +620,7 @@ class TestScenarioKeys:
         ("simulate", "fig1_dads", "sim", "t_end", "t_ned"),
         ("simulate", "fig4_sigma0", "disturbance", "amplitudes", "amplitude"),
         ("verify", "ineq38", "parameter", "value", "valeu"),
-        ("verify", "ineq34", "checks", "n_samples", "n_sampels"),
+        ("verify", "ineq34", "checks", "names", "name"),
         ("synthesize", "synth_wingrock", "synthesis", "gamma", "gamm"),
     ])
     def test_misspelt_key(self, tmp_path, capsys, no_work, command, name, section, key, typo):
@@ -722,25 +722,27 @@ class TestBuiltBeforeWork:
     runs anything, whichever sections that command reads itself."""
 
     @pytest.mark.parametrize("command, name, entries, message", [
-        # the 100,000-sample dissipation check ran for seconds first
+        # the 1,000-sample dissipation check ran first
         ("verify", "fig1_dads", {("checks", "names"): "dissipation-dads, trajectory",
-                                 ("sim", "x0"): "1, 2", ("checks", "n_samples"): "100000"},
+                                 ("sim", "x0"): "1, 2"},
          "[sim] x0 has 2 entries, expected 3"),
         # synthesize never built the [controller] law, and exited 0
         ("synthesize", "synth_wingrock", {("controller", "type"): "bogus"},
          "[controller] type 'bogus' is not one of dads-wingrock, sigma-mod"),
         ("synthesize", "synth_wingrock", {("sim", "x0"): "1, 2"},
          "[sim] x0 has 2 entries, expected 3"),
-        ("simulate", "fig1_dads", {("checks", "n_samples"): "0"},
-         f"[checks] n_samples must be in [1, MAX_SAMPLES = {MAX_SAMPLES}], got 0"),
+        # a tolerance the file set: the mutation probe passed at tol = 1e300
+        # with worst margin -6.3e32, and exited 0
+        ("verify", "ineq34", {("checks", "corrupt_controller"): "true",
+                              ("checks", "tol"): "1e300"},
+         "[checks] does not read tol; it reads names, corrupt_controller"),
         # the message was printed in quotes, as the repr of a KeyError
         ("verify", "ineq34", {("system", "name"): "bogus"},
          "[system] name 'bogus' is not one of wingrock"),
-        # keys that no named check reads: the certificates ran 200/500
-        # samples at tol 1e-7, and the trajectory check ran no mutation
-        # probe, and each exited 0
-        ("verify", "synth_wingrock", {("checks", "n_samples"): "5", ("checks", "tol"): "1e9"},
-         "[checks] names = synthesis-certificates does not read n_samples, tol; "
+        # a key that no named check reads: neither the certificates nor the
+        # trajectory check ran a mutation probe, and each exited 0
+        ("verify", "synth_wingrock", {("checks", "corrupt_controller"): "yes"},
+         "[checks] names = synthesis-certificates does not read corrupt_controller; "
          "it reads names"),
         ("verify", "fig1_dads", {("checks", "corrupt_controller"): "yes"},
          "[checks] names = trajectory does not read corrupt_controller; it reads names"),
@@ -802,11 +804,8 @@ class TestBuiltBeforeWork:
 
 
 class TestVerifyFuzz:
-    """Bounded fuzz of [controller] numbers and [checks] n_samples through
-    `dads verify`.  Accepted sample counts stay at most 20."""
-
-    # rejected n_samples texts: nonpositive, one past the bound, not an integer
-    BAD_SAMPLES = ("-1", "-1000", "0", str(MAX_SAMPLES + 1), "1e3", "x")
+    """Bounded fuzz of [controller] numbers through `dads verify`, each
+    sampled check at the count that `dads.verify` states."""
 
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -819,19 +818,16 @@ class TestVerifyFuzz:
             st.floats(allow_nan=True, allow_infinity=True),
             max_size=5,
         ),
-        n_samples=st.one_of(st.integers(1, 20).map(str), st.sampled_from(BAD_SAMPLES)),
     )
-    def test_exit_codes(self, tmp_path, sigma_mod, overrides, n_samples):
+    def test_exit_codes(self, tmp_path, sigma_mod, overrides):
         # each law reads the leak or the deadzone level, not both
         unread = "eps" if sigma_mod else "sigma"
         entries = {("controller", k): repr(v) for k, v in overrides.items()}
-        entries[("checks", "n_samples")] = n_samples
         path = edited("ineq38" if sigma_mod else "ineq34", tmp_path, entries)
         code = main(["verify", path, "--out", str(tmp_path)])
         event(f"exit {code}")
         assert code in (EXIT_OK, EXIT_PARSE, EXIT_CHECK_FAILED)
-        if (n_samples in self.BAD_SAMPLES or unread in overrides
-                or not all(math.isfinite(v) for v in overrides.values())):
+        if unread in overrides or not all(math.isfinite(v) for v in overrides.values()):
             assert code == EXIT_PARSE
 
 
@@ -1083,7 +1079,8 @@ def _mostly(usable, other):
 
 # values of the [system], [controller] and [checks] choices: usable ones, and
 # names of nothing or text not of the key's kind; the usable check names are
-# the sampled checks, which read tol and corrupt_controller
+# the sampled checks, the DADS one of which reads corrupt_controller, and the
+# leak is a number only the sigma-mod law reads
 _SECTION_VALUES = {
     ("system", "name"): _mostly(["wingrock"], ["WingRock", ""]),
     ("controller", "type"): _mostly(["dads-wingrock", "sigma-mod"],
@@ -1092,7 +1089,7 @@ _SECTION_VALUES = {
         ["dissipation-dads", "dissipation-sigma", "dissipation-dads, trajectory",
          "dissipation-sigma, sigma-tradeoff"],
         ["", "trajectory", "sigma-tradeoff", "synthesis-certificates", "bogus"]),
-    ("checks", "tol"): _mostly(["1e-6", "0", "1e9"], ["-1", "nan", "x"]),
+    ("controller", "sigma"): _mostly(["0", "0.4"], ["-1", "nan", "x"]),
     ("checks", "corrupt_controller"): _mostly(["yes", "no"], ["maybe"]),
 }
 
@@ -1110,8 +1107,8 @@ def _section_edits(draw):
 
 class TestSectionFuzz:
     """Bounded fuzz of several sections at once: the system, the controller
-    type and the [checks] choices of a shipped scenario, through all four
-    commands over a short horizon, in process."""
+    type and leak, and the [checks] choices of a shipped scenario, through all
+    four commands over a short horizon, in process."""
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1155,11 +1152,11 @@ class TestNoShippedRk4:
         # the exit codes these commands give unstubbed: over 0.05 s the DADS
         # tail bounds fail, and so does the drift contrast of each triple (the
         # DADS gain has not plateaued); a scenario without [sim] is not simulated
-        failing = {("verify", "fig1_dads"), ("verify", "fig4_dads"),
+        failing = {("verify", "fig1_dads"), ("verify", "fig4_dads"), ("verify", "vanishing"),
                    ("compare", "fig1_dads"), ("compare", "fig4_dads")}
         unsimulated = {("simulate", "ineq34"), ("simulate", "ineq38"),
                        ("simulate", "synth_wingrock"), ("compare", "ineq34")}
-        assert len(codes) == 23
+        assert len(codes) == 24
         assert codes == {key: EXIT_CHECK_FAILED if key in failing else
                          EXIT_PARSE if key in unsimulated else EXIT_OK for key in codes}
 
@@ -1170,7 +1167,7 @@ class TestShippedScenariosPass:
     def test_verify_exits_zero(self, tmp_path, capsys):
         names = [name for name in SHIPPED
                  if "checks" in load_scenario(scen(f"{name}.scenario")).sections]
-        assert len(names) == 9
+        assert len(names) == 10
         codes = {name: main(["verify", scen(f"{name}.scenario"), "--out", str(tmp_path)])
                  for name in names}
         assert codes == dict.fromkeys(names, EXIT_OK), capsys.readouterr().out
@@ -1207,6 +1204,48 @@ class TestSynthesizeCommand:
             path = edited("synth_wingrock", tmp_path, {("synthesis", key): value})
             assert main(["synthesize", path, "--out", str(tmp_path)]) == EXIT_MAJORANT
             assert _one_error_line(capsys).startswith("error: majorant 'R (stage growth)' ")
+
+
+def _closed_stdout_run(argv, unbuffered):
+    """Run `python -m dads.cli argv` with its stdout closed before it prints
+    anything: (exit code, stderr bytes)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen([sys.executable, "-m", "dads.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        return proc.wait(timeout=120), err
+
+
+class TestClosedStdout:
+    """A reader that closes stdout ends the output, not the command: the
+    files are written, stderr stays empty and the exit code is the command's."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("command, name, code, written", [
+        ("synthesize", "synth_wingrock", EXIT_OK, "synth_wingrock.report.txt"),
+        # the mutation probe's failed check
+        ("verify", "ineq34", EXIT_CHECK_FAILED, "ineq34.checks.csv"),
+    ])
+    def test_exit_code_is_the_commands(self, tmp_path, unbuffered, command, name, code,
+                                       written):
+        # print raised BrokenPipeError: a traceback and exit 1 when unbuffered,
+        # "Exception ignored" and exit 120 at the final flush when buffered
+        path = edited(name, tmp_path, {("checks", "corrupt_controller"): "true"}
+                      if command == "verify" else {})
+        out = tmp_path / "out"
+        assert _closed_stdout_run([command, path, "--out", str(out)], unbuffered) == (code, b"")
+        assert [p.name for p in out.iterdir()] == [written]
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help(self, unbuffered, argv):
+        # "Exception ignored ... BrokenPipeError" and exit 120 when buffered
+        assert _closed_stdout_run(argv, unbuffered) == (EXIT_OK, b"")
 
 
 class TestPinnedMargins:

@@ -583,7 +583,7 @@ class TestCompiledLoop:
         scn = load_scenario(str(SCENARIOS / "fig4_sigma0.scenario"))
         sys = build_system(scn)
         tape, _ = simulate_module._trace_rhs(
-            sys, build_controller(scn, sys), scn.get("parameter", "value"),
+            sys, build_controller(scn, sys)[1], scn.get("parameter", "value"),
             build_disturbance(scn, sys.l))
         # neither the sigma = 0 leak nor the disturbance channels a level
         # does not receive leave a product with 0.0 on the tape

@@ -10,6 +10,7 @@ from dads.controllers import (
     SigmaModController,
     WingRockDadsController,
     _sigma_mod_terms,
+    dads_residual,
     sigma_mod_control,
     sigma_mod_W_map,
     wingrock_control,
@@ -40,6 +41,7 @@ from dads.verify import (
     wingrock_attractivity_radius,
     wingrock_dissipation_check,
 )
+import dads.systems
 import dads.verify as ver
 
 THETA = [20.0, 20.0, 2.0, 1.0]
@@ -282,6 +284,56 @@ class TestSynthesizedChecks:
         assert len(reports) == 3
         for rep in reports:
             assert rep.passed, rep.summary()
+
+
+class TestCertificatesThatCanFail:
+    """Each sampled certificate fails its law with the residual deleted, on
+    a stratum where the residual binds, and passes the law itself there; at
+    the checks' own sample counts and seed 0.
+
+    The DADS residual binds only near the origin, where dV/dt ~ |x| |d|
+    outgrows cV ~ |x|^2: states and z are drawn from [-1e-3, 1e-3], and
+    theta and d from their balls.  The stage 1 and stage 3 certificates have
+    no such stratum: stage 1's level, x1' = x2, carries neither d nor theta,
+    and stage 3's least margin on any box down to 1e-300 is -7e-29, far
+    inside its tolerance of 1e-7.
+    """
+
+    @pytest.fixture(params=[1.0, 0.0], ids=["law", "residual-deleted"])
+    def residual(self, request, monkeypatch):
+        """The factor on the DADS residual that the certificates read."""
+        monkeypatch.setattr(ver, "dads_residual",
+                            lambda *args: request.param * dads_residual(*args))
+        return request.param
+
+    def test_wingrock_dissipation(self, monkeypatch, residual):
+        monkeypatch.setattr(dads.systems, "BOX_RADIUS", 1e-3)
+        rep = wingrock_dissipation_check(wingrock(), WingRockDadsController(), seed=0)
+        assert rep.n_samples == 1000
+        assert rep.passed == bool(residual), rep.summary()
+        assert -0.01 < rep.worst_margin  # finite: a violation, not an overflow
+
+    def test_stage_2_certificate(self, monkeypatch, residual):
+        # synthesized on the shipped box, certified near the origin; the
+        # synth_wingrock constants
+        gains = DadsGains(b=1.0, Gamma=20.0, eps_dz=5e-05, c=0.5, a=2.0)
+        result = synthesize(wingrock(), gains, wingrock_majorants(gains), seed=0)
+        monkeypatch.setattr(dads.systems, "BOX_RADIUS", 1e-3)
+        stage2 = stage_certificate_checks(wingrock(), result, gains, seed=0)[1]
+        assert (stage2.name, stage2.n_samples) == ("stage 2 certificate", 200)
+        assert stage2.passed == bool(residual), stage2.summary()
+        assert -0.01 < stage2.worst_margin
+
+    def test_sigma_mod_dissipation(self, monkeypatch):
+        # the leak law's residual binds on the shipped box already
+        law = SigmaModController(sigma_leak=0.4)
+        assert sigma_mod_dissipation_check(wingrock(), law, THETA, seed=0).passed
+        residual = SigmaModController.residual
+        monkeypatch.setattr(SigmaModController, "residual",
+                            lambda self, *args: 0.0 * residual(self, *args))
+        rep = sigma_mod_dissipation_check(wingrock(), law, THETA, seed=0)
+        assert not rep.passed and rep.n_samples == 1000
+        assert rep.worst_margin == pytest.approx(-145.002, abs=1e-3)
 
 
 def dads_run(dist, t_end=10.0):
