@@ -13,9 +13,10 @@ is a key of one table, looked up by `_lookup`.  The subcommands, `COMMANDS`:
 * verify    — run the scenario's checks, write the report CSV;
 * compare   — run several scenarios and print a side-by-side table.
 
-Exit codes: 0 success, 2 parse/usage error, 3 divergence, 4 majorant
-violation, 5 failed check of verify or synthesize, or failed drift
-contrast of compare.  A closed stdout ends the output, not the command.
+Exit codes: 0 success, 2 parse/usage error or an output file that cannot be
+written, 3 divergence, 4 majorant violation, 5 failed check of verify or
+synthesize, or failed drift contrast of compare.  A closed stdout ends the
+output, not the command.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ ERROR_EXITS = {
     ScenarioError: EXIT_PARSE,
     DivergenceError: EXIT_DIVERGENCE,
     MajorantViolationError: EXIT_MAJORANT,
+    OSError: EXIT_PARSE,  # an output file that cannot be written
 }
 
 
@@ -332,9 +334,9 @@ def _synthesis(setup: Setup, seed: int):
     sysm, gains = setup.system, setup.gains
     result = synthesize(sysm, gains, wingrock_majorants(gains), seed=seed)
     last = result.stage_trace[-1]
-    reports = ver.stage_certificate_checks(sysm, result, gains, seed=seed)
+    reports = ver.stage_certificate_checks(sysm, result, seed=seed)
     return result, reports + [ver.synthesized_dissipation_check(
-        sysm, last.V, last.k, gains, last.rate_c, last.gain_a, seed=seed)]
+        sysm, last.V, last.k, last.gains, seed=seed)]
 
 
 def cmd_synthesize(args) -> int:

@@ -7,8 +7,8 @@ Three controllers are provided:
   deadzone V <= eps_dz;
 * the classical adaptive baseline with sigma-modification leakage, whose
   controller state is the four-dimensional parameter estimate;
-* a generic wrapper around a synthesized (V, k) pair from the backstepping
-  engine, for library use: the CLI builds no controller from it.
+* a stage of the backstepping engine, (V, k, sigma) with its own gains:
+  every synthesis builds each stage as this law.
 
 Each controller exposes step(x, cs, t) -> (u, rate): the input and the rate
 of the controller state, from one evaluation of the law, and lyapunov(x, cs),
@@ -79,8 +79,9 @@ class DadsGains:
 
     b offsets the parameter norm in (|theta| - b - e^z)^+, Gamma is the
     adaptation rate, eps_dz the deadzone level (z freezes while V <= eps_dz),
-    c the decay rate and a the disturbance gain.  The gain-attenuation
-    functions of the general law are the identity.
+    c the decay rate and a the disturbance gain.  A synthesized stage
+    carries its own c and a; the other three are the synthesis constants.
+    The gain-attenuation functions of the general law are the identity.
     """
 
     b: float
@@ -257,21 +258,25 @@ def sigma_mod_W_map(ctrl: SigmaModController, theta) -> SmoothMap:
 
 @dataclass(frozen=True)
 class SynthesizedDadsController:
-    """Wraps a synthesized (V, k) pair as a runtime deadzone-adapted controller."""
+    """One backstepping stage as a runtime deadzone-adapted law.
 
-    k_final: SmoothMap
-    V_final: SmoothMap
-    Gamma: float
-    eps_dz: float
+    V and k are maps of (state, z).  The stage satisfies |state|^2 <= sigma V
+    and V' <= -c V + `dads_residual` with its own gains: the synthesis
+    constants with the stage's decay rate c and disturbance gain a.
+    """
+
+    V: SmoothMap
+    k: SmoothMap
+    sigma: SmoothMap
+    gains: DadsGains
 
     def __post_init__(self):
-        _require_positive(self, "Gamma", "eps_dz")
-        if self.k_final.arity != self.V_final.arity:
-            raise ValueError("k_final and V_final must share a state dimension")
+        if self.k.arity != self.V.arity:
+            raise ValueError("k and V must share a state dimension")
 
     @property
     def state_dim(self) -> int:
-        return self.k_final.arity - 1  # last argument is z
+        return self.k.arity - 1  # last argument is z
 
     ctrl_dim = 1
 
@@ -280,11 +285,11 @@ class SynthesizedDadsController:
         if len(x) != self.state_dim:
             raise ValueError(f"state has length {len(x)}, controller expects {self.state_dim}")
         z = cs[0]
-        u = self.k_final(*x, z)
-        return u, (deadzone_rate(self.V_final(*x, z), z, self.Gamma, self.eps_dz),)
+        u = self.k(*x, z)
+        return u, (deadzone_rate(self.V(*x, z), z, self.gains.Gamma, self.gains.eps_dz),)
 
     def gain_magnitude(self, cs) -> float:
         return 1.0 + np.exp(float(cs[0]))
 
     def lyapunov(self, x, cs):
-        return self.V_final(*x, cs[0])
+        return self.V(*x, cs[0])

@@ -25,22 +25,24 @@ gain g once, for the theta test and both gain bounds), and
 `_validate_scaled_bound` judges the values; a violation raises with its
 witness point.
 
-A stage carries one disturbance gain, gain_a.  Rates halve and gains double
-per backstep, so a base started at (2^{m-1} c, 2^{1-m} a) ends at (c, a);
-the quadratic-form base divides its gain by the comparison constant M, so
-that chain ends at (c, a / M).  The pure chain's first-level gain is
-`chain_base_gain`.  The design constants are `controllers.DadsGains`; the
-CLI is the one module of the package that imports this engine.
+Each stage is a `controllers.SynthesizedDadsController`, whose gains are
+the design constants `controllers.DadsGains` with the stage's own decay
+rate c and disturbance gain a.  Rates halve and gains double per backstep,
+so a base started at (2^{m-1} c, 2^{1-m} a) ends at (c, a); the
+quadratic-form base divides its gain by the comparison constant M, so that
+chain ends at (c, a / M).  The pure chain's first-level gain is
+`chain_base_gain`.  The CLI is the one module of the package that imports
+this engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .controllers import DadsGains
+from .controllers import DadsGains, SynthesizedDadsController
 from .jets import SmoothMap, as_tuple, jet_exp, norm_sq, partials
 from .systems import StrictFeedbackSystem, box_sampler, draw_rows, state_rates, truncate
 
@@ -73,23 +75,6 @@ class StageMajorants:
     rho: SmoothMap
 
 
-@dataclass(frozen=True)
-class DadsStage:
-    """One backstepping level: (V, k, sigma) plus its rate/gain bookkeeping.
-
-    The stage satisfies |state|^2 <= sigma * V and a dissipation inequality
-    with decay rate_c and disturbance gain gain_a (on the quadratic-form base
-    path the comparison constant already divides the gain).
-    """
-
-    level: int
-    V: SmoothMap
-    k: SmoothMap
-    sigma: SmoothMap
-    rate_c: float
-    gain_a: float
-
-
 @dataclass(frozen=True, eq=False)
 class BaseStepResult:
     """Output of the quadratic-form base step."""
@@ -98,7 +83,7 @@ class BaseStepResult:
     omega: np.ndarray
     K_const: float
     M_const: float
-    stage: DadsStage
+    stage: SynthesizedDadsController
 
 
 def _validate_scaled_bound(name, lhs, bound, pts):
@@ -138,7 +123,7 @@ def solve_base_theorem3(
     eta1: SmoothMap,
     r: SmoothMap,
     alpha1: SmoothMap,
-) -> DadsStage:
+) -> SynthesizedDadsController:
     """Base step for the pure strict-feedback chain: V1 = x1^2 / 2.
 
     k1 = -(M1(x1, z) / eta1(x1)) x1 with M1 = `chain_base_gain`.  For a chain
@@ -154,13 +139,11 @@ def solve_base_theorem3(
     def V1(x1, z):
         return 0.5 * x1 * x1
 
-    return DadsStage(
-        level=1,
+    return SynthesizedDadsController(
         V=SmoothMap(2, V1, name="V1"),
         k=SmoothMap(2, k1, name="k1"),
         sigma=SmoothMap(2, lambda x1, z: 2.0, name="sigma1"),
-        rate_c=2.0 ** (m - 1) * gains.c,
-        gain_a=2.0 ** (1 - m) * gains.a,
+        gains=replace(gains, c=2.0 ** (m - 1) * gains.c, a=2.0 ** (1 - m) * gains.a),
     )
 
 
@@ -254,13 +237,11 @@ def solve_base_theorem1(
         resid = y1 - sum(omega[i] * xs[i] for i in range(n))
         return -(G_fn(*args) / eta1(*xs, y1)) * resid
 
-    stage = DadsStage(
-        level=1,
+    stage = SynthesizedDadsController(
         V=SmoothMap(n + 2, V1, name="V1"),
         k=SmoothMap(n + 2, k1, name="k1"),
         sigma=SmoothMap(n + 2, lambda *a_: M_const, name="sigma1"),
-        rate_c=shift,
-        gain_a=2.0 ** (1 - m) * a / M_const,
+        gains=replace(gains, c=shift, a=2.0 ** (1 - m) * a / M_const),
     )
     return BaseStepResult(P=P, omega=omega, K_const=K_const, M_const=M_const, stage=stage)
 
@@ -280,22 +261,23 @@ def _dk_times_rows(dk, sys: StrictFeedbackSystem, rows, xs) -> list:
 
 
 def backstep(
-    prev: DadsStage,
+    prev: SynthesizedDadsController,
     sys: StrictFeedbackSystem,
     j: int,
-    gains: DadsGains,
     majorants: StageMajorants,
     n_samples: int = 200,
     seed: int = 0,
-) -> DadsStage:
-    """Absorb plant level j + 1 (1 <= j < m) into the stage on (x, y_1..y_j).
+) -> SynthesizedDadsController:
+    """Absorb plant level j + 1 (1 <= j < m) into the stage on (x, y_1..y_j),
+    which gives stage j + 1.
 
     First the majorants are sampled, in order R, r, rho, n_samples draws each
     from default_rng(seed); the first violation raises.  Then V -> V + s^2/2
     and k -> -(M/eta) s with s = y - k.  The stacked gain M dominates every
     cross term the previous stage's certificate leaves over; all derivatives
     of the previous maps come from the one jet pass `partials` that the
-    checks read too.  The new stage runs at half the rate and twice the gain.
+    checks read too.  The new stage runs at half the rate and twice the gain
+    of prev.gains, and takes its other constants from them.
     """
     if not 1 <= j < sys.m:
         raise ValueError(f"level index j must be in [1, {sys.m - 1}], got {j}")
@@ -338,9 +320,7 @@ def backstep(
         with np.errstate(all="ignore"):
             _validate_scaled_bound(name, lhs(cols), bound(*cols), pts)
 
-    b_gain, Gamma = gains.b, gains.Gamma
-    cc = prev.rate_c
-    aa = prev.gain_a
+    b_gain, Gamma, cc, aa = prev.gains.b, prev.gains.Gamma, prev.gains.c, prev.gains.a
     alpha, eta, mu = sys.alpha[j], sys.eta[j], sys.mu[j - 1]
 
     def stacked_gain(*args):
@@ -395,14 +375,11 @@ def backstep(
         Rv = majorants.R(*xs, z)
         return (1.0 + 2.0 * Rv * Rv) * prev.sigma(*xs, z) + 4.0
 
-    lvl = prev.level + 1
-    return DadsStage(
-        level=lvl,
-        V=SmoothMap(d + 2, V_bar, name=f"V{lvl}"),
-        k=SmoothMap(d + 2, k_bar, name=f"k{lvl}"),
-        sigma=SmoothMap(d + 2, sigma_bar, name=f"sigma{lvl}"),
-        rate_c=prev.rate_c / 2.0,
-        gain_a=2.0 * prev.gain_a,
+    return SynthesizedDadsController(
+        V=SmoothMap(d + 2, V_bar, name=f"V{j + 1}"),
+        k=SmoothMap(d + 2, k_bar, name=f"k{j + 1}"),
+        sigma=SmoothMap(d + 2, sigma_bar, name=f"sigma{j + 1}"),
+        gains=replace(prev.gains, c=cc / 2.0, a=2.0 * aa),
     )
 
 
@@ -420,15 +397,15 @@ class MajorantPack:
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    """A synthesis run; its last stage holds the final feedback k and V."""
+    """A synthesis run; stage_trace[i] is stage i + 1, the last the final law."""
 
     M_const: float
-    stage_trace: tuple[DadsStage, ...]
+    stage_trace: tuple[SynthesizedDadsController, ...]
 
     def report(self) -> str:
         lines = ["synthesis stage trace", "====================="]
-        lines += [f"stage {st.level}: rate_c={st.rate_c:g} gain_a={st.gain_a:g}"
-                  for st in self.stage_trace]
+        lines += [f"stage {lvl}: rate_c={st.gains.c:g} gain_a={st.gains.a:g}"
+                  for lvl, st in enumerate(self.stage_trace, 1)]
         lines.append(f"comparison constant M = {self.M_const:g}")
         return "\n".join(lines)
 
@@ -487,8 +464,8 @@ def synthesize(
     The base step is chosen by the number of leading integrators: V1 = x1^2/2
     (comparison constant 2) when n = 0, the pole-placed quadratic form of the
     chain (comparison constant M from the base step) when n >= 1.  The final
-    stage has rate_c = gains.c exactly, and gain_a = gains.a when n = 0 and
-    gains.a / M when n >= 1.
+    stage's gains equal gains when n = 0; when n >= 1 its disturbance gain a
+    is gains.a / M.  Its decay rate c is gains.c exactly either way.
 
     Before building, each assumption the construction makes is sampled once
     at n_samples points, states in the box of `dads.systems`: the plant's
@@ -511,8 +488,7 @@ def synthesize(
     trace = [stage]
     for j in range(1, sys.m):
         stage = backstep(
-            stage, sys, j, gains, majorant_pack.levels[j - 1],
-            n_samples=n_samples, seed=seed + j,
+            stage, sys, j, majorant_pack.levels[j - 1], n_samples=n_samples, seed=seed + j,
         )
         trace.append(stage)
 

@@ -144,11 +144,8 @@ def wingrock_dissipation_check(
     u_of = control_fn or (lambda x, z: wingrock_control(x, z, ctrl)[0])
     k = SmoothMap(4, lambda x1, x2, x3, z: u_of((x1, x2, x3), z), name="wingrock_u")
     V = SmoothMap(4, lambda x1, x2, x3, z: ctrl.lyapunov((x1, x2, x3), (z,)), name="wingrock_V")
-    gains = ctrl.gains
     return synthesized_dissipation_check(
-        sys, V, k, gains, rate_c=gains.c, gain_a=gains.a,
-        n=n, tol=tol, seed=seed, name="wingrock dissipation",
-    )
+        sys, V, k, ctrl.gains, n=n, tol=tol, seed=seed, name="wingrock dissipation")
 
 
 def sigma_mod_dissipation_check(
@@ -181,15 +178,14 @@ def synthesized_dissipation_check(
     sys,
     V: SmoothMap,
     k: SmoothMap,
-    gains,
-    rate_c: float,
-    gain_a: float,
+    gains: DadsGains,
     n: int = 500,
     tol: float = 1e-7,
     seed: int = 0,
     name: str = "synthesized dissipation",
 ) -> CheckReport:
-    """Decay inequality of a synthesized (V, k) pair on a strict-feedback plant.
+    """Decay inequality of a synthesized (V, k) pair on a strict-feedback plant:
+    the bound is -cV + `dads_residual` with the pair's gains.
 
     Works for any number of leading integrators and any stage: the plant is
     truncated to the stage's state dimension with the next state replaced by
@@ -203,7 +199,7 @@ def synthesized_dissipation_check(
         v = V(*x, z)  # the deadzone rate and -cV read one value
         zdot = deadzone_rate(v, z, gains.Gamma, gains.eps_dz)
         return ((*eval_dynamics(plant, x, k(*x, z), th, d), zdot),
-                -rate_c * v + dads_residual(norm_sq(d), np.sqrt(norm_sq(th)), z, gains.b, gain_a))
+                -gains.c * v + dads_residual(norm_sq(d), np.sqrt(norm_sq(th)), z, gains.b, gains.a))
 
     return check_dissipation(
         V, closed_loop, box_sampler(dim + 1, (p, sys.theta_radius), (sys.l, D_RADIUS)),
@@ -212,13 +208,13 @@ def synthesized_dissipation_check(
 
 
 def stage_certificate_checks(
-    sys, result, gains, n: int = 200, tol: float = 1e-7, seed: int = 0
+    sys, result, n: int = 200, tol: float = 1e-7, seed: int = 0
 ) -> list[CheckReport]:
-    """One decay-inequality report per synthesis stage."""
+    """One decay-inequality report per synthesis stage, each with its own gains."""
     return [synthesized_dissipation_check(
-        sys, stage.V, stage.k, gains, stage.rate_c, stage.gain_a,
-        n=n, tol=tol, seed=seed + stage.level, name=f"stage {stage.level} certificate",
-    ) for stage in result.stage_trace]
+        sys, stage.V, stage.k, stage.gains,
+        n=n, tol=tol, seed=seed + lvl, name=f"stage {lvl} certificate",
+    ) for lvl, stage in enumerate(result.stage_trace, 1)]
 
 
 # ---------------------------------------------------------------------------

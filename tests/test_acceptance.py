@@ -104,11 +104,9 @@ def test_criterion_02_sigma_mod_dissipation_sampled():
 def test_criterion_03_synthesized_certificates(synthesis):
     final = synthesis.stage_trace[-1]
     rep_final = synthesized_dissipation_check(
-        wingrock(), final.V, final.k, GAINS, final.rate_c,
-        final.gain_a, n=500, tol=1e-7, seed=0,
+        wingrock(), final.V, final.k, final.gains, n=500, tol=1e-7, seed=0,
     )
-    stage_reps = stage_certificate_checks(wingrock(), synthesis, GAINS,
-                                          n=200, tol=1e-7, seed=0)
+    stage_reps = stage_certificate_checks(wingrock(), synthesis, n=200, tol=1e-7, seed=0)
     worst = min([rep_final.worst_margin] + [r.worst_margin for r in stage_reps])
     ok = rep_final.worst_margin >= -1e-7 and all(
         r.worst_margin >= -1e-7 for r in stage_reps

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import errno
 import math
 import os
 import re
@@ -591,6 +592,24 @@ class TestRejectedInputs:
             assert err == (f"error: [controller] does not read {key}; "
                            "it reads type, c, k, gamma, eps, sigma\n")
         assert len(err.splitlines()) == 1
+
+
+class TestUnwritableOutput:
+    """An output file that cannot be written exits 2 with one error line
+    naming it; it ended in a traceback after the command's work."""
+
+    @pytest.mark.parametrize("command, names, out", [
+        ("simulate", ["fig4_sigma0"], "fig4_sigma0.csv"),
+        ("synthesize", ["synth_wingrock"], "synth_wingrock.report.txt"),
+        ("verify", ["ineq34"], "ineq34.checks.csv"),
+        ("compare", ["fig4_sigma0", "fig4_sigma04"], "compare.txt"),
+    ])
+    def test_output_file_is_a_directory(self, tmp_path, capsys, command, names, out):
+        (tmp_path / out).mkdir()
+        paths = [scen(f"{name}.scenario") for name in names]
+        assert main([command, *paths, "--t-end", "0.01", "--out", str(tmp_path)]) == EXIT_PARSE
+        assert _one_error_line(capsys) == (
+            f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path / out)!r}\n")
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import run_fresh
 from dads.controllers import (
+    DadsGains,
     SigmaModController,
     SynthesizedDadsController,
     WingRockDadsController,
@@ -197,11 +198,15 @@ class TestSigmaMod:
         assert off == pytest.approx(4.0 / (2.0 * ctrl.Gamma), rel=1e-12)
 
 
+GAINS = DadsGains(b=1.0, Gamma=2.0, eps_dz=0.01, c=0.5, a=2.0)
+SIGMA = SmoothMap(2, lambda x1, z: 2.0, name="sigma")
+
+
 class TestSynthesizedWrapper:
     def _make(self):
         k = SmoothMap(2, lambda x1, z: -2.0 * x1, name="k")
         V = SmoothMap(2, lambda x1, z: 0.5 * x1 * x1, name="V")
-        return SynthesizedDadsController(k_final=k, V_final=V, Gamma=2.0, eps_dz=0.01)
+        return SynthesizedDadsController(V, k, SIGMA, GAINS)
 
     def test_state_dim(self):
         assert self._make().state_dim == 1
@@ -217,22 +222,11 @@ class TestSynthesizedWrapper:
         assert ctrl.step(np.array([0.1]), np.array([1.0]))[1] == (0.0,)
 
     def test_constructor_rejects(self):
+        # the gains check themselves (TestDadsGains); the arities are the stage's
         k = SmoothMap(2, lambda x1, z: -x1)
         V3 = SmoothMap(3, lambda x1, x2, z: x1 * x1)
-        with pytest.raises(ValueError):
-            SynthesizedDadsController(k_final=k, V_final=V3, Gamma=1.0, eps_dz=0.01)
-        V = SmoothMap(2, lambda x1, z: x1 * x1)
-        with pytest.raises(ValueError):
-            SynthesizedDadsController(k_final=k, V_final=V, Gamma=-1.0, eps_dz=0.01)
-
-    @pytest.mark.parametrize("field", ["Gamma", "eps_dz"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_constructor_rejects_non_finite(self, field, value):
-        # both passed the wrapper's `<= 0` test; DadsGains rejected them already
-        k = SmoothMap(2, lambda x1, z: -x1)
-        with pytest.raises(ValueError, match=f"{field} must be positive and finite, got {value}"):
-            SynthesizedDadsController(
-                k_final=k, V_final=k, **{"Gamma": 2.0, "eps_dz": 0.01, field: value})
+        with pytest.raises(ValueError, match="k and V must share a state dimension"):
+            SynthesizedDadsController(V3, k, SIGMA, GAINS)
 
     def test_state_length_check(self):
         ctrl = self._make()

@@ -7,10 +7,10 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
+from dads.controllers import SynthesizedDadsController
 from dads.jets import SmoothMap, gradient, jet_exp
 from dads.synthesis import (
     DadsGains,
-    DadsStage,
     MajorantPack,
     MajorantViolationError,
     StageMajorants,
@@ -129,10 +129,10 @@ class TestBaseQuadraticForm:
             n=2, m=3, gains=g,
             eta1=one3, r=one3, alpha1=SmoothMap(3, lambda *a: (0.0,), codim=1),
         )
-        assert base.stage.rate_c == pytest.approx(2.0 ** 2 * 0.5)
+        assert base.stage.gains.c == pytest.approx(2.0 ** 2 * 0.5)
         # 2^{1-m} a, divided by the comparison constant
-        assert base.stage.gain_a == 2.0 ** -2 * 2.0 / base.M_const
-        assert base.stage.gain_a * base.M_const == pytest.approx(2.0 ** -2 * 2.0)
+        assert base.stage.gains.a == 2.0 ** -2 * 2.0 / base.M_const
+        assert base.stage.gains.a * base.M_const == pytest.approx(2.0 ** -2 * 2.0)
 
 
 class TestBasePureChain:
@@ -143,8 +143,8 @@ class TestBasePureChain:
             m=3, gains=g,
             eta1=one1, r=one1, alpha1=SmoothMap(1, lambda x1: (0.0, 0.0), codim=2),
         )
-        assert stage.rate_c == pytest.approx(2.0)  # 2^{m-1} c
-        assert stage.gain_a == pytest.approx(0.5)  # 2^{1-m} a
+        assert stage.gains.c == pytest.approx(2.0)  # 2^{m-1} c
+        assert stage.gains.a == pytest.approx(0.5)  # 2^{1-m} a
         assert float(stage.sigma(1.0, 0.0)) == 2.0
         assert float(stage.V(3.0, 0.0)) == pytest.approx(4.5)
         assert float(stage.V(0.0, 1.7)) == 0.0
@@ -184,14 +184,13 @@ class TestBasePureChain:
         assert len(err.point) == 1
 
 
-def _toy_prev_stage(cc=1.0, aa=1.0):
-    return DadsStage(
-        level=1,
+def _toy_prev_stage(**over):
+    """A stage of rate c = 1 and gain a = 1 unless over sets them."""
+    return SynthesizedDadsController(
         V=SmoothMap(2, lambda x, z: 0.5 * x * x, name="Vtoy"),
         k=SmoothMap(2, lambda x, z: -x + 0.0 * z, name="ktoy"),
         sigma=SmoothMap(2, lambda x, z: 2.0, name="sigtoy"),
-        rate_c=cc,
-        gain_a=aa,
+        gains=default_gains(**{"c": 1.0, "a": 1.0, **over}),
     )
 
 
@@ -225,8 +224,7 @@ def _toy_majorants(R=3.0):
 
 class TestBackstep:
     def test_stacked_gain_termwise_oracle(self):
-        gains = default_gains(Gamma=2.0)
-        stage = backstep(_toy_prev_stage(), _toy_plant(), 1, gains, _toy_majorants())
+        stage = backstep(_toy_prev_stage(Gamma=2.0), _toy_plant(), 1, _toy_majorants())
         for (x, y, z) in [(0.7, -0.4, 0.2), (1.5, 1.5, -1.0), (-2.0, 0.3, 0.8)]:
             s = y - (-x)
             ez, emz = math.exp(z), math.exp(-z)
@@ -249,58 +247,50 @@ class TestBackstep:
 
     def test_sigma_update_arithmetic(self):
         # with R = 3 and sigma = 2 the new comparison factor is (1+2*9)2 + 4 = 42
-        gains = default_gains()
-        prev = DadsStage(
-            level=1,
+        prev = SynthesizedDadsController(
             V=SmoothMap(2, lambda x, z: 0.5 * x * x),
             k=SmoothMap(2, lambda x, z: 0.0 * x),
             sigma=SmoothMap(2, lambda x, z: 2.0),
-            rate_c=1.0, gain_a=1.0,
+            gains=default_gains(c=1.0, a=1.0),
         )
-        stage = backstep(prev, _toy_plant(), 1, gains, _toy_majorants(R=3.0))
+        stage = backstep(prev, _toy_plant(), 1, _toy_majorants(R=3.0))
         assert float(stage.sigma(0.2, -0.1, 0.3)) == pytest.approx(42.0)
 
     def test_rate_halves_gain_doubles(self):
-        gains = default_gains()
-        prev = _toy_prev_stage(cc=2.0, aa=0.5)
-        stage = backstep(prev, _toy_plant(), 1, gains, _toy_majorants())
-        assert stage.rate_c == 1.0
-        assert stage.gain_a == 1.0
-        assert stage.level == 2
+        prev = _toy_prev_stage(c=2.0, a=0.5)
+        stage = backstep(prev, _toy_plant(), 1, _toy_majorants())
+        assert stage.gains == replace(prev.gains, c=1.0, a=1.0)
+        assert stage.V.name == "V2"
 
     def test_vbar_vanishes_on_manifold(self):
-        gains = default_gains()
-        stage = backstep(_toy_prev_stage(), _toy_plant(), 1, gains, _toy_majorants())
+        stage = backstep(_toy_prev_stage(), _toy_plant(), 1, _toy_majorants())
         # V_bar(0, k(0,z), z) = 0 for all z
         for z in (-1.0, 0.0, 2.0):
             assert float(stage.V(0.0, 0.0, z)) == 0.0
 
     def test_undersized_R_rejected_with_witness(self):
-        gains = default_gains()
         with pytest.raises(MajorantViolationError) as ei:
-            backstep(_toy_prev_stage(), _toy_plant(), 1, gains, _toy_majorants(R=0.1))
+            backstep(_toy_prev_stage(), _toy_plant(), 1, _toy_majorants(R=0.1))
         err = ei.value
         assert err.name.startswith("R")
         assert err.lhs > err.bound
         assert len(err.point) == 2
 
     def test_arity_mismatch_rejected(self):
-        gains = default_gains()
-        bad_prev = DadsStage(
-            level=1,
+        bad_prev = SynthesizedDadsController(
             V=SmoothMap(3, lambda x, y, z: 0.5 * x * x),
             k=SmoothMap(3, lambda x, y, z: -x),
             sigma=SmoothMap(3, lambda x, y, z: 2.0),
-            rate_c=1.0, gain_a=1.0,
+            gains=default_gains(c=1.0, a=1.0),
         )
         with pytest.raises(ValueError):
-            backstep(bad_prev, _toy_plant(), 1, gains, _toy_majorants())
+            backstep(bad_prev, _toy_plant(), 1, _toy_majorants())
 
     @pytest.mark.parametrize("j", [0, 2])
     def test_level_index_checked(self, j):
         # the toy plant has m = 2 levels, so level 2 (j = 1) is the only backstep
         with pytest.raises(ValueError, match="level index"):
-            backstep(_toy_prev_stage(), _toy_plant(), j, default_gains(), _toy_majorants())
+            backstep(_toy_prev_stage(), _toy_plant(), j, _toy_majorants())
 
 
 @pytest.fixture(scope="module")
@@ -313,12 +303,11 @@ def result():
 
 class TestFullSynthesis:
     def test_stage_trace_telescopes(self, result):
-        rates = [st.rate_c for st in result.stage_trace]
-        gains_a = [st.gain_a for st in result.stage_trace]
+        rates = [st.gains.c for st in result.stage_trace]
+        gains_a = [st.gains.a for st in result.stage_trace]
         assert rates == pytest.approx([2.0, 1.0, 0.5])
         assert gains_a == pytest.approx([0.5, 1.0, 2.0])
-        assert result.stage_trace[-1].rate_c == GAINS["c"]
-        assert result.stage_trace[-1].gain_a == GAINS["a"]
+        assert result.stage_trace[-1].gains == default_gains()
         assert result.M_const == 2.0
 
     def test_final_maps_vanish_at_origin(self, result):
@@ -514,18 +503,15 @@ class TestCascadeSynthesis:
         sys = _cascade_plant()
         gains = default_gains()
         result = synthesize(sys, gains, _cascade_pack())
-        assert [st.rate_c for st in result.stage_trace] == [1.0, 0.5]
+        assert [st.gains.c for st in result.stage_trace] == [1.0, 0.5]
         # n = 1: the comparison constant is the Theorem-1 base step's, its
         # sigma, and it divides the gain: 2^{1-m} a / M, doubled once
         first, last = result.stage_trace
         assert result.M_const == float(first.sigma(0.1, -0.2, 0.3))
-        assert first.gain_a == 2.0 ** -1 * 2.0 / result.M_const
-        assert last.gain_a == 2.0 * first.gain_a
-        reports = stage_certificate_checks(sys, result, gains, n=200) + [
-            synthesized_dissipation_check(
-                sys, last.V, last.k, gains,
-                last.rate_c, last.gain_a, n=500,
-            )
+        assert first.gains.a == 2.0 ** -1 * 2.0 / result.M_const
+        assert last.gains.a == 2.0 * first.gains.a
+        reports = stage_certificate_checks(sys, result, n=200) + [
+            synthesized_dissipation_check(sys, last.V, last.k, last.gains, n=500)
         ]
         for rep in reports:
             assert rep.passed, rep.summary()

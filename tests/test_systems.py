@@ -120,9 +120,7 @@ class TestCascadeDynamics:
             n=2, m=1, gains=gains, eta1=sys.eta[0],
             r=SmoothMap(3, lambda *a: 1.0, name="r"), alpha1=sys.alpha[0],
         ).stage
-        rep = synthesized_dissipation_check(
-            sys, base.V, base.k, gains, base.rate_c, base.gain_a, n=200, seed=0,
-        )
+        rep = synthesized_dissipation_check(sys, base.V, base.k, base.gains, n=200, seed=0)
         assert rep.n_samples == 200
         assert rep.passed, rep.summary()
 
@@ -134,9 +132,7 @@ def _cascade_base_check(n):
         n=2, m=1, gains=gains, eta1=sys.eta[0],
         r=SmoothMap(3, lambda *a: 1.0, name="r"), alpha1=sys.alpha[0],
     ).stage
-    return synthesized_dissipation_check(
-        sys, base.V, base.k, gains, base.rate_c, base.gain_a, n=n,
-    )
+    return synthesized_dissipation_check(sys, base.V, base.k, base.gains, n=n)
 
 
 class TestSamplingDomain:

@@ -246,24 +246,21 @@ class TestDissipationChecks:
 @pytest.fixture(scope="module")
 def synthesis_result():
     gains = DadsGains(b=1.0, Gamma=20.0, eps_dz=0.01, c=0.5, a=2.0)
-    return gains, synthesize(wingrock(), gains, wingrock_majorants(gains),
-                             n_samples=50, seed=0)
+    return synthesize(wingrock(), gains, wingrock_majorants(gains), n_samples=50, seed=0)
 
 
 class TestSynthesizedChecks:
     def test_final_certificate_passes(self, synthesis_result):
-        gains, result = synthesis_result
+        result = synthesis_result
         final = result.stage_trace[-1]
         rep = synthesized_dissipation_check(
-            wingrock(), final.V, final.k, gains, final.rate_c,
-            final.gain_a, n=200, seed=0,
-        )
+            wingrock(), final.V, final.k, final.gains, n=200, seed=0)
         assert rep.passed, rep.summary()
 
     def test_certificate_evaluates_V_twice(self, synthesis_result):
         # one jet pass for the gradient, one plain pass that the deadzone
         # rate and -cV both read
-        gains, result = synthesis_result
+        result = synthesis_result
         final = result.stage_trace[-1]
         calls = []
 
@@ -272,15 +269,15 @@ class TestSynthesizedChecks:
             return final.V(*args)
 
         rep = synthesized_dissipation_check(
-            wingrock(), SmoothMap(final.V.arity, V, name="V3"), final.k, gains,
-            final.rate_c, final.gain_a, n=50, seed=0,
+            wingrock(), SmoothMap(final.V.arity, V, name="V3"), final.k, final.gains,
+            n=50, seed=0,
         )
         assert len(calls) == 2
         assert rep.passed, rep.summary()
 
     def test_every_stage_passes(self, synthesis_result):
-        gains, result = synthesis_result
-        reports = stage_certificate_checks(wingrock(), result, gains, n=100)
+        result = synthesis_result
+        reports = stage_certificate_checks(wingrock(), result, n=100)
         assert len(reports) == 3
         for rep in reports:
             assert rep.passed, rep.summary()
@@ -319,7 +316,7 @@ class TestCertificatesThatCanFail:
         gains = DadsGains(b=1.0, Gamma=20.0, eps_dz=5e-05, c=0.5, a=2.0)
         result = synthesize(wingrock(), gains, wingrock_majorants(gains), seed=0)
         monkeypatch.setattr(dads.systems, "BOX_RADIUS", 1e-3)
-        stage2 = stage_certificate_checks(wingrock(), result, gains, seed=0)[1]
+        stage2 = stage_certificate_checks(wingrock(), result, seed=0)[1]
         assert (stage2.name, stage2.n_samples) == ("stage 2 certificate", 200)
         assert stage2.passed == bool(residual), stage2.summary()
         assert -0.01 < stage2.worst_margin
