@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import errno
 import math
 import os
 import sys
@@ -213,9 +214,9 @@ def build_disturbance(scn: Scenario, dim: int) -> DisturbanceProfile:
 
 
 def build_sim_config(scn: Scenario, args) -> SimConfig:
-    """The [sim] settings, --dt and --t-end overriding; unset ones keep SimConfig's."""
+    """The [sim] settings, --t-end overriding; unset ones keep SimConfig's."""
     fields = {
-        "dt": args.dt if args.dt is not None else scn.get("sim", "dt"),
+        "dt": scn.get("sim", "dt"),
         "t_end": args.t_end if args.t_end is not None else scn.get("sim", "t_end"),
         "method": scn.get("sim", "method"),
         "log_stride": scn.get("sim", "log_stride"),
@@ -294,16 +295,16 @@ def build(path: str, args, simulates: str = "") -> Setup:
                  scn.get("checks", "corrupt_controller", False))
 
 
-def run_scenario(setup: Setup) -> tuple[TrajectoryLog, object, DisturbanceProfile]:
+def run_scenario(setup: Setup) -> tuple[TrajectoryLog, object]:
     log = simulate(setup.system, setup.controller, setup.x0, setup.ctrl0, setup.disturbance,
                    constant_parameter(setup.theta), setup.config,
                    output_indices=setup.output_indices)
-    return log, setup.controller, setup.disturbance
+    return log, setup.controller
 
 
 def _out_path(args, setup: Setup, suffix: str) -> str:
     stem = os.path.splitext(os.path.basename(setup.path))[0] or "scenario"
-    return os.path.join(args.out or ".", f"{stem}.{suffix}")
+    return _writable(os.path.join(args.out or ".", f"{stem}.{suffix}"))
 
 
 def _say(text: str, end: str = "\n") -> None:
@@ -317,8 +318,8 @@ def _say(text: str, end: str = "\n") -> None:
 
 def cmd_simulate(args) -> int:
     setup = build(args.scenario, args, "simulate")
-    log, controller, _ = run_scenario(setup)
     path = _out_path(args, setup, "csv")
+    log, controller = run_scenario(setup)
     log.to_csv(path)
     stats = trajectory_stats(log, controller)
     _say(f"wrote {path}")
@@ -341,8 +342,8 @@ def _synthesis(setup: Setup, seed: int):
 
 def cmd_synthesize(args) -> int:
     setup = build(args.scenario, args)
-    result, reports = _synthesis(setup, args.seed)
     path = _out_path(args, setup, "report.txt")
+    result, reports = _synthesis(setup, args.seed)
     with open(path, "w") as fh:
         fh.write(result.report() + "\n\n" + ver.summarize(reports) + "\n")
     _say(result.report())
@@ -364,18 +365,17 @@ def _dissipation_dads(setup: Setup, seed: int) -> list[ver.CheckReport]:
 
 
 def _trajectory(setup: Setup, seed: int) -> list[ver.CheckReport]:
-    log, controller, dist = run_scenario(setup)
-    gains = controller.gains
+    gains = setup.controller.gains
     return ver.check_trajectory_estimates(
-        log, gains, d_sup=ver.signal_sup(dist, log.t),
+        run_scenario(setup)[0], gains, d_sup=ver.signal_sup(setup.disturbance),
         theta_sup=float(np.linalg.norm(setup.theta)),
         attractivity_radius=ver.wingrock_attractivity_radius(gains.c, gains.eps_dz))
 
 
 def _sigma_tradeoff(setup: Setup, seed: int) -> list[ver.CheckReport]:
-    log, controller, dist = run_scenario(setup)
+    log, controller = run_scenario(setup)
     return [ver.check_sigma_tradeoff(
-        log, setup.theta, controller, d_sup=ver.signal_sup(dist, log.t))]
+        log, setup.theta, controller, d_sup=ver.signal_sup(setup.disturbance))]
 
 
 class Check(NamedTuple):
@@ -410,8 +410,8 @@ def cmd_verify(args) -> int:
     setup = build(args.scenario, args)
     if not setup.checks:
         raise ScenarioError("verify: scenario has no [checks] names")
-    reports = [rep for name in setup.checks for rep in CHECKS[name].run(setup, args.seed)]
     path = _out_path(args, setup, "checks.csv")
+    reports = [rep for name in setup.checks for rep in CHECKS[name].run(setup, args.seed)]
     ver.reports_to_csv(reports, path)
     _say(ver.summarize(reports))
     _say(f"wrote {path}")
@@ -433,9 +433,10 @@ def cmd_compare(args) -> int:
     if len(triple) == 3 and not all(
             ver.same_grid(grids[triple[0]], grids[i]) for i in triple[1:]):
         raise ScenarioError("the drift contrast's scenarios have different log grids")
+    path = _writable(os.path.join(args.out, "compare.txt")) if args.out else None
     rows, logs = [], []
     for setup, leak in zip(setups, leaks):
-        log, controller, _ = run_scenario(setup)
+        log, controller = run_scenario(setup)
         stats = trajectory_stats(log, controller)
         label = setup.ctype if leak is None else f"{setup.ctype}({leak:g})"
         rows.append((os.path.basename(setup.path), label, stats))
@@ -459,8 +460,7 @@ def cmd_compare(args) -> int:
         if expect_drift and rep.passed:
             _say("sigma=0 baseline flagged: drift")
         table += "\n" + rep.summary()
-    if args.out:
-        path = os.path.join(args.out, "compare.txt")
+    if path:
         with open(path, "w") as fh:
             fh.write(table + "\n")
         _say(f"wrote {path}")
@@ -483,6 +483,17 @@ def _make_out_dir(path: str) -> None:
         raise ScenarioError(f"--out {path}: {exc.strerror}") from None
 
 
+def _writable(path: str) -> str:
+    """path, checked before any work as open(path, "w") would check it: not a
+    directory, and writable, or in a writable directory when it does not
+    exist.  The check creates and truncates nothing."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.access(path if os.path.exists(path) else os.path.dirname(path) or ".", os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    return path
+
+
 # each subcommand: its function, its positional argument and its help; compare
 # takes any number of scenarios and says itself when it has too few
 COMMANDS = {
@@ -496,7 +507,6 @@ COMMANDS = {
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=nonnegative_int, default=0)
-    common.add_argument("--dt", type=float, default=None)
     common.add_argument("--t-end", dest="t_end", type=float, default=None)
     common.add_argument("--out", default=None)
     parser = argparse.ArgumentParser(

@@ -221,9 +221,10 @@ def stage_certificate_checks(
 # Trajectory estimates
 # ---------------------------------------------------------------------------
 
-def signal_sup(profile, times) -> float:
-    """Supremum of |signal(t)| over the logged grid."""
-    return float(max(np.linalg.norm(np.atleast_1d(profile(t))) for t in times))
+def signal_sup(profile) -> float:
+    """sup over t >= 0 of |d(t)|: the amplitudes' norm, d(0), since each entry's
+    |cos(w t)| and e^(-decay t), decay >= 0, are at most 1."""
+    return float(np.linalg.norm(np.asarray(profile.amplitudes, float)))
 
 
 def check_trajectory_estimates(
@@ -237,7 +238,7 @@ def check_trajectory_estimates(
     """Estimate checks along a deadzone-adapted run.
 
     Produces reports for (i) the envelope e^{-ct} V(0) + residual / c on V,
-    the law's residual at (d_sup, theta_sup, z(0)) from the sampled signals'
+    the law's residual at (d_sup, theta_sup, z(0)) from the signals'
     suprema, (ii) monotonicity of the adaptation state z, (iii) the tail
     bound V <= eps_dz (1 + SLACK), and (iv) the tail output bound |Y| <=
     attractivity_radius (1 + SLACK).  A failing tail bound notes when z

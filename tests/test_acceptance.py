@@ -177,7 +177,7 @@ def test_criterion_07_envelope_both_runs(dads_quiet, dads_persistent):
                       (dads_persistent, PERSISTENT)):
         reports = check_trajectory_estimates(
             log, GAINS,
-            d_sup=signal_sup(dist, log.t), theta_sup=theta_sup,
+            d_sup=signal_sup(dist), theta_sup=theta_sup,
             attractivity_radius=wingrock_attractivity_radius(GAINS.c, GAINS.eps_dz), tol=1e-6,
         )
         env = next(r for r in reports if r.name == "V envelope")
@@ -324,15 +324,15 @@ def _scaled(name, tmp_path, amplitude, theta):
         f * v for f, v in zip(theta, scn.get("parameter", "value"))]
     path = tmp_path / f"{name}_{amplitude}_{'_'.join(map(str, theta))}.scenario"
     path.write_text(scenario_text(scn.sections))
-    return build(str(path), Namespace(dt=None, t_end=None))
+    return build(str(path), Namespace(t_end=None))
 
 
 def _trajectory_reports(setup):
     """The scenario's log and its trajectory-estimate reports by name."""
-    log, controller, dist = run_scenario(setup)
+    log, controller = run_scenario(setup)
     gains = controller.gains
     return log, {r.name: r for r in check_trajectory_estimates(
-        log, gains, d_sup=signal_sup(dist, log.t),
+        log, gains, d_sup=signal_sup(setup.disturbance),
         theta_sup=float(np.linalg.norm(setup.theta)),
         attractivity_radius=wingrock_attractivity_radius(gains.c, gains.eps_dz))}
 

@@ -99,16 +99,27 @@ class TestScenarioParsing:
         assert gains.eps_dz == 5e-05
 
     @pytest.mark.parametrize("text, flags, expected", [
-        ("", (None, None), SimConfig()),
-        ("[sim]\nlog_stride = 7\n", (None, None), SimConfig(log_stride=7)),
-        ("[sim]\ndt = 0.01\nmethod = radau\n", (None, 2.0),
+        ("", {}, SimConfig()),
+        ("[sim]\nlog_stride = 7\n", {}, SimConfig(log_stride=7)),
+        ("[sim]\ndt = 0.01\nmethod = radau\n", {"t_end": 2.0},
          SimConfig(dt=0.01, t_end=2.0, method="radau")),
-        ("[sim]\ndt = 0.01\nt_end = 3\n", (0.001, None), SimConfig(dt=0.001, t_end=3.0)),
+        ("[sim]\ndt = 0.001\nt_end = 3\n", {}, SimConfig(dt=0.001, t_end=3.0)),
     ])
     def test_sim_config_keeps_the_defaults_it_is_not_given(self, text, flags, expected):
         scn = parse_scenario_text("[system]\nname = wingrock\n" + text)
-        args = argparse.Namespace(dt=flags[0], t_end=flags[1])
+        args = argparse.Namespace(**{"t_end": None, **flags})
         assert build_sim_config(scn, args) == expected
+
+    def test_dt_is_set_only_in_the_scenario(self, tmp_path, capsys):
+        # [sim] dt is the one home of the step; a dt attribute of the
+        # arguments is not read
+        scn = parse_scenario_text("[system]\nname = wingrock\n[sim]\ndt = 0.01\n")
+        assert build_sim_config(scn, argparse.Namespace(dt=0.5, t_end=None)).dt == 0.01
+        code = main(["simulate", scen("fig1_dads.scenario"), "--dt", "1e-3",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_PARSE
+        assert "unrecognized arguments: --dt 1e-3" in capsys.readouterr().err
+        assert not (tmp_path / "fig1_dads.csv").exists()
 
 
 class TestSimulateCommand:
@@ -171,34 +182,34 @@ class TestSimulateCommand:
         assert main(["simulate", str(bad), "--t-end", "0.01", "--out", str(tmp_path)]) == EXIT_PARSE
         assert "output_indices" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--t-end", "nan"),
-        ("--t-end", "inf"),
-        ("--dt", "nan"),
-    ])
-    def test_non_finite_time_is_parse_error(self, tmp_path, capsys, flag, value):
-        code = main(["simulate", scen("fig4_sigma0.scenario"), flag, value,
-                     "--out", str(tmp_path)])
+    @pytest.mark.parametrize("flags, dt", [
+        (["--t-end", "nan"], None),
+        (["--t-end", "inf"], None),
+        ([], "nan"),
+    ], ids=["--t-end-nan", "--t-end-inf", "dt-nan"])
+    def test_non_finite_time_is_parse_error(self, tmp_path, capsys, flags, dt):
+        path = edited("fig4_sigma0", tmp_path, {("sim", "dt"): dt} if dt else {})
+        code = main(["simulate", path, *flags, "--out", str(tmp_path)])
         assert code == EXIT_PARSE
         assert "finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["fig4_sigma0", "fig4_dads"])
     def test_horizon_below_one_step_is_parse_error(self, tmp_path, capsys, name):
         # RK4 would round 0.4 steps to none and log the row at t = 0 alone
-        code = main(["simulate", scen(f"{name}.scenario"), "--t-end", "0.00004",
-                     "--dt", "1e-4", "--out", str(tmp_path)])
+        path = edited(name, tmp_path, {("sim", "dt"): "1e-4"})
+        code = main(["simulate", path, "--t-end", "0.00004", "--out", str(tmp_path)])
         assert code == EXIT_PARSE
         assert "shorter than one step" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--t-end", "1e300"),
-        ("--dt", "1e-12"),
-        ("--dt", "1e-310"),  # t_end / dt overflows to inf
-    ])
-    def test_step_count_cap_is_parse_error(self, tmp_path, capsys, flag, value):
+    @pytest.mark.parametrize("flags, dt", [
+        (["--t-end", "1e300"], None),
+        ([], "1e-12"),
+        ([], "1e-310"),  # t_end / dt overflows to inf
+    ], ids=["--t-end-1e300", "dt-1e-12", "dt-1e-310"])
+    def test_step_count_cap_is_parse_error(self, tmp_path, capsys, flags, dt):
         # rejected before the step arrays are allocated
-        code = main(["simulate", scen("fig1_sigma0.scenario"), flag, value,
-                     "--out", str(tmp_path)])
+        path = edited("fig1_sigma0", tmp_path, {("sim", "dt"): dt} if dt else {})
+        code = main(["simulate", path, *flags, "--out", str(tmp_path)])
         assert code == EXIT_PARSE
         assert "MAX_STEPS" in capsys.readouterr().err
 
@@ -245,9 +256,8 @@ class TestSimulateCommand:
         # at k = 2e5 on a 1e-6 log grid LSODA completes the rows up to
         # t = 5e-6, then fails its error test before the next one
         path = edited("fig1_dads", tmp_path, {
-            ("controller", "k"): "2e5", ("sim", "log_stride"): "1"})
-        code = main(["simulate", path, "--t-end", "1e-4", "--dt", "1e-6",
-                     "--out", str(tmp_path)])
+            ("controller", "k"): "2e5", ("sim", "log_stride"): "1", ("sim", "dt"): "1e-6"})
+        code = main(["simulate", path, "--t-end", "1e-4", "--out", str(tmp_path)])
         assert code == EXIT_DIVERGENCE
         err = capsys.readouterr().err
         assert "last finite time t = 5e-06 (lsoda: Repeated error test failures" in err
@@ -468,11 +478,11 @@ class TestNonFiniteParameters:
         # itself reports success)
         entries = {
             ("disturbance", "decay"): "0", ("disturbance", "amplitudes"): "1e-300, 0",
-            ("disturbance", "frequencies"): "1e308, 1"}
+            ("disturbance", "frequencies"): "1e308, 1", ("sim", "dt"): "1e-3"}
         if method:
             entries["sim", "method"] = method
         path = edited(name, tmp_path, entries)
-        code = main(["simulate", path, "--t-end", "2.5", "--dt", "1e-3", "--out", str(tmp_path)])
+        code = main(["simulate", path, "--t-end", "2.5", "--out", str(tmp_path)])
         assert code == EXIT_DIVERGENCE
         assert re.search(rf"last finite time t = {re.escape(t_last)}\b", capsys.readouterr().err)
 
@@ -481,9 +491,10 @@ class TestNonFiniteParameters:
         # budget here (2.5 s) while it ran through scipy's solve_ivp
         path = edited("vanishing", tmp_path, {
             ("disturbance", "amplitudes"): "1e308, 5",
-            ("disturbance", "frequencies"): "3, 0", ("disturbance", "decay"): "0"})
+            ("disturbance", "frequencies"): "3, 0", ("disturbance", "decay"): "0",
+            ("sim", "dt"): "0.01"})
         start = time.perf_counter()
-        code = main(["simulate", path, "--t-end", "3", "--dt", "0.01", "--out", str(tmp_path)])
+        code = main(["simulate", path, "--t-end", "3", "--out", str(tmp_path)])
         assert time.perf_counter() - start < 1.0
         assert code == EXIT_DIVERGENCE
         err = capsys.readouterr().err
@@ -496,8 +507,9 @@ class TestNonFiniteParameters:
         # about 1.1 s at 10^5 per unit)
         path = edited("vanishing", tmp_path, {
             ("disturbance", "amplitudes"): "20, 5",
-            ("disturbance", "frequencies"): "1e308, 0", ("disturbance", "decay"): "0"})
-        code = main(["simulate", path, "--t-end", "3", "--dt", "0.01", "--out", str(tmp_path)])
+            ("disturbance", "frequencies"): "1e308, 0", ("disturbance", "decay"): "0",
+            ("sim", "dt"): "0.01"})
+        code = main(["simulate", path, "--t-end", "3", "--out", str(tmp_path)])
         assert code == EXIT_DIVERGENCE
         assert "budget of 90000 rhs evaluations" in capsys.readouterr().err
 
@@ -596,20 +608,42 @@ class TestRejectedInputs:
 
 class TestUnwritableOutput:
     """An output file that cannot be written exits 2 with one error line
-    naming it; it ended in a traceback after the command's work."""
+    naming it, before any solve, synthesis or check."""
 
-    @pytest.mark.parametrize("command, names, out", [
+    COMMANDS = [
         ("simulate", ["fig4_sigma0"], "fig4_sigma0.csv"),
         ("synthesize", ["synth_wingrock"], "synth_wingrock.report.txt"),
         ("verify", ["ineq34"], "ineq34.checks.csv"),
         ("compare", ["fig4_sigma0", "fig4_sigma04"], "compare.txt"),
-    ])
-    def test_output_file_is_a_directory(self, tmp_path, capsys, command, names, out):
+        # the 10 s stiff solve, the costliest work an unwritable output skips
+        ("verify", ["fig4_dads"], "fig4_dads.checks.csv"),
+    ]
+
+    @pytest.mark.parametrize("command, names, out", COMMANDS)
+    def test_output_file_is_a_directory(self, tmp_path, capsys, no_work, command, names, out):
         (tmp_path / out).mkdir()
         paths = [scen(f"{name}.scenario") for name in names]
-        assert main([command, *paths, "--t-end", "0.01", "--out", str(tmp_path)]) == EXIT_PARSE
+        assert main([command, *paths, "--out", str(tmp_path)]) == EXIT_PARSE
         assert _one_error_line(capsys) == (
             f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path / out)!r}\n")
+        assert list(tmp_path.iterdir()) == [tmp_path / out]
+
+    @pytest.mark.parametrize("command, names, out", COMMANDS)
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_output_file_is_not_writable(self, tmp_path, capsys, monkeypatch, no_work,
+                                         command, names, out, exists):
+        # os.access stands in for a read-only file or directory, which a
+        # process with root's rights could write anyway
+        if exists:
+            (tmp_path / out).write_text("kept\n")
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        paths = [scen(f"{name}.scenario") for name in names]
+        assert main([command, *paths, "--out", str(tmp_path)]) == EXIT_PARSE
+        assert _one_error_line(capsys) == (
+            f"error: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: {str(tmp_path / out)!r}\n")
+        # the check creates and truncates nothing
+        assert list(tmp_path.iterdir()) == ([tmp_path / out] if exists else [])
+        assert not exists or (tmp_path / out).read_text() == "kept\n"
 
 
 @pytest.fixture
@@ -618,6 +652,7 @@ def no_work(monkeypatch):
     def work(*args, **kwargs):
         raise AssertionError("the command ran before it rejected its input")
 
+    monkeypatch.setattr(cli, "run_scenario", work)
     monkeypatch.setattr(cli, "simulate", work)
     monkeypatch.setattr(cli, "synthesize", work)
     monkeypatch.setattr(ver, "check_dissipation", work)
@@ -857,7 +892,7 @@ def _numbers():
 
 @st.composite
 def _horizons(draw):
-    """--t-end in [0.01, 3] and a --dt that makes at most 300 steps of it."""
+    """--t-end in [0.01, 3] and a [sim] dt that makes at most 300 steps of it."""
     t_end = draw(st.floats(0.01, 3.0))
     return t_end, draw(st.floats(t_end / 300.0, t_end))
 
@@ -912,11 +947,10 @@ class TestDisturbanceFuzz:
             return 2
         a, w = entries("amplitudes"), entries("frequencies")
         # a key absent from the section is removed from the shipped file
-        path = edited(name, tmp_path, {("disturbance", k): v if k in present else None
-                                       for k, v in section.items()})
         t_end, dt = horizon
-        code = main(["simulate", path, "--t-end", repr(t_end), "--dt", repr(dt),
-                     "--out", str(tmp_path)])
+        path = edited(name, tmp_path, {("sim", "dt"): repr(dt), **{
+            ("disturbance", k): v if k in present else None for k, v in section.items()}})
+        code = main(["simulate", path, "--t-end", repr(t_end), "--out", str(tmp_path)])
         event(f"exit {code}")
         # input errors: the kind line, a vector that does not convert, half a
         # signal or one of the wrong length, any malformed decay (nan and

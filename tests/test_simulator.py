@@ -213,8 +213,9 @@ class TestAccuracyAndStiffness:
         # the stiff method ran with before it moved to LSODA
         from scipy.integrate import solve_ivp
 
-        setup = build(str(SCENARIOS / f"{name}.scenario"), Namespace(dt=None, t_end=0.5))
-        log, ctrl, dist = run_scenario(setup)
+        setup = build(str(SCENARIOS / f"{name}.scenario"), Namespace(t_end=0.5))
+        log, ctrl = run_scenario(setup)
+        dist = setup.disturbance
         sys, theta = setup.system, np.array(setup.theta)
         got = np.column_stack([log.x, log.ctrl])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -230,8 +231,7 @@ class TestAccuracyAndStiffness:
     def test_stiff_solver_completes_at_other_horizons(self, name, t_end):
         # with the last plant state held to RTOL/ATOL like the others, LSODA
         # failed its error test (fig1) or crawled into the budget here
-        log, _, _ = run_scenario(build(str(SCENARIOS / f"{name}.scenario"),
-                                       Namespace(dt=None, t_end=t_end)))
+        log, _ = run_scenario(build(str(SCENARIOS / f"{name}.scenario"), Namespace(t_end=t_end)))
         assert log.t[-1] == t_end
         assert np.min(np.diff(log.ctrl[:, 0])) >= -1e-13
 
@@ -474,7 +474,7 @@ class TestSynthesizedStageLoop:
         # the output radius sqrt(2 eps) stands in for one derived from sigma,
         # so its report is not asserted
         reports = check_trajectory_estimates(
-            log, stage.gains, d_sup=signal_sup(dist, log.t),
+            log, stage.gains, d_sup=signal_sup(dist),
             theta_sup=float(np.linalg.norm(theta)),
             attractivity_radius=math.sqrt(2.0 * stage.gains.eps_dz))
         assert [rep.name for rep in reports[:3]] == [
@@ -561,7 +561,7 @@ class TestCompiledLoop:
                             lambda *args: traced.append(trace(*args)) or traced[-1])
         monkeypatch.setattr(Tape, "compile", lambda tape, source, name, namespace: (
             sources.append(source) or compile_(tape, source, name, namespace)))
-        run_scenario(build(str(SCENARIOS / f"{name}.scenario"), Namespace(dt=None, t_end=1e-3)))
+        run_scenario(build(str(SCENARIOS / f"{name}.scenario"), Namespace(t_end=1e-3)))
         ((tape, rates),), (source,) = traced, sources
         return tape, rates, source
 
@@ -643,8 +643,7 @@ class TestPinnedTrajectories:
         ("fig4_dads", "9cf84db3d672f001b7aa1f80a5d5d6d4260c9dea82ed5ff9670566ce4d6960bd"),
     ])
     def test_stiff_dads_runs(self, name, digest):
-        log, _, _ = run_scenario(build(str(SCENARIOS / f"{name}.scenario"),
-                                       Namespace(dt=None, t_end=0.5)))
+        log, _ = run_scenario(build(str(SCENARIOS / f"{name}.scenario"), Namespace(t_end=0.5)))
         assert _log_digest(log) == digest
 
 
