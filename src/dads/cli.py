@@ -30,8 +30,6 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .controllers import (
     DadsGains,
     SigmaModController,
@@ -40,8 +38,7 @@ from .controllers import (
     wingrock_damping,
     wingrock_intermediates,
 )
-from .simulate import (DivergenceError, SimConfig, TrajectoryLog, select_outputs, simulate,
-                       trajectory_stats)
+from .simulate import DivergenceError, SimConfig, TrajectoryLog, simulate, trajectory_stats
 from .synthesis import MajorantViolationError, synthesize, wingrock_majorants
 from .systems import BUILTINS, DisturbanceProfile, constant_parameter
 from . import verify as ver
@@ -103,7 +100,7 @@ SCENARIO_KEYS = {
     "controller": {"type": _TEXT, **{
         key: _NUMBER for _, fields in _CONTROLLER_FIELDS.values() for key in fields}},
     "sim": {"dt": _NUMBER, "t_end": _NUMBER, "method": _TEXT, "log_stride": _INTEGER,
-            "x0": _VECTOR, "ctrl0": _VECTOR, "output_indices": _VECTOR},
+            "x0": _VECTOR, "ctrl0": _VECTOR},
     "disturbance": {"amplitudes": _VECTOR, "frequencies": _VECTOR, "decay": _NUMBER},
     "parameter": {"value": _VECTOR},
     "checks": {"names": _NAMES, "corrupt_controller": _BOOLEAN},
@@ -249,7 +246,6 @@ class Setup:
     x0: tuple
     ctrl0: tuple
     theta: tuple  # the [parameter] value
-    output_indices: tuple  # the plant states in |Y|
     checks: tuple  # the [checks] names
     corrupt: bool  # [checks] corrupt_controller
 
@@ -278,10 +274,6 @@ def build(path: str, args, simulates: str = "") -> Setup:
              _sized_vector(scn, "sim", "x0", sysm.state_dim),
              _sized_vector(scn, "sim", "ctrl0", controller.ctrl_dim),
              _sized_vector(scn, "parameter", "value", sysm.p))
-    try:
-        outputs = select_outputs(scn.get("sim", "output_indices"), sysm.state_dim)
-    except ValueError as exc:
-        raise ScenarioError(f"[sim] {exc}") from None
     # a [checks] key that no named check reads would be silently ignored
     read = [key for key in SCENARIO_KEYS["checks"]
             if key == "names" or any(key in CHECKS[name].reads for name in checks)]
@@ -291,14 +283,13 @@ def build(path: str, args, simulates: str = "") -> Setup:
     user = simulates or next((f"check {n!r}" for n in checks if CHECKS[n].simulates), None)
     if user and "sim" not in scn.sections:
         raise ScenarioError(f"{user}: {path} has no [sim] section to simulate the loop with")
-    return Setup(path, sysm, ctype, controller, *built, outputs, checks,
+    return Setup(path, sysm, ctype, controller, *built, checks,
                  scn.get("checks", "corrupt_controller", False))
 
 
 def run_scenario(setup: Setup) -> tuple[TrajectoryLog, object]:
     log = simulate(setup.system, setup.controller, setup.x0, setup.ctrl0, setup.disturbance,
-                   constant_parameter(setup.theta), setup.config,
-                   output_indices=setup.output_indices)
+                   constant_parameter(setup.theta), setup.config)
     return log, setup.controller
 
 
@@ -368,7 +359,7 @@ def _trajectory(setup: Setup, seed: int) -> list[ver.CheckReport]:
     gains = setup.controller.gains
     return ver.check_trajectory_estimates(
         run_scenario(setup)[0], gains, d_sup=ver.signal_sup(setup.disturbance),
-        theta_sup=float(np.linalg.norm(setup.theta)),
+        theta_sup=math.hypot(*setup.theta),
         attractivity_radius=ver.wingrock_attractivity_radius(gains.c, gains.eps_dz))
 
 

@@ -303,13 +303,11 @@ def simulate(
     disturbance: DisturbanceProfile,
     theta: ParameterSignal,
     config: SimConfig = SimConfig(),
-    output_indices: Sequence[int] | None = None,
 ) -> TrajectoryLog:
     """Integrate the closed loop and return a dense trajectory log.
 
-    output_indices selects which plant states enter the logged output norm
-    (see `select_outputs`).  Raises DivergenceError when the state leaves the
-    finite range.
+    The log's Ynorm is |Y|, the norm of the plant's first `output_dim` states.
+    Raises DivergenceError when the state leaves the finite range.
     """
     x0 = np.asarray(x0, float)
     ctrl0 = np.asarray(ctrl0, float)
@@ -319,7 +317,6 @@ def simulate(
         raise ValueError(f"x0 has shape {x0.shape}, expected ({n},)")
     if ctrl0.shape != (q,):
         raise ValueError(f"ctrl0 has shape {ctrl0.shape}, expected ({q},)")
-    sel = list(select_outputs(output_indices, n))
     theta_value = theta(0.0)  # held constant
     s0 = np.concatenate([x0, ctrl0])
     budgeted = _rhs_function(*_trace_rhs(sys, controller, theta_value.tolist(), disturbance))
@@ -349,7 +346,7 @@ def simulate(
     u_log = np.array([controller.step(s[:n], s[n:], t)[0] for t, s in zip(t_log, traj)])
     V_log = np.array([controller.lyapunov(s[:n], s[n:]) for s in traj])
     return TrajectoryLog(t_log, traj[:, :n], traj[:, n:], u_log, V_log,
-                         np.linalg.norm(traj[:, sel], axis=1))
+                         np.linalg.norm(traj[:, :sys.output_dim], axis=1))
 
 
 def state_names(n: int, q: int) -> list[str]:
@@ -357,22 +354,6 @@ def state_names(n: int, q: int) -> list[str]:
     estimates."""
     ctrl = ["z"] if q == 1 else [f"th{i + 1}" for i in range(q)]
     return [*(f"x{i + 1}" for i in range(n)), *ctrl]
-
-
-def select_outputs(output_indices: Sequence[int] | None, n: int) -> tuple[int, ...]:
-    """The states of an n-state plant in the output norm |Y|, all for None.
-
-    Raises ValueError unless they are distinct integers in [0, n), at least
-    one: none would log |Y| = 0, and a repeat would count its state twice.
-    """
-    if output_indices is None:
-        return tuple(range(n))
-    # `in range` is false for a fraction and a negative alike
-    if (not output_indices or len(set(output_indices)) < len(output_indices)
-            or not all(v in range(n) for v in output_indices)):
-        raise ValueError(f"output_indices must be distinct integers in [0, {n}), "
-                         f"at least one, got {output_indices}")
-    return tuple(int(v) for v in output_indices)
 
 
 def _trace_rhs(sys, controller, theta: Sequence[float], disturbance) -> tuple[Tape, list[str]]:

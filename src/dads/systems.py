@@ -78,8 +78,10 @@ class StrictFeedbackSystem:
     theta; mu has the m - 1 entries for the levels below the input.  n = 0 is
     the pure strict-feedback chain.  theta_radius is the radius of the ball
     synthesis and the sampled checks draw theta from; it bounds no true theta.
+    The output Y is the first output_dim states, whose norm the simulator logs.
     The constructor rejects per-level tuples of the wrong length, maps of the
-    wrong arity, and phi/alpha of a codimension other than p/l.
+    wrong arity, phi/alpha of a codimension other than p/l, and an output_dim
+    outside [1, n + m].
     """
 
     n: int
@@ -93,10 +95,14 @@ class StrictFeedbackSystem:
     p: int
     l: int
     theta_radius: float
+    output_dim: int
 
     def __post_init__(self):
         if not (self.n >= 0 and self.m >= 1):
             raise ValueError(f"n must be >= 0 and m >= 1, got n = {self.n}, m = {self.m}")
+        if self.output_dim not in range(1, self.state_dim + 1):
+            raise ValueError(f"output_dim must be an integer in [1, {self.state_dim}], "
+                             f"got {self.output_dim}")
         for name in ("h", "phi", "alpha", "g", "eta", "mu"):
             maps = getattr(self, name)
             levels = self.m - 1 if name == "mu" else self.m
@@ -123,7 +129,8 @@ def truncate(sys: StrictFeedbackSystem, dim: int) -> StrictFeedbackSystem:
     """The plant cut after its first `dim` states; state dim + 1 becomes the input.
 
     A backstepping stage of dimension `dim` closes the loop through this
-    truncation, with its feedback in place of the next state.
+    truncation, with its feedback in place of the next state.  The output
+    keeps those of its states that remain.
     """
     levels = dim - sys.n
     if not 1 <= levels <= sys.m:
@@ -131,7 +138,8 @@ def truncate(sys: StrictFeedbackSystem, dim: int) -> StrictFeedbackSystem:
     per_level = {
         name: getattr(sys, name)[:levels] for name in ("h", "phi", "alpha", "g", "eta")
     }
-    return replace(sys, m=levels, mu=sys.mu[: levels - 1], **per_level)
+    return replace(sys, m=levels, mu=sys.mu[: levels - 1],
+                   output_dim=min(sys.output_dim, dim), **per_level)
 
 
 def _check_columns(sys: StrictFeedbackSystem, s, theta, d) -> None:
@@ -260,7 +268,9 @@ def wingrock() -> StrictFeedbackSystem:
     x2' = th1 x1 + th2 x2 + th3 x1 x2 + th4 x2^2 + x3 + d1
     x3' = u + d2
 
-    All controlled gains are 1, so eta = mu = 1 hold with equality.
+    All controlled gains are 1, so eta = mu = 1 hold with equality.  The
+    output is the roll angle and rate (x1, x2), the pair that
+    `wingrock_attractivity_radius` bounds.
     """
     def const(arity, value, codim=1, name=""):
         if codim == 1:
@@ -283,7 +293,7 @@ def wingrock() -> StrictFeedbackSystem:
     mu = tuple(const(i + 1, 1.0, name=f"mu{i + 1}") for i in range(2))
     return StrictFeedbackSystem(
         n=0, m=3, h=h, phi=phi, alpha=alpha, g=g, eta=eta, mu=mu,
-        p=4, l=2, theta_radius=40.0,
+        p=4, l=2, theta_radius=40.0, output_dim=2,
     )
 
 

@@ -224,7 +224,7 @@ def stage_certificate_checks(
 def signal_sup(profile) -> float:
     """sup over t >= 0 of |d(t)|: the amplitudes' norm, d(0), since each entry's
     |cos(w t)| and e^(-decay t), decay >= 0, are at most 1."""
-    return float(np.linalg.norm(np.asarray(profile.amplitudes, float)))
+    return math.hypot(*profile.amplitudes)
 
 
 def check_trajectory_estimates(
@@ -241,9 +241,10 @@ def check_trajectory_estimates(
     the law's residual at (d_sup, theta_sup, z(0)) from the signals'
     suprema, (ii) monotonicity of the adaptation state z, (iii) the tail
     bound V <= eps_dz (1 + SLACK), and (iv) the tail output bound |Y| <=
-    attractivity_radius (1 + SLACK).  A failing tail bound notes when z
-    still rose over the tail: the gain had not settled; the tail V bound
-    notes the trend of max V/eps over halving windows too.
+    attractivity_radius (1 + SLACK), |Y| the logged norm of the plant's
+    output.  A failing tail bound notes when z still rose over the tail: the
+    gain had not settled; the tail V bound notes the trend of max V/eps over
+    halving windows too.
     """
     z = log.ctrl[:, 0]
     offset = dads_residual(d_sup ** 2, theta_sup, float(z[0]), gains.b, gains.a) / gains.c
@@ -294,7 +295,11 @@ def _envelope_report(name: str, t, W, envelope, tol: float) -> CheckReport:
 
 
 def wingrock_attractivity_radius(c: float, eps: float) -> float:
-    """Residual output radius of the wing-rock design: (sqrt(c^2+1)+c) sqrt(2 eps)."""
+    """Residual output radius of the wing-rock design: (sqrt(c^2+1)+c) sqrt(2 eps).
+
+    It bounds |(x1, x2)|, the plant's output, from V >= x1^2/2 + zeta^2/2
+    with zeta = x2 + 2 c x1; it does not bound x3.
+    """
     return (math.sqrt(c * c + 1.0) + c) * math.sqrt(2.0 * eps)
 
 

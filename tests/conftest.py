@@ -46,7 +46,7 @@ def sigma_persistent_run(leak):
     return simulate(
         wingrock(), SigmaModController(sigma_leak=leak), [1.0, -0.5, -18.0], [0.0] * 4,
         DisturbanceProfile(2, (20.0, 10.0), (10.0, 20.0)),
-        constant_parameter([20.0, 20.0, 2.0, 1.0]), cfg, output_indices=[0, 1],
+        constant_parameter([20.0, 20.0, 2.0, 1.0]), cfg,
     )
 
 

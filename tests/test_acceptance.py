@@ -64,15 +64,13 @@ def dads_cfg():
 @pytest.fixture(scope="module")
 def dads_quiet():
     return simulate(wingrock(), WingRockDadsController(), X0, Z0,
-                    DisturbanceProfile(2), constant_parameter(THETA), dads_cfg(),
-                    output_indices=[0, 1])
+                    DisturbanceProfile(2), constant_parameter(THETA), dads_cfg())
 
 
 @pytest.fixture(scope="module")
 def dads_persistent():
     return simulate(wingrock(), WingRockDadsController(), X0, Z0,
-                    PERSISTENT, constant_parameter(THETA), dads_cfg(),
-                    output_indices=[0, 1])
+                    PERSISTENT, constant_parameter(THETA), dads_cfg())
 
 
 @pytest.fixture(scope="module")
@@ -135,8 +133,7 @@ def test_criterion_04_quiet_run_regulates(dads_quiet):
 def test_criterion_04_runtime_budget():
     t0 = time.perf_counter()
     simulate(wingrock(), WingRockDadsController(), X0, Z0,
-             DisturbanceProfile(2), constant_parameter(THETA), dads_cfg(),
-             output_indices=[0, 1])
+             DisturbanceProfile(2), constant_parameter(THETA), dads_cfg())
     elapsed = time.perf_counter() - t0
     report("4 (runtime)", elapsed < 30.0,
            f"benchmark quiet run integrated in {elapsed:.2f}s (< 30s)")

@@ -172,15 +172,21 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
 
-    # an empty list logged |Y| = 0, so `verify fig4_dads` passed its tail
-    # output bound with it
-    @pytest.mark.parametrize("indices", ["0, 7", "-1", "0.5", "", "1, 1"])
+    # |Y| is the plant's output, so an older file's [sim] output_indices line
+    # is an unread key whatever its value, the one shipped files had ("0, 1")
+    # and ones its conversion would have failed ("0.5", "") alike
+    @pytest.mark.parametrize("indices", ["0, 1", "0, 7", "-1", "0.5", "", "1, 1"])
     def test_bad_output_indices_is_parse_error(self, tmp_path, capsys, indices):
-        text = Path(scen("fig1_sigma0.scenario")).read_text()
+        text = Path(scen("fig1_dads.scenario")).read_text()
         bad = tmp_path / "indices.scenario"
-        bad.write_text(text.replace("output_indices = 0, 1", f"output_indices = {indices}"))
-        assert main(["simulate", str(bad), "--t-end", "0.01", "--out", str(tmp_path)]) == EXIT_PARSE
-        assert "output_indices" in capsys.readouterr().err
+        bad.write_text(text.replace("ctrl0 = -2.302585092994046\n",
+                                    f"ctrl0 = -2.302585092994046\noutput_indices = {indices}\n"))
+        out = tmp_path / "out"
+        assert main(["simulate", str(bad), "--t-end", "0.01", "--out", str(out)]) == EXIT_PARSE
+        assert _one_error_line(capsys) == (
+            "error: [sim] does not read output_indices; "
+            "it reads dt, t_end, method, log_stride, x0, ctrl0\n")
+        assert os.listdir(out) == []
 
     @pytest.mark.parametrize("flags, dt", [
         (["--t-end", "nan"], None),
@@ -1060,9 +1066,6 @@ _VALUES = {
     ("sim", "log_stride"): st.sampled_from(_STRIDE),
     ("sim", "x0"): _VECTOR_TEXT,
     ("sim", "ctrl0"): _VECTOR_TEXT,
-    ("sim", "output_indices"): st.one_of(
-        st.lists(st.integers(-1, 3), max_size=3).map(lambda v: ", ".join(map(str, v))),
-        st.just("0.5")),
     ("parameter", "value"): _VECTOR_TEXT,
     **{("synthesis", key): st.sampled_from(_GAIN) for key in cli.SCENARIO_KEYS["synthesis"]},
 }
@@ -1327,6 +1330,15 @@ class TestPinnedMargins:
             rows = list(csv.DictReader(fh))
         # the CSV writes each margin with 17 significant digits, which round-trip
         assert {r["name"]: float(r["worst_margin"]) for r in rows} == expected
+
+    def test_vanishing_tail_output_bound(self, tmp_path):
+        # the bound judges wing-rock's output (x1, x2); the whole state's tail
+        # sup, 0.00543550159, is 11 times this witness
+        assert main(["verify", scen("vanishing.scenario"), "--out", str(tmp_path)]) == EXIT_OK
+        with open(tmp_path / "vanishing.checks.csv") as fh:
+            row = next(r for r in csv.DictReader(fh) if r["name"] == "tail output bound")
+        assert (float(row["worst_margin"]), row["witness"]) == (
+            0.25122948126646116, "0.000477535973")
 
 
 class TestCompareCommand:

@@ -63,7 +63,7 @@ def run_dads(t_end=2.0, dist=None):
     ctrl = WingRockDadsController()
     cfg = SimConfig(dt=1e-3, t_end=t_end, method="radau", log_stride=10)
     d = dist if dist is not None else DisturbanceProfile(2)
-    return simulate(sys, ctrl, X0, Z0, d, THETA, cfg, output_indices=[0, 1]), ctrl
+    return simulate(sys, ctrl, X0, Z0, d, THETA, cfg), ctrl
 
 
 class TestSimConfig:
@@ -105,7 +105,7 @@ class TestBasicSimulation:
     def test_initial_row_matches_ic(self):
         log, _ = run_sigma(t_end=0.1)
         assert log.x[0] == pytest.approx(X0)
-        assert log.Ynorm[0] == pytest.approx(np.linalg.norm(X0))
+        assert log.Ynorm[0] == pytest.approx(np.linalg.norm(X0[:2]))
 
     def test_deterministic_bitwise(self):
         a, _ = run_sigma(t_end=0.3)
@@ -140,21 +140,13 @@ class TestBasicSimulation:
         with pytest.raises(ValueError):
             simulate(sys, ctrl, [0.0] * 3, [0.0], DisturbanceProfile(2), THETA)
 
-    def test_output_indices_restrict_norm(self):
-        log, _ = run_dads(t_end=0.05)
-        expected = float(np.hypot(log.x[0, 0], log.x[0, 1]))
-        assert log.Ynorm[0] == pytest.approx(expected)
-
-    # [] logged |Y| = 0, so a tail-output bound passed vacuously; [0, 0] logged
-    # sqrt(2) |x1|; [0.7] was truncated to [0]; [3] failed after the solve
-    @pytest.mark.parametrize("indices", [[], [0, 0], [0.7], [3], [-1]])
-    def test_bad_output_indices_are_rejected(self, monkeypatch, indices):
-        monkeypatch.setattr(simulate_module, "_trace_rhs", None)  # before any work
-        with pytest.raises(ValueError,
-                           match=r"output_indices must be distinct integers in \[0, 3\)"):
-            simulate(wingrock(), SigmaModController(), X0, [0.0] * 4,
-                     DisturbanceProfile(2), THETA, SimConfig(dt=1e-3, t_end=0.01),
-                     output_indices=indices)
+    @pytest.mark.parametrize("run", [run_dads, run_sigma])
+    def test_output_norm_is_the_plants_output(self, run):
+        # wing-rock's output is (x1, x2), the pair its attractivity radius bounds
+        log, _ = run(t_end=0.05)
+        assert wingrock().output_dim == 2
+        assert np.array_equal(log.Ynorm, np.linalg.norm(log.x[:, :2], axis=1))
+        assert np.all(log.Ynorm < np.linalg.norm(log.x, axis=1))
 
     @pytest.mark.parametrize("method", ["rk4", "radau"])
     @pytest.mark.parametrize("t_end, stride", [(0.00035, 1), (0.0305, 100), (0.03, 100)])

@@ -210,7 +210,7 @@ def _toy_plant():
         g=(SmoothMap(2, one), SmoothMap(3, one)),
         eta=(SmoothMap(1, one), SmoothMap(2, one)),
         mu=(SmoothMap(1, one),),
-        p=1, l=1, theta_radius=1.0,
+        p=1, l=1, theta_radius=1.0, output_dim=1,
     )
 
 
@@ -447,7 +447,7 @@ def _cascade_plant():
         g=(SmoothMap(3, one, name="g1"), SmoothMap(4, one, name="g2")),
         eta=(SmoothMap(2, one, name="eta1"), SmoothMap(3, one, name="eta2")),
         mu=(SmoothMap(2, one, name="mu1"),),
-        p=1, l=1, theta_radius=5.0,
+        p=1, l=1, theta_radius=5.0, output_dim=1,
     )
 
 

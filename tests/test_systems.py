@@ -98,7 +98,7 @@ def _cascade_toy(eta1_value=1.0):
         phi=(SmoothMap(3, lambda x1, x2, y1: (x1,), codim=1, name="phi1"),),
         alpha=(SmoothMap(3, lambda *a: (1.0,), codim=1, name="alpha1"),),
         g=(g1,), eta=(eta1,), mu=(),
-        p=1, l=1, theta_radius=5.0,
+        p=1, l=1, theta_radius=5.0, output_dim=1,
     )
 
 
@@ -187,6 +187,14 @@ class TestConstructionChecks:
         with pytest.raises(ValueError, match="m >= 1"):
             replace(wingrock(), m=0, h=(), phi=(), alpha=(), g=(), eta=(), mu=())
 
+    # 0 would log |Y| = 0, so a tail output bound passed vacuously; 4 names a
+    # state the plant does not have; 1.5 is no count of states
+    @pytest.mark.parametrize("output_dim", [0, 4, 1.5])
+    def test_rejects_output_dim_outside_the_state(self, output_dim):
+        with pytest.raises(ValueError, match=rf"output_dim must be an integer in \[1, 3\], "
+                                             rf"got {output_dim}"):
+            replace(wingrock(), output_dim=output_dim)
+
 
 def _per_level(sys, x, u, theta, d):
     """The pure-chain (n = 0) rhs written level by level; u follows the last state."""
@@ -217,6 +225,12 @@ class TestTruncation:
                 u = rng.uniform(-10, 10)
                 assert eval_dynamics(plant, x, u, theta, d) == pytest.approx(
                     _per_level(sys, x, u, theta, d), rel=1e-14, abs=1e-12)
+
+    @pytest.mark.parametrize("output_dim", [1, 2, 3])
+    def test_keeps_the_output_that_remains(self, output_dim):
+        sys = replace(wingrock(), output_dim=output_dim)
+        for dim in (1, 2, 3):
+            assert truncate(sys, dim).output_dim == min(output_dim, dim)
 
     def test_cascade_keeps_the_integrator_chain(self):
         sys = _cascade_toy()

@@ -353,7 +353,7 @@ def dads_run(dist, t_end=10.0):
     cfg = SimConfig(dt=1e-3, t_end=t_end, method="radau", log_stride=10)
     return simulate(
         wingrock(), WingRockDadsController(), X0, Z0, dist,
-        constant_parameter(THETA), cfg, output_indices=[0, 1],
+        constant_parameter(THETA), cfg,
     )
 
 
@@ -378,16 +378,23 @@ class TestTrajectoryEstimates:
     def test_signal_sup_bounds_every_time(self, data):
         # |a cos(w t) e^(-decay t)| <= |a| entry by entry, in floating point
         # too, with equality at t = 0; w and t are bounded so that w t stays
-        # finite, where cos is a number, and a so that the norm's sum of
-        # squares does not overflow
+        # finite, where cos is a number; hypot scales, so |a| near 1e300
+        # does not overflow
         dim = data.draw(st.integers(1, 3))
         d = DisturbanceProfile(
-            dim, tuple(data.draw(st.lists(st.floats(-1e150, 1e150), min_size=dim, max_size=dim))),
+            dim, tuple(data.draw(st.lists(st.floats(-1e300, 1e300), min_size=dim, max_size=dim))),
             tuple(data.draw(st.lists(st.floats(-1e300, 1e300), min_size=dim, max_size=dim))),
             data.draw(st.floats(0.0, 1e300)))
         t = data.draw(st.floats(0.0, 1e6))
-        assert float(np.linalg.norm(d(t))) <= signal_sup(d)
-        assert signal_sup(d) == float(np.linalg.norm(d(0.0)))
+        assert math.hypot(*d(t)) <= signal_sup(d)
+        assert signal_sup(d) == math.hypot(*d(0.0))
+
+    def test_signal_sup_does_not_overflow(self):
+        # the square of this amplitude overflows; its norm does not
+        a = 1.3407807929942597e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert signal_sup(DisturbanceProfile(1, (a,), (0.0,))) == a
 
     def test_verify_evaluates_the_disturbance_once(self, tmp_path, monkeypatch):
         # the sup is the amplitudes' norm, which evaluates no d(t); the one
@@ -493,7 +500,7 @@ def sigma_run(leak, dist, t_end=10.0):
     cfg = SimConfig(dt=1e-4, t_end=t_end, method="rk4", log_stride=100)
     return simulate(
         wingrock(), SigmaModController(sigma_leak=leak), X0, [0.0] * 4, dist,
-        constant_parameter(THETA), cfg, output_indices=[0, 1],
+        constant_parameter(THETA), cfg,
     )
 
 
