@@ -39,7 +39,7 @@ from .controllers import (
     wingrock_intermediates,
 )
 from .simulate import DivergenceError, SimConfig, TrajectoryLog, simulate, trajectory_stats
-from .synthesis import MajorantViolationError, synthesize, wingrock_majorants
+from .synthesis import MajorantViolationError, base_stage_gains, synthesize, wingrock_majorants
 from .systems import BUILTINS, DisturbanceProfile, constant_parameter
 from . import verify as ver
 
@@ -270,7 +270,12 @@ def build(path: str, args, simulates: str = "") -> Setup:
         if check.needs is not None and ctype != check.needs:
             raise ScenarioError(f"check {name!r} evaluates {check.evaluates}; it needs "
                                 f"controller type {check.needs!r}, got {ctype!r}")
-    built = (build_gains(scn), build_sim_config(scn, args), build_disturbance(scn, sysm.l),
+    gains = build_gains(scn)
+    try:  # the first stage scales c and a by powers of 2, which can overflow
+        base_stage_gains(gains, sysm.m)
+    except ValueError as exc:
+        raise ScenarioError(f"[synthesis] the first of {sysm.m} stages: {exc}") from None
+    built = (gains, build_sim_config(scn, args), build_disturbance(scn, sysm.l),
              _sized_vector(scn, "sim", "x0", sysm.state_dim),
              _sized_vector(scn, "sim", "ctrl0", controller.ctrl_dim),
              _sized_vector(scn, "parameter", "value", sysm.p))
@@ -322,7 +327,7 @@ def cmd_simulate(args) -> int:
 
 
 def _synthesis(setup: Setup, seed: int):
-    """The construction, its stage certificates and the final one, at verify's sample sizes."""
+    """The construction, its stage certificates and the final one, each at its own count."""
     sysm, gains = setup.system, setup.gains
     result = synthesize(sysm, gains, wingrock_majorants(gains), seed=seed)
     last = result.stage_trace[-1]

@@ -16,21 +16,21 @@ A backstep takes each previous-stage map's partials from one jet pass,
 samples its majorants R, r, rho with them and builds the new stage from the
 same partials, so each backstep nests one more jet level.  The majorants
 cannot be derived from closures; the caller supplies them per level.
-`synthesize` samples each assumption once, states in the box of
-`dads.systems`: on the same (state, theta) draws, the gains below the input
-are free of theta (a ValueError otherwise) and obey eta <= g <= mu
-(1 + |theta|); then the first-level drift bound r and each backstep's
-(R, r, rho).  Each side of a bound is evaluated once on all its draws (each
-gain g once, for the theta test and both gain bounds), and
+`synthesize` samples each assumption once, ASSUMPTION_SAMPLES draws with
+states in the box of `dads.systems`: on the same (state, theta) draws, the
+gains below the input are free of theta (a ValueError otherwise) and obey
+eta <= g <= mu (1 + |theta|); then the first-level drift bound r and each
+backstep's (R, r, rho).  Each side of a bound is evaluated once on all its
+draws (each gain g once, for the theta test and both gain bounds), and
 `_validate_scaled_bound` judges the values; a violation raises with its
 witness point.
 
 Each stage is a `controllers.SynthesizedDadsController`, whose gains are
 the design constants `controllers.DadsGains` with the stage's own decay
 rate c and disturbance gain a.  Rates halve and gains double per backstep,
-so a base started at (2^{m-1} c, 2^{1-m} a) ends at (c, a); the
-quadratic-form base divides its gain by the comparison constant M, so that
-chain ends at (c, a / M).  The pure chain's first-level gain is
+so a base started at (2^{m-1} c, 2^{1-m} a), `base_stage_gains`, ends at
+(c, a); the quadratic-form base divides its gain by the comparison constant
+M, so that chain ends at (c, a / M).  The pure chain's first-level gain is
 `chain_base_gain`.  The CLI is the one module of the package that imports
 this engine.
 """
@@ -45,6 +45,10 @@ import numpy as np
 from .controllers import DadsGains, SynthesizedDadsController
 from .jets import SmoothMap, as_tuple, jet_exp, norm_sq, partials
 from .systems import StrictFeedbackSystem, box_sampler, draw_rows, state_rates, truncate
+
+# draws per sampled assumption: gain bounds, first-level drift, majorants
+ASSUMPTION_SAMPLES = 200
+
 
 
 class MajorantViolationError(Exception):
@@ -104,6 +108,13 @@ def _validate_scaled_bound(name, lhs, bound, pts):
         raise MajorantViolationError(name, pts[i], lhs[i], bound[i])
 
 
+def base_stage_gains(gains: DadsGains, m: int) -> DadsGains:
+    """The first stage's gains for m levels: rate 2^{m-1} c and gain 2^{1-m} a,
+    which the m - 1 backsteps bring back to (c, a).  DadsGains raises
+    ValueError when either leaves the positive floats."""
+    return replace(gains, c=2.0 ** (m - 1) * gains.c, a=2.0 ** (1 - m) * gains.a)
+
+
 def chain_base_gain(x1, z, m: int, gains: DadsGains, rv, asq):
     """The pure chain's first-level gain M1 at (x1, z), given r(x1) = rv and
     |alpha1(x1)|^2 = asq: the parameter-bound, disturbance and decay
@@ -127,7 +138,7 @@ def solve_base_theorem3(
     """Base step for the pure strict-feedback chain: V1 = x1^2 / 2.
 
     k1 = -(M1(x1, z) / eta1(x1)) x1 with M1 = `chain_base_gain`.  For a chain
-    of m levels the stage starts at rate 2^{m-1} c and gain 2^{1-m} a.
+    of m levels the stage runs at `base_stage_gains`.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -143,7 +154,7 @@ def solve_base_theorem3(
         V=SmoothMap(2, V1, name="V1"),
         k=SmoothMap(2, k1, name="k1"),
         sigma=SmoothMap(2, lambda x1, z: 2.0, name="sigma1"),
-        gains=replace(gains, c=2.0 ** (m - 1) * gains.c, a=2.0 ** (1 - m) * gains.a),
+        gains=base_stage_gains(gains, m),
     )
 
 
@@ -174,12 +185,13 @@ def solve_base_theorem1(
 
     Pole-places the chain at -(2^{m-1} c + k/2), k = 1..n, solves the shifted
     Lyapunov equation for P, and assembles V1 = x'Px + (y1 - omega'x)^2 / 2
-    with k1 = -(G / eta1)(y1 - omega'x).
+    with k1 = -(G / eta1)(y1 - omega'x), at `base_stage_gains` with a / M.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     c = gains.c
-    shift = 2.0 ** (m - 1) * c
+    base = base_stage_gains(gains, m)
+    shift = base.c
     poles = [-(shift + 0.5 * (k + 1)) for k in range(n)]
     omega = _companion_gain(n, poles)
     A = np.diag(np.ones(n - 1), 1)
@@ -241,7 +253,7 @@ def solve_base_theorem1(
         V=SmoothMap(n + 2, V1, name="V1"),
         k=SmoothMap(n + 2, k1, name="k1"),
         sigma=SmoothMap(n + 2, lambda *a_: M_const, name="sigma1"),
-        gains=replace(gains, c=shift, a=2.0 ** (1 - m) * a / M_const),
+        gains=replace(base, a=base.a / M_const),
     )
     return BaseStepResult(P=P, omega=omega, K_const=K_const, M_const=M_const, stage=stage)
 
@@ -260,24 +272,18 @@ def _dk_times_rows(dk, sys: StrictFeedbackSystem, rows, xs) -> list:
     ]
 
 
-def backstep(
-    prev: SynthesizedDadsController,
-    sys: StrictFeedbackSystem,
-    j: int,
-    majorants: StageMajorants,
-    n_samples: int = 200,
-    seed: int = 0,
-) -> SynthesizedDadsController:
+def backstep(prev: SynthesizedDadsController, sys: StrictFeedbackSystem, j: int,
+             majorants: StageMajorants, seed: int = 0) -> SynthesizedDadsController:
     """Absorb plant level j + 1 (1 <= j < m) into the stage on (x, y_1..y_j),
     which gives stage j + 1.
 
-    First the majorants are sampled, in order R, r, rho, n_samples draws each
-    from default_rng(seed); the first violation raises.  Then V -> V + s^2/2
-    and k -> -(M/eta) s with s = y - k.  The stacked gain M dominates every
-    cross term the previous stage's certificate leaves over; all derivatives
-    of the previous maps come from the one jet pass `partials` that the
-    checks read too.  The new stage runs at half the rate and twice the gain
-    of prev.gains, and takes its other constants from them.
+    First the majorants are sampled, in order R, r, rho, ASSUMPTION_SAMPLES
+    draws each from default_rng(seed); the first violation raises.  Then
+    V -> V + s^2/2 and k -> -(M/eta) s with s = y - k.  The stacked gain M
+    dominates every cross term the previous stage's certificate leaves over;
+    all derivatives of the previous maps come from the one jet pass
+    `partials` that the checks read too.  The new stage runs at half the
+    rate and twice the gain of prev.gains, and takes its others from them.
     """
     if not 1 <= j < sys.m:
         raise ValueError(f"level index j must be in [1, {sys.m - 1}], got {j}")
@@ -315,8 +321,7 @@ def backstep(
     for name, lhs, bound, width in (("R (stage growth)", R_lhs, majorants.R, d + 1),
                                     ("r (x-block drift)", r_lhs, majorants.r, d),
                                     ("rho (new-level growth)", rho_lhs, majorants.rho, d + 1)):
-        pts = draw_rows(box_sampler(width), rng, n_samples)
-        cols = tuple(np.ascontiguousarray(pts.T))
+        pts, cols = draw_rows(box_sampler(width), rng, ASSUMPTION_SAMPLES)
         with np.errstate(all="ignore"):
             _validate_scaled_bound(name, lhs(cols), bound(*cols), pts)
 
@@ -410,7 +415,7 @@ class SynthesisResult:
         return "\n".join(lines)
 
 
-def _validate_plant_bounds(sys: StrictFeedbackSystem, n_samples, seed):
+def _validate_plant_bounds(sys: StrictFeedbackSystem, seed):
     """g_j free of theta below the input, then eta_j <= g_j on every level and
     g_j <= mu_j (1 + |theta|) below the input.
 
@@ -419,9 +424,8 @@ def _validate_plant_bounds(sys: StrictFeedbackSystem, n_samples, seed):
     the draws, and every check reads that value.
     """
     dim = sys.state_dim
-    pts = draw_rows(box_sampler(dim, (sys.p, sys.theta_radius)),
-                    np.random.default_rng(seed), n_samples)
-    cols = tuple(np.ascontiguousarray(pts.T))
+    pts, cols = draw_rows(box_sampler(dim, (sys.p, sys.theta_radius)),
+                          np.random.default_rng(seed), ASSUMPTION_SAMPLES)
     heads = [cols[: sys.n + j + 1] for j in range(sys.m)]
     with np.errstate(all="ignore"):
         g = [sys.g[j](*heads[j], *cols[dim:]) for j in range(sys.m)]
@@ -441,10 +445,10 @@ def _validate_plant_bounds(sys: StrictFeedbackSystem, n_samples, seed):
                                        sys.mu[j](*heads[j]) * growth, pts)
 
 
-def _validate_base_drift(sys: StrictFeedbackSystem, r: SmoothMap, n_samples, seed):
+def _validate_base_drift(sys: StrictFeedbackSystem, r: SmoothMap, seed):
     """0 < r and (|h_1| + |phi_1|) / |head| <= r on the first-level head (x, y_1)."""
-    pts = draw_rows(box_sampler(sys.n + 1), np.random.default_rng(seed), n_samples)
-    head = tuple(np.ascontiguousarray(pts.T))
+    pts, head = draw_rows(box_sampler(sys.n + 1), np.random.default_rng(seed),
+                          ASSUMPTION_SAMPLES)
     with np.errstate(all="ignore"):
         mag = np.sqrt(norm_sq(head))
         content = abs(sys.h[0](*head)) + np.sqrt(norm_sq(as_tuple(sys.phi[0](*head))))
@@ -452,13 +456,8 @@ def _validate_base_drift(sys: StrictFeedbackSystem, r: SmoothMap, n_samples, see
                                np.where(mag == 0.0, 0.0, content / mag), r(*head), pts)
 
 
-def synthesize(
-    sys: StrictFeedbackSystem,
-    gains: DadsGains,
-    majorant_pack: MajorantPack,
-    n_samples: int = 200,
-    seed: int = 0,
-) -> SynthesisResult:
+def synthesize(sys: StrictFeedbackSystem, gains: DadsGains, majorant_pack: MajorantPack,
+               seed: int = 0) -> SynthesisResult:
     """Run the full construction: base step, then one backstep per level.
 
     The base step is chosen by the number of leading integrators: V1 = x1^2/2
@@ -468,17 +467,15 @@ def synthesize(
     is gains.a / M.  Its decay rate c is gains.c exactly either way.
 
     Before building, each assumption the construction makes is sampled once
-    at n_samples points, states in the box of `dads.systems`: the plant's
-    gains free of theta below the input (a ValueError otherwise), the
+    at ASSUMPTION_SAMPLES points, states in the box of `dads.systems`: the
+    plant's gains free of theta below the input (a ValueError otherwise), the
     plant's gain bounds, the first-level drift bound and, in each backstep,
     its majorants.  The first bound violation raises MajorantViolationError.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
     if len(majorant_pack.levels) != sys.m - 1:
         raise ValueError(f"majorant pack must supply {sys.m - 1} backstep levels")
-    _validate_plant_bounds(sys, n_samples, seed)
-    _validate_base_drift(sys, majorant_pack.base_r, n_samples, seed)
+    _validate_plant_bounds(sys, seed)
+    _validate_base_drift(sys, majorant_pack.base_r, seed)
     first_level = (gains, sys.eta[0], majorant_pack.base_r, sys.alpha[0])
     if sys.n == 0:
         stage, M_const = solve_base_theorem3(sys.m, *first_level), 2.0
@@ -487,9 +484,7 @@ def synthesize(
         stage, M_const = base.stage, base.M_const
     trace = [stage]
     for j in range(1, sys.m):
-        stage = backstep(
-            stage, sys, j, majorant_pack.levels[j - 1], n_samples=n_samples, seed=seed + j,
-        )
+        stage = backstep(stage, sys, j, majorant_pack.levels[j - 1], seed=seed + j)
         trace.append(stage)
 
     return SynthesisResult(M_const=M_const, stage_trace=tuple(trace))

@@ -63,9 +63,11 @@ def box_sampler(box_dim: int, *balls: tuple[int, float]):
     return draw
 
 
-def draw_rows(sampler, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n draws of sampler(rng), in order, as the rows of an array."""
-    return np.array([sampler(rng) for _ in range(n)], float)
+def draw_rows(sampler, rng: np.random.Generator, n: int) -> tuple[np.ndarray, tuple]:
+    """n draws of sampler(rng), in order: the rows of an array, and its
+    columns as a tuple of contiguous arrays, one per sample entry."""
+    rows = np.array([sampler(rng) for _ in range(n)], float)
+    return rows, tuple(np.ascontiguousarray(rows.T))
 
 
 @dataclass(frozen=True)

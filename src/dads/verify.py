@@ -42,6 +42,11 @@ SLACK = 0.1
 # mid-horizon to the end that counts as drift
 PLATEAU_REL = 0.01
 DRIFT_FACTOR = 1.1
+# each check's draws and tolerance, part of what it certifies: the closed-form
+# laws' inequalities, each synthesized stage's, and the trajectory estimates
+LAW_SAMPLES, LAW_TOL = 1000, 1e-6
+STAGE_SAMPLES, STAGE_TOL = 200, 1e-7
+TRAJECTORY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -92,12 +97,12 @@ def check_dissipation(
     V: SmoothMap,
     closed_loop: Callable,
     sampler: Callable,
-    n: int = 1000,
-    tol: float = 1e-6,
+    n: int,
+    tol: float,
     seed: int = 0,
     name: str = "dissipation",
 ) -> CheckReport:
-    """Worst margin of (bound - dV/dt) over n sampled points.
+    """Worst margin of (bound - dV/dt) over n sampled points, judged at tol.
 
     The sampler draws one sample per call, n times.  The draws are stacked,
     and closed_loop receives all of them at once as a tuple of columns (one
@@ -113,8 +118,7 @@ def check_dissipation(
         raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)
     with np.errstate(all="ignore"):
-        samples = draw_rows(sampler, rng, n)
-        cols = tuple(np.ascontiguousarray(samples.T))
+        samples, cols = draw_rows(sampler, rng, n)
         g = gradient(V, cols[: V.arity])
         f, bound = closed_loop(cols)
         if len(f) != len(g):
@@ -129,35 +133,24 @@ def check_dissipation(
 # Prebuilt dissipation checks for the wing-rock benchmark
 # ---------------------------------------------------------------------------
 
-def wingrock_dissipation_check(
-    sys,
-    ctrl: WingRockDadsController,
-    n: int = 1000,
-    tol: float = 1e-6,
-    seed: int = 0,
-    control_fn: Callable | None = None,
-) -> CheckReport:
-    """Sampled decay inequality for the closed-form wing-rock law: the bound
-    is -cV + `dads_residual` with the controller's gains.  control_fn
-    overrides the input computation (used by mutation tests).
+def wingrock_dissipation_check(sys, ctrl: WingRockDadsController, seed: int = 0,
+                               control_fn: Callable | None = None) -> CheckReport:
+    """Sampled decay inequality for the closed-form wing-rock law at LAW_SAMPLES
+    and LAW_TOL: the bound is -cV + `dads_residual` with the controller's gains.
+    control_fn overrides the input computation (used by mutation tests).
     """
     u_of = control_fn or (lambda x, z: wingrock_control(x, z, ctrl)[0])
     k = SmoothMap(4, lambda x1, x2, x3, z: u_of((x1, x2, x3), z), name="wingrock_u")
     V = SmoothMap(4, lambda x1, x2, x3, z: ctrl.lyapunov((x1, x2, x3), (z,)), name="wingrock_V")
     return synthesized_dissipation_check(
-        sys, V, k, ctrl.gains, n=n, tol=tol, seed=seed, name="wingrock dissipation")
+        sys, V, k, ctrl.gains, LAW_SAMPLES, LAW_TOL, seed, "wingrock dissipation")
 
 
-def sigma_mod_dissipation_check(
-    sys,
-    ctrl: SigmaModController,
-    theta: Sequence[float],
-    n: int = 1000,
-    tol: float = 1e-6,
-    seed: int = 0,
-) -> CheckReport:
-    """Sampled decay inequality of the leakage baseline for a fixed theta:
-    W = V + E (`sigma_mod_W_map`) against the law's -2c V - sigma E + r.
+def sigma_mod_dissipation_check(sys, ctrl: SigmaModController, theta: Sequence[float],
+                                seed: int = 0) -> CheckReport:
+    """Sampled decay inequality of the leakage baseline for a fixed theta at
+    LAW_SAMPLES and LAW_TOL: W = V + E (`sigma_mod_W_map`) against the law's
+    -2c V - sigma E + r.
     """
     W = sigma_mod_W_map(ctrl, theta)
     nx, nt = sys.state_dim, ctrl.ctrl_dim
@@ -170,7 +163,7 @@ def sigma_mod_dissipation_check(
 
     return check_dissipation(
         W, closed_loop, box_sampler(nx, (nt, sys.theta_radius), (sys.l, D_RADIUS)),
-        n=n, tol=tol, seed=seed, name=f"sigma-mod dissipation (leak={ctrl.sigma_leak:g})",
+        LAW_SAMPLES, LAW_TOL, seed, f"sigma-mod dissipation (leak={ctrl.sigma_leak:g})",
     )
 
 
@@ -180,12 +173,13 @@ def synthesized_dissipation_check(
     k: SmoothMap,
     gains: DadsGains,
     n: int = 500,
-    tol: float = 1e-7,
+    tol: float = STAGE_TOL,
     seed: int = 0,
     name: str = "synthesized dissipation",
 ) -> CheckReport:
-    """Decay inequality of a synthesized (V, k) pair on a strict-feedback plant:
-    the bound is -cV + `dads_residual` with the pair's gains.
+    """Decay inequality of a synthesized (V, k) pair on a strict-feedback plant
+    at n draws and tol, which its callers set apart (the closed-form law, each
+    stage, the final law by default): the bound is -cV + `dads_residual`.
 
     Works for any number of leading integrators and any stage: the plant is
     truncated to the stage's state dimension with the next state replaced by
@@ -203,17 +197,16 @@ def synthesized_dissipation_check(
 
     return check_dissipation(
         V, closed_loop, box_sampler(dim + 1, (p, sys.theta_radius), (sys.l, D_RADIUS)),
-        n=n, tol=tol, seed=seed, name=name,
+        n, tol, seed, name,
     )
 
 
-def stage_certificate_checks(
-    sys, result, n: int = 200, tol: float = 1e-7, seed: int = 0
-) -> list[CheckReport]:
-    """One decay-inequality report per synthesis stage, each with its own gains."""
+def stage_certificate_checks(sys, result, seed: int = 0) -> list[CheckReport]:
+    """One decay-inequality report per synthesis stage, each with its own
+    gains, STAGE_SAMPLES draws at STAGE_TOL; stage l draws from seed + l."""
     return [synthesized_dissipation_check(
         sys, stage.V, stage.k, stage.gains,
-        n=n, tol=tol, seed=seed + lvl, name=f"stage {lvl} certificate",
+        STAGE_SAMPLES, STAGE_TOL, seed + lvl, f"stage {lvl} certificate",
     ) for lvl, stage in enumerate(result.stage_trace, 1)]
 
 
@@ -227,15 +220,10 @@ def signal_sup(profile) -> float:
     return math.hypot(*profile.amplitudes)
 
 
-def check_trajectory_estimates(
-    log: TrajectoryLog,
-    gains: DadsGains,
-    d_sup: float,
-    theta_sup: float,
-    attractivity_radius: float,
-    tol: float = 1e-6,
-) -> list[CheckReport]:
-    """Estimate checks along a deadzone-adapted run.
+def check_trajectory_estimates(log: TrajectoryLog, gains: DadsGains, d_sup: float,
+                               theta_sup: float, attractivity_radius: float) -> list[CheckReport]:
+    """Estimate checks along a deadzone-adapted run at TRAJECTORY_TOL (z's
+    monotonicity at 1e-12).
 
     Produces reports for (i) the envelope e^{-ct} V(0) + residual / c on V,
     the law's residual at (d_sup, theta_sup, z(0)) from the signals'
@@ -249,7 +237,7 @@ def check_trajectory_estimates(
     z = log.ctrl[:, 0]
     offset = dads_residual(d_sup ** 2, theta_sup, float(z[0]), gains.b, gains.a) / gains.c
     envelope = np.exp(-gains.c * log.t) * float(log.V[0]) + offset
-    reports = [_envelope_report("V envelope", log.t, log.V, envelope, tol)]
+    reports = [_envelope_report("V envelope", log.t, log.V, envelope, TRAJECTORY_TOL)]
 
     dz = np.diff(z)
     i_z = int(np.argmin(dz)) if len(dz) else 0
@@ -269,7 +257,8 @@ def check_trajectory_estimates(
     trend = ", ".join(f"{np.max(log.V[w]) / gains.eps_dz:.3g}" for w in takewhile(np.any, halves))
     reports.append(
         CheckReport(
-            "tail V bound", n_tail, gains.eps_dz * (1.0 + SLACK) - v_tail, (v_tail,), tol,
+            "tail V bound", n_tail, gains.eps_dz * (1.0 + SLACK) - v_tail, (v_tail,),
+            TRAJECTORY_TOL,
             "; ".join(filter(None, (f"max V/eps per halving window back from t_end: {trend}",
                                     note))),
         )
@@ -279,7 +268,7 @@ def check_trajectory_estimates(
     reports.append(
         CheckReport(
             "tail output bound", n_tail,
-            attractivity_radius * (1.0 + SLACK) - y_tail, (y_tail,), tol, note,
+            attractivity_radius * (1.0 + SLACK) - y_tail, (y_tail,), TRAJECTORY_TOL, note,
         )
     )
     return reports

@@ -80,8 +80,7 @@ def synthesis():
 
 def test_criterion_01_dads_dissipation_sampled():
     t0 = time.perf_counter()
-    rep = wingrock_dissipation_check(wingrock(), WingRockDadsController(),
-                                     n=1000, tol=1e-6, seed=0)
+    rep = wingrock_dissipation_check(wingrock(), WingRockDadsController(), seed=0)
     elapsed = time.perf_counter() - t0
     ok = rep.worst_margin >= -1e-6 and elapsed < 5.0
     report(1, ok,
@@ -91,8 +90,7 @@ def test_criterion_01_dads_dissipation_sampled():
 
 def test_criterion_02_sigma_mod_dissipation_sampled():
     rep = sigma_mod_dissipation_check(
-        wingrock(), SigmaModController(sigma_leak=0.4), THETA,
-        n=1000, tol=1e-6, seed=0,
+        wingrock(), SigmaModController(sigma_leak=0.4), THETA, seed=0,
     )
     report(2, rep.worst_margin >= -1e-6,
            f"leakage-baseline decay inequality, worst margin "
@@ -104,7 +102,7 @@ def test_criterion_03_synthesized_certificates(synthesis):
     rep_final = synthesized_dissipation_check(
         wingrock(), final.V, final.k, final.gains, n=500, tol=1e-7, seed=0,
     )
-    stage_reps = stage_certificate_checks(wingrock(), synthesis, n=200, tol=1e-7, seed=0)
+    stage_reps = stage_certificate_checks(wingrock(), synthesis, seed=0)
     worst = min([rep_final.worst_margin] + [r.worst_margin for r in stage_reps])
     ok = rep_final.worst_margin >= -1e-7 and all(
         r.worst_margin >= -1e-7 for r in stage_reps
@@ -175,7 +173,7 @@ def test_criterion_07_envelope_both_runs(dads_quiet, dads_persistent):
         reports = check_trajectory_estimates(
             log, GAINS,
             d_sup=signal_sup(dist), theta_sup=theta_sup,
-            attractivity_radius=wingrock_attractivity_radius(GAINS.c, GAINS.eps_dz), tol=1e-6,
+            attractivity_radius=wingrock_attractivity_radius(GAINS.c, GAINS.eps_dz),
         )
         env = next(r for r in reports if r.name == "V envelope")
         worst = min(worst, env.worst_margin)

@@ -827,6 +827,12 @@ class TestBuiltBeforeWork:
          "[system] name None is not one of wingrock"),
         ("verify", "ineq34", {("system", "name"): None},
          "[system] name None is not one of wingrock"),
+        # the first stage's 2^2 c overflowed and 2^-2 a underflowed: a
+        # ValueError traceback and exit 1, after the file was built
+        *((command, "synth_wingrock", {("synthesis", key): value},
+           f"[synthesis] the first of 3 stages: {key} must be positive and finite, got {got}")
+          for command in ("synthesize", "verify")
+          for key, value, got in (("c", "1e308", "inf"), ("a", "5e-324", "0.0"))),
     ])
     def test_exit_2(self, tmp_path, capsys, no_work, command, name, entries, message):
         out = tmp_path / "out"

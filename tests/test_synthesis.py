@@ -2,7 +2,9 @@
 
 import collections
 import math
+import re
 from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,9 +298,7 @@ class TestBackstep:
 @pytest.fixture(scope="module")
 def result():
     gains = default_gains()
-    return synthesize(
-        wingrock(), gains, wingrock_majorants(gains), n_samples=100, seed=0
-    )
+    return synthesize(wingrock(), gains, wingrock_majorants(gains), seed=0)
 
 
 class TestFullSynthesis:
@@ -340,7 +340,7 @@ class TestFullSynthesis:
         )
         sys_bad = replace(base, g=g_bad)
         with pytest.raises(ValueError):
-            synthesize(sys_bad, gains, wingrock_majorants(gains), n_samples=10)
+            synthesize(sys_bad, gains, wingrock_majorants(gains))
 
     def test_gain_moving_with_theta_on_part_of_the_box_rejected(self):
         # g1 is free of theta only at x1 = 0.7, and it obeys
@@ -366,7 +366,7 @@ class TestFullSynthesis:
             return SmoothMap(g.arity, fn, name=g.name)
 
         plant = replace(base, g=tuple(counted(j, g) for j, g in enumerate(base.g)))
-        synthesis._validate_plant_bounds(plant, 20, 0)
+        synthesis._validate_plant_bounds(plant, 0)
         assert calls == [2, 2, 1]
 
     def test_each_backstep_builds_the_previous_partials_once(self, monkeypatch):
@@ -381,7 +381,7 @@ class TestFullSynthesis:
         partials = synthesis.partials
         monkeypatch.setattr(synthesis, "partials", spy)
         gains = default_gains()
-        synthesize(wingrock(), gains, wingrock_majorants(gains), n_samples=10)
+        synthesize(wingrock(), gains, wingrock_majorants(gains))
         assert built == ["k1", "V1", "k2", "V2"]
 
     def test_wingrock_R1_is_the_stage_1_growth(self, result):
@@ -392,6 +392,18 @@ class TestFullSynthesis:
         for x1, z in np.random.default_rng(3).uniform(-3.0, 3.0, (50, 2)):
             growth = abs(gradient(stage1.V, (x1, z))[0]) + abs(float(stage1.k(x1, z)))
             assert growth == pytest.approx(float(R1(x1, z)) * abs(x1), rel=1e-12)
+
+    def test_readme_library_example_runs_as_written(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("## Library example"):]
+        code = section[section.index("```python\n") + len("```python\n"):]
+        code = code[:code.index("```")]
+        assert "# stage trace: rates 2, 1, 0.5; gains 0.5, 1, 2; M = 2" in code
+        exec(code, {})
+        out = capsys.readouterr().out
+        assert re.findall(r"rate_c=(\S+) gain_a=(\S+)", out) == [
+            ("2", "0.5"), ("1", "1"), ("0.5", "2")]
+        assert "comparison constant M = 2\n" in out
 
     def test_majorant_pack_size_checked(self):
         gains = default_gains()
@@ -410,7 +422,7 @@ class TestProbePoint:
     def final_k(self):
         # the [synthesis] gains of scenarios/synth_wingrock.scenario
         gains = default_gains(eps_dz=5e-5)
-        result = synthesize(wingrock(), gains, wingrock_majorants(gains), n_samples=10)
+        result = synthesize(wingrock(), gains, wingrock_majorants(gains))
         return result.stage_trace[-1].k
 
     def test_value_and_gradient_to_the_last_bit(self, final_k):
@@ -510,8 +522,8 @@ class TestCascadeSynthesis:
         assert result.M_const == float(first.sigma(0.1, -0.2, 0.3))
         assert first.gains.a == 2.0 ** -1 * 2.0 / result.M_const
         assert last.gains.a == 2.0 * first.gains.a
-        reports = stage_certificate_checks(sys, result, n=200) + [
-            synthesized_dissipation_check(sys, last.V, last.k, last.gains, n=500)
+        reports = stage_certificate_checks(sys, result) + [
+            synthesized_dissipation_check(sys, last.V, last.k, last.gains)
         ]
         for rep in reports:
             assert rep.passed, rep.summary()

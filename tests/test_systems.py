@@ -125,14 +125,14 @@ class TestCascadeDynamics:
         assert rep.passed, rep.summary()
 
 
-def _cascade_base_check(n):
+def _cascade_base_check():
     sys = _cascade_toy()
     gains = DadsGains(b=1.0, Gamma=20.0, eps_dz=0.01, c=0.5, a=2.0)
     base = solve_base_theorem1(
         n=2, m=1, gains=gains, eta1=sys.eta[0],
         r=SmoothMap(3, lambda *a: 1.0, name="r"), alpha1=sys.alpha[0],
     ).stage
-    return synthesized_dissipation_check(sys, base.V, base.k, base.gains, n=n)
+    return synthesized_dissipation_check(sys, base.V, base.k, base.gains)
 
 
 class TestSamplingDomain:
@@ -140,10 +140,9 @@ class TestSamplingDomain:
 
     @pytest.mark.parametrize("check, theta_radius", [
         (_cascade_base_check, 5.0),
-        (lambda n: wingrock_dissipation_check(wingrock(), WingRockDadsController(), n=n),
+        (lambda: wingrock_dissipation_check(wingrock(), WingRockDadsController()), 40.0),
+        (lambda: sigma_mod_dissipation_check(wingrock(), SigmaModController(), THETA_WR),
          40.0),
-        (lambda n: sigma_mod_dissipation_check(
-            wingrock(), SigmaModController(), THETA_WR, n=n), 40.0),
     ], ids=["cascade-certificate", "ineq34", "ineq38"])
     def test_theta_ball_is_the_plants(self, monkeypatch, check, theta_radius):
         radii = []
@@ -153,9 +152,9 @@ class TestSamplingDomain:
             return sample_ball(rng, dim, radius)
 
         monkeypatch.setattr(systems, "sample_ball", recording)
-        rep = check(20)
-        assert rep.n_samples == 20
+        rep = check()
         # each draw takes theta, then d
+        assert len(radii) == 2 * rep.n_samples
         assert set(radii[0::2]) == {theta_radius}
         assert set(radii[1::2]) == {ver.D_RADIUS}
 
@@ -242,22 +241,22 @@ class TestTruncation:
 GAINS = DadsGains(b=1.0, Gamma=20.0, eps_dz=0.01, c=0.5, a=2.0)
 
 
-def _synthesize_toy(sys, n_samples):
+def _synthesize_toy(sys):
     """synthesize on the one-level cascade toy, whose drift bound r = 1 holds."""
     pack = MajorantPack(base_r=SmoothMap(3, lambda *a: 1.0, name="r1"), levels=())
-    return synthesize(sys, GAINS, pack, n_samples=n_samples, seed=0)
+    return synthesize(sys, GAINS, pack, seed=0)
 
 
 class TestMajorantValidation:
     """synthesize samples eta_j <= g_j <= mu_j (1 + |theta|) before it builds."""
 
     def test_wingrock_majorants_hold(self):
-        synthesize(wingrock(), GAINS, wingrock_majorants(GAINS), n_samples=200, seed=3)
+        synthesize(wingrock(), GAINS, wingrock_majorants(GAINS), seed=3)
 
     def test_broken_eta_detected(self):
         # eta1 = 3 exceeds inf g1 = 1 for g1 = 2 + sin(x1)
         with pytest.raises(MajorantViolationError) as info:
-            _synthesize_toy(_cascade_toy(eta1_value=3.0), n_samples=300)
+            _synthesize_toy(_cascade_toy(eta1_value=3.0))
         err = info.value
         assert err.name.startswith("eta1")
         assert len(err.point) == 4  # (x1, x2, y1, theta1)
@@ -269,17 +268,13 @@ class TestMajorantValidation:
 
     def test_nan_margin_is_a_violation(self):
         with pytest.raises(MajorantViolationError) as info:
-            _synthesize_toy(_cascade_toy(eta1_value=math.nan), n_samples=20)
+            _synthesize_toy(_cascade_toy(eta1_value=math.nan))
         assert info.value.name.startswith("eta1")
         assert math.isnan(info.value.lhs)
 
     def test_valid_eta_passes(self):
-        result = _synthesize_toy(_cascade_toy(eta1_value=1.0), n_samples=300)
+        result = _synthesize_toy(_cascade_toy(eta1_value=1.0))
         assert len(result.stage_trace) == 1
-
-    def test_bad_sample_count(self):
-        with pytest.raises(ValueError):
-            synthesize(wingrock(), GAINS, wingrock_majorants(GAINS), n_samples=0)
 
 
 class TestDisturbanceProfiles:
