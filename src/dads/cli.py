@@ -27,17 +27,19 @@ import errno
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 from .controllers import (
     DadsGains,
     SigmaModController,
+    SynthesizedDadsController,
     WingRockDadsController,
     wingrock_control,
     wingrock_damping,
     wingrock_intermediates,
 )
+from .jets import SmoothMap
 from .simulate import DivergenceError, SimConfig, TrajectoryLog, simulate, trajectory_stats
 from .synthesis import MajorantViolationError, base_stage_gains, synthesize, wingrock_majorants
 from .systems import BUILTINS, DisturbanceProfile, constant_parameter
@@ -79,14 +81,16 @@ _BOOLEAN = (lambda v: configparser.ConfigParser.BOOLEAN_STATES[v.lower()],
 _VECTOR = (_finite_numbers, "a list of finite numbers")
 _NAMES = (lambda v: v.replace(",", " ").split(), "a list of names")
 
-# [controller] keys of each controller type, mapped to the dataclass fields they
-# set; an omitted key keeps the field default, and any other key but `type` is rejected
+# [controller] type: its parameter class, its keys mapped to the fields they set
+# (an omitted key keeps the default, any other but `type` is rejected), its law
 _CONTROLLER_FIELDS = {
     "dads-wingrock": (
         WingRockDadsController, {"c": "c", "k": "K", "gamma": "Gamma", "eps": "eps_dz"},
+        lambda params: params.law,
     ),
     "sigma-mod": (
         SigmaModController, {"c": "c", "k": "K", "gamma": "Gamma", "sigma": "sigma_leak"},
+        lambda params: params,
     ),
 }
 
@@ -98,7 +102,7 @@ _SYNTHESIS_FIELDS = {"b": "b", "gamma": "Gamma", "eps": "eps_dz", "c": "c", "a":
 SCENARIO_KEYS = {
     "system": {"name": _TEXT},
     "controller": {"type": _TEXT, **{
-        key: _NUMBER for _, fields in _CONTROLLER_FIELDS.values() for key in fields}},
+        key: _NUMBER for _, fields, _ in _CONTROLLER_FIELDS.values() for key in fields}},
     "sim": {"dt": _NUMBER, "t_end": _NUMBER, "method": _TEXT, "log_stride": _INTEGER,
             "x0": _VECTOR, "ctrl0": _VECTOR},
     "disturbance": {"amplitudes": _VECTOR, "frequencies": _VECTOR, "decay": _NUMBER},
@@ -176,9 +180,9 @@ def build_system(scn: Scenario):
 
 
 def build_controller(scn: Scenario, sys_model=None) -> tuple:
-    """The [controller] type and law; sys_model is unused (perfbench's probe passes it)."""
+    """The [controller] type and parameters; sys_model is unused (perfbench's probe passes it)."""
     ctype = scn.get("controller", "type", "dads-wingrock")
-    cls, fields = _lookup("[controller] type", _CONTROLLER_FIELDS, ctype)
+    cls, fields, _ = _lookup("[controller] type", _CONTROLLER_FIELDS, ctype)
     given = scn.sections.get("controller", {})
     _reject_unread(f"[controller] type {ctype!r}", sorted(given), ("type", *fields))
     try:
@@ -239,7 +243,7 @@ class Setup:
     path: str
     system: object
     ctype: str  # the [controller] type
-    controller: object
+    controller: object  # the law: a dads-wingrock one is a SynthesizedDadsController
     gains: DadsGains  # the [synthesis] constants
     config: SimConfig
     disturbance: DisturbanceProfile
@@ -247,7 +251,7 @@ class Setup:
     ctrl0: tuple
     theta: tuple  # the [parameter] value
     checks: tuple  # the [checks] names
-    corrupt: bool  # [checks] corrupt_controller
+    corrupt: SynthesizedDadsController | None  # [checks] corrupt_controller's mutant law
 
 
 def build(path: str, args, simulates: str = "") -> Setup:
@@ -261,7 +265,8 @@ def build(path: str, args, simulates: str = "") -> Setup:
     """
     scn = load_scenario(path)
     sysm = build_system(scn)
-    ctype, controller = build_controller(scn, sysm)
+    ctype, params = build_controller(scn, sysm)
+    controller = _CONTROLLER_FIELDS[ctype][2](params)  # the runtime law
     checks = tuple(scn.get("checks", "names", []))
     for i, name in enumerate(checks):
         check = _lookup("[checks] names entry", CHECKS, name)
@@ -288,8 +293,20 @@ def build(path: str, args, simulates: str = "") -> Setup:
     user = simulates or next((f"check {n!r}" for n in checks if CHECKS[n].simulates), None)
     if user and "sim" not in scn.sections:
         raise ScenarioError(f"{user}: {path} has no [sim] section to simulate the loop with")
-    return Setup(path, sysm, ctype, controller, *built, checks,
-                 scn.get("checks", "corrupt_controller", False))
+    corrupt = (_damping_flipped(params, controller)
+               if scn.get("checks", "corrupt_controller") else None)
+    return Setup(path, sysm, ctype, controller, *built, checks, corrupt)
+
+
+def _damping_flipped(params: WingRockDadsController,
+                     law: SynthesizedDadsController) -> SynthesizedDadsController:
+    """The mutation probe's law: k with its stabilizing damping term's sign flipped."""
+    def k(x1, x2, x3, z):
+        terms = wingrock_intermediates(x1, x2, x3, z, params.c, params.K)
+        damping = wingrock_damping(terms, params.c, params.K)
+        return wingrock_control((x1, x2, x3), z, params)[0] + 2.0 * damping
+
+    return replace(law, k=SmoothMap(4, k, name="wingrock_u"))
 
 
 def run_scenario(setup: Setup) -> tuple[TrajectoryLog, object]:
@@ -348,24 +365,10 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
-def _dissipation_dads(setup: Setup, seed: int) -> list[ver.CheckReport]:
-    control_fn = None
-    if setup.corrupt:
-        # mutation probe: sign-flip the stabilizing damping term
-        def control_fn(x, z, _c=setup.controller):
-            u, _ = wingrock_control(x, z, _c)
-            terms = wingrock_intermediates(x[0], x[1], x[2], z, _c.c, _c.K)
-            return u + 2.0 * wingrock_damping(terms, _c.c, _c.K)
-    return [ver.wingrock_dissipation_check(
-        setup.system, setup.controller, seed=seed, control_fn=control_fn)]
-
-
 def _trajectory(setup: Setup, seed: int) -> list[ver.CheckReport]:
-    gains = setup.controller.gains
     return ver.check_trajectory_estimates(
-        run_scenario(setup)[0], gains, d_sup=ver.signal_sup(setup.disturbance),
-        theta_sup=math.hypot(*setup.theta),
-        attractivity_radius=ver.wingrock_attractivity_radius(gains.c, gains.eps_dz))
+        run_scenario(setup)[0], setup.controller, d_sup=ver.signal_sup(setup.disturbance),
+        theta_sup=math.hypot(*setup.theta))
 
 
 def _sigma_tradeoff(setup: Setup, seed: int) -> list[ver.CheckReport]:
@@ -388,7 +391,9 @@ class Check(NamedTuple):
 
 CHECKS = {
     "dissipation-dads": Check("dads-wingrock", "the closed-form deadzone-adapted law",
-                              ("corrupt_controller",), False, _dissipation_dads),
+                              ("corrupt_controller",), False,
+                              lambda setup, seed: [ver.wingrock_dissipation_check(
+                                  setup.system, setup.corrupt or setup.controller, seed=seed)]),
     "trajectory": Check("dads-wingrock",
                         "the trajectory estimates of a deadzone-adapted controller", (), True,
                         _trajectory),

@@ -1,22 +1,22 @@
 """Runtime feedback laws for the wing-rock benchmark and synthesized designs.
 
-Three controllers are provided:
+Two law types are provided:
 
-* the closed-form deadzone-adapted (DADS) wing-rock law, whose single
-  adaptation state z drives the gain rho = 1 + e^z and freezes inside the
-  deadzone V <= eps_dz;
+* the deadzone-adapted (DADS) law `SynthesizedDadsController`, (V, k, sigma)
+  with its `DadsGains`, whose single adaptation state z drives the gain
+  rho = 1 + e^z and freezes inside the deadzone V <= eps_dz.  Each synthesis
+  stage is one, and so is the closed-form wing-rock law, the `law` of
+  `WingRockDadsController`, which holds and checks that law's parameters;
 * the classical adaptive baseline with sigma-modification leakage, whose
-  controller state is the four-dimensional parameter estimate;
-* a stage of the backstepping engine, (V, k, sigma) with its own gains:
-  every synthesis builds each stage as this law.
+  controller state is the four-dimensional parameter estimate.
 
-Each controller exposes step(x, cs, t) -> (u, rate): the input and the rate
-of the controller state, from one evaluation of the law, and lyapunov(x, cs),
-the law's one Lyapunov function, which the simulator logs and the trajectory
-checks and certificates read.  Each law's dissipation inequality is stated
-once, beside its Lyapunov function, and the checks of `verify` read it.  All
-formula evaluation is written with generic arithmetic so the same code paths
-can be fed jets for derivative-based certificate checking.
+Each law exposes step(x, cs, t) -> (u, rate): the input and the rate of the
+controller state, and lyapunov(x, cs), the law's one Lyapunov function,
+which the simulator logs and the trajectory checks and certificates read.
+Each law's dissipation inequality is stated once, beside its Lyapunov
+function, and the checks of `verify` read it.  All formula evaluation is
+written with generic arithmetic so the same code paths can be fed jets for
+derivative-based certificate checking.
 
 `DadsGains`, the design constants of the deadzone law, lives here beside
 `deadzone_rate`; the synthesis engine and the checks read it from here.  The
@@ -96,7 +96,8 @@ class DadsGains:
 
 @dataclass(frozen=True)
 class WingRockDadsController:
-    """Closed-form DADS law for the wing-rock plant.
+    """Parameters of the closed-form DADS law for the wing-rock plant, which
+    runs as `law`.
 
     Valid for c >= 1/2, K >= 28 c, Gamma > 0, eps_dz > 0; the constructor
     rejects parameters outside this region.
@@ -120,19 +121,20 @@ class WingRockDadsController:
         """The DADS design constants of this law: b = 1, a = 2."""
         return DadsGains(b=1.0, Gamma=self.Gamma, eps_dz=self.eps_dz, c=self.c, a=2.0)
 
-    # --- simulator interface -------------------------------------------------
-    ctrl_dim = 1
-
-    def step(self, x, cs, t=0.0):
-        """Input and controller-state rate at (x, cs, t)."""
-        u, zdot = wingrock_control(x, cs[0], self)
-        return u, (zdot,)
-
-    def gain_magnitude(self, cs) -> float:
-        return 1.0 + np.exp(float(cs[0]))
-
-    def lyapunov(self, x, cs):
-        return wingrock_intermediates(x[0], x[1], x[2], cs[0], self.c, self.K).V
+    @property
+    def law(self) -> SynthesizedDadsController:
+        """The deadzone-adapted (V, k, sigma, gains) this law runs as: k is
+        `wingrock_control`'s input, and V >= (x1^2 + zeta^2) / 2 bounds the
+        output, |(x1, x2)|^2 <= sigma V with sigma = 2 (sqrt(c^2 + 1) + c)^2."""
+        c, K = self.c, self.K
+        sigma = 2.0 * (math.sqrt(c * c + 1.0) + c) ** 2
+        return SynthesizedDadsController(
+            SmoothMap(4, lambda x1, x2, x3, z: wingrock_intermediates(x1, x2, x3, z, c, K).V,
+                      name="wingrock_V"),
+            SmoothMap(4, lambda x1, x2, x3, z: wingrock_control((x1, x2, x3), z, self)[0],
+                      name="wingrock_u"),
+            SmoothMap(4, lambda x1, x2, x3, z: sigma, name="wingrock_sigma"),
+            self.gains)
 
 
 def wingrock_damping(terms: WingRockTerms, c: float, K: float):
@@ -258,11 +260,11 @@ def sigma_mod_W_map(ctrl: SigmaModController, theta) -> SmoothMap:
 
 @dataclass(frozen=True)
 class SynthesizedDadsController:
-    """One backstepping stage as a runtime deadzone-adapted law.
+    """A deadzone-adapted law: a backstepping stage, or the closed-form
+    wing-rock law (`WingRockDadsController.law`).
 
-    V and k are maps of (state, z).  The stage satisfies |state|^2 <= sigma V
-    and V' <= -c V + `dads_residual` with its own gains: the synthesis
-    constants with the stage's decay rate c and disturbance gain a.
+    V, k and sigma are maps of (state, z).  The law satisfies |Y|^2 <= sigma V,
+    Y the plant's output, and V' <= -c V + `dads_residual` with its own gains.
     """
 
     V: SmoothMap

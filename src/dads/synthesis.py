@@ -52,7 +52,8 @@ ASSUMPTION_SAMPLES = 200
 
 
 class MajorantViolationError(Exception):
-    """A sampled growth-majorant inequality failed; carries the witness point."""
+    """A sampled growth-majorant inequality failed, or its left side (the
+    construction's own maps) was not finite; carries the witness point."""
 
     def __init__(self, name: str, point, lhs: float, bound: float):
         self.name = name
@@ -61,7 +62,8 @@ class MajorantViolationError(Exception):
         self.bound = float(bound)
         super().__init__(
             f"majorant {name!r} violated at {self.point}: "
-            f"required {lhs:.6g} <= {bound:.6g}, bound > 0"
+            f"required {lhs:.6g} <= {bound:.6g}, bound > 0" if np.isfinite(self.lhs) else
+            f"majorant {name!r}: its left side is not finite at {self.point}: {lhs:.6g}"
         )
 
 

@@ -271,8 +271,8 @@ def wingrock() -> StrictFeedbackSystem:
     x3' = u + d2
 
     All controlled gains are 1, so eta = mu = 1 hold with equality.  The
-    output is the roll angle and rate (x1, x2), the pair that
-    `wingrock_attractivity_radius` bounds.
+    output is the roll angle and rate (x1, x2), the pair that the closed-form
+    law's sigma bounds: |(x1, x2)|^2 <= sigma V.
     """
     def const(arity, value, codim=1, name=""):
         if codim == 1:

@@ -6,6 +6,8 @@ draws through `systems.box_sampler`, as synthesis's majorant validations do,
 and evaluates all its samples in one array pass of one closed-loop function,
 which gives the rhs and the bound together (see `check_dissipation`).
 The bounds are each law's own dissipation inequality, from `controllers`.
+A deadzone-adapted law, closed-form or synthesized, is one type, whose
+(V, k, sigma, gains) its certificate and its trajectory checks read.
 Asymptotic claims are checked as finite-horizon surrogates: suprema over the
 final portion of the horizon with recorded slack, since a simulation cannot
 observe true limits.
@@ -23,13 +25,13 @@ import numpy as np
 from .controllers import (
     DadsGains,
     SigmaModController,
-    WingRockDadsController,
+    SynthesizedDadsController,
     _sigma_mod_terms,  # noqa: F401  (perfbench/invoke.py spans verify._sigma_mod_terms)
     dads_residual,
     deadzone_rate,
     sigma_mod_control,
     sigma_mod_W_map,
-    wingrock_control,
+    wingrock_control,  # noqa: F401  (perfbench/invoke.py spans verify.wingrock_control)
 )
 from .jets import SmoothMap, gradient, norm_sq
 from .simulate import TrajectoryLog, tail_length
@@ -133,17 +135,13 @@ def check_dissipation(
 # Prebuilt dissipation checks for the wing-rock benchmark
 # ---------------------------------------------------------------------------
 
-def wingrock_dissipation_check(sys, ctrl: WingRockDadsController, seed: int = 0,
-                               control_fn: Callable | None = None) -> CheckReport:
-    """Sampled decay inequality for the closed-form wing-rock law at LAW_SAMPLES
-    and LAW_TOL: the bound is -cV + `dads_residual` with the controller's gains.
-    control_fn overrides the input computation (used by mutation tests).
-    """
-    u_of = control_fn or (lambda x, z: wingrock_control(x, z, ctrl)[0])
-    k = SmoothMap(4, lambda x1, x2, x3, z: u_of((x1, x2, x3), z), name="wingrock_u")
-    V = SmoothMap(4, lambda x1, x2, x3, z: ctrl.lyapunov((x1, x2, x3), (z,)), name="wingrock_V")
+def wingrock_dissipation_check(sys, law: SynthesizedDadsController,
+                               seed: int = 0) -> CheckReport:
+    """Sampled decay inequality of the closed-form wing-rock law
+    (`WingRockDadsController.law`) at LAW_SAMPLES and LAW_TOL: the bound is
+    -cV + `dads_residual` with the law's gains."""
     return synthesized_dissipation_check(
-        sys, V, k, ctrl.gains, LAW_SAMPLES, LAW_TOL, seed, "wingrock dissipation")
+        sys, law.V, law.k, law.gains, LAW_SAMPLES, LAW_TOL, seed, "wingrock dissipation")
 
 
 def sigma_mod_dissipation_check(sys, ctrl: SigmaModController, theta: Sequence[float],
@@ -220,20 +218,22 @@ def signal_sup(profile) -> float:
     return math.hypot(*profile.amplitudes)
 
 
-def check_trajectory_estimates(log: TrajectoryLog, gains: DadsGains, d_sup: float,
-                               theta_sup: float, attractivity_radius: float) -> list[CheckReport]:
-    """Estimate checks along a deadzone-adapted run at TRAJECTORY_TOL (z's
-    monotonicity at 1e-12).
+def check_trajectory_estimates(log: TrajectoryLog, law: SynthesizedDadsController,
+                               d_sup: float, theta_sup: float) -> list[CheckReport]:
+    """Estimate checks along a run of the deadzone-adapted law at
+    TRAJECTORY_TOL (z's monotonicity at 1e-12).
 
     Produces reports for (i) the envelope e^{-ct} V(0) + residual / c on V,
     the law's residual at (d_sup, theta_sup, z(0)) from the signals'
     suprema, (ii) monotonicity of the adaptation state z, (iii) the tail
     bound V <= eps_dz (1 + SLACK), and (iv) the tail output bound |Y| <=
-    attractivity_radius (1 + SLACK), |Y| the logged norm of the plant's
-    output.  A failing tail bound notes when z still rose over the tail: the
-    gain had not settled; the tail V bound notes the trend of max V/eps over
-    halving windows too.
+    sqrt(sigma eps_dz) (1 + SLACK) row by row, from the law's |Y|^2 <= sigma V,
+    |Y| the logged norm of the plant's output; its witness is the worst
+    row's |Y|.  A failing tail bound notes when z still rose over the tail:
+    the gain had not settled; the tail V bound notes the trend of max V/eps
+    over halving windows too.
     """
+    gains = law.gains
     z = log.ctrl[:, 0]
     offset = dads_residual(d_sup ** 2, theta_sup, float(z[0]), gains.b, gains.a) / gains.c
     envelope = np.exp(-gains.c * log.t) * float(log.V[0]) + offset
@@ -264,13 +264,12 @@ def check_trajectory_estimates(log: TrajectoryLog, gains: DadsGains, d_sup: floa
         )
     )
 
-    y_tail = float(np.max(log.Ynorm[-n_tail:]))
-    reports.append(
-        CheckReport(
-            "tail output bound", n_tail,
-            attractivity_radius * (1.0 + SLACK) - y_tail, (y_tail,), TRAJECTORY_TOL, note,
-        )
-    )
+    sigma = law.sigma(*log.x[-n_tail:].T, z[-n_tail:])
+    y_tail = log.Ynorm[-n_tail:]
+    margins = np.sqrt(sigma * gains.eps_dz) * (1.0 + SLACK) - y_tail
+    i = int(np.argmin(margins))
+    reports.append(CheckReport("tail output bound", n_tail, float(margins[i]),
+                               (float(y_tail[i]),), TRAJECTORY_TOL, note))
     return reports
 
 
@@ -281,15 +280,6 @@ def _envelope_report(name: str, t, W, envelope, tol: float) -> CheckReport:
     i = int(np.argmin(margins))
     return CheckReport(name, len(t), float(margins[i]),
                        (float(t[i]), float(W[i]), float(envelope[i])), tol)
-
-
-def wingrock_attractivity_radius(c: float, eps: float) -> float:
-    """Residual output radius of the wing-rock design: (sqrt(c^2+1)+c) sqrt(2 eps).
-
-    It bounds |(x1, x2)|, the plant's output, from V >= x1^2/2 + zeta^2/2
-    with zeta = x2 + 2 c x1; it does not bound x3.
-    """
-    return (math.sqrt(c * c + 1.0) + c) * math.sqrt(2.0 * eps)
 
 
 def same_grid(t, other) -> bool:

@@ -39,7 +39,6 @@ from dads.verify import (
     signal_sup,
     stage_certificate_checks,
     synthesized_dissipation_check,
-    wingrock_attractivity_radius,
     wingrock_dissipation_check,
 )
 
@@ -47,6 +46,7 @@ THETA = [20.0, 20.0, 2.0, 1.0]
 X0 = [1.0, -0.5, -18.0]
 Z0 = [-math.log(10.0)]
 GAINS = DadsGains(b=1.0, Gamma=20.0, eps_dz=0.01, c=0.5, a=2.0)
+LAW = WingRockDadsController().law  # the closed-form law at GAINS
 PERSISTENT = DisturbanceProfile(2, (20.0, 10.0), (10.0, 20.0))
 
 
@@ -63,13 +63,13 @@ def dads_cfg():
 
 @pytest.fixture(scope="module")
 def dads_quiet():
-    return simulate(wingrock(), WingRockDadsController(), X0, Z0,
+    return simulate(wingrock(), LAW, X0, Z0,
                     DisturbanceProfile(2), constant_parameter(THETA), dads_cfg())
 
 
 @pytest.fixture(scope="module")
 def dads_persistent():
-    return simulate(wingrock(), WingRockDadsController(), X0, Z0,
+    return simulate(wingrock(), LAW, X0, Z0,
                     PERSISTENT, constant_parameter(THETA), dads_cfg())
 
 
@@ -80,7 +80,7 @@ def synthesis():
 
 def test_criterion_01_dads_dissipation_sampled():
     t0 = time.perf_counter()
-    rep = wingrock_dissipation_check(wingrock(), WingRockDadsController(), seed=0)
+    rep = wingrock_dissipation_check(wingrock(), LAW, seed=0)
     elapsed = time.perf_counter() - t0
     ok = rep.worst_margin >= -1e-6 and elapsed < 5.0
     report(1, ok,
@@ -119,7 +119,7 @@ def test_criterion_04_quiet_run_regulates(dads_quiet):
     n_tail = np.searchsorted(log.t, 8.0)
     v_tail = float(np.max(log.V[n_tail:]))
     y_tail = float(np.max(log.Ynorm[n_tail:]))
-    radius = wingrock_attractivity_radius(0.5, 0.01)
+    radius = math.sqrt(LAW.sigma(*X0, *Z0) * GAINS.eps_dz)
     monotone = float(np.min(np.diff(z))) >= -1e-12
     ok = monotone and v_tail <= 0.011 and y_tail <= radius * 1.1
     report(4, ok,
@@ -130,7 +130,7 @@ def test_criterion_04_quiet_run_regulates(dads_quiet):
 
 def test_criterion_04_runtime_budget():
     t0 = time.perf_counter()
-    simulate(wingrock(), WingRockDadsController(), X0, Z0,
+    simulate(wingrock(), LAW, X0, Z0,
              DisturbanceProfile(2), constant_parameter(THETA), dads_cfg())
     elapsed = time.perf_counter() - t0
     report("4 (runtime)", elapsed < 30.0,
@@ -171,10 +171,7 @@ def test_criterion_07_envelope_both_runs(dads_quiet, dads_persistent):
     for log, dist in ((dads_quiet, DisturbanceProfile(2)),
                       (dads_persistent, PERSISTENT)):
         reports = check_trajectory_estimates(
-            log, GAINS,
-            d_sup=signal_sup(dist), theta_sup=theta_sup,
-            attractivity_radius=wingrock_attractivity_radius(GAINS.c, GAINS.eps_dz),
-        )
+            log, LAW, d_sup=signal_sup(dist), theta_sup=theta_sup)
         env = next(r for r in reports if r.name == "V envelope")
         worst = min(worst, env.worst_margin)
     report(7, worst >= -1e-6,
@@ -184,7 +181,7 @@ def test_criterion_07_envelope_both_runs(dads_quiet, dads_persistent):
 
 def test_criterion_08_vanishing_disturbance():
     dist = DisturbanceProfile(2, (20.0, 0.0), (10.0, 0.0), 1.0)
-    log = simulate(wingrock(), WingRockDadsController(), X0, Z0, dist,
+    log = simulate(wingrock(), LAW, X0, Z0, dist,
                    constant_parameter([0.0] * 4), dads_cfg())
     final = float(np.linalg.norm(log.x[-1]))
     report(8, final < 1e-3,
@@ -210,8 +207,7 @@ def _shipped_scalar_maps():
                         name=f"{m.name}[{q}]",
                     )
                     out.append((f"{fam}:{m.name}[{q}]", comp, 2.0))
-    ctrl = WingRockDadsController()
-    out.append(("V:wingrock", SmoothMap(4, lambda *p: ctrl.lyapunov(p[:3], p[3:])), 1.5))
+    out.append(("V:wingrock", LAW.V, 1.5))
     pack = wingrock_majorants(GAINS)
     out.append(("majorant:base_r", pack.base_r, 2.0))
     for i, lv in enumerate(pack.levels):
@@ -325,11 +321,9 @@ def _scaled(name, tmp_path, amplitude, theta):
 def _trajectory_reports(setup):
     """The scenario's log and its trajectory-estimate reports by name."""
     log, controller = run_scenario(setup)
-    gains = controller.gains
     return log, {r.name: r for r in check_trajectory_estimates(
-        log, gains, d_sup=signal_sup(setup.disturbance),
-        theta_sup=float(np.linalg.norm(setup.theta)),
-        attractivity_radius=wingrock_attractivity_radius(gains.c, gains.eps_dz))}
+        log, controller, d_sup=signal_sup(setup.disturbance),
+        theta_sup=float(np.linalg.norm(setup.theta)))}
 
 
 def test_criterion_12_size_independence(tmp_path):

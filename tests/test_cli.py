@@ -35,7 +35,7 @@ from dads.cli import (
 import dads.cli as cli
 import dads.simulate
 import dads.verify as ver
-from dads.controllers import WingRockDadsController
+from dads.controllers import SynthesizedDadsController, WingRockDadsController
 from dads.jets import SmoothMap
 from dads.simulate import SimConfig
 from dads.systems import BUILTINS
@@ -307,6 +307,27 @@ class TestVerifyCommand:
             "[checks]\nnames = dissipation-dads\ncorrupt_controller = true\n"
         )
         assert main(["verify", str(bad), "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
+
+    def test_corrupt_probe_is_a_law_with_flipped_damping(self, tmp_path):
+        # the probe's law differs from the built one only in k, by twice the
+        # damping term, and its check fails with the probe's pinned margin
+        path = edited("ineq34", tmp_path, {("checks", "corrupt_controller"): "true"})
+        setup = cli.build(path, argparse.Namespace(t_end=None))
+        law, probe = setup.controller, setup.corrupt
+        assert (probe.V, probe.sigma, probe.gains) == (law.V, law.sigma, law.gains)
+        params = WingRockDadsController()
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            x1, x2, x3, z = rng.uniform(-3.0, 3.0, 4)
+            terms = cli.wingrock_intermediates(x1, x2, x3, z, params.c, params.K)
+            assert probe.k(x1, x2, x3, z) == law.k(x1, x2, x3, z) + 2.0 * cli.wingrock_damping(
+                terms, params.c, params.K)
+        assert main(["verify", path, "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
+        with open(tmp_path / "ineq34.checks.csv") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["name"], float(row["worst_margin"])) == (
+            "wingrock dissipation", -6.3197399426896746e+32)
+        assert cli.build(scen("ineq34.scenario"), argparse.Namespace(t_end=None)).corrupt is None
 
     @pytest.mark.parametrize("value, expected", [
         ("yes", EXIT_CHECK_FAILED), ("1", EXIT_CHECK_FAILED), ("On", EXIT_CHECK_FAILED),
@@ -1251,6 +1272,33 @@ class TestShippedScenariosPass:
         assert "[PASS] drift contrast" in capsys.readouterr().out
 
 
+class TestOneLawType:
+    """The closed-form law runs as a SynthesizedDadsController, the one
+    deadzone-adapted law type."""
+
+    def test_every_dads_wingrock_scenario_builds_the_law(self):
+        setups = {name: cli.build(scen(f"{name}.scenario"), argparse.Namespace(t_end=None))
+                  for name in SHIPPED}
+        names = [name for name, setup in setups.items() if setup.ctype == "dads-wingrock"]
+        assert names == ["fig1_dads", "fig4_dads", "ineq34", "synth_wingrock", "vanishing"]
+        for name in names:
+            assert type(setups[name].controller) is SynthesizedDadsController, name
+
+    def test_verify_steps_the_law(self, tmp_path, monkeypatch):
+        laws = []
+        step = SynthesizedDadsController.step
+
+        def recorded(self, x, cs, t=0.0):
+            laws.append(self)
+            return step(self, x, cs, t)
+
+        monkeypatch.setattr(SynthesizedDadsController, "step", recorded)
+        # over 0.01 s the tail bounds fail; the law was stepped all the same
+        assert main(["verify", scen("fig4_dads.scenario"), "--t-end", "0.01",
+                     "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
+        assert laws and all(law.V.name == "wingrock_V" for law in laws)
+
+
 class TestSynthesizeCommand:
     def test_wingrock_synthesis_ok(self, tmp_path, capsys):
         code = main(["synthesize", scen("synth_wingrock.scenario"),
@@ -1266,6 +1314,16 @@ class TestSynthesizeCommand:
             path = edited("synth_wingrock", tmp_path, {("synthesis", key): value})
             assert main(["synthesize", path, "--out", str(tmp_path)]) == EXIT_MAJORANT
             assert _one_error_line(capsys).startswith("error: majorant 'R (stage growth)' ")
+
+    @pytest.mark.parametrize("key, value", [("gamma", "1e308"), ("c", "1e300")])
+    def test_non_finite_stage_growth_is_named(self, tmp_path, capsys, key, value):
+        # stage 2's own maps overflow: the left side of the stage growth bound
+        # is nan, which is not a bound the plant breaks
+        path = edited("synth_wingrock", tmp_path, {("synthesis", key): value})
+        assert main(["synthesize", path, "--out", str(tmp_path)]) == EXIT_MAJORANT
+        assert _one_error_line(capsys) == (
+            "error: majorant 'R (stage growth)': its left side is not finite at "
+            "(-1.4303271945041016, -1.2090531395152602, 1.8853544435656815): nan\n")
 
 
 def _closed_stdout_run(argv, unbuffered):
@@ -1345,6 +1403,19 @@ class TestPinnedMargins:
             row = next(r for r in csv.DictReader(fh) if r["name"] == "tail output bound")
         assert (float(row["worst_margin"]), row["witness"]) == (
             0.25122948126646116, "0.000477535973")
+
+    def test_fig4_at_two_seconds_fails_both_tail_bounds(self, tmp_path):
+        # the gain is still rising at t = 2, and the tail output bound fails
+        # against sqrt(sigma eps) on the law's sigma (CI's second exit-5 probe)
+        assert main(["verify", scen("fig4_dads.scenario"), "--t-end", "2",
+                     "--out", str(tmp_path)]) == EXIT_CHECK_FAILED
+        with open(tmp_path / "fig4_dads.checks.csv") as fh:
+            rows = {r["name"]: r for r in csv.DictReader(fh)}
+        tail_V, tail_Y = rows["tail V bound"], rows["tail output bound"]
+        assert (tail_V["passed"], float(tail_V["worst_margin"])) == (
+            "False", -0.010988948256529617)
+        assert (tail_Y["passed"], float(tail_Y["worst_margin"]), tail_Y["witness"]) == (
+            "False", -0.06855527257353411, "0.32026229")
 
 
 class TestCompareCommand:

@@ -77,7 +77,7 @@ class TestWingRockDads:
     def test_initial_input_oracle(self):
         ctrl = WingRockDadsController()
         assert wingrock_control(X0, Z0, ctrl)[0] == pytest.approx(U0, rel=1e-12)
-        u, rate = ctrl.step(np.array(X0), np.array([Z0]))
+        u, rate = ctrl.law.step(np.array(X0), np.array([Z0]))
         assert u == pytest.approx(U0, rel=1e-12)
         assert rate == pytest.approx([ZDOT0], rel=1e-12)
 
@@ -129,12 +129,12 @@ class TestWingRockDads:
             assert wingrock_control(x, z, ctrl)[1] >= 0.0
 
     def test_gain_magnitude(self):
-        ctrl = WingRockDadsController()
-        assert ctrl.gain_magnitude([Z0]) == pytest.approx(1.1, rel=1e-14)
+        law = WingRockDadsController().law
+        assert law.gain_magnitude([Z0]) == pytest.approx(1.1, rel=1e-14)
 
     def test_lyapunov_is_jet_evaluable(self):
-        ctrl = WingRockDadsController()
-        Vmap = SmoothMap(4, lambda *p: ctrl.lyapunov(p[:3], p[3:]))
+        law = WingRockDadsController().law
+        Vmap = SmoothMap(4, lambda *p: law.lyapunov(p[:3], p[3:]))
         assert float(Vmap(*X0, Z0)) == pytest.approx(V0, rel=1e-14)
         g = gradient(Vmap, (*X0, Z0))
         h = 1e-6
@@ -143,6 +143,43 @@ class TestWingRockDads:
             p_lo = list((*X0, Z0)); p_lo[i] -= h
             fd = (float(Vmap(*p_hi)) - float(Vmap(*p_lo))) / (2 * h)
             assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-6)
+
+
+class TestWingRockLaw:
+    """The closed-form law runs as a deadzone-adapted (V, k, sigma, gains)."""
+
+    def test_law_is_the_closed_form_bit_for_bit(self):
+        ctrl = WingRockDadsController(c=0.75, K=30.0, Gamma=3.0, eps_dz=0.2)
+        law = ctrl.law
+        assert isinstance(law, SynthesizedDadsController)
+        assert law.gains == ctrl.gains
+        rng = np.random.default_rng(3)
+        for _ in range(1000):
+            x, z = rng.uniform(-3.0, 3.0, 3), rng.uniform(-3.0, 3.0)
+            u, (zdot,) = law.step(x, (z,))
+            assert (u, zdot) == wingrock_control(x, z, ctrl)
+            assert law.lyapunov(x, (z,)) == wingrock_intermediates(*x, z, 0.75, 30.0).V
+
+    @pytest.mark.parametrize("c", [0.5, 0.75, 3.0])
+    def test_sigma_bounds_the_output(self, c):
+        # |(x1, x2)|^2 <= sigma V, with equality where xi = 0 and (x1, zeta)
+        # is the top eigenvector of A = [[1 + 4c^2, -2c], [-2c, 1]], the
+        # quadratic form of |(x1, x2)|^2 in (x1, zeta), whose top eigenvalue
+        # is lam = sigma / 2
+        law = WingRockDadsController(c=c, K=28.0 * c).law
+        sigma = law.sigma(1.0, 2.0, 3.0, 0.5)
+        assert sigma == 2.0 * (math.sqrt(c * c + 1.0) + c) ** 2
+        rng = np.random.default_rng(5)
+        for _ in range(1000):
+            x, z = rng.uniform(-3.0, 3.0, 3), rng.uniform(-3.0, 3.0)
+            assert x[0] ** 2 + x[1] ** 2 <= sigma * law.lyapunov(x, (z,)) * (1.0 + 1e-12)
+        lam = (math.sqrt(c * c + 1.0) + c) ** 2
+        x1, zeta = 2.0 * c, 1.0 + 4.0 * c * c - lam  # (A - lam I) v = 0, first row
+        x2 = zeta - 2.0 * c * x1
+        rho, L = 1.0 + math.exp(0.0), 1.0 + x1 ** 4 + x2 ** 4
+        x3 = -(x1 + 2.0 * c * x2 + 28.0 * c * rho * rho * L * zeta)  # xi = 0
+        V = law.lyapunov((x1, x2, x3), (0.0,))
+        assert x1 ** 2 + x2 ** 2 == pytest.approx(sigma * V, rel=1e-12)
 
 
 class TestSigmaMod:

@@ -50,6 +50,12 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 SIMULATING = sorted(p.stem for p in SCENARIOS.glob("*.scenario") if "[sim]" in p.read_text())
 
 
+class OneStateLaw:
+    """A base for the laws below that override step: one controller state, z."""
+
+    ctrl_dim = 1
+
+
 def run_sigma(t_end=1.0, dt=1e-4, sigma=0.4, dist=None, stride=100):
     sys = wingrock()
     ctrl = SigmaModController(sigma_leak=sigma)
@@ -60,7 +66,7 @@ def run_sigma(t_end=1.0, dt=1e-4, sigma=0.4, dist=None, stride=100):
 
 def run_dads(t_end=2.0, dist=None):
     sys = wingrock()
-    ctrl = WingRockDadsController()
+    ctrl = WingRockDadsController().law
     cfg = SimConfig(dt=1e-3, t_end=t_end, method="radau", log_stride=10)
     d = dist if dist is not None else DisturbanceProfile(2)
     return simulate(sys, ctrl, X0, Z0, d, THETA, cfg), ctrl
@@ -142,7 +148,7 @@ class TestBasicSimulation:
 
     @pytest.mark.parametrize("run", [run_dads, run_sigma])
     def test_output_norm_is_the_plants_output(self, run):
-        # wing-rock's output is (x1, x2), the pair its attractivity radius bounds
+        # wing-rock's output is (x1, x2), the pair the closed-form law's sigma bounds
         log, _ = run(t_end=0.05)
         assert wingrock().output_dim == 2
         assert np.array_equal(log.Ynorm, np.linalg.norm(log.x[:, :2], axis=1))
@@ -171,7 +177,7 @@ class TestAccuracyAndStiffness:
 
     def test_dads_rk4_diverges_immediately(self):
         sys = wingrock()
-        ctrl = WingRockDadsController()
+        ctrl = WingRockDadsController().law
         cfg = SimConfig(dt=1e-4, t_end=1.0, method="rk4")
         with pytest.raises(DivergenceError) as ei:
             simulate(sys, ctrl, X0, Z0, DisturbanceProfile(2), THETA, cfg)
@@ -180,7 +186,7 @@ class TestAccuracyAndStiffness:
     def test_stiff_blow_up_ends_at_the_budget(self):
         # y' = y^3 from y = -18 blows up at t = 1/648; LSODA never gives up on
         # its own there, so the rhs-evaluation budget ends the solve
-        class BlowUp(WingRockDadsController):
+        class BlowUp(OneStateLaw):
             def step(self, x, cs, t=0.0):
                 return x[2] ** 3, np.zeros(1)
 
@@ -327,7 +333,7 @@ class HoldsInfinity(SigmaModController):
         return u + x[0] / (0.0 * x[0] + math.inf), w
 
 
-class PushesDown(WingRockDadsController):
+class PushesDown(OneStateLaw):
     """u = -1e9, z held: x3 falls linearly, and x1, x2 stay finite."""
 
     def step(self, x, cs, t=0.0):
@@ -370,7 +376,7 @@ class TestTrace:
         ctrl = {
             "sigma-mod": SigmaModController,
             "sigma-zero": lambda: SigmaModController(sigma_leak=0.0),
-            "dads": WingRockDadsController,
+            "dads": lambda: WingRockDadsController().law,
             "reads-t": TimedSigmaMod,
             "synthesized": _synthesized_controller,
             "cascade-linear": LinearCascadeLaw,
@@ -418,7 +424,7 @@ class TestTrace:
         lambda x, cs, t: (np.sin(x[0]), (0.0,)),
     ], ids=["if", "max", "float", "np.sin"])
     def test_untraceable_law_raises_before_the_first_step(self, law, monkeypatch):
-        class Law(WingRockDadsController):
+        class Law(OneStateLaw):
             def step(self, x, cs, t=0.0):
                 return law(x, cs, t)
 
@@ -463,15 +469,11 @@ class TestSynthesizedStageLoop:
         theta = s_theta * np.array([20.0, 20.0, 2.0, 1.0])
         log = simulate(truncate(wingrock(), 2), stage, (1.0, -0.5), (0.0,), dist,
                        constant_parameter(theta), SimConfig(dt=1e-4, t_end=t_end, log_stride=100))
-        # the output radius sqrt(2 eps) stands in for one derived from sigma,
-        # so its report is not asserted
         reports = check_trajectory_estimates(
-            log, stage.gains, d_sup=signal_sup(dist),
-            theta_sup=float(np.linalg.norm(theta)),
-            attractivity_radius=math.sqrt(2.0 * stage.gains.eps_dz))
-        assert [rep.name for rep in reports[:3]] == [
-            "V envelope", "z monotonicity", "tail V bound"]
-        for rep in reports[:3]:
+            log, stage, d_sup=signal_sup(dist), theta_sup=float(np.linalg.norm(theta)))
+        assert [rep.name for rep in reports] == [
+            "V envelope", "z monotonicity", "tail V bound", "tail output bound"]
+        for rep in reports:
             assert rep.passed, rep.summary()
 
 
@@ -530,7 +532,7 @@ class TestCompiledLoop:
         # the stiff DADS law blows up at once; the second drives x3 below
         # -DIVERGENCE_THRESHOLD at t = 0.1 with every state finite, and the
         # leak-free third one does so with its first estimate
-        ctrl = {"dads": WingRockDadsController, "pushes-down": PushesDown,
+        ctrl = {"dads": lambda: WingRockDadsController().law, "pushes-down": PushesDown,
                 "ramps-an-estimate": RampsAnEstimate}[law]()
         x0, c0 = ([0.0] * 3, [0.0] * 4) if law == "ramps-an-estimate" else (X0, Z0)
         cfg = SimConfig(dt=1e-4, t_end=1.0, method="rk4")

@@ -57,6 +57,16 @@ class TestScaledBound:
         with pytest.raises(MajorantViolationError):
             _validate_scaled_bound("toy", lhs, bound, np.zeros((5, 2)))
 
+    @pytest.mark.parametrize("lhs", [math.nan, math.inf])
+    def test_non_finite_left_side_is_named(self, lhs):
+        pts = np.array([[0.25, -0.5]] * 3)
+        with pytest.raises(MajorantViolationError, match=re.escape(
+                f"majorant 'toy': its left side is not finite at (0.25, -0.5): {lhs}")):
+            _validate_scaled_bound("toy", np.array([0.0, lhs, 0.0]), 1.0, pts)
+        with pytest.raises(MajorantViolationError, match=re.escape(
+                "majorant 'toy' violated at (0.25, -0.5): required 2 <= 1, bound > 0")):
+            _validate_scaled_bound("toy", np.array([0.0, 2.0, lhs]), 1.0, pts)
+
     def test_first_violating_draw_is_the_witness(self):
         # |x| <= 0.5 fails at several of the draws; the first one is raised
         pts = np.random.default_rng(4).uniform(-1.0, 1.0, (50, 1))

@@ -140,7 +140,7 @@ class TestSamplingDomain:
 
     @pytest.mark.parametrize("check, theta_radius", [
         (_cascade_base_check, 5.0),
-        (lambda: wingrock_dissipation_check(wingrock(), WingRockDadsController()), 40.0),
+        (lambda: wingrock_dissipation_check(wingrock(), WingRockDadsController().law), 40.0),
         (lambda: sigma_mod_dissipation_check(wingrock(), SigmaModController(), THETA_WR),
          40.0),
     ], ids=["cascade-certificate", "ineq34", "ineq38"])

@@ -3,6 +3,7 @@
 import math
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,7 +43,6 @@ from dads.verify import (
     stage_certificate_checks,
     summarize,
     synthesized_dissipation_check,
-    wingrock_attractivity_radius,
     wingrock_dissipation_check,
 )
 import dads.systems
@@ -86,20 +86,16 @@ class TestCheckReport:
 
 class TestDissipationChecks:
     def test_wingrock_law_passes(self):
-        rep = wingrock_dissipation_check(wingrock(), WingRockDadsController(), seed=0)
+        rep = wingrock_dissipation_check(wingrock(), WingRockDadsController().law, seed=0)
         assert rep.passed
         assert (rep.n_samples, rep.tolerance) == (1000, 1e-6)
         assert len(rep.witness) == 10
 
     def test_mutated_law_fails_with_witness(self):
         ctrl = WingRockDadsController()
-
-        def broken(x, z):
-            # sign-flip the stabilizing damping of the true law
-            u, _ = wingrock_control(x, z, ctrl)
-            return -u
-
-        rep = wingrock_dissipation_check(wingrock(), ctrl, seed=0, control_fn=broken)
+        # sign-flip the whole input of the true law
+        broken = SmoothMap(4, lambda x1, x2, x3, z: -wingrock_control((x1, x2, x3), z, ctrl)[0])
+        rep = wingrock_dissipation_check(wingrock(), replace(ctrl.law, k=broken), seed=0)
         assert not rep.passed
         assert np.isfinite(rep.worst_margin)
         assert len(rep.witness) == 10
@@ -111,7 +107,7 @@ class TestDissipationChecks:
         # 1e16, 3e-5 at 1e18; cancellation in the Gamma-scaled terms leaves
         # 120.7 at 1e19 and a FAIL at 1e20 (see ROADMAP); 309556.35... is the
         # margin at the shipped Gamma = 20
-        rep = wingrock_dissipation_check(wingrock(), WingRockDadsController(Gamma=10.0 ** e),
+        rep = wingrock_dissipation_check(wingrock(), WingRockDadsController(Gamma=10.0 ** e).law,
                                          seed=0)
         assert rep.passed
         assert rep.worst_margin == pytest.approx(309556.3525262382, rel=1e-5)
@@ -135,14 +131,14 @@ class TestDissipationChecks:
         # the deadzone's kink lies in dz/dt at V = eps, not in V, and only V is
         # differentiated: every draw is moved onto V = eps by scaling its x
         # (V(0, z) = 0 < eps) and the wing-rock inequality still holds there
-        ctrl = WingRockDadsController()
+        law = WingRockDadsController().law
         placed = []
 
         def on_boundary(box_dim, *balls):
             draw = box_sampler(box_dim, *balls)
 
             def excess(row, s):
-                return ctrl.lyapunov([s * v for v in row[:3]], row[3:]) - ctrl.eps_dz
+                return law.lyapunov([s * v for v in row[:3]], row[3:]) - law.gains.eps_dz
 
             def sampler(rng):
                 row = draw(rng)
@@ -157,7 +153,7 @@ class TestDissipationChecks:
             return sampler
 
         monkeypatch.setattr(ver, "box_sampler", on_boundary)
-        rep = wingrock_dissipation_check(wingrock(), ctrl, seed=0)
+        rep = wingrock_dissipation_check(wingrock(), law, seed=0)
         assert len(placed) == 1000
         # every draw lies within 1e-9 of the deadzone boundary
         assert max(map(abs, placed)) < 1e-9
@@ -251,8 +247,8 @@ class TestDissipationChecks:
                               tol=0.0)
 
     def test_seed_reproducibility(self):
-        a = wingrock_dissipation_check(wingrock(), WingRockDadsController(), seed=7)
-        b = wingrock_dissipation_check(wingrock(), WingRockDadsController(), seed=7)
+        a = wingrock_dissipation_check(wingrock(), WingRockDadsController().law, seed=7)
+        b = wingrock_dissipation_check(wingrock(), WingRockDadsController().law, seed=7)
         assert a.worst_margin == b.worst_margin
         assert a.witness == b.witness
 
@@ -320,7 +316,7 @@ class TestCertificatesThatCanFail:
 
     def test_wingrock_dissipation(self, monkeypatch, residual):
         monkeypatch.setattr(dads.systems, "BOX_RADIUS", 1e-3)
-        rep = wingrock_dissipation_check(wingrock(), WingRockDadsController(), seed=0)
+        rep = wingrock_dissipation_check(wingrock(), WingRockDadsController().law, seed=0)
         assert rep.n_samples == 1000
         assert rep.passed == bool(residual), rep.summary()
         assert -0.01 < rep.worst_margin  # finite: a violation, not an overflow
@@ -351,7 +347,7 @@ class TestCertificatesThatCanFail:
 def dads_run(dist, t_end=10.0):
     cfg = SimConfig(dt=1e-3, t_end=t_end, method="radau", log_stride=10)
     return simulate(
-        wingrock(), WingRockDadsController(), X0, Z0, dist,
+        wingrock(), WingRockDadsController().law, X0, Z0, dist,
         constant_parameter(THETA), cfg,
     )
 
@@ -412,9 +408,8 @@ class TestTrajectoryEstimates:
 
     def test_quiet_run_estimates(self, dads_quiet_log):
         reports = check_trajectory_estimates(
-            dads_quiet_log, WingRockDadsController().gains,
+            dads_quiet_log, WingRockDadsController().law,
             d_sup=0.0, theta_sup=float(np.linalg.norm(THETA)),
-            attractivity_radius=wingrock_attractivity_radius(0.5, 0.01),
         )
         names = [r.name for r in reports]
         assert names == ["V envelope", "z monotonicity", "tail V bound",
@@ -426,18 +421,34 @@ class TestTrajectoryEstimates:
         d = DisturbanceProfile(2, (20.0, 10.0), (10.0, 20.0))
         d_sup = signal_sup(d)
         reports = check_trajectory_estimates(
-            dads_persistent_log, WingRockDadsController().gains,
+            dads_persistent_log, WingRockDadsController().law,
             d_sup=d_sup, theta_sup=float(np.linalg.norm(THETA)),
-            attractivity_radius=wingrock_attractivity_radius(0.5, 0.01),
         )
         for rep in reports:
             assert rep.passed, rep.summary()
 
     def test_attractivity_radius_value(self):
-        # (sqrt(c^2 + 1) + c) sqrt(2 eps) at the benchmark constants
-        assert wingrock_attractivity_radius(0.5, 0.01) == pytest.approx(
-            0.22882456112707372, rel=1e-15
-        )
+        # sqrt(sigma eps) is (sqrt(c^2 + 1) + c) sqrt(2 eps) at the benchmark
+        # constants, to the last bit
+        law = WingRockDadsController().law
+        sigma = law.sigma(*X0, *Z0)
+        assert np.sqrt(sigma * law.gains.eps_dz) == (math.sqrt(1.25) + 0.5) * math.sqrt(0.02)
+        assert np.sqrt(sigma * law.gains.eps_dz) == 0.22882456112707372
+
+    def test_output_bound_is_judged_row_by_row(self):
+        # a sigma that varies along the tail: the worst row is not the one
+        # with the largest |Y|, and the witness is the worst row's |Y|
+        t = np.linspace(0.0, 1.0, 10)
+        x = np.column_stack([t, np.zeros(10), np.zeros(10)])
+        ynorm = np.array([0.0] * 8 + [0.5, 0.4])
+        log = TrajectoryLog(t, x, np.zeros((10, 1)), np.zeros(10), np.zeros(10), ynorm)
+        law = replace(WingRockDadsController().law,
+                      sigma=SmoothMap(4, lambda x1, x2, x3, z: 100.0 - 99.0 * x1))
+        tail_Y = check_trajectory_estimates(log, law, d_sup=0.0, theta_sup=0.0)[3]
+        radius = np.sqrt((100.0 - 99.0 * t[-2:]) * 0.01) * 1.1
+        assert tail_Y.witness == (0.4,)
+        assert tail_Y.worst_margin == radius[1] - 0.4
+        assert tail_Y.worst_margin < radius[0] - 0.5
 
     @pytest.mark.parametrize("z_last, rising", [(1.0, False), (1.5, True)])
     def test_failing_tail_bounds_say_whether_z_still_rose(self, z_last, rising):
@@ -447,8 +458,7 @@ class TestTrajectoryEstimates:
         z = np.array([0.0] * 8 + [1.0, z_last])
         log = TrajectoryLog(t, np.ones((10, 3)), z[:, None], ones, ones, ones)
         reports = check_trajectory_estimates(
-            log, WingRockDadsController().gains, d_sup=0.0, theta_sup=0.0,
-            attractivity_radius=0.1)
+            log, WingRockDadsController().law, d_sup=0.0, theta_sup=0.0)
         assert [r.name for r in reports[2:]] == ["tail V bound", "tail output bound"]
         tail_V, tail_Y = reports[2:]
         assert not tail_V.passed and not tail_Y.passed
@@ -473,8 +483,7 @@ class TestTrajectoryEstimates:
         eps = WingRockDadsController().gains.eps_dz
         log = TrajectoryLog(t, np.ones((rows, 3)), t[:, None], ones, eps * (2.0 - t), ones)
         tail_V, tail_Y = check_trajectory_estimates(
-            log, WingRockDadsController().gains, d_sup=0.0, theta_sup=0.0,
-            attractivity_radius=0.1)[2:]
+            log, WingRockDadsController().law, d_sup=0.0, theta_sup=0.0)[2:]
         assert tail_V.note == (f"max V/eps per halving window back from t_end: {trend}; "
                                "z still rising at t_end")
         assert tail_V.summary().endswith(f" ({tail_V.note})")
@@ -484,9 +493,10 @@ class TestTrajectoryEstimates:
     def test_violated_envelope_fails(self, dads_quiet_log):
         # shrinking the claimed offset and rate far enough must break the bound
         reports = check_trajectory_estimates(
-            dads_quiet_log, DadsGains(b=1.0, Gamma=20.0, eps_dz=1e-9, c=50.0, a=1e-6),
+            dads_quiet_log, replace(WingRockDadsController().law,
+                                    gains=DadsGains(b=1.0, Gamma=20.0, eps_dz=1e-9, c=50.0,
+                                                    a=1e-6)),
             d_sup=0.0, theta_sup=float(np.linalg.norm(THETA)),
-            attractivity_radius=wingrock_attractivity_radius(0.5, 0.01),
         )
         by_name = {r.name: r for r in reports}
         assert not by_name["V envelope"].passed
